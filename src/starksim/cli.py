@@ -3,11 +3,14 @@
 Subcommands: ``field``, ``ple``, ``decay``, ``g2``, ``stark``, ``fit``,
 ``resonance``, ``reproduce``. Dataset paths go to stdout (one per line;
 ``field`` and ``resonance`` print their small key=value reports
-instead); diagnostics go to stderr.
+instead, and write a manifest only under an explicit ``--out``);
+diagnostics go to stderr.
 
-Exit codes: 0 ok, 2 configuration/validation failure, 3 field-solver
-non-convergence, 4 simulation failure, 5 fitting failure, 6 resonance
-has no solution, 7 resonance voltage beyond the configured limit.
+Exit codes: 0 ok, 2 configuration/validation failure, 3 the field
+solver missed its tolerance within the iteration cap or broke down on
+non-finite numbers, 4 simulation failure, 5 fitting failure, 6
+resonance has no solution, 7 resonance voltage beyond the configured
+limit.
 ``STARKSIM_THREADS`` caps scan-point workers; outputs are identical for
 any worker count.
 """
@@ -146,7 +149,6 @@ def _solve_unit_field(config: ExperimentConfig) -> FieldVector:
         config.dielectric,
         config.solver.spacing_um,
         config.solver.tolerance_v,
-        omega=config.solver.relaxation_factor,
         max_iterations=config.solver.max_iterations,
     )
     return field_at(grid, layout.probe_point_um).scaled(1.0 / reference.bias_v)
@@ -160,7 +162,6 @@ def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) 
         config.dielectric,
         config.solver.spacing_um,
         config.solver.tolerance_v,
-        omega=config.solver.relaxation_factor,
         max_iterations=config.solver.max_iterations,
     )
     probe = field_at(grid, layout.probe_point_um)
@@ -177,7 +178,7 @@ def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) 
     print(f"e_perpendicular_v_per_cm={fmt(probe.e_perpendicular_v_per_cm)}")
     print(f"volts_to_field_v_per_cm_per_v={fmt(scale.e_parallel_v_per_cm)}")
     if out_dir is not None:
-        write_run_manifest(out_dir, config, seed, _command_line())
+        write_run_manifest(out_dir, config, seed, args.command_line)
         if args.dump_grid:
             path = out_dir / "potential_grid.csv"
             write_grid_csv(grid, path)
@@ -198,7 +199,7 @@ def _cmd_ple(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
         config.simulated_ions(), config.protocol, config.detector, field, seed,
         n_workers=_n_workers(),
     )
-    write_run_manifest(out_dir, config, seed, _command_line())
+    write_run_manifest(out_dir, config, seed, args.command_line)
     path = out_dir / "ple_scan.csv"
     write_ple_csv(scan, path)
     print(path)
@@ -211,7 +212,7 @@ def _cmd_decay(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
         emitter, config.protocol, config.detector,
         config.decay.n_pulses, config.decay.bin_width_us, seed,
     )
-    write_run_manifest(out_dir, config, seed, _command_line())
+    write_run_manifest(out_dir, config, seed, args.command_line)
     path = out_dir / "decay.csv"
     write_decay_csv(histogram, path)
     print(path)
@@ -224,7 +225,7 @@ def _cmd_g2(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
         emitter, config.g2.background_fraction, config.protocol,
         config.g2.n_pulses, config.g2.max_lag, seed,
     )
-    write_run_manifest(out_dir, config, seed, _command_line())
+    write_run_manifest(out_dir, config, seed, args.command_line)
     path = out_dir / "g2.csv"
     write_g2_csv(histogram, path)
     print(path)
@@ -247,7 +248,7 @@ def _stark_pipeline(
         seed,
         spacing_um=config.solver.spacing_um,
         tolerance_v=config.solver.tolerance_v,
-        omega=config.solver.relaxation_factor,
+        max_iterations=config.solver.max_iterations,
         window_half_width_mhz=config.stark.window_half_width_mhz,
         v_max=config.run.max_voltage_v,
         n_workers=_n_workers(),
@@ -294,7 +295,7 @@ def _line_report(ion_id: str, line: FitResult) -> list[tuple[str, float, float, 
 def _cmd_stark(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
     ion_id = config.ion(config.stark.ion_id).ion_id
     rows, line = _stark_pipeline(config, ion_id, seed)
-    write_run_manifest(out_dir, config, seed, _command_line())
+    write_run_manifest(out_dir, config, seed, args.command_line)
     scan_path = out_dir / "stark_scan.csv"
     write_stark_csv(rows, scan_path)
     report_path = out_dir / "fit_report.csv"
@@ -330,7 +331,7 @@ def _cmd_fit(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
     else:
         estimate = estimate_g2_zero(read_g2_csv(args.input))
         rows = [("g2_zero", estimate.g2_zero, estimate.standard_error, "dimensionless")]
-    write_run_manifest(out_dir, config, seed, _command_line())
+    write_run_manifest(out_dir, config, seed, args.command_line)
     path = out_dir / "fit_report.csv"
     write_fit_report_csv(rows, path)
     print(path)
@@ -351,12 +352,12 @@ def _cmd_resonance(args, config: ExperimentConfig, seed: int, out_dir: Path | No
     print(f"residual_detuning_mhz={abs(f_a - f_b):.17g}")
     print(f"feasible={'true' if abs(voltage) <= config.run.max_voltage_v else 'false'}")
     if out_dir is not None:
-        write_run_manifest(out_dir, config, seed, _command_line())
+        write_run_manifest(out_dir, config, seed, args.command_line)
     return EXIT_OK
 
 
 def _cmd_reproduce(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
-    write_run_manifest(out_dir, config, seed, _command_line())
+    write_run_manifest(out_dir, config, seed, args.command_line)
     report: list[tuple[str, float, float, str]] = []
     paths: list[Path] = []
 
@@ -428,12 +429,10 @@ def _cmd_reproduce(args, config: ExperimentConfig, seed: int, out_dir: Path) -> 
     return EXIT_OK
 
 
-def _command_line() -> str:
-    return shlex.join(["starksim", *sys.argv[1:]]) if sys.argv else "starksim"
-
-
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
+    args.command_line = shlex.join(["starksim", *argv])  # recorded in every manifest
     try:
         config = load_config(args.config) if args.config is not None else default_config()
     except FileNotFoundError as exc:
@@ -445,6 +444,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     seed = args.seed if args.seed is not None else config.run.seed
     out_dir = args.out if args.out is not None else Path(config.run.output_dir)
+    if args.out is None and args.command in ("field", "resonance") and not getattr(args, "dump_grid", False):
+        out_dir = None  # the report commands print to stdout and write files only when asked to
     handlers = {
         "field": _cmd_field,
         "ple": _cmd_ple,

@@ -10,12 +10,13 @@ booleans, integers, floats, and flat arrays.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
 from .cavity import CavityParams, EffectiveEmitter, EmitterParams, effective_lifetime_us, purcell_factor
-from .electrostatics import DielectricMap, ElectrodeLayout, GeometryError
+from .electrostatics import MAX_ITERATIONS, DielectricMap, ElectrodeLayout, GeometryError
 from .experiment import DEFAULT_MASTER_SEED, DetectorModel, PLEProtocol, SimulatedIon, SimulationError
 from .stark import IonModel, OrientationClass, StarkModelError
 
@@ -192,8 +193,17 @@ def dump_toml(data: dict[str, Any]) -> str:
 class SolverSettings:
     spacing_um: float = 5.0
     tolerance_v: float = 1e-4
-    relaxation_factor: float = 1.9
-    max_iterations: int = 200_000
+    max_iterations: int = MAX_ITERATIONS
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.spacing_um):
+            raise ConfigError(f"[solver].spacing_um must be finite, got {self.spacing_um}")
+        if not 0.0 < self.tolerance_v < math.inf:
+            raise ConfigError(
+                f"[solver].tolerance_v must be a positive finite number, got {self.tolerance_v}"
+            )
+        if self.max_iterations < 1:
+            raise ConfigError(f"[solver].max_iterations must be at least 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -336,7 +346,6 @@ _SCHEMA: dict[str, dict[str, type | tuple[type, ...]]] = {
     "solver": {
         "spacing_um": float,
         "tolerance_v": float,
-        "relaxation_factor": float,
         "max_iterations": int,
     },
     "ions": {
@@ -477,7 +486,6 @@ def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
         solver = SolverSettings(
             spacing_um=float(sol.get("spacing_um", base.solver.spacing_um)),
             tolerance_v=float(sol.get("tolerance_v", base.solver.tolerance_v)),
-            relaxation_factor=float(sol.get("relaxation_factor", base.solver.relaxation_factor)),
             max_iterations=int(sol.get("max_iterations", base.solver.max_iterations)),
         )
 
@@ -636,7 +644,6 @@ def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
         "solver": {
             "spacing_um": config.solver.spacing_um,
             "tolerance_v": config.solver.tolerance_v,
-            "relaxation_factor": config.solver.relaxation_factor,
             "max_iterations": config.solver.max_iterations,
         },
         "ions": [

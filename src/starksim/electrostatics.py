@@ -4,8 +4,9 @@ The two bias electrodes are thin metal strips on the crystal surface,
 separated by a gap; the emitter sits near the gap. The potential obeys
 ``div(eps * grad V) = 0`` in the 2-D cross-section through the gap
 (x = inter-electrode axis, y = surface normal, vacuum above, crystal
-below). The solver is a red-black successive over-relaxation sweep on a
-node-centred grid; electrodes and the outer box are Dirichlet data.
+below). The solver is conjugate gradients preconditioned by a geometric
+multigrid V-cycle on a node-centred grid; electrodes and the outer box
+are Dirichlet data.
 
 Units: lengths in micrometres, potentials in volts, fields in V/cm.
 """
@@ -28,7 +29,6 @@ __all__ = [
     "GeometryError",
     "PotentialGrid",
     "field_at",
-    "optimal_relaxation_factor",
     "solve_parallel_plates",
     "solve_potential",
     "uniform_field_oracle",
@@ -43,16 +43,21 @@ class GeometryError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Relaxation did not reach tolerance within the iteration budget."""
+    """The solve did not reach tolerance within the iteration budget.
+
+    ``last_update_v`` is the error estimate of the last iteration; it is
+    not finite when the iteration broke down.
+    """
 
     def __init__(self, iterations: int, last_update_v: float, tolerance_v: float):
         self.iterations = iterations
         self.last_update_v = last_update_v
         self.tolerance_v = tolerance_v
-        super().__init__(
-            f"no convergence after {iterations} sweeps: "
-            f"last update {last_update_v:.3e} V > tolerance {tolerance_v:.3e} V"
-        )
+        if math.isfinite(last_update_v):
+            reason = f"error estimate {last_update_v:.3e} V > tolerance {tolerance_v:.3e} V"
+        else:
+            reason = f"non-finite error estimate {last_update_v} V"
+        super().__init__(f"no convergence after {iterations} iterations: {reason}")
 
 
 class BoundaryCondition(Enum):
@@ -151,7 +156,10 @@ class PotentialGrid:
 
     ``values[i, j]`` is the potential at ``(x0 + j*h, y0 + i*h)``;
     ``fixed`` marks Dirichlet nodes (electrodes and, for
-    ``DIRICHLET_ZERO``, the outer box).
+    ``DIRICHLET_ZERO``, the outer box). ``iterations`` counts solver
+    iterations, ``last_update_v`` is the final error estimate (below the
+    tolerance) and ``residual_v`` the true residual max|b - A v| of the
+    five-point equations, whose weights are relative permittivities.
     """
 
     spacing_um: float
@@ -162,6 +170,7 @@ class PotentialGrid:
     fixed: np.ndarray = field(repr=False)
     iterations: int = 0
     last_update_v: float = 0.0
+    residual_v: float = 0.0
 
     @property
     def x_coords_um(self) -> np.ndarray:
@@ -179,10 +188,15 @@ def uniform_field_oracle(voltage_v: float, gap_um: float) -> float:
     return voltage_v / gap_um * V_PER_UM_TO_V_PER_CM
 
 
-def optimal_relaxation_factor(nx: int, ny: int) -> float:
-    """Near-optimal SOR factor ``2 / (1 + sin(pi/N))`` for an nx-by-ny grid."""
-    n = max(nx, ny)
-    return 2.0 / (1.0 + math.sin(math.pi / n))
+# Multigrid hierarchy: grids are padded with fixed zero nodes until each
+# axis coarsens ``depth`` times; the coarsest grid then has COARSEST_CELLS
+# to 2*COARSEST_CELLS cells along its shorter axis and is solved by
+# COARSE_SWEEPS red-black Gauss-Seidel sweeps plus one red half-sweep, a
+# colour sequence that reads the same backwards, so the solve is symmetric.
+COARSEST_CELLS = 4
+COARSE_SWEEPS = 16
+# Default iteration cap; a solve typically converges in 5 to 15 iterations.
+MAX_ITERATIONS = 100
 
 
 def _axis_nodes(extent_um: float, spacing_um: float) -> np.ndarray:
@@ -191,100 +205,247 @@ def _axis_nodes(extent_um: float, spacing_um: float) -> np.ndarray:
     return spacing_um * np.arange(-half_cells, half_cells + 1)
 
 
-def _sor_relax(
+class _Level:
+    """One grid of the multigrid hierarchy with its smoother precomputed.
+
+    Face weights depend only on the row: ``vertical[i]`` joins rows i and
+    i+1, ``horizontal[i]`` joins neighbours within row i. The outer ring
+    of nodes is fixed. ``solution``, ``rhs`` and ``work`` are reused by
+    every cycle, and ``buffer`` is a flat scratch array the levels share.
+    Each red-black colour decomposes into two strided sub-lattices whose
+    views are built once, so a sweep runs on array views.
+    """
+
+    def __init__(
+        self, fixed: np.ndarray, vertical: np.ndarray, horizontal: np.ndarray, buffer: np.ndarray
+    ):
+        ny, nx = fixed.shape
+        self.fixed = fixed
+        self.vertical = vertical
+        self.horizontal = horizontal
+        self.buffer = buffer
+        self.free = (~fixed).astype(float)
+        self.solution = np.zeros((ny, nx))
+        self.rhs = np.zeros((ny, nx))
+        self.work = np.zeros((ny, nx))
+        self.scratch = buffer[: (ny - 2) * (nx - 2)].reshape(ny - 2, nx - 2)
+        # weights of the interior rows, as columns: south, north, west = east
+        self.south = vertical[:-1, None]
+        self.north = vertical[1:, None]
+        self.side = horizontal[1:-1, None]
+        self.diagonal = self.south + self.north + 2.0 * self.side
+        gain = np.divide(1.0, self.diagonal, out=np.zeros_like(self.diagonal), where=self.diagonal > 0.0)
+
+        v = self.solution
+        self.colours: tuple[list, list] = ([], [])
+        for parity in (0, 1):
+            for a0 in (0, 1):
+                b0 = (parity + a0) % 2
+                block = np.s_[1 + a0 : ny - 1 : 2, 1 + b0 : nx - 1 : 2]
+                centre = v[block]
+                if centre.size == 0:
+                    continue
+                rows = np.s_[a0::2]
+                self.colours[parity].append(
+                    (
+                        centre,
+                        self.rhs[block],
+                        self.free[block],
+                        v[a0 : ny - 2 : 2, 1 + b0 : nx - 1 : 2],
+                        v[2 + a0 : ny : 2, 1 + b0 : nx - 1 : 2],
+                        v[1 + a0 : ny - 1 : 2, b0 : nx - 2 : 2],
+                        v[1 + a0 : ny - 1 : 2, 2 + b0 : nx : 2],
+                        self.south[rows],
+                        self.north[rows],
+                        self.side[rows],
+                        gain[rows],
+                        buffer[: centre.size].reshape(centre.shape),
+                    )
+                )
+
+    def sweep(self, parity: int) -> None:
+        """Gauss-Seidel update of one colour of ``solution`` for ``rhs``."""
+        for block in self.colours[parity]:
+            centre, rhs, free, south, north, west, east, w_south, w_north, w_side, gain, tmp = block
+            np.add(west, east, out=centre)
+            centre *= w_side
+            np.multiply(w_south, south, out=tmp)
+            centre += tmp
+            np.multiply(w_north, north, out=tmp)
+            centre += tmp
+            centre += rhs
+            centre *= gain
+            centre *= free
+
+    def apply(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` = A v on the free nodes, zero on the fixed ones."""
+        inner, tmp = out[1:-1, 1:-1], self.scratch
+        np.add(v[1:-1, :-2], v[1:-1, 2:], out=inner)
+        inner *= self.side
+        np.multiply(self.south, v[:-2, 1:-1], out=tmp)
+        inner += tmp
+        np.multiply(self.north, v[2:, 1:-1], out=tmp)
+        inner += tmp
+        np.multiply(self.diagonal, v[1:-1, 1:-1], out=tmp)
+        np.subtract(tmp, inner, out=inner)
+        inner *= self.free[1:-1, 1:-1]
+        return out
+
+    def coarsened(self) -> "_Level":
+        """Every second node; a coarse vertical face is the two fine faces it spans in series."""
+        a, b = self.vertical[0::2], self.vertical[1::2]
+        total = a + b
+        vertical = np.divide(2.0 * a * b, total, out=np.zeros_like(total), where=total > 0.0)
+        return _Level(self.fixed[::2, ::2], vertical, self.horizontal[::2], self.buffer)
+
+
+def _restrict(fine: np.ndarray, out: np.ndarray) -> None:
+    """Full weighting, the transpose of bilinear prolongation."""
+    odd = 0.5 * fine[:, 1::2]
+    rows = fine[:, ::2].copy()
+    rows[:, 1:] += odd
+    rows[:, :-1] += odd
+    odd = 0.5 * rows[1::2]
+    out[...] = rows[::2]
+    out[1:] += odd
+    out[:-1] += odd
+
+
+def _prolong_add(coarse: np.ndarray, fine: np.ndarray) -> None:
+    """Add the bilinear interpolation of ``coarse`` to ``fine``."""
+    rows = np.empty((coarse.shape[0], fine.shape[1]))
+    rows[:, ::2] = coarse
+    rows[:, 1::2] = 0.5 * (coarse[:, :-1] + coarse[:, 1:])
+    fine[::2] += rows
+    fine[1::2] += 0.5 * (rows[:-1] + rows[1:])
+
+
+def _v_cycle(levels: list[_Level], depth: int = 0) -> None:
+    """Symmetric V-cycle: ``levels[depth].solution`` ~ A^-1 ``levels[depth].rhs``.
+
+    Red-black Gauss-Seidel forward before the coarse correction and
+    backward after it, so the cycle is a symmetric operator and can
+    precondition conjugate gradients.
+    """
+    level = levels[depth]
+    level.solution.fill(0.0)
+    if depth == len(levels) - 1:
+        for _ in range(COARSE_SWEEPS):
+            level.sweep(0)
+            level.sweep(1)
+        level.sweep(0)
+        return
+    level.sweep(0)
+    level.sweep(1)
+    coarse = levels[depth + 1]
+    level.apply(level.solution, level.work)
+    np.subtract(level.rhs, level.work, out=level.work)
+    _restrict(level.work, coarse.rhs)
+    coarse.rhs *= coarse.free
+    _v_cycle(levels, depth + 1)
+    _prolong_add(coarse.solution, level.solution)
+    level.solution *= level.free
+    level.sweep(1)
+    level.sweep(0)
+
+
+def _padding(nodes: int, depth: int) -> tuple[int, int]:
+    """Fixed nodes to add before and after an axis so that it coarsens ``depth`` times.
+
+    At least one node goes on each side, so the outer ring of every level
+    is fixed. A padded node touches only the original outer ring, which
+    is fixed too, so the padding leaves the solution unchanged.
+    """
+    step = 2**depth
+    total = -(-(nodes + 1) // step) * step - (nodes - 1)
+    return total // 2, total - total // 2
+
+
+def _solve(
     values: np.ndarray,
     fixed: np.ndarray,
-    weights: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    boundary: BoundaryCondition,
-    omega: float,
+    vertical: np.ndarray,
+    horizontal: np.ndarray,
     tolerance_v: float,
     max_iterations: int,
-) -> tuple[int, float]:
-    """Red-black SOR sweeps in place; returns (iterations, last max update).
+) -> tuple[int, float, float]:
+    """Solve for the free nodes of ``values`` in place.
 
-    Each colour decomposes into two strided sub-lattices so the whole
-    sweep runs on array views, with fixed nodes masked out of the update.
+    Conjugate gradients on the five-point system A v = b, with the fixed
+    nodes as Dirichlet data, preconditioned by one multigrid V-cycle.
+    ``vertical[i]`` is the weight of the faces between rows i and i+1 and
+    ``horizontal[i]`` that of the faces within row i; faces of zero
+    weight make insulating boundaries. The V-cycle's correction M r of the
+    current residual estimates the remaining error; once its largest entry
+    is below ``tolerance_v`` the correction is added and the iteration
+    stops. Returns (iterations, largest entry of that last correction,
+    true residual max|b - A v|).
     """
     ny, nx = values.shape
-    w_south, w_north, w_west, w_east = weights
-    denom = w_south + w_north + w_west + w_east
-    free = (~fixed[1:-1, 1:-1]).astype(float)
+    depth = max(((min(ny, nx) + 1) // COARSEST_CELLS).bit_length() - 1, 0)
+    pads = (_padding(ny, depth), _padding(nx, depth))
+    v = np.pad(values, pads)
+    # padded faces copy the edge faces, so that coarse grids see a fixed
+    # outer ring as Dirichlet data rather than as an insulating edge
+    levels = [
+        _Level(
+            np.pad(fixed, pads, constant_values=True),
+            np.pad(vertical, pads[0], mode="edge"),
+            np.pad(horizontal, pads[0], mode="edge"),
+            np.empty(v.size),
+        )
+    ]
+    while len(levels) <= depth:
+        levels.append(levels[-1].coarsened())
+    fine = levels[0]
 
-    blocks = []
-    for parity in (0, 1):  # red sweep first, then black
-        for a0 in (0, 1):
-            b0 = (parity + a0) % 2
-            centre = values[1 + a0 : ny - 1 : 2, 1 + b0 : nx - 1 : 2]
-            if centre.size == 0:
-                continue
-            south = values[a0 : ny - 2 : 2, 1 + b0 : nx - 1 : 2]
-            north = values[2 + a0 : ny : 2, 1 + b0 : nx - 1 : 2]
-            west = values[1 + a0 : ny - 1 : 2, b0 : nx - 2 : 2]
-            east = values[1 + a0 : ny - 1 : 2, 2 + b0 : nx : 2]
-            sub = np.s_[a0::2, b0::2]
-            den = denom[sub]
-            blocks.append(
-                (
-                    centre,
-                    south,
-                    north,
-                    west,
-                    east,
-                    w_south[sub] / den,
-                    w_north[sub] / den,
-                    w_west[sub] / den,
-                    w_east[sub] / den,
-                    omega * free[sub],
-                )
-            )
-
-    last_update = math.inf
-    for sweep in range(1, max_iterations + 1):
-        last_update = 0.0
-        for centre, south, north, west, east, ws, wn, ww, we, gain in blocks:
-            delta = gain * (ws * south + wn * north + ww * west + we * east - centre)
-            centre += delta
-            last_update = max(last_update, float(delta.max()), -float(delta.min()))
-        if boundary is BoundaryCondition.NEUMANN_ZERO:
-            _mirror_open_edges(values, fixed)
-        if last_update < tolerance_v:
-            return sweep, last_update
-    raise ConvergenceError(max_iterations, last_update, tolerance_v)
-
-
-def _mirror_open_edges(values: np.ndarray, fixed: np.ndarray) -> None:
-    """Zero-gradient closure: copy the adjacent interior line onto free edges."""
-    for edge, inner in (
-        (np.s_[0, :], np.s_[1, :]),
-        (np.s_[-1, :], np.s_[-2, :]),
-        (np.s_[:, 0], np.s_[:, 1]),
-        (np.s_[:, -1], np.s_[:, -2]),
-    ):
-        free = ~fixed[edge]
-        values[edge][free] = values[inner][free]
+    # the finest rhs is the CG residual; its work array is free between cycles
+    residual, q = fine.rhs, fine.work
+    step = fine.buffer.reshape(v.shape)
+    np.negative(fine.apply(v, q), out=residual)
+    p = np.zeros_like(v)
+    rz = 1.0
+    for iteration in range(max_iterations + 1):
+        _v_cycle(levels)
+        z = fine.solution
+        error = float(np.abs(z).max())
+        if not math.isfinite(error):
+            raise ConvergenceError(iteration, error, tolerance_v)
+        if error < tolerance_v:
+            v += z
+            break
+        if iteration == max_iterations:
+            raise ConvergenceError(iteration, error, tolerance_v)
+        # numpy scalars: a breakdown gives inf or nan, caught at the next check
+        rz, rz_old = np.vdot(residual, z), rz
+        p *= rz / rz_old
+        p += z
+        fine.apply(p, q)
+        alpha = rz / np.vdot(p, q)
+        np.multiply(alpha, p, out=step)
+        v += step
+        q *= alpha
+        residual -= q
+    values[...] = v[pads[0][0] : pads[0][0] + ny, pads[1][0] : pads[1][0] + nx]
+    return iteration, error, float(np.abs(fine.apply(v, q)).max())
 
 
-def _interface_weights(y_nodes: np.ndarray, x_count: int, dielectric: DielectricMap) -> tuple:
-    """Per-node neighbour weights for div(eps grad V) = 0.
+def _interface_weights(y_nodes: np.ndarray, dielectric: DielectricMap) -> tuple[np.ndarray, np.ndarray]:
+    """Face weights of the five-point stencil for div(eps grad V) = 0.
 
     Permittivity is constant on each grid cell (eps_above for cells whose
-    centre has y > 0, eps_below otherwise); the stencil weight toward a
-    neighbour is the mean of the two cell permittivities flanking that
-    face. Shapes match the interior block ``values[1:-1, 1:-1]``.
+    centre has y > 0, eps_below otherwise); the weight of a face is the
+    mean of the two cell permittivities flanking it. Returns the weights
+    of the vertical faces between rows i and i+1 and of the horizontal
+    faces within row i.
     """
-    eps_above = dielectric.relative_permittivity_above
-    eps_below = dielectric.relative_permittivity_below
     cell_centres_y = (y_nodes[:-1] + y_nodes[1:]) / 2.0
-    eps_column = np.where(cell_centres_y > 0.0, eps_above, eps_below)
-    n_inner_y = len(y_nodes) - 2
-    n_inner_x = x_count - 2
-    eps_south = np.repeat(eps_column[:-1, None], n_inner_x, axis=1)
-    eps_north = np.repeat(eps_column[1:, None], n_inner_x, axis=1)
-    w_south = eps_south
-    w_north = eps_north
-    w_side = (eps_south + eps_north) / 2.0
-    assert w_south.shape == (n_inner_y, n_inner_x)
-    return w_south, w_north, w_side, w_side.copy()
+    eps = np.where(
+        cell_centres_y > 0.0,
+        dielectric.relative_permittivity_above,
+        dielectric.relative_permittivity_below,
+    )
+    return eps, np.concatenate((eps[:1], (eps[:-1] + eps[1:]) / 2.0, eps[-1:]))
 
 
 def solve_potential(
@@ -293,33 +454,35 @@ def solve_potential(
     spacing_um: float,
     tolerance_v: float,
     *,
-    omega: float = 1.9,
-    max_iterations: int = 200_000,
+    max_iterations: int = MAX_ITERATIONS,
     initial: PotentialGrid | None = None,
 ) -> PotentialGrid:
-    """Relax the electrode layout to a converged potential grid.
+    """Solve the electrode layout to a converged potential grid.
 
-    Convergence means the largest node update in one full red-black sweep
-    fell below ``tolerance_v``. The outer box is held at zero (the far
-    boundary); electrode nodes are pinned to their potentials throughout.
+    Convergence means the estimated largest error of a free node against
+    the exact solution of the discrete equations fell below
+    ``tolerance_v``. The outer box is held at zero (the far boundary);
+    electrode nodes are pinned to their potentials throughout.
     ``initial`` warm-starts from a previously converged (typically
     coarser) grid.
 
     Raises
     ------
     GeometryError
-        If ``spacing_um > gap/20`` or the layout is invalid.
+        If ``spacing_um > gap/20``, the tolerance is not a positive
+        finite number or the layout is invalid.
     ConvergenceError
-        If ``max_iterations`` sweeps do not reach tolerance.
+        If ``max_iterations`` iterations do not reach tolerance, or the
+        iteration breaks down on non-finite numbers.
     """
-    if spacing_um <= 0.0:
+    if not spacing_um > 0.0:
         raise GeometryError(f"spacing must be positive, got {spacing_um}")
     if spacing_um > layout.gap_um / 20.0:
         raise GeometryError(
             f"spacing {spacing_um} um too coarse: need <= gap/20 = {layout.gap_um / 20.0} um"
         )
-    if tolerance_v <= 0.0:
-        raise GeometryError(f"tolerance must be positive, got {tolerance_v}")
+    if not 0.0 < tolerance_v < math.inf:
+        raise GeometryError(f"tolerance must be a positive finite number, got {tolerance_v}")
 
     x = _axis_nodes(layout.domain_extent_um[0], spacing_um)
     y = _axis_nodes(layout.domain_extent_um[1], spacing_um)
@@ -342,9 +505,8 @@ def solve_potential(
     if initial is not None:
         values = np.where(fixed, values, _resample(initial, x, y))
 
-    weights = _interface_weights(y, len(x), dielectric)
-    iterations, last_update = _sor_relax(
-        values, fixed, weights, BoundaryCondition.DIRICHLET_ZERO, omega, tolerance_v, max_iterations
+    iterations, error, residual = _solve(
+        values, fixed, *_interface_weights(y, dielectric), tolerance_v, max_iterations
     )
     return PotentialGrid(
         spacing_um=spacing_um,
@@ -354,7 +516,8 @@ def solve_potential(
         y0_um=float(y[0]),
         fixed=fixed,
         iterations=iterations,
-        last_update_v=last_update,
+        last_update_v=error,
+        residual_v=residual,
     )
 
 
@@ -365,39 +528,40 @@ def solve_parallel_plates(
     tolerance_v: float = 1e-9,
     *,
     height_um: float | None = None,
-    omega: float = 1.9,
-    max_iterations: int = 200_000,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> PotentialGrid:
     """Plate electrodes on the full left/right walls, insulating top/bottom.
 
+    The top and bottom rows are insulating: the grid is solved with a
+    fixed ghost row beyond each, joined to it by faces of zero weight.
     The converged interior matches the analytic parallel-plate ramp; this
-    is the geometric limit used to validate the relaxation core against
+    is the geometric limit used to validate the solver against
     :func:`uniform_field_oracle`.
     """
     if gap_um <= 0.0 or spacing_um <= 0.0:
         raise GeometryError("gap and spacing must be positive")
     nx = max(int(round(gap_um / spacing_um)) + 1, 3)
     ny = max(int(round((height_um or gap_um / 2.0) / spacing_um)) + 1, 3)
-    values = np.zeros((ny, nx))
+    values = np.zeros((ny + 2, nx))
     fixed = np.zeros_like(values, dtype=bool)
     values[:, 0] = voltage_v / 2.0
     values[:, -1] = -voltage_v / 2.0
     fixed[:, 0] = fixed[:, -1] = True
+    fixed[0, :] = fixed[-1, :] = True
 
-    shape = (ny - 2, nx - 2)
-    weights = tuple(np.ones(shape) for _ in range(4))
-    iterations, last_update = _sor_relax(
-        values, fixed, weights, BoundaryCondition.NEUMANN_ZERO, omega, tolerance_v, max_iterations
-    )
+    vertical = np.ones(ny + 1)
+    vertical[[0, -1]] = 0.0
+    iterations, error, residual = _solve(values, fixed, vertical, np.ones(ny + 2), tolerance_v, max_iterations)
     return PotentialGrid(
         spacing_um=spacing_um,
-        values=values,
+        values=values[1:-1],
         boundary_condition=BoundaryCondition.NEUMANN_ZERO,
         x0_um=-gap_um / 2.0,
         y0_um=0.0,
-        fixed=fixed,
+        fixed=fixed[1:-1],
         iterations=iterations,
-        last_update_v=last_update,
+        last_update_v=error,
+        residual_v=residual,
     )
 
 

@@ -26,7 +26,14 @@ import numpy as np
 
 from .cavity import EffectiveEmitter, excitation_probability
 from .csvio import write_table
-from .electrostatics import DielectricMap, ElectrodeLayout, FieldVector, field_at, solve_potential
+from .electrostatics import (
+    MAX_ITERATIONS,
+    DielectricMap,
+    ElectrodeLayout,
+    FieldVector,
+    field_at,
+    solve_potential,
+)
 from .stark import IonModel, stark_shift_empirical
 
 __all__ = [
@@ -464,7 +471,7 @@ def simulate_stark_scan(
     *,
     spacing_um: float | None = None,
     tolerance_v: float = 1e-4,
-    omega: float = 1.9,
+    max_iterations: int = MAX_ITERATIONS,
     window_half_width_mhz: float = 60.0,
     v_max: float = 333.0,
     n_workers: int = 1,
@@ -486,7 +493,7 @@ def simulate_stark_scan(
         dielectric,
         spacing_um if spacing_um is not None else layout.gap_um / 20.0,
         tolerance_v,
-        omega=omega,
+        max_iterations=max_iterations,
     )
     unit_field = field_at(grid, layout.probe_point_um).scaled(1.0 / reference.bias_v)
 

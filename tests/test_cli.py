@@ -1,4 +1,8 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,8 +39,8 @@ class TestFieldCommand:
         assert code == EXIT_OK
         values = dict(line.split("=") for line in out.splitlines() if "=" in line)
         assert float(values["voltage_v"]) == 333.0
-        assert float(values["e_parallel_v_per_cm"]) == pytest.approx(21652.504560964684)
-        assert float(values["volts_to_field_v_per_cm_per_v"]) == pytest.approx(65.022536219113164)
+        assert float(values["e_parallel_v_per_cm"]) == pytest.approx(21652.534344268526)
+        assert float(values["volts_to_field_v_per_cm_per_v"]) == pytest.approx(65.02262565846404)
         assert (out_dir / "manifest.json").exists()
 
     def test_grid_dump(self, capsys, config_path, tmp_path):
@@ -47,8 +51,8 @@ class TestFieldCommand:
         assert str(grid) in out
         assert grid.read_text().splitlines()[0] == "x_um,y_um,potential_v"
 
-    def test_zero_voltage(self, capsys, config_path):
-        code, out, _ = run(capsys, "field", "--config", config_path, "--voltage", 0)
+    def test_zero_voltage(self, capsys, config_path, tmp_path):
+        code, out, _ = run(capsys, "field", "--config", config_path, "--voltage", 0, "--out", tmp_path)
         assert code == EXIT_OK
         values = dict(line.split("=") for line in out.splitlines())
         assert float(values["e_parallel_v_per_cm"]) == 0.0
@@ -67,6 +71,43 @@ class TestFieldCommand:
         code, _, err = run(capsys, "field", "--config", path)
         assert code == EXIT_SOLVER
         assert "converge" in err
+
+
+class TestSolverSettings:
+    def field_with(self, capsys, tmp_path, solver_text):
+        path = tmp_path / "solver.toml"
+        path.write_text("[solver]\n" + solver_text, encoding="utf-8")
+        return run(capsys, "field", "--config", path, "--out", tmp_path / "out")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0.0", "-1e-4"])
+    def test_bad_tolerance_exits_2(self, capsys, tmp_path, value):
+        code, _, err = self.field_with(capsys, tmp_path, f"tolerance_v = {value}\n")
+        assert code == EXIT_CONFIG
+        assert "[solver].tolerance_v" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_iteration_cap_below_one_exits_2(self, capsys, tmp_path, value):
+        code, _, err = self.field_with(capsys, tmp_path, f"max_iterations = {value}\n")
+        assert code == EXIT_CONFIG
+        assert "[solver].max_iterations" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_spacing_exits_2(self, capsys, tmp_path, value):
+        code, _, err = self.field_with(capsys, tmp_path, f"spacing_um = {value}\n")
+        assert code == EXIT_CONFIG
+        assert "[solver].spacing_um" in err
+
+    def test_relaxation_factor_is_unknown(self, capsys, tmp_path):
+        code, _, err = self.field_with(capsys, tmp_path, "relaxation_factor = 1.9\n")
+        assert code == EXIT_CONFIG
+        assert "unknown key" in err
+
+    def test_non_finite_potential_exits_3_at_once(self, capsys, tmp_path):
+        path = tmp_path / "nan.toml"
+        path.write_text("[layout]\nelectrode_potentials_v = [nan, -1.0]\n", encoding="utf-8")
+        code, _, err = run(capsys, "field", "--config", path, "--out", tmp_path / "out")
+        assert code == EXIT_SOLVER
+        assert "after 0 iterations" in err
 
 
 class TestResonanceCommand:
@@ -176,6 +217,14 @@ class TestPipelines:
         assert manifest["artifact_version"]
         assert manifest["command"].startswith("starksim")
 
+    def test_manifest_records_main_argv(self, capsys, config_path, tmp_path):
+        out_dir = tmp_path / "argv"
+        argv = ["field", "--config", str(config_path), "--out", str(out_dir), "--voltage", "100"]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["command"] == shlex.join(["starksim", *argv])
+
     def test_stark_command_writes_scan_and_report(self, capsys, config_path, tmp_path):
         out_dir = tmp_path / "stark_out"
         code, out, _ = run(capsys, "stark", "--config", config_path, "--out", out_dir)
@@ -215,3 +264,14 @@ class TestPipelines:
         run(capsys, "g2", "--config", config_path, "--out", a)
         run(capsys, "g2", "--config", config_path, "--out", b, "--seed", 1)
         assert (a / "g2.csv").read_bytes() != (b / "g2.csv").read_bytes()
+
+
+def test_cli_import_leaves_scipy_out():
+    # numpy is the only runtime dependency; scipy is a test-only oracle
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, starksim.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -1,0 +1,85 @@
+"""The field solver against an exact sparse direct solve of the same stencil.
+
+The oracle assembles the five-point equations of div(eps grad V) = 0 on
+the solver's grid (permittivity constant per cell by the sign of the
+cell centre's y, face weights the mean of the two flanking cells, the
+solver's fixed nodes as Dirichlet data) and solves them with scipy's
+sparse LU. scipy is a test-only dependency.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from starksim.electrostatics import DielectricMap, ElectrodeLayout, field_at, solve_potential
+
+pytest.importorskip("scipy")
+from scipy import sparse  # noqa: E402
+from scipy.sparse import linalg as sparse_linalg  # noqa: E402
+
+PAPER_LAYOUT = ElectrodeLayout(
+    electrode_width_um=200.0,
+    gap_um=100.0,
+    electrode_potentials_v=(166.5, -166.5),
+    domain_extent_um=(1000.0, 600.0),
+)
+# 1005 x 605 um at 2.5 um: 403 x 243 nodes, whose 402 x 242 cells halve to odd counts
+ODD_LAYOUT = dataclasses.replace(PAPER_LAYOUT, domain_extent_um=(1005.0, 605.0))
+
+CASES = {
+    "paper_5um": (PAPER_LAYOUT, DielectricMap(), 5.0),
+    "odd_cells_2.5um": (ODD_LAYOUT, DielectricMap(), 2.5),
+    "eps_below_8.8": (PAPER_LAYOUT, DielectricMap(1.0, 8.8), 5.0),
+}
+
+
+def exact_potential(grid, dielectric: DielectricMap) -> np.ndarray:
+    """Exact discrete potential on ``grid``'s nodes, its fixed nodes held."""
+    values = np.where(grid.fixed, grid.values, 0.0)
+    y = grid.y_coords_um
+    eps = np.where(
+        (y[:-1] + y[1:]) / 2.0 > 0.0,
+        dielectric.relative_permittivity_above,
+        dielectric.relative_permittivity_below,
+    )
+    free = ~grid.fixed
+    unknown = np.full(values.shape, -1)
+    unknown[free] = np.arange(np.count_nonzero(free))
+    i, j = np.nonzero(free)
+    k = unknown[i, j]
+    w_south, w_north = eps[i - 1], eps[i]
+    w_side = (w_south + w_north) / 2.0
+
+    rows, cols, data = [k], [k], [w_south + w_north + 2.0 * w_side]
+    rhs = np.zeros(k.size)
+    for di, dj, weight in ((-1, 0, w_south), (1, 0, w_north), (0, -1, w_side), (0, 1, w_side)):
+        ni, nj = i + di, j + dj
+        inner = free[ni, nj]
+        rows.append(k[inner])
+        cols.append(unknown[ni[inner], nj[inner]])
+        data.append(-weight[inner])
+        rhs[~inner] += weight[~inner] * values[ni[~inner], nj[~inner]]
+    matrix = sparse.csc_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(k.size, k.size)
+    )
+    values[free] = sparse_linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    return values
+
+
+@pytest.mark.parametrize("tolerance_v", [1e-4, 1e-6])
+@pytest.mark.parametrize("case", list(CASES))
+def test_error_within_tolerance(case, tolerance_v):
+    layout, dielectric, spacing = CASES[case]
+    grid = solve_potential(layout, dielectric, spacing, tolerance_v)
+    exact = exact_potential(grid, dielectric)
+    assert np.max(np.abs(grid.values - exact)) <= tolerance_v
+    assert grid.last_update_v < tolerance_v
+    assert 0.0 < grid.residual_v
+
+
+def test_golden_probe_field_is_exact():
+    # the pins in test_electrostatics and test_cli are this value
+    grid = solve_potential(PAPER_LAYOUT, DielectricMap(), 5.0, 1e-4)
+    exact = dataclasses.replace(grid, values=exact_potential(grid, DielectricMap()))
+    assert field_at(exact, (0.0, 0.0)).e_parallel_v_per_cm == pytest.approx(21652.534344268526, rel=1e-12)

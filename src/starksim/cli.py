@@ -18,6 +18,7 @@ any worker count.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shlex
 import sys
@@ -81,6 +82,17 @@ EXIT_VOLTAGE_RANGE = 7
 FIGURES = ("fig2", "fig3b", "fig3c", "fig4a", "fig4b")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for a finite number; anything else is a usage error (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starksim",
@@ -96,12 +108,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("field", help="solve the electrode field at the probe point")
     add_common(p)
-    p.add_argument("--voltage", type=float, default=None, help="bias across the pair (default: config potentials)")
+    p.add_argument("--voltage", type=_finite_float, default=None, help="bias across the pair (default: config potentials)")
     p.add_argument("--dump-grid", action="store_true", help="also write the potential grid CSV")
 
     p = sub.add_parser("ple", help="simulate a PLE scan of the whole ion registry")
     add_common(p)
-    p.add_argument("--voltage", type=float, default=0.0, help="electrode bias during the scan")
+    p.add_argument("--voltage", type=_finite_float, default=0.0, help="electrode bias during the scan")
 
     for name, text in (("decay", "simulate a fluorescence decay histogram"),
                        ("g2", "simulate an intensity-autocorrelation histogram"),
@@ -435,10 +447,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.command_line = shlex.join(["starksim", *argv])  # recorded in every manifest
     try:
         config = load_config(args.config) if args.config is not None else default_config()
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8 text
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConfigError, GeometryError, StarkModelError, SimulationError) as exc:
+    except ConfigError as exc:
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

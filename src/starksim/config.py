@@ -1,24 +1,29 @@
 """Experiment configuration: a strict TOML-compatible key-value format.
 
+The dataclasses are the schema. Each field of ``ExperimentConfig`` is a
+section of the file, a section's keys are the field names of its
+dataclass, and each value is checked against the field's annotation; the
+few departures sit in one table next to the generic reader and writer.
 Units are encoded in the key names (``gap_um``, ``dark_rate_hz``) so a
 config file can never be unit-ambiguous. Unknown sections or keys are
-rejected rather than ignored. The parser covers the subset this schema
-needs: ``[section]`` tables, ``[[ions]]`` array-of-tables, strings,
-booleans, integers, floats, and flat arrays.
+rejected rather than ignored, and every number must be finite. The parser
+covers the subset this schema needs: ``[section]`` tables, ``[[ions]]``
+array-of-tables, strings, booleans, integers, floats, and flat arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+import re
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .cavity import CavityParams, EffectiveEmitter, EmitterParams, effective_lifetime_us, purcell_factor
-from .electrostatics import MAX_ITERATIONS, DielectricMap, ElectrodeLayout, GeometryError
-from .experiment import DEFAULT_MASTER_SEED, DetectorModel, PLEProtocol, SimulatedIon, SimulationError
-from .stark import IonModel, OrientationClass, StarkModelError
+from .electrostatics import MAX_ITERATIONS, DielectricMap, ElectrodeLayout
+from .experiment import DEFAULT_MASTER_SEED, DetectorModel, PLEProtocol, SimulatedIon
+from .stark import IonModel, OrientationClass
 
 __all__ = [
     "ConfigError",
@@ -33,7 +38,6 @@ __all__ = [
     "dumps_config",
     "load_config",
     "loads_config",
-    "save_config",
 ]
 
 
@@ -45,67 +49,44 @@ class ConfigError(ValueError):
 # TOML-subset reader / writer
 
 
-def _parse_scalar(text: str, line_no: int) -> Any:
+def _split_unquoted(text: str, separator: str) -> list[str]:
+    """Split at every ``separator`` outside double-quoted strings."""
+    parts, start, in_string = [], 0, False
+    for index, ch in enumerate(text):
+        if ch == '"':
+            in_string = not in_string
+        elif ch == separator and not in_string:
+            parts.append(text[start:index])
+            start = index + 1
+    parts.append(text[start:])
+    return parts
+
+
+def _parse_value(text: str, line_no: int, in_array: bool = False) -> Any:
     text = text.strip()
+    if text.startswith("[") and not in_array:  # arrays are flat
+        if not text.endswith("]"):
+            raise ConfigError(f"line {line_no}: unterminated array")
+        if text.count('"') % 2:
+            raise ConfigError(f"line {line_no}: malformed array")
+        items = _split_unquoted(text[1:-1], ",")
+        if not items[-1].strip():
+            items.pop()  # "[]" or a trailing comma
+        return [_parse_value(item, line_no, in_array=True) for item in items]
     if not text:
         raise ConfigError(f"line {line_no}: missing value")
     if text.startswith('"'):
         if not (text.endswith('"') and len(text) >= 2):
             raise ConfigError(f"line {line_no}: unterminated string")
         return text[1:-1]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text, 10)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: cannot parse value {text!r}") from None
-
-
-def _split_array_items(body: str, line_no: int) -> list[str]:
-    items, depth, current, in_string = [], 0, "", False
-    for ch in body:
-        if ch == '"':
-            in_string = not in_string
-        if ch == "," and depth == 0 and not in_string:
-            items.append(current)
-            current = ""
-            continue
-        if ch == "[" and not in_string:
-            depth += 1
-        if ch == "]" and not in_string:
-            depth -= 1
-        current += ch
-    if in_string or depth != 0:
-        raise ConfigError(f"line {line_no}: malformed array")
-    if current.strip():
-        items.append(current)
-    return items
-
-
-def _parse_value(text: str, line_no: int) -> Any:
-    text = text.strip()
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigError(f"line {line_no}: unterminated array")
-        return [_parse_value(item, line_no) for item in _split_array_items(text[1:-1], line_no)]
-    return _parse_scalar(text, line_no)
-
-
-def _strip_comment(line: str) -> str:
-    out, in_string = [], False
-    for ch in line:
-        if ch == '"':
-            in_string = not in_string
-        if ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out)
+    if text in ("true", "false"):
+        return text == "true"
+    for number in (int, float):
+        try:
+            return number(text)
+        except ValueError:
+            pass
+    raise ConfigError(f"line {line_no}: cannot parse value {text!r}")
 
 
 def parse_toml(text: str) -> dict[str, Any]:
@@ -113,32 +94,26 @@ def parse_toml(text: str) -> dict[str, Any]:
     root: dict[str, Any] = {}
     current: dict[str, Any] | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = _split_unquoted(raw, "#")[0].strip()
         if not line:
             continue
-        if line.startswith("[["):
-            if not line.endswith("]]"):
-                raise ConfigError(f"line {line_no}: malformed table array header")
-            name = line[2:-2].strip()
-            if not name:
-                raise ConfigError(f"line {line_no}: empty table array name")
-            entry: dict[str, Any] = {}
-            root.setdefault(name, [])
-            if not isinstance(root[name], list):
-                raise ConfigError(f"line {line_no}: {name!r} is already a plain section")
-            root[name].append(entry)
-            current = entry
-            continue
         if line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"line {line_no}: malformed section header")
-            name = line[1:-1].strip()
+            depth = 2 if line.startswith("[[") else 1
+            kind = "table array" if depth == 2 else "section"
+            if not line.endswith("]" * depth):
+                raise ConfigError(f"line {line_no}: malformed {kind} header")
+            name = line[depth:-depth].strip()
             if not name:
-                raise ConfigError(f"line {line_no}: empty section name")
-            if name in root:
-                raise ConfigError(f"line {line_no}: duplicate section {name!r}")
+                raise ConfigError(f"line {line_no}: empty {kind} name")
             current = {}
-            root[name] = current
+            if depth == 1:
+                if name in root:
+                    raise ConfigError(f"line {line_no}: duplicate section {name!r}")
+                root[name] = current
+            elif isinstance(root.setdefault(name, []), list):
+                root[name].append(current)
+            else:
+                raise ConfigError(f"line {line_no}: {name!r} is already a plain section")
             continue
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {raw.strip()!r}")
@@ -157,9 +132,7 @@ def parse_toml(text: str) -> dict[str, Any]:
 def _format_value(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, float)):
         return repr(value)
     if isinstance(value, str):
         return f'"{value}"'
@@ -171,16 +144,10 @@ def _format_value(value: Any) -> str:
 def dump_toml(data: dict[str, Any]) -> str:
     lines: list[str] = []
     for section, content in data.items():
-        if isinstance(content, list):
-            for entry in content:
-                lines.append(f"[[{section}]]")
-                for key, value in entry.items():
-                    lines.append(f"{key} = {_format_value(value)}")
-                lines.append("")
-        else:
-            lines.append(f"[{section}]")
-            for key, value in content.items():
-                lines.append(f"{key} = {_format_value(value)}")
+        header = f"[[{section}]]" if isinstance(content, list) else f"[{section}]"
+        for entry in content if isinstance(content, list) else [content]:
+            lines.append(header)
+            lines.extend(f"{key} = {_format_value(value)}" for key, value in entry.items())
             lines.append("")
     return "\n".join(lines)
 
@@ -196,8 +163,6 @@ class SolverSettings:
     max_iterations: int = MAX_ITERATIONS
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.spacing_um):
-            raise ConfigError(f"[solver].spacing_um must be finite, got {self.spacing_um}")
         if not 0.0 < self.tolerance_v < math.inf:
             raise ConfigError(
                 f"[solver].tolerance_v must be a positive finite number, got {self.tolerance_v}"
@@ -212,6 +177,10 @@ class RunSettings:
     output_dir: str = "out"
     max_voltage_v: float = 333.0
 
+    def __post_init__(self) -> None:
+        if not self.max_voltage_v > 0.0:
+            raise ConfigError(f"[run].max_voltage_v must be positive, got {self.max_voltage_v}")
+
 
 @dataclass(frozen=True)
 class DecaySettings:
@@ -219,6 +188,10 @@ class DecaySettings:
     n_pulses: int = 10_000_000
     bin_width_us: float = 1.0
     fit_start_us: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.n_pulses < 1:
+            raise ConfigError(f"[decay].n_pulses must be at least 1, got {self.n_pulses}")
 
 
 @dataclass(frozen=True)
@@ -228,6 +201,14 @@ class G2Settings:
     n_pulses: int = 200_000
     max_lag: int = 10
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.background_fraction < 1.0:
+            raise ConfigError(f"[g2].background_fraction must lie in [0, 1), got {self.background_fraction}")
+        if self.max_lag < 1:
+            raise ConfigError(f"[g2].max_lag must be at least 1, got {self.max_lag}")
+        if self.n_pulses <= self.max_lag:
+            raise ConfigError(f"[g2].n_pulses must exceed max_lag = {self.max_lag}, got {self.n_pulses}")
+
 
 @dataclass(frozen=True)
 class StarkScanSettings:
@@ -235,22 +216,64 @@ class StarkScanSettings:
     voltages_v: tuple[float, ...] = (0.0, 55.5, 111.0, 166.5, 222.0, 277.5, 333.0)
     window_half_width_mhz: float = 60.0
 
+    def __post_init__(self) -> None:
+        if len(self.voltages_v) < 3:
+            raise ConfigError(f"[stark].voltages_v needs at least 3 voltages, got {len(self.voltages_v)}")
+
+
+def _orientation(stark_coefficient_khz_per_v_cm: float) -> OrientationClass:
+    return OrientationClass.PLUS if stark_coefficient_khz_per_v_cm >= 0 else OrientationClass.MINUS
+
+
+def _ion(ion_id: str, f0_mhz: float, s_khz_per_v_cm: float, fwhm_mhz: float) -> IonModel:
+    return IonModel(ion_id, f0_mhz, s_khz_per_v_cm, _orientation(s_khz_per_v_cm), fwhm_mhz)
+
+
+_DEFAULT_IONS = (
+    _ion("ion1", 0.0, 19.8, 6.7),
+    # calibrated so the empirical shift at the full 333 V bias is -182.9 MHz
+    # for the default layout, dielectric and solver settings
+    _ion("ion2", -40.0, -8.447059760917158, 6.7),
+    _ion("ion3", 60.0, 23.2, 5.9),
+    _ion("ion4", 130.0, -23.0, 7.4),
+    _ion("ion5", -155.0, 22.903, 6.2),
+    _ion("ion6", 215.0, -22.65, 7.0),
+    _ion("ion7", -250.0, -9.8, 6.5),
+)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    layout: ElectrodeLayout
-    dielectric: DielectricMap
-    solver: SolverSettings
-    ions: tuple[IonModel, ...]
-    cavity: CavityParams
-    emitter: EmitterParams
-    saturation_excitation_prob: float
-    protocol: PLEProtocol
-    detector: DetectorModel
-    run: RunSettings
-    decay: DecaySettings
-    g2: G2Settings
-    stark: StarkScanSettings
+    """Every setting of a run; the defaults describe the measured device."""
+
+    layout: ElectrodeLayout = ElectrodeLayout(
+        electrode_width_um=200.0, gap_um=100.0, electrode_potentials_v=(166.5, -166.5), domain_extent_um=(1000.0, 600.0)
+    )
+    dielectric: DielectricMap = DielectricMap()
+    solver: SolverSettings = SolverSettings()
+    ions: tuple[IonModel, ...] = _DEFAULT_IONS
+    cavity: CavityParams = CavityParams(center_frequency_ghz=195115.0, quality_factor=5.1e4)
+    emitter: EmitterParams = EmitterParams(bulk_lifetime_ms=11.4, branching_ratio=0.2, enhancement_factor=278.0)
+    saturation_excitation_prob: float = 0.5
+    protocol: PLEProtocol = PLEProtocol()
+    detector: DetectorModel = DetectorModel()
+    run: RunSettings = RunSettings()
+    decay: DecaySettings = DecaySettings()
+    g2: G2Settings = G2Settings()
+    stark: StarkScanSettings = StarkScanSettings()
+
+    def __post_init__(self) -> None:
+        ids = [ion.ion_id for ion in self.ions]
+        for ion_id in ids:  # ids name output files and are written between quotes
+            if not re.fullmatch(r"[A-Za-z0-9_.-]+", ion_id):
+                raise ConfigError(f"[[ions]].id {ion_id!r} may use only A-Z, a-z, 0-9, '_', '.' and '-'")
+        if len(set(ids)) != len(ids):
+            raise ConfigError("ion ids must be unique")
+        if not 0.0 <= self.saturation_excitation_prob <= 1.0:
+            raise ConfigError("[emitter].saturation_excitation_prob must lie in [0, 1]")
+        for name, settings in (("decay", self.decay), ("g2", self.g2), ("stark", self.stark)):
+            if settings.ion_id not in ("", *ids):
+                raise ConfigError(f"[{name}].ion_id {settings.ion_id!r} is not in the ion registry")
 
     def ion(self, ion_id: str) -> IonModel:
         if ion_id == "":
@@ -260,12 +283,9 @@ class ExperimentConfig:
                 return ion
         raise ConfigError(f"unknown ion id {ion_id!r}")
 
-    def effective_lifetime_us(self) -> float:
-        return effective_lifetime_us(self.emitter, purcell_factor(self.cavity))
-
     def effective_emitter(self, ion: IonModel) -> EffectiveEmitter:
         return EffectiveEmitter(
-            lifetime_us=self.effective_lifetime_us(),
+            lifetime_us=effective_lifetime_us(self.emitter, purcell_factor(self.cavity)),
             fwhm_mhz=ion.zero_field_fwhm_mhz,
             frequency_mhz=ion.zero_field_frequency_mhz,
             saturation_excitation_prob=self.saturation_excitation_prob,
@@ -279,436 +299,133 @@ class ExperimentConfig:
         return [SimulatedIon(model=i, emitter=self.effective_emitter(i)) for i in self.ions]
 
 
-_DEFAULT_IONS: tuple[dict[str, Any], ...] = (
-    {"id": "ion1", "f0": 0.0, "s": 19.8, "fwhm": 6.7, "broadening": 0.0},
-    # calibrated so the empirical shift at the full 333 V bias is -182.9 MHz
-    # for the default layout, dielectric and solver settings
-    {"id": "ion2", "f0": -40.0, "s": -8.447059760917158, "fwhm": 6.7, "broadening": 0.0},
-    {"id": "ion3", "f0": 60.0, "s": 23.2, "fwhm": 5.9, "broadening": 0.0},
-    {"id": "ion4", "f0": 130.0, "s": -23.0, "fwhm": 7.4, "broadening": 0.0},
-    {"id": "ion5", "f0": -155.0, "s": 22.903, "fwhm": 6.2, "broadening": 0.0},
-    {"id": "ion6", "f0": 215.0, "s": -22.65, "fwhm": 7.0, "broadening": 0.0},
-    {"id": "ion7", "f0": -250.0, "s": -9.8, "fwhm": 6.5, "broadening": 0.0},
-)
-
-
 def default_config() -> ExperimentConfig:
     """Built-in configuration mirroring the measured device."""
-    ions = tuple(
-        IonModel(
-            ion_id=entry["id"],
-            zero_field_frequency_mhz=entry["f0"],
-            stark_coefficient_khz_per_v_cm=entry["s"],
-            orientation_class=OrientationClass.PLUS if entry["s"] >= 0 else OrientationClass.MINUS,
-            zero_field_fwhm_mhz=entry["fwhm"],
-            broadening_mhz_per_kv_cm=entry["broadening"],
-        )
-        for entry in _DEFAULT_IONS
-    )
-    return ExperimentConfig(
-        layout=ElectrodeLayout(
-            electrode_width_um=200.0,
-            gap_um=100.0,
-            electrode_potentials_v=(166.5, -166.5),
-            domain_extent_um=(1000.0, 600.0),
-            probe_point_um=(0.0, 0.0),
-        ),
-        dielectric=DielectricMap(),
-        solver=SolverSettings(),
-        ions=ions,
-        cavity=CavityParams(center_frequency_ghz=195115.0, quality_factor=5.1e4),
-        emitter=EmitterParams(bulk_lifetime_ms=11.4, branching_ratio=0.2, enhancement_factor=278.0),
-        saturation_excitation_prob=0.5,
-        protocol=PLEProtocol(),
-        detector=DetectorModel(),
-        run=RunSettings(),
-        decay=DecaySettings(),
-        g2=G2Settings(),
-        stark=StarkScanSettings(),
-    )
+    return ExperimentConfig()
 
 
 # ---------------------------------------------------------------------------
-# dict <-> dataclass plumbing
+# dict <-> dataclass plumbing, derived from the fields above
+#
+# Each field of ExperimentConfig is a section, in field order; a section's
+# keys are its dataclass's field names, in field order, each typed by the
+# field's annotation. A None value is left out of the file (TOML has no
+# null; this is how ``[emitter] enhancement_factor`` stays unset). The
+# departures from that rule:
+_FILE_KEYS = {("ions", "ion_id"): "id"}
+_NOT_IN_FILE = ("orientation_class", "tensors")  # follows the coefficient's sign; not configurable
+_HOSTED = {"saturation_excitation_prob": "emitter"}  # ExperimentConfig scalars kept in a section
+_ION_DEFAULTS = {"zero_field_frequency_mhz": 0.0}  # [[ions]] may omit it; other no-default keys are required
+_ION_SIGN_KEY = "stark_coefficient_khz_per_v_cm"  # orientation_class is derived from it
 
-_SCHEMA: dict[str, dict[str, type | tuple[type, ...]]] = {
-    "layout": {
-        "electrode_width_um": float,
-        "gap_um": float,
-        "electrode_potentials_v": list,
-        "domain_extent_um": list,
-        "probe_point_um": list,
-    },
-    "dielectric": {
-        "relative_permittivity_above": float,
-        "relative_permittivity_below": float,
-    },
-    "solver": {
-        "spacing_um": float,
-        "tolerance_v": float,
-        "max_iterations": int,
-    },
-    "ions": {
-        "id": str,
-        "zero_field_frequency_mhz": float,
-        "stark_coefficient_khz_per_v_cm": float,
-        "zero_field_fwhm_mhz": float,
-        "broadening_mhz_per_kv_cm": float,
-    },
-    "cavity": {
-        "center_frequency_ghz": float,
-        "quality_factor": float,
-        "mode_volume_cubic_wavelengths": float,
-        "refractive_index": float,
-        "dip_depth": float,
-    },
-    "emitter": {
-        "bulk_lifetime_ms": float,
-        "branching_ratio": float,
-        "enhancement_factor": float,
-        "saturation_excitation_prob": float,
-    },
-    "protocol": {
-        "pulse_length_us": float,
-        "repetition_rate_khz": float,
-        "window_delay_us": float,
-        "window_length_us": float,
-        "integration_time_s": float,
-        "scan_pitch_mhz": float,
-        "scan_range_mhz": list,
-    },
-    "detector": {
-        "total_efficiency": float,
-        "dark_rate_hz": float,
-    },
-    "run": {
-        "seed": int,
-        "output_dir": str,
-        "max_voltage_v": float,
-    },
-    "decay": {
-        "ion_id": str,
-        "n_pulses": int,
-        "bin_width_us": float,
-        "fit_start_us": float,
-    },
-    "g2": {
-        "ion_id": str,
-        "background_fraction": float,
-        "n_pulses": int,
-        "max_lag": int,
-    },
-    "stark": {
-        "ion_id": str,
-        "voltages_v": list,
-        "window_half_width_mhz": float,
-    },
-}
+_HINTS = get_type_hints(ExperimentConfig)
+_ARRAYS = {name for name, hint in _HINTS.items() if get_origin(hint) is tuple}  # [[ions]]
 
 
-def _check_keys(section: str, data: dict[str, Any]) -> None:
-    allowed = _SCHEMA[section]
-    for key, value in data.items():
-        if key not in allowed:
-            raise ConfigError(f"[{section}]: unknown key {key!r}")
-        want = allowed[key]
-        if want is float:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"[{section}].{key}: expected a number")
-        elif want is int:
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"[{section}].{key}: expected an integer")
-        elif want is str:
-            if not isinstance(value, str):
-                raise ConfigError(f"[{section}].{key}: expected a string")
-        elif want is list:
-            if not isinstance(value, list):
-                raise ConfigError(f"[{section}].{key}: expected an array")
+def _slots(section: str) -> dict[str, tuple[str, Any]]:
+    """File key -> (field name, annotation) for one section, in file order."""
+    hint = _HINTS[section]
+    cls = get_args(hint)[0] if section in _ARRAYS else hint
+    hints = get_type_hints(cls)
+    slots = {
+        _FILE_KEYS.get((section, f.name), f.name): (f.name, hints[f.name])
+        for f in fields(cls)
+        if f.name not in _NOT_IN_FILE
+    }
+    slots.update((name, (name, _HINTS[name])) for name, host in _HOSTED.items() if host == section)
+    return slots
 
 
-def _floats(section: str, key: str, value: Any, length: int) -> tuple[float, ...]:
-    if not isinstance(value, list) or len(value) != length:
-        raise ConfigError(f"[{section}].{key}: expected an array of {length} numbers")
-    out = []
-    for v in value:
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"[{section}].{key}: expected numbers")
-        out.append(float(v))
-    return tuple(out)
+_SLOTS = {f.name: _slots(f.name) for f in fields(ExperimentConfig) if f.name not in _HOSTED}
+
+
+_EXPECTED = {str: "a string", int: "an integer", float: "a number"}
+
+
+def _coerce(where: str, hint: Any, value: Any) -> Any:
+    """Check one file value against a field annotation; numbers must be finite."""
+    args = get_args(hint)
+    if type(None) in args:  # optional field: a present value has the other type
+        (hint,) = (arg for arg in args if arg is not type(None))
+        args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected an array")
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            raise ConfigError(f"{where}: expected an array of {len(args)} numbers")
+        return tuple(_coerce(where, args[0], item) for item in value)
+    accepted = (int, float) if hint is float else hint  # an integer is a valid float
+    if not isinstance(value, accepted) or isinstance(value, bool):
+        raise ConfigError(f"{where}: expected {_EXPECTED[hint]}")
+    if hint is not float:
+        return value
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value}")
+    return float(value)
+
+
+def _read_table(where: str, slots: dict[str, tuple[str, Any]], table: dict[str, Any]) -> dict[str, Any]:
+    values = {}
+    for key, value in table.items():
+        if key not in slots:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        name, hint = slots[key]
+        values[name] = _coerce(f"{where}.{key}", hint, value)
+    return values
+
+
+def _read_ion(entry: dict[str, Any]) -> IonModel:
+    values = {**_ION_DEFAULTS, **_read_table("[[ions]]", _SLOTS["ions"], entry)}
+    for f in fields(IonModel):
+        if f.default is MISSING and f.name not in values and f.name not in _NOT_IN_FILE:
+            raise ConfigError(f"[[ions]]: missing key {_FILE_KEYS.get(('ions', f.name), f.name)!r}")
+    return IonModel(orientation_class=_orientation(values[_ION_SIGN_KEY]), **values)
 
 
 def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
+    """Config from parsed TOML; sections and keys the file leaves out keep
+    the defaults, and every dataclass validates itself on construction."""
     base = default_config()
-    for section in data:
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-
-    def section_of(name: str) -> dict[str, Any]:
-        content = data.get(name, {})
-        if isinstance(content, list):
-            raise ConfigError(f"[{name}] must be a plain section, not a table array")
-        _check_keys(name, content)
-        return content
-
+    changes: dict[str, Any] = {}
     try:
-        lay = section_of("layout")
-        layout = ElectrodeLayout(
-            electrode_width_um=float(lay.get("electrode_width_um", base.layout.electrode_width_um)),
-            gap_um=float(lay.get("gap_um", base.layout.gap_um)),
-            electrode_potentials_v=(
-                _floats("layout", "electrode_potentials_v", lay["electrode_potentials_v"], 2)
-                if "electrode_potentials_v" in lay
-                else base.layout.electrode_potentials_v
-            ),
-            domain_extent_um=(
-                _floats("layout", "domain_extent_um", lay["domain_extent_um"], 2)
-                if "domain_extent_um" in lay
-                else base.layout.domain_extent_um
-            ),
-            probe_point_um=(
-                _floats("layout", "probe_point_um", lay["probe_point_um"], 2)
-                if "probe_point_um" in lay
-                else base.layout.probe_point_um
-            ),
-        )
-
-        die = section_of("dielectric")
-        dielectric = DielectricMap(
-            relative_permittivity_above=float(
-                die.get("relative_permittivity_above", base.dielectric.relative_permittivity_above)
-            ),
-            relative_permittivity_below=float(
-                die.get("relative_permittivity_below", base.dielectric.relative_permittivity_below)
-            ),
-        )
-
-        sol = section_of("solver")
-        solver = SolverSettings(
-            spacing_um=float(sol.get("spacing_um", base.solver.spacing_um)),
-            tolerance_v=float(sol.get("tolerance_v", base.solver.tolerance_v)),
-            max_iterations=int(sol.get("max_iterations", base.solver.max_iterations)),
-        )
-
-        if "ions" in data:
-            raw_ions = data["ions"]
-            if not isinstance(raw_ions, list):
-                raise ConfigError("[[ions]] must be a table array")
-            ions = []
-            for entry in raw_ions:
-                _check_keys("ions", entry)
-                for required in ("id", "stark_coefficient_khz_per_v_cm", "zero_field_fwhm_mhz"):
-                    if required not in entry:
-                        raise ConfigError(f"[[ions]]: missing key {required!r}")
-                s = float(entry["stark_coefficient_khz_per_v_cm"])
-                ions.append(
-                    IonModel(
-                        ion_id=entry["id"],
-                        zero_field_frequency_mhz=float(entry.get("zero_field_frequency_mhz", 0.0)),
-                        stark_coefficient_khz_per_v_cm=s,
-                        orientation_class=OrientationClass.PLUS if s >= 0 else OrientationClass.MINUS,
-                        zero_field_fwhm_mhz=float(entry["zero_field_fwhm_mhz"]),
-                        broadening_mhz_per_kv_cm=float(entry.get("broadening_mhz_per_kv_cm", 0.0)),
-                    )
-                )
-            ions = tuple(ions)
-        else:
-            ions = base.ions
-        ids = [ion.ion_id for ion in ions]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("ion ids must be unique")
-
-        cav = section_of("cavity")
-        cavity = CavityParams(
-            center_frequency_ghz=float(cav.get("center_frequency_ghz", base.cavity.center_frequency_ghz)),
-            quality_factor=float(cav.get("quality_factor", base.cavity.quality_factor)),
-            mode_volume_cubic_wavelengths=float(
-                cav.get("mode_volume_cubic_wavelengths", base.cavity.mode_volume_cubic_wavelengths)
-            ),
-            refractive_index=float(cav.get("refractive_index", base.cavity.refractive_index)),
-            dip_depth=float(cav.get("dip_depth", base.cavity.dip_depth)),
-        )
-
-        emi = section_of("emitter")
-        emitter = EmitterParams(
-            bulk_lifetime_ms=float(emi.get("bulk_lifetime_ms", base.emitter.bulk_lifetime_ms)),
-            branching_ratio=float(emi.get("branching_ratio", base.emitter.branching_ratio)),
-            enhancement_factor=(
-                float(emi["enhancement_factor"])
-                if "enhancement_factor" in emi
-                else base.emitter.enhancement_factor
-            ),
-        )
-        saturation = float(emi.get("saturation_excitation_prob", base.saturation_excitation_prob))
-        if not 0.0 <= saturation <= 1.0:
-            raise ConfigError("[emitter].saturation_excitation_prob must lie in [0, 1]")
-
-        pro = section_of("protocol")
-        protocol = PLEProtocol(
-            pulse_length_us=float(pro.get("pulse_length_us", base.protocol.pulse_length_us)),
-            repetition_rate_khz=float(pro.get("repetition_rate_khz", base.protocol.repetition_rate_khz)),
-            window_delay_us=float(pro.get("window_delay_us", base.protocol.window_delay_us)),
-            window_length_us=float(pro.get("window_length_us", base.protocol.window_length_us)),
-            integration_time_s=float(pro.get("integration_time_s", base.protocol.integration_time_s)),
-            scan_pitch_mhz=float(pro.get("scan_pitch_mhz", base.protocol.scan_pitch_mhz)),
-            scan_range_mhz=(
-                _floats("protocol", "scan_range_mhz", pro["scan_range_mhz"], 2)
-                if "scan_range_mhz" in pro
-                else base.protocol.scan_range_mhz
-            ),
-        )
-
-        det = section_of("detector")
-        detector = DetectorModel(
-            total_efficiency=float(det.get("total_efficiency", base.detector.total_efficiency)),
-            dark_rate_hz=float(det.get("dark_rate_hz", base.detector.dark_rate_hz)),
-        )
-
-        run = section_of("run")
-        run_settings = RunSettings(
-            seed=int(run.get("seed", base.run.seed)),
-            output_dir=str(run.get("output_dir", base.run.output_dir)),
-            max_voltage_v=float(run.get("max_voltage_v", base.run.max_voltage_v)),
-        )
-
-        dec = section_of("decay")
-        decay = DecaySettings(
-            ion_id=str(dec.get("ion_id", base.decay.ion_id)),
-            n_pulses=int(dec.get("n_pulses", base.decay.n_pulses)),
-            bin_width_us=float(dec.get("bin_width_us", base.decay.bin_width_us)),
-            fit_start_us=float(dec.get("fit_start_us", base.decay.fit_start_us)),
-        )
-
-        g2s = section_of("g2")
-        g2 = G2Settings(
-            ion_id=str(g2s.get("ion_id", base.g2.ion_id)),
-            background_fraction=float(g2s.get("background_fraction", base.g2.background_fraction)),
-            n_pulses=int(g2s.get("n_pulses", base.g2.n_pulses)),
-            max_lag=int(g2s.get("max_lag", base.g2.max_lag)),
-        )
-
-        sta = section_of("stark")
-        stark = StarkScanSettings(
-            ion_id=str(sta.get("ion_id", base.stark.ion_id)),
-            voltages_v=(
-                tuple(_floats("stark", "voltages_v", sta["voltages_v"], len(sta["voltages_v"])))
-                if "voltages_v" in sta
-                else base.stark.voltages_v
-            ),
-            window_half_width_mhz=float(
-                sta.get("window_half_width_mhz", base.stark.window_half_width_mhz)
-            ),
-        )
-    except (GeometryError, StarkModelError, SimulationError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        for section, content in data.items():
+            if section not in _SLOTS:
+                raise ConfigError(f"unknown section [{section}]")
+            if section in _ARRAYS:
+                if not isinstance(content, list):
+                    raise ConfigError(f"[[{section}]] must be a table array")
+                changes[section] = tuple(_read_ion(entry) for entry in content)
+                continue
+            if isinstance(content, list):
+                raise ConfigError(f"[{section}] must be a plain section, not a table array")
+            values = _read_table(f"[{section}]", _SLOTS[section], content)
+            changes.update({name: values.pop(name) for name in _HOSTED if name in values})
+            changes[section] = replace(getattr(base, section), **values)
+        return replace(base, **changes)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # a dataclass's own check: GeometryError, SimulationError, ...
         raise ConfigError(str(exc)) from exc
 
-    config = ExperimentConfig(
-        layout=layout,
-        dielectric=dielectric,
-        solver=solver,
-        ions=ions,
-        cavity=cavity,
-        emitter=emitter,
-        saturation_excitation_prob=saturation,
-        protocol=protocol,
-        detector=detector,
-        run=run_settings,
-        decay=decay,
-        g2=g2,
-        stark=stark,
-    )
-    for name, ion_id in (
-        ("decay", config.decay.ion_id),
-        ("g2", config.g2.ion_id),
-        ("stark", config.stark.ion_id),
-    ):
-        if ion_id != "" and ion_id not in {i.ion_id for i in config.ions}:
-            raise ConfigError(f"[{name}].ion_id {ion_id!r} is not in the ion registry")
-    return config
+
+def _table(section: str, obj: Any, config: ExperimentConfig) -> dict[str, Any]:
+    table = {}
+    for key, (name, _) in _SLOTS[section].items():
+        value = getattr(config if name in _HOSTED else obj, name)
+        if value is not None:
+            table[key] = value
+    return table
 
 
 def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
-    return {
-        "layout": {
-            "electrode_width_um": config.layout.electrode_width_um,
-            "gap_um": config.layout.gap_um,
-            "electrode_potentials_v": list(config.layout.electrode_potentials_v),
-            "domain_extent_um": list(config.layout.domain_extent_um),
-            "probe_point_um": list(config.layout.probe_point_um),
-        },
-        "dielectric": {
-            "relative_permittivity_above": config.dielectric.relative_permittivity_above,
-            "relative_permittivity_below": config.dielectric.relative_permittivity_below,
-        },
-        "solver": {
-            "spacing_um": config.solver.spacing_um,
-            "tolerance_v": config.solver.tolerance_v,
-            "max_iterations": config.solver.max_iterations,
-        },
-        "ions": [
-            {
-                "id": ion.ion_id,
-                "zero_field_frequency_mhz": ion.zero_field_frequency_mhz,
-                "stark_coefficient_khz_per_v_cm": ion.stark_coefficient_khz_per_v_cm,
-                "zero_field_fwhm_mhz": ion.zero_field_fwhm_mhz,
-                "broadening_mhz_per_kv_cm": ion.broadening_mhz_per_kv_cm,
-            }
-            for ion in config.ions
-        ],
-        "cavity": {
-            "center_frequency_ghz": config.cavity.center_frequency_ghz,
-            "quality_factor": config.cavity.quality_factor,
-            "mode_volume_cubic_wavelengths": config.cavity.mode_volume_cubic_wavelengths,
-            "refractive_index": config.cavity.refractive_index,
-            "dip_depth": config.cavity.dip_depth,
-        },
-        "emitter": {
-            "bulk_lifetime_ms": config.emitter.bulk_lifetime_ms,
-            "branching_ratio": config.emitter.branching_ratio,
-            **(
-                {"enhancement_factor": config.emitter.enhancement_factor}
-                if config.emitter.enhancement_factor is not None
-                else {}
-            ),
-            "saturation_excitation_prob": config.saturation_excitation_prob,
-        },
-        "protocol": {
-            "pulse_length_us": config.protocol.pulse_length_us,
-            "repetition_rate_khz": config.protocol.repetition_rate_khz,
-            "window_delay_us": config.protocol.window_delay_us,
-            "window_length_us": config.protocol.window_length_us,
-            "integration_time_s": config.protocol.integration_time_s,
-            "scan_pitch_mhz": config.protocol.scan_pitch_mhz,
-            "scan_range_mhz": list(config.protocol.scan_range_mhz),
-        },
-        "detector": {
-            "total_efficiency": config.detector.total_efficiency,
-            "dark_rate_hz": config.detector.dark_rate_hz,
-        },
-        "run": {
-            "seed": config.run.seed,
-            "output_dir": config.run.output_dir,
-            "max_voltage_v": config.run.max_voltage_v,
-        },
-        "decay": {
-            "ion_id": config.decay.ion_id,
-            "n_pulses": config.decay.n_pulses,
-            "bin_width_us": config.decay.bin_width_us,
-            "fit_start_us": config.decay.fit_start_us,
-        },
-        "g2": {
-            "ion_id": config.g2.ion_id,
-            "background_fraction": config.g2.background_fraction,
-            "n_pulses": config.g2.n_pulses,
-            "max_lag": config.g2.max_lag,
-        },
-        "stark": {
-            "ion_id": config.stark.ion_id,
-            "voltages_v": list(config.stark.voltages_v),
-            "window_half_width_mhz": config.stark.window_half_width_mhz,
-        },
-    }
+    data: dict[str, Any] = {}
+    for section in _SLOTS:
+        value = getattr(config, section)
+        if section in _ARRAYS:
+            data[section] = [_table(section, entry, config) for entry in value]
+        else:
+            data[section] = _table(section, value, config)
+    return data
 
 
 def loads_config(text: str) -> ExperimentConfig:
@@ -721,10 +438,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 def dumps_config(config: ExperimentConfig) -> str:
     return dump_toml(config_to_dict(config))
-
-
-def save_config(config: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(dumps_config(config), encoding="utf-8")
 
 
 def config_file_digest(text: str) -> str:

@@ -102,12 +102,91 @@ class TestSolverSettings:
         assert code == EXIT_CONFIG
         assert "unknown key" in err
 
-    def test_non_finite_potential_exits_3_at_once(self, capsys, tmp_path):
+    def test_non_finite_potential_exits_2(self, capsys, tmp_path):
+        # the solver's own stop on non-finite numbers is tested in test_electrostatics.py
         path = tmp_path / "nan.toml"
         path.write_text("[layout]\nelectrode_potentials_v = [nan, -1.0]\n", encoding="utf-8")
         code, _, err = run(capsys, "field", "--config", path, "--out", tmp_path / "out")
-        assert code == EXIT_SOLVER
-        assert "after 0 iterations" in err
+        assert code == EXIT_CONFIG
+        assert "[layout].electrode_potentials_v" in err
+
+
+class TestLoadTimeChecks:
+    """Bad input fails at load time with exit 2, naming the offending key."""
+
+    def run_with(self, capsys, tmp_path, text, *argv):
+        path = tmp_path / "bad.toml"
+        path.write_text(text, encoding="utf-8")
+        return run(capsys, *argv, "--config", path, "--out", tmp_path / "out")
+
+    @pytest.mark.parametrize(
+        "section, key, value, argv",
+        [
+            ("layout", "gap_um", "nan", ["field"]),
+            ("layout", "domain_extent_um", "[nan, 600.0]", ["field"]),
+            ("layout", "electrode_potentials_v", "[1.0, -inf]", ["field"]),
+            ("protocol", "integration_time_s", "inf", ["ple"]),
+            ("detector", "dark_rate_hz", "nan", ["reproduce", "fig2"]),
+            ("cavity", "quality_factor", "nan", ["reproduce", "fig2"]),
+            ("run", "max_voltage_v", "nan", ["resonance", "--ion-a", "ion1", "--ion-b", "ion7"]),
+            ("decay", "bin_width_us", "nan", ["decay"]),
+            ("dielectric", "relative_permittivity_below", "nan", ["field"]),
+            ("stark", "voltages_v", "[0.0, nan, 333.0]", ["stark"]),
+        ],
+    )
+    def test_non_finite_number_exits_2(self, capsys, tmp_path, section, key, value, argv):
+        code, out, err = self.run_with(capsys, tmp_path, f"[{section}]\n{key} = {value}\n", *argv)
+        assert code == EXIT_CONFIG
+        assert f"[{section}].{key} must be finite" in err
+        assert out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, where, argv",
+        [
+            ("[decay]\nn_pulses = 0\n", "[decay].n_pulses", ["reproduce", "fig3b"]),
+            ("[g2]\nmax_lag = 0\n", "[g2].max_lag", ["reproduce", "fig3c"]),
+            ("[g2]\nn_pulses = 10\nmax_lag = 10\n", "[g2].n_pulses", ["reproduce", "fig3c"]),
+            ("[g2]\nbackground_fraction = 1.0\n", "[g2].background_fraction", ["reproduce", "fig3c"]),
+            ("[stark]\nvoltages_v = []\n", "[stark].voltages_v", ["reproduce", "fig4a"]),
+            ("[stark]\nvoltages_v = [0.0, 333.0]\n", "[stark].voltages_v", ["reproduce", "fig4a"]),
+            ("[run]\nmax_voltage_v = 0.0\n", "[run].max_voltage_v", ["ple", "--voltage", "0"]),
+        ],
+    )
+    def test_out_of_range_exits_2(self, capsys, tmp_path, text, where, argv):
+        code, out, err = self.run_with(capsys, tmp_path, text, *argv)
+        assert code == EXIT_CONFIG
+        assert where in err
+        assert out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ion_id", ['a"b', "a/b", "a b", "a#b", ""])
+    def test_bad_ion_id_exits_2(self, capsys, tmp_path, ion_id):
+        text = (
+            f'[[ions]]\nid = "{ion_id}"\nstark_coefficient_khz_per_v_cm = 1.0\n'
+            "zero_field_fwhm_mhz = 5.0\n"
+        )
+        code, _, err = self.run_with(capsys, tmp_path, text, "reproduce", "fig4b")
+        assert code == EXIT_CONFIG
+        assert "[[ions]].id" in err
+
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8", "missing"])
+    def test_unreadable_config_exits_2(self, capsys, tmp_path, kind):
+        path = tmp_path / "config.toml"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not utf-8":
+            path.write_bytes(b"\xff\xfe[layout]\n")
+        code, out, err = run(capsys, "field", "--config", path, "--out", tmp_path / "out")
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["field", "ple"])
+    @pytest.mark.parametrize("voltage", ["nan", "inf", "-inf", "volts"])
+    def test_non_finite_voltage_flag_exits_2(self, capsys, tmp_path, command, voltage):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, f"--voltage={voltage}", "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "argument --voltage: expected a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestResonanceCommand:

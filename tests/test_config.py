@@ -1,3 +1,7 @@
+import dataclasses
+import string
+from pathlib import Path
+
 import pytest
 
 from starksim.config import (
@@ -9,6 +13,7 @@ from starksim.config import (
     loads_config,
     parse_toml,
 )
+from starksim.stark import IonModel, OrientationClass
 
 
 class TestTomlSubset:
@@ -43,6 +48,13 @@ class TestTomlSubset:
             parse_toml("[ok]\na = 1\nb = [1, 2\n")
         with pytest.raises(ConfigError, match="line 1"):
             parse_toml("key_before_section = 1\n")
+
+    def test_arrays_are_flat(self):
+        data = parse_toml('[s]\nempty = []\ntrailing = [1, 2,]\nquoted = ["a, [b]", "#"]\n')
+        assert data["s"] == {"empty": [], "trailing": [1, 2], "quoted": ["a, [b]", "#"]}
+        for nested in ("[[1], [2]]", "[1, [2, 3]]", '["a", "b]'):
+            with pytest.raises(ConfigError, match="line 2"):
+                parse_toml(f"[s]\na = {nested}\n")
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -150,3 +162,70 @@ class TestExperimentConfig:
         text = dumps_config(default_config())
         assert config_file_digest(text) == config_file_digest(text)
         assert config_file_digest(text) != config_file_digest(text + "\n# change\n")
+
+    def test_ion_ids_limited_to_file_safe_characters(self):
+        config = default_config()
+        for bad in ('a"#b', "a\nb", "a/b", ""):
+            ion = dataclasses.replace(config.ions[0], ion_id=bad)
+            with pytest.raises(ConfigError, match=r"\[\[ions\]\]\.id"):
+                dataclasses.replace(config, ions=(ion,))
+
+    def test_default_dump_matches_committed_out(self):
+        committed = Path(__file__).resolve().parents[1] / "out" / "config.toml"
+        assert dumps_config(default_config()) == committed.read_text(encoding="utf-8")
+
+
+def test_round_trip_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+    ion_ids = st.text(string.ascii_letters + string.digits + "_.-", min_size=1, max_size=12)
+
+    @st.composite
+    def configs(draw):
+        base = default_config()
+        ids = draw(st.lists(ion_ids, min_size=1, max_size=9, unique=True))
+        ions = []
+        for ion_id in ids:
+            s = draw(finite)
+            ions.append(
+                IonModel(
+                    ion_id=ion_id,
+                    zero_field_frequency_mhz=draw(finite),
+                    stark_coefficient_khz_per_v_cm=s,
+                    orientation_class=OrientationClass.PLUS if s >= 0 else OrientationClass.MINUS,
+                    zero_field_fwhm_mhz=draw(st.floats(min_value=1e-3, max_value=1e3)),
+                    broadening_mhz_per_kv_cm=draw(st.floats(min_value=0.0, max_value=1e3)),
+                )
+            )
+        figure_ion = st.sampled_from(["", *ids])
+        return dataclasses.replace(
+            base,
+            ions=tuple(ions),
+            emitter=dataclasses.replace(
+                base.emitter,
+                # not None: an omitted key loads as the default 278.0
+                enhancement_factor=draw(st.floats(min_value=1.0, max_value=1e4)),
+            ),
+            saturation_excitation_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
+            run=dataclasses.replace(
+                base.run,
+                seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+                max_voltage_v=draw(st.floats(min_value=1e-3, max_value=1e4)),
+            ),
+            decay=dataclasses.replace(base.decay, ion_id=draw(figure_ion)),
+            g2=dataclasses.replace(base.g2, ion_id=draw(figure_ion)),
+            stark=dataclasses.replace(
+                base.stark,
+                ion_id=draw(figure_ion),
+                voltages_v=tuple(draw(st.lists(finite, min_size=3, max_size=12))),
+            ),
+        )
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(configs())
+    def check(config):
+        assert loads_config(dumps_config(config)) == config
+
+    check()

@@ -174,6 +174,12 @@ class TestSolvePotential:
         assert err.value.iterations == 3
         assert err.value.last_update_v > 1e-12
 
+    def test_non_finite_potential_stops_at_once(self):
+        with pytest.raises(ConvergenceError, match="after 0 iterations") as err:
+            solve_potential(small_layout((float("nan"), -1.0)), DielectricMap(), 2.0, 1e-6)
+        assert err.value.iterations == 0
+        assert not np.isfinite(err.value.last_update_v)
+
 
 class TestLayoutValidation:
     def test_rejects_negative_gap(self):

@@ -180,6 +180,10 @@ class RunSettings:
     def __post_init__(self) -> None:
         if not self.max_voltage_v > 0.0:
             raise ConfigError(f"[run].max_voltage_v must be positive, got {self.max_voltage_v}")
+        # written between quotes without escapes, one key per line: no '"' and
+        # nothing str.splitlines() breaks at
+        if '"' in self.output_dir or "".join(self.output_dir.splitlines()) != self.output_dir:
+            raise ConfigError(f"[run].output_dir {self.output_dir!r} may not hold '\"' or a line break")
 
 
 @dataclass(frozen=True)
@@ -271,6 +275,8 @@ class ExperimentConfig:
             raise ConfigError("ion ids must be unique")
         if not 0.0 <= self.saturation_excitation_prob <= 1.0:
             raise ConfigError("[emitter].saturation_excitation_prob must lie in [0, 1]")
+        if self.emitter.enhancement_factor is None:  # a file cannot leave it unset: TOML has no null
+            raise ConfigError("[emitter].enhancement_factor must be set")
         for name, settings in (("decay", self.decay), ("g2", self.g2), ("stark", self.stark)):
             if settings.ion_id not in ("", *ids):
                 raise ConfigError(f"[{name}].ion_id {settings.ion_id!r} is not in the ion registry")
@@ -309,9 +315,7 @@ def default_config() -> ExperimentConfig:
 #
 # Each field of ExperimentConfig is a section, in field order; a section's
 # keys are its dataclass's field names, in field order, each typed by the
-# field's annotation. A None value is left out of the file (TOML has no
-# null; this is how ``[emitter] enhancement_factor`` stays unset). The
-# departures from that rule:
+# field's annotation. The departures from that rule:
 _FILE_KEYS = {("ions", "ion_id"): "id"}
 _NOT_IN_FILE = ("orientation_class", "tensors")  # follows the coefficient's sign; not configurable
 _HOSTED = {"saturation_excitation_prob": "emitter"}  # ExperimentConfig scalars kept in a section
@@ -409,12 +413,10 @@ def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
 
 
 def _table(section: str, obj: Any, config: ExperimentConfig) -> dict[str, Any]:
-    table = {}
-    for key, (name, _) in _SLOTS[section].items():
-        value = getattr(config if name in _HOSTED else obj, name)
-        if value is not None:
-            table[key] = value
-    return table
+    return {
+        key: getattr(config if name in _HOSTED else obj, name)
+        for key, (name, _) in _SLOTS[section].items()
+    }
 
 
 def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:

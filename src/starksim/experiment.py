@@ -39,8 +39,6 @@ from .stark import IonModel, stark_shift_empirical
 __all__ = [
     "G2Histogram",
     "Histogram",
-    "PhotonOrigin",
-    "PhotonRecord",
     "PLEProtocol",
     "DetectorModel",
     "ScanResult",
@@ -52,7 +50,6 @@ __all__ = [
     "mix_seed",
     "point_generator",
     "simulate_decay_histogram",
-    "simulate_decay_records",
     "simulate_g2_histogram",
     "simulate_ple_scan",
     "simulate_stark_scan",
@@ -161,21 +158,6 @@ class DetectorModel:
 
     def dark_mean_per_pulse(self, window_length_us: float) -> float:
         return self.dark_rate_hz * window_length_us * 1e-6
-
-
-class PhotonOrigin(Enum):
-    SIGNAL = "signal"
-    DARK = "dark"
-
-
-@dataclass(frozen=True)
-class PhotonRecord:
-    """One detected event; the origin tag exists for oracle tests only and
-    is never consulted by the analysis path."""
-
-    pulse_index: int
-    time_in_window_us: float
-    origin: PhotonOrigin
 
 
 @dataclass(frozen=True)
@@ -338,56 +320,6 @@ def _map_points(work, n_points: int, n_workers: int) -> list:
         return list(pool.map(work, range(n_points)))
 
 
-def simulate_decay_records(
-    effective: EffectiveEmitter,
-    protocol: PLEProtocol,
-    detector: DetectorModel,
-    n_pulses: int,
-    seed: int,
-) -> list[PhotonRecord]:
-    """Time-tagged detections for an on-resonance lifetime measurement.
-
-    Arrival times are continuous (no pre-binning); each pulse excites at
-    most once, emissions before the window opens are lost to the gate.
-    """
-    pulse_idx, times, origins = _decay_arrays(effective, protocol, detector, n_pulses, seed)
-    return [
-        PhotonRecord(int(p), float(t), PhotonOrigin.SIGNAL if s else PhotonOrigin.DARK)
-        for p, t, s in zip(pulse_idx, times, origins)
-    ]
-
-
-def _decay_arrays(
-    effective: EffectiveEmitter,
-    protocol: PLEProtocol,
-    detector: DetectorModel,
-    n_pulses: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if n_pulses <= 0:
-        raise SimulationError("n_pulses must be positive")
-    rng = point_generator(seed, 0)
-    p_exc = effective.saturation_excitation_prob
-
-    excited_pulses = np.flatnonzero(rng.random(n_pulses) < p_exc)
-    delays = rng.exponential(effective.lifetime_us, excited_pulses.size)
-    lo = protocol.window_delay_us
-    hi = protocol.window_delay_us + protocol.window_length_us
-    in_window = (delays >= lo) & (delays <= hi)
-    detected = in_window & (rng.random(excited_pulses.size) < detector.total_efficiency)
-    signal_pulses = excited_pulses[detected]
-    signal_times = delays[detected] - lo
-
-    n_dark = rng.poisson(detector.dark_mean_per_pulse(protocol.window_length_us) * n_pulses)
-    dark_pulses = rng.integers(0, n_pulses, n_dark)
-    dark_times = rng.uniform(0.0, protocol.window_length_us, n_dark)
-
-    pulse_idx = np.concatenate([signal_pulses, dark_pulses])
-    times = np.concatenate([signal_times, dark_times])
-    origins = np.concatenate([np.ones(signal_pulses.size, bool), np.zeros(n_dark, bool)])
-    return pulse_idx, times, origins
-
-
 def simulate_decay_histogram(
     effective: EffectiveEmitter,
     protocol: PLEProtocol,
@@ -396,14 +328,41 @@ def simulate_decay_histogram(
     bin_width_us: float,
     seed: int,
 ) -> Histogram:
-    """Histogram of detection times within the window (decay curve)."""
+    """Histogram of detection times within the window (decay curve).
+
+    Drawn from its exact distribution in O(bins), never per pulse. A pulse
+    yields at most one signal photon, with probability
+    ``p_exc * efficiency * P_window``, so the signal total is binomial and,
+    given the total, the signal bins are multinomial over the truncated
+    exponential (Devroye 1986, ch. XI). Dark counts are Poisson in every
+    bin with mean ``dark_rate * overlap * n_pulses``, where ``overlap`` is
+    the part of the bin inside the window. Bin probabilities are
+    differences of ``exp(-(delay + edge) / lifetime)`` over edges clipped
+    to the window, and ``P_window`` is their sum, so times past the last
+    edge are dropped when the bins fall short of the window.
+
+    Draw order from ``point_generator(seed, 0)``: the binomial signal
+    total, the multinomial split (skipped when the total is 0), then one
+    Poisson dark count per bin.
+    """
+    if n_pulses <= 0:
+        raise SimulationError("n_pulses must be positive")
     if bin_width_us <= 0.0:
         raise SimulationError("bin width must be positive")
-    _, times, _ = _decay_arrays(effective, protocol, detector, n_pulses, seed)
     n_bins = max(int(math.ceil(protocol.window_length_us / bin_width_us - 1e-9)), 1)
     edges = bin_width_us * np.arange(n_bins + 1)
-    counts, _ = np.histogram(times, bins=edges)
-    return Histogram(bin_edges_us=edges, counts=counts.astype(np.int64))
+    inside = np.minimum(edges, protocol.window_length_us)
+    survival = np.exp(-(protocol.window_delay_us + inside) / effective.lifetime_us)
+    bin_probs = survival[:-1] - survival[1:]
+    p_window = float(bin_probs.sum())
+
+    rng = point_generator(seed, 0)
+    p_photon = effective.saturation_excitation_prob * detector.total_efficiency * p_window
+    n_signal = rng.binomial(n_pulses, p_photon)
+    # a pulse can only yield a photon if p_window > 0, so the split never divides by 0
+    signal = rng.multinomial(n_signal, bin_probs / p_window) if n_signal else 0
+    darks = rng.poisson(detector.dark_mean_per_pulse(np.diff(inside)) * n_pulses)
+    return Histogram(bin_edges_us=edges, counts=(signal + darks).astype(np.int64))
 
 
 def simulate_g2_histogram(

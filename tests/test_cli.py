@@ -168,6 +168,11 @@ class TestLoadTimeChecks:
         assert code == EXIT_CONFIG
         assert "[[ions]].id" in err
 
+    def test_quote_in_output_dir_exits_2(self, capsys, tmp_path):
+        code, _, err = self.run_with(capsys, tmp_path, '[run]\noutput_dir = "runs"x"\n', "reproduce", "fig3b")
+        assert code == EXIT_CONFIG
+        assert "[run].output_dir" in err
+
     @pytest.mark.parametrize("kind", ["directory", "not utf-8", "missing"])
     def test_unreadable_config_exits_2(self, capsys, tmp_path, kind):
         path = tmp_path / "config.toml"

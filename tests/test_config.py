@@ -170,6 +170,21 @@ class TestExperimentConfig:
             with pytest.raises(ConfigError, match=r"\[\[ions\]\]\.id"):
                 dataclasses.replace(config, ions=(ion,))
 
+    def test_output_dir_must_survive_the_round_trip(self):
+        config = default_config()
+        for bad in ('runs"#x', "a\nb", "a\r", "a\u2028b"):
+            with pytest.raises(ConfigError, match=r"\[run\]\.output_dir"):
+                dataclasses.replace(config.run, output_dir=bad)
+        run = dataclasses.replace(config.run, output_dir="runs #1/a\\b")
+        config = dataclasses.replace(config, run=run)
+        assert loads_config(dumps_config(config)) == config
+
+    def test_enhancement_factor_must_be_set(self):
+        config = default_config()
+        emitter = dataclasses.replace(config.emitter, enhancement_factor=None)
+        with pytest.raises(ConfigError, match=r"\[emitter\]\.enhancement_factor"):
+            dataclasses.replace(config, emitter=emitter)
+
     def test_default_dump_matches_committed_out(self):
         committed = Path(__file__).resolve().parents[1] / "out" / "config.toml"
         assert dumps_config(default_config()) == committed.read_text(encoding="utf-8")
@@ -203,11 +218,6 @@ def test_round_trip_property():
         return dataclasses.replace(
             base,
             ions=tuple(ions),
-            emitter=dataclasses.replace(
-                base.emitter,
-                # not None: an omitted key loads as the default 278.0
-                enhancement_factor=draw(st.floats(min_value=1.0, max_value=1e4)),
-            ),
             saturation_excitation_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
             run=dataclasses.replace(
                 base.run,
@@ -223,9 +233,29 @@ def test_round_trip_property():
             ),
         )
 
+    # values a file cannot hold: a missing key loads as 278.0, and strings are
+    # written between quotes, one key per line
+    enhancement_factors = st.none() | st.floats(min_value=1.0, max_value=1e4)
+    output_dirs = st.text(st.sampled_from('"#\\/ \n\r\x0b\x85\u2028ab') | st.characters(), max_size=12)
+
     @hypothesis.settings(max_examples=200, deadline=None)
-    @hypothesis.given(configs())
-    def check(config):
+    @hypothesis.given(configs(), enhancement_factors, output_dirs)
+    def check(config, enhancement_factor, output_dir):
+        writable = (
+            enhancement_factor is not None
+            and '"' not in output_dir
+            and not any(ch in output_dir for ch in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+        )
+        try:
+            config = dataclasses.replace(
+                config,
+                emitter=dataclasses.replace(config.emitter, enhancement_factor=enhancement_factor),
+                run=dataclasses.replace(config.run, output_dir=output_dir),
+            )
+        except ConfigError:
+            assert not writable
+            return
+        assert writable
         assert loads_config(dumps_config(config)) == config
 
     check()

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,13 +10,11 @@ from starksim.cavity import EffectiveEmitter
 from starksim.electrostatics import DielectricMap, ElectrodeLayout, FieldVector
 from starksim.experiment import (
     DetectorModel,
-    PhotonOrigin,
     PLEProtocol,
     SimulationError,
     emission_window_probability,
     mix_seed,
     simulate_decay_histogram,
-    simulate_decay_records,
     simulate_g2_histogram,
     simulate_ple_scan,
     simulate_stark_scan,
@@ -110,42 +110,177 @@ class TestDecay:
         assert fit.value("tau_us") == pytest.approx(41.007, rel=0.02)
 
     def test_zero_excitation_leaves_uniform_darks(self, config, ion1):
-        emitter = EffectiveEmitter(
-            lifetime_us=ion1.emitter.lifetime_us,
-            fwhm_mhz=ion1.emitter.fwhm_mhz,
-            saturation_excitation_prob=0.0,
-        )
-        records = simulate_decay_records(emitter, config.protocol, config.detector, 2_000_000, 5)
-        assert records, "dark counts expected"
-        assert all(r.origin is PhotonOrigin.DARK for r in records)
-        times = np.array([r.time_in_window_us for r in records])
-        # uniform over the window: mean near the middle
-        assert times.mean() == pytest.approx(85.0 / 2.0, abs=3.0 * 85.0 / math.sqrt(12 * times.size))
+        emitter = dataclasses.replace(ion1.emitter, saturation_excitation_prob=0.0)
+        n_pulses = 2_000_000
+        hist = simulate_decay_histogram(emitter, config.protocol, config.detector, n_pulses, 1.0, 5)
+        per_bin = config.detector.dark_rate_hz * 1.0 * 1e-6 * n_pulses
+        assert per_bin == pytest.approx(4.0)
+        assert hist.counts.sum() > 0, "dark counts expected"
+        assert hist.counts.mean() == pytest.approx(per_bin, abs=3.0 * math.sqrt(per_bin / hist.counts.size))
+        # flat over the window: the mean detection time sits mid-window
+        mean_time = np.average(hist.bin_centers_us, weights=hist.counts)
+        assert mean_time == pytest.approx(85.0 / 2.0, abs=3.0 * 85.0 / math.sqrt(12 * hist.counts.sum()))
 
     def test_signal_total_matches_closed_form(self, config, ion1):
         n_pulses = 1_000_000
-        records = simulate_decay_records(ion1.emitter, config.protocol, config.detector, n_pulses, 9)
-        signal = sum(1 for r in records if r.origin is PhotonOrigin.SIGNAL)
+        detector = DetectorModel(total_efficiency=config.detector.total_efficiency, dark_rate_hz=0.0)
+        hist = simulate_decay_histogram(ion1.emitter, config.protocol, detector, n_pulses, 1.0, 9)
         p_window = emission_window_probability(ion1.emitter.lifetime_us, 1.0, 85.0)
-        expected = n_pulses * 0.5 * p_window * config.detector.total_efficiency
-        assert abs(signal - expected) < 3.0 * math.sqrt(expected)
+        expected = n_pulses * 0.5 * p_window * detector.total_efficiency
+        assert abs(hist.counts.sum() - expected) < 3.0 * math.sqrt(expected)
 
     def test_at_most_one_signal_photon_per_pulse(self, config, ion1):
-        records = simulate_decay_records(ion1.emitter, config.protocol, config.detector, 300_000, 11)
-        signal_pulses = [r.pulse_index for r in records if r.origin is PhotonOrigin.SIGNAL]
-        assert len(signal_pulses) == len(set(signal_pulses))
+        # every pulse excited, every photon detected, no darks: the total is
+        # Binomial(n, P_window), never above n and far below Poisson spread
+        emitter = dataclasses.replace(ion1.emitter, lifetime_us=20.0, saturation_excitation_prob=1.0)
+        detector = DetectorModel(total_efficiency=1.0, dark_rate_hz=0.0)
+        n_pulses = 20
+        totals = np.array([
+            simulate_decay_histogram(emitter, config.protocol, detector, n_pulses, 5.0, seed).counts.sum()
+            for seed in range(400)
+        ])
+        p_window = emission_window_probability(20.0, 1.0, 85.0)
+        variance = n_pulses * p_window * (1.0 - p_window)
+        assert totals.max() <= n_pulses
+        assert totals.mean() == pytest.approx(n_pulses * p_window, abs=4.0 * math.sqrt(variance / totals.size))
+        assert totals.var(ddof=1) == pytest.approx(variance, rel=0.3)
 
     def test_times_inside_window(self, config, ion1):
-        records = simulate_decay_records(ion1.emitter, config.protocol, config.detector, 200_000, 13)
-        times = np.array([r.time_in_window_us for r in records])
-        assert np.all(times >= 0.0)
-        assert np.all(times <= 85.0)
+        hist = simulate_decay_histogram(ion1.emitter, config.protocol, config.detector, 200_000, 2.0, 13)
+        assert hist.counts.dtype == np.int64
+        assert np.all(hist.counts >= 0)
+        assert hist.bin_edges_us[0] == 0.0
+        assert hist.bin_edges_us[-2] < 85.0 <= hist.bin_edges_us[-1]
 
     def test_histogram_covers_window(self, config, ion1):
         hist = simulate_decay_histogram(ion1.emitter, config.protocol, config.detector, 100_000, 1.0, 3)
         assert hist.bin_edges_us[0] == 0.0
         assert hist.bin_edges_us[-1] == pytest.approx(85.0)
         assert hist.counts.sum() > 0
+
+
+def _decay_bin_means(effective, protocol, detector, n_pulses, edges):
+    """Closed-form signal and dark means per bin, bins clipped to the window."""
+    inside = np.minimum(edges, protocol.window_length_us)
+    survival = np.exp(-(protocol.window_delay_us + inside) / effective.lifetime_us)
+    p_photon = effective.saturation_excitation_prob * detector.total_efficiency
+    signal = n_pulses * p_photon * (survival[:-1] - survival[1:])
+    darks = detector.dark_rate_hz * np.diff(inside) * 1e-6 * n_pulses
+    return signal, darks
+
+
+def _per_pulse_decay_counts(effective, protocol, detector, n_pulses, edges, seed):
+    """Reference sampler: one excitation draw per pulse, one exponential
+    delay per excited pulse, darks placed uniformly over the window."""
+    rng = np.random.default_rng(seed)
+    excited = int(np.count_nonzero(rng.random(n_pulses) < effective.saturation_excitation_prob))
+    delays = rng.exponential(effective.lifetime_us, excited)
+    lo = protocol.window_delay_us
+    in_window = (delays >= lo) & (delays <= lo + protocol.window_length_us)
+    detected = in_window & (rng.random(excited) < detector.total_efficiency)
+    n_dark = rng.poisson(detector.dark_mean_per_pulse(protocol.window_length_us) * n_pulses)
+    darks = rng.uniform(0.0, protocol.window_length_us, n_dark)
+    counts, _ = np.histogram(np.concatenate([delays[detected] - lo, darks]), bins=edges)
+    return counts
+
+
+class TestDecayDistribution:
+    """The O(bins) sampler against the per-pulse experiment it replaces.
+
+    Five 20 us bins over the 85 us window, so the last bin is partly
+    outside it; the dark-heavy detector makes darks as large as the signal.
+    """
+
+    N_PULSES = 100_000
+    N_SEEDS = 250
+    BIN_WIDTH_US = 20.0
+
+    @pytest.fixture(scope="class", params=[2.0, 200.0], ids=["default-darks", "dark-heavy"])
+    def samples(self, request, config, ion1):
+        detector = DetectorModel(total_efficiency=config.detector.total_efficiency, dark_rate_hz=request.param)
+        args = (ion1.emitter, config.protocol, detector, self.N_PULSES)
+        fast = np.array([
+            simulate_decay_histogram(*args, self.BIN_WIDTH_US, seed).counts for seed in range(self.N_SEEDS)
+        ])
+        edges = simulate_decay_histogram(*args, self.BIN_WIDTH_US, 0).bin_edges_us
+        reference = np.array([
+            _per_pulse_decay_counts(*args, edges, 10_000 + seed) for seed in range(self.N_SEEDS)
+        ])
+        return fast, reference, _decay_bin_means(*args, edges)
+
+    def test_bins_match_closed_form_means(self, samples):
+        stats = pytest.importorskip("scipy.stats")
+        fast, reference, (signal, darks) = samples
+        p_bin = signal / self.N_PULSES
+        variance = self.N_PULSES * p_bin * (1.0 - p_bin) + darks  # binomial signal + Poisson darks
+        for counts in (fast, reference):
+            z = (counts.sum(axis=0) - self.N_SEEDS * (signal + darks)) / np.sqrt(self.N_SEEDS * variance)
+            assert stats.chi2.sf(np.sum(z**2), df=z.size) > 1e-3, z
+
+    def test_bins_match_per_pulse_reference(self, samples):
+        stats = pytest.importorskip("scipy.stats")
+        fast, reference, _ = samples
+        columns = [*fast.T, fast.sum(axis=1)], [*reference.T, reference.sum(axis=1)]
+        p_values = [stats.ks_2samp(a, b).pvalue for a, b in zip(*columns)]
+        assert min(p_values) * len(p_values) > 1e-3, p_values  # Bonferroni over bins and total
+
+    def test_total_is_poissonian(self, samples):
+        fast, reference, _ = samples
+        tolerance = 3.0 * math.sqrt(2.0 / (self.N_SEEDS - 1))
+        for counts in (fast, reference):
+            totals = counts.sum(axis=1)
+            assert totals.var(ddof=1) / totals.mean() == pytest.approx(1.0, abs=tolerance)
+
+
+class TestDecayDegenerateInputs:
+    """Inputs at the edge of the model give a darks-only or empty
+    histogram, never an exception, a warning or a nan."""
+
+    N_PULSES = 1_000_000_000  # the cost does not depend on it
+
+    def _histogram(self, config, emitter, detector, bin_width_us=1.0, seed=71):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hist = simulate_decay_histogram(emitter, config.protocol, detector, self.N_PULSES, bin_width_us, seed)
+        assert hist.counts.dtype == np.int64 and np.all(hist.counts >= 0)
+        return hist
+
+    @pytest.mark.parametrize("case", ["no excitation", "no efficiency", "window probability underflows"])
+    @pytest.mark.parametrize("dark_rate_hz", [0.0, 2.0])
+    def test_no_signal(self, config, ion1, case, dark_rate_hz):
+        emitter, efficiency = ion1.emitter, config.detector.total_efficiency
+        if case == "no excitation":
+            emitter = dataclasses.replace(emitter, saturation_excitation_prob=0.0)
+        elif case == "no efficiency":
+            efficiency = 0.0
+        else:  # exp(-1 us / 1 ns) is 0.0 in double precision
+            emitter = dataclasses.replace(emitter, lifetime_us=1e-3, fwhm_mhz=200.0)
+            assert emission_window_probability(1e-3, 1.0, 85.0) == 0.0
+        detector = DetectorModel(total_efficiency=efficiency, dark_rate_hz=dark_rate_hz)
+        hist = self._histogram(config, emitter, detector)
+        expected = detector.dark_mean_per_pulse(85.0) * self.N_PULSES
+        if dark_rate_hz == 0.0:
+            assert hist.counts.sum() == 0
+        else:
+            assert abs(hist.counts.sum() - expected) < 4.0 * math.sqrt(expected)
+
+    def test_bin_wider_than_window(self, config, ion1):
+        hist = self._histogram(config, ion1.emitter, config.detector, bin_width_us=100.0)
+        assert hist.bin_edges_us.tolist() == [0.0, 100.0]
+        signal, darks = _decay_bin_means(ion1.emitter, config.protocol, config.detector, self.N_PULSES,
+                                         hist.bin_edges_us)
+        expected = signal.sum() + darks.sum()  # darks over the 85 us window only
+        assert abs(hist.counts.sum() - expected) < 4.0 * math.sqrt(expected)
+
+    def test_window_not_a_multiple_of_the_bin(self, config, ion1):
+        emitter = dataclasses.replace(ion1.emitter, saturation_excitation_prob=0.0)
+        hist = self._histogram(config, emitter, config.detector, bin_width_us=2.0)
+        assert hist.counts.size == 43 and hist.bin_edges_us[-1] == 86.0
+        per_bin = config.detector.dark_rate_hz * 2.0 * 1e-6 * self.N_PULSES
+        full = hist.counts[:-1]
+        assert full.mean() == pytest.approx(per_bin, abs=4.0 * math.sqrt(per_bin / full.size))
+        # the last bin is half inside the window, so it gets half the darks
+        assert abs(hist.counts[-1] - per_bin / 2.0) < 4.0 * math.sqrt(per_bin / 2.0)
 
 
 class TestG2:

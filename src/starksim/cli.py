@@ -11,15 +11,12 @@ solver missed its tolerance within the iteration cap or broke down on
 non-finite numbers, 4 simulation failure, 5 fitting failure, 6
 resonance has no solution, 7 resonance voltage beyond the configured
 limit.
-``STARKSIM_THREADS`` caps scan-point workers; outputs are identical for
-any worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import shlex
 import sys
 from pathlib import Path
@@ -50,6 +47,7 @@ from .electrostatics import (
     write_grid_csv,
 )
 from .experiment import (
+    Histogram,
     SimulationError,
     mix_seed,
     simulate_decay_histogram,
@@ -137,33 +135,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dark_floor(config: ExperimentConfig, histogram) -> float:
-    """Dark counts expected per bin, from the detector calibration."""
-    bin_width_us = float(histogram.bin_edges_us[1] - histogram.bin_edges_us[0])
-    return config.detector.dark_rate_hz * bin_width_us * 1e-6 * config.decay.n_pulses
+def _fit_decay(config: ExperimentConfig, histogram: Histogram) -> FitResult:
+    """Lifetime fit of the bins wholly inside the detection window.
 
-
-def _n_workers() -> int:
-    raw = os.environ.get("STARKSIM_THREADS", "1")
-    try:
-        return max(int(raw), 1)
-    except ValueError:
-        print(f"warning: ignoring invalid STARKSIM_THREADS={raw!r}", file=sys.stderr)
-        return 1
+    The dark floor per bin is pinned from the detector calibration. A last
+    bin that overruns the window holds truncated signal and fewer darks,
+    which neither the model nor the floor describe, so it is left out.
+    """
+    edges = histogram.bin_edges_us
+    n_inside = int(np.count_nonzero(edges[1:] <= config.protocol.window_length_us * (1.0 + 1e-9)))
+    bin_width_us = float(edges[1] - edges[0])
+    dark_floor = config.detector.dark_rate_hz * bin_width_us * 1e-6 * config.decay.n_pulses
+    return fit_exponential_decay(
+        Histogram(bin_edges_us=edges[: n_inside + 1], counts=histogram.counts[:n_inside]),
+        config.decay.fit_start_us,
+        known_background=dark_floor,
+    )
 
 
 def _solve_unit_field(config: ExperimentConfig) -> FieldVector:
-    """Probe field per volt of electrode bias."""
+    """Probe field per volt of electrode bias, as ``field`` reports it.
+
+    The balanced pair at the layout's bias is solved, so a common-mode
+    potential of the layout adds nothing to the field per volt.
+    """
     layout = config.layout
-    reference = layout if layout.bias_v != 0.0 else layout.with_bias(1.0)
+    bias = layout.bias_v if layout.bias_v != 0.0 else 1.0
     grid = solve_potential(
-        reference,
+        layout.with_bias(bias),
         config.dielectric,
         config.solver.spacing_um,
         config.solver.tolerance_v,
         max_iterations=config.solver.max_iterations,
     )
-    return field_at(grid, layout.probe_point_um).scaled(1.0 / reference.bias_v)
+    return field_at(grid, layout.probe_point_um).scaled(1.0 / bias)
 
 
 def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) -> int:
@@ -207,10 +212,7 @@ def _cmd_ple(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
         field = _solve_unit_field(config).scaled(args.voltage)
     else:
         field = FieldVector(0.0, 0.0)
-    scan = simulate_ple_scan(
-        config.simulated_ions(), config.protocol, config.detector, field, seed,
-        n_workers=_n_workers(),
-    )
+    scan = simulate_ple_scan(config.simulated_ions(), config.protocol, config.detector, field, seed)
     write_run_manifest(out_dir, config, seed, args.command_line)
     path = out_dir / "ple_scan.csv"
     write_ple_csv(scan, path)
@@ -263,7 +265,6 @@ def _stark_pipeline(
         max_iterations=config.solver.max_iterations,
         window_half_width_mhz=config.stark.window_half_width_mhz,
         v_max=config.run.max_voltage_v,
-        n_workers=_n_workers(),
     )
     rows = []
     fields, centres, errors = [], [], []
@@ -330,10 +331,7 @@ def _cmd_fit(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
             ("reduced_chi_square", fit.reduced_chi_square, 0.0, "dimensionless"),
         ]
     elif args.kind == "decay":
-        histogram = read_decay_csv(args.input)
-        fit = fit_exponential_decay(
-            histogram, config.decay.fit_start_us, known_background=_dark_floor(config, histogram)
-        )
+        fit = _fit_decay(config, read_decay_csv(args.input))
         rows = [
             ("amplitude", fit.value("amplitude"), fit.stderr("amplitude"), "counts"),
             ("tau_us", fit.value("tau_us"), fit.stderr("tau_us"), "us"),
@@ -375,8 +373,7 @@ def _cmd_reproduce(args, config: ExperimentConfig, seed: int, out_dir: Path) -> 
 
     if args.figure == "fig2":
         scan = simulate_ple_scan(
-            config.simulated_ions(), config.protocol, config.detector,
-            FieldVector(0.0, 0.0), seed, n_workers=_n_workers(),
+            config.simulated_ions(), config.protocol, config.detector, FieldVector(0.0, 0.0), seed
         )
         path = out_dir / "ple_scan.csv"
         write_ple_csv(scan, path)
@@ -399,9 +396,7 @@ def _cmd_reproduce(args, config: ExperimentConfig, seed: int, out_dir: Path) -> 
         path = out_dir / "decay.csv"
         write_decay_csv(histogram, path)
         paths.append(path)
-        fit = fit_exponential_decay(
-            histogram, config.decay.fit_start_us, known_background=_dark_floor(config, histogram)
-        )
+        fit = _fit_decay(config, histogram)
         report = [
             ("tau_us", fit.value("tau_us"), fit.stderr("tau_us"), "us"),
             ("amplitude", fit.value("amplitude"), fit.stderr("amplitude"), "counts"),

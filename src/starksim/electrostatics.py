@@ -4,9 +4,28 @@ The two bias electrodes are thin metal strips on the crystal surface,
 separated by a gap; the emitter sits near the gap. The potential obeys
 ``div(eps * grad V) = 0`` in the 2-D cross-section through the gap
 (x = inter-electrode axis, y = surface normal, vacuum above, crystal
-below). The solver is conjugate gradients preconditioned by a geometric
-multigrid V-cycle on a node-centred grid; electrodes and the outer box
-are Dirichlet data.
+below), discretised by the five-point stencil on a node-centred grid;
+electrodes and the outer box are Dirichlet data.
+
+The discrete problem has two exact symmetries, and the solver uses both.
+The grid and the electrode nodes are mirror-symmetric in x and in y, the
+electrodes sit on the surface row y = 0, and the permittivity is constant
+in each half-space. Within a half-space that constant divides out of
+every equation. On the surface row a potential even in y has equal north
+and south differences, so eps_above and eps_below factor out there too,
+leaving the equation of a half-cell: horizontal faces of weight 1/2, none
+to the south. The discrete solution is unique, so it is even in y, equals
+the solution of the upper half with those unit weights, and does not
+depend on the permittivities at all. In x, the bias +-(p0 - p1)/2 of the
+electrode potentials gives a potential odd in x, zero on the column
+x = 0, and the common mode (p0 + p1)/2 one even in x. The bias part is
+solved on the quarter x >= 0, y >= 0 with that column held at zero, the
+common mode (zero for every balanced pair, and then skipped) on the upper
+half, and their sum is mirrored back to the full grid. Each part is
+solved by conjugate gradients preconditioned by a geometric multigrid
+V-cycle whose coarse grids keep the mirror row and the column x = 0. The
+permittivities still enter the reported residual, which is that of the
+full-domain, permittivity-weighted equations.
 
 Units: lengths in micrometres, potentials in volts, fields in V/cm.
 """
@@ -157,8 +176,9 @@ class PotentialGrid:
     ``values[i, j]`` is the potential at ``(x0 + j*h, y0 + i*h)``;
     ``fixed`` marks Dirichlet nodes (electrodes and, for
     ``DIRICHLET_ZERO``, the outer box). ``iterations`` counts solver
-    iterations, ``last_update_v`` is the final error estimate (below the
-    tolerance) and ``residual_v`` the true residual max|b - A v| of the
+    iterations, summed over the parts solved, ``last_update_v`` is the
+    final error estimate, summed likewise (below the tolerance), and
+    ``residual_v`` the true residual max|b - A v| of the full-domain
     five-point equations, whose weights are relative permittivities.
     """
 
@@ -279,15 +299,8 @@ class _Level:
 
     def apply(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out`` = A v on the free nodes, zero on the fixed ones."""
-        inner, tmp = out[1:-1, 1:-1], self.scratch
-        np.add(v[1:-1, :-2], v[1:-1, 2:], out=inner)
-        inner *= self.side
-        np.multiply(self.south, v[:-2, 1:-1], out=tmp)
-        inner += tmp
-        np.multiply(self.north, v[2:, 1:-1], out=tmp)
-        inner += tmp
-        np.multiply(self.diagonal, v[1:-1, 1:-1], out=tmp)
-        np.subtract(tmp, inner, out=inner)
+        inner = out[1:-1, 1:-1]
+        _stencil(v, inner, self.scratch, self.south, self.north, self.side, self.diagonal)
         inner *= self.free[1:-1, 1:-1]
         return out
 
@@ -297,6 +310,18 @@ class _Level:
         total = a + b
         vertical = np.divide(2.0 * a * b, total, out=np.zeros_like(total), where=total > 0.0)
         return _Level(self.fixed[::2, ::2], vertical, self.horizontal[::2], self.buffer)
+
+
+def _stencil(v, out, tmp, south, north, side, diagonal) -> None:
+    """``out`` = A v at the interior nodes of ``v``; weights are columns, one row per interior row."""
+    np.add(v[1:-1, :-2], v[1:-1, 2:], out=out)
+    out *= side
+    np.multiply(south, v[:-2, 1:-1], out=tmp)
+    out += tmp
+    np.multiply(north, v[2:, 1:-1], out=tmp)
+    out += tmp
+    np.multiply(diagonal, v[1:-1, 1:-1], out=tmp)
+    np.subtract(tmp, out, out=out)
 
 
 def _restrict(fine: np.ndarray, out: np.ndarray) -> None:
@@ -349,14 +374,19 @@ def _v_cycle(levels: list[_Level], depth: int = 0) -> None:
     level.sweep(0)
 
 
-def _padding(nodes: int, depth: int) -> tuple[int, int]:
+def _padding(nodes: int, depth: int, anchor: int | None) -> tuple[int, int]:
     """Fixed nodes to add before and after an axis so that it coarsens ``depth`` times.
 
-    At least one node goes on each side, so the outer ring of every level
-    is fixed. A padded node touches only the original outer ring, which
-    is fixed too, so the padding leaves the solution unchanged.
+    Padded nodes touch only the axis's end nodes, which must be fixed, so
+    the padding leaves the solution unchanged. With an ``anchor`` index,
+    the padding before it makes its padded index a multiple of
+    ``2**depth``, so that node (a symmetry plane) is a node of every
+    coarser level. Without one, at least one node goes on each side.
     """
     step = 2**depth
+    if anchor is not None:
+        before = -anchor % step
+        return before, -(before + nodes - 1) % step
     total = -(-(nodes + 1) // step) * step - (nodes - 1)
     return total // 2, total - total // 2
 
@@ -368,7 +398,8 @@ def _solve(
     horizontal: np.ndarray,
     tolerance_v: float,
     max_iterations: int,
-) -> tuple[int, float, float]:
+    anchors: tuple[int | None, int | None] = (None, None),
+) -> tuple[int, float]:
     """Solve for the free nodes of ``values`` in place.
 
     Conjugate gradients on the five-point system A v = b, with the fixed
@@ -378,12 +409,13 @@ def _solve(
     weight make insulating boundaries. The V-cycle's correction M r of the
     current residual estimates the remaining error; once its largest entry
     is below ``tolerance_v`` the correction is added and the iteration
-    stops. Returns (iterations, largest entry of that last correction,
-    true residual max|b - A v|).
+    stops. ``anchors`` names, per axis, a node index that stays a node of
+    every coarser grid (see :func:`_padding`). Returns (iterations,
+    largest entry of that last correction).
     """
     ny, nx = values.shape
     depth = max(((min(ny, nx) + 1) // COARSEST_CELLS).bit_length() - 1, 0)
-    pads = (_padding(ny, depth), _padding(nx, depth))
+    pads = (_padding(ny, depth, anchors[0]), _padding(nx, depth, anchors[1]))
     v = np.pad(values, pads)
     # padded faces copy the edge faces, so that coarse grids see a fixed
     # outer ring as Dirichlet data rather than as an insulating edge
@@ -427,7 +459,49 @@ def _solve(
         q *= alpha
         residual -= q
     values[...] = v[pads[0][0] : pads[0][0] + ny, pads[1][0] : pads[1][0] + nx]
-    return iteration, error, float(np.abs(fine.apply(v, q)).max())
+    return iteration, error
+
+
+def _residual(values: np.ndarray, fixed: np.ndarray, vertical: np.ndarray, horizontal: np.ndarray) -> float:
+    """True residual max|b - A v| of the free nodes; the outer ring must be fixed.
+
+    The Dirichlet data sit in ``values``, so b is zero and the residual is A v.
+    """
+    south, north, side = vertical[:-1, None], vertical[1:, None], horizontal[1:-1, None]
+    applied, tmp = np.empty((2, values.shape[0] - 2, values.shape[1] - 2))
+    _stencil(values, applied, tmp, south, north, side, south + north + 2.0 * side)
+    applied[fixed[1:-1, 1:-1]] = 0.0
+    return float(np.abs(applied, out=applied).max())
+
+
+def _solve_upper_half(
+    values: np.ndarray, fixed: np.ndarray, anchor_x: int, tolerance_v: float, max_iterations: int
+) -> tuple[int, float]:
+    """Solve the rows y >= 0 (row 0 the surface) in place, the surface a mirror plane.
+
+    Above the surface the permittivity is one constant, which divides
+    out: every face weighs 1, except that the surface row is a half-cell
+    (horizontal faces 1/2, no face to the south). A fixed ghost row below
+    it, joined by a face of weight 0, keeps the outer ring fixed; the
+    surface row and column ``anchor_x`` are nodes of every coarse grid.
+    """
+    ny, nx = values.shape
+    ghosted = np.vstack((np.zeros((1, nx)), values))
+    vertical = np.ones(ny)
+    vertical[0] = 0.0
+    horizontal = np.ones(ny + 1)
+    horizontal[1] = 0.5
+    result = _solve(
+        ghosted,
+        np.vstack((np.ones((1, nx), dtype=bool), fixed)),
+        vertical,
+        horizontal,
+        tolerance_v,
+        max_iterations,
+        (1, anchor_x),
+    )
+    values[...] = ghosted[1:]
+    return result
 
 
 def _interface_weights(y_nodes: np.ndarray, dielectric: DielectricMap) -> tuple[np.ndarray, np.ndarray]:
@@ -461,10 +535,11 @@ def solve_potential(
 
     Convergence means the estimated largest error of a free node against
     the exact solution of the discrete equations fell below
-    ``tolerance_v``. The outer box is held at zero (the far boundary);
-    electrode nodes are pinned to their potentials throughout.
-    ``initial`` warm-starts from a previously converged (typically
-    coarser) grid.
+    ``tolerance_v``; when both the bias and the common mode are nonzero,
+    each part gets half of it, and ``max_iterations`` caps each part. The
+    outer box is held at zero (the far boundary); electrode nodes are
+    pinned to their potentials throughout. ``initial`` warm-starts from a
+    previously converged (typically coarser) grid.
 
     Raises
     ------
@@ -492,7 +567,7 @@ def solve_potential(
     fixed[0, :] = fixed[-1, :] = True
     fixed[:, 0] = fixed[:, -1] = True
 
-    surface_row = int(np.argmin(np.abs(y)))
+    surface_row, centre = len(y) // 2, len(x) // 2  # the nodes at y = 0 and at x = 0
     half_gap = layout.gap_um / 2.0
     outer = half_gap + layout.electrode_width_um
     snap = spacing_um / 4.0
@@ -505,9 +580,30 @@ def solve_potential(
     if initial is not None:
         values = np.where(fixed, values, _resample(initial, x, y))
 
-    iterations, error, residual = _solve(
-        values, fixed, *_interface_weights(y, dielectric), tolerance_v, max_iterations
-    )
+    # The common mode (p0 + p1)/2 is even in x and solved on the upper
+    # half; the bias +-(p0 - p1)/2 is odd in x and solved on the upper
+    # quarter x >= 0, with the column x = 0 held at zero. A part whose
+    # potential is zero is skipped; the solved parts share the tolerance.
+    p_left, p_right = layout.electrode_potentials_v
+    common, bias = (p_left + p_right) / 2.0, (p_left - p_right) / 2.0
+    share = tolerance_v / max((common != 0.0) + (bias != 0.0), 1)
+    upper, mirrored = values[surface_row:], values[surface_row:, ::-1]
+    solution = np.zeros_like(upper)
+    iterations, error = 0, 0.0
+    if common != 0.0:
+        even = (upper + mirrored) / 2.0
+        iterations, error = _solve_upper_half(even, fixed[surface_row:], centre, share, max_iterations)
+        solution += even
+    if bias != 0.0:
+        odd = ((upper - mirrored) / 2.0)[:, centre:]
+        quarter = fixed[surface_row:, centre:].copy()
+        quarter[:, 0] = True
+        odd_iterations, odd_error = _solve_upper_half(odd, quarter, 0, share, max_iterations)
+        iterations += odd_iterations
+        error += odd_error
+        solution += np.hstack((-odd[:, :0:-1], odd))
+    values = np.where(fixed, values, np.vstack((solution[:0:-1], solution)))
+
     return PotentialGrid(
         spacing_um=spacing_um,
         values=values,
@@ -517,7 +613,7 @@ def solve_potential(
         fixed=fixed,
         iterations=iterations,
         last_update_v=error,
-        residual_v=residual,
+        residual_v=_residual(values, fixed, *_interface_weights(y, dielectric)),
     )
 
 
@@ -551,7 +647,8 @@ def solve_parallel_plates(
 
     vertical = np.ones(ny + 1)
     vertical[[0, -1]] = 0.0
-    iterations, error, residual = _solve(values, fixed, vertical, np.ones(ny + 2), tolerance_v, max_iterations)
+    horizontal = np.ones(ny + 2)
+    iterations, error = _solve(values, fixed, vertical, horizontal, tolerance_v, max_iterations)
     return PotentialGrid(
         spacing_um=spacing_um,
         values=values[1:-1],
@@ -561,7 +658,7 @@ def solve_parallel_plates(
         fixed=fixed[1:-1],
         iterations=iterations,
         last_update_v=error,
-        residual_v=residual,
+        residual_v=_residual(values, fixed, vertical, horizontal),
     )
 
 

@@ -9,15 +9,14 @@ falls inside the window. Dark counts are a homogeneous Poisson process
 over the open window.
 
 Determinism contract: every scan point draws from its own generator,
-seeded as ``splitmix64(master_seed, point_index)``, so results are
-bit-identical for any worker count or execution order.
+seeded as ``splitmix64(master_seed, point_index)``, so a scan point's
+counts depend only on the master seed and its index.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -261,8 +260,6 @@ def simulate_ple_scan(
     detector: DetectorModel,
     field: FieldVector,
     seed: int,
-    *,
-    n_workers: int = 1,
 ) -> ScanResult:
     """Photon counts versus excitation frequency under the pulse protocol.
 
@@ -292,18 +289,15 @@ def simulate_ple_scan(
 
     dark_mean = detector.dark_mean_per_pulse(protocol.window_length_us) * n_pulses
 
-    def one_point(index: int) -> int:
+    counts = []
+    for index, freq in enumerate(frequencies):
         rng = point_generator(seed, index)
-        freq = frequencies[index]
         total = 0
         for probe, window_prob in lines:
             p_exc = excitation_probability(probe, freq - probe.frequency_mhz)
             excited = rng.binomial(n_pulses, p_exc)
             total += rng.binomial(excited, detector.total_efficiency * window_prob)
-        total += rng.poisson(dark_mean)
-        return int(total)
-
-    counts = _map_points(one_point, len(frequencies), n_workers)
+        counts.append(total + rng.poisson(dark_mean))
     return ScanResult(
         frequencies_mhz=frequencies,
         counts=np.asarray(counts, dtype=np.int64),
@@ -311,13 +305,6 @@ def simulate_ple_scan(
         master_seed=seed,
         config_digest=digest,
     )
-
-
-def _map_points(work, n_points: int, n_workers: int) -> list:
-    if n_workers <= 1 or n_points <= 1:
-        return [work(i) for i in range(n_points)]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(work, range(n_points)))
 
 
 def simulate_decay_histogram(
@@ -433,28 +420,27 @@ def simulate_stark_scan(
     max_iterations: int = MAX_ITERATIONS,
     window_half_width_mhz: float = 60.0,
     v_max: float = 333.0,
-    n_workers: int = 1,
 ) -> list[StarkScanPoint]:
     """PLE scans of one ion at a series of electrode voltages.
 
-    The electrode problem is solved once at the layout bias and rescaled
-    linearly to each voltage; each scan window tracks the expected
-    Stark-shifted peak. Each voltage gets its own derived seed, so the
-    list is reproducible regardless of evaluation order.
+    The balanced pair at the layout bias is solved once and rescaled
+    linearly to each voltage (a common-mode potential of the layout adds
+    no field per volt); each scan window tracks the expected
+    Stark-shifted peak. Each voltage gets its own derived seed.
     """
     for v in voltages_v:
         if not math.isfinite(v) or abs(v) > v_max:
             raise SimulationError(f"voltage {v} V outside the +/-{v_max} V limit")
 
-    reference = layout if layout.bias_v != 0.0 else layout.with_bias(1.0)
+    bias = layout.bias_v if layout.bias_v != 0.0 else 1.0
     grid = solve_potential(
-        reference,
+        layout.with_bias(bias),
         dielectric,
         spacing_um if spacing_um is not None else layout.gap_um / 20.0,
         tolerance_v,
         max_iterations=max_iterations,
     )
-    unit_field = field_at(grid, layout.probe_point_um).scaled(1.0 / reference.bias_v)
+    unit_field = field_at(grid, layout.probe_point_um).scaled(1.0 / bias)
 
     results = []
     for v_index, voltage in enumerate(voltages_v):
@@ -464,14 +450,7 @@ def simulate_stark_scan(
         scan_protocol = protocol.replace_scan(
             base - window_half_width_mhz, base + window_half_width_mhz
         )
-        scan = simulate_ple_scan(
-            [ion],
-            scan_protocol,
-            detector,
-            field,
-            mix_seed(seed, v_index),
-            n_workers=n_workers,
-        )
+        scan = simulate_ple_scan([ion], scan_protocol, detector, field, mix_seed(seed, v_index))
         results.append(StarkScanPoint(voltage_v=float(voltage), field=field, scan=scan))
     return results
 

@@ -352,12 +352,11 @@ def test_criterion_7_fit_correctness():
     )
 
 
-def test_criterion_8_determinism(tmp_path, capsys, monkeypatch):
+def test_criterion_8_determinism(tmp_path, capsys):
     config_path = tmp_path / "config.toml"
     config_path.write_text(dumps_config(default_config()), encoding="utf-8")
 
-    def reproduce(out_name, threads):
-        monkeypatch.setenv("STARKSIM_THREADS", str(threads))
+    def reproduce(out_name):
         out_dir = tmp_path / out_name
         code = main(
             ["reproduce", "fig4b", "--config", str(config_path), "--out", str(out_dir)]
@@ -366,26 +365,21 @@ def test_criterion_8_determinism(tmp_path, capsys, monkeypatch):
         assert code == 0
         return out_dir
 
-    run_a = reproduce("a", 1)
-    run_b = reproduce("b", 1)
-    run_c = reproduce("c", 4)
+    run_a = reproduce("a")
+    run_b = reproduce("b")
 
     csvs = sorted(p.name for p in run_a.glob("*.csv"))
     assert len(csvs) == 8  # seven per-ion sweeps plus the fit report
     identical_reruns = all(
         (run_a / name).read_bytes() == (run_b / name).read_bytes() for name in csvs
     )
-    identical_workers = all(
-        (run_a / name).read_bytes() == (run_c / name).read_bytes() for name in csvs
-    )
 
-    ok = identical_reruns and identical_workers
+    ok = identical_reruns
     report(
         8,
         "determinism",
         ok,
-        f"{len(csvs)} CSVs byte-identical across reruns: {identical_reruns}; "
-        f"across 1 vs 4 workers: {identical_workers}",
+        f"{len(csvs)} CSVs byte-identical across reruns: {identical_reruns}",
     )
 
 

@@ -1,6 +1,8 @@
 import json
+import math
 import os
 import shlex
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,7 @@ from starksim.cli import (
     main,
 )
 from starksim.config import config_file_digest, default_config, dumps_config
+from starksim.stark import resonance_voltage
 
 
 @pytest.fixture()
@@ -243,6 +246,30 @@ class TestResonanceCommand:
         code, _, _ = run(capsys, "resonance", "--config", config_path, "--ion-a", "ion1", "--ion-b", "nope")
         assert code == EXIT_CONFIG
 
+    def test_common_mode_potential_adds_no_field_per_volt(self, capsys, tmp_path):
+        # an off-centre probe sees the common-mode field of an unbalanced
+        # pair; the field per volt of bias, and with it the resonance
+        # voltage, must not
+        config = default_config()
+        path = tmp_path / "layout.toml"
+        unit_fields, voltages = [], []
+        for potentials in ("[333.0, 0.0]", "[166.5, -166.5]"):
+            path.write_text(
+                f"[layout]\nprobe_point_um = [30.0, 10.0]\nelectrode_potentials_v = {potentials}\n",
+                encoding="utf-8",
+            )
+            code, out, _ = run(capsys, "field", "--config", path)
+            assert code == EXIT_OK
+            report = dict(line.split("=") for line in out.splitlines())
+            unit_fields.append(float(report["volts_to_field_v_per_cm_per_v"]))
+            code, out, _ = run(capsys, "resonance", "--config", path, "--ion-a", "ion1", "--ion-b", "ion7")
+            assert code == EXIT_OK
+            voltages.append(float(dict(line.split("=") for line in out.splitlines())["voltage_v"]))
+        assert unit_fields[0] == unit_fields[1]
+        ion1, ion7 = config.ion("ion1"), config.ion("ion7")
+        closed_form = resonance_voltage(ion1, ion7, unit_fields[0], config.run.max_voltage_v)
+        assert voltages == pytest.approx([closed_form, closed_form], rel=1e-12)
+
 
 class TestPipelines:
     def test_decay_then_fit(self, capsys, config_path, tmp_path):
@@ -264,6 +291,39 @@ class TestPipelines:
         tau_row = next(line for line in report if line.startswith("tau_us"))
         tau = float(tau_row.split(",")[1])
         assert 38.0 < tau < 44.0
+
+    @pytest.mark.parametrize("bin_width_us", [2.0, 4.0, 10.0, 20.0])
+    def test_lifetime_unbiased_when_bins_overrun_the_window(self, capsys, tmp_path, bin_width_us):
+        # the 85 us window is no multiple of these bins: the last bin holds
+        # truncated signal and fewer darks, and a fit that takes it for a
+        # full bin is biased (34.2 us at 20 us bins)
+        path = tmp_path / "bins.toml"
+        path.write_text(f"[decay]\nbin_width_us = {bin_width_us}\n", encoding="utf-8")
+        taus = []
+        for seed in range(50):
+            out_dir = tmp_path / f"seed{seed}"
+            code, _, _ = run(capsys, "reproduce", "fig3b", "--config", path, "--seed", seed, "--out", out_dir)
+            assert code == EXIT_OK
+            report = (out_dir / "fit_report.csv").read_text().splitlines()
+            taus.append(float(next(line for line in report if line.startswith("tau_us")).split(",")[1]))
+        standard_error = statistics.stdev(taus) / math.sqrt(len(taus))
+        assert abs(statistics.fmean(taus) - 11.4e3 / 278.0) < 3.0 * standard_error
+
+    def test_refit_skips_the_overrunning_bin(self, capsys, tmp_path):
+        path = tmp_path / "bins.toml"
+        path.write_text("[decay]\nbin_width_us = 20.0\n", encoding="utf-8")
+        code, _, _ = run(capsys, "reproduce", "fig3b", "--config", path, "--out", tmp_path / "fig")
+        assert code == EXIT_OK
+        code, _, _ = run(
+            capsys, "fit", "--config", path, "--kind", "decay",
+            "--input", tmp_path / "fig" / "decay.csv", "--out", tmp_path / "refit",
+        )
+        assert code == EXIT_OK
+        figure, refit = (
+            dict(line.split(",")[:2] for line in (tmp_path / name / "fit_report.csv").read_text().splitlines())
+            for name in ("fig", "refit")
+        )
+        assert refit["tau_us"] == figure["tau_us"]
 
     def test_g2_reproduction(self, capsys, config_path, tmp_path):
         out_dir = tmp_path / "g2_out"

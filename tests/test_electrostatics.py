@@ -164,6 +164,13 @@ class TestSolvePotential:
         assert e_warm == pytest.approx(e_cold, rel=2e-4)
         assert warm.iterations < cold.iterations
 
+    @pytest.mark.parametrize(("spacing_um", "most_iterations"), [(5.0, 7), (2.5, 8)])
+    def test_iteration_count_of_the_paper_layout(self, spacing_um, most_iterations):
+        # the full-box solve took 7 and 8; coarse grids that lose the
+        # mirror row or the column x = 0 need about three times as many
+        grid = solve_potential(PAPER_LAYOUT, DielectricMap(), spacing_um, 1e-4)
+        assert grid.iterations <= most_iterations
+
     def test_too_coarse_spacing_rejected(self):
         with pytest.raises(GeometryError):
             solve_potential(small_layout(), DielectricMap(), 3.0, 1e-6)

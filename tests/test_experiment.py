@@ -57,15 +57,13 @@ class TestProtocolValidation:
 
 
 class TestPLEScan:
-    def test_deterministic_and_worker_independent(self, config, ion1):
+    def test_deterministic(self, config, ion1):
         proto = config.protocol.replace_scan(-50.0, 50.0)
         runs = [
-            simulate_ple_scan([ion1], proto, config.detector, FieldVector(0.0, 0.0), 99, n_workers=w)
-            for w in (1, 1, 4)
+            simulate_ple_scan([ion1], proto, config.detector, FieldVector(0.0, 0.0), 99) for _ in range(2)
         ]
         assert np.array_equal(runs[0].counts, runs[1].counts)
-        assert np.array_equal(runs[0].counts, runs[2].counts)
-        assert runs[0].config_digest == runs[2].config_digest
+        assert runs[0].config_digest == runs[1].config_digest
 
     def test_zero_efficiency_and_darks_give_zero_counts(self, config, ion1):
         detector = DetectorModel(total_efficiency=0.0, dark_rate_hz=0.0)

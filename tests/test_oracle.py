@@ -34,8 +34,8 @@ CASES = {
 }
 
 
-def exact_potential(grid, dielectric: DielectricMap) -> np.ndarray:
-    """Exact discrete potential on ``grid``'s nodes, its fixed nodes held."""
+def assemble(grid, dielectric: DielectricMap):
+    """Sparse matrix and right-hand side of the equations of ``grid``'s free nodes."""
     values = np.where(grid.fixed, grid.values, 0.0)
     y = grid.y_coords_um
     eps = np.where(
@@ -63,7 +63,14 @@ def exact_potential(grid, dielectric: DielectricMap) -> np.ndarray:
     matrix = sparse.csc_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(k.size, k.size)
     )
-    values[free] = sparse_linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    return matrix, rhs
+
+
+def exact_potential(grid, dielectric: DielectricMap) -> np.ndarray:
+    """Exact discrete potential on ``grid``'s nodes, its fixed nodes held."""
+    matrix, rhs = assemble(grid, dielectric)
+    values = np.where(grid.fixed, grid.values, 0.0)
+    values[~grid.fixed] = sparse_linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve(rhs)
     return values
 
 
@@ -83,3 +90,45 @@ def test_golden_probe_field_is_exact():
     grid = solve_potential(PAPER_LAYOUT, DielectricMap(), 5.0, 1e-4)
     exact = dataclasses.replace(grid, values=exact_potential(grid, DielectricMap()))
     assert field_at(exact, (0.0, 0.0)).e_parallel_v_per_cm == pytest.approx(21652.534344268526, rel=1e-12)
+
+
+# a common mode (105 V) as well as a bias, and a crystal other than the default
+UNBALANCED_LAYOUT = dataclasses.replace(PAPER_LAYOUT, electrode_potentials_v=(250.0, -40.0))
+UNBALANCED_DIELECTRIC = DielectricMap(2.0, 11.0)
+
+
+def assert_matches_lu(grid, dielectric: DielectricMap, tolerance_v: float) -> None:
+    """The solve is within tolerance of the full-domain LU, and its residual is the LU system's."""
+    matrix, rhs = assemble(grid, dielectric)
+    exact = exact_potential(grid, dielectric)
+    assert np.max(np.abs(grid.values - exact)) <= tolerance_v
+    assert grid.last_update_v < tolerance_v
+    residual = np.max(np.abs(rhs - matrix @ grid.values[~grid.fixed]))
+    assert grid.residual_v == pytest.approx(residual, rel=1e-6)
+
+
+@pytest.mark.parametrize("tolerance_v", [1e-4, 1e-6])
+def test_unbalanced_layout_within_tolerance(tolerance_v):
+    grid = solve_potential(UNBALANCED_LAYOUT, UNBALANCED_DIELECTRIC, 5.0, tolerance_v)
+    assert_matches_lu(grid, UNBALANCED_DIELECTRIC, tolerance_v)
+
+
+def test_warm_start_from_coarse_grid_within_tolerance():
+    coarse = solve_potential(UNBALANCED_LAYOUT, UNBALANCED_DIELECTRIC, 5.0, 1e-4)
+    grid = solve_potential(UNBALANCED_LAYOUT, UNBALANCED_DIELECTRIC, 2.5, 1e-4, initial=coarse)
+    assert_matches_lu(grid, UNBALANCED_DIELECTRIC, 1e-4)
+
+
+def test_probe_below_the_surface():
+    # the exact discrete potential is even in y for any permittivity pair,
+    # so the surface-normal field flips sign across the surface
+    grid = solve_potential(UNBALANCED_LAYOUT, UNBALANCED_DIELECTRIC, 5.0, 1e-6)
+    exact = dataclasses.replace(grid, values=exact_potential(grid, UNBALANCED_DIELECTRIC))
+    above, below = field_at(exact, (30.0, 10.0)), field_at(exact, (30.0, -10.0))
+    assert abs(above.e_perpendicular_v_per_cm) > 0.1 * abs(above.e_parallel_v_per_cm)
+    assert below.e_perpendicular_v_per_cm == pytest.approx(-above.e_perpendicular_v_per_cm, rel=1e-9)
+    assert below.e_parallel_v_per_cm == pytest.approx(above.e_parallel_v_per_cm, rel=1e-9)
+    for point, expected in (((30.0, 10.0), above), ((30.0, -10.0), below)):
+        probe = field_at(grid, point)
+        assert probe.e_parallel_v_per_cm == pytest.approx(expected.e_parallel_v_per_cm, rel=1e-6)
+        assert probe.e_perpendicular_v_per_cm == pytest.approx(expected.e_perpendicular_v_per_cm, rel=1e-6)

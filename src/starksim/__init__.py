@@ -32,6 +32,7 @@ from .electrostatics import (
     FieldVector,
     PotentialGrid,
     field_at,
+    field_per_volt,
     solve_potential,
     uniform_field_oracle,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "estimate_g2_zero",
     "excitation_probability",
     "field_at",
+    "field_per_volt",
     "find_peaks",
     "fit_exponential_decay",
     "fit_linear_weighted",

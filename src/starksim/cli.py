@@ -42,8 +42,9 @@ from .electrostatics import (
     ConvergenceError,
     FieldVector,
     GeometryError,
+    PotentialGrid,
     field_at,
-    solve_potential,
+    field_per_volt,
     write_grid_csv,
 )
 from .experiment import (
@@ -153,40 +154,26 @@ def _fit_decay(config: ExperimentConfig, histogram: Histogram) -> FitResult:
     )
 
 
-def _solve_unit_field(config: ExperimentConfig) -> FieldVector:
-    """Probe field per volt of electrode bias, as ``field`` reports it.
-
-    The balanced pair at the layout's bias is solved, so a common-mode
-    potential of the layout adds nothing to the field per volt.
-    """
-    layout = config.layout
-    bias = layout.bias_v if layout.bias_v != 0.0 else 1.0
-    grid = solve_potential(
-        layout.with_bias(bias),
+def _field_per_volt(
+    config: ExperimentConfig, voltage_v: float | None = None
+) -> tuple[FieldVector, PotentialGrid]:
+    """:func:`field_per_volt` of the configured layout, dielectric and solver."""
+    return field_per_volt(
+        config.layout,
         config.dielectric,
         config.solver.spacing_um,
         config.solver.tolerance_v,
+        voltage_v=voltage_v,
         max_iterations=config.solver.max_iterations,
     )
-    return field_at(grid, layout.probe_point_um).scaled(1.0 / bias)
 
 
 def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) -> int:
     layout = config.layout
     voltage = args.voltage if args.voltage is not None else layout.bias_v
-    grid = solve_potential(
-        layout.with_bias(voltage) if voltage != 0.0 else layout.with_bias(1.0),
-        config.dielectric,
-        config.solver.spacing_um,
-        config.solver.tolerance_v,
-        max_iterations=config.solver.max_iterations,
-    )
-    probe = field_at(grid, layout.probe_point_um)
-    if voltage == 0.0:
-        scale = probe
-        probe = FieldVector(0.0, 0.0)
-    else:
-        scale = probe.scaled(1.0 / voltage)
+    scale, grid = _field_per_volt(config, voltage)
+    probe = field_at(grid, layout.probe_point_um) if voltage != 0.0 else FieldVector(0.0, 0.0)
+
     def fmt(value: float) -> str:
         return format(0.0 if value == 0.0 else value, ".17g")
 
@@ -209,7 +196,7 @@ def _cmd_ple(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
             f"voltage {args.voltage} V outside the +/-{config.run.max_voltage_v} V limit"
         )
     if args.voltage != 0.0:
-        field = _solve_unit_field(config).scaled(args.voltage)
+        field = _field_per_volt(config)[0].scaled(args.voltage)
     else:
         field = FieldVector(0.0, 0.0)
     scan = simulate_ple_scan(config.simulated_ions(), config.protocol, config.detector, field, seed)
@@ -247,7 +234,7 @@ def _cmd_g2(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
 
 
 def _stark_pipeline(
-    config: ExperimentConfig, ion_id: str, seed: int
+    config: ExperimentConfig, unit_field: FieldVector, ion_id: str, seed: int
 ) -> tuple[list[tuple], FitResult]:
     """Voltage sweep, per-voltage Lorentzian fits, weighted line through the
     (field, centre) points. Returns the stark_scan.csv rows and the line fit."""
@@ -255,14 +242,10 @@ def _stark_pipeline(
     points = simulate_stark_scan(
         ion,
         config.stark.voltages_v,
-        config.layout,
-        config.dielectric,
+        unit_field,
         config.protocol,
         config.detector,
         seed,
-        spacing_um=config.solver.spacing_um,
-        tolerance_v=config.solver.tolerance_v,
-        max_iterations=config.solver.max_iterations,
         window_half_width_mhz=config.stark.window_half_width_mhz,
         v_max=config.run.max_voltage_v,
     )
@@ -307,7 +290,7 @@ def _line_report(ion_id: str, line: FitResult) -> list[tuple[str, float, float, 
 
 def _cmd_stark(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
     ion_id = config.ion(config.stark.ion_id).ion_id
-    rows, line = _stark_pipeline(config, ion_id, seed)
+    rows, line = _stark_pipeline(config, _field_per_volt(config)[0], ion_id, seed)
     write_run_manifest(out_dir, config, seed, args.command_line)
     scan_path = out_dir / "stark_scan.csv"
     write_stark_csv(rows, scan_path)
@@ -351,7 +334,7 @@ def _cmd_fit(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
 def _cmd_resonance(args, config: ExperimentConfig, seed: int, out_dir: Path | None) -> int:
     ion_a = config.ion(args.ion_a)
     ion_b = config.ion(args.ion_b)
-    unit_field = _solve_unit_field(config)
+    unit_field, _ = _field_per_volt(config)
     voltage = resonance_voltage(
         ion_a, ion_b, unit_field.e_parallel_v_per_cm, config.run.max_voltage_v
     )
@@ -415,14 +398,15 @@ def _cmd_reproduce(args, config: ExperimentConfig, seed: int, out_dir: Path) -> 
         report = [("g2_zero", estimate.g2_zero, estimate.standard_error, "dimensionless")]
     elif args.figure == "fig4a":
         ion_id = config.ion(config.stark.ion_id).ion_id
-        rows, line = _stark_pipeline(config, ion_id, seed)
+        rows, line = _stark_pipeline(config, _field_per_volt(config)[0], ion_id, seed)
         path = out_dir / "stark_scan.csv"
         write_stark_csv(rows, path)
         paths.append(path)
         report = _line_report(ion_id, line)
     else:  # fig4b
+        unit_field, _ = _field_per_volt(config)
         for ion_index, ion in enumerate(config.ions):
-            rows, line = _stark_pipeline(config, ion.ion_id, mix_seed(seed, ion_index))
+            rows, line = _stark_pipeline(config, unit_field, ion.ion_id, mix_seed(seed, ion_index))
             path = out_dir / f"stark_scan_{ion.ion_id}.csv"
             write_stark_csv(rows, path)
             paths.append(path)

@@ -48,6 +48,7 @@ __all__ = [
     "GeometryError",
     "PotentialGrid",
     "field_at",
+    "field_per_volt",
     "solve_parallel_plates",
     "solve_potential",
     "uniform_field_oracle",
@@ -374,21 +375,18 @@ def _v_cycle(levels: list[_Level], depth: int = 0) -> None:
     level.sweep(0)
 
 
-def _padding(nodes: int, depth: int, anchor: int | None) -> tuple[int, int]:
+def _padding(nodes: int, depth: int, anchor: int) -> tuple[int, int]:
     """Fixed nodes to add before and after an axis so that it coarsens ``depth`` times.
 
     Padded nodes touch only the axis's end nodes, which must be fixed, so
-    the padding leaves the solution unchanged. With an ``anchor`` index,
-    the padding before it makes its padded index a multiple of
-    ``2**depth``, so that node (a symmetry plane) is a node of every
-    coarser level. Without one, at least one node goes on each side.
+    the padding leaves the solution unchanged. The padding before
+    ``anchor`` makes its padded index a multiple of ``2**depth``, so that
+    node (a symmetry plane, or the fixed end node 0) is a node of every
+    coarser level.
     """
     step = 2**depth
-    if anchor is not None:
-        before = -anchor % step
-        return before, -(before + nodes - 1) % step
-    total = -(-(nodes + 1) // step) * step - (nodes - 1)
-    return total // 2, total - total // 2
+    before = -anchor % step
+    return before, -(before + nodes - 1) % step
 
 
 def _solve(
@@ -398,7 +396,7 @@ def _solve(
     horizontal: np.ndarray,
     tolerance_v: float,
     max_iterations: int,
-    anchors: tuple[int | None, int | None] = (None, None),
+    anchors: tuple[int, int],
 ) -> tuple[int, float]:
     """Solve for the free nodes of ``values`` in place.
 
@@ -475,7 +473,12 @@ def _residual(values: np.ndarray, fixed: np.ndarray, vertical: np.ndarray, horiz
 
 
 def _solve_upper_half(
-    values: np.ndarray, fixed: np.ndarray, anchor_x: int, tolerance_v: float, max_iterations: int
+    values: np.ndarray,
+    fixed: np.ndarray,
+    anchor_x: int,
+    tolerance_v: float,
+    max_iterations: int,
+    spent: tuple[int, float],
 ) -> tuple[int, float]:
     """Solve the rows y >= 0 (row 0 the surface) in place, the surface a mirror plane.
 
@@ -484,24 +487,33 @@ def _solve_upper_half(
     (horizontal faces 1/2, no face to the south). A fixed ghost row below
     it, joined by a face of weight 0, keeps the outer ring fixed; the
     surface row and column ``anchor_x`` are nodes of every coarse grid.
+    ``spent`` holds the iterations and error estimate of the parts solved
+    before; this part gets what they left of ``max_iterations`` and
+    ``tolerance_v``. Returns the totals, which a ConvergenceError reports too.
     """
+    iterations, error = spent
     ny, nx = values.shape
     ghosted = np.vstack((np.zeros((1, nx)), values))
     vertical = np.ones(ny)
     vertical[0] = 0.0
     horizontal = np.ones(ny + 1)
     horizontal[1] = 0.5
-    result = _solve(
-        ghosted,
-        np.vstack((np.ones((1, nx), dtype=bool), fixed)),
-        vertical,
-        horizontal,
-        tolerance_v,
-        max_iterations,
-        (1, anchor_x),
-    )
+    try:
+        used, estimate = _solve(
+            ghosted,
+            np.vstack((np.ones((1, nx), dtype=bool), fixed)),
+            vertical,
+            horizontal,
+            tolerance_v - error,
+            max_iterations - iterations,
+            (1, anchor_x),
+        )
+    except ConvergenceError as failure:
+        raise ConvergenceError(
+            iterations + failure.iterations, error + failure.last_update_v, tolerance_v
+        ) from None
     values[...] = ghosted[1:]
-    return result
+    return iterations + used, error + estimate
 
 
 def _interface_weights(y_nodes: np.ndarray, dielectric: DielectricMap) -> tuple[np.ndarray, np.ndarray]:
@@ -535,11 +547,13 @@ def solve_potential(
 
     Convergence means the estimated largest error of a free node against
     the exact solution of the discrete equations fell below
-    ``tolerance_v``; when both the bias and the common mode are nonzero,
-    each part gets half of it, and ``max_iterations`` caps each part. The
-    outer box is held at zero (the far boundary); electrode nodes are
-    pinned to their potentials throughout. ``initial`` warm-starts from a
-    previously converged (typically coarser) grid.
+    ``tolerance_v``. When both the bias and the common mode are nonzero,
+    they are solved in turn, the second within what the first left of
+    ``tolerance_v`` and ``max_iterations``, so the summed error estimate
+    and iterations stay within them. The outer box is held at zero (the
+    far boundary); electrode nodes are pinned to their potentials
+    throughout. ``initial`` warm-starts from a previously converged
+    (typically coarser) grid.
 
     Raises
     ------
@@ -583,24 +597,21 @@ def solve_potential(
     # The common mode (p0 + p1)/2 is even in x and solved on the upper
     # half; the bias +-(p0 - p1)/2 is odd in x and solved on the upper
     # quarter x >= 0, with the column x = 0 held at zero. A part whose
-    # potential is zero is skipped; the solved parts share the tolerance.
+    # potential is zero is skipped.
     p_left, p_right = layout.electrode_potentials_v
     common, bias = (p_left + p_right) / 2.0, (p_left - p_right) / 2.0
-    share = tolerance_v / max((common != 0.0) + (bias != 0.0), 1)
     upper, mirrored = values[surface_row:], values[surface_row:, ::-1]
     solution = np.zeros_like(upper)
-    iterations, error = 0, 0.0
+    spent = (0, 0.0)
     if common != 0.0:
         even = (upper + mirrored) / 2.0
-        iterations, error = _solve_upper_half(even, fixed[surface_row:], centre, share, max_iterations)
+        spent = _solve_upper_half(even, fixed[surface_row:], centre, tolerance_v, max_iterations, spent)
         solution += even
     if bias != 0.0:
         odd = ((upper - mirrored) / 2.0)[:, centre:]
         quarter = fixed[surface_row:, centre:].copy()
         quarter[:, 0] = True
-        odd_iterations, odd_error = _solve_upper_half(odd, quarter, 0, share, max_iterations)
-        iterations += odd_iterations
-        error += odd_error
+        spent = _solve_upper_half(odd, quarter, 0, tolerance_v, max_iterations, spent)
         solution += np.hstack((-odd[:, :0:-1], odd))
     values = np.where(fixed, values, np.vstack((solution[:0:-1], solution)))
 
@@ -611,10 +622,36 @@ def solve_potential(
         x0_um=float(x[0]),
         y0_um=float(y[0]),
         fixed=fixed,
-        iterations=iterations,
-        last_update_v=error,
+        iterations=spent[0],
+        last_update_v=spent[1],
         residual_v=_residual(values, fixed, *_interface_weights(y, dielectric)),
     )
+
+
+def field_per_volt(
+    layout: ElectrodeLayout,
+    dielectric: DielectricMap,
+    spacing_um: float,
+    tolerance_v: float,
+    *,
+    voltage_v: float | None = None,
+    max_iterations: int = MAX_ITERATIONS,
+) -> tuple[FieldVector, PotentialGrid]:
+    """Probe field per volt of bias, and the grid it was read from.
+
+    The layout's geometry is solved with the balanced pair ``(+V/2, -V/2)``,
+    where V is ``voltage_v``, by default the layout's bias, and 1 V if
+    that is 0; the probe field is divided by V. The field is linear in
+    the bias, so the result scales to any voltage, and a common-mode
+    potential of the layout adds nothing to it.
+    """
+    voltage = layout.bias_v if voltage_v is None else voltage_v
+    if voltage == 0.0:
+        voltage = 1.0
+    grid = solve_potential(
+        layout.with_bias(voltage), dielectric, spacing_um, tolerance_v, max_iterations=max_iterations
+    )
+    return field_at(grid, layout.probe_point_um).scaled(1.0 / voltage), grid
 
 
 def solve_parallel_plates(
@@ -648,7 +685,7 @@ def solve_parallel_plates(
     vertical = np.ones(ny + 1)
     vertical[[0, -1]] = 0.0
     horizontal = np.ones(ny + 2)
-    iterations, error = _solve(values, fixed, vertical, horizontal, tolerance_v, max_iterations)
+    iterations, error = _solve(values, fixed, vertical, horizontal, tolerance_v, max_iterations, (0, 0))
     return PotentialGrid(
         spacing_um=spacing_um,
         values=values[1:-1],

@@ -25,14 +25,7 @@ import numpy as np
 
 from .cavity import EffectiveEmitter, excitation_probability
 from .csvio import write_table
-from .electrostatics import (
-    MAX_ITERATIONS,
-    DielectricMap,
-    ElectrodeLayout,
-    FieldVector,
-    field_at,
-    solve_potential,
-)
+from .electrostatics import FieldVector
 from .stark import IonModel, stark_shift_empirical
 
 __all__ = [
@@ -409,38 +402,24 @@ def simulate_g2_histogram(
 def simulate_stark_scan(
     ion: SimulatedIon,
     voltages_v: Sequence[float],
-    layout: ElectrodeLayout,
-    dielectric: DielectricMap,
+    unit_field: FieldVector,
     protocol: PLEProtocol,
     detector: DetectorModel,
     seed: int,
     *,
-    spacing_um: float | None = None,
-    tolerance_v: float = 1e-4,
-    max_iterations: int = MAX_ITERATIONS,
     window_half_width_mhz: float = 60.0,
     v_max: float = 333.0,
 ) -> list[StarkScanPoint]:
     """PLE scans of one ion at a series of electrode voltages.
 
-    The balanced pair at the layout bias is solved once and rescaled
-    linearly to each voltage (a common-mode potential of the layout adds
-    no field per volt); each scan window tracks the expected
-    Stark-shifted peak. Each voltage gets its own derived seed.
+    ``unit_field`` is the probe field per volt of bias (see
+    :func:`~starksim.electrostatics.field_per_volt`), scaled linearly to
+    each voltage; each scan window tracks the expected Stark-shifted
+    peak. Each voltage gets its own derived seed.
     """
     for v in voltages_v:
         if not math.isfinite(v) or abs(v) > v_max:
             raise SimulationError(f"voltage {v} V outside the +/-{v_max} V limit")
-
-    bias = layout.bias_v if layout.bias_v != 0.0 else 1.0
-    grid = solve_potential(
-        layout.with_bias(bias),
-        dielectric,
-        spacing_um if spacing_um is not None else layout.gap_um / 20.0,
-        tolerance_v,
-        max_iterations=max_iterations,
-    )
-    unit_field = field_at(grid, layout.probe_point_um).scaled(1.0 / bias)
 
     results = []
     for v_index, voltage in enumerate(voltages_v):

@@ -24,6 +24,7 @@ from starksim.electrostatics import (
     ElectrodeLayout,
     FieldVector,
     field_at,
+    field_per_volt,
     solve_parallel_plates,
     solve_potential,
     uniform_field_oracle,
@@ -118,18 +119,22 @@ def test_criterion_2_antibunching(config):
     )
 
 
+def _unit_field(config):
+    unit_field, _ = field_per_volt(
+        config.layout, config.dielectric, config.solver.spacing_um, config.solver.tolerance_v
+    )
+    return unit_field
+
+
 def test_criterion_3_stark_linearity(config):
     ion = config.simulated_ion("ion1")
     points = simulate_stark_scan(
         ion,
         config.stark.voltages_v,
-        config.layout,
-        config.dielectric,
+        _unit_field(config),
         config.protocol,
         config.detector,
         config.run.seed,
-        spacing_um=config.solver.spacing_um,
-        tolerance_v=config.solver.tolerance_v,
         window_half_width_mhz=config.stark.window_half_width_mhz,
     )
     fields, centres, errors = [], [], []
@@ -161,13 +166,10 @@ def test_criterion_4_maximum_shift_ratio(config):
     points = simulate_stark_scan(
         ion,
         [0.0, 333.0],
-        config.layout,
-        config.dielectric,
+        _unit_field(config),
         config.protocol,
         config.detector,
         mix_seed(config.run.seed, 4),
-        spacing_um=config.solver.spacing_um,
-        tolerance_v=config.solver.tolerance_v,
     )
     fits = [fit_lorentzian(p.scan.frequencies_mhz, p.scan.counts) for p in points]
     rest = ion.model.zero_field_frequency_mhz

@@ -181,6 +181,19 @@ class TestSolvePotential:
         assert err.value.iterations == 3
         assert err.value.last_update_v > 1e-12
 
+    def test_unbalanced_solve_keeps_the_callers_budget(self):
+        # the common mode and the bias are solved in turn, the bias within
+        # what the common mode left of the tolerance and the iterations
+        layout = small_layout((25.0, -4.0))
+        grid = solve_potential(layout, DielectricMap(), 2.0, 1e-6)
+        assert grid.last_update_v < 1e-6
+        for budget in (grid.iterations - 1, 3):  # fails in the bias part, in the common mode
+            with pytest.raises(ConvergenceError) as err:
+                solve_potential(layout, DielectricMap(), 2.0, 1e-6, max_iterations=budget)
+            assert err.value.iterations == budget
+            assert err.value.tolerance_v == 1e-6
+            assert err.value.last_update_v >= 1e-6
+
     def test_non_finite_potential_stops_at_once(self):
         with pytest.raises(ConvergenceError, match="after 0 iterations") as err:
             solve_potential(small_layout((float("nan"), -1.0)), DielectricMap(), 2.0, 1e-6)

@@ -7,7 +7,7 @@ import pytest
 
 from starksim.analysis import fit_lorentzian, read_decay_csv, read_g2_csv, read_ple_csv
 from starksim.cavity import EffectiveEmitter
-from starksim.electrostatics import DielectricMap, ElectrodeLayout, FieldVector
+from starksim.electrostatics import DielectricMap, ElectrodeLayout, FieldVector, field_per_volt
 from starksim.experiment import (
     DetectorModel,
     PLEProtocol,
@@ -313,19 +313,23 @@ class TestG2:
 
 
 class TestStarkScan:
-    def test_zero_voltage_peak_at_rest_frequency(self, config):
+    @pytest.fixture(scope="class")
+    def unit_field(self, config):
+        return field_per_volt(config.layout, config.dielectric, config.layout.gap_um / 20.0, 1e-4)[0]
+
+    def test_zero_voltage_peak_at_rest_frequency(self, config, unit_field):
         ion2 = config.simulated_ion("ion2")
         points = simulate_stark_scan(
-            ion2, [0.0], config.layout, config.dielectric, config.protocol,
+            ion2, [0.0], unit_field, config.protocol,
             config.detector, 31, window_half_width_mhz=60.0,
         )
         fit = fit_lorentzian(points[0].scan.frequencies_mhz, points[0].scan.counts)
         assert fit.value("center_mhz") == pytest.approx(-40.0, abs=3.0 * fit.stderr("center_mhz"))
         assert points[0].field.e_parallel_v_per_cm == 0.0
 
-    def test_equally_spaced_voltages_give_equally_spaced_peaks(self, config, ion1):
+    def test_equally_spaced_voltages_give_equally_spaced_peaks(self, config, ion1, unit_field):
         points = simulate_stark_scan(
-            ion1, [0.0, 111.0, 222.0], config.layout, config.dielectric, config.protocol,
+            ion1, [0.0, 111.0, 222.0], unit_field, config.protocol,
             config.detector, 33,
         )
         centres, errs = [], []
@@ -339,17 +343,17 @@ class TestStarkScan:
         expected = stark_shift_empirical(ion1.model, points[1].field).shift_mhz
         assert first == pytest.approx(expected, abs=3.0 * math.hypot(errs[0], errs[1]))
 
-    def test_voltage_limit_enforced(self, config, ion1):
+    def test_voltage_limit_enforced(self, config, ion1, unit_field):
         with pytest.raises(SimulationError):
             simulate_stark_scan(
-                ion1, [400.0], config.layout, config.dielectric, config.protocol,
+                ion1, [400.0], unit_field, config.protocol,
                 config.detector, 1, v_max=333.0,
             )
 
-    def test_scan_windows_track_expected_peak(self, config):
+    def test_scan_windows_track_expected_peak(self, config, unit_field):
         ion3 = config.simulated_ion("ion3")
         points = simulate_stark_scan(
-            ion3, [0.0, 333.0], config.layout, config.dielectric, config.protocol,
+            ion3, [0.0, 333.0], unit_field, config.protocol,
             config.detector, 35, window_half_width_mhz=50.0,
         )
         for point in points:

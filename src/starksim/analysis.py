@@ -434,12 +434,13 @@ def write_fit_report_csv(rows: Sequence[tuple[str, float, float, str]], path: st
     write_table(path, ["quantity", "value", "stderr", "units"], rows)
 
 
-def read_ple_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, float]:
+def read_ple_csv(path: str | Path) -> ScanResult:
     rows = read_table(path, ["frequency_offset_mhz", "counts", "integration_s"])
-    freq = np.array([float(r[0]) for r in rows])
-    counts = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    integration = float(rows[0][2]) if rows else float("nan")
-    return freq, counts, integration
+    return ScanResult(
+        frequencies_mhz=np.array([float(r[0]) for r in rows]),
+        counts=np.array([int(r[1]) for r in rows], dtype=np.int64),
+        integration_s=float(rows[0][2]) if rows else float("nan"),
+    )
 
 
 def read_decay_csv(path: str | Path) -> Histogram:

@@ -1,10 +1,18 @@
 """Command-line pipeline: solve fields, simulate experiments, fit results.
 
 Subcommands: ``field``, ``ple``, ``decay``, ``g2``, ``stark``, ``fit``,
-``resonance``, ``reproduce``. Dataset paths go to stdout (one per line;
-``field`` and ``resonance`` print their small key=value reports
-instead, and write a manifest only under an explicit ``--out``);
-diagnostics go to stderr.
+``resonance``, ``reproduce``. Each figure of ``reproduce`` is one
+pipeline: a dataset function simulates and writes its CSV, then a fit
+stage writes ``fit_report.csv``. ``ple``, ``decay`` and ``g2`` are the
+no-fit forms of ``fig2``, ``fig3b`` and ``fig3c``; ``stark`` is
+``reproduce fig4a``; ``fit`` runs a fit stage on a CSV read back.
+
+``main`` writes ``config.toml`` and ``manifest.json`` once, before the
+run, so partial outputs of a failed run still carry their provenance;
+``field`` and ``resonance`` write them only under an explicit ``--out``
+(or, for ``field --dump-grid``, into ``[run] output_dir``). Dataset paths
+go to stdout, one per line (``field`` and ``resonance`` print their small
+key=value reports first); diagnostics go to stderr.
 
 Exit codes: 0 ok, 2 configuration/validation failure, 3 the field
 solver missed its tolerance within the iteration cap or broke down on
@@ -48,7 +56,9 @@ from .electrostatics import (
     write_grid_csv,
 )
 from .experiment import (
+    G2Histogram,
     Histogram,
+    ScanResult,
     SimulationError,
     mix_seed,
     simulate_decay_histogram,
@@ -80,6 +90,8 @@ EXIT_VOLTAGE_RANGE = 7
 
 FIGURES = ("fig2", "fig3b", "fig3c", "fig4a", "fig4b")
 
+Row = tuple[str, float, float, str]  # one fit_report.csv row: quantity, value, stderr, units
+
 
 def _finite_float(text: str) -> float:
     """argparse type for a finite number; anything else is a usage error (exit 2)."""
@@ -101,24 +113,31 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", type=Path, default=None, help="TOML config (built-in defaults if omitted)")
+        p.add_argument("--config", type=Path, default=None,
+                       help="TOML config (built-in defaults if omitted)")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
         p.add_argument("--out", type=Path, default=None, help="override the output directory")
 
     p = sub.add_parser("field", help="solve the electrode field at the probe point")
     add_common(p)
-    p.add_argument("--voltage", type=_finite_float, default=None, help="bias across the pair (default: config potentials)")
+    p.add_argument("--voltage", type=_finite_float, default=None,
+                   help="bias across the pair (default: config potentials)")
     p.add_argument("--dump-grid", action="store_true", help="also write the potential grid CSV")
 
     p = sub.add_parser("ple", help="simulate a PLE scan of the whole ion registry")
     add_common(p)
-    p.add_argument("--voltage", type=_finite_float, default=0.0, help="electrode bias during the scan")
+    p.add_argument("--voltage", type=_finite_float, default=0.0,
+                   help="electrode bias during the scan")
+    p.set_defaults(figure="fig2", fit=False)
 
-    for name, text in (("decay", "simulate a fluorescence decay histogram"),
-                       ("g2", "simulate an intensity-autocorrelation histogram"),
-                       ("stark", "simulate a voltage-swept scan and fit the line response")):
+    for name, figure, text in (
+        ("decay", "fig3b", "simulate a fluorescence decay histogram"),
+        ("g2", "fig3c", "simulate an intensity-autocorrelation histogram"),
+        ("stark", "fig4a", "simulate a voltage-swept scan and fit the line response"),
+    ):
         p = sub.add_parser(name, help=text)
         add_common(p)
+        p.set_defaults(figure=figure, fit=name == "stark")
 
     p = sub.add_parser("fit", help="fit a dataset produced by the simulators")
     add_common(p)
@@ -133,7 +152,76 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="run a full figure-reproduction pipeline")
     add_common(p)
     p.add_argument("figure", choices=FIGURES)
+    p.set_defaults(fit=True, voltage=0.0)
     return parser
+
+
+def _rows(fit: FitResult, quantities: Sequence[tuple[str, str]], prefix: str = "") -> list[Row]:
+    """fit_report.csv rows ``(prefix + name, value, stderr, units)`` of the
+    named parameters; ``reduced_chi_square`` is the fit's, with stderr 0."""
+    return [
+        (prefix + name, fit.reduced_chi_square, 0.0, units) if name == "reduced_chi_square"
+        else (prefix + name, fit.value(name), fit.stderr(name), units)
+        for name, units in quantities
+    ]
+
+
+def _write_report(rows: Sequence[Row], out_dir: Path) -> Path:
+    path = out_dir / "fit_report.csv"
+    write_fit_report_csv(rows, path)
+    return path
+
+
+def _field_per_volt(
+    config: ExperimentConfig, voltage_v: float | None = None
+) -> tuple[FieldVector, PotentialGrid]:
+    """:func:`field_per_volt` of the configured layout, dielectric and solver."""
+    return field_per_volt(
+        config.layout,
+        config.dielectric,
+        config.solver.spacing_um,
+        config.solver.tolerance_v,
+        voltage_v=voltage_v,
+        max_iterations=config.solver.max_iterations,
+    )
+
+
+def _ple(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Path, ScanResult]:
+    """Scan of the whole registry at ``args.voltage`` -> ple_scan.csv."""
+    if abs(args.voltage) > config.run.max_voltage_v:
+        raise SimulationError(
+            f"voltage {args.voltage} V outside the +/-{config.run.max_voltage_v} V limit"
+        )
+    if args.voltage != 0.0:
+        field = _field_per_volt(config)[0].scaled(args.voltage)
+    else:
+        field = FieldVector(0.0, 0.0)
+    scan = simulate_ple_scan(config.simulated_ions(), config.protocol, config.detector, field, seed)
+    path = out_dir / "ple_scan.csv"
+    write_ple_csv(scan, path)
+    return path, scan
+
+
+def _fit_peaks(config: ExperimentConfig, scan: ScanResult) -> list[Row]:
+    """fig2's fit stage: a Lorentzian within 30 MHz of each peak found."""
+    report: list[Row] = []
+    for index, peak in enumerate(find_peaks(scan, 5.0), start=1):
+        window = np.abs(scan.frequencies_mhz - peak.center_mhz) <= 30.0
+        fit = fit_lorentzian(scan.frequencies_mhz[window], scan.counts[window])
+        report += _rows(fit, [("center_mhz", "MHz"), ("fwhm_mhz", "MHz")], f"peak{index}_")
+    return report
+
+
+def _decay(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Path, Histogram]:
+    """Decay histogram of the [decay] ion -> decay.csv."""
+    emitter = config.effective_emitter(config.ion(config.decay.ion_id))
+    histogram = simulate_decay_histogram(
+        emitter, config.protocol, config.detector,
+        config.decay.n_pulses, config.decay.bin_width_us, seed,
+    )
+    path = out_dir / "decay.csv"
+    write_decay_csv(histogram, path)
+    return path, histogram
 
 
 def _fit_decay(config: ExperimentConfig, histogram: Histogram) -> FitResult:
@@ -154,21 +242,108 @@ def _fit_decay(config: ExperimentConfig, histogram: Histogram) -> FitResult:
     )
 
 
-def _field_per_volt(
-    config: ExperimentConfig, voltage_v: float | None = None
-) -> tuple[FieldVector, PotentialGrid]:
-    """:func:`field_per_volt` of the configured layout, dielectric and solver."""
-    return field_per_volt(
-        config.layout,
-        config.dielectric,
-        config.solver.spacing_um,
-        config.solver.tolerance_v,
-        voltage_v=voltage_v,
-        max_iterations=config.solver.max_iterations,
+def _fit_lifetime(config: ExperimentConfig, histogram: Histogram) -> list[Row]:
+    """fig3b's fit stage."""
+    fit = _fit_decay(config, histogram)
+    return _rows(fit, [("tau_us", "us"), ("amplitude", "counts"), ("background", "counts")])
+
+
+def _g2(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Path, G2Histogram]:
+    """Autocorrelation histogram of the [g2] ion -> g2.csv."""
+    emitter = config.effective_emitter(config.ion(config.g2.ion_id))
+    histogram = simulate_g2_histogram(
+        emitter, config.g2.background_fraction, config.protocol,
+        config.g2.n_pulses, config.g2.max_lag, seed,
     )
+    path = out_dir / "g2.csv"
+    write_g2_csv(histogram, path)
+    return path, histogram
 
 
-def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) -> int:
+def _fit_g2(config: ExperimentConfig, histogram: G2Histogram) -> list[Row]:
+    """fig3c's fit stage."""
+    estimate = estimate_g2_zero(histogram)
+    return [("g2_zero", estimate.g2_zero, estimate.standard_error, "dimensionless")]
+
+
+def _stark_sweep(
+    config: ExperimentConfig, unit_field: FieldVector, ion_id: str, seed: int, path: Path
+) -> list[tuple]:
+    """Voltage sweep of one ion with a Lorentzian fit per voltage -> ``path``.
+
+    Returns the stark_scan.csv rows: voltage, field, centre and width with
+    their errors.
+    """
+    points = simulate_stark_scan(
+        config.simulated_ion(ion_id),
+        config.stark.voltages_v,
+        unit_field,
+        config.protocol,
+        config.detector,
+        seed,
+        window_half_width_mhz=config.stark.window_half_width_mhz,
+        v_max=config.run.max_voltage_v,
+    )
+    rows = []
+    for point in points:
+        fit = fit_lorentzian(point.scan.frequencies_mhz, point.scan.counts)
+        centre, fwhm = fit.parameters["center_mhz"], fit.parameters["fwhm_mhz"]
+        rows.append((point.voltage_v, point.field.e_parallel_v_per_cm, *centre, *fwhm))
+    write_stark_csv(rows, path)
+    return rows
+
+
+def _fit_line(ion_id: str, rows: Sequence[tuple]) -> list[Row]:
+    """fig4's fit stage: a weighted line through the (field, centre) points."""
+    _, fields, centres, errors, _, _ = zip(*rows)
+    line = fit_linear_weighted(fields, centres, errors)
+    quantities = [("slope_khz_per_v_cm", "kHz/(V/cm)"), ("intercept_mhz", "MHz"),
+                  ("reduced_chi_square", "dimensionless")]
+    labels = ("stark_coefficient", "zero_field_frequency", "line_reduced_chi_square")
+    return [(f"{label}_{ion_id}", *row[1:]) for label, row in zip(labels, _rows(line, quantities))]
+
+
+def _stark(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[Path]:
+    """fig4a sweeps the [stark] ion; fig4b every ion, each on ``mix_seed(seed, index)``."""
+    if args.figure == "fig4a":
+        sweeps = [(config.ion(config.stark.ion_id).ion_id, seed, "stark_scan.csv")]
+    else:
+        sweeps = [(ion.ion_id, mix_seed(seed, index), f"stark_scan_{ion.ion_id}.csv")
+                  for index, ion in enumerate(config.ions)]
+    unit_field, _ = _field_per_volt(config)
+    paths, report = [], []
+    for ion_id, ion_seed, name in sweeps:
+        paths.append(out_dir / name)
+        report += _fit_line(ion_id, _stark_sweep(config, unit_field, ion_id, ion_seed, paths[-1]))
+    return [*paths, _write_report(report, out_dir)]
+
+
+PIPELINES = {"fig2": (_ple, _fit_peaks), "fig3b": (_decay, _fit_lifetime), "fig3c": (_g2, _fit_g2)}
+
+
+def _cmd_figure(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[Path]:
+    if args.figure not in PIPELINES:
+        return _stark(args, config, seed, out_dir)
+    simulate, fit = PIPELINES[args.figure]
+    path, data = simulate(args, config, seed, out_dir)
+    return [path, _write_report(fit(config, data), out_dir)] if args.fit else [path]
+
+
+def _cmd_fit(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[Path]:
+    if args.kind == "ple":
+        rows = _fit_peaks(config, read_ple_csv(args.input))
+    elif args.kind == "decay":
+        rows = _rows(
+            _fit_decay(config, read_decay_csv(args.input)),
+            [("amplitude", "counts"), ("tau_us", "us"), ("background", "counts"),
+             ("reduced_chi_square", "dimensionless")],
+        )
+    else:
+        rows = _fit_g2(config, read_g2_csv(args.input))
+    return [_write_report(rows, out_dir)]
+
+
+def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) -> list[Path]:
     layout = config.layout
     voltage = args.voltage if args.voltage is not None else layout.bias_v
     scale, grid = _field_per_volt(config, voltage)
@@ -181,157 +356,14 @@ def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) 
     print(f"e_parallel_v_per_cm={fmt(probe.e_parallel_v_per_cm)}")
     print(f"e_perpendicular_v_per_cm={fmt(probe.e_perpendicular_v_per_cm)}")
     print(f"volts_to_field_v_per_cm_per_v={fmt(scale.e_parallel_v_per_cm)}")
-    if out_dir is not None:
-        write_run_manifest(out_dir, config, seed, args.command_line)
-        if args.dump_grid:
-            path = out_dir / "potential_grid.csv"
-            write_grid_csv(grid, path)
-            print(path)
-    return EXIT_OK
+    if not args.dump_grid:
+        return []
+    path = out_dir / "potential_grid.csv"
+    write_grid_csv(grid, path)
+    return [path]
 
 
-def _cmd_ple(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
-    if abs(args.voltage) > config.run.max_voltage_v:
-        raise SimulationError(
-            f"voltage {args.voltage} V outside the +/-{config.run.max_voltage_v} V limit"
-        )
-    if args.voltage != 0.0:
-        field = _field_per_volt(config)[0].scaled(args.voltage)
-    else:
-        field = FieldVector(0.0, 0.0)
-    scan = simulate_ple_scan(config.simulated_ions(), config.protocol, config.detector, field, seed)
-    write_run_manifest(out_dir, config, seed, args.command_line)
-    path = out_dir / "ple_scan.csv"
-    write_ple_csv(scan, path)
-    print(path)
-    return EXIT_OK
-
-
-def _cmd_decay(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
-    emitter = config.effective_emitter(config.ion(config.decay.ion_id))
-    histogram = simulate_decay_histogram(
-        emitter, config.protocol, config.detector,
-        config.decay.n_pulses, config.decay.bin_width_us, seed,
-    )
-    write_run_manifest(out_dir, config, seed, args.command_line)
-    path = out_dir / "decay.csv"
-    write_decay_csv(histogram, path)
-    print(path)
-    return EXIT_OK
-
-
-def _cmd_g2(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
-    emitter = config.effective_emitter(config.ion(config.g2.ion_id))
-    histogram = simulate_g2_histogram(
-        emitter, config.g2.background_fraction, config.protocol,
-        config.g2.n_pulses, config.g2.max_lag, seed,
-    )
-    write_run_manifest(out_dir, config, seed, args.command_line)
-    path = out_dir / "g2.csv"
-    write_g2_csv(histogram, path)
-    print(path)
-    return EXIT_OK
-
-
-def _stark_pipeline(
-    config: ExperimentConfig, unit_field: FieldVector, ion_id: str, seed: int
-) -> tuple[list[tuple], FitResult]:
-    """Voltage sweep, per-voltage Lorentzian fits, weighted line through the
-    (field, centre) points. Returns the stark_scan.csv rows and the line fit."""
-    ion = config.simulated_ion(ion_id)
-    points = simulate_stark_scan(
-        ion,
-        config.stark.voltages_v,
-        unit_field,
-        config.protocol,
-        config.detector,
-        seed,
-        window_half_width_mhz=config.stark.window_half_width_mhz,
-        v_max=config.run.max_voltage_v,
-    )
-    rows = []
-    fields, centres, errors = [], [], []
-    for point in points:
-        fit = fit_lorentzian(point.scan.frequencies_mhz, point.scan.counts)
-        rows.append(
-            (
-                point.voltage_v,
-                point.field.e_parallel_v_per_cm,
-                fit.value("center_mhz"),
-                fit.stderr("center_mhz"),
-                fit.value("fwhm_mhz"),
-                fit.stderr("fwhm_mhz"),
-            )
-        )
-        fields.append(point.field.e_parallel_v_per_cm)
-        centres.append(fit.value("center_mhz"))
-        errors.append(fit.stderr("center_mhz"))
-    line = fit_linear_weighted(fields, centres, errors)
-    return rows, line
-
-
-def _line_report(ion_id: str, line: FitResult) -> list[tuple[str, float, float, str]]:
-    return [
-        (
-            f"stark_coefficient_{ion_id}",
-            line.value("slope_khz_per_v_cm"),
-            line.stderr("slope_khz_per_v_cm"),
-            "kHz/(V/cm)",
-        ),
-        (
-            f"zero_field_frequency_{ion_id}",
-            line.value("intercept_mhz"),
-            line.stderr("intercept_mhz"),
-            "MHz",
-        ),
-        (f"line_reduced_chi_square_{ion_id}", line.reduced_chi_square, 0.0, "dimensionless"),
-    ]
-
-
-def _cmd_stark(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
-    ion_id = config.ion(config.stark.ion_id).ion_id
-    rows, line = _stark_pipeline(config, _field_per_volt(config)[0], ion_id, seed)
-    write_run_manifest(out_dir, config, seed, args.command_line)
-    scan_path = out_dir / "stark_scan.csv"
-    write_stark_csv(rows, scan_path)
-    report_path = out_dir / "fit_report.csv"
-    write_fit_report_csv(_line_report(ion_id, line), report_path)
-    print(scan_path)
-    print(report_path)
-    return EXIT_OK
-
-
-def _cmd_fit(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
-    rows: list[tuple[str, float, float, str]] = []
-    if args.kind == "ple":
-        frequencies, counts, _ = read_ple_csv(args.input)
-        fit = fit_lorentzian(frequencies, counts)
-        rows = [
-            ("amplitude", fit.value("amplitude"), fit.stderr("amplitude"), "counts"),
-            ("center_mhz", fit.value("center_mhz"), fit.stderr("center_mhz"), "MHz"),
-            ("fwhm_mhz", fit.value("fwhm_mhz"), fit.stderr("fwhm_mhz"), "MHz"),
-            ("offset", fit.value("offset"), fit.stderr("offset"), "counts"),
-            ("reduced_chi_square", fit.reduced_chi_square, 0.0, "dimensionless"),
-        ]
-    elif args.kind == "decay":
-        fit = _fit_decay(config, read_decay_csv(args.input))
-        rows = [
-            ("amplitude", fit.value("amplitude"), fit.stderr("amplitude"), "counts"),
-            ("tau_us", fit.value("tau_us"), fit.stderr("tau_us"), "us"),
-            ("background", fit.value("background"), fit.stderr("background"), "counts"),
-            ("reduced_chi_square", fit.reduced_chi_square, 0.0, "dimensionless"),
-        ]
-    else:
-        estimate = estimate_g2_zero(read_g2_csv(args.input))
-        rows = [("g2_zero", estimate.g2_zero, estimate.standard_error, "dimensionless")]
-    write_run_manifest(out_dir, config, seed, args.command_line)
-    path = out_dir / "fit_report.csv"
-    write_fit_report_csv(rows, path)
-    print(path)
-    return EXIT_OK
-
-
-def _cmd_resonance(args, config: ExperimentConfig, seed: int, out_dir: Path | None) -> int:
+def _cmd_resonance(args, config: ExperimentConfig, seed: int, out_dir: Path | None) -> list[Path]:
     ion_a = config.ion(args.ion_a)
     ion_b = config.ion(args.ion_b)
     unit_field, _ = _field_per_volt(config)
@@ -344,80 +376,7 @@ def _cmd_resonance(args, config: ExperimentConfig, seed: int, out_dir: Path | No
     print(f"voltage_v={voltage:.17g}")
     print(f"residual_detuning_mhz={abs(f_a - f_b):.17g}")
     print(f"feasible={'true' if abs(voltage) <= config.run.max_voltage_v else 'false'}")
-    if out_dir is not None:
-        write_run_manifest(out_dir, config, seed, args.command_line)
-    return EXIT_OK
-
-
-def _cmd_reproduce(args, config: ExperimentConfig, seed: int, out_dir: Path) -> int:
-    write_run_manifest(out_dir, config, seed, args.command_line)
-    report: list[tuple[str, float, float, str]] = []
-    paths: list[Path] = []
-
-    if args.figure == "fig2":
-        scan = simulate_ple_scan(
-            config.simulated_ions(), config.protocol, config.detector, FieldVector(0.0, 0.0), seed
-        )
-        path = out_dir / "ple_scan.csv"
-        write_ple_csv(scan, path)
-        paths.append(path)
-        for index, peak in enumerate(find_peaks(scan, 5.0), start=1):
-            window = np.abs(scan.frequencies_mhz - peak.center_mhz) <= 30.0
-            fit = fit_lorentzian(scan.frequencies_mhz[window], scan.counts[window])
-            report.append(
-                (f"peak{index}_center_mhz", fit.value("center_mhz"), fit.stderr("center_mhz"), "MHz")
-            )
-            report.append(
-                (f"peak{index}_fwhm_mhz", fit.value("fwhm_mhz"), fit.stderr("fwhm_mhz"), "MHz")
-            )
-    elif args.figure == "fig3b":
-        emitter = config.effective_emitter(config.ion(config.decay.ion_id))
-        histogram = simulate_decay_histogram(
-            emitter, config.protocol, config.detector,
-            config.decay.n_pulses, config.decay.bin_width_us, seed,
-        )
-        path = out_dir / "decay.csv"
-        write_decay_csv(histogram, path)
-        paths.append(path)
-        fit = _fit_decay(config, histogram)
-        report = [
-            ("tau_us", fit.value("tau_us"), fit.stderr("tau_us"), "us"),
-            ("amplitude", fit.value("amplitude"), fit.stderr("amplitude"), "counts"),
-            ("background", fit.value("background"), fit.stderr("background"), "counts"),
-        ]
-    elif args.figure == "fig3c":
-        emitter = config.effective_emitter(config.ion(config.g2.ion_id))
-        histogram = simulate_g2_histogram(
-            emitter, config.g2.background_fraction, config.protocol,
-            config.g2.n_pulses, config.g2.max_lag, seed,
-        )
-        path = out_dir / "g2.csv"
-        write_g2_csv(histogram, path)
-        paths.append(path)
-        estimate = estimate_g2_zero(histogram)
-        report = [("g2_zero", estimate.g2_zero, estimate.standard_error, "dimensionless")]
-    elif args.figure == "fig4a":
-        ion_id = config.ion(config.stark.ion_id).ion_id
-        rows, line = _stark_pipeline(config, _field_per_volt(config)[0], ion_id, seed)
-        path = out_dir / "stark_scan.csv"
-        write_stark_csv(rows, path)
-        paths.append(path)
-        report = _line_report(ion_id, line)
-    else:  # fig4b
-        unit_field, _ = _field_per_volt(config)
-        for ion_index, ion in enumerate(config.ions):
-            rows, line = _stark_pipeline(config, unit_field, ion.ion_id, mix_seed(seed, ion_index))
-            path = out_dir / f"stark_scan_{ion.ion_id}.csv"
-            write_stark_csv(rows, path)
-            paths.append(path)
-            report.extend(_line_report(ion.ion_id, line))
-
-    report_path = out_dir / "fit_report.csv"
-    write_fit_report_csv(report, report_path)
-    paths.append(report_path)
-    for path in paths:
-        print(path)
-    return EXIT_OK
+    return []
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -435,20 +394,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     seed = args.seed if args.seed is not None else config.run.seed
     out_dir = args.out if args.out is not None else Path(config.run.output_dir)
-    if args.out is None and args.command in ("field", "resonance") and not getattr(args, "dump_grid", False):
+    reports_only = args.command in ("field", "resonance") and not getattr(args, "dump_grid", False)
+    if args.out is None and reports_only:
         out_dir = None  # the report commands print to stdout and write files only when asked to
-    handlers = {
-        "field": _cmd_field,
-        "ple": _cmd_ple,
-        "decay": _cmd_decay,
-        "g2": _cmd_g2,
-        "stark": _cmd_stark,
-        "fit": _cmd_fit,
-        "resonance": _cmd_resonance,
-        "reproduce": _cmd_reproduce,
-    }
+    handlers = {"field": _cmd_field, "fit": _cmd_fit, "resonance": _cmd_resonance}
     try:
-        return handlers[args.command](args, config, seed, out_dir)
+        if out_dir is not None:
+            write_run_manifest(out_dir, config, seed, args.command_line)
+        paths = handlers.get(args.command, _cmd_figure)(args, config, seed, out_dir)
     except NoResonanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_RESONANCE
@@ -470,6 +423,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (FitError, UndefinedNormalizationError, ValueError, OSError) as exc:
         print(f"error: fitting failed: {exc}", file=sys.stderr)
         return EXIT_FITTING
+    for path in paths:
+        print(path)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

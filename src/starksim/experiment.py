@@ -15,10 +15,8 @@ counts depend only on the master seed and its index.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +35,6 @@ __all__ = [
     "SimulatedIon",
     "StarkScanPoint",
     "SimulationError",
-    "config_digest",
     "emission_window_probability",
     "mix_seed",
     "point_generator",
@@ -123,15 +120,7 @@ class PLEProtocol:
         return lo + self.scan_pitch_mhz * np.arange(n)
 
     def replace_scan(self, lo_mhz: float, hi_mhz: float) -> "PLEProtocol":
-        return PLEProtocol(
-            pulse_length_us=self.pulse_length_us,
-            repetition_rate_khz=self.repetition_rate_khz,
-            window_delay_us=self.window_delay_us,
-            window_length_us=self.window_length_us,
-            integration_time_s=self.integration_time_s,
-            scan_pitch_mhz=self.scan_pitch_mhz,
-            scan_range_mhz=(lo_mhz, hi_mhz),
-        )
+        return replace(self, scan_range_mhz=(lo_mhz, hi_mhz))
 
 
 @dataclass(frozen=True)
@@ -159,15 +148,6 @@ class ScanResult:
     frequencies_mhz: np.ndarray
     counts: np.ndarray
     integration_s: float
-    master_seed: int
-    config_digest: str
-
-    @property
-    def points(self) -> list[tuple[float, int, float]]:
-        return [
-            (float(f), int(c), self.integration_s)
-            for f, c in zip(self.frequencies_mhz, self.counts)
-        ]
 
 
 @dataclass(frozen=True)
@@ -216,30 +196,6 @@ def emission_window_probability(lifetime_us: float, delay_us: float, window_us: 
     return math.exp(-delay_us / lifetime_us) - math.exp(-(delay_us + window_us) / lifetime_us)
 
 
-def config_digest(*parts: object) -> str:
-    """Stable hex digest of the simulation inputs (dataclasses included)."""
-
-    def canonical(obj: object) -> str:
-        if isinstance(obj, float):
-            return format(obj, ".17g")
-        if isinstance(obj, (int, str, bool)) or obj is None:
-            return repr(obj)
-        if isinstance(obj, Enum):
-            return repr(obj.value)
-        if isinstance(obj, np.ndarray):
-            return "[" + ",".join(canonical(v) for v in obj.tolist()) + "]"
-        if isinstance(obj, (list, tuple)):
-            return "[" + ",".join(canonical(v) for v in obj) + "]"
-        if isinstance(obj, dict):
-            return "{" + ",".join(f"{k}:{canonical(v)}" for k, v in sorted(obj.items())) + "}"
-        if hasattr(obj, "__dataclass_fields__"):
-            fields = {name: getattr(obj, name) for name in obj.__dataclass_fields__}
-            return type(obj).__name__ + canonical(fields)
-        return repr(obj)
-
-    return hashlib.sha256(canonical(parts).encode("utf-8")).hexdigest()
-
-
 def _shifted_line(ion: SimulatedIon, field: FieldVector) -> tuple[float, float]:
     """Line centre and broadened width of an ion under the applied field."""
     response = stark_shift_empirical(ion.model, field)
@@ -264,7 +220,6 @@ def simulate_ple_scan(
     """
     frequencies = protocol.scan_frequencies_mhz()
     n_pulses = protocol.pulses_per_point
-    digest = config_digest(list(ions), protocol, detector, field)
 
     lines = []
     for ion in ions:
@@ -295,8 +250,6 @@ def simulate_ple_scan(
         frequencies_mhz=frequencies,
         counts=np.asarray(counts, dtype=np.int64),
         integration_s=protocol.integration_time_s,
-        master_seed=seed,
-        config_digest=digest,
     )
 
 

@@ -34,8 +34,6 @@ def make_scan(frequencies, counts):
         frequencies_mhz=np.asarray(frequencies, dtype=float),
         counts=np.asarray(counts, dtype=np.int64),
         integration_s=5.0,
-        master_seed=0,
-        config_digest="test",
     )
 
 

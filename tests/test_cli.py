@@ -16,6 +16,7 @@ from starksim.cli import (
     EXIT_OK,
     EXIT_SOLVER,
     EXIT_VOLTAGE_RANGE,
+    FIGURES,
     main,
 )
 from starksim.config import config_file_digest, default_config, dumps_config
@@ -26,6 +27,17 @@ from starksim.stark import resonance_voltage
 def config_path(tmp_path):
     path = tmp_path / "config.toml"
     path.write_text(dumps_config(default_config()), encoding="utf-8")
+    return path
+
+
+@pytest.fixture()
+def fast_config(tmp_path):
+    path = tmp_path / "fast.toml"
+    path.write_text(
+        "[decay]\nn_pulses = 500000\n\n[g2]\nn_pulses = 200000\n\n"
+        "[stark]\nvoltages_v = [-333.0, 0.0, 333.0]\n",
+        encoding="utf-8",
+    )
     return path
 
 
@@ -343,6 +355,45 @@ class TestPipelines:
         assert lines[0] == "frequency_offset_mhz,counts,integration_s"
         assert len(lines) == 1 + 21
 
+    def test_fit_ple_refits_fig2(self, capsys, config_path, tmp_path):
+        # the default registry's scan holds seven lines: the refit must run
+        # fig2's per-peak fits, not one Lorentzian over the whole spectrum
+        fig = tmp_path / "fig"
+        assert run(capsys, "reproduce", "fig2", "--config", config_path, "--out", fig)[0] == EXIT_OK
+        code, out, _ = run(
+            capsys, "fit", "--config", config_path, "--kind", "ple",
+            "--input", fig / "ple_scan.csv", "--out", tmp_path / "refit",
+        )
+        assert code == EXIT_OK
+        assert out.splitlines() == [str(tmp_path / "refit" / "fit_report.csv")]
+        refit = (tmp_path / "refit" / "fit_report.csv").read_bytes()
+        assert refit == (fig / "fit_report.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, figure, datasets",
+        [
+            ("ple", "fig2", ["ple_scan.csv"]),
+            ("decay", "fig3b", ["decay.csv"]),
+            ("g2", "fig3c", ["g2.csv"]),
+            ("stark", "fig4a", ["stark_scan.csv", "fit_report.csv"]),
+        ],
+        ids=["ple-fig2", "decay-fig3b", "g2-fig3c", "stark-fig4a"],
+    )
+    def test_dataset_command_writes_its_figures_bytes(
+        self, capsys, fast_config, tmp_path, command, figure, datasets
+    ):
+        # ple, decay and g2 are the no-fit forms of their figures; stark is fig4a
+        a, b = tmp_path / "command", tmp_path / "figure"
+        common = ["--config", fast_config, "--seed", 7]
+        code_a, out_a, _ = run(capsys, command, *common, "--out", a)
+        code_b, out_b, _ = run(capsys, "reproduce", figure, *common, "--out", b)
+        assert code_a == code_b == EXIT_OK
+        for name in [*datasets, "config.toml"]:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        figure_outputs = datasets if command == "stark" else [*datasets, "fit_report.csv"]
+        assert out_a.splitlines() == [str(a / name) for name in datasets]
+        assert out_b.splitlines() == [str(b / name) for name in figure_outputs]
+
     def test_fit_on_missing_file_exits_5(self, capsys, config_path, tmp_path):
         code, _, _ = run(
             capsys, "fit", "--config", config_path, "--kind", "g2",
@@ -350,9 +401,27 @@ class TestPipelines:
         )
         assert code == EXIT_FITTING
 
-    def test_manifest_digest_recomputable(self, capsys, config_path, tmp_path):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["field"],
+            ["ple"],
+            ["decay"],
+            ["g2"],
+            ["stark"],
+            ["fit", "--kind", "g2", "--input"],
+            ["resonance", "--ion-a", "ion1", "--ion-b", "ion7"],
+            *(["reproduce", figure] for figure in FIGURES),
+        ],
+        ids=lambda argv: "-".join(argv[:2]) if argv[0] == "reproduce" else argv[0],
+    )
+    def test_manifest_digest_recomputable(self, capsys, config_path, tmp_path, argv):
+        if argv[0] == "fit":
+            g2_dir = tmp_path / "g2"
+            assert run(capsys, "g2", "--config", config_path, "--out", g2_dir)[0] == EXIT_OK
+            argv = [*argv, g2_dir / "g2.csv"]
         out_dir = tmp_path / "manifested"
-        code, _, _ = run(capsys, "field", "--config", config_path, "--out", out_dir)
+        code, _, _ = run(capsys, *argv, "--config", config_path, "--out", out_dir)
         assert code == EXIT_OK
         manifest = json.loads((out_dir / "manifest.json").read_text())
         stored = (out_dir / "config.toml").read_text()

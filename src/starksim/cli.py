@@ -27,6 +27,7 @@ import argparse
 import math
 import shlex
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -141,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a dataset produced by the simulators")
     add_common(p)
-    p.add_argument("--kind", choices=("ple", "decay", "g2"), required=True)
+    p.add_argument("--kind", choices=FITS, required=True)
     p.add_argument("--input", type=Path, required=True)
 
     p = sub.add_parser("resonance", help="voltage bringing two ions into resonance")
@@ -224,8 +225,8 @@ def _decay(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Pa
     return path, histogram
 
 
-def _fit_decay(config: ExperimentConfig, histogram: Histogram) -> FitResult:
-    """Lifetime fit of the bins wholly inside the detection window.
+def _fit_lifetime(config: ExperimentConfig, histogram: Histogram) -> list[Row]:
+    """fig3b's fit stage: a lifetime fit of the bins wholly inside the detection window.
 
     The dark floor per bin is pinned from the detector calibration. A last
     bin that overruns the window holds truncated signal and fewer darks,
@@ -235,16 +236,11 @@ def _fit_decay(config: ExperimentConfig, histogram: Histogram) -> FitResult:
     n_inside = int(np.count_nonzero(edges[1:] <= config.protocol.window_length_us * (1.0 + 1e-9)))
     bin_width_us = float(edges[1] - edges[0])
     dark_floor = config.detector.dark_rate_hz * bin_width_us * 1e-6 * config.decay.n_pulses
-    return fit_exponential_decay(
+    fit = fit_exponential_decay(
         Histogram(bin_edges_us=edges[: n_inside + 1], counts=histogram.counts[:n_inside]),
         config.decay.fit_start_us,
         known_background=dark_floor,
     )
-
-
-def _fit_lifetime(config: ExperimentConfig, histogram: Histogram) -> list[Row]:
-    """fig3b's fit stage."""
-    fit = _fit_decay(config, histogram)
     return _rows(fit, [("tau_us", "us"), ("amplitude", "counts"), ("background", "counts")])
 
 
@@ -319,6 +315,7 @@ def _stark(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[Pat
 
 
 PIPELINES = {"fig2": (_ple, _fit_peaks), "fig3b": (_decay, _fit_lifetime), "fig3c": (_g2, _fit_g2)}
+FITS = {"ple": (read_ple_csv, _fit_peaks), "decay": (read_decay_csv, _fit_lifetime), "g2": (read_g2_csv, _fit_g2)}
 
 
 def _cmd_figure(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[Path]:
@@ -330,24 +327,17 @@ def _cmd_figure(args, config: ExperimentConfig, seed: int, out_dir: Path) -> lis
 
 
 def _cmd_fit(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[Path]:
-    if args.kind == "ple":
-        rows = _fit_peaks(config, read_ple_csv(args.input))
-    elif args.kind == "decay":
-        rows = _rows(
-            _fit_decay(config, read_decay_csv(args.input)),
-            [("amplitude", "counts"), ("tau_us", "us"), ("background", "counts"),
-             ("reduced_chi_square", "dimensionless")],
-        )
-    else:
-        rows = _fit_g2(config, read_g2_csv(args.input))
-    return [_write_report(rows, out_dir)]
+    read, fit = FITS[args.kind]
+    return [_write_report(fit(config, read(args.input)), out_dir)]
 
 
 def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) -> list[Path]:
     layout = config.layout
     voltage = args.voltage if args.voltage is not None else layout.bias_v
     scale, grid = _field_per_volt(config, voltage)
-    probe = field_at(grid, layout.probe_point_um) if voltage != 0.0 else FieldVector(0.0, 0.0)
+    if voltage == 0.0:  # the per-volt field came from a 1 V solve; at 0 V the potential is zero
+        grid = replace(grid, values=np.zeros_like(grid.values))
+    probe = field_at(grid, layout.probe_point_um)
 
     def fmt(value: float) -> str:
         return format(0.0 if value == 0.0 else value, ".17g")

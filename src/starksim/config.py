@@ -23,7 +23,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 from .cavity import CavityParams, EffectiveEmitter, EmitterParams, effective_lifetime_us, purcell_factor
 from .electrostatics import MAX_ITERATIONS, DielectricMap, ElectrodeLayout
 from .experiment import DEFAULT_MASTER_SEED, DetectorModel, PLEProtocol, SimulatedIon
-from .stark import IonModel, OrientationClass
+from .stark import IonModel
 
 __all__ = [
     "ConfigError",
@@ -225,28 +225,20 @@ class StarkScanSettings:
             raise ConfigError(f"[stark].voltages_v needs at least 3 voltages, got {len(self.voltages_v)}")
 
 
-def _orientation(stark_coefficient_khz_per_v_cm: float) -> OrientationClass:
-    return OrientationClass.PLUS if stark_coefficient_khz_per_v_cm >= 0 else OrientationClass.MINUS
-
-
-def _ion(ion_id: str, f0_mhz: float, s_khz_per_v_cm: float, fwhm_mhz: float) -> IonModel:
-    return IonModel(ion_id, f0_mhz, s_khz_per_v_cm, _orientation(s_khz_per_v_cm), fwhm_mhz)
-
-
 _DEFAULT_IONS = (
-    _ion("ion1", 0.0, 19.8, 6.7),
+    IonModel("ion1", 0.0, 19.8, 6.7),
     # -182.9e3 / 21652.504560964684: the empirical shift at the full 333 V
     # bias is -182.9 MHz for the default layout's probe field of the former
     # SOR solver. The exact discrete field, 21652.534 V/cm, is 1.4e-6
     # relative higher (shift -182.90025 MHz). The constant stays because
     # bench/workloads.py ION_REGISTRY mirrors it, and the quarter-domain
     # solve moved the default field by only 3.7e-8 relative.
-    _ion("ion2", -40.0, -8.447059760917158, 6.7),
-    _ion("ion3", 60.0, 23.2, 5.9),
-    _ion("ion4", 130.0, -23.0, 7.4),
-    _ion("ion5", -155.0, 22.903, 6.2),
-    _ion("ion6", 215.0, -22.65, 7.0),
-    _ion("ion7", -250.0, -9.8, 6.5),
+    IonModel("ion2", -40.0, -8.447059760917158, 6.7),
+    IonModel("ion3", 60.0, 23.2, 5.9),
+    IonModel("ion4", 130.0, -23.0, 7.4),
+    IonModel("ion5", -155.0, 22.903, 6.2),
+    IonModel("ion6", 215.0, -22.65, 7.0),
+    IonModel("ion7", -250.0, -9.8, 6.5),
 )
 
 
@@ -321,10 +313,8 @@ def default_config() -> ExperimentConfig:
 # keys are its dataclass's field names, in field order, each typed by the
 # field's annotation. The departures from that rule:
 _FILE_KEYS = {("ions", "ion_id"): "id"}
-_NOT_IN_FILE = ("orientation_class", "tensors")  # follows the coefficient's sign; not configurable
 _HOSTED = {"saturation_excitation_prob": "emitter"}  # ExperimentConfig scalars kept in a section
 _ION_DEFAULTS = {"zero_field_frequency_mhz": 0.0}  # [[ions]] may omit it; other no-default keys are required
-_ION_SIGN_KEY = "stark_coefficient_khz_per_v_cm"  # orientation_class is derived from it
 
 _HINTS = get_type_hints(ExperimentConfig)
 _ARRAYS = {name for name, hint in _HINTS.items() if get_origin(hint) is tuple}  # [[ions]]
@@ -338,7 +328,6 @@ def _slots(section: str) -> dict[str, tuple[str, Any]]:
     slots = {
         _FILE_KEYS.get((section, f.name), f.name): (f.name, hints[f.name])
         for f in fields(cls)
-        if f.name not in _NOT_IN_FILE
     }
     slots.update((name, (name, _HINTS[name])) for name, host in _HOSTED.items() if host == section)
     return slots
@@ -385,9 +374,9 @@ def _read_table(where: str, slots: dict[str, tuple[str, Any]], table: dict[str, 
 def _read_ion(entry: dict[str, Any]) -> IonModel:
     values = {**_ION_DEFAULTS, **_read_table("[[ions]]", _SLOTS["ions"], entry)}
     for f in fields(IonModel):
-        if f.default is MISSING and f.name not in values and f.name not in _NOT_IN_FILE:
+        if f.default is MISSING and f.name not in values:
             raise ConfigError(f"[[ions]]: missing key {_FILE_KEYS.get(('ions', f.name), f.name)!r}")
-    return IonModel(orientation_class=_orientation(values[_ION_SIGN_KEY]), **values)
+    return IonModel(**values)
 
 
 def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:

@@ -7,6 +7,10 @@ separated by a gap; the emitter sits near the gap. The potential obeys
 below), discretised by the five-point stencil on a node-centred grid;
 electrodes and the outer box are Dirichlet data.
 
+Only the bias p0 - p1 across the pair enters the model: the solver holds
+the electrodes at the balanced pair +-(p0 - p1)/2, and the common mode
+(p0 + p1)/2 of the two potentials is not part of the model.
+
 The discrete problem has two exact symmetries, and the solver uses both.
 The grid and the electrode nodes are mirror-symmetric in x and in y, the
 electrodes sit on the surface row y = 0, and the permittivity is constant
@@ -16,16 +20,14 @@ and south differences, so eps_above and eps_below factor out there too,
 leaving the equation of a half-cell: horizontal faces of weight 1/2, none
 to the south. The discrete solution is unique, so it is even in y, equals
 the solution of the upper half with those unit weights, and does not
-depend on the permittivities at all. In x, the bias +-(p0 - p1)/2 of the
-electrode potentials gives a potential odd in x, zero on the column
-x = 0, and the common mode (p0 + p1)/2 one even in x. The bias part is
-solved on the quarter x >= 0, y >= 0 with that column held at zero, the
-common mode (zero for every balanced pair, and then skipped) on the upper
-half, and their sum is mirrored back to the full grid. Each part is
-solved by conjugate gradients preconditioned by a geometric multigrid
-V-cycle whose coarse grids keep the mirror row and the column x = 0. The
-permittivities still enter the reported residual, which is that of the
-full-domain, permittivity-weighted equations.
+depend on the permittivities at all. The balanced pair makes it odd in x
+as well, zero on the column x = 0. So the potential is solved on the
+quarter x >= 0, y >= 0 with that column held at zero, and mirrored back
+to the full grid. The quarter is solved by conjugate gradients
+preconditioned by a geometric multigrid V-cycle whose coarse grids keep
+the mirror row and the column x = 0. The permittivities still enter the
+reported residual, which is that of the full-domain,
+permittivity-weighted equations.
 
 Units: lengths in micrometres, potentials in volts, fields in V/cm.
 """
@@ -34,13 +36,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
 __all__ = [
-    "BoundaryCondition",
     "ConvergenceError",
     "DielectricMap",
     "ElectrodeLayout",
@@ -80,18 +80,14 @@ class ConvergenceError(RuntimeError):
         super().__init__(f"no convergence after {iterations} iterations: {reason}")
 
 
-class BoundaryCondition(Enum):
-    DIRICHLET_ZERO = "dirichlet_zero"
-    NEUMANN_ZERO = "neumann_zero"
-
-
 @dataclass(frozen=True)
 class ElectrodeLayout:
     """Coplanar electrode pair, symmetric about the gap centre.
 
     The coordinate origin is the gap centre on the surface. The left
-    electrode occupies ``[-gap/2 - width, -gap/2]`` at ``y = 0`` and is
-    held at ``electrode_potentials_v[0]``; the right one mirrors it.
+    electrode occupies ``[-gap/2 - width, -gap/2]`` at ``y = 0`` and has
+    the potential ``electrode_potentials_v[0]``; the right one mirrors it.
+    Only their difference, :attr:`bias_v`, is solved.
     ``probe_point_um`` is where the cavity centre sits relative to the
     gap centre.
     """
@@ -162,10 +158,6 @@ class FieldVector:
     e_parallel_v_per_cm: float
     e_perpendicular_v_per_cm: float
 
-    @property
-    def magnitude_v_per_cm(self) -> float:
-        return math.hypot(self.e_parallel_v_per_cm, self.e_perpendicular_v_per_cm)
-
     def scaled(self, factor: float) -> "FieldVector":
         return FieldVector(self.e_parallel_v_per_cm * factor, self.e_perpendicular_v_per_cm * factor)
 
@@ -175,17 +167,16 @@ class PotentialGrid:
     """Converged potential on a uniform node-centred grid.
 
     ``values[i, j]`` is the potential at ``(x0 + j*h, y0 + i*h)``;
-    ``fixed`` marks Dirichlet nodes (electrodes and, for
-    ``DIRICHLET_ZERO``, the outer box). ``iterations`` counts solver
-    iterations, summed over the parts solved, ``last_update_v`` is the
-    final error estimate, summed likewise (below the tolerance), and
-    ``residual_v`` the true residual max|b - A v| of the full-domain
-    five-point equations, whose weights are relative permittivities.
+    ``fixed`` marks Dirichlet nodes (the electrodes and, for
+    :func:`solve_potential`, the outer box). ``iterations`` counts solver
+    iterations, ``last_update_v`` is the final error estimate (below the
+    tolerance), and ``residual_v`` the true residual max|b - A v| of the
+    full-domain five-point equations, whose weights are relative
+    permittivities.
     """
 
     spacing_um: float
     values: np.ndarray
-    boundary_condition: BoundaryCondition
     x0_um: float
     y0_um: float
     fixed: np.ndarray = field(repr=False)
@@ -472,50 +463,6 @@ def _residual(values: np.ndarray, fixed: np.ndarray, vertical: np.ndarray, horiz
     return float(np.abs(applied, out=applied).max())
 
 
-def _solve_upper_half(
-    values: np.ndarray,
-    fixed: np.ndarray,
-    anchor_x: int,
-    tolerance_v: float,
-    max_iterations: int,
-    spent: tuple[int, float],
-) -> tuple[int, float]:
-    """Solve the rows y >= 0 (row 0 the surface) in place, the surface a mirror plane.
-
-    Above the surface the permittivity is one constant, which divides
-    out: every face weighs 1, except that the surface row is a half-cell
-    (horizontal faces 1/2, no face to the south). A fixed ghost row below
-    it, joined by a face of weight 0, keeps the outer ring fixed; the
-    surface row and column ``anchor_x`` are nodes of every coarse grid.
-    ``spent`` holds the iterations and error estimate of the parts solved
-    before; this part gets what they left of ``max_iterations`` and
-    ``tolerance_v``. Returns the totals, which a ConvergenceError reports too.
-    """
-    iterations, error = spent
-    ny, nx = values.shape
-    ghosted = np.vstack((np.zeros((1, nx)), values))
-    vertical = np.ones(ny)
-    vertical[0] = 0.0
-    horizontal = np.ones(ny + 1)
-    horizontal[1] = 0.5
-    try:
-        used, estimate = _solve(
-            ghosted,
-            np.vstack((np.ones((1, nx), dtype=bool), fixed)),
-            vertical,
-            horizontal,
-            tolerance_v - error,
-            max_iterations - iterations,
-            (1, anchor_x),
-        )
-    except ConvergenceError as failure:
-        raise ConvergenceError(
-            iterations + failure.iterations, error + failure.last_update_v, tolerance_v
-        ) from None
-    values[...] = ghosted[1:]
-    return iterations + used, error + estimate
-
-
 def _interface_weights(y_nodes: np.ndarray, dielectric: DielectricMap) -> tuple[np.ndarray, np.ndarray]:
     """Face weights of the five-point stencil for div(eps grad V) = 0.
 
@@ -541,19 +488,13 @@ def solve_potential(
     tolerance_v: float,
     *,
     max_iterations: int = MAX_ITERATIONS,
-    initial: PotentialGrid | None = None,
 ) -> PotentialGrid:
-    """Solve the electrode layout to a converged potential grid.
+    """Solve the bias of the electrode pair to a converged potential grid.
 
-    Convergence means the estimated largest error of a free node against
-    the exact solution of the discrete equations fell below
-    ``tolerance_v``. When both the bias and the common mode are nonzero,
-    they are solved in turn, the second within what the first left of
-    ``tolerance_v`` and ``max_iterations``, so the summed error estimate
-    and iterations stay within them. The outer box is held at zero (the
-    far boundary); electrode nodes are pinned to their potentials
-    throughout. ``initial`` warm-starts from a previously converged
-    (typically coarser) grid.
+    The electrodes are held at ``+-bias_v / 2``, the outer box at zero
+    (the far boundary). Convergence means the estimated largest error of a
+    free node against the exact solution of the discrete equations fell
+    below ``tolerance_v``.
 
     Raises
     ------
@@ -587,43 +528,38 @@ def solve_potential(
     snap = spacing_um / 4.0
     left = (x >= -outer - snap) & (x <= -half_gap + snap)
     right = (x >= half_gap - snap) & (x <= outer + snap)
-    values[surface_row, left] = layout.electrode_potentials_v[0]
-    values[surface_row, right] = layout.electrode_potentials_v[1]
+    values[surface_row, left] = layout.bias_v / 2.0
+    values[surface_row, right] = -layout.bias_v / 2.0
     fixed[surface_row, left | right] = True
 
-    if initial is not None:
-        values = np.where(fixed, values, _resample(initial, x, y))
-
-    # The common mode (p0 + p1)/2 is even in x and solved on the upper
-    # half; the bias +-(p0 - p1)/2 is odd in x and solved on the upper
-    # quarter x >= 0, with the column x = 0 held at zero. A part whose
-    # potential is zero is skipped.
-    p_left, p_right = layout.electrode_potentials_v
-    common, bias = (p_left + p_right) / 2.0, (p_left - p_right) / 2.0
-    upper, mirrored = values[surface_row:], values[surface_row:, ::-1]
-    solution = np.zeros_like(upper)
-    spent = (0, 0.0)
-    if common != 0.0:
-        even = (upper + mirrored) / 2.0
-        spent = _solve_upper_half(even, fixed[surface_row:], centre, tolerance_v, max_iterations, spent)
-        solution += even
-    if bias != 0.0:
-        odd = ((upper - mirrored) / 2.0)[:, centre:]
-        quarter = fixed[surface_row:, centre:].copy()
-        quarter[:, 0] = True
-        spent = _solve_upper_half(odd, quarter, 0, tolerance_v, max_iterations, spent)
-        solution += np.hstack((-odd[:, :0:-1], odd))
-    values = np.where(fixed, values, np.vstack((solution[:0:-1], solution)))
+    # Solve the quarter x >= 0, y >= 0 (row 0 the surface, a mirror plane),
+    # with the column x = 0 held at zero. Above the surface every face
+    # weighs 1, except that the surface row is a half-cell (horizontal
+    # faces 1/2, no face to the south). A fixed ghost row below it, joined
+    # by a face of weight 0, keeps the outer ring fixed; the surface row and
+    # the column x = 0 are nodes of every coarse grid.
+    width = len(x) - centre
+    quarter = np.vstack((np.zeros((1, width)), values[surface_row:, centre:]))
+    quarter_fixed = np.vstack((np.ones((1, width), dtype=bool), fixed[surface_row:, centre:]))
+    quarter_fixed[:, 0] = True
+    vertical = np.ones(len(quarter) - 1)
+    vertical[0] = 0.0
+    horizontal = np.ones(len(quarter))
+    horizontal[1] = 0.5
+    iterations, error = _solve(
+        quarter, quarter_fixed, vertical, horizontal, tolerance_v, max_iterations, (1, 0)
+    )
+    upper = np.hstack((-quarter[1:, :0:-1], quarter[1:]))  # odd in x
+    values = np.where(fixed, values, np.vstack((upper[:0:-1], upper)))  # even in y
 
     return PotentialGrid(
         spacing_um=spacing_um,
         values=values,
-        boundary_condition=BoundaryCondition.DIRICHLET_ZERO,
         x0_um=float(x[0]),
         y0_um=float(y[0]),
         fixed=fixed,
-        iterations=spent[0],
-        last_update_v=spent[1],
+        iterations=iterations,
+        last_update_v=error,
         residual_v=_residual(values, fixed, *_interface_weights(y, dielectric)),
     )
 
@@ -642,8 +578,7 @@ def field_per_volt(
     The layout's geometry is solved with the balanced pair ``(+V/2, -V/2)``,
     where V is ``voltage_v``, by default the layout's bias, and 1 V if
     that is 0; the probe field is divided by V. The field is linear in
-    the bias, so the result scales to any voltage, and a common-mode
-    potential of the layout adds nothing to it.
+    the bias, so the result scales to any voltage.
     """
     voltage = layout.bias_v if voltage_v is None else voltage_v
     if voltage == 0.0:
@@ -689,7 +624,6 @@ def solve_parallel_plates(
     return PotentialGrid(
         spacing_um=spacing_um,
         values=values[1:-1],
-        boundary_condition=BoundaryCondition.NEUMANN_ZERO,
         x0_um=-gap_um / 2.0,
         y0_um=0.0,
         fixed=fixed[1:-1],
@@ -697,22 +631,6 @@ def solve_parallel_plates(
         last_update_v=error,
         residual_v=_residual(values, fixed, vertical, horizontal),
     )
-
-
-def _resample(grid: PotentialGrid, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear resample of a grid's potential onto new node coordinates."""
-    gx = grid.x_coords_um
-    gy = grid.y_coords_um
-    xi = np.clip((x - gx[0]) / grid.spacing_um, 0.0, len(gx) - 1.0)
-    yi = np.clip((y - gy[0]) / grid.spacing_um, 0.0, len(gy) - 1.0)
-    jx = np.minimum(xi.astype(int), len(gx) - 2)
-    iy = np.minimum(yi.astype(int), len(gy) - 2)
-    fx = xi - jx
-    fy = yi - iy
-    v = grid.values
-    top = v[np.ix_(iy, jx)] * (1 - fx) + v[np.ix_(iy, jx + 1)] * fx
-    bottom = v[np.ix_(iy + 1, jx)] * (1 - fx) + v[np.ix_(iy + 1, jx + 1)] * fx
-    return top * (1 - fy[:, None]) + bottom * fy[:, None]
 
 
 def field_at(grid: PotentialGrid, point_um: tuple[float, float]) -> FieldVector:

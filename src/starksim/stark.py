@@ -1,10 +1,9 @@
 """Electric-field response of individual emitters.
 
-The full quadratic model folds the dipole-moment and polarizability
-differences through a local-field correction tensor; day-to-day work
-uses the empirical scalar law ``shift = s * E_parallel`` with a signed
-coefficient per ion, plus a linear line-broadening term. Crystal-site
-degeneracy and the two-ion resonance condition live here too.
+Each ion follows the empirical scalar law ``shift = s * E_parallel``
+with a signed coefficient, plus a linear line-broadening term.
+Crystal-site degeneracy and the two-ion resonance condition live here
+too.
 
 Units: fields in V/cm, coefficients in kHz/(V/cm), shifts and widths in
 MHz.
@@ -13,7 +12,6 @@ MHz.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -23,15 +21,12 @@ from .electrostatics import FieldVector
 __all__ = [
     "IonModel",
     "NoResonanceError",
-    "OrientationClass",
     "ShiftResult",
     "StarkModelError",
-    "StarkTensors",
     "VoltageOutOfRangeError",
     "orientation_shifts",
     "resonance_voltage",
     "stark_shift_empirical",
-    "stark_shift_full",
 ]
 
 KHZ_PER_MHZ = 1000.0
@@ -55,44 +50,6 @@ class VoltageOutOfRangeError(StarkModelError):
         )
 
 
-class OrientationClass(Enum):
-    PLUS = "plus"
-    MINUS = "minus"
-
-
-@dataclass(frozen=True)
-class StarkTensors:
-    """Tensor form of the field response.
-
-    ``delta_mu`` is the permanent-dipole difference already divided by
-    Planck's constant (MHz per V/cm); ``delta_alpha`` is the
-    polarizability difference on the same footing (MHz per (V/cm)^2);
-    ``local_field_correction`` maps the applied field to the local one.
-    """
-
-    delta_mu_mhz_per_v_cm: tuple[float, float, float]
-    local_field_correction: tuple[tuple[float, float, float], ...] = (
-        (1.0, 0.0, 0.0),
-        (0.0, 1.0, 0.0),
-        (0.0, 0.0, 1.0),
-    )
-    delta_alpha_mhz_per_v_cm2: tuple[tuple[float, float, float], ...] = (
-        (0.0, 0.0, 0.0),
-        (0.0, 0.0, 0.0),
-        (0.0, 0.0, 0.0),
-    )
-
-    def __post_init__(self) -> None:
-        alpha = np.asarray(self.delta_alpha_mhz_per_v_cm2, dtype=float)
-        lfc = np.asarray(self.local_field_correction, dtype=float)
-        if alpha.shape != (3, 3) or lfc.shape != (3, 3):
-            raise StarkModelError("tensors must be 3x3")
-        if not np.allclose(alpha, alpha.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(alpha).max())):
-            raise StarkModelError("polarizability difference must be symmetric")
-        if not np.all(np.isfinite(lfc)) or not np.all(np.isfinite(alpha)):
-            raise StarkModelError("tensor entries must be finite")
-
-
 @dataclass(frozen=True)
 class IonModel:
     """One emitter's spectral identity and field response."""
@@ -100,44 +57,20 @@ class IonModel:
     ion_id: str
     zero_field_frequency_mhz: float
     stark_coefficient_khz_per_v_cm: float
-    orientation_class: OrientationClass
     zero_field_fwhm_mhz: float
     broadening_mhz_per_kv_cm: float = 0.0
-    tensors: StarkTensors | None = None
 
     def __post_init__(self) -> None:
         if self.zero_field_fwhm_mhz <= 0.0:
             raise StarkModelError(f"{self.ion_id}: zero-field linewidth must be positive")
         if self.broadening_mhz_per_kv_cm < 0.0:
             raise StarkModelError(f"{self.ion_id}: broadening coefficient must be >= 0")
-        s = self.stark_coefficient_khz_per_v_cm
-        expected = OrientationClass.PLUS if s > 0 else OrientationClass.MINUS
-        if s != 0.0 and self.orientation_class is not expected:
-            raise StarkModelError(
-                f"{self.ion_id}: orientation class {self.orientation_class.value} "
-                f"contradicts coefficient sign {s:+g}"
-            )
 
 
 @dataclass(frozen=True)
 class ShiftResult:
     shift_mhz: float
     fwhm_mhz: float
-
-
-def stark_shift_full(tensors: StarkTensors, field_v_per_cm: Sequence[float]) -> float:
-    """Quadratic-order frequency shift in MHz for a 3-vector field.
-
-    Evaluates ``-dmu . (L E) - (L E) . dalpha . (L E) / 2`` with the
-    local field ``L E``.
-    """
-    e = np.asarray(field_v_per_cm, dtype=float)
-    if e.shape != (3,) or not np.all(np.isfinite(e)):
-        raise StarkModelError("field must be a finite 3-vector")
-    local = np.asarray(tensors.local_field_correction) @ e
-    dmu = np.asarray(tensors.delta_mu_mhz_per_v_cm, dtype=float)
-    alpha = np.asarray(tensors.delta_alpha_mhz_per_v_cm2, dtype=float)
-    return float(-dmu @ local - 0.5 * local @ alpha @ local)
 
 
 def stark_shift_empirical(ion: IonModel, field: FieldVector) -> ShiftResult:

@@ -73,6 +73,15 @@ class TestFieldCommand:
         assert float(values["e_parallel_v_per_cm"]) == 0.0
         assert float(values["volts_to_field_v_per_cm_per_v"]) > 0.0
 
+    def test_zero_voltage_grid_dump_is_zero(self, capsys, config_path, tmp_path):
+        # the per-volt field comes from a 1 V solve; the grid dumped is the 0 V one
+        code, _, _ = run(
+            capsys, "field", "--config", config_path, "--voltage", 0, "--out", tmp_path, "--dump-grid"
+        )
+        assert code == EXIT_OK
+        rows = (tmp_path / "potential_grid.csv").read_text().splitlines()[1:]
+        assert rows and {row.rsplit(",", 1)[1] for row in rows} == {"0"}
+
     def test_malformed_config_exits_2_with_line(self, capsys, tmp_path):
         bad = tmp_path / "bad.toml"
         bad.write_text("[layout]\ngap_um =\n", encoding="utf-8")
@@ -355,14 +364,20 @@ class TestPipelines:
         assert lines[0] == "frequency_offset_mhz,counts,integration_s"
         assert len(lines) == 1 + 21
 
-    def test_fit_ple_refits_fig2(self, capsys, config_path, tmp_path):
-        # the default registry's scan holds seven lines: the refit must run
-        # fig2's per-peak fits, not one Lorentzian over the whole spectrum
+    @pytest.mark.parametrize(
+        "kind, figure, dataset",
+        [("ple", "fig2", "ple_scan.csv"), ("decay", "fig3b", "decay.csv"), ("g2", "fig3c", "g2.csv")],
+        ids=["ple-fig2", "decay-fig3b", "g2-fig3c"],
+    )
+    def test_fit_refits_its_figure(self, capsys, fast_config, tmp_path, kind, figure, dataset):
+        # fit runs the figure's own fit stage, so its report is the figure's;
+        # the default registry's scan holds seven lines, so the ple refit
+        # must run fig2's per-peak fits, not one Lorentzian over the spectrum
         fig = tmp_path / "fig"
-        assert run(capsys, "reproduce", "fig2", "--config", config_path, "--out", fig)[0] == EXIT_OK
+        assert run(capsys, "reproduce", figure, "--config", fast_config, "--out", fig)[0] == EXIT_OK
         code, out, _ = run(
-            capsys, "fit", "--config", config_path, "--kind", "ple",
-            "--input", fig / "ple_scan.csv", "--out", tmp_path / "refit",
+            capsys, "fit", "--config", fast_config, "--kind", kind,
+            "--input", fig / dataset, "--out", tmp_path / "refit",
         )
         assert code == EXIT_OK
         assert out.splitlines() == [str(tmp_path / "refit" / "fit_report.csv")]

@@ -13,7 +13,7 @@ from starksim.config import (
     loads_config,
     parse_toml,
 )
-from starksim.stark import IonModel, OrientationClass
+from starksim.stark import IonModel
 
 
 class TestTomlSubset:
@@ -141,8 +141,8 @@ class TestExperimentConfig:
         assert s2 == pytest.approx(-182.9e3 / 21652.504560964684, rel=1e-12)
 
     def test_both_shift_classes_present(self):
-        signs = {s.orientation_class for s in default_config().ions}
-        assert len(signs) == 2
+        signs = {ion.stark_coefficient_khz_per_v_cm > 0.0 for ion in default_config().ions}
+        assert signs == {True, False}
 
     def test_effective_emitter_derivation(self):
         config = default_config()
@@ -203,13 +203,11 @@ def test_round_trip_property():
         ids = draw(st.lists(ion_ids, min_size=1, max_size=9, unique=True))
         ions = []
         for ion_id in ids:
-            s = draw(finite)
             ions.append(
                 IonModel(
                     ion_id=ion_id,
                     zero_field_frequency_mhz=draw(finite),
-                    stark_coefficient_khz_per_v_cm=s,
-                    orientation_class=OrientationClass.PLUS if s >= 0 else OrientationClass.MINUS,
+                    stark_coefficient_khz_per_v_cm=draw(finite),
                     zero_field_fwhm_mhz=draw(st.floats(min_value=1e-3, max_value=1e3)),
                     broadening_mhz_per_kv_cm=draw(st.floats(min_value=0.0, max_value=1e3)),
                 )

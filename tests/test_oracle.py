@@ -92,9 +92,9 @@ def test_golden_probe_field_is_exact():
     assert field_at(exact, (0.0, 0.0)).e_parallel_v_per_cm == pytest.approx(21652.534344268526, rel=1e-12)
 
 
-# a common mode (105 V) as well as a bias, and a crystal other than the default
-UNBALANCED_LAYOUT = dataclasses.replace(PAPER_LAYOUT, electrode_potentials_v=(250.0, -40.0))
-UNBALANCED_DIELECTRIC = DielectricMap(2.0, 11.0)
+# a bias other than the default, on a crystal other than the default
+BIASED_LAYOUT = dataclasses.replace(PAPER_LAYOUT, electrode_potentials_v=(145.0, -145.0))
+CRYSTAL = DielectricMap(2.0, 11.0)
 
 
 def assert_matches_lu(grid, dielectric: DielectricMap, tolerance_v: float) -> None:
@@ -109,21 +109,19 @@ def assert_matches_lu(grid, dielectric: DielectricMap, tolerance_v: float) -> No
 
 @pytest.mark.parametrize("tolerance_v", [1e-4, 1e-6])
 def test_unbalanced_layout_within_tolerance(tolerance_v):
-    grid = solve_potential(UNBALANCED_LAYOUT, UNBALANCED_DIELECTRIC, 5.0, tolerance_v)
-    assert_matches_lu(grid, UNBALANCED_DIELECTRIC, tolerance_v)
-
-
-def test_warm_start_from_coarse_grid_within_tolerance():
-    coarse = solve_potential(UNBALANCED_LAYOUT, UNBALANCED_DIELECTRIC, 5.0, 1e-4)
-    grid = solve_potential(UNBALANCED_LAYOUT, UNBALANCED_DIELECTRIC, 2.5, 1e-4, initial=coarse)
-    assert_matches_lu(grid, UNBALANCED_DIELECTRIC, 1e-4)
+    # (250, -40) V is solved as its balanced pair +-145 V, which the LU of
+    # the grid's own Dirichlet data then checks
+    layout = dataclasses.replace(BIASED_LAYOUT, electrode_potentials_v=(250.0, -40.0))
+    grid = solve_potential(layout, CRYSTAL, 5.0, tolerance_v)
+    assert set(np.unique(grid.values[grid.fixed])) == {-145.0, 0.0, 145.0}
+    assert_matches_lu(grid, CRYSTAL, tolerance_v)
 
 
 def test_probe_below_the_surface():
     # the exact discrete potential is even in y for any permittivity pair,
     # so the surface-normal field flips sign across the surface
-    grid = solve_potential(UNBALANCED_LAYOUT, UNBALANCED_DIELECTRIC, 5.0, 1e-6)
-    exact = dataclasses.replace(grid, values=exact_potential(grid, UNBALANCED_DIELECTRIC))
+    grid = solve_potential(BIASED_LAYOUT, CRYSTAL, 5.0, 1e-6)
+    exact = dataclasses.replace(grid, values=exact_potential(grid, CRYSTAL))
     above, below = field_at(exact, (30.0, 10.0)), field_at(exact, (30.0, -10.0))
     assert abs(above.e_perpendicular_v_per_cm) > 0.1 * abs(above.e_parallel_v_per_cm)
     assert below.e_perpendicular_v_per_cm == pytest.approx(-above.e_perpendicular_v_per_cm, rel=1e-9)

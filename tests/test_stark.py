@@ -5,14 +5,11 @@ from starksim.electrostatics import FieldVector
 from starksim.stark import (
     IonModel,
     NoResonanceError,
-    OrientationClass,
     StarkModelError,
-    StarkTensors,
     VoltageOutOfRangeError,
     orientation_shifts,
     resonance_voltage,
     stark_shift_empirical,
-    stark_shift_full,
 )
 
 
@@ -21,51 +18,9 @@ def make_ion(s, f0=0.0, fwhm=6.7, broadening=0.0, ion_id="ion"):
         ion_id=ion_id,
         zero_field_frequency_mhz=f0,
         stark_coefficient_khz_per_v_cm=s,
-        orientation_class=OrientationClass.PLUS if s >= 0 else OrientationClass.MINUS,
         zero_field_fwhm_mhz=fwhm,
         broadening_mhz_per_kv_cm=broadening,
     )
-
-
-class TestFullShift:
-    def test_linear_term_only(self):
-        tensors = StarkTensors(delta_mu_mhz_per_v_cm=(0.02, 0.0, 0.0))
-        assert stark_shift_full(tensors, (1000.0, 0.0, 0.0)) == pytest.approx(-20.0)
-
-    def test_zero_field(self):
-        tensors = StarkTensors(delta_mu_mhz_per_v_cm=(0.1, -0.2, 0.3))
-        assert stark_shift_full(tensors, (0.0, 0.0, 0.0)) == 0.0
-
-    def test_quadratic_term_is_even_in_field(self):
-        rng = np.random.default_rng(21)
-        for _ in range(50):
-            a = rng.normal(size=(3, 3))
-            tensors = StarkTensors(
-                delta_mu_mhz_per_v_cm=(0.0, 0.0, 0.0),
-                delta_alpha_mhz_per_v_cm2=tuple(map(tuple, (a + a.T) / 2.0)),
-            )
-            e = rng.normal(scale=1e3, size=3)
-            assert stark_shift_full(tensors, e) == pytest.approx(
-                stark_shift_full(tensors, -e), rel=1e-12, abs=1e-12
-            )
-
-    def test_matches_empirical_when_aligned(self):
-        rng = np.random.default_rng(22)
-        for _ in range(20):
-            s = rng.uniform(-30.0, 30.0)
-            e_par = rng.uniform(-2e4, 2e4)
-            ion = make_ion(s)
-            tensors = StarkTensors(delta_mu_mhz_per_v_cm=(-s / 1000.0, 0.0, 0.0))
-            full = stark_shift_full(tensors, (e_par, 0.0, 0.0))
-            empirical = stark_shift_empirical(ion, FieldVector(e_par, 0.0)).shift_mhz
-            assert full == pytest.approx(empirical, rel=1e-12, abs=1e-12)
-
-    def test_rejects_asymmetric_alpha(self):
-        with pytest.raises(StarkModelError):
-            StarkTensors(
-                delta_mu_mhz_per_v_cm=(0.0, 0.0, 0.0),
-                delta_alpha_mhz_per_v_cm2=((0.0, 1.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0)),
-            )
 
 
 class TestEmpiricalShift:
@@ -134,13 +89,9 @@ class TestOrientationShifts:
 
 
 class TestIonModelValidation:
-    def test_class_must_match_sign(self):
-        with pytest.raises(StarkModelError):
-            IonModel("x", 0.0, 19.8, OrientationClass.MINUS, 6.7)
-
     def test_linewidth_positive(self):
         with pytest.raises(StarkModelError):
-            IonModel("x", 0.0, 19.8, OrientationClass.PLUS, 0.0)
+            IonModel("x", 0.0, 19.8, 0.0)
 
 
 class TestResonanceVoltage:

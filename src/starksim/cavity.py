@@ -1,9 +1,7 @@
-"""Cavity coupling: Purcell enhancement, reflection dip, excitation lineshape.
+"""Cavity-modified emitter: shortened lifetime and excitation lineshape.
 
-The emitter couples to a photonic-crystal resonance; the observable
-consequences kept here are the shortened excited-state lifetime, the
-Lorentzian reflection dip of the bare cavity, and the per-pulse
-excitation probability as a function of laser detuning.
+The lifetime is the bulk lifetime over the measured enhancement factor;
+the per-pulse excitation probability is a Lorentzian in laser detuning.
 """
 
 from __future__ import annotations
@@ -12,58 +10,27 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "CavityParams",
     "EffectiveEmitter",
     "EmitterParams",
-    "cavity_reflection",
     "effective_lifetime_us",
     "excitation_probability",
     "lifetime_limited_fwhm_mhz",
-    "purcell_factor",
 ]
 
 US_PER_MS = 1000.0
 
 
 @dataclass(frozen=True)
-class CavityParams:
-    center_frequency_ghz: float
-    quality_factor: float
-    mode_volume_cubic_wavelengths: float = 1.0
-    refractive_index: float = 3.48
-    dip_depth: float = 0.9
-
-    def __post_init__(self) -> None:
-        if self.quality_factor <= 0.0:
-            raise ValueError("quality factor must be positive")
-        if self.mode_volume_cubic_wavelengths <= 0.0:
-            raise ValueError("mode volume must be positive")
-        if not 0.0 <= self.dip_depth <= 1.0:
-            raise ValueError("dip depth must lie in [0, 1]")
-
-    @property
-    def linewidth_ghz(self) -> float:
-        return self.center_frequency_ghz / self.quality_factor
-
-
-@dataclass(frozen=True)
 class EmitterParams:
-    """Bulk emitter properties plus the measured enhancement override.
-
-    When ``enhancement_factor`` is set it wins over the branching-ratio
-    formula; the measured lifetime ratio is what experiments report.
-    """
+    """Bulk lifetime and the measured lifetime enhancement of the cavity."""
 
     bulk_lifetime_ms: float
-    branching_ratio: float = 0.2
-    enhancement_factor: float | None = None
+    enhancement_factor: float
 
     def __post_init__(self) -> None:
         if self.bulk_lifetime_ms <= 0.0:
             raise ValueError("bulk lifetime must be positive")
-        if not 0.0 < self.branching_ratio <= 1.0:
-            raise ValueError("branching ratio must lie in (0, 1]")
-        if self.enhancement_factor is not None and self.enhancement_factor < 1.0:
+        if self.enhancement_factor < 1.0:
             raise ValueError("enhancement factor must be >= 1")
 
 
@@ -98,30 +65,9 @@ class EffectiveEmitter:
             raise ValueError("saturation excitation probability must lie in [0, 1]")
 
 
-def purcell_factor(cavity: CavityParams) -> float:
-    """``(3 / 4 pi^2) * Q / V`` with V in cubic wavelengths in the medium."""
-    return 3.0 / (4.0 * math.pi**2) * cavity.quality_factor / cavity.mode_volume_cubic_wavelengths
-
-
-def effective_lifetime_us(emitter: EmitterParams, purcell: float) -> float:
-    """Cavity-shortened lifetime in us.
-
-    Uses the measured enhancement override when present, otherwise the
-    rate-addition form ``tau_bulk / (1 + branching * F_p)``.
-    """
-    if purcell < 0.0:
-        raise ValueError("Purcell factor must be >= 0")
-    if emitter.enhancement_factor is not None:
-        return emitter.bulk_lifetime_ms * US_PER_MS / emitter.enhancement_factor
-    return emitter.bulk_lifetime_ms * US_PER_MS / (1.0 + emitter.branching_ratio * purcell)
-
-
-def cavity_reflection(cavity: CavityParams, frequency_ghz: float) -> float:
-    """Reflectance of the bare cavity: a Lorentzian dip of width f_c / Q."""
-    if not math.isfinite(frequency_ghz):
-        raise ValueError("frequency must be finite")
-    detuning = 2.0 * (frequency_ghz - cavity.center_frequency_ghz) / cavity.linewidth_ghz
-    return 1.0 - cavity.dip_depth / (1.0 + detuning**2)
+def effective_lifetime_us(emitter: EmitterParams) -> float:
+    """Cavity-shortened lifetime in us: the bulk lifetime over the enhancement."""
+    return emitter.bulk_lifetime_ms * US_PER_MS / emitter.enhancement_factor
 
 
 def excitation_probability(effective: EffectiveEmitter, detuning_mhz: float) -> float:

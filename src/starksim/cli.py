@@ -46,7 +46,7 @@ from .analysis import (
     read_ple_csv,
     write_fit_report_csv,
 )
-from .config import ConfigError, ExperimentConfig, default_config, load_config
+from .config import ConfigError, ExperimentConfig, RunSettings, default_config, load_config
 from .electrostatics import (
     ConvergenceError,
     FieldVector,
@@ -105,6 +105,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type for a master seed, checked as ``[run] seed`` is; anything else is a usage error (exit 2)."""
+    try:
+        return RunSettings(seed=int(text)).seed
+    except ValueError:  # not an integer, or outside [0, 2**64)
+        raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starksim",
@@ -116,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=Path, default=None,
                        help="TOML config (built-in defaults if omitted)")
-        p.add_argument("--seed", type=int, default=None, help="override the master seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override the master seed, in [0, 2**64)")
         p.add_argument("--out", type=Path, default=None, help="override the output directory")
 
     p = sub.add_parser("field", help="solve the electrode field at the probe point")

@@ -3,12 +3,12 @@
 The dataclasses are the schema. Each field of ``ExperimentConfig`` is a
 section of the file, a section's keys are the field names of its
 dataclass, and each value is checked against the field's annotation; the
-few departures sit in one table next to the generic reader and writer.
-Units are encoded in the key names (``gap_um``, ``dark_rate_hz``) so a
-config file can never be unit-ambiguous. Unknown sections or keys are
-rejected rather than ignored, and every number must be finite. The parser
-covers the subset this schema needs: ``[section]`` tables, ``[[ions]]``
-array-of-tables, strings, booleans, integers, floats, and flat arrays.
+few departures, retired keys that are read but never written among them,
+sit in tables next to the generic reader and writer. Units are in the key
+names (``gap_um``, ``dark_rate_hz``), so a file is never unit-ambiguous.
+Unknown sections or keys are rejected, and every number must be finite.
+The parser covers the subset this schema needs: ``[section]`` tables,
+``[[ions]]`` array-of-tables, strings, booleans, integers, floats, flat arrays.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
-from .cavity import CavityParams, EffectiveEmitter, EmitterParams, effective_lifetime_us, purcell_factor
+from .cavity import EffectiveEmitter, EmitterParams, effective_lifetime_us
 from .electrostatics import MAX_ITERATIONS, DielectricMap, ElectrodeLayout
 from .experiment import DEFAULT_MASTER_SEED, DetectorModel, PLEProtocol, SimulatedIon
 from .stark import IonModel
@@ -178,6 +178,8 @@ class RunSettings:
     max_voltage_v: float = 333.0
 
     def __post_init__(self) -> None:
+        if not 0 <= self.seed < 2**64:  # mix_seed works modulo 2**64: a seed outside aliases one inside
+            raise ConfigError(f"[run].seed must lie in [0, 2**64), got {self.seed}")
         if not self.max_voltage_v > 0.0:
             raise ConfigError(f"[run].max_voltage_v must be positive, got {self.max_voltage_v}")
         # written between quotes without escapes, one key per line: no '"' and
@@ -252,8 +254,7 @@ class ExperimentConfig:
     dielectric: DielectricMap = DielectricMap()
     solver: SolverSettings = SolverSettings()
     ions: tuple[IonModel, ...] = _DEFAULT_IONS
-    cavity: CavityParams = CavityParams(center_frequency_ghz=195115.0, quality_factor=5.1e4)
-    emitter: EmitterParams = EmitterParams(bulk_lifetime_ms=11.4, branching_ratio=0.2, enhancement_factor=278.0)
+    emitter: EmitterParams = EmitterParams(bulk_lifetime_ms=11.4, enhancement_factor=278.0)
     saturation_excitation_prob: float = 0.5
     protocol: PLEProtocol = PLEProtocol()
     detector: DetectorModel = DetectorModel()
@@ -271,8 +272,6 @@ class ExperimentConfig:
             raise ConfigError("ion ids must be unique")
         if not 0.0 <= self.saturation_excitation_prob <= 1.0:
             raise ConfigError("[emitter].saturation_excitation_prob must lie in [0, 1]")
-        if self.emitter.enhancement_factor is None:  # a file cannot leave it unset: TOML has no null
-            raise ConfigError("[emitter].enhancement_factor must be set")
         for name, settings in (("decay", self.decay), ("g2", self.g2), ("stark", self.stark)):
             if settings.ion_id not in ("", *ids):
                 raise ConfigError(f"[{name}].ion_id {settings.ion_id!r} is not in the ion registry")
@@ -287,7 +286,7 @@ class ExperimentConfig:
 
     def effective_emitter(self, ion: IonModel) -> EffectiveEmitter:
         return EffectiveEmitter(
-            lifetime_us=effective_lifetime_us(self.emitter, purcell_factor(self.cavity)),
+            lifetime_us=effective_lifetime_us(self.emitter),
             fwhm_mhz=ion.zero_field_fwhm_mhz,
             frequency_mhz=ion.zero_field_frequency_mhz,
             saturation_excitation_prob=self.saturation_excitation_prob,
@@ -315,6 +314,13 @@ def default_config() -> ExperimentConfig:
 _FILE_KEYS = {("ions", "ion_id"): "id"}
 _HOSTED = {"saturation_excitation_prob": "emitter"}  # ExperimentConfig scalars kept in a section
 _ION_DEFAULTS = {"zero_field_frequency_mhz": 0.0}  # [[ions]] may omit it; other no-default keys are required
+# Numbers of the retired cavity model, which reached no output. A stored config.toml
+# may hold them: the reader checks each is a finite number and drops it; never written.
+_RETIRED = {
+    "cavity": ("center_frequency_ghz", "quality_factor", "mode_volume_cubic_wavelengths",
+               "refractive_index", "dip_depth"),
+    "emitter": ("branching_ratio",),
+}
 
 _HINTS = get_type_hints(ExperimentConfig)
 _ARRAYS = {name for name, hint in _HINTS.items() if get_origin(hint) is tuple}  # [[ions]]
@@ -342,9 +348,6 @@ _EXPECTED = {str: "a string", int: "an integer", float: "a number"}
 def _coerce(where: str, hint: Any, value: Any) -> Any:
     """Check one file value against a field annotation; numbers must be finite."""
     args = get_args(hint)
-    if type(None) in args:  # optional field: a present value has the other type
-        (hint,) = (arg for arg in args if arg is not type(None))
-        args = get_args(hint)
     if get_origin(hint) is tuple:
         if not isinstance(value, list):
             raise ConfigError(f"{where}: expected an array")
@@ -361,18 +364,22 @@ def _coerce(where: str, hint: Any, value: Any) -> Any:
     return float(value)
 
 
-def _read_table(where: str, slots: dict[str, tuple[str, Any]], table: dict[str, Any]) -> dict[str, Any]:
+def _read_table(where: str, section: str, table: dict[str, Any]) -> dict[str, Any]:
+    slots, retired = _SLOTS.get(section, {}), _RETIRED.get(section, ())
     values = {}
     for key, value in table.items():
-        if key not in slots:
+        if key in retired:  # checked, then dropped
+            _coerce(f"{where}.{key}", float, value)
+        elif key not in slots:
             raise ConfigError(f"{where}: unknown key {key!r}")
-        name, hint = slots[key]
-        values[name] = _coerce(f"{where}.{key}", hint, value)
+        else:
+            name, hint = slots[key]
+            values[name] = _coerce(f"{where}.{key}", hint, value)
     return values
 
 
 def _read_ion(entry: dict[str, Any]) -> IonModel:
-    values = {**_ION_DEFAULTS, **_read_table("[[ions]]", _SLOTS["ions"], entry)}
+    values = {**_ION_DEFAULTS, **_read_table("[[ions]]", "ions", entry)}
     for f in fields(IonModel):
         if f.default is MISSING and f.name not in values:
             raise ConfigError(f"[[ions]]: missing key {_FILE_KEYS.get(('ions', f.name), f.name)!r}")
@@ -386,7 +393,7 @@ def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
     changes: dict[str, Any] = {}
     try:
         for section, content in data.items():
-            if section not in _SLOTS:
+            if section not in _SLOTS and section not in _RETIRED:
                 raise ConfigError(f"unknown section [{section}]")
             if section in _ARRAYS:
                 if not isinstance(content, list):
@@ -395,9 +402,10 @@ def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
                 continue
             if isinstance(content, list):
                 raise ConfigError(f"[{section}] must be a plain section, not a table array")
-            values = _read_table(f"[{section}]", _SLOTS[section], content)
+            values = _read_table(f"[{section}]", section, content)
             changes.update({name: values.pop(name) for name in _HOSTED if name in values})
-            changes[section] = replace(getattr(base, section), **values)
+            if section in _SLOTS:
+                changes[section] = replace(getattr(base, section), **values)
         return replace(base, **changes)
     except ConfigError:
         raise

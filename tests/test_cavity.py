@@ -1,95 +1,25 @@
-import math
-
 import numpy as np
 import pytest
 
 from starksim.cavity import (
-    CavityParams,
     EffectiveEmitter,
     EmitterParams,
-    cavity_reflection,
     effective_lifetime_us,
     excitation_probability,
     lifetime_limited_fwhm_mhz,
-    purcell_factor,
 )
-
-
-def make_cavity(**overrides):
-    defaults = dict(center_frequency_ghz=195115.0, quality_factor=5.1e4, dip_depth=1.0)
-    defaults.update(overrides)
-    return CavityParams(**defaults)
-
-
-class TestPurcellFactor:
-    def test_formula_identity(self):
-        cavity = make_cavity(quality_factor=4.0 * math.pi**2 / 3.0)
-        assert purcell_factor(cavity) == pytest.approx(1.0)
-
-    def test_measured_quality_factor(self):
-        assert purcell_factor(make_cavity()) == pytest.approx(3.0 / (4.0 * math.pi**2) * 5.1e4)
-        assert purcell_factor(make_cavity()) == pytest.approx(3875.8, rel=1e-4)
-
-    def test_inverse_in_mode_volume(self):
-        single = purcell_factor(make_cavity(mode_volume_cubic_wavelengths=1.0))
-        doubled = purcell_factor(make_cavity(mode_volume_cubic_wavelengths=2.0))
-        assert doubled == pytest.approx(single / 2.0)
 
 
 class TestEffectiveLifetime:
     def test_measured_enhancement(self):
         emitter = EmitterParams(bulk_lifetime_ms=11.4, enhancement_factor=278.0)
-        assert effective_lifetime_us(emitter, 0.0) == pytest.approx(41.0, abs=0.01)
-
-    def test_no_cavity_keeps_bulk_lifetime(self):
-        emitter = EmitterParams(bulk_lifetime_ms=11.4)
-        assert effective_lifetime_us(emitter, 0.0) == pytest.approx(11.4e3)
-
-    def test_branching_formula_consistent_with_override(self):
-        emitter = EmitterParams(bulk_lifetime_ms=11.4, branching_ratio=0.2)
-        tau = effective_lifetime_us(emitter, 1384.0)
-        assert tau == pytest.approx(11.4e3 / 277.8)
-        assert tau == pytest.approx(41.0, abs=0.05)
-
-    def test_monotone_in_purcell(self):
-        emitter = EmitterParams(bulk_lifetime_ms=11.4, branching_ratio=0.2)
-        taus = [effective_lifetime_us(emitter, p) for p in np.linspace(0.0, 5000.0, 40)]
-        assert all(a > b for a, b in zip(taus, taus[1:]))
+        assert effective_lifetime_us(emitter) == pytest.approx(41.0, abs=0.01)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            EmitterParams(bulk_lifetime_ms=0.0)
-        with pytest.raises(ValueError):
-            EmitterParams(bulk_lifetime_ms=1.0, branching_ratio=0.0)
+            EmitterParams(bulk_lifetime_ms=0.0, enhancement_factor=278.0)
         with pytest.raises(ValueError):
             EmitterParams(bulk_lifetime_ms=1.0, enhancement_factor=0.5)
-
-
-class TestCavityReflection:
-    def test_full_dip_on_resonance(self):
-        assert cavity_reflection(make_cavity(), 195115.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_far_detuned_reflectance_is_one(self):
-        assert cavity_reflection(make_cavity(), 195115.0 + 1e6) == pytest.approx(1.0, abs=1e-4)
-
-    def test_dip_width_is_fc_over_q(self):
-        cavity = make_cavity()
-        half_width = cavity.linewidth_ghz / 2.0
-        assert cavity.linewidth_ghz == pytest.approx(195115.0 / 5.1e4)
-        assert cavity.linewidth_ghz == pytest.approx(3.826, rel=1e-3)
-        for sign in (-1.0, 1.0):
-            r = cavity_reflection(cavity, 195115.0 + sign * half_width)
-            assert r == pytest.approx(0.5)
-
-    def test_symmetric_about_center_with_minimum_there(self):
-        cavity = make_cavity(dip_depth=0.8)
-        detunings = np.linspace(0.1, 20.0, 25)
-        r_centre = cavity_reflection(cavity, cavity.center_frequency_ghz)
-        for d in detunings:
-            lo = cavity_reflection(cavity, cavity.center_frequency_ghz - d)
-            hi = cavity_reflection(cavity, cavity.center_frequency_ghz + d)
-            assert lo == pytest.approx(hi, rel=1e-12)
-            assert lo > r_centre
 
 
 class TestExcitationProbability:

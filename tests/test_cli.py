@@ -174,6 +174,8 @@ class TestLoadTimeChecks:
             ("[stark]\nvoltages_v = []\n", "[stark].voltages_v", ["reproduce", "fig4a"]),
             ("[stark]\nvoltages_v = [0.0, 333.0]\n", "[stark].voltages_v", ["reproduce", "fig4a"]),
             ("[run]\nmax_voltage_v = 0.0\n", "[run].max_voltage_v", ["ple", "--voltage", "0"]),
+            ("[run]\nseed = -5\n", "[run].seed", ["reproduce", "fig3b"]),
+            ("[run]\nseed = 18446744073709551616\n", "[run].seed", ["reproduce", "fig3b"]),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, tmp_path, text, where, argv):
@@ -216,6 +218,23 @@ class TestLoadTimeChecks:
         assert exit_info.value.code == EXIT_CONFIG
         assert "argument --voltage: expected a finite number" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    # mix_seed works modulo 2**64, so -1 and 2**65 - 1 would alias 2**64 - 1
+    @pytest.mark.parametrize("seed", ["-1", "-5", "18446744073709551616", "36893488147419103231", "seven"])
+    def test_seed_flag_outside_64_bits_exits_2(self, capsys, tmp_path, seed):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["reproduce", "fig3b", f"--seed={seed}", "--out", str(tmp_path / "out")])
+        assert exit_info.value.code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: expected an integer in [0, 2**64)" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_runs(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "decay", "--seed", 2**64 - 1, "--out", tmp_path / "out")
+        assert code == EXIT_OK
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["master_seed"] == 2**64 - 1
 
 
 class TestResonanceCommand:
@@ -492,6 +511,81 @@ class TestPipelines:
         run(capsys, "g2", "--config", config_path, "--out", a)
         run(capsys, "g2", "--config", config_path, "--out", b, "--seed", 1)
         assert (a / "g2.csv").read_bytes() != (b / "g2.csv").read_bytes()
+
+
+def replay_argv(command, config, out_dir):
+    """A manifest's command with ``--config`` and ``--out`` pointed elsewhere."""
+    program, *argv = shlex.split(command)
+    assert program == "starksim"
+    for flag, value in (("--config", config), ("--out", out_dir)):
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(value)
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+def assert_same_run(first, second):
+    """Two ``(exit code, stdout, out dir)`` runs agree: the same exit code,
+    the same stdout up to the out dir, and byte-identical CSVs and config."""
+    (code_a, out_a, a), (code_b, out_b, b) = first, second
+    assert code_a == code_b == EXIT_OK
+    assert out_b.splitlines() == [line.replace(str(a), str(b)) for line in out_a.splitlines()]
+    names = sorted(path.name for path in a.iterdir())
+    assert names == sorted(path.name for path in b.iterdir())
+    assert "config.toml" in names and "manifest.json" in names
+    for name in names:
+        if name != "manifest.json":
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    manifests = [json.loads((d / "manifest.json").read_text()) for d in (a, b)]
+    assert manifests[0]["master_seed"] == manifests[1]["master_seed"]
+    assert manifests[0]["config_digest"] == manifests[1]["config_digest"]
+
+
+REPLAYED = [
+    *(["reproduce", figure] for figure in FIGURES),
+    ["reproduce", "fig3b", "--seed", "7"],
+    ["ple"],
+    ["decay"],
+    ["g2"],
+    ["stark"],
+    ["field", "--dump-grid"],
+    ["resonance", "--ion-a", "ion1", "--ion-b", "ion7"],
+    *(["fit", "--kind", kind] for kind in ("ple", "decay", "g2")),
+]
+FIT_INPUTS = {"ple": ("fig2", "ple_scan.csv"), "decay": ("fig3b", "decay.csv"), "g2": ("fig3c", "g2.csv")}
+
+
+def replay_id(argv):
+    return "-".join(a.lstrip("-") for a in argv if a not in ("reproduce", "--kind", "--ion-a", "--ion-b"))
+
+
+class TestManifestReplay:
+    """A manifest replays the run it describes: its command, with --config
+    at the stored config.toml and a fresh --out, gives the same run."""
+
+    @pytest.mark.parametrize("argv", REPLAYED, ids=replay_id)
+    def test_replay(self, capsys, fast_config, tmp_path, argv):
+        if argv[0] == "fit":
+            figure, dataset = FIT_INPUTS[argv[2]]
+            data = tmp_path / "data"
+            assert run(capsys, "reproduce", figure, "--config", fast_config, "--out", data)[0] == EXIT_OK
+            argv = [*argv, "--input", data / dataset]
+        first = tmp_path / "first"
+        code, out, _ = run(capsys, *argv, "--config", fast_config, "--out", first)
+        manifest = json.loads((first / "manifest.json").read_text())
+        replayed = tmp_path / "replayed"
+        code_b, out_b, _ = run(capsys, *replay_argv(manifest["command"], first / "config.toml", replayed))
+        assert_same_run((code, out, first), (code_b, out_b, replayed))
+
+    @pytest.mark.parametrize("argv", [["field", "--dump-grid"], *(["reproduce", f] for f in FIGURES)], ids=replay_id)
+    def test_pre_retirement_config_replays(self, capsys, tmp_path, argv):
+        # a config.toml stored before the cavity keys were retired; it holds the defaults
+        stored = Path(__file__).resolve().parent / "fixtures" / "config_with_retired_keys.toml"
+        built_in, replayed = tmp_path / "built_in", tmp_path / "replayed"
+        code, out, _ = run(capsys, *argv, "--out", built_in)
+        code_b, out_b, _ = run(capsys, *argv, "--config", stored, "--out", replayed)
+        assert_same_run((code, out, built_in), (code_b, out_b, replayed))
 
 
 def test_cli_import_leaves_scipy_out():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from starksim.cavity import EmitterParams
 from starksim.config import (
     ConfigError,
     config_file_digest,
@@ -14,6 +15,26 @@ from starksim.config import (
     parse_toml,
 )
 from starksim.stark import IonModel
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+# keys of the retired cavity model: read and dropped, never written
+RETIRED = {
+    "cavity": {
+        "center_frequency_ghz": 195115.0,
+        "quality_factor": 51000.0,
+        "mode_volume_cubic_wavelengths": 1.0,
+        "refractive_index": 3.48,
+        "dip_depth": 0.9,
+    },
+    "emitter": {"branching_ratio": 0.2},
+}
+
+
+def assert_no_retired_key(text):
+    data = parse_toml(text)
+    for section, keys in RETIRED.items():
+        assert not set(keys) & set(data.get(section, {})), section
 
 
 class TestTomlSubset:
@@ -107,7 +128,6 @@ class TestExperimentConfig:
         assert config.layout.gap_um == 100.0
         assert config.layout.electrode_width_um == 200.0
         assert config.layout.bias_v == 333.0
-        assert config.cavity.quality_factor == 5.1e4
         assert config.emitter.bulk_lifetime_ms == 11.4
         assert config.emitter.enhancement_factor == 278.0
         assert config.detector.total_efficiency == 0.01
@@ -180,14 +200,51 @@ class TestExperimentConfig:
         assert loads_config(dumps_config(config)) == config
 
     def test_enhancement_factor_must_be_set(self):
-        config = default_config()
-        emitter = dataclasses.replace(config.emitter, enhancement_factor=None)
-        with pytest.raises(ConfigError, match=r"\[emitter\]\.enhancement_factor"):
-            dataclasses.replace(config, emitter=emitter)
+        with pytest.raises(TypeError):
+            EmitterParams(11.4, None)
+        with pytest.raises(TypeError):
+            EmitterParams(11.4)
 
     def test_default_dump_matches_committed_out(self):
         committed = Path(__file__).resolve().parents[1] / "out" / "config.toml"
         assert dumps_config(default_config()) == committed.read_text(encoding="utf-8")
+
+
+class TestRetiredKeys:
+    """The cavity model's keys reached no output and are retired: a stored
+    config.toml holding them still loads, and no file is written with them."""
+
+    def test_pre_retirement_fixture_loads_to_the_defaults(self):
+        text = (FIXTURES / "config_with_retired_keys.toml").read_text(encoding="utf-8")
+        assert "[cavity]" in text and "branching_ratio" in text
+        assert loads_config(text) == default_config()
+
+    def test_retired_keys_are_dropped(self):
+        base = "[emitter]\nbulk_lifetime_ms = 10.0\n\n[run]\nseed = 3\n"
+        retired = dump_toml({"cavity": {**RETIRED["cavity"], "quality_factor": 7}}) + (
+            "[emitter]\nbulk_lifetime_ms = 10.0\nbranching_ratio = 1e9\n\n[run]\nseed = 3\n"
+        )
+        assert loads_config(retired) == loads_config(base)
+        assert loads_config(retired).emitter.bulk_lifetime_ms == 10.0
+        assert loads_config("[cavity]\n") == default_config()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[cavity]\nquality_factor = nan\n", r"\[cavity\]\.quality_factor must be finite"),
+            ("[emitter]\nbranching_ratio = inf\n", r"\[emitter\]\.branching_ratio must be finite"),
+            ('[cavity]\ndip_depth = "deep"\n', r"\[cavity\]\.dip_depth: expected a number"),
+            ("[cavity]\nlinewidth_ghz = 3.8\n", r"\[cavity\]: unknown key 'linewidth_ghz'"),
+            ("[[cavity]]\nquality_factor = 1.0\n", r"\[cavity\] must be a plain section"),
+        ],
+    )
+    def test_retired_section_still_checked(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            loads_config(text)
+
+    def test_range_checks_retired_with_their_keys(self):
+        text = "[cavity]\nquality_factor = -1.0\ndip_depth = 2.0\n\n[emitter]\nbranching_ratio = 0.0\n"
+        assert loads_config(text) == default_config()
 
 
 def test_round_trip_property():
@@ -231,18 +288,15 @@ def test_round_trip_property():
             ),
         )
 
-    # values a file cannot hold: a missing key loads as 278.0, and strings are
-    # written between quotes, one key per line
-    enhancement_factors = st.none() | st.floats(min_value=1.0, max_value=1e4)
+    # values a file cannot hold: strings are written between quotes, one key per line
+    enhancement_factors = st.floats(min_value=1.0, max_value=1e4)
     output_dirs = st.text(st.sampled_from('"#\\/ \n\r\x0b\x85\u2028ab') | st.characters(), max_size=12)
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(configs(), enhancement_factors, output_dirs)
     def check(config, enhancement_factor, output_dir):
-        writable = (
-            enhancement_factor is not None
-            and '"' not in output_dir
-            and not any(ch in output_dir for ch in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+        writable = '"' not in output_dir and not any(
+            ch in output_dir for ch in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
         )
         try:
             config = dataclasses.replace(
@@ -254,6 +308,8 @@ def test_round_trip_property():
             assert not writable
             return
         assert writable
-        assert loads_config(dumps_config(config)) == config
+        text = dumps_config(config)
+        assert_no_retired_key(text)
+        assert loads_config(text) == config
 
     check()

@@ -14,11 +14,11 @@ run, so partial outputs of a failed run still carry their provenance;
 go to stdout, one per line (``field`` and ``resonance`` print their small
 key=value reports first); diagnostics go to stderr.
 
-Exit codes: 0 ok, 2 configuration/validation failure, 3 the field
-solver missed its tolerance within the iteration cap or broke down on
-non-finite numbers, 4 simulation failure, 5 fitting failure, 6
-resonance has no solution, 7 resonance voltage beyond the configured
-limit.
+Exit codes: 0 ok, 2 configuration/validation failure or an output
+directory that cannot be written, 3 the field solver missed its
+tolerance within the iteration cap or broke down on non-finite numbers,
+4 simulation failure, 5 fitting failure, 6 resonance has no solution, 7
+resonance voltage beyond the configured limit.
 """
 
 from __future__ import annotations
@@ -184,10 +184,9 @@ def _write_report(rows: Sequence[Row], out_dir: Path) -> Path:
 def _field_per_volt(
     config: ExperimentConfig, voltage_v: float | None = None
 ) -> tuple[FieldVector, PotentialGrid]:
-    """:func:`field_per_volt` of the configured layout, dielectric and solver."""
+    """:func:`field_per_volt` of the configured layout and solver."""
     return field_per_volt(
         config.layout,
-        config.dielectric,
         config.solver.spacing_um,
         config.solver.tolerance_v,
         voltage_v=voltage_v,
@@ -396,9 +395,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.out is None and reports_only:
         out_dir = None  # the report commands print to stdout and write files only when asked to
     handlers = {"field": _cmd_field, "fit": _cmd_fit, "resonance": _cmd_resonance}
-    try:
-        if out_dir is not None:
+    if out_dir is not None:
+        try:
             write_run_manifest(out_dir, config, seed, args.command_line)
+        except OSError as exc:  # a file where the directory should be, no permission, ...
+            print(f"error: cannot write output directory {out_dir}: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+    try:
         paths = handlers.get(args.command, _cmd_figure)(args, config, seed, out_dir)
     except NoResonanceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .cavity import EffectiveEmitter, EmitterParams, effective_lifetime_us
-from .electrostatics import MAX_ITERATIONS, DielectricMap, ElectrodeLayout
+from .electrostatics import MAX_ITERATIONS, ElectrodeLayout
 from .experiment import DEFAULT_MASTER_SEED, DetectorModel, PLEProtocol, SimulatedIon
 from .stark import IonModel
 
@@ -251,7 +251,6 @@ class ExperimentConfig:
     layout: ElectrodeLayout = ElectrodeLayout(
         electrode_width_um=200.0, gap_um=100.0, electrode_potentials_v=(166.5, -166.5), domain_extent_um=(1000.0, 600.0)
     )
-    dielectric: DielectricMap = DielectricMap()
     solver: SolverSettings = SolverSettings()
     ions: tuple[IonModel, ...] = _DEFAULT_IONS
     emitter: EmitterParams = EmitterParams(bulk_lifetime_ms=11.4, enhancement_factor=278.0)
@@ -275,6 +274,11 @@ class ExperimentConfig:
         for name, settings in (("decay", self.decay), ("g2", self.g2), ("stark", self.stark)):
             if settings.ion_id not in ("", *ids):
                 raise ConfigError(f"[{name}].ion_id {settings.ion_id!r} is not in the ion registry")
+        for ion in self.ions:  # the [emitter] lifetime bounds every ion's linewidth from below
+            try:
+                self.effective_emitter(ion)
+            except ValueError as exc:
+                raise ConfigError(f"[emitter] with ion {ion.ion_id!r}: {exc}") from None
 
     def ion(self, ion_id: str) -> IonModel:
         if ion_id == "":
@@ -314,9 +318,11 @@ def default_config() -> ExperimentConfig:
 _FILE_KEYS = {("ions", "ion_id"): "id"}
 _HOSTED = {"saturation_excitation_prob": "emitter"}  # ExperimentConfig scalars kept in a section
 _ION_DEFAULTS = {"zero_field_frequency_mhz": 0.0}  # [[ions]] may omit it; other no-default keys are required
-# Numbers of the retired cavity model, which reached no output. A stored config.toml
-# may hold them: the reader checks each is a finite number and drops it; never written.
+# Numbers that reach no output: the retired cavity model, and the permittivities,
+# which drop out of the field (see electrostatics). A stored config.toml may hold
+# them: the reader checks each is a finite number and drops it; never written.
 _RETIRED = {
+    "dielectric": ("relative_permittivity_above", "relative_permittivity_below"),
     "cavity": ("center_frequency_ghz", "quality_factor", "mode_volume_cubic_wavelengths",
                "refractive_index", "dip_depth"),
     "emitter": ("branching_ratio",),

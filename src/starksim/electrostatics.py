@@ -1,33 +1,35 @@
-"""Electrostatics of a coplanar electrode pair on a dielectric crystal.
+"""Electrostatics of a coplanar electrode pair on a crystal surface.
 
 The two bias electrodes are thin metal strips on the crystal surface,
-separated by a gap; the emitter sits near the gap. The potential obeys
-``div(eps * grad V) = 0`` in the 2-D cross-section through the gap
-(x = inter-electrode axis, y = surface normal, vacuum above, crystal
-below), discretised by the five-point stencil on a node-centred grid;
-electrodes and the outer box are Dirichlet data.
+separated by a gap; the emitter sits near the gap. The potential in the
+2-D cross-section through the gap (x = inter-electrode axis, y = surface
+normal, vacuum above, crystal below) is discretised by the five-point
+stencil on a node-centred grid; electrodes and the outer box are
+Dirichlet data.
 
 Only the bias p0 - p1 across the pair enters the model: the solver holds
 the electrodes at the balanced pair +-(p0 - p1)/2, and the common mode
 (p0 + p1)/2 of the two potentials is not part of the model.
 
 The discrete problem has two exact symmetries, and the solver uses both.
-The grid and the electrode nodes are mirror-symmetric in x and in y, the
-electrodes sit on the surface row y = 0, and the permittivity is constant
-in each half-space. Within a half-space that constant divides out of
-every equation. On the surface row a potential even in y has equal north
-and south differences, so eps_above and eps_below factor out there too,
-leaving the equation of a half-cell: horizontal faces of weight 1/2, none
-to the south. The discrete solution is unique, so it is even in y, equals
-the solution of the upper half with those unit weights, and does not
-depend on the permittivities at all. The balanced pair makes it odd in x
-as well, zero on the column x = 0. So the potential is solved on the
+The grid and the electrode nodes are mirror-symmetric in x and in y, and
+the electrodes sit on the surface row y = 0. The mirror in y removes the
+permittivities of vacuum above and crystal below from div(eps grad V) = 0:
+within a half-space the constant eps divides out of every equation, and
+on the surface row a potential even in y has equal north and south
+differences, so eps_above and eps_below factor out there too. The
+discrete solution is unique, so it is even in y and solves the
+five-point system with unit weights, Laplace's equation, for any
+permittivity pair (Wen, IEEE Trans. MTT 17, 1087, 1969, gives the
+continuum case). That system is the one solved, and ``residual_v`` is
+its full-domain residual. Being even, the solution equals that of the
+upper half with the surface row as a half-cell: horizontal faces of
+weight 1/2, none to the south. The balanced pair makes it odd in x as
+well, zero on the column x = 0. So the potential is solved on the
 quarter x >= 0, y >= 0 with that column held at zero, and mirrored back
 to the full grid. The quarter is solved by conjugate gradients
 preconditioned by a geometric multigrid V-cycle whose coarse grids keep
-the mirror row and the column x = 0. The permittivities still enter the
-reported residual, which is that of the full-domain,
-permittivity-weighted equations.
+the mirror row and the column x = 0.
 
 Units: lengths in micrometres, potentials in volts, fields in V/cm.
 """
@@ -42,7 +44,6 @@ import numpy as np
 
 __all__ = [
     "ConvergenceError",
-    "DielectricMap",
     "ElectrodeLayout",
     "FieldVector",
     "GeometryError",
@@ -135,18 +136,6 @@ class ElectrodeLayout:
 
 
 @dataclass(frozen=True)
-class DielectricMap:
-    """Relative permittivities of the half-spaces meeting at y = 0."""
-
-    relative_permittivity_above: float = 1.0
-    relative_permittivity_below: float = 9.0
-
-    def __post_init__(self) -> None:
-        if self.relative_permittivity_above < 1.0 or self.relative_permittivity_below < 1.0:
-            raise GeometryError("relative permittivities must be >= 1")
-
-
-@dataclass(frozen=True)
 class FieldVector:
     """Electric field at a point, in V/cm.
 
@@ -171,8 +160,8 @@ class PotentialGrid:
     :func:`solve_potential`, the outer box). ``iterations`` counts solver
     iterations, ``last_update_v`` is the final error estimate (below the
     tolerance), and ``residual_v`` the true residual max|b - A v| of the
-    full-domain five-point equations, whose weights are relative
-    permittivities.
+    full-domain five-point equations with unit weights, the equations
+    solved.
     """
 
     spacing_um: float
@@ -463,27 +452,8 @@ def _residual(values: np.ndarray, fixed: np.ndarray, vertical: np.ndarray, horiz
     return float(np.abs(applied, out=applied).max())
 
 
-def _interface_weights(y_nodes: np.ndarray, dielectric: DielectricMap) -> tuple[np.ndarray, np.ndarray]:
-    """Face weights of the five-point stencil for div(eps grad V) = 0.
-
-    Permittivity is constant on each grid cell (eps_above for cells whose
-    centre has y > 0, eps_below otherwise); the weight of a face is the
-    mean of the two cell permittivities flanking it. Returns the weights
-    of the vertical faces between rows i and i+1 and of the horizontal
-    faces within row i.
-    """
-    cell_centres_y = (y_nodes[:-1] + y_nodes[1:]) / 2.0
-    eps = np.where(
-        cell_centres_y > 0.0,
-        dielectric.relative_permittivity_above,
-        dielectric.relative_permittivity_below,
-    )
-    return eps, np.concatenate((eps[:1], (eps[:-1] + eps[1:]) / 2.0, eps[-1:]))
-
-
 def solve_potential(
     layout: ElectrodeLayout,
-    dielectric: DielectricMap,
     spacing_um: float,
     tolerance_v: float,
     *,
@@ -560,13 +530,12 @@ def solve_potential(
         fixed=fixed,
         iterations=iterations,
         last_update_v=error,
-        residual_v=_residual(values, fixed, *_interface_weights(y, dielectric)),
+        residual_v=_residual(values, fixed, np.ones(len(y) - 1), np.ones(len(y))),
     )
 
 
 def field_per_volt(
     layout: ElectrodeLayout,
-    dielectric: DielectricMap,
     spacing_um: float,
     tolerance_v: float,
     *,
@@ -583,9 +552,7 @@ def field_per_volt(
     voltage = layout.bias_v if voltage_v is None else voltage_v
     if voltage == 0.0:
         voltage = 1.0
-    grid = solve_potential(
-        layout.with_bias(voltage), dielectric, spacing_um, tolerance_v, max_iterations=max_iterations
-    )
+    grid = solve_potential(layout.with_bias(voltage), spacing_um, tolerance_v, max_iterations=max_iterations)
     return field_at(grid, layout.probe_point_um).scaled(1.0 / voltage), grid
 
 

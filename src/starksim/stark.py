@@ -12,9 +12,6 @@ MHz.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from .electrostatics import FieldVector
 
@@ -85,30 +82,17 @@ def stark_shift_empirical(ion: IonModel, field: FieldVector) -> ShiftResult:
     return ShiftResult(shift_mhz=shift, fwhm_mhz=fwhm)
 
 
-def orientation_shifts(
-    magnitude_khz_per_v_cm: float,
-    field: FieldVector,
-    field_perp_b: bool,
-    projections: Sequence[tuple[float, float]] | None = None,
-) -> list[float]:
+def orientation_shifts(magnitude_khz_per_v_cm: float, field: FieldVector) -> list[float]:
     """Shifts of the four crystal-site orientations, sorted ascending (MHz).
 
     With the field perpendicular to the crystal b axis the four
     orientations collapse pairwise, giving two shifts of equal magnitude
-    and opposite sign, each twice. Otherwise the caller supplies four
-    unit projections of the site axes onto the (parallel, perpendicular)
-    field plane.
+    and opposite sign, each twice.
     """
     if magnitude_khz_per_v_cm < 0.0:
         raise StarkModelError("coefficient magnitude must be >= 0")
-    if field_perp_b:
-        shift = magnitude_khz_per_v_cm * field.e_parallel_v_per_cm / KHZ_PER_MHZ
-        return sorted([shift, shift, -shift, -shift])
-    if projections is None or len(projections) != 4:
-        raise StarkModelError("four orientation projections are required when the field is not perpendicular to b")
-    e = np.array([field.e_parallel_v_per_cm, field.e_perpendicular_v_per_cm])
-    shifts = [magnitude_khz_per_v_cm * float(np.dot(p, e)) / KHZ_PER_MHZ for p in projections]
-    return sorted(shifts)
+    shift = magnitude_khz_per_v_cm * field.e_parallel_v_per_cm / KHZ_PER_MHZ
+    return sorted([shift, shift, -shift, -shift])
 
 
 def resonance_voltage(

@@ -20,7 +20,6 @@ from starksim.analysis import (
 from starksim.cli import main
 from starksim.config import default_config, dumps_config
 from starksim.electrostatics import (
-    DielectricMap,
     ElectrodeLayout,
     FieldVector,
     field_at,
@@ -120,9 +119,7 @@ def test_criterion_2_antibunching(config):
 
 
 def _unit_field(config):
-    unit_field, _ = field_per_volt(
-        config.layout, config.dielectric, config.solver.spacing_um, config.solver.tolerance_v
-    )
+    unit_field, _ = field_per_volt(config.layout, config.solver.spacing_um, config.solver.tolerance_v)
     return unit_field
 
 
@@ -192,10 +189,9 @@ def test_criterion_4_maximum_shift_ratio(config):
 @pytest.fixture(scope="module")
 def refinement_chain():
     """Probe field at gap centre for spacings halving from 5 um to 0.625 um."""
-    dielectric = DielectricMap()
     fields = []
     for spacing in (5.0, 2.5, 1.25, 0.625):
-        grid = solve_potential(PAPER_LAYOUT, dielectric, spacing, 1e-5)
+        grid = solve_potential(PAPER_LAYOUT, spacing, 1e-5)
         fields.append(field_at(grid, (0.0, 0.0)).e_parallel_v_per_cm)
     return fields
 
@@ -212,8 +208,8 @@ def test_criterion_5_field_solver(config, refinement_chain):
 
     # linearity under voltage doubling, at solver tolerance
     doubled_layout = ElectrodeLayout(200.0, 100.0, (333.0, -333.0), (1000.0, 600.0))
-    g1 = solve_potential(PAPER_LAYOUT, DielectricMap(), 5.0, 1e-6)
-    g2 = solve_potential(doubled_layout, DielectricMap(), 5.0, 1e-6)
+    g1 = solve_potential(PAPER_LAYOUT, 5.0, 1e-6)
+    g2 = solve_potential(doubled_layout, 5.0, 1e-6)
     potential_slack = float(np.max(np.abs(2.0 * g1.values - g2.values)))
     e1 = field_at(g1, (0.0, 0.0)).e_parallel_v_per_cm
     e2 = field_at(g2, (0.0, 0.0)).e_parallel_v_per_cm
@@ -244,7 +240,7 @@ def test_criterion_5_field_solver(config, refinement_chain):
             domain_extent_um=(2.0 * (gap / 2.0 + width + margin), 2.0 * margin),
         )
         spacing = gap / 20.0
-        grid = solve_potential(layout, DielectricMap(), spacing, 1e-4)
+        grid = solve_potential(layout, spacing, 1e-4)
         bound = abs(bias) / 2.0
         if grid.values.min() < -bound - 1e-9 or grid.values.max() > bound + 1e-9:
             violations += 1
@@ -269,7 +265,7 @@ def test_criterion_6_orientation_degeneracy():
         field = FieldVector(rng.uniform(-3e4, 3e4), rng.uniform(-1e3, 1e3))
         if field.e_parallel_v_per_cm == 0.0:
             continue
-        shifts = orientation_shifts(magnitude, field, field_perp_b=True)
+        shifts = orientation_shifts(magnitude, field)
         negated = sorted(-v for v in shifts)
         two_classes = len({round(v, 12) for v in shifts}) == 2
         equal_magnitudes = len({round(abs(v), 9) for v in shifts}) == 1

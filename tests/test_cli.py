@@ -176,6 +176,9 @@ class TestLoadTimeChecks:
             ("[run]\nmax_voltage_v = 0.0\n", "[run].max_voltage_v", ["ple", "--voltage", "0"]),
             ("[run]\nseed = -5\n", "[run].seed", ["reproduce", "fig3b"]),
             ("[run]\nseed = 18446744073709551616\n", "[run].seed", ["reproduce", "fig3b"]),
+            # 11.4 ms / 1e6 gives a lifetime limit of 13.96 MHz, above every registry linewidth
+            ("[emitter]\nenhancement_factor = 1e6\n",
+             "[emitter] with ion 'ion1': linewidth 6.7 MHz is below the lifetime limit", ["reproduce", "fig3b"]),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, tmp_path, text, where, argv):
@@ -193,6 +196,17 @@ class TestLoadTimeChecks:
         code, _, err = self.run_with(capsys, tmp_path, text, "reproduce", "fig4b")
         assert code == EXIT_CONFIG
         assert "[[ions]].id" in err
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_unusable_out_exits_2(self, capsys, tmp_path, below):
+        # the manifest is written before the run, so no command starts its run
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n", encoding="utf-8")
+        out_dir = blocker / below if below else blocker
+        code, out, err = run(capsys, "reproduce", "fig3b", "--out", out_dir)
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"error: cannot write output directory {out_dir}: ")
+        assert out == "" and blocker.read_text(encoding="utf-8") == "not a directory\n"
 
     def test_quote_in_output_dir_exits_2(self, capsys, tmp_path):
         code, _, err = self.run_with(capsys, tmp_path, '[run]\noutput_dir = "runs"x"\n', "reproduce", "fig3b")

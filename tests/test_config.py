@@ -1,10 +1,11 @@
 import dataclasses
+import json
 import string
 from pathlib import Path
 
 import pytest
 
-from starksim.cavity import EmitterParams
+from starksim.cavity import EmitterParams, effective_lifetime_us, lifetime_limited_fwhm_mhz
 from starksim.config import (
     ConfigError,
     config_file_digest,
@@ -18,8 +19,9 @@ from starksim.stark import IonModel
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-# keys of the retired cavity model: read and dropped, never written
+# keys of the retired cavity model and permittivities: read and dropped, never written
 RETIRED = {
+    "dielectric": {"relative_permittivity_above": 1.0, "relative_permittivity_below": 9.0},
     "cavity": {
         "center_frequency_ghz": 195115.0,
         "quality_factor": 51000.0,
@@ -164,6 +166,12 @@ class TestExperimentConfig:
         signs = {ion.stark_coefficient_khz_per_v_cm > 0.0 for ion in default_config().ions}
         assert signs == {True, False}
 
+    def test_lifetime_limit_checked_for_every_ion(self):
+        # the default lifetime, 41 us, limits a linewidth to at least 3.9 kHz
+        narrow = dataclasses.replace(default_config().ions[3], zero_field_fwhm_mhz=1e-3)
+        with pytest.raises(ConfigError, match=r"\[emitter\] with ion 'ion4'"):
+            dataclasses.replace(default_config(), ions=(*default_config().ions[:3], narrow))
+
     def test_effective_emitter_derivation(self):
         config = default_config()
         emitter = config.effective_emitter(config.ion("ion1"))
@@ -209,24 +217,38 @@ class TestExperimentConfig:
         committed = Path(__file__).resolve().parents[1] / "out" / "config.toml"
         assert dumps_config(default_config()) == committed.read_text(encoding="utf-8")
 
+    def test_committed_manifest_digests_its_config(self):
+        # out/ is the output of `starksim field --out out` with the defaults
+        out = Path(__file__).resolve().parents[1] / "out"
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        stored = (out / "config.toml").read_text(encoding="utf-8")
+        assert manifest["config_digest"] == config_file_digest(stored)
+        assert manifest["command"] == "starksim field --out out"
+
 
 class TestRetiredKeys:
-    """The cavity model's keys reached no output and are retired: a stored
-    config.toml holding them still loads, and no file is written with them."""
+    """The cavity model's keys and the permittivities reach no output and are
+    retired: a stored config.toml holding them still loads, and no file is
+    written with them."""
 
     def test_pre_retirement_fixture_loads_to_the_defaults(self):
         text = (FIXTURES / "config_with_retired_keys.toml").read_text(encoding="utf-8")
-        assert "[cavity]" in text and "branching_ratio" in text
+        assert "[cavity]" in text and "branching_ratio" in text and "[dielectric]" in text
         assert loads_config(text) == default_config()
+
+    def test_default_dump_has_no_retired_section(self):
+        text = dumps_config(default_config())
+        assert "[cavity]" not in text and "[dielectric]" not in text
+        assert_no_retired_key(text)
 
     def test_retired_keys_are_dropped(self):
         base = "[emitter]\nbulk_lifetime_ms = 10.0\n\n[run]\nseed = 3\n"
-        retired = dump_toml({"cavity": {**RETIRED["cavity"], "quality_factor": 7}}) + (
-            "[emitter]\nbulk_lifetime_ms = 10.0\nbranching_ratio = 1e9\n\n[run]\nseed = 3\n"
-        )
+        sections = {"cavity": {**RETIRED["cavity"], "quality_factor": 7}, "dielectric": RETIRED["dielectric"]}
+        retired = dump_toml(sections) + "[emitter]\nbulk_lifetime_ms = 10.0\nbranching_ratio = 1e9\n\n[run]\nseed = 3\n"
         assert loads_config(retired) == loads_config(base)
         assert loads_config(retired).emitter.bulk_lifetime_ms == 10.0
         assert loads_config("[cavity]\n") == default_config()
+        assert loads_config("[dielectric]\n") == default_config()
 
     @pytest.mark.parametrize(
         "text, message",
@@ -236,6 +258,7 @@ class TestRetiredKeys:
             ('[cavity]\ndip_depth = "deep"\n', r"\[cavity\]\.dip_depth: expected a number"),
             ("[cavity]\nlinewidth_ghz = 3.8\n", r"\[cavity\]: unknown key 'linewidth_ghz'"),
             ("[[cavity]]\nquality_factor = 1.0\n", r"\[cavity\] must be a plain section"),
+            ("[dielectric]\nrelative_permittivity = 9.0\n", r"\[dielectric\]: unknown key 'relative_permittivity'"),
         ],
     )
     def test_retired_section_still_checked(self, text, message):
@@ -243,7 +266,10 @@ class TestRetiredKeys:
             loads_config(text)
 
     def test_range_checks_retired_with_their_keys(self):
-        text = "[cavity]\nquality_factor = -1.0\ndip_depth = 2.0\n\n[emitter]\nbranching_ratio = 0.0\n"
+        text = (
+            "[cavity]\nquality_factor = -1.0\ndip_depth = 2.0\n\n[emitter]\nbranching_ratio = 0.0\n\n"
+            "[dielectric]\nrelative_permittivity_above = 0.5\n"
+        )
         assert loads_config(text) == default_config()
 
 
@@ -273,6 +299,8 @@ def test_round_trip_property():
         return dataclasses.replace(
             base,
             ions=tuple(ions),
+            # no enhancement: a lifetime limit below every drawn linewidth
+            emitter=dataclasses.replace(base.emitter, enhancement_factor=1.0),
             saturation_excitation_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
             run=dataclasses.replace(
                 base.run,
@@ -298,16 +326,17 @@ def test_round_trip_property():
         writable = '"' not in output_dir and not any(
             ch in output_dir for ch in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
         )
+        emitter = dataclasses.replace(config.emitter, enhancement_factor=enhancement_factor)
+        limit = lifetime_limited_fwhm_mhz(effective_lifetime_us(emitter))
+        valid = writable and all(ion.zero_field_fwhm_mhz >= limit for ion in config.ions)
         try:
             config = dataclasses.replace(
-                config,
-                emitter=dataclasses.replace(config.emitter, enhancement_factor=enhancement_factor),
-                run=dataclasses.replace(config.run, output_dir=output_dir),
+                config, emitter=emitter, run=dataclasses.replace(config.run, output_dir=output_dir)
             )
         except ConfigError:
-            assert not writable
+            assert not valid
             return
-        assert writable
+        assert valid
         text = dumps_config(config)
         assert_no_retired_key(text)
         assert loads_config(text) == config

@@ -3,7 +3,6 @@ import pytest
 
 from starksim.electrostatics import (
     ConvergenceError,
-    DielectricMap,
     ElectrodeLayout,
     GeometryError,
     PotentialGrid,
@@ -37,7 +36,7 @@ def small_layout(potentials=(10.0, -10.0)):
 
 @pytest.fixture(scope="module")
 def paper_grid():
-    return solve_potential(PAPER_LAYOUT, DielectricMap(), 5.0, 1e-4)
+    return solve_potential(PAPER_LAYOUT, 5.0, 1e-4)
 
 
 def ramp_grid(slope_v_per_um=1.0, n=21, spacing=1.0):
@@ -81,14 +80,14 @@ class TestParallelPlates:
 
 class TestSolvePotential:
     def test_zero_potentials_give_zero_solution(self):
-        grid = solve_potential(small_layout((0.0, 0.0)), DielectricMap(), 2.0, 1e-8)
+        grid = solve_potential(small_layout((0.0, 0.0)), 2.0, 1e-8)
         assert np.all(grid.values == 0.0)
         field = field_at(grid, (0.0, 10.0))
         assert field.e_parallel_v_per_cm == 0.0
         assert field.e_perpendicular_v_per_cm == 0.0
 
     def test_electrodes_pinned_exactly(self):
-        grid = solve_potential(small_layout(), DielectricMap(), 2.0, 1e-6)
+        grid = solve_potential(small_layout(), 2.0, 1e-6)
         pinned = grid.values[grid.fixed]
         assert set(np.unique(pinned)).issubset({-10.0, 0.0, 10.0})
         assert np.any(pinned == 10.0) and np.any(pinned == -10.0)
@@ -104,7 +103,7 @@ class TestSolvePotential:
         assert abs(offset.e_parallel_v_per_cm) < abs(centre.e_parallel_v_per_cm)
 
     def test_linear_in_voltage(self):
-        kwargs = dict(dielectric=DielectricMap(), spacing_um=2.0, tolerance_v=1e-7)
+        kwargs = dict(spacing_um=2.0, tolerance_v=1e-7)
         g1 = solve_potential(small_layout((10.0, -10.0)), **kwargs)
         g2 = solve_potential(small_layout((20.0, -20.0)), **kwargs)
         assert np.max(np.abs(2.0 * g1.values - g2.values)) < 5e-4
@@ -116,15 +115,15 @@ class TestSolvePotential:
         rng = np.random.default_rng(5)
         for _ in range(5):
             bias = rng.uniform(-100.0, 100.0)
-            grid = solve_potential(small_layout((bias / 2.0, -bias / 2.0)), DielectricMap(), 2.0, 1e-6)
+            grid = solve_potential(small_layout((bias / 2.0, -bias / 2.0)), 2.0, 1e-6)
             assert grid.values.min() >= -abs(bias) / 2.0 - 1e-9
             assert grid.values.max() <= abs(bias) / 2.0 + 1e-9
 
     def test_unbalanced_layout_solves_its_balanced_pair(self):
         # only the bias enters the model: the common mode of (25, -4) is dropped
         layout = small_layout((25.0, -4.0))
-        grid = solve_potential(layout, DielectricMap(), 2.0, 1e-6)
-        balanced = solve_potential(small_layout((14.5, -14.5)), DielectricMap(), 2.0, 1e-6)
+        grid = solve_potential(layout, 2.0, 1e-6)
+        balanced = solve_potential(small_layout((14.5, -14.5)), 2.0, 1e-6)
         assert np.array_equal(grid.values, balanced.values)
         assert np.array_equal(grid.fixed, balanced.fixed)
         assert (grid.iterations, grid.last_update_v, grid.residual_v) == (
@@ -132,18 +131,8 @@ class TestSolvePotential:
         )
 
     def test_antisymmetric_for_balanced_bias(self):
-        grid = solve_potential(small_layout((10.0, -10.0)), DielectricMap(), 2.0, 1e-8)
+        grid = solve_potential(small_layout((10.0, -10.0)), 2.0, 1e-8)
         assert np.max(np.abs(grid.values + grid.values[:, ::-1])) < 1e-5
-
-    def test_probe_field_independent_of_permittivity(self):
-        # electrodes sit on the interface: the continuum solution is
-        # y-symmetric, which satisfies the dielectric matching for any
-        # permittivity pair, so the probe field must not move
-        a = solve_potential(small_layout(), DielectricMap(1.0, 1.0), 2.0, 1e-8)
-        b = solve_potential(small_layout(), DielectricMap(1.0, 9.0), 2.0, 1e-8)
-        fa = field_at(a, (0.0, 0.0)).e_parallel_v_per_cm
-        fb = field_at(b, (0.0, 0.0)).e_parallel_v_per_cm
-        assert fa == pytest.approx(fb, rel=1e-9)
 
     def test_domain_doubling_changes_probe_field_below_percent(self, paper_grid):
         doubled = ElectrodeLayout(
@@ -152,9 +141,7 @@ class TestSolvePotential:
             electrode_potentials_v=(166.5, -166.5),
             domain_extent_um=(2000.0, 1200.0),
         )
-        grid = solve_potential(
-            doubled, DielectricMap(), 5.0, 1e-4
-        )
+        grid = solve_potential(doubled, 5.0, 1e-4)
         e_base = field_at(paper_grid, (0.0, 0.0)).e_parallel_v_per_cm
         e_doubled = field_at(grid, (0.0, 0.0)).e_parallel_v_per_cm
         assert abs(e_doubled - e_base) / e_base < 0.01
@@ -163,22 +150,22 @@ class TestSolvePotential:
     def test_iteration_count_of_the_paper_layout(self, spacing_um, most_iterations):
         # the full-box solve took 7 and 8; coarse grids that lose the
         # mirror row or the column x = 0 need about three times as many
-        grid = solve_potential(PAPER_LAYOUT, DielectricMap(), spacing_um, 1e-4)
+        grid = solve_potential(PAPER_LAYOUT, spacing_um, 1e-4)
         assert grid.iterations <= most_iterations
 
     def test_too_coarse_spacing_rejected(self):
         with pytest.raises(GeometryError):
-            solve_potential(small_layout(), DielectricMap(), 3.0, 1e-6)
+            solve_potential(small_layout(), 3.0, 1e-6)
 
     def test_non_convergence_reports_residual(self):
         with pytest.raises(ConvergenceError) as err:
-            solve_potential(small_layout(), DielectricMap(), 2.0, 1e-12, max_iterations=3)
+            solve_potential(small_layout(), 2.0, 1e-12, max_iterations=3)
         assert err.value.iterations == 3
         assert err.value.last_update_v > 1e-12
 
     def test_non_finite_potential_stops_at_once(self):
         with pytest.raises(ConvergenceError, match="after 0 iterations") as err:
-            solve_potential(small_layout((float("nan"), -1.0)), DielectricMap(), 2.0, 1e-6)
+            solve_potential(small_layout((float("nan"), -1.0)), 2.0, 1e-6)
         assert err.value.iterations == 0
         assert not np.isfinite(err.value.last_update_v)
 
@@ -197,10 +184,6 @@ class TestLayoutValidation:
     def test_rejects_probe_outside_domain(self):
         with pytest.raises(GeometryError):
             ElectrodeLayout(200.0, 100.0, (1.0, -1.0), (1000.0, 600.0), probe_point_um=(600.0, 0.0))
-
-    def test_permittivity_floor(self):
-        with pytest.raises(GeometryError):
-            DielectricMap(relative_permittivity_above=0.5)
 
 
 class TestFieldAt:

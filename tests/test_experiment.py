@@ -7,7 +7,7 @@ import pytest
 
 from starksim.analysis import fit_lorentzian, read_decay_csv, read_g2_csv, read_ple_csv
 from starksim.cavity import EffectiveEmitter
-from starksim.electrostatics import DielectricMap, ElectrodeLayout, FieldVector, field_per_volt
+from starksim.electrostatics import ElectrodeLayout, FieldVector, field_per_volt
 from starksim.experiment import (
     DetectorModel,
     PLEProtocol,
@@ -314,7 +314,7 @@ class TestG2:
 class TestStarkScan:
     @pytest.fixture(scope="class")
     def unit_field(self, config):
-        return field_per_volt(config.layout, config.dielectric, config.layout.gap_um / 20.0, 1e-4)[0]
+        return field_per_volt(config.layout, config.layout.gap_um / 20.0, 1e-4)[0]
 
     def test_zero_voltage_peak_at_rest_frequency(self, config, unit_field):
         ion2 = config.simulated_ion("ion2")

@@ -57,35 +57,23 @@ class TestEmpiricalShift:
 
 class TestOrientationShifts:
     def test_pairwise_degenerate(self):
-        shifts = orientation_shifts(20.0, FieldVector(1000.0, 0.0), field_perp_b=True)
+        shifts = orientation_shifts(20.0, FieldVector(1000.0, 0.0))
         assert shifts == [-20.0, -20.0, 20.0, 20.0]
 
     def test_zero_field(self):
-        assert orientation_shifts(20.0, FieldVector(0.0, 0.0), True) == [0.0, 0.0, 0.0, 0.0]
+        assert orientation_shifts(20.0, FieldVector(0.0, 0.0)) == [0.0, 0.0, 0.0, 0.0]
 
     def test_negation_symmetric_multiset(self):
         rng = np.random.default_rng(24)
         for _ in range(200):
             e = rng.uniform(-3e4, 3e4)
-            shifts = orientation_shifts(rng.uniform(0.0, 30.0), FieldVector(e, 0.0), True)
+            shifts = orientation_shifts(rng.uniform(0.0, 30.0), FieldVector(e, 0.0))
             assert shifts == sorted(-v for v in shifts)
             assert len({round(abs(v), 9) for v in shifts}) == 1
 
-    def test_four_distinct_projections(self):
-        projections = [(1.0, 0.0), (0.5, 0.8), (-0.3, -0.954), (0.0, 1.0)]
-        shifts = orientation_shifts(
-            10.0, FieldVector(1000.0, 500.0), field_perp_b=False, projections=projections
-        )
-        assert shifts == sorted(shifts)
-        assert len(set(shifts)) == 4
-
-    def test_projections_required_when_not_perpendicular(self):
-        with pytest.raises(StarkModelError):
-            orientation_shifts(10.0, FieldVector(1.0, 0.0), field_perp_b=False)
-
     def test_rejects_negative_magnitude(self):
         with pytest.raises(StarkModelError):
-            orientation_shifts(-1.0, FieldVector(1.0, 0.0), True)
+            orientation_shifts(-1.0, FieldVector(1.0, 0.0))
 
 
 class TestIonModelValidation:

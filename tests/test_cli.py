@@ -178,7 +178,8 @@ class TestLoadTimeChecks:
             ("[run]\nseed = 18446744073709551616\n", "[run].seed", ["reproduce", "fig3b"]),
             # 11.4 ms / 1e6 gives a lifetime limit of 13.96 MHz, above every registry linewidth
             ("[emitter]\nenhancement_factor = 1e6\n",
-             "[emitter] with ion 'ion1': linewidth 6.7 MHz is below the lifetime limit", ["reproduce", "fig3b"]),
+             "[emitter] with ion 'ion1': linewidth 6.7 MHz is below the lifetime limit",
+             ["reproduce", "fig3b"]),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, tmp_path, text, where, argv):

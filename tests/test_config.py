@@ -168,9 +168,10 @@ class TestExperimentConfig:
 
     def test_lifetime_limit_checked_for_every_ion(self):
         # the default lifetime, 41 us, limits a linewidth to at least 3.9 kHz
-        narrow = dataclasses.replace(default_config().ions[3], zero_field_fwhm_mhz=1e-3)
+        config = default_config()
+        narrow = dataclasses.replace(config.ions[3], zero_field_fwhm_mhz=1e-3)
         with pytest.raises(ConfigError, match=r"\[emitter\] with ion 'ion4'"):
-            dataclasses.replace(default_config(), ions=(*default_config().ions[:3], narrow))
+            dataclasses.replace(config, ions=(*config.ions[:3], narrow))
 
     def test_effective_emitter_derivation(self):
         config = default_config()
@@ -244,7 +245,9 @@ class TestRetiredKeys:
     def test_retired_keys_are_dropped(self):
         base = "[emitter]\nbulk_lifetime_ms = 10.0\n\n[run]\nseed = 3\n"
         sections = {"cavity": {**RETIRED["cavity"], "quality_factor": 7}, "dielectric": RETIRED["dielectric"]}
-        retired = dump_toml(sections) + "[emitter]\nbulk_lifetime_ms = 10.0\nbranching_ratio = 1e9\n\n[run]\nseed = 3\n"
+        retired = dump_toml(sections) + (
+            "[emitter]\nbulk_lifetime_ms = 10.0\nbranching_ratio = 1e9\n\n[run]\nseed = 3\n"
+        )
         assert loads_config(retired) == loads_config(base)
         assert loads_config(retired).emitter.bulk_lifetime_ms == 10.0
         assert loads_config("[cavity]\n") == default_config()
@@ -258,7 +261,8 @@ class TestRetiredKeys:
             ('[cavity]\ndip_depth = "deep"\n', r"\[cavity\]\.dip_depth: expected a number"),
             ("[cavity]\nlinewidth_ghz = 3.8\n", r"\[cavity\]: unknown key 'linewidth_ghz'"),
             ("[[cavity]]\nquality_factor = 1.0\n", r"\[cavity\] must be a plain section"),
-            ("[dielectric]\nrelative_permittivity = 9.0\n", r"\[dielectric\]: unknown key 'relative_permittivity'"),
+            ("[dielectric]\nrelative_permittivity = 9.0\n",
+             r"\[dielectric\]: unknown key 'relative_permittivity'"),
         ],
     )
     def test_retired_section_still_checked(self, text, message):

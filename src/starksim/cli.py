@@ -35,7 +35,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    UndefinedNormalizationError,
     estimate_g2_zero,
     find_peaks,
     fit_exponential_decay,
@@ -421,7 +420,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SimulationError as exc:
         print(f"error: simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
-    except (FitError, UndefinedNormalizationError, ValueError, OSError) as exc:
+    except (FitError, ValueError, OSError) as exc:
         print(f"error: fitting failed: {exc}", file=sys.stderr)
         return EXIT_FITTING
     for path in paths:

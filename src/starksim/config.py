@@ -1,4 +1,4 @@
-"""Experiment configuration: a strict TOML-compatible key-value format.
+"""Experiment configuration: a TOML file read by the standard library's ``tomllib``.
 
 The dataclasses are the schema. Each field of ``ExperimentConfig`` is a
 section of the file, a section's keys are the field names of its
@@ -7,15 +7,17 @@ few departures, retired keys that are read but never written among them,
 sit in tables next to the generic reader and writer. Units are in the key
 names (``gap_um``, ``dark_rate_hz``), so a file is never unit-ambiguous.
 Unknown sections or keys are rejected, and every number must be finite.
-The parser covers the subset this schema needs: ``[section]`` tables,
-``[[ions]]`` array-of-tables, strings, booleans, integers, floats, flat arrays.
+The writer emits ``[section]`` tables, the ``[[ions]]`` array of tables,
+basic strings, booleans, integers, floats and flat arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import re
+import tomllib
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
@@ -46,87 +48,7 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# TOML-subset reader / writer
-
-
-def _split_unquoted(text: str, separator: str) -> list[str]:
-    """Split at every ``separator`` outside double-quoted strings."""
-    parts, start, in_string = [], 0, False
-    for index, ch in enumerate(text):
-        if ch == '"':
-            in_string = not in_string
-        elif ch == separator and not in_string:
-            parts.append(text[start:index])
-            start = index + 1
-    parts.append(text[start:])
-    return parts
-
-
-def _parse_value(text: str, line_no: int, in_array: bool = False) -> Any:
-    text = text.strip()
-    if text.startswith("[") and not in_array:  # arrays are flat
-        if not text.endswith("]"):
-            raise ConfigError(f"line {line_no}: unterminated array")
-        if text.count('"') % 2:
-            raise ConfigError(f"line {line_no}: malformed array")
-        items = _split_unquoted(text[1:-1], ",")
-        if not items[-1].strip():
-            items.pop()  # "[]" or a trailing comma
-        return [_parse_value(item, line_no, in_array=True) for item in items]
-    if not text:
-        raise ConfigError(f"line {line_no}: missing value")
-    if text.startswith('"'):
-        if not (text.endswith('"') and len(text) >= 2):
-            raise ConfigError(f"line {line_no}: unterminated string")
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    for number in (int, float):
-        try:
-            return number(text)
-        except ValueError:
-            pass
-    raise ConfigError(f"line {line_no}: cannot parse value {text!r}")
-
-
-def parse_toml(text: str) -> dict[str, Any]:
-    """Parse the supported subset into nested dicts / lists of dicts."""
-    root: dict[str, Any] = {}
-    current: dict[str, Any] | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _split_unquoted(raw, "#")[0].strip()
-        if not line:
-            continue
-        if line.startswith("["):
-            depth = 2 if line.startswith("[[") else 1
-            kind = "table array" if depth == 2 else "section"
-            if not line.endswith("]" * depth):
-                raise ConfigError(f"line {line_no}: malformed {kind} header")
-            name = line[depth:-depth].strip()
-            if not name:
-                raise ConfigError(f"line {line_no}: empty {kind} name")
-            current = {}
-            if depth == 1:
-                if name in root:
-                    raise ConfigError(f"line {line_no}: duplicate section {name!r}")
-                root[name] = current
-            elif isinstance(root.setdefault(name, []), list):
-                root[name].append(current)
-            else:
-                raise ConfigError(f"line {line_no}: {name!r} is already a plain section")
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if not key:
-            raise ConfigError(f"line {line_no}: empty key")
-        if current is None:
-            raise ConfigError(f"line {line_no}: key {key!r} appears before any section")
-        if key in current:
-            raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-        current[key] = _parse_value(value, line_no)
-    return root
+# TOML writer
 
 
 def _format_value(value: Any) -> str:
@@ -135,7 +57,7 @@ def _format_value(value: Any) -> str:
     if isinstance(value, (int, float)):
         return repr(value)
     if isinstance(value, str):
-        return f'"{value}"'
+        return json.dumps(value, ensure_ascii=False).replace("\x7f", "\\u007f")  # a TOML basic string
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_format_value(v) for v in value) + "]"
     raise ConfigError(f"cannot serialize value of type {type(value).__name__}")
@@ -182,8 +104,8 @@ class RunSettings:
             raise ConfigError(f"[run].seed must lie in [0, 2**64), got {self.seed}")
         if not self.max_voltage_v > 0.0:
             raise ConfigError(f"[run].max_voltage_v must be positive, got {self.max_voltage_v}")
-        # written between quotes without escapes, one key per line: no '"' and
-        # nothing str.splitlines() breaks at
+        # the paths under it print one per line, so nothing str.splitlines() breaks
+        # at; no '"' either, a rule kept from the reader before tomllib, which had no escapes
         if '"' in self.output_dir or "".join(self.output_dir.splitlines()) != self.output_dir:
             raise ConfigError(f"[run].output_dir {self.output_dir!r} may not hold '\"' or a line break")
 
@@ -365,9 +287,13 @@ def _coerce(where: str, hint: Any, value: Any) -> Any:
         raise ConfigError(f"{where}: expected {_EXPECTED[hint]}")
     if hint is not float:
         return value
-    if not math.isfinite(value):
-        raise ConfigError(f"{where} must be finite, got {value}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {number}")
+    return number
 
 
 def _read_table(where: str, section: str, table: dict[str, Any]) -> dict[str, Any]:
@@ -384,7 +310,9 @@ def _read_table(where: str, section: str, table: dict[str, Any]) -> dict[str, An
     return values
 
 
-def _read_ion(entry: dict[str, Any]) -> IonModel:
+def _read_ion(entry: Any) -> IonModel:
+    if not isinstance(entry, dict):
+        raise ConfigError(f"[[ions]]: each entry must be a table, got {type(entry).__name__}")
     values = {**_ION_DEFAULTS, **_read_table("[[ions]]", "ions", entry)}
     for f in fields(IonModel):
         if f.default is MISSING and f.name not in values:
@@ -406,8 +334,8 @@ def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
                     raise ConfigError(f"[[{section}]] must be a table array")
                 changes[section] = tuple(_read_ion(entry) for entry in content)
                 continue
-            if isinstance(content, list):
-                raise ConfigError(f"[{section}] must be a plain section, not a table array")
+            if not isinstance(content, dict):
+                raise ConfigError(f"[{section}] must be a plain section, got {type(content).__name__}")
             values = _read_table(f"[{section}]", section, content)
             changes.update({name: values.pop(name) for name in _HOSTED if name in values})
             if section in _SLOTS:
@@ -438,7 +366,11 @@ def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
 
 
 def loads_config(text: str) -> ExperimentConfig:
-    return config_from_dict(parse_toml(text))
+    try:
+        data = tomllib.loads(text)
+    except ValueError as exc:  # TOMLDecodeError names "(at line N, column M)"; or an int past 4300 digits
+        raise ConfigError(str(exc)) from None
+    return config_from_dict(data)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

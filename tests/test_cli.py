@@ -156,6 +156,8 @@ class TestLoadTimeChecks:
             ("decay", "bin_width_us", "nan", ["decay"]),
             ("dielectric", "relative_permittivity_below", "nan", ["field"]),
             ("stark", "voltages_v", "[0.0, nan, 333.0]", ["stark"]),
+            # an integer beyond the float range
+            pytest.param("layout", "gap_um", "1" + "0" * 400, ["field"], id="layout-gap_um-huge-int"),
         ],
     )
     def test_non_finite_number_exits_2(self, capsys, tmp_path, section, key, value, argv):
@@ -191,7 +193,7 @@ class TestLoadTimeChecks:
     @pytest.mark.parametrize("ion_id", ['a"b', "a/b", "a b", "a#b", ""])
     def test_bad_ion_id_exits_2(self, capsys, tmp_path, ion_id):
         text = (
-            f'[[ions]]\nid = "{ion_id}"\nstark_coefficient_khz_per_v_cm = 1.0\n'
+            f"[[ions]]\nid = {json.dumps(ion_id)}\nstark_coefficient_khz_per_v_cm = 1.0\n"
             "zero_field_fwhm_mhz = 5.0\n"
         )
         code, _, err = self.run_with(capsys, tmp_path, text, "reproduce", "fig4b")
@@ -210,7 +212,7 @@ class TestLoadTimeChecks:
         assert out == "" and blocker.read_text(encoding="utf-8") == "not a directory\n"
 
     def test_quote_in_output_dir_exits_2(self, capsys, tmp_path):
-        code, _, err = self.run_with(capsys, tmp_path, '[run]\noutput_dir = "runs"x"\n', "reproduce", "fig3b")
+        code, _, err = self.run_with(capsys, tmp_path, '[run]\noutput_dir = "runs\\"x"\n', "reproduce", "fig3b")
         assert code == EXIT_CONFIG
         assert "[run].output_dir" in err
 
@@ -442,6 +444,18 @@ class TestPipelines:
         figure_outputs = datasets if command == "stark" else [*datasets, "fit_report.csv"]
         assert out_a.splitlines() == [str(a / name) for name in datasets]
         assert out_b.splitlines() == [str(b / name) for name in figure_outputs]
+
+    def test_g2_without_side_lags_exits_5(self, capsys, config_path, tmp_path):
+        histogram = tmp_path / "g2.csv"
+        histogram.write_text(
+            "lag_pulses,coincidences,normalized\n-1,0,0\n0,4,0\n1,0,0\n2,0,0\n", encoding="utf-8"
+        )
+        code, out, err = run(
+            capsys, "fit", "--config", config_path, "--kind", "g2",
+            "--input", histogram, "--out", tmp_path / "x",
+        )
+        assert code == EXIT_FITTING
+        assert out == "" and err.startswith("error: fitting failed: need at least 3 nonzero side lags")
 
     def test_fit_on_missing_file_exits_5(self, capsys, config_path, tmp_path):
         code, _, _ = run(

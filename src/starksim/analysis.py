@@ -1,7 +1,7 @@
 """Parameter extraction from photon-counting data.
 
-Peak finding on PLE scans, Lorentzian and exponential fits with Poisson
-weighting (variance = max(counts, 1)), inverse-variance weighted linear
+Peak finding on PLE scans, Poisson maximum-likelihood Lorentzian and
+exponential fits of the counts, inverse-variance weighted linear
 regression for the field response, and the coincidence-ratio estimate of
 the zero-lag autocorrelation.
 """
@@ -9,7 +9,7 @@ the zero-lag autocorrelation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -102,29 +102,6 @@ def exponential_decay_jacobian(t: np.ndarray, params: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _poisson_weights(counts: np.ndarray) -> np.ndarray:
-    return 1.0 / np.maximum(counts, 1.0)
-
-
-_REWEIGHT_CYCLES = 2
-
-
-def _fit_counts(model, jacobian, x, y, initial, names) -> FitResult:
-    """Poisson-weighted fit with model-based reweighting.
-
-    The first pass weights by the observed counts (variance =
-    max(counts, 1)); subsequent passes re-evaluate the variance at the
-    fitted means. Weighting by raw observations alone biases parameters
-    low at these count levels because downward-fluctuating bins get
-    extra weight.
-    """
-    result = least_squares(model, jacobian, x, y, _poisson_weights(y), initial, names)
-    for _ in range(_REWEIGHT_CYCLES):
-        weights = _poisson_weights(model(x, result.values))
-        result = least_squares(model, jacobian, x, y, weights, result.values, names)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # peak finding
 
@@ -209,8 +186,8 @@ def fit_lorentzian(
     counts: Sequence[float] | np.ndarray,
     initial: Sequence[float] | None = None,
 ) -> FitResult:
-    """Poisson-weighted Lorentzian fit; parameters (amplitude, center_mhz,
-    fwhm_mhz, offset).
+    """Poisson maximum-likelihood Lorentzian fit; parameters (amplitude,
+    center_mhz, fwhm_mhz, offset).
 
     Self-initializes from the highest sample and the half-height
     crossings when no guess is given.
@@ -223,7 +200,7 @@ def fit_lorentzian(
         raise DegenerateDataError("counts are constant; nothing to fit")
     if initial is None:
         initial = _lorentzian_guess(x, y)
-    result = _fit_counts(
+    result = least_squares(
         lorentzian,
         lorentzian_jacobian,
         x,
@@ -235,14 +212,7 @@ def fit_lorentzian(
     # the sampling cannot resolve (a spike latched onto a single sample)
     values = result.values.copy()
     values[2] = abs(values[2])
-    result = FitResult(
-        names=result.names,
-        values=values,
-        stderrs=result.stderrs,
-        reduced_chi_square=result.reduced_chi_square,
-        converged=result.converged,
-        iterations=result.iterations,
-    )
+    result = replace(result, values=values)
     pitch = float(np.median(np.diff(np.sort(x))))
     if not np.all(np.isfinite(values)) or values[2] < 0.5 * pitch:
         raise FitConvergenceError(
@@ -276,8 +246,8 @@ def fit_exponential_decay(
     fit_start_us: float = 0.0,
     known_background: float | None = None,
 ) -> FitResult:
-    """Poisson-weighted exponential fit of a decay histogram from
-    ``fit_start_us`` on; parameters (amplitude, tau_us, background).
+    """Poisson maximum-likelihood exponential fit of a decay histogram
+    from ``fit_start_us`` on; parameters (amplitude, tau_us, background).
 
     On a window of only ~2 lifetimes a free background is almost fully
     anticorrelated with the lifetime; when the dark floor per bin is
@@ -294,7 +264,7 @@ def fit_exponential_decay(
         raise DegenerateDataError("histogram is constant; nothing to fit")
     guess = _decay_guess(t, y)
     if known_background is None:
-        result = _fit_counts(
+        result = least_squares(
             exponential_decay,
             exponential_decay_jacobian,
             t,
@@ -312,7 +282,7 @@ def fit_exponential_decay(
     def pinned_jacobian(tt: np.ndarray, params: np.ndarray) -> np.ndarray:
         return exponential_decay_jacobian(tt, np.array([params[0], params[1], floor]))[:, :2]
 
-    partial = _fit_counts(
+    partial = least_squares(
         pinned,
         pinned_jacobian,
         t,
@@ -320,13 +290,11 @@ def fit_exponential_decay(
         np.array([max(guess[0] + guess[2] - floor, 1e-9), guess[1]]),
         ("amplitude", "tau_us"),
     )
-    result = FitResult(
+    result = replace(
+        partial,
         names=("amplitude", "tau_us", "background"),
         values=np.append(partial.values, floor),
         stderrs=np.append(partial.stderrs, 0.0),
-        reduced_chi_square=partial.reduced_chi_square,
-        converged=partial.converged,
-        iterations=partial.iterations,
     )
     return _check_decay_result(result, t)
 
@@ -398,7 +366,6 @@ def fit_linear_weighted(
         values=np.array([slope_mhz * 1000.0, intercept]),
         stderrs=np.array([math.sqrt(var_slope) * 1000.0, math.sqrt(var_intercept)]),
         reduced_chi_square=reduced,
-        converged=True,
         iterations=0,
     )
 

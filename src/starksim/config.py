@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import tomllib
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
@@ -368,8 +369,12 @@ def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
 def loads_config(text: str) -> ExperimentConfig:
     try:
         data = tomllib.loads(text)
-    except ValueError as exc:  # TOMLDecodeError names "(at line N, column M)"; or an int past 4300 digits
+    except tomllib.TOMLDecodeError as exc:  # names "(at line N, column M)"
         raise ConfigError(str(exc)) from None
+    except ValueError:  # int() of a literal past Python's digit limit, which tomllib does not catch
+        raise ConfigError(
+            f"an integer has more than {sys.get_int_max_str_digits()} digits, Python's limit"
+        ) from None
     return config_from_dict(data)
 
 

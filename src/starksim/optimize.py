@@ -1,17 +1,25 @@
-"""Damped least-squares (Levenberg-Marquardt style) minimizer.
+"""Poisson maximum-likelihood fits of counts by damped Fisher scoring.
 
-Minimizes ``chi2(p) = sum_i w_i (y_i - f(x_i, p))^2`` with analytic
-Jacobians. The damping term uses Marquardt's diagonal scaling, starting
-at 1e-3, multiplied by 10 on a rejected step and divided by 10 on an
-accepted one; iteration stops once an accepted step reduces the
-objective by less than 1e-10 relative, or after 200 iterations.
+Minimizes the Poisson deviance ``D(p) = 2 sum_i (mu_i - y_i + y_i
+log(y_i / mu_i))`` of counts ``y`` about the model ``mu = f(x, p)``
+(Baker & Cousins, NIM 221, 437, 1984), with analytic Jacobians. Each
+iteration is a weighted least-squares step with weights ``1/mu`` at the
+current model (Fisher scoring). The damping term uses Marquardt's
+diagonal scaling, starting at 1e-3, multiplied by 10 on a rejected step
+and divided by 10 on an accepted one; a step is accepted when it does
+not raise the deviance. Iteration stops once an accepted step reduces
+the deviance by less than 1e-10 relative; a fit that runs out of its 200
+iterations, or whose damping reaches 1e14 without a downhill step,
+raises :class:`FitConvergenceError`.
 
-Standard errors come from the unscaled covariance ``(J^T W J)^-1`` at
-the optimum, i.e. the weights are taken to be true inverse variances.
+Standard errors come from the inverse Fisher matrix ``(J^T W J)^-1``
+with ``W = 1/mu`` at the optimum; the reduced chi-square is Pearson's
+``sum (y - mu)^2 / mu`` over the degrees of freedom.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,9 +31,8 @@ __all__ = [
     "FitError",
     "FitResult",
     "SingularDesignError",
-    "chi_square",
-    "chi_square_gradient",
     "least_squares",
+    "poisson_deviance",
 ]
 
 DEFAULT_DAMPING = 1e-3
@@ -48,7 +55,7 @@ class SingularDesignError(FitError):
 
 
 class FitConvergenceError(FitError):
-    """No convergence within the iteration budget; carries the last state."""
+    """The fit did not converge; carries the last state."""
 
     def __init__(self, message: str, last_result: "FitResult"):
         super().__init__(message)
@@ -63,7 +70,6 @@ class FitResult:
     values: np.ndarray
     stderrs: np.ndarray
     reduced_chi_square: float
-    converged: bool
     iterations: int
 
     @property
@@ -80,28 +86,24 @@ class FitResult:
         return float(self.stderrs[self.names.index(name)])
 
 
-def chi_square(
+def poisson_deviance(
     model: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x: np.ndarray,
     y: np.ndarray,
-    weights: np.ndarray,
     params: np.ndarray,
 ) -> float:
-    residual = y - model(x, params)
-    return float(np.sum(weights * residual * residual))
+    """``2 sum(mu - y + y log(y/mu))``, with ``y log(y/mu) = 0`` where y = 0.
 
-
-def chi_square_gradient(
-    model: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x: np.ndarray,
-    y: np.ndarray,
-    weights: np.ndarray,
-    params: np.ndarray,
-) -> np.ndarray:
-    """Analytic gradient of the weighted objective, ``-2 J^T W r``."""
-    residual = y - model(x, params)
-    return -2.0 * jacobian(x, params).T @ (weights * residual)
+    Any ``mu <= 0`` gives +inf. The log is taken as ``log1p((y - mu)/mu)``
+    so the deviance keeps its precision when the model nearly matches
+    the data.
+    """
+    mu = model(x, params)
+    if not np.all(mu > 0.0):
+        return math.inf
+    excess = y - mu
+    log_ratio = np.log1p(excess / mu, out=np.zeros_like(mu), where=y > 0.0)
+    return float(2.0 * np.sum(y * log_ratio - excess))
 
 
 def least_squares(
@@ -109,96 +111,81 @@ def least_squares(
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x: Sequence[float] | np.ndarray,
     y: Sequence[float] | np.ndarray,
-    weights: Sequence[float] | np.ndarray,
     initial: Sequence[float] | np.ndarray,
     names: Sequence[str],
-    *,
-    max_iterations: int = MAX_ITERATIONS,
 ) -> FitResult:
-    """Run the damped least-squares loop from ``initial``.
+    """Fit ``model`` to the counts ``y`` by Poisson maximum likelihood from
+    ``initial``.
 
-    ``model(x, p)`` returns predictions, ``jacobian(x, p)`` the
+    ``model(x, p)`` returns the expected counts, ``jacobian(x, p)`` the
     ``(n_points, n_params)`` derivative matrix.
 
     Raises
     ------
     FitConvergenceError
-        If the iteration budget runs out before the relative-decrease
-        test is met; the exception carries the last state.
+        If no downhill step exists from a point that has not met the
+        relative-decrease test, or the iteration budget runs out; the
+        exception carries the last state.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    w = np.asarray(weights, dtype=float)
     p = np.asarray(initial, dtype=float).copy()
     names = tuple(names)
-    if x.size != y.size or w.size != y.size:
-        raise FitError("x, y and weights must have matching lengths")
+    if x.size != y.size:
+        raise FitError("x and y must have matching lengths")
     if x.size <= p.size:
         raise FitError(f"need more than {p.size} points to fit {p.size} parameters")
+    deviance = poisson_deviance(model, x, y, p)
+    if np.any(y < 0.0) or not np.isfinite(deviance):
+        raise FitError("counts must be >= 0 and the initial model > 0 at every point")
 
-    chi2 = chi_square(model, x, y, w, p)
+    def result() -> FitResult:
+        mu = model(x, p)
+        return FitResult(
+            names=names,
+            values=p,
+            stderrs=_standard_errors(jacobian(x, p), mu),
+            reduced_chi_square=float(np.sum((y - mu) ** 2 / mu)) / (x.size - p.size),
+            iterations=iterations,
+        )
+
     damping = DEFAULT_DAMPING
-    converged = False
-    iterations = 0
-
-    while iterations < max_iterations:
-        iterations += 1
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        mu = model(x, p)
         jac = jacobian(x, p)
-        residual = y - model(x, p)
-        grad = jac.T @ (w * residual)
-        hess = (jac.T * w) @ jac
-        diag = np.maximum(np.diag(hess), 1e-300)
-
-        stepped = False
-        while damping < _DAMPING_CEILING:
+        score = jac.T @ ((y - mu) / mu)
+        fisher = (jac.T / mu) @ jac
+        scaling = np.diag(np.maximum(np.diag(fisher), 1e-300))
+        while True:
+            if damping >= _DAMPING_CEILING:
+                raise FitConvergenceError(
+                    f"stalled: no downhill step (deviance={deviance:.6g})", result()
+                )
             try:
-                step = np.linalg.solve(hess + damping * np.diag(diag), grad)
+                trial = p + np.linalg.solve(fisher + damping * scaling, score)
             except np.linalg.LinAlgError:
                 damping *= DAMPING_STEP
                 continue
-            trial = p + step
-            chi2_trial = chi_square(model, x, y, w, trial)
-            if np.isfinite(chi2_trial) and chi2_trial <= chi2:
-                decrease = chi2 - chi2_trial
-                p = trial
-                chi2 = chi2_trial
-                damping = max(damping / DAMPING_STEP, 1e-12)
-                stepped = True
-                if decrease <= RELATIVE_DECREASE_TOL * max(chi2, 1e-300):
-                    converged = True
+            trial_deviance = poisson_deviance(model, x, y, trial)
+            if trial_deviance <= deviance:  # False for inf and nan
                 break
             damping *= DAMPING_STEP
-        if not stepped:
-            # Damping exhausted: no downhill step exists to working precision.
-            converged = True
-        if converged:
-            break
-
-    dof = x.size - p.size
-    stderrs = _standard_errors(model, jacobian, x, p, w)
-    result = FitResult(
-        names=names,
-        values=p,
-        stderrs=stderrs,
-        reduced_chi_square=chi_square(model, x, y, w, p) / dof,
-        converged=converged,
-        iterations=iterations,
+        decrease = deviance - trial_deviance
+        p, deviance = trial, trial_deviance
+        damping = max(damping / DAMPING_STEP, 1e-12)
+        if decrease <= RELATIVE_DECREASE_TOL * max(deviance, 1e-300):
+            return result()
+    raise FitConvergenceError(
+        f"no convergence after {iterations} iterations (deviance={deviance:.6g})", result()
     )
-    if not converged:
-        raise FitConvergenceError(
-            f"no convergence after {iterations} iterations (chi2={chi2:.6g})", result
-        )
-    return result
 
 
-def _standard_errors(model, jacobian, x, params, weights) -> np.ndarray:
-    """sqrt of the covariance diagonal; NaN where the Hessian is singular."""
-    jac = jacobian(x, params)
-    hess = (jac.T * weights) @ jac
+def _standard_errors(jac: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """sqrt of the inverse Fisher matrix's diagonal; NaN where it is singular."""
     try:
-        cov = np.linalg.inv(hess)
+        cov = np.linalg.inv((jac.T / mu) @ jac)
     except np.linalg.LinAlgError:
-        return np.full(params.size, np.nan)
+        return np.full(jac.shape[1], np.nan)
     diag = np.diag(cov).copy()
     diag[diag < 0.0] = np.nan
     return np.sqrt(diag)

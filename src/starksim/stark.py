@@ -2,8 +2,7 @@
 
 Each ion follows the empirical scalar law ``shift = s * E_parallel``
 with a signed coefficient, plus a linear line-broadening term.
-Crystal-site degeneracy and the two-ion resonance condition live here
-too.
+The two-ion resonance condition lives here too.
 
 Units: fields in V/cm, coefficients in kHz/(V/cm), shifts and widths in
 MHz.
@@ -21,7 +20,6 @@ __all__ = [
     "ShiftResult",
     "StarkModelError",
     "VoltageOutOfRangeError",
-    "orientation_shifts",
     "resonance_voltage",
     "stark_shift_empirical",
 ]
@@ -80,19 +78,6 @@ def stark_shift_empirical(ion: IonModel, field: FieldVector) -> ShiftResult:
     shift = ion.stark_coefficient_khz_per_v_cm * e_par / KHZ_PER_MHZ
     fwhm = ion.zero_field_fwhm_mhz + ion.broadening_mhz_per_kv_cm * abs(e_par) / V_PER_CM_PER_KV_PER_CM
     return ShiftResult(shift_mhz=shift, fwhm_mhz=fwhm)
-
-
-def orientation_shifts(magnitude_khz_per_v_cm: float, field: FieldVector) -> list[float]:
-    """Shifts of the four crystal-site orientations, sorted ascending (MHz).
-
-    With the field perpendicular to the crystal b axis the four
-    orientations collapse pairwise, giving two shifts of equal magnitude
-    and opposite sign, each twice.
-    """
-    if magnitude_khz_per_v_cm < 0.0:
-        raise StarkModelError("coefficient magnitude must be >= 0")
-    shift = magnitude_khz_per_v_cm * field.e_parallel_v_per_cm / KHZ_PER_MHZ
-    return sorted([shift, shift, -shift, -shift])
 
 
 def resonance_voltage(

@@ -21,9 +21,10 @@ from starksim.experiment import G2Histogram, Histogram, ScanResult
 from starksim.optimize import (
     DegenerateDataError,
     FitConvergenceError,
+    FitError,
     SingularDesignError,
-    chi_square,
-    chi_square_gradient,
+    least_squares,
+    poisson_deviance,
 )
 
 VOLTS_TO_FIELD = 65.022536219113164  # default-layout calibration, V/cm per V
@@ -85,7 +86,6 @@ class TestFitLorentzian:
         truth = np.array([100.0, 0.0, 6.7, 0.0])
         counts = lorentzian(freqs, truth)
         fit = fit_lorentzian(freqs, counts)
-        assert fit.converged
         assert fit.value("amplitude") == pytest.approx(100.0, rel=1e-6)
         assert fit.value("center_mhz") == pytest.approx(0.0, abs=1e-6 * 6.7)
         assert fit.value("fwhm_mhz") == pytest.approx(6.7, rel=1e-6)
@@ -265,10 +265,9 @@ class TestObjectiveGradient:
                 [rng.uniform(20, 500), rng.uniform(-30, 30), rng.uniform(3, 25), rng.uniform(0, 40)]
             )
             y = rng.poisson(np.maximum(lorentzian(x, params), 0.0) + 5.0).astype(float)
-            w = 1.0 / np.maximum(y, 1.0)
             probe = params * rng.uniform(0.8, 1.2, 4)
-            grad = chi_square_gradient(lorentzian, lorentzian_jacobian, x, y, w, probe)
-            fd = _finite_difference_gradient(lorentzian, x, y, w, probe)
+            grad = _deviance_gradient(lorentzian, lorentzian_jacobian, x, y, probe)
+            fd = _finite_difference_gradient(lorentzian, x, y, probe)
             assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-4
 
     def test_exponential_gradient_matches_finite_differences(self):
@@ -277,14 +276,18 @@ class TestObjectiveGradient:
         for _ in range(30):
             params = np.array([rng.uniform(100, 2000), rng.uniform(10, 70), rng.uniform(0, 30)])
             y = rng.poisson(exponential_decay(t, params) + 1.0).astype(float)
-            w = 1.0 / np.maximum(y, 1.0)
             probe = params * rng.uniform(0.9, 1.1, 3)
-            grad = chi_square_gradient(exponential_decay, exponential_decay_jacobian, t, y, w, probe)
-            fd = _finite_difference_gradient(exponential_decay, t, y, w, probe)
+            grad = _deviance_gradient(exponential_decay, exponential_decay_jacobian, t, y, probe)
+            fd = _finite_difference_gradient(exponential_decay, t, y, probe)
             assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-4
 
 
-def _finite_difference_gradient(model, x, y, w, params):
+def _deviance_gradient(model, jacobian, x, y, params):
+    """Analytic gradient of the Poisson deviance, ``-2 J^T (y/mu - 1)``."""
+    return -2.0 * jacobian(x, params).T @ (y / model(x, params) - 1.0)
+
+
+def _finite_difference_gradient(model, x, y, params):
     grad = np.empty(params.size)
     for j in range(params.size):
         step = 1e-6 * max(abs(params[j]), 1.0)
@@ -292,8 +295,72 @@ def _finite_difference_gradient(model, x, y, w, params):
         lo = params.copy()
         hi[j] += step
         lo[j] -= step
-        grad[j] = (chi_square(model, x, y, w, hi) - chi_square(model, x, y, w, lo)) / (2.0 * step)
+        grad[j] = (poisson_deviance(model, x, y, hi) - poisson_deviance(model, x, y, lo)) / (2.0 * step)
     return grad
+
+
+class TestPoissonFit:
+    def test_deviance_of_empty_bins_and_non_positive_model(self):
+        x = np.arange(10.0)
+        y = np.zeros(10)
+        params = np.array([30.0, 4.0, 3.0, 1.0])
+        assert poisson_deviance(lorentzian, x, y, params) == pytest.approx(
+            2.0 * lorentzian(x, params).sum(), rel=1e-14
+        )
+        assert poisson_deviance(lorentzian, x, y, np.array([30.0, 4.0, 3.0, -5.0])) == math.inf
+
+    def test_negative_counts_and_non_positive_start_rejected(self):
+        x = np.arange(10.0)
+        names = ("a", "c", "w", "o")
+        with pytest.raises(FitError, match="counts must be >= 0"):
+            least_squares(lorentzian, lorentzian_jacobian, x, np.full(10, -1.0), [30.0, 4.0, 3.0, 1.0], names)
+        with pytest.raises(FitError, match="initial model > 0"):
+            least_squares(lorentzian, lorentzian_jacobian, x, np.ones(10), [30.0, 4.0, 3.0, -5.0], names)
+
+    def test_count_fits_reach_a_likelihood_stationary_point(self):
+        # the score J^T (y - mu)/mu vanishes at the maximum-likelihood point;
+        # scaled by sqrt(F_jj) it is in units of one standard error's pull
+        rng = np.random.default_rng(47)
+        freqs = np.arange(-60.0, 60.1, 2.5)
+        centers = np.arange(0.5, 85.0, 1.0)
+        worst = 0.0
+        for _ in range(200):
+            truth = np.array([rng.uniform(100, 400), rng.uniform(-20, 20), rng.uniform(5, 12), rng.uniform(2, 20)])
+            counts = rng.poisson(lorentzian(freqs, truth)).astype(float)
+            fit = fit_lorentzian(freqs, counts)
+            worst = max(worst, _scaled_score(lorentzian, lorentzian_jacobian, freqs, counts, fit.values))
+
+            truth = np.array([rng.uniform(300, 2000), rng.uniform(20, 60), rng.uniform(5, 30)])
+            counts = rng.poisson(exponential_decay(centers, truth)).astype(float)
+            histogram = make_histogram(centers, counts)
+            free = fit_exponential_decay(histogram)
+            pinned = fit_exponential_decay(histogram, known_background=truth[2])
+            for fit, free_columns in ((free, 3), (pinned, 2)):
+                score = _scaled_score(
+                    exponential_decay, exponential_decay_jacobian, centers, counts, fit.values, free_columns
+                )
+                worst = max(worst, score)
+        assert worst < 1e-4
+
+    def test_flipped_jacobian_stalls_instead_of_converging(self):
+        freqs = np.arange(-60.0, 60.1, 5.0)
+        counts = lorentzian(freqs, np.array([200.0, 0.0, 6.7, 8.5]))
+        initial = np.array([150.0, 3.0, 9.0, 5.0])
+
+        def flipped(x, params):
+            return -lorentzian_jacobian(x, params)
+
+        with pytest.raises(FitConvergenceError, match="stalled: no downhill step") as err:
+            least_squares(lorentzian, flipped, freqs, counts, initial, ("a", "c", "w", "o"))
+        assert np.array_equal(err.value.last_result.values, initial)
+
+
+def _scaled_score(model, jacobian, x, y, params, free_columns=None):
+    mu = model(x, params)
+    jac = jacobian(x, params)[:, :free_columns]
+    score = jac.T @ ((y - mu) / mu)
+    fisher_diagonal = ((jac * jac) / mu[:, None]).sum(axis=0)
+    return float(np.max(np.abs(score) / np.sqrt(fisher_diagonal)))
 
 
 def test_fit_report_csv(tmp_path):

@@ -7,7 +7,6 @@ from starksim.stark import (
     NoResonanceError,
     StarkModelError,
     VoltageOutOfRangeError,
-    orientation_shifts,
     resonance_voltage,
     stark_shift_empirical,
 )
@@ -53,27 +52,6 @@ class TestEmpiricalShift:
     def test_perpendicular_component_ignored(self):
         ion = make_ion(19.8)
         assert stark_shift_empirical(ion, FieldVector(0.0, 5000.0)).shift_mhz == 0.0
-
-
-class TestOrientationShifts:
-    def test_pairwise_degenerate(self):
-        shifts = orientation_shifts(20.0, FieldVector(1000.0, 0.0))
-        assert shifts == [-20.0, -20.0, 20.0, 20.0]
-
-    def test_zero_field(self):
-        assert orientation_shifts(20.0, FieldVector(0.0, 0.0)) == [0.0, 0.0, 0.0, 0.0]
-
-    def test_negation_symmetric_multiset(self):
-        rng = np.random.default_rng(24)
-        for _ in range(200):
-            e = rng.uniform(-3e4, 3e4)
-            shifts = orientation_shifts(rng.uniform(0.0, 30.0), FieldVector(e, 0.0))
-            assert shifts == sorted(-v for v in shifts)
-            assert len({round(abs(v), 9) for v in shifts}) == 1
-
-    def test_rejects_negative_magnitude(self):
-        with pytest.raises(StarkModelError):
-            orientation_shifts(-1.0, FieldVector(1.0, 0.0))
 
 
 class TestIonModelValidation:

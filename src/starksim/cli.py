@@ -15,10 +15,10 @@ go to stdout, one per line (``field`` and ``resonance`` print their small
 key=value reports first); diagnostics go to stderr.
 
 Exit codes: 0 ok, 2 configuration/validation failure or an output
-directory that cannot be written, 3 the field solver missed its
-tolerance within the iteration cap or broke down on non-finite numbers,
-4 simulation failure, 5 fitting failure, 6 resonance has no solution, 7
-resonance voltage beyond the configured limit.
+directory that cannot be written, 3 the field solve broke down on
+non-finite numbers, 4 simulation failure, 5 fitting failure, 6
+resonance has no solution, 7 resonance voltage beyond the configured
+limit.
 """
 
 from __future__ import annotations
@@ -184,13 +184,7 @@ def _field_per_volt(
     config: ExperimentConfig, voltage_v: float | None = None
 ) -> tuple[FieldVector, PotentialGrid]:
     """:func:`field_per_volt` of the configured layout and solver."""
-    return field_per_volt(
-        config.layout,
-        config.solver.spacing_um,
-        config.solver.tolerance_v,
-        voltage_v=voltage_v,
-        max_iterations=config.solver.max_iterations,
-    )
+    return field_per_volt(config.layout, config.solver.spacing_um, voltage_v=voltage_v)
 
 
 def _ple(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Path, ScanResult]:
@@ -412,7 +406,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         return EXIT_VOLTAGE_RANGE
     except ConvergenceError as exc:
-        print(f"error: field solver did not converge: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ConfigError, GeometryError, StarkModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .cavity import EffectiveEmitter, EmitterParams, effective_lifetime_us
-from .electrostatics import MAX_ITERATIONS, ElectrodeLayout
+from .electrostatics import ElectrodeLayout
 from .experiment import DEFAULT_MASTER_SEED, DetectorModel, PLEProtocol, SimulatedIon
 from .stark import IonModel
 
@@ -82,16 +82,6 @@ def dump_toml(data: dict[str, Any]) -> str:
 @dataclass(frozen=True)
 class SolverSettings:
     spacing_um: float = 5.0
-    tolerance_v: float = 1e-4
-    max_iterations: int = MAX_ITERATIONS
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tolerance_v < math.inf:
-            raise ConfigError(
-                f"[solver].tolerance_v must be a positive finite number, got {self.tolerance_v}"
-            )
-        if self.max_iterations < 1:
-            raise ConfigError(f"[solver].max_iterations must be at least 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -155,9 +145,9 @@ _DEFAULT_IONS = (
     # -182.9e3 / 21652.504560964684: the empirical shift at the full 333 V
     # bias is -182.9 MHz for the default layout's probe field of the former
     # SOR solver. The exact discrete field, 21652.534 V/cm, is 1.4e-6
-    # relative higher (shift -182.90025 MHz). The constant stays because
-    # bench/workloads.py ION_REGISTRY mirrors it, and the quarter-domain
-    # solve moved the default field by only 3.7e-8 relative.
+    # relative higher (shift -182.90025 MHz), and is what the direct solve
+    # returns. The constant stays because bench/workloads.py ION_REGISTRY
+    # mirrors it.
     IonModel("ion2", -40.0, -8.447059760917158, 6.7),
     IonModel("ion3", 60.0, 23.2, 5.9),
     IonModel("ion4", 130.0, -23.0, 7.4),
@@ -241,10 +231,12 @@ def default_config() -> ExperimentConfig:
 _FILE_KEYS = {("ions", "ion_id"): "id"}
 _HOSTED = {"saturation_excitation_prob": "emitter"}  # ExperimentConfig scalars kept in a section
 _ION_DEFAULTS = {"zero_field_frequency_mhz": 0.0}  # [[ions]] may omit it; other no-default keys are required
-# Numbers that reach no output: the retired cavity model, and the permittivities,
-# which drop out of the field (see electrostatics). A stored config.toml may hold
-# them: the reader checks each is a finite number and drops it; never written.
+# Numbers that reach no output: the retired cavity model, the permittivities,
+# which drop out of the field, and the stopping rule of the iterative solver the
+# exact one replaced (see electrostatics). A stored config.toml may hold them:
+# the reader checks each is a finite number and drops it; never written.
 _RETIRED = {
+    "solver": ("tolerance_v", "max_iterations"),
     "dielectric": ("relative_permittivity_above", "relative_permittivity_below"),
     "cavity": ("center_frequency_ghz", "quality_factor", "mode_volume_cubic_wavelengths",
                "refractive_index", "dip_depth"),

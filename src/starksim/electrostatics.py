@@ -22,14 +22,21 @@ discrete solution is unique, so it is even in y and solves the
 five-point system with unit weights, Laplace's equation, for any
 permittivity pair (Wen, IEEE Trans. MTT 17, 1087, 1969, gives the
 continuum case). That system is the one solved, and ``residual_v`` is
-its full-domain residual. Being even, the solution equals that of the
-upper half with the surface row as a half-cell: horizontal faces of
-weight 1/2, none to the south. The balanced pair makes it odd in x as
-well, zero on the column x = 0. So the potential is solved on the
-quarter x >= 0, y >= 0 with that column held at zero, and mirrored back
-to the full grid. The quarter is solved by conjugate gradients
-preconditioned by a geometric multigrid V-cycle whose coarse grids keep
-the mirror row and the column x = 0.
+its full-domain residual. The balanced pair makes the solution odd in x
+as well, zero on the column x = 0. So the potential is solved on the
+quarter x >= 0, y >= 0, with the column x = 0 at zero and the surface
+row's southern neighbour its mirror image, and mirrored back to the full
+grid.
+
+The quarter is a rectangle with zero walls and one electrode on its
+bottom row, and it is solved directly, exact to rounding, by a fast
+Poisson solver with a capacitance matrix (Buzbee, Golub & Nielson, SIAM
+J. Numer. Anal. 7, 627, 1970; Buzbee, Dorr, George & Golub, ibid. 8,
+722, 1971). A sine transform along x turns each column mode into a
+closed-form decay in y, which gives the surface row's Green's function
+as one cosine series. The electrode's node charges then solve a dense
+system of one unknown per electrode node (41 at the default 5 um), and
+one inverse transform of their modes gives the grid.
 
 Units: lengths in micrometres, potentials in volts, fields in V/cm.
 """
@@ -50,9 +57,7 @@ __all__ = [
     "PotentialGrid",
     "field_at",
     "field_per_volt",
-    "solve_parallel_plates",
     "solve_potential",
-    "uniform_field_oracle",
     "write_grid_csv",
 ]
 
@@ -64,21 +69,11 @@ class GeometryError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The solve did not reach tolerance within the iteration budget.
+    """The field solve broke down on non-finite numbers, say a bias that overflows."""
 
-    ``last_update_v`` is the error estimate of the last iteration; it is
-    not finite when the iteration broke down.
-    """
-
-    def __init__(self, iterations: int, last_update_v: float, tolerance_v: float):
-        self.iterations = iterations
-        self.last_update_v = last_update_v
-        self.tolerance_v = tolerance_v
-        if math.isfinite(last_update_v):
-            reason = f"error estimate {last_update_v:.3e} V > tolerance {tolerance_v:.3e} V"
-        else:
-            reason = f"non-finite error estimate {last_update_v} V"
-        super().__init__(f"no convergence after {iterations} iterations: {reason}")
+    def __init__(self, residual_v: float):
+        self.residual_v = residual_v
+        super().__init__(f"the field solve broke down on non-finite numbers (residual {residual_v} V)")
 
 
 @dataclass(frozen=True)
@@ -153,15 +148,14 @@ class FieldVector:
 
 @dataclass(frozen=True)
 class PotentialGrid:
-    """Converged potential on a uniform node-centred grid.
+    """Solved potential on a uniform node-centred grid.
 
     ``values[i, j]`` is the potential at ``(x0 + j*h, y0 + i*h)``;
     ``fixed`` marks Dirichlet nodes (the electrodes and, for
-    :func:`solve_potential`, the outer box). ``iterations`` counts solver
-    iterations, ``last_update_v`` is the final error estimate (below the
-    tolerance), and ``residual_v`` the true residual max|b - A v| of the
-    full-domain five-point equations with unit weights, the equations
-    solved.
+    :func:`solve_potential`, the outer box). ``residual_v`` is the true
+    residual max|b - A v| of the full-domain five-point equations with
+    unit weights, the equations solved; the solve is direct, so it is
+    rounding error.
     """
 
     spacing_um: float
@@ -169,8 +163,6 @@ class PotentialGrid:
     x0_um: float
     y0_um: float
     fixed: np.ndarray = field(repr=False)
-    iterations: int = 0
-    last_update_v: float = 0.0
     residual_v: float = 0.0
 
     @property
@@ -182,298 +174,70 @@ class PotentialGrid:
         return self.y0_um + self.spacing_um * np.arange(self.values.shape[0])
 
 
-def uniform_field_oracle(voltage_v: float, gap_um: float) -> float:
-    """Parallel-plate field ``V / gap`` in V/cm; analytic solver oracle."""
-    if gap_um <= 0.0:
-        raise GeometryError(f"gap must be positive, got {gap_um}")
-    return voltage_v / gap_um * V_PER_UM_TO_V_PER_CM
-
-
-# Multigrid hierarchy: grids are padded with fixed zero nodes until each
-# axis coarsens ``depth`` times; the coarsest grid then has COARSEST_CELLS
-# to 2*COARSEST_CELLS cells along its shorter axis and is solved by
-# COARSE_SWEEPS red-black Gauss-Seidel sweeps plus one red half-sweep, a
-# colour sequence that reads the same backwards, so the solve is symmetric.
-COARSEST_CELLS = 4
-COARSE_SWEEPS = 16
-# Default iteration cap; a solve typically converges in 5 to 15 iterations.
-MAX_ITERATIONS = 100
-
-
 def _axis_nodes(extent_um: float, spacing_um: float) -> np.ndarray:
     """Symmetric node coordinates covering [-extent/2, extent/2]."""
     half_cells = max(int(round(extent_um / 2.0 / spacing_um)), 2)
     return spacing_um * np.arange(-half_cells, half_cells + 1)
 
 
-class _Level:
-    """One grid of the multigrid hierarchy with its smoother precomputed.
+def _quarter_potential(cols: int, rows: int, electrode: np.ndarray, potential_v: float) -> np.ndarray:
+    """Exact potential on the quarter: columns 0..cols, rows 0..rows, row 0 the surface.
 
-    Face weights depend only on the row: ``vertical[i]`` joins rows i and
-    i+1, ``horizontal[i]`` joins neighbours within row i. The outer ring
-    of nodes is fixed. ``solution``, ``rhs`` and ``work`` are reused by
-    every cycle, and ``buffer`` is a flat scratch array the levels share.
-    Each red-black colour decomposes into two strided sub-lattices whose
-    views are built once, so a sweep runs on array views.
+    The walls j = 0, j = cols and m = rows are at zero, the surface nodes
+    ``electrode`` at ``potential_v``, and every other node obeys the
+    five-point equation, the surface row with its mirror image v(-1) =
+    v(1) below. The column sine mode sin(pi k j / cols) decouples the
+    rows: above the surface it falls off as phi_k(m) = sinh((rows - m) t_k)
+    / sinh(rows t_k), with cosh t_k = 1 + 2 sin^2(pi k / 2 cols). So on the
+    surface row the mode's equation reads d_k s_k = q_k, with d_k =
+    2 cosh t_k - 2 phi_k(1) = 2 sinh t_k / tanh(rows t_k), where q is the
+    charge that holds each electrode node at its potential and vanishes on
+    every free node. Its inverse, the surface Green's function, is a cosine
+    series c; the electrode's charges solve one small dense system through
+    it, and the charges' modes give every row.
     """
-
-    def __init__(
-        self, fixed: np.ndarray, vertical: np.ndarray, horizontal: np.ndarray, buffer: np.ndarray
-    ):
-        ny, nx = fixed.shape
-        self.fixed = fixed
-        self.vertical = vertical
-        self.horizontal = horizontal
-        self.buffer = buffer
-        self.free = (~fixed).astype(float)
-        self.solution = np.zeros((ny, nx))
-        self.rhs = np.zeros((ny, nx))
-        self.work = np.zeros((ny, nx))
-        self.scratch = buffer[: (ny - 2) * (nx - 2)].reshape(ny - 2, nx - 2)
-        # weights of the interior rows, as columns: south, north, west = east
-        self.south = vertical[:-1, None]
-        self.north = vertical[1:, None]
-        self.side = horizontal[1:-1, None]
-        self.diagonal = self.south + self.north + 2.0 * self.side
-        gain = np.divide(1.0, self.diagonal, out=np.zeros_like(self.diagonal), where=self.diagonal > 0.0)
-
-        v = self.solution
-        self.colours: tuple[list, list] = ([], [])
-        for parity in (0, 1):
-            for a0 in (0, 1):
-                b0 = (parity + a0) % 2
-                block = np.s_[1 + a0 : ny - 1 : 2, 1 + b0 : nx - 1 : 2]
-                centre = v[block]
-                if centre.size == 0:
-                    continue
-                rows = np.s_[a0::2]
-                self.colours[parity].append(
-                    (
-                        centre,
-                        self.rhs[block],
-                        self.free[block],
-                        v[a0 : ny - 2 : 2, 1 + b0 : nx - 1 : 2],
-                        v[2 + a0 : ny : 2, 1 + b0 : nx - 1 : 2],
-                        v[1 + a0 : ny - 1 : 2, b0 : nx - 2 : 2],
-                        v[1 + a0 : ny - 1 : 2, 2 + b0 : nx : 2],
-                        self.south[rows],
-                        self.north[rows],
-                        self.side[rows],
-                        gain[rows],
-                        buffer[: centre.size].reshape(centre.shape),
-                    )
-                )
-
-    def sweep(self, parity: int) -> None:
-        """Gauss-Seidel update of one colour of ``solution`` for ``rhs``."""
-        for block in self.colours[parity]:
-            centre, rhs, free, south, north, west, east, w_south, w_north, w_side, gain, tmp = block
-            np.add(west, east, out=centre)
-            centre *= w_side
-            np.multiply(w_south, south, out=tmp)
-            centre += tmp
-            np.multiply(w_north, north, out=tmp)
-            centre += tmp
-            centre += rhs
-            centre *= gain
-            centre *= free
-
-    def apply(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out`` = A v on the free nodes, zero on the fixed ones."""
-        inner = out[1:-1, 1:-1]
-        _stencil(v, inner, self.scratch, self.south, self.north, self.side, self.diagonal)
-        inner *= self.free[1:-1, 1:-1]
-        return out
-
-    def coarsened(self) -> "_Level":
-        """Every second node; a coarse vertical face is the two fine faces it spans in series."""
-        a, b = self.vertical[0::2], self.vertical[1::2]
-        total = a + b
-        vertical = np.divide(2.0 * a * b, total, out=np.zeros_like(total), where=total > 0.0)
-        return _Level(self.fixed[::2, ::2], vertical, self.horizontal[::2], self.buffer)
+    n = 2 * cols  # a sine transform over the columns is a real FFT of length n
+    t = 2.0 * np.arcsinh(np.sin(np.pi * np.arange(1, cols) / n))
+    m = np.arange(rows + 1)[:, None]
+    # phi_k(m) in a form that cannot overflow
+    phi = np.exp(-m * t) * np.expm1(-2.0 * (rows - m) * t) / np.expm1(-2.0 * rows * t)
+    gain = np.zeros(cols + 1)  # 1 / d_k; modes 0 and cols vanish on the walls
+    gain[1:cols] = np.tanh(rows * t) / (2.0 * np.sinh(t))
+    c = np.fft.irfft(gain, n)
+    green = c[(electrode[:, None] - electrode) % n] - c[electrode[:, None] + electrode]
+    charge = np.zeros(n)
+    charge[electrode] = np.linalg.solve(green, np.full(electrode.size, potential_v))
+    surface = -np.fft.rfft(charge).imag * gain  # s_k: the charges' sine modes over d_k
+    modes = np.zeros((rows + 1, cols), complex)
+    np.multiply(phi, -2j * surface[1:cols], out=modes[:, 1:])
+    return np.fft.irfft(modes, n)[:, : cols + 1]
 
 
-def _stencil(v, out, tmp, south, north, side, diagonal) -> None:
-    """``out`` = A v at the interior nodes of ``v``; weights are columns, one row per interior row."""
-    np.add(v[1:-1, :-2], v[1:-1, 2:], out=out)
-    out *= side
-    np.multiply(south, v[:-2, 1:-1], out=tmp)
-    out += tmp
-    np.multiply(north, v[2:, 1:-1], out=tmp)
-    out += tmp
-    np.multiply(diagonal, v[1:-1, 1:-1], out=tmp)
-    np.subtract(tmp, out, out=out)
-
-
-def _restrict(fine: np.ndarray, out: np.ndarray) -> None:
-    """Full weighting, the transpose of bilinear prolongation."""
-    odd = 0.5 * fine[:, 1::2]
-    rows = fine[:, ::2].copy()
-    rows[:, 1:] += odd
-    rows[:, :-1] += odd
-    odd = 0.5 * rows[1::2]
-    out[...] = rows[::2]
-    out[1:] += odd
-    out[:-1] += odd
-
-
-def _prolong_add(coarse: np.ndarray, fine: np.ndarray) -> None:
-    """Add the bilinear interpolation of ``coarse`` to ``fine``."""
-    rows = np.empty((coarse.shape[0], fine.shape[1]))
-    rows[:, ::2] = coarse
-    rows[:, 1::2] = 0.5 * (coarse[:, :-1] + coarse[:, 1:])
-    fine[::2] += rows
-    fine[1::2] += 0.5 * (rows[:-1] + rows[1:])
-
-
-def _v_cycle(levels: list[_Level], depth: int = 0) -> None:
-    """Symmetric V-cycle: ``levels[depth].solution`` ~ A^-1 ``levels[depth].rhs``.
-
-    Red-black Gauss-Seidel forward before the coarse correction and
-    backward after it, so the cycle is a symmetric operator and can
-    precondition conjugate gradients.
-    """
-    level = levels[depth]
-    level.solution.fill(0.0)
-    if depth == len(levels) - 1:
-        for _ in range(COARSE_SWEEPS):
-            level.sweep(0)
-            level.sweep(1)
-        level.sweep(0)
-        return
-    level.sweep(0)
-    level.sweep(1)
-    coarse = levels[depth + 1]
-    level.apply(level.solution, level.work)
-    np.subtract(level.rhs, level.work, out=level.work)
-    _restrict(level.work, coarse.rhs)
-    coarse.rhs *= coarse.free
-    _v_cycle(levels, depth + 1)
-    _prolong_add(coarse.solution, level.solution)
-    level.solution *= level.free
-    level.sweep(1)
-    level.sweep(0)
-
-
-def _padding(nodes: int, depth: int, anchor: int) -> tuple[int, int]:
-    """Fixed nodes to add before and after an axis so that it coarsens ``depth`` times.
-
-    Padded nodes touch only the axis's end nodes, which must be fixed, so
-    the padding leaves the solution unchanged. The padding before
-    ``anchor`` makes its padded index a multiple of ``2**depth``, so that
-    node (a symmetry plane, or the fixed end node 0) is a node of every
-    coarser level.
-    """
-    step = 2**depth
-    before = -anchor % step
-    return before, -(before + nodes - 1) % step
-
-
-def _solve(
-    values: np.ndarray,
-    fixed: np.ndarray,
-    vertical: np.ndarray,
-    horizontal: np.ndarray,
-    tolerance_v: float,
-    max_iterations: int,
-    anchors: tuple[int, int],
-) -> tuple[int, float]:
-    """Solve for the free nodes of ``values`` in place.
-
-    Conjugate gradients on the five-point system A v = b, with the fixed
-    nodes as Dirichlet data, preconditioned by one multigrid V-cycle.
-    ``vertical[i]`` is the weight of the faces between rows i and i+1 and
-    ``horizontal[i]`` that of the faces within row i; faces of zero
-    weight make insulating boundaries. The V-cycle's correction M r of the
-    current residual estimates the remaining error; once its largest entry
-    is below ``tolerance_v`` the correction is added and the iteration
-    stops. ``anchors`` names, per axis, a node index that stays a node of
-    every coarser grid (see :func:`_padding`). Returns (iterations,
-    largest entry of that last correction).
-    """
-    ny, nx = values.shape
-    depth = max(((min(ny, nx) + 1) // COARSEST_CELLS).bit_length() - 1, 0)
-    pads = (_padding(ny, depth, anchors[0]), _padding(nx, depth, anchors[1]))
-    v = np.pad(values, pads)
-    # padded faces copy the edge faces, so that coarse grids see a fixed
-    # outer ring as Dirichlet data rather than as an insulating edge
-    levels = [
-        _Level(
-            np.pad(fixed, pads, constant_values=True),
-            np.pad(vertical, pads[0], mode="edge"),
-            np.pad(horizontal, pads[0], mode="edge"),
-            np.empty(v.size),
-        )
-    ]
-    while len(levels) <= depth:
-        levels.append(levels[-1].coarsened())
-    fine = levels[0]
-
-    # the finest rhs is the CG residual; its work array is free between cycles
-    residual, q = fine.rhs, fine.work
-    step = fine.buffer.reshape(v.shape)
-    np.negative(fine.apply(v, q), out=residual)
-    p = np.zeros_like(v)
-    rz = 1.0
-    for iteration in range(max_iterations + 1):
-        _v_cycle(levels)
-        z = fine.solution
-        error = float(np.abs(z).max())
-        if not math.isfinite(error):
-            raise ConvergenceError(iteration, error, tolerance_v)
-        if error < tolerance_v:
-            v += z
-            break
-        if iteration == max_iterations:
-            raise ConvergenceError(iteration, error, tolerance_v)
-        # numpy scalars: a breakdown gives inf or nan, caught at the next check
-        rz, rz_old = np.vdot(residual, z), rz
-        p *= rz / rz_old
-        p += z
-        fine.apply(p, q)
-        alpha = rz / np.vdot(p, q)
-        np.multiply(alpha, p, out=step)
-        v += step
-        q *= alpha
-        residual -= q
-    values[...] = v[pads[0][0] : pads[0][0] + ny, pads[1][0] : pads[1][0] + nx]
-    return iteration, error
-
-
-def _residual(values: np.ndarray, fixed: np.ndarray, vertical: np.ndarray, horizontal: np.ndarray) -> float:
-    """True residual max|b - A v| of the free nodes; the outer ring must be fixed.
+def _residual(values: np.ndarray, fixed: np.ndarray) -> float:
+    """True residual max|b - A v| of the unit-weight five-point equations at the free nodes.
 
     The Dirichlet data sit in ``values``, so b is zero and the residual is A v.
     """
-    south, north, side = vertical[:-1, None], vertical[1:, None], horizontal[1:-1, None]
-    applied, tmp = np.empty((2, values.shape[0] - 2, values.shape[1] - 2))
-    _stencil(values, applied, tmp, south, north, side, south + north + 2.0 * side)
+    applied = 4.0 * values[1:-1, 1:-1]
+    for neighbour in (values[:-2, 1:-1], values[2:, 1:-1], values[1:-1, :-2], values[1:-1, 2:]):
+        applied -= neighbour
     applied[fixed[1:-1, 1:-1]] = 0.0
     return float(np.abs(applied, out=applied).max())
 
 
-def solve_potential(
-    layout: ElectrodeLayout,
-    spacing_um: float,
-    tolerance_v: float,
-    *,
-    max_iterations: int = MAX_ITERATIONS,
-) -> PotentialGrid:
-    """Solve the bias of the electrode pair to a converged potential grid.
+def solve_potential(layout: ElectrodeLayout, spacing_um: float) -> PotentialGrid:
+    """Solve the bias of the electrode pair to its potential grid.
 
     The electrodes are held at ``+-bias_v / 2``, the outer box at zero
-    (the far boundary). Convergence means the estimated largest error of a
-    free node against the exact solution of the discrete equations fell
-    below ``tolerance_v``.
+    (the far boundary). The solve is direct: the grid is the exact
+    solution of the discrete equations up to rounding.
 
     Raises
     ------
     GeometryError
-        If ``spacing_um > gap/20``, the tolerance is not a positive
-        finite number or the layout is invalid.
+        If ``spacing_um > gap/20`` or the layout is invalid.
     ConvergenceError
-        If ``max_iterations`` iterations do not reach tolerance, or the
-        iteration breaks down on non-finite numbers.
+        If the solved grid or its residual is not finite.
     """
     if not spacing_um > 0.0:
         raise GeometryError(f"spacing must be positive, got {spacing_um}")
@@ -481,8 +245,6 @@ def solve_potential(
         raise GeometryError(
             f"spacing {spacing_um} um too coarse: need <= gap/20 = {layout.gap_um / 20.0} um"
         )
-    if not 0.0 < tolerance_v < math.inf:
-        raise GeometryError(f"tolerance must be a positive finite number, got {tolerance_v}")
 
     x = _axis_nodes(layout.domain_extent_um[0], spacing_um)
     y = _axis_nodes(layout.domain_extent_um[1], spacing_um)
@@ -502,25 +264,13 @@ def solve_potential(
     values[surface_row, right] = -layout.bias_v / 2.0
     fixed[surface_row, left | right] = True
 
-    # Solve the quarter x >= 0, y >= 0 (row 0 the surface, a mirror plane),
-    # with the column x = 0 held at zero. Above the surface every face
-    # weighs 1, except that the surface row is a half-cell (horizontal
-    # faces 1/2, no face to the south). A fixed ghost row below it, joined
-    # by a face of weight 0, keeps the outer ring fixed; the surface row and
-    # the column x = 0 are nodes of every coarse grid.
-    width = len(x) - centre
-    quarter = np.vstack((np.zeros((1, width)), values[surface_row:, centre:]))
-    quarter_fixed = np.vstack((np.ones((1, width), dtype=bool), fixed[surface_row:, centre:]))
-    quarter_fixed[:, 0] = True
-    vertical = np.ones(len(quarter) - 1)
-    vertical[0] = 0.0
-    horizontal = np.ones(len(quarter))
-    horizontal[1] = 0.5
-    iterations, error = _solve(
-        quarter, quarter_fixed, vertical, horizontal, tolerance_v, max_iterations, (1, 0)
-    )
-    upper = np.hstack((-quarter[1:, :0:-1], quarter[1:]))  # odd in x
-    values = np.where(fixed, values, np.vstack((upper[:0:-1], upper)))  # even in y
+    # the quarter x >= 0, y >= 0, mirrored back: odd in x, even in y
+    quarter = _quarter_potential(centre, surface_row, np.flatnonzero(right[centre:]), -layout.bias_v / 2.0)
+    upper = np.hstack((-quarter[:, :0:-1], quarter))
+    values = np.where(fixed, values, np.vstack((upper[:0:-1], upper)))
+    residual = _residual(values, fixed)
+    if not (math.isfinite(residual) and np.isfinite(values).all()):
+        raise ConvergenceError(residual)
 
     return PotentialGrid(
         spacing_um=spacing_um,
@@ -528,19 +278,12 @@ def solve_potential(
         x0_um=float(x[0]),
         y0_um=float(y[0]),
         fixed=fixed,
-        iterations=iterations,
-        last_update_v=error,
-        residual_v=_residual(values, fixed, np.ones(len(y) - 1), np.ones(len(y))),
+        residual_v=residual,
     )
 
 
 def field_per_volt(
-    layout: ElectrodeLayout,
-    spacing_um: float,
-    tolerance_v: float,
-    *,
-    voltage_v: float | None = None,
-    max_iterations: int = MAX_ITERATIONS,
+    layout: ElectrodeLayout, spacing_um: float, *, voltage_v: float | None = None
 ) -> tuple[FieldVector, PotentialGrid]:
     """Probe field per volt of bias, and the grid it was read from.
 
@@ -552,52 +295,8 @@ def field_per_volt(
     voltage = layout.bias_v if voltage_v is None else voltage_v
     if voltage == 0.0:
         voltage = 1.0
-    grid = solve_potential(layout.with_bias(voltage), spacing_um, tolerance_v, max_iterations=max_iterations)
+    grid = solve_potential(layout.with_bias(voltage), spacing_um)
     return field_at(grid, layout.probe_point_um).scaled(1.0 / voltage), grid
-
-
-def solve_parallel_plates(
-    voltage_v: float,
-    gap_um: float,
-    spacing_um: float,
-    tolerance_v: float = 1e-9,
-    *,
-    height_um: float | None = None,
-    max_iterations: int = MAX_ITERATIONS,
-) -> PotentialGrid:
-    """Plate electrodes on the full left/right walls, insulating top/bottom.
-
-    The top and bottom rows are insulating: the grid is solved with a
-    fixed ghost row beyond each, joined to it by faces of zero weight.
-    The converged interior matches the analytic parallel-plate ramp; this
-    is the geometric limit used to validate the solver against
-    :func:`uniform_field_oracle`.
-    """
-    if gap_um <= 0.0 or spacing_um <= 0.0:
-        raise GeometryError("gap and spacing must be positive")
-    nx = max(int(round(gap_um / spacing_um)) + 1, 3)
-    ny = max(int(round((height_um or gap_um / 2.0) / spacing_um)) + 1, 3)
-    values = np.zeros((ny + 2, nx))
-    fixed = np.zeros_like(values, dtype=bool)
-    values[:, 0] = voltage_v / 2.0
-    values[:, -1] = -voltage_v / 2.0
-    fixed[:, 0] = fixed[:, -1] = True
-    fixed[0, :] = fixed[-1, :] = True
-
-    vertical = np.ones(ny + 1)
-    vertical[[0, -1]] = 0.0
-    horizontal = np.ones(ny + 2)
-    iterations, error = _solve(values, fixed, vertical, horizontal, tolerance_v, max_iterations, (0, 0))
-    return PotentialGrid(
-        spacing_um=spacing_um,
-        values=values[1:-1],
-        x0_um=-gap_um / 2.0,
-        y0_um=0.0,
-        fixed=fixed[1:-1],
-        iterations=iterations,
-        last_update_v=error,
-        residual_v=_residual(values, fixed, vertical, horizontal),
-    )
 
 
 def field_at(grid: PotentialGrid, point_um: tuple[float, float]) -> FieldVector:

@@ -21,8 +21,10 @@ from starksim.stark import IonModel
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-# keys of the retired cavity model and permittivities: read and dropped, never written
+# keys of the retired cavity model, permittivities and iterative-solver stopping
+# rule: read and dropped, never written
 RETIRED = {
+    "solver": {"tolerance_v": 1e-4, "max_iterations": 100},
     "dielectric": {"relative_permittivity_above": 1.0, "relative_permittivity_below": 9.0},
     "cavity": {
         "center_frequency_ghz": 195115.0,
@@ -251,13 +253,14 @@ class TestExperimentConfig:
 
 
 class TestRetiredKeys:
-    """The cavity model's keys and the permittivities reach no output and are
-    retired: a stored config.toml holding them still loads, and no file is
-    written with them."""
+    """The cavity model's keys, the permittivities and the solver's stopping
+    rule reach no output and are retired: a stored config.toml holding them
+    still loads, and no file is written with them."""
 
     def test_pre_retirement_fixture_loads_to_the_defaults(self):
         text = (FIXTURES / "config_with_retired_keys.toml").read_text(encoding="utf-8")
         assert "[cavity]" in text and "branching_ratio" in text and "[dielectric]" in text
+        assert "tolerance_v" in text and "max_iterations" in text
         assert loads_config(text) == default_config()
 
     def test_default_dump_has_no_retired_section(self):
@@ -267,7 +270,11 @@ class TestRetiredKeys:
 
     def test_retired_keys_are_dropped(self):
         base = "[emitter]\nbulk_lifetime_ms = 10.0\n\n[run]\nseed = 3\n"
-        sections = {"cavity": {**RETIRED["cavity"], "quality_factor": 7}, "dielectric": RETIRED["dielectric"]}
+        sections = {
+            "cavity": {**RETIRED["cavity"], "quality_factor": 7},
+            "dielectric": RETIRED["dielectric"],
+            "solver": RETIRED["solver"],
+        }
         retired = dump_toml(sections) + (
             "[emitter]\nbulk_lifetime_ms = 10.0\nbranching_ratio = 1e9\n\n[run]\nseed = 3\n"
         )
@@ -295,7 +302,7 @@ class TestRetiredKeys:
     def test_range_checks_retired_with_their_keys(self):
         text = (
             "[cavity]\nquality_factor = -1.0\ndip_depth = 2.0\n\n[emitter]\nbranching_ratio = 0.0\n\n"
-            "[dielectric]\nrelative_permittivity_above = 0.5\n"
+            "[dielectric]\nrelative_permittivity_above = 0.5\n\n[solver]\ntolerance_v = -1.0\nmax_iterations = 0\n"
         )
         assert loads_config(text) == default_config()
 

@@ -7,9 +7,7 @@ from starksim.electrostatics import (
     GeometryError,
     PotentialGrid,
     field_at,
-    solve_parallel_plates,
     solve_potential,
-    uniform_field_oracle,
     write_grid_csv,
 )
 
@@ -25,6 +23,13 @@ PAPER_LAYOUT = ElectrodeLayout(
 )
 
 
+def uniform_field_oracle(voltage_v: float, gap_um: float) -> float:
+    """Parallel-plate field ``V / gap`` in V/cm, which bounds the field in a coplanar gap."""
+    if gap_um <= 0.0:
+        raise GeometryError(f"gap must be positive, got {gap_um}")
+    return voltage_v / gap_um * 1.0e4
+
+
 def small_layout(potentials=(10.0, -10.0)):
     return ElectrodeLayout(
         electrode_width_um=60.0,
@@ -36,7 +41,7 @@ def small_layout(potentials=(10.0, -10.0)):
 
 @pytest.fixture(scope="module")
 def paper_grid():
-    return solve_potential(PAPER_LAYOUT, 5.0, 1e-4)
+    return solve_potential(PAPER_LAYOUT, 5.0)
 
 
 def ramp_grid(slope_v_per_um=1.0, n=21, spacing=1.0):
@@ -64,14 +69,6 @@ class TestUniformFieldOracle:
 
 
 class TestParallelPlates:
-    def test_matches_analytic_field(self):
-        grid = solve_parallel_plates(100.0, 100.0, 2.0)
-        oracle = uniform_field_oracle(100.0, 100.0)
-        for probe in [(0.0, 10.0), (-30.0, 24.0), (25.0, 40.0)]:
-            field = field_at(grid, probe)
-            assert field.e_parallel_v_per_cm == pytest.approx(oracle, rel=1e-3)
-            assert abs(field.e_perpendicular_v_per_cm) < 1e-3 * oracle
-
     def test_solver_field_bounded_by_oracle(self, paper_grid):
         bound = uniform_field_oracle(333.0, 100.0)
         probe = field_at(paper_grid, (0.0, 0.0))
@@ -80,14 +77,14 @@ class TestParallelPlates:
 
 class TestSolvePotential:
     def test_zero_potentials_give_zero_solution(self):
-        grid = solve_potential(small_layout((0.0, 0.0)), 2.0, 1e-8)
+        grid = solve_potential(small_layout((0.0, 0.0)), 2.0)
         assert np.all(grid.values == 0.0)
         field = field_at(grid, (0.0, 10.0))
         assert field.e_parallel_v_per_cm == 0.0
         assert field.e_perpendicular_v_per_cm == 0.0
 
     def test_electrodes_pinned_exactly(self):
-        grid = solve_potential(small_layout(), 2.0, 1e-6)
+        grid = solve_potential(small_layout(), 2.0)
         pinned = grid.values[grid.fixed]
         assert set(np.unique(pinned)).issubset({-10.0, 0.0, 10.0})
         assert np.any(pinned == 10.0) and np.any(pinned == -10.0)
@@ -103,9 +100,8 @@ class TestSolvePotential:
         assert abs(offset.e_parallel_v_per_cm) < abs(centre.e_parallel_v_per_cm)
 
     def test_linear_in_voltage(self):
-        kwargs = dict(spacing_um=2.0, tolerance_v=1e-7)
-        g1 = solve_potential(small_layout((10.0, -10.0)), **kwargs)
-        g2 = solve_potential(small_layout((20.0, -20.0)), **kwargs)
+        g1 = solve_potential(small_layout((10.0, -10.0)), 2.0)
+        g2 = solve_potential(small_layout((20.0, -20.0)), 2.0)
         assert np.max(np.abs(2.0 * g1.values - g2.values)) < 5e-4
         f1 = field_at(g1, (0.0, 0.0))
         f2 = field_at(g2, (0.0, 0.0))
@@ -115,23 +111,21 @@ class TestSolvePotential:
         rng = np.random.default_rng(5)
         for _ in range(5):
             bias = rng.uniform(-100.0, 100.0)
-            grid = solve_potential(small_layout((bias / 2.0, -bias / 2.0)), 2.0, 1e-6)
+            grid = solve_potential(small_layout((bias / 2.0, -bias / 2.0)), 2.0)
             assert grid.values.min() >= -abs(bias) / 2.0 - 1e-9
             assert grid.values.max() <= abs(bias) / 2.0 + 1e-9
 
     def test_unbalanced_layout_solves_its_balanced_pair(self):
         # only the bias enters the model: the common mode of (25, -4) is dropped
         layout = small_layout((25.0, -4.0))
-        grid = solve_potential(layout, 2.0, 1e-6)
-        balanced = solve_potential(small_layout((14.5, -14.5)), 2.0, 1e-6)
+        grid = solve_potential(layout, 2.0)
+        balanced = solve_potential(small_layout((14.5, -14.5)), 2.0)
         assert np.array_equal(grid.values, balanced.values)
         assert np.array_equal(grid.fixed, balanced.fixed)
-        assert (grid.iterations, grid.last_update_v, grid.residual_v) == (
-            balanced.iterations, balanced.last_update_v, balanced.residual_v
-        )
+        assert grid.residual_v == balanced.residual_v
 
     def test_antisymmetric_for_balanced_bias(self):
-        grid = solve_potential(small_layout((10.0, -10.0)), 2.0, 1e-8)
+        grid = solve_potential(small_layout((10.0, -10.0)), 2.0)
         assert np.max(np.abs(grid.values + grid.values[:, ::-1])) < 1e-5
 
     def test_domain_doubling_changes_probe_field_below_percent(self, paper_grid):
@@ -141,33 +135,21 @@ class TestSolvePotential:
             electrode_potentials_v=(166.5, -166.5),
             domain_extent_um=(2000.0, 1200.0),
         )
-        grid = solve_potential(doubled, 5.0, 1e-4)
+        grid = solve_potential(doubled, 5.0)
         e_base = field_at(paper_grid, (0.0, 0.0)).e_parallel_v_per_cm
         e_doubled = field_at(grid, (0.0, 0.0)).e_parallel_v_per_cm
         assert abs(e_doubled - e_base) / e_base < 0.01
 
-    @pytest.mark.parametrize(("spacing_um", "most_iterations"), [(5.0, 7), (2.5, 8)])
-    def test_iteration_count_of_the_paper_layout(self, spacing_um, most_iterations):
-        # the full-box solve took 7 and 8; coarse grids that lose the
-        # mirror row or the column x = 0 need about three times as many
-        grid = solve_potential(PAPER_LAYOUT, spacing_um, 1e-4)
-        assert grid.iterations <= most_iterations
-
     def test_too_coarse_spacing_rejected(self):
         with pytest.raises(GeometryError):
-            solve_potential(small_layout(), 3.0, 1e-6)
-
-    def test_non_convergence_reports_residual(self):
-        with pytest.raises(ConvergenceError) as err:
-            solve_potential(small_layout(), 2.0, 1e-12, max_iterations=3)
-        assert err.value.iterations == 3
-        assert err.value.last_update_v > 1e-12
+            solve_potential(small_layout(), 3.0)
 
     def test_non_finite_potential_stops_at_once(self):
-        with pytest.raises(ConvergenceError, match="after 0 iterations") as err:
-            solve_potential(small_layout((float("nan"), -1.0)), 2.0, 1e-6)
-        assert err.value.iterations == 0
-        assert not np.isfinite(err.value.last_update_v)
+        # a nan potential, and a bias that overflows to inf
+        for potentials in ((float("nan"), -1.0), (1e308, -1e308)):
+            with pytest.raises(ConvergenceError, match="broke down on non-finite numbers") as err:
+                solve_potential(small_layout(potentials), 2.0)
+            assert not np.isfinite(err.value.residual_v)
 
 
 class TestLayoutValidation:

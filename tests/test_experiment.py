@@ -314,7 +314,7 @@ class TestG2:
 class TestStarkScan:
     @pytest.fixture(scope="class")
     def unit_field(self, config):
-        return field_per_volt(config.layout, config.layout.gap_um / 20.0, 1e-4)[0]
+        return field_per_volt(config.layout, config.layout.gap_um / 20.0)[0]
 
     def test_zero_voltage_peak_at_rest_frequency(self, config, unit_field):
         ion2 = config.simulated_ion("ion2")

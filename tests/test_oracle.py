@@ -15,6 +15,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from starksim.config import SolverSettings, default_config, dumps_config, loads_config
 from starksim.electrostatics import ElectrodeLayout, field_at, solve_potential
 
 pytest.importorskip("scipy")
@@ -93,10 +94,29 @@ def assert_matches_lu(grid, permittivities: tuple[float, float]) -> None:
     assert grid.residual_v == pytest.approx(residual, abs=1e-13)
 
 
+# the [solver] tolerance_v that configs stored by the former iterative solver carry
+STORED_TOLERANCES_V = [1e-4, 1e-6]
+
+
+def solve_stored(layout: ElectrodeLayout, spacing_um: float, tolerance_v: float):
+    """Solve ``layout`` as a stored config that still carries ``tolerance_v`` replays it:
+    the retired key loads, is dropped, and the grid is the one solved without it."""
+    stored = dataclasses.replace(default_config(), layout=layout, solver=SolverSettings(spacing_um))
+    text = dumps_config(stored).replace("[solver]\n", f"[solver]\ntolerance_v = {tolerance_v!r}\n")
+    assert f"tolerance_v = {tolerance_v!r}" in text
+    config = loads_config(text)
+    assert config == stored
+    grid = solve_potential(config.layout, config.solver.spacing_um)
+    assert np.array_equal(grid.values, solve_potential(layout, spacing_um).values)
+    return grid
+
+
+@pytest.mark.parametrize("tolerance_v", STORED_TOLERANCES_V)
 @pytest.mark.parametrize("case", list(CASES))
-def test_error_within_tolerance(case):
+def test_error_within_tolerance(case, tolerance_v):
+    # the bound is TOLERANCE_V whatever tolerance the config still carries
     layout, permittivities, spacing = CASES[case]
-    grid = solve_potential(layout, spacing)
+    grid = solve_stored(layout, spacing, tolerance_v)
     assert_matches_lu(grid, permittivities)
     assert 0.0 < grid.residual_v
 
@@ -114,11 +134,12 @@ BIASED_LAYOUT = dataclasses.replace(PAPER_LAYOUT, electrode_potentials_v=(145.0,
 CRYSTAL = (2.0, 11.0)
 
 
-def test_unbalanced_layout_within_tolerance():
+@pytest.mark.parametrize("tolerance_v", STORED_TOLERANCES_V)
+def test_unbalanced_layout_within_tolerance(tolerance_v):
     # (250, -40) V is solved as its balanced pair +-145 V, which the LU of
     # the grid's own Dirichlet data then checks
     layout = dataclasses.replace(BIASED_LAYOUT, electrode_potentials_v=(250.0, -40.0))
-    grid = solve_potential(layout, 5.0)
+    grid = solve_stored(layout, 5.0, tolerance_v)
     assert set(np.unique(grid.values[grid.fixed])) == {-145.0, 0.0, 145.0}
     assert_matches_lu(grid, CRYSTAL)
 

@@ -184,13 +184,11 @@ def _prominence(values: np.ndarray, peak: int) -> float:
 def fit_lorentzian(
     frequencies_mhz: Sequence[float] | np.ndarray,
     counts: Sequence[float] | np.ndarray,
-    initial: Sequence[float] | None = None,
 ) -> FitResult:
     """Poisson maximum-likelihood Lorentzian fit; parameters (amplitude,
     center_mhz, fwhm_mhz, offset).
 
-    Self-initializes from the highest sample and the half-height
-    crossings when no guess is given.
+    Initializes from the highest sample and the half-height crossings.
     """
     x = np.asarray(frequencies_mhz, dtype=float)
     y = np.asarray(counts, dtype=float)
@@ -198,14 +196,12 @@ def fit_lorentzian(
         raise DegenerateDataError(f"need at least 8 points, got {x.size}")
     if np.ptp(y) == 0.0:
         raise DegenerateDataError("counts are constant; nothing to fit")
-    if initial is None:
-        initial = _lorentzian_guess(x, y)
     result = least_squares(
         lorentzian,
         lorentzian_jacobian,
         x,
         y,
-        initial,
+        _lorentzian_guess(x, y),
         ("amplitude", "center_mhz", "fwhm_mhz", "offset"),
     )
     # the model is even in fwhm; canonicalize the sign, then reject widths
@@ -380,10 +376,13 @@ def estimate_g2_zero(histogram: G2Histogram) -> G2Estimate:
     """
     lags = np.asarray(histogram.lags)
     coincidences = np.asarray(histogram.coincidences, dtype=float)
+    zero_lag = coincidences[lags == 0]
+    if zero_lag.size != 1:
+        raise DegenerateDataError(f"need exactly one lag-0 bin, got {zero_lag.size}")
     side = coincidences[lags != 0]
     if np.count_nonzero(side) < 3:
         raise UndefinedNormalizationError("need at least 3 nonzero side lags to normalize")
-    c0 = float(coincidences[lags == 0][0])
+    c0 = float(zero_lag[0])
     mean_side = float(side.mean())
     g2 = c0 / mean_side
     var_c0 = max(c0, 1.0)

@@ -1,7 +1,9 @@
 """Cavity-modified emitter: shortened lifetime and excitation lineshape.
 
-The lifetime is the bulk lifetime over the measured enhancement factor;
-the per-pulse excitation probability is a Lorentzian in laser detuning.
+Every ion shares one emitter record: the bulk lifetime over the measured
+enhancement factor, and the saturated excitation probability. An ion's own
+line is its :class:`~starksim.stark.IonModel`; the per-pulse excitation
+probability is a Lorentzian in laser detuning.
 """
 
 from __future__ import annotations
@@ -10,9 +12,7 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "EffectiveEmitter",
     "EmitterParams",
-    "effective_lifetime_us",
     "excitation_probability",
     "lifetime_limited_fwhm_mhz",
 ]
@@ -22,16 +22,25 @@ US_PER_MS = 1000.0
 
 @dataclass(frozen=True)
 class EmitterParams:
-    """Bulk lifetime and the measured lifetime enhancement of the cavity."""
+    """Bulk lifetime, the measured lifetime enhancement of the cavity and the
+    saturated excitation probability, shared by every ion."""
 
     bulk_lifetime_ms: float
     enhancement_factor: float
+    saturation_excitation_prob: float = 0.5
 
     def __post_init__(self) -> None:
         if self.bulk_lifetime_ms <= 0.0:
             raise ValueError("bulk lifetime must be positive")
         if self.enhancement_factor < 1.0:
             raise ValueError("enhancement factor must be >= 1")
+        if not 0.0 <= self.saturation_excitation_prob <= 1.0:
+            raise ValueError("[emitter].saturation_excitation_prob must lie in [0, 1]")
+
+    @property
+    def lifetime_us(self) -> float:
+        """Cavity-shortened lifetime in us: the bulk lifetime over the enhancement."""
+        return self.bulk_lifetime_ms * US_PER_MS / self.enhancement_factor
 
 
 def lifetime_limited_fwhm_mhz(lifetime_us: float) -> float:
@@ -39,40 +48,9 @@ def lifetime_limited_fwhm_mhz(lifetime_us: float) -> float:
     return 1.0 / (2.0 * math.pi * lifetime_us)
 
 
-@dataclass(frozen=True)
-class EffectiveEmitter:
-    """Cavity-modified emitter as the photon-counting simulator sees it.
-
-    ``frequency_mhz`` is the line centre relative to the scan origin;
-    ``fwhm_mhz`` is the measured (environment-broadened) linewidth and
-    must not beat the lifetime limit.
-    """
-
-    lifetime_us: float
-    fwhm_mhz: float
-    frequency_mhz: float = 0.0
-    saturation_excitation_prob: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.lifetime_us <= 0.0:
-            raise ValueError("lifetime must be positive")
-        limit = lifetime_limited_fwhm_mhz(self.lifetime_us)
-        if self.fwhm_mhz < limit:
-            raise ValueError(
-                f"linewidth {self.fwhm_mhz:g} MHz is below the lifetime limit {limit:g} MHz"
-            )
-        if not 0.0 <= self.saturation_excitation_prob <= 1.0:
-            raise ValueError("saturation excitation probability must lie in [0, 1]")
-
-
-def effective_lifetime_us(emitter: EmitterParams) -> float:
-    """Cavity-shortened lifetime in us: the bulk lifetime over the enhancement."""
-    return emitter.bulk_lifetime_ms * US_PER_MS / emitter.enhancement_factor
-
-
-def excitation_probability(effective: EffectiveEmitter, detuning_mhz: float) -> float:
-    """Per-pulse excitation probability at a given laser detuning (MHz)."""
+def excitation_probability(saturation_prob: float, fwhm_mhz: float, detuning_mhz: float) -> float:
+    """Per-pulse excitation probability of a ``fwhm_mhz`` wide line at a laser detuning (MHz)."""
     if not math.isfinite(detuning_mhz):
         raise ValueError("detuning must be finite")
-    u = 2.0 * detuning_mhz / effective.fwhm_mhz
-    return effective.saturation_excitation_prob / (1.0 + u**2)
+    u = 2.0 * detuning_mhz / fwhm_mhz
+    return saturation_prob / (1.0 + u**2)

@@ -24,6 +24,7 @@ limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import shlex
 import sys
@@ -73,6 +74,7 @@ from .experiment import (
 from .manifest import write_run_manifest
 from .optimize import FitError, FitResult
 from .stark import (
+    IonModel,
     NoResonanceError,
     StarkModelError,
     VoltageOutOfRangeError,
@@ -112,6 +114,7 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer in [0, 2**64), got {text!r}") from None
 
 
+@functools.cache  # built once per process: parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="starksim",
@@ -197,7 +200,7 @@ def _ple(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Path
         field = _field_per_volt(config)[0].scaled(args.voltage)
     else:
         field = FieldVector(0.0, 0.0)
-    scan = simulate_ple_scan(config.simulated_ions(), config.protocol, config.detector, field, seed)
+    scan = simulate_ple_scan(config.ions, config.emitter, config.protocol, config.detector, field, seed)
     path = out_dir / "ple_scan.csv"
     write_ple_csv(scan, path)
     return path, scan
@@ -214,10 +217,9 @@ def _fit_peaks(config: ExperimentConfig, scan: ScanResult) -> list[Row]:
 
 
 def _decay(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Path, Histogram]:
-    """Decay histogram of the [decay] ion -> decay.csv."""
-    emitter = config.effective_emitter(config.ion(config.decay.ion_id))
+    """Decay histogram of the shared emitter -> decay.csv."""
     histogram = simulate_decay_histogram(
-        emitter, config.protocol, config.detector,
+        config.emitter, config.protocol, config.detector,
         config.decay.n_pulses, config.decay.bin_width_us, seed,
     )
     path = out_dir / "decay.csv"
@@ -245,10 +247,9 @@ def _fit_lifetime(config: ExperimentConfig, histogram: Histogram) -> list[Row]:
 
 
 def _g2(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Path, G2Histogram]:
-    """Autocorrelation histogram of the [g2] ion -> g2.csv."""
-    emitter = config.effective_emitter(config.ion(config.g2.ion_id))
+    """Autocorrelation histogram of the shared emitter -> g2.csv."""
     histogram = simulate_g2_histogram(
-        emitter, config.g2.background_fraction, config.protocol,
+        config.emitter, config.g2.background_fraction, config.protocol,
         config.g2.n_pulses, config.g2.max_lag, seed,
     )
     path = out_dir / "g2.csv"
@@ -263,7 +264,7 @@ def _fit_g2(config: ExperimentConfig, histogram: G2Histogram) -> list[Row]:
 
 
 def _stark_sweep(
-    config: ExperimentConfig, unit_field: FieldVector, ion_id: str, seed: int, path: Path
+    config: ExperimentConfig, unit_field: FieldVector, ion: IonModel, seed: int, path: Path
 ) -> list[tuple]:
     """Voltage sweep of one ion with a Lorentzian fit per voltage -> ``path``.
 
@@ -271,7 +272,8 @@ def _stark_sweep(
     their errors.
     """
     points = simulate_stark_scan(
-        config.simulated_ion(ion_id),
+        ion,
+        config.emitter,
         config.stark.voltages_v,
         unit_field,
         config.protocol,
@@ -302,15 +304,15 @@ def _fit_line(ion_id: str, rows: Sequence[tuple]) -> list[Row]:
 def _stark(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[Path]:
     """fig4a sweeps the [stark] ion; fig4b every ion, each on ``mix_seed(seed, index)``."""
     if args.figure == "fig4a":
-        sweeps = [(config.ion(config.stark.ion_id).ion_id, seed, "stark_scan.csv")]
+        sweeps = [(config.ion(config.stark.ion_id), seed, "stark_scan.csv")]
     else:
-        sweeps = [(ion.ion_id, mix_seed(seed, index), f"stark_scan_{ion.ion_id}.csv")
+        sweeps = [(ion, mix_seed(seed, index), f"stark_scan_{ion.ion_id}.csv")
                   for index, ion in enumerate(config.ions)]
     unit_field, _ = _field_per_volt(config)
     paths, report = [], []
-    for ion_id, ion_seed, name in sweeps:
+    for ion, ion_seed, name in sweeps:
         paths.append(out_dir / name)
-        report += _fit_line(ion_id, _stark_sweep(config, unit_field, ion_id, ion_seed, paths[-1]))
+        report += _fit_line(ion.ion_id, _stark_sweep(config, unit_field, ion, ion_seed, paths[-1]))
     return [*paths, _write_report(report, out_dir)]
 
 

@@ -2,9 +2,11 @@
 
 The dataclasses are the schema. Each field of ``ExperimentConfig`` is a
 section of the file, a section's keys are the field names of its
-dataclass, and each value is checked against the field's annotation; the
-few departures, retired keys that are read but never written among them,
-sit in tables next to the generic reader and writer. Units are in the key
+dataclass, and each value is checked against the field's annotation. The
+departures sit in tables next to the generic reader and writer: the
+``[[ions]]`` key ``id``, the one optional ion key, and the retired keys,
+which a file may still hold and which are checked as the type their table
+records, then dropped and never written. Units are in the key
 names (``gap_um``, ``dark_rate_hz``), so a file is never unit-ambiguous.
 Unknown sections or keys are rejected, and every number must be finite.
 The writer emits ``[section]`` tables, the ``[[ions]]`` array of tables,
@@ -23,9 +25,9 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
-from .cavity import EffectiveEmitter, EmitterParams, effective_lifetime_us
+from .cavity import EmitterParams, lifetime_limited_fwhm_mhz
 from .electrostatics import ElectrodeLayout
-from .experiment import DEFAULT_MASTER_SEED, DetectorModel, PLEProtocol, SimulatedIon
+from .experiment import DEFAULT_MASTER_SEED, DetectorModel, PLEProtocol
 from .stark import IonModel
 
 __all__ = [
@@ -103,7 +105,6 @@ class RunSettings:
 
 @dataclass(frozen=True)
 class DecaySettings:
-    ion_id: str = ""  # empty: first registry ion
     n_pulses: int = 10_000_000
     bin_width_us: float = 1.0
     fit_start_us: float = 0.0
@@ -115,7 +116,6 @@ class DecaySettings:
 
 @dataclass(frozen=True)
 class G2Settings:
-    ion_id: str = ""
     background_fraction: float = 0.051
     n_pulses: int = 200_000
     max_lag: int = 10
@@ -131,7 +131,7 @@ class G2Settings:
 
 @dataclass(frozen=True)
 class StarkScanSettings:
-    ion_id: str = ""
+    ion_id: str = ""  # empty: first registry ion
     voltages_v: tuple[float, ...] = (0.0, 55.5, 111.0, 166.5, 222.0, 277.5, 333.0)
     window_half_width_mhz: float = 60.0
 
@@ -167,7 +167,6 @@ class ExperimentConfig:
     solver: SolverSettings = SolverSettings()
     ions: tuple[IonModel, ...] = _DEFAULT_IONS
     emitter: EmitterParams = EmitterParams(bulk_lifetime_ms=11.4, enhancement_factor=278.0)
-    saturation_excitation_prob: float = 0.5
     protocol: PLEProtocol = PLEProtocol()
     detector: DetectorModel = DetectorModel()
     run: RunSettings = RunSettings()
@@ -182,16 +181,15 @@ class ExperimentConfig:
                 raise ConfigError(f"[[ions]].id {ion_id!r} may use only A-Z, a-z, 0-9, '_', '.' and '-'")
         if len(set(ids)) != len(ids):
             raise ConfigError("ion ids must be unique")
-        if not 0.0 <= self.saturation_excitation_prob <= 1.0:
-            raise ConfigError("[emitter].saturation_excitation_prob must lie in [0, 1]")
-        for name, settings in (("decay", self.decay), ("g2", self.g2), ("stark", self.stark)):
-            if settings.ion_id not in ("", *ids):
-                raise ConfigError(f"[{name}].ion_id {settings.ion_id!r} is not in the ion registry")
+        if self.stark.ion_id not in ("", *ids):
+            raise ConfigError(f"[stark].ion_id {self.stark.ion_id!r} is not in the ion registry")
+        limit = lifetime_limited_fwhm_mhz(self.emitter.lifetime_us)
         for ion in self.ions:  # the [emitter] lifetime bounds every ion's linewidth from below
-            try:
-                self.effective_emitter(ion)
-            except ValueError as exc:
-                raise ConfigError(f"[emitter] with ion {ion.ion_id!r}: {exc}") from None
+            if ion.zero_field_fwhm_mhz < limit:
+                raise ConfigError(
+                    f"[emitter] with ion {ion.ion_id!r}: linewidth {ion.zero_field_fwhm_mhz:g} MHz "
+                    f"is below the lifetime limit {limit:g} MHz"
+                )
 
     def ion(self, ion_id: str) -> IonModel:
         if ion_id == "":
@@ -200,21 +198,6 @@ class ExperimentConfig:
             if ion.ion_id == ion_id:
                 return ion
         raise ConfigError(f"unknown ion id {ion_id!r}")
-
-    def effective_emitter(self, ion: IonModel) -> EffectiveEmitter:
-        return EffectiveEmitter(
-            lifetime_us=effective_lifetime_us(self.emitter),
-            fwhm_mhz=ion.zero_field_fwhm_mhz,
-            frequency_mhz=ion.zero_field_frequency_mhz,
-            saturation_excitation_prob=self.saturation_excitation_prob,
-        )
-
-    def simulated_ion(self, ion_id: str) -> SimulatedIon:
-        ion = self.ion(ion_id)
-        return SimulatedIon(model=ion, emitter=self.effective_emitter(ion))
-
-    def simulated_ions(self) -> list[SimulatedIon]:
-        return [SimulatedIon(model=i, emitter=self.effective_emitter(i)) for i in self.ions]
 
 
 def default_config() -> ExperimentConfig:
@@ -229,18 +212,20 @@ def default_config() -> ExperimentConfig:
 # keys are its dataclass's field names, in field order, each typed by the
 # field's annotation. The departures from that rule:
 _FILE_KEYS = {("ions", "ion_id"): "id"}
-_HOSTED = {"saturation_excitation_prob": "emitter"}  # ExperimentConfig scalars kept in a section
 _ION_DEFAULTS = {"zero_field_frequency_mhz": 0.0}  # [[ions]] may omit it; other no-default keys are required
-# Numbers that reach no output: the retired cavity model, the permittivities,
-# which drop out of the field, and the stopping rule of the iterative solver the
-# exact one replaced (see electrostatics). A stored config.toml may hold them:
-# the reader checks each is a finite number and drops it; never written.
+# Keys that reach no output: the retired cavity model, the permittivities, which
+# drop out of the field, the stopping rule of the iterative solver the exact one
+# replaced (see electrostatics), and the decay and g2 ion, whose experiments read
+# only the shared [emitter]. A stored config.toml may hold them: the reader checks
+# each value as the type given here and drops it; never written.
 _RETIRED = {
-    "solver": ("tolerance_v", "max_iterations"),
-    "dielectric": ("relative_permittivity_above", "relative_permittivity_below"),
-    "cavity": ("center_frequency_ghz", "quality_factor", "mode_volume_cubic_wavelengths",
-               "refractive_index", "dip_depth"),
-    "emitter": ("branching_ratio",),
+    "solver": dict.fromkeys(("tolerance_v", "max_iterations"), float),
+    "dielectric": dict.fromkeys(("relative_permittivity_above", "relative_permittivity_below"), float),
+    "cavity": dict.fromkeys(("center_frequency_ghz", "quality_factor", "mode_volume_cubic_wavelengths",
+                             "refractive_index", "dip_depth"), float),
+    "emitter": {"branching_ratio": float},
+    "decay": {"ion_id": str},
+    "g2": {"ion_id": str},
 }
 
 _HINTS = get_type_hints(ExperimentConfig)
@@ -252,15 +237,13 @@ def _slots(section: str) -> dict[str, tuple[str, Any]]:
     hint = _HINTS[section]
     cls = get_args(hint)[0] if section in _ARRAYS else hint
     hints = get_type_hints(cls)
-    slots = {
+    return {
         _FILE_KEYS.get((section, f.name), f.name): (f.name, hints[f.name])
         for f in fields(cls)
     }
-    slots.update((name, (name, _HINTS[name])) for name, host in _HOSTED.items() if host == section)
-    return slots
 
 
-_SLOTS = {f.name: _slots(f.name) for f in fields(ExperimentConfig) if f.name not in _HOSTED}
+_SLOTS = {f.name: _slots(f.name) for f in fields(ExperimentConfig)}
 
 
 _EXPECTED = {str: "a string", int: "an integer", float: "a number"}
@@ -290,11 +273,11 @@ def _coerce(where: str, hint: Any, value: Any) -> Any:
 
 
 def _read_table(where: str, section: str, table: dict[str, Any]) -> dict[str, Any]:
-    slots, retired = _SLOTS.get(section, {}), _RETIRED.get(section, ())
+    slots, retired = _SLOTS.get(section, {}), _RETIRED.get(section, {})
     values = {}
     for key, value in table.items():
         if key in retired:  # checked, then dropped
-            _coerce(f"{where}.{key}", float, value)
+            _coerce(f"{where}.{key}", retired[key], value)
         elif key not in slots:
             raise ConfigError(f"{where}: unknown key {key!r}")
         else:
@@ -330,7 +313,6 @@ def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
             if not isinstance(content, dict):
                 raise ConfigError(f"[{section}] must be a plain section, got {type(content).__name__}")
             values = _read_table(f"[{section}]", section, content)
-            changes.update({name: values.pop(name) for name in _HOSTED if name in values})
             if section in _SLOTS:
                 changes[section] = replace(getattr(base, section), **values)
         return replace(base, **changes)
@@ -340,9 +322,9 @@ def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _table(section: str, obj: Any, config: ExperimentConfig) -> dict[str, Any]:
+def _table(section: str, obj: Any) -> dict[str, Any]:
     return {
-        key: getattr(config if name in _HOSTED else obj, name)
+        key: getattr(obj, name)
         for key, (name, _) in _SLOTS[section].items()
     }
 
@@ -352,9 +334,9 @@ def config_to_dict(config: ExperimentConfig) -> dict[str, Any]:
     for section in _SLOTS:
         value = getattr(config, section)
         if section in _ARRAYS:
-            data[section] = [_table(section, entry, config) for entry in value]
+            data[section] = [_table(section, entry) for entry in value]
         else:
-            data[section] = _table(section, value, config)
+            data[section] = _table(section, value)
     return data
 
 

@@ -8,6 +8,10 @@ and is detected with the overall collection efficiency if the photon
 falls inside the window. Dark counts are a homogeneous Poisson process
 over the open window.
 
+The simulators take each ion's own line as an :class:`~starksim.stark.IonModel`
+and the lifetime and saturation all ions share as one
+:class:`~starksim.cavity.EmitterParams`, the only input of decay and g2.
+
 Determinism contract: every scan point draws from its own generator,
 seeded as ``splitmix64(master_seed, point_index)``, so a scan point's
 counts depend only on the master seed and its index.
@@ -21,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cavity import EffectiveEmitter, excitation_probability
+from .cavity import EmitterParams, excitation_probability
 from .csvio import write_table
 from .electrostatics import FieldVector
 from .stark import IonModel, stark_shift_empirical
@@ -32,7 +36,6 @@ __all__ = [
     "PLEProtocol",
     "DetectorModel",
     "ScanResult",
-    "SimulatedIon",
     "StarkScanPoint",
     "SimulationError",
     "emission_window_probability",
@@ -177,14 +180,6 @@ class G2Histogram:
 
 
 @dataclass(frozen=True)
-class SimulatedIon:
-    """Pairing of an ion's field response with its cavity-modified emitter."""
-
-    model: IonModel
-    emitter: EffectiveEmitter
-
-
-@dataclass(frozen=True)
 class StarkScanPoint:
     voltage_v: float
     field: FieldVector
@@ -196,15 +191,16 @@ def emission_window_probability(lifetime_us: float, delay_us: float, window_us: 
     return math.exp(-delay_us / lifetime_us) - math.exp(-(delay_us + window_us) / lifetime_us)
 
 
-def _shifted_line(ion: SimulatedIon, field: FieldVector) -> tuple[float, float]:
+def _shifted_line(ion: IonModel, field: FieldVector) -> tuple[float, float]:
     """Line centre and broadened width of an ion under the applied field."""
-    response = stark_shift_empirical(ion.model, field)
-    centre = ion.model.zero_field_frequency_mhz + response.shift_mhz
+    response = stark_shift_empirical(ion, field)
+    centre = ion.zero_field_frequency_mhz + response.shift_mhz
     return centre, response.fwhm_mhz
 
 
 def simulate_ple_scan(
-    ions: Sequence[SimulatedIon],
+    ions: Sequence[IonModel],
+    emitter: EmitterParams,
     protocol: PLEProtocol,
     detector: DetectorModel,
     field: FieldVector,
@@ -221,28 +217,18 @@ def simulate_ple_scan(
     frequencies = protocol.scan_frequencies_mhz()
     n_pulses = protocol.pulses_per_point
 
-    lines = []
-    for ion in ions:
-        centre, fwhm = _shifted_line(ion, field)
-        probe = EffectiveEmitter(
-            lifetime_us=ion.emitter.lifetime_us,
-            fwhm_mhz=fwhm,
-            frequency_mhz=centre,
-            saturation_excitation_prob=ion.emitter.saturation_excitation_prob,
-        )
-        window_prob = emission_window_probability(
-            probe.lifetime_us, protocol.window_delay_us, protocol.window_length_us
-        )
-        lines.append((probe, window_prob))
-
+    lines = [_shifted_line(ion, field) for ion in ions]
+    window_prob = emission_window_probability(
+        emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
+    )
     dark_mean = detector.dark_mean_per_pulse(protocol.window_length_us) * n_pulses
 
     counts = []
     for index, freq in enumerate(frequencies):
         rng = point_generator(seed, index)
         total = 0
-        for probe, window_prob in lines:
-            p_exc = excitation_probability(probe, freq - probe.frequency_mhz)
+        for centre, fwhm in lines:
+            p_exc = excitation_probability(emitter.saturation_excitation_prob, fwhm, freq - centre)
             excited = rng.binomial(n_pulses, p_exc)
             total += rng.binomial(excited, detector.total_efficiency * window_prob)
         counts.append(total + rng.poisson(dark_mean))
@@ -254,7 +240,7 @@ def simulate_ple_scan(
 
 
 def simulate_decay_histogram(
-    effective: EffectiveEmitter,
+    emitter: EmitterParams,
     protocol: PLEProtocol,
     detector: DetectorModel,
     n_pulses: int,
@@ -285,12 +271,12 @@ def simulate_decay_histogram(
     n_bins = max(int(math.ceil(protocol.window_length_us / bin_width_us - 1e-9)), 1)
     edges = bin_width_us * np.arange(n_bins + 1)
     inside = np.minimum(edges, protocol.window_length_us)
-    survival = np.exp(-(protocol.window_delay_us + inside) / effective.lifetime_us)
+    survival = np.exp(-(protocol.window_delay_us + inside) / emitter.lifetime_us)
     bin_probs = survival[:-1] - survival[1:]
     p_window = float(bin_probs.sum())
 
     rng = point_generator(seed, 0)
-    p_photon = effective.saturation_excitation_prob * detector.total_efficiency * p_window
+    p_photon = emitter.saturation_excitation_prob * detector.total_efficiency * p_window
     n_signal = rng.binomial(n_pulses, p_photon)
     # a pulse can only yield a photon if p_window > 0, so the split never divides by 0
     signal = rng.multinomial(n_signal, bin_probs / p_window) if n_signal else 0
@@ -299,7 +285,7 @@ def simulate_decay_histogram(
 
 
 def simulate_g2_histogram(
-    effective: EffectiveEmitter,
+    emitter: EmitterParams,
     background_fraction: float,
     protocol: PLEProtocol,
     n_pulses: int,
@@ -327,8 +313,8 @@ def simulate_g2_histogram(
         raise SimulationError(f"unknown signal statistics {signal_statistics!r}")
 
     rng = point_generator(seed, 0)
-    p_signal = effective.saturation_excitation_prob * emission_window_probability(
-        effective.lifetime_us, protocol.window_delay_us, protocol.window_length_us
+    p_signal = emitter.saturation_excitation_prob * emission_window_probability(
+        emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
     )
     background_mean = background_fraction / (1.0 - background_fraction) * p_signal
 
@@ -353,7 +339,8 @@ def simulate_g2_histogram(
 
 
 def simulate_stark_scan(
-    ion: SimulatedIon,
+    ion: IonModel,
+    emitter: EmitterParams,
     voltages_v: Sequence[float],
     unit_field: FieldVector,
     protocol: PLEProtocol,
@@ -382,7 +369,7 @@ def simulate_stark_scan(
         scan_protocol = protocol.replace_scan(
             base - window_half_width_mhz, base + window_half_width_mhz
         )
-        scan = simulate_ple_scan([ion], scan_protocol, detector, field, mix_seed(seed, v_index))
+        scan = simulate_ple_scan([ion], emitter, scan_protocol, detector, field, mix_seed(seed, v_index))
         results.append(StarkScanPoint(voltage_v=float(voltage), field=field, scan=scan))
     return results
 

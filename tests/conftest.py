@@ -10,4 +10,9 @@ def config():
 
 @pytest.fixture(scope="session")
 def ion1(config):
-    return config.simulated_ion("ion1")
+    return config.ion("ion1")
+
+
+@pytest.fixture(scope="session")
+def emitter(config):
+    return config.emitter

@@ -60,7 +60,7 @@ def config():
 def test_criterion_1_lifetime_chain(config):
     assert config.emitter.bulk_lifetime_ms == 11.4
     assert config.emitter.enhancement_factor == 278.0
-    emitter = config.effective_emitter(config.ion("ion1"))
+    emitter = config.emitter
     floor = config.detector.dark_rate_hz * 1.0e-6 * 10_000_000
 
     taus = []
@@ -87,7 +87,7 @@ def test_criterion_1_lifetime_chain(config):
 
 
 def test_criterion_2_antibunching(config):
-    emitter = config.effective_emitter(config.ion("ion1"))
+    emitter = config.emitter
 
     tuned = estimate_g2_zero(
         simulate_g2_histogram(emitter, 1.0 - 0.949, config.protocol, 400_000, 10, 2025)
@@ -121,9 +121,9 @@ def _unit_field(config):
 
 
 def test_criterion_3_stark_linearity(config):
-    ion = config.simulated_ion("ion1")
     points = simulate_stark_scan(
-        ion,
+        config.ion("ion1"),
+        config.emitter,
         config.stark.voltages_v,
         _unit_field(config),
         config.protocol,
@@ -156,9 +156,10 @@ def test_criterion_3_stark_linearity(config):
 
 
 def test_criterion_4_maximum_shift_ratio(config):
-    ion = config.simulated_ion("ion2")
+    ion = config.ion("ion2")
     points = simulate_stark_scan(
         ion,
+        config.emitter,
         [0.0, 333.0],
         _unit_field(config),
         config.protocol,
@@ -166,10 +167,10 @@ def test_criterion_4_maximum_shift_ratio(config):
         mix_seed(config.run.seed, 4),
     )
     fits = [fit_lorentzian(p.scan.frequencies_mhz, p.scan.counts) for p in points]
-    rest = ion.model.zero_field_frequency_mhz
+    rest = ion.zero_field_frequency_mhz
     shift = fits[1].value("center_mhz") - rest
     shift_err = fits[1].stderr("center_mhz")
-    ratio = abs(shift) / ion.model.zero_field_fwhm_mhz
+    ratio = abs(shift) / ion.zero_field_fwhm_mhz
     # the fitted zero-voltage line must agree with the configured rest frequency
     anchored = abs(fits[0].value("center_mhz") - rest) <= 3.0 * fits[0].stderr("center_mhz")
 
@@ -338,7 +339,7 @@ def test_criterion_8_determinism(tmp_path, capsys):
 
 def test_criterion_9_background_statistics(config):
     protocol = config.protocol.replace_scan(0.0, 5.0 * 999)
-    scan = simulate_ple_scan([], protocol, config.detector, FieldVector(0.0, 0.0), 909)
+    scan = simulate_ple_scan([], config.emitter, protocol, config.detector, FieldVector(0.0, 0.0), 909)
     counts = scan.counts.astype(float)
     n = counts.size
 

@@ -194,6 +194,11 @@ class TestLoadTimeChecks:
             ("[emitter]\nenhancement_factor = 1e6\n",
              "[emitter] with ion 'ion1': linewidth 6.7 MHz is below the lifetime limit",
              ["reproduce", "fig3b"]),
+            # retired, but still checked as a string
+            ("[decay]\nion_id = 5\n", "[decay].ion_id: expected a string", ["reproduce", "fig3b"]),
+            # the one ion_id still checked against the registry
+            ('[stark]\nion_id = "ion99"\n', "[stark].ion_id 'ion99' is not in the ion registry",
+             ["reproduce", "fig4a"]),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, tmp_path, text, where, argv):
@@ -469,6 +474,21 @@ class TestPipelines:
         assert code == EXIT_FITTING
         assert out == "" and err.startswith("error: fitting failed: need at least 3 nonzero side lags")
 
+    @pytest.mark.parametrize(
+        "rows, found",
+        [("-2,5,0\n-1,6,0\n1,5,0\n2,7,0\n", 0), ("-1,6,0\n0,1,0\n0,2,0\n1,5,0\n2,7,0\n", 2)],
+        ids=["no-lag-0", "two-lag-0"],
+    )
+    def test_g2_needs_one_lag_0_row(self, capsys, config_path, tmp_path, rows, found):
+        histogram = tmp_path / "g2.csv"
+        histogram.write_text("lag_pulses,coincidences,normalized\n" + rows, encoding="utf-8")
+        code, out, err = run(
+            capsys, "fit", "--config", config_path, "--kind", "g2",
+            "--input", histogram, "--out", tmp_path / "x",
+        )
+        assert code == EXIT_FITTING
+        assert out == "" and err == f"error: fitting failed: need exactly one lag-0 bin, got {found}\n"
+
     def test_fit_on_missing_file_exits_5(self, capsys, config_path, tmp_path):
         code, _, _ = run(
             capsys, "fit", "--config", config_path, "--kind", "g2",
@@ -627,6 +647,16 @@ class TestManifestReplay:
         code, out, _ = run(capsys, *argv, "--out", built_in)
         code_b, out_b, _ = run(capsys, *argv, "--config", stored, "--out", replayed)
         assert_same_run((code, out, built_in), (code_b, out_b, replayed))
+
+    @pytest.mark.parametrize("figure", ["fig3b", "fig3c"])
+    def test_retired_decay_and_g2_ion_give_the_built_in_run(self, capsys, tmp_path, figure):
+        # the decay and g2 experiments read only the shared [emitter], so the ion these keys chose reached no output
+        stored = tmp_path / "ions.toml"
+        stored.write_text('[decay]\nion_id = "ion4"\n\n[g2]\nion_id = "ion6"\n', encoding="utf-8")
+        built_in, chosen = tmp_path / "built_in", tmp_path / "chosen"
+        code, out, _ = run(capsys, "reproduce", figure, "--out", built_in)
+        code_b, out_b, _ = run(capsys, "reproduce", figure, "--config", stored, "--out", chosen)
+        assert_same_run((code, out, built_in), (code_b, out_b, chosen))
 
 
 def test_cli_import_leaves_scipy_out():

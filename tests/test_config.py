@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from starksim.cavity import EmitterParams, effective_lifetime_us, lifetime_limited_fwhm_mhz
+from starksim.cavity import EmitterParams, lifetime_limited_fwhm_mhz
 from starksim.cli import EXIT_CONFIG, main
 from starksim.config import (
     ConfigError,
@@ -21,8 +21,8 @@ from starksim.stark import IonModel
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-# keys of the retired cavity model, permittivities and iterative-solver stopping
-# rule: read and dropped, never written
+# keys of the retired cavity model, permittivities, iterative-solver stopping
+# rule and decay and g2 ion: read and dropped, never written
 RETIRED = {
     "solver": {"tolerance_v": 1e-4, "max_iterations": 100},
     "dielectric": {"relative_permittivity_above": 1.0, "relative_permittivity_below": 9.0},
@@ -34,6 +34,8 @@ RETIRED = {
         "dip_depth": 0.9,
     },
     "emitter": {"branching_ratio": 0.2},
+    "decay": {"ion_id": "ion4"},
+    "g2": {"ion_id": "ion6"},
 }
 
 
@@ -198,13 +200,22 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=r"\[emitter\] with ion 'ion4'"):
             dataclasses.replace(config, ions=(*config.ions[:3], narrow))
 
-    def test_effective_emitter_derivation(self):
+    def test_rejects_linewidth_below_lifetime_limit(self):
         config = default_config()
-        emitter = config.effective_emitter(config.ion("ion1"))
-        assert emitter.lifetime_us == pytest.approx(41.0, abs=0.01)
-        assert emitter.fwhm_mhz == 6.7
-        assert emitter.frequency_mhz == 0.0
-        assert emitter.saturation_excitation_prob == 0.5
+        limit = lifetime_limited_fwhm_mhz(config.emitter.lifetime_us)
+        narrow, wide = (dataclasses.replace(config.ions[0], zero_field_fwhm_mhz=limit * f) for f in (0.9, 1.1))
+        message = r"\[emitter\] with ion 'ion1': linewidth .* MHz is below the lifetime limit"
+        with pytest.raises(ConfigError, match=message):
+            dataclasses.replace(config, ions=(narrow,))
+        assert dataclasses.replace(config, ions=(wide,)).ions == (wide,)
+
+    def test_shared_emitter_derivation(self):
+        config = default_config()
+        assert config.emitter.lifetime_us == pytest.approx(41.0, abs=0.01)
+        assert config.emitter.saturation_excitation_prob == 0.5
+        ion = config.ion("ion1")
+        assert ion.zero_field_fwhm_mhz == 6.7
+        assert ion.zero_field_frequency_mhz == 0.0
 
     def test_partial_override_keeps_other_defaults(self):
         config = loads_config("[detector]\ndark_rate_hz = 5.0\n")
@@ -253,9 +264,9 @@ class TestExperimentConfig:
 
 
 class TestRetiredKeys:
-    """The cavity model's keys, the permittivities and the solver's stopping
-    rule reach no output and are retired: a stored config.toml holding them
-    still loads, and no file is written with them."""
+    """The cavity model's keys, the permittivities, the solver's stopping
+    rule and the decay and g2 ion reach no output and are retired: a stored
+    config.toml holding them still loads, and no file is written with them."""
 
     def test_pre_retirement_fixture_loads_to_the_defaults(self):
         text = (FIXTURES / "config_with_retired_keys.toml").read_text(encoding="utf-8")
@@ -274,6 +285,8 @@ class TestRetiredKeys:
             "cavity": {**RETIRED["cavity"], "quality_factor": 7},
             "dielectric": RETIRED["dielectric"],
             "solver": RETIRED["solver"],
+            "decay": RETIRED["decay"],
+            "g2": RETIRED["g2"],
         }
         retired = dump_toml(sections) + (
             "[emitter]\nbulk_lifetime_ms = 10.0\nbranching_ratio = 1e9\n\n[run]\nseed = 3\n"
@@ -282,6 +295,7 @@ class TestRetiredKeys:
         assert loads_config(retired).emitter.bulk_lifetime_ms == 10.0
         assert loads_config("[cavity]\n") == default_config()
         assert loads_config("[dielectric]\n") == default_config()
+        assert loads_config(dump_toml({"decay": RETIRED["decay"], "g2": RETIRED["g2"]})) == default_config()
 
     @pytest.mark.parametrize(
         "text, message",
@@ -291,6 +305,8 @@ class TestRetiredKeys:
             ('[cavity]\ndip_depth = "deep"\n', r"\[cavity\]\.dip_depth: expected a number"),
             ("[cavity]\nlinewidth_ghz = 3.8\n", r"\[cavity\]: unknown key 'linewidth_ghz'"),
             ("[[cavity]]\nquality_factor = 1.0\n", r"\[cavity\] must be a plain section"),
+            ("[decay]\nion_id = 5\n", r"\[decay\]\.ion_id: expected a string"),
+            ("[g2]\nion_id = 1.0\n", r"\[g2\]\.ion_id: expected a string"),
             ("[dielectric]\nrelative_permittivity = 9.0\n",
              r"\[dielectric\]: unknown key 'relative_permittivity'"),
         ],
@@ -334,15 +350,16 @@ def test_round_trip_property():
             base,
             ions=tuple(ions),
             # no enhancement: a lifetime limit below every drawn linewidth
-            emitter=dataclasses.replace(base.emitter, enhancement_factor=1.0),
-            saturation_excitation_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
+            emitter=dataclasses.replace(
+                base.emitter,
+                enhancement_factor=1.0,
+                saturation_excitation_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
+            ),
             run=dataclasses.replace(
                 base.run,
                 seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
                 max_voltage_v=draw(st.floats(min_value=1e-3, max_value=1e4)),
             ),
-            decay=dataclasses.replace(base.decay, ion_id=draw(figure_ion)),
-            g2=dataclasses.replace(base.g2, ion_id=draw(figure_ion)),
             stark=dataclasses.replace(
                 base.stark,
                 ion_id=draw(figure_ion),
@@ -361,7 +378,7 @@ def test_round_trip_property():
             ch in output_dir for ch in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
         )
         emitter = dataclasses.replace(config.emitter, enhancement_factor=enhancement_factor)
-        limit = lifetime_limited_fwhm_mhz(effective_lifetime_us(emitter))
+        limit = lifetime_limited_fwhm_mhz(emitter.lifetime_us)
         valid = writable and all(ion.zero_field_fwhm_mhz >= limit for ion in config.ions)
         try:
             config = dataclasses.replace(

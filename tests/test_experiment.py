@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from starksim.analysis import fit_lorentzian, read_decay_csv, read_g2_csv, read_ple_csv
-from starksim.cavity import EffectiveEmitter
+from starksim.cavity import EmitterParams
 from starksim.electrostatics import ElectrodeLayout, FieldVector, field_per_volt
 from starksim.experiment import (
     DetectorModel,
@@ -57,38 +57,38 @@ class TestProtocolValidation:
 
 
 class TestPLEScan:
-    def test_deterministic(self, config, ion1):
+    def test_deterministic(self, config, ion1, emitter):
         proto = config.protocol.replace_scan(-50.0, 50.0)
         runs = [
-            simulate_ple_scan([ion1], proto, config.detector, FieldVector(0.0, 0.0), 99) for _ in range(2)
+            simulate_ple_scan([ion1], emitter, proto, config.detector, FieldVector(0.0, 0.0), 99) for _ in range(2)
         ]
         assert np.array_equal(runs[0].counts, runs[1].counts)
 
-    def test_zero_efficiency_and_darks_give_zero_counts(self, config, ion1):
+    def test_zero_efficiency_and_darks_give_zero_counts(self, config, ion1, emitter):
         detector = DetectorModel(total_efficiency=0.0, dark_rate_hz=0.0)
         scan = simulate_ple_scan(
-            [ion1], config.protocol.replace_scan(-20.0, 20.0), detector, FieldVector(0.0, 0.0), 1
+            [ion1], emitter, config.protocol.replace_scan(-20.0, 20.0), detector, FieldVector(0.0, 0.0), 1
         )
         assert np.all(scan.counts == 0)
 
     def test_ion_free_scan_matches_dark_expectation(self, config):
         proto = config.protocol.replace_scan(0.0, 5.0 * 999)
-        scan = simulate_ple_scan([], proto, config.detector, FieldVector(0.0, 0.0), 7)
+        scan = simulate_ple_scan([], config.emitter, proto, config.detector, FieldVector(0.0, 0.0), 7)
         expected = 2.0 * 85e-6 * 50_000  # rate x window x pulses
         assert expected == pytest.approx(8.5)
         sigma = math.sqrt(expected / scan.counts.size)
         assert abs(scan.counts.mean() - expected) < 3.0 * sigma
 
-    def test_single_ion_linewidth_recovered(self, config, ion1):
+    def test_single_ion_linewidth_recovered(self, config, ion1, emitter):
         proto = config.protocol.replace_scan(-60.0, 60.0)
-        scan = simulate_ple_scan([ion1], proto, config.detector, FieldVector(0.0, 0.0), 17)
+        scan = simulate_ple_scan([ion1], emitter, proto, config.detector, FieldVector(0.0, 0.0), 17)
         fit = fit_lorentzian(scan.frequencies_mhz, scan.counts)
         assert fit.value("fwhm_mhz") == pytest.approx(6.7, abs=3.0 * fit.stderr("fwhm_mhz"))
         assert fit.value("center_mhz") == pytest.approx(0.0, abs=3.0 * fit.stderr("center_mhz"))
 
-    def test_counts_nonnegative_and_frequencies_increasing(self, config, ion1):
+    def test_counts_nonnegative_and_frequencies_increasing(self, config, ion1, emitter):
         scan = simulate_ple_scan(
-            [ion1], config.protocol.replace_scan(-30.0, 30.0), config.detector,
+            [ion1], emitter, config.protocol.replace_scan(-30.0, 30.0), config.detector,
             FieldVector(2000.0, 0.0), 3,
         )
         assert np.all(scan.counts >= 0)
@@ -96,9 +96,9 @@ class TestPLEScan:
 
 
 class TestDecay:
-    def test_lifetime_recovered_within_two_percent(self, config, ion1):
+    def test_lifetime_recovered_within_two_percent(self, config, emitter):
         hist = simulate_decay_histogram(
-            ion1.emitter, config.protocol, config.detector, 10_000_000, 1.0, 42
+            emitter, config.protocol, config.detector, 10_000_000, 1.0, 42
         )
         from starksim.analysis import fit_exponential_decay
 
@@ -106,8 +106,8 @@ class TestDecay:
         fit = fit_exponential_decay(hist, known_background=floor)
         assert fit.value("tau_us") == pytest.approx(41.007, rel=0.02)
 
-    def test_zero_excitation_leaves_uniform_darks(self, config, ion1):
-        emitter = dataclasses.replace(ion1.emitter, saturation_excitation_prob=0.0)
+    def test_zero_excitation_leaves_uniform_darks(self, config, emitter):
+        emitter = dataclasses.replace(emitter, saturation_excitation_prob=0.0)
         n_pulses = 2_000_000
         hist = simulate_decay_histogram(emitter, config.protocol, config.detector, n_pulses, 1.0, 5)
         per_bin = config.detector.dark_rate_hz * 1.0 * 1e-6 * n_pulses
@@ -118,18 +118,19 @@ class TestDecay:
         mean_time = np.average(hist.bin_centers_us, weights=hist.counts)
         assert mean_time == pytest.approx(85.0 / 2.0, abs=3.0 * 85.0 / math.sqrt(12 * hist.counts.sum()))
 
-    def test_signal_total_matches_closed_form(self, config, ion1):
+    def test_signal_total_matches_closed_form(self, config, emitter):
         n_pulses = 1_000_000
         detector = DetectorModel(total_efficiency=config.detector.total_efficiency, dark_rate_hz=0.0)
-        hist = simulate_decay_histogram(ion1.emitter, config.protocol, detector, n_pulses, 1.0, 9)
-        p_window = emission_window_probability(ion1.emitter.lifetime_us, 1.0, 85.0)
+        hist = simulate_decay_histogram(emitter, config.protocol, detector, n_pulses, 1.0, 9)
+        p_window = emission_window_probability(emitter.lifetime_us, 1.0, 85.0)
         expected = n_pulses * 0.5 * p_window * detector.total_efficiency
         assert abs(hist.counts.sum() - expected) < 3.0 * math.sqrt(expected)
 
-    def test_at_most_one_signal_photon_per_pulse(self, config, ion1):
+    def test_at_most_one_signal_photon_per_pulse(self, config, emitter):
         # every pulse excited, every photon detected, no darks: the total is
         # Binomial(n, P_window), never above n and far below Poisson spread
-        emitter = dataclasses.replace(ion1.emitter, lifetime_us=20.0, saturation_excitation_prob=1.0)
+        emitter = EmitterParams(bulk_lifetime_ms=20.0, enhancement_factor=1000.0, saturation_excitation_prob=1.0)
+        assert emitter.lifetime_us == 20.0
         detector = DetectorModel(total_efficiency=1.0, dark_rate_hz=0.0)
         n_pulses = 20
         totals = np.array([
@@ -142,36 +143,36 @@ class TestDecay:
         assert totals.mean() == pytest.approx(n_pulses * p_window, abs=4.0 * math.sqrt(variance / totals.size))
         assert totals.var(ddof=1) == pytest.approx(variance, rel=0.3)
 
-    def test_times_inside_window(self, config, ion1):
-        hist = simulate_decay_histogram(ion1.emitter, config.protocol, config.detector, 200_000, 2.0, 13)
+    def test_times_inside_window(self, config, emitter):
+        hist = simulate_decay_histogram(emitter, config.protocol, config.detector, 200_000, 2.0, 13)
         assert hist.counts.dtype == np.int64
         assert np.all(hist.counts >= 0)
         assert hist.bin_edges_us[0] == 0.0
         assert hist.bin_edges_us[-2] < 85.0 <= hist.bin_edges_us[-1]
 
-    def test_histogram_covers_window(self, config, ion1):
-        hist = simulate_decay_histogram(ion1.emitter, config.protocol, config.detector, 100_000, 1.0, 3)
+    def test_histogram_covers_window(self, config, emitter):
+        hist = simulate_decay_histogram(emitter, config.protocol, config.detector, 100_000, 1.0, 3)
         assert hist.bin_edges_us[0] == 0.0
         assert hist.bin_edges_us[-1] == pytest.approx(85.0)
         assert hist.counts.sum() > 0
 
 
-def _decay_bin_means(effective, protocol, detector, n_pulses, edges):
+def _decay_bin_means(emitter, protocol, detector, n_pulses, edges):
     """Closed-form signal and dark means per bin, bins clipped to the window."""
     inside = np.minimum(edges, protocol.window_length_us)
-    survival = np.exp(-(protocol.window_delay_us + inside) / effective.lifetime_us)
-    p_photon = effective.saturation_excitation_prob * detector.total_efficiency
+    survival = np.exp(-(protocol.window_delay_us + inside) / emitter.lifetime_us)
+    p_photon = emitter.saturation_excitation_prob * detector.total_efficiency
     signal = n_pulses * p_photon * (survival[:-1] - survival[1:])
     darks = detector.dark_rate_hz * np.diff(inside) * 1e-6 * n_pulses
     return signal, darks
 
 
-def _per_pulse_decay_counts(effective, protocol, detector, n_pulses, edges, seed):
+def _per_pulse_decay_counts(emitter, protocol, detector, n_pulses, edges, seed):
     """Reference sampler: one excitation draw per pulse, one exponential
     delay per excited pulse, darks placed uniformly over the window."""
     rng = np.random.default_rng(seed)
-    excited = int(np.count_nonzero(rng.random(n_pulses) < effective.saturation_excitation_prob))
-    delays = rng.exponential(effective.lifetime_us, excited)
+    excited = int(np.count_nonzero(rng.random(n_pulses) < emitter.saturation_excitation_prob))
+    delays = rng.exponential(emitter.lifetime_us, excited)
     lo = protocol.window_delay_us
     in_window = (delays >= lo) & (delays <= lo + protocol.window_length_us)
     detected = in_window & (rng.random(excited) < detector.total_efficiency)
@@ -193,9 +194,9 @@ class TestDecayDistribution:
     BIN_WIDTH_US = 20.0
 
     @pytest.fixture(scope="class", params=[2.0, 200.0], ids=["default-darks", "dark-heavy"])
-    def samples(self, request, config, ion1):
+    def samples(self, request, config, emitter):
         detector = DetectorModel(total_efficiency=config.detector.total_efficiency, dark_rate_hz=request.param)
-        args = (ion1.emitter, config.protocol, detector, self.N_PULSES)
+        args = (emitter, config.protocol, detector, self.N_PULSES)
         fast = np.array([
             simulate_decay_histogram(*args, self.BIN_WIDTH_US, seed).counts for seed in range(self.N_SEEDS)
         ])
@@ -244,14 +245,15 @@ class TestDecayDegenerateInputs:
 
     @pytest.mark.parametrize("case", ["no excitation", "no efficiency", "window probability underflows"])
     @pytest.mark.parametrize("dark_rate_hz", [0.0, 2.0])
-    def test_no_signal(self, config, ion1, case, dark_rate_hz):
-        emitter, efficiency = ion1.emitter, config.detector.total_efficiency
+    def test_no_signal(self, config, emitter, case, dark_rate_hz):
+        efficiency = config.detector.total_efficiency
         if case == "no excitation":
             emitter = dataclasses.replace(emitter, saturation_excitation_prob=0.0)
         elif case == "no efficiency":
             efficiency = 0.0
         else:  # exp(-1 us / 1 ns) is 0.0 in double precision
-            emitter = dataclasses.replace(emitter, lifetime_us=1e-3, fwhm_mhz=200.0)
+            emitter = EmitterParams(bulk_lifetime_ms=1e-3, enhancement_factor=1000.0)
+            assert emitter.lifetime_us == 1e-3
             assert emission_window_probability(1e-3, 1.0, 85.0) == 0.0
         detector = DetectorModel(total_efficiency=efficiency, dark_rate_hz=dark_rate_hz)
         hist = self._histogram(config, emitter, detector)
@@ -261,16 +263,16 @@ class TestDecayDegenerateInputs:
         else:
             assert abs(hist.counts.sum() - expected) < 4.0 * math.sqrt(expected)
 
-    def test_bin_wider_than_window(self, config, ion1):
-        hist = self._histogram(config, ion1.emitter, config.detector, bin_width_us=100.0)
+    def test_bin_wider_than_window(self, config, emitter):
+        hist = self._histogram(config, emitter, config.detector, bin_width_us=100.0)
         assert hist.bin_edges_us.tolist() == [0.0, 100.0]
-        signal, darks = _decay_bin_means(ion1.emitter, config.protocol, config.detector, self.N_PULSES,
+        signal, darks = _decay_bin_means(emitter, config.protocol, config.detector, self.N_PULSES,
                                          hist.bin_edges_us)
         expected = signal.sum() + darks.sum()  # darks over the 85 us window only
         assert abs(hist.counts.sum() - expected) < 4.0 * math.sqrt(expected)
 
-    def test_window_not_a_multiple_of_the_bin(self, config, ion1):
-        emitter = dataclasses.replace(ion1.emitter, saturation_excitation_prob=0.0)
+    def test_window_not_a_multiple_of_the_bin(self, config, emitter):
+        emitter = dataclasses.replace(emitter, saturation_excitation_prob=0.0)
         hist = self._histogram(config, emitter, config.detector, bin_width_us=2.0)
         assert hist.counts.size == 43 and hist.bin_edges_us[-1] == 86.0
         per_bin = config.detector.dark_rate_hz * 2.0 * 1e-6 * self.N_PULSES
@@ -281,34 +283,34 @@ class TestDecayDegenerateInputs:
 
 
 class TestG2:
-    def test_single_emitter_zero_lag_is_empty(self, config, ion1):
-        hist = simulate_g2_histogram(ion1.emitter, 0.0, config.protocol, 100_000, 10, 21)
+    def test_single_emitter_zero_lag_is_empty(self, config, emitter):
+        hist = simulate_g2_histogram(emitter, 0.0, config.protocol, 100_000, 10, 21)
         assert hist.coincidences[hist.lags == 0][0] == 0
         assert hist.coincidences[hist.lags != 0].min() > 0
 
-    def test_poissonian_control_normalizes_to_one(self, config, ion1):
+    def test_poissonian_control_normalizes_to_one(self, config, emitter):
         from starksim.analysis import estimate_g2_zero
 
         hist = simulate_g2_histogram(
-            ion1.emitter, 0.0, config.protocol, 100_000, 10, 23, signal_statistics="poissonian"
+            emitter, 0.0, config.protocol, 100_000, 10, 23, signal_statistics="poissonian"
         )
         estimate = estimate_g2_zero(hist)
         assert estimate.g2_zero == pytest.approx(1.0, abs=3.0 * estimate.standard_error)
 
-    def test_signal_fraction_sets_zero_lag_value(self, config, ion1):
+    def test_signal_fraction_sets_zero_lag_value(self, config, emitter):
         from starksim.analysis import estimate_g2_zero
 
-        hist = simulate_g2_histogram(ion1.emitter, 1.0 - 0.949, config.protocol, 400_000, 10, 25)
+        hist = simulate_g2_histogram(emitter, 1.0 - 0.949, config.protocol, 400_000, 10, 25)
         estimate = estimate_g2_zero(hist)
         assert estimate.g2_zero == pytest.approx(1.0 - 0.949**2, abs=3.5 * estimate.standard_error)
 
-    def test_lag_axis(self, config, ion1):
-        hist = simulate_g2_histogram(ion1.emitter, 0.1, config.protocol, 5_000, 4, 2)
+    def test_lag_axis(self, config, emitter):
+        hist = simulate_g2_histogram(emitter, 0.1, config.protocol, 5_000, 4, 2)
         assert list(hist.lags) == list(range(-4, 5))
 
-    def test_background_fraction_bounds(self, config, ion1):
+    def test_background_fraction_bounds(self, config, emitter):
         with pytest.raises(SimulationError):
-            simulate_g2_histogram(ion1.emitter, 1.0, config.protocol, 1000, 5, 1)
+            simulate_g2_histogram(emitter, 1.0, config.protocol, 1000, 5, 1)
 
 
 class TestStarkScan:
@@ -317,18 +319,18 @@ class TestStarkScan:
         return field_per_volt(config.layout, config.layout.gap_um / 20.0)[0]
 
     def test_zero_voltage_peak_at_rest_frequency(self, config, unit_field):
-        ion2 = config.simulated_ion("ion2")
+        ion2 = config.ion("ion2")
         points = simulate_stark_scan(
-            ion2, [0.0], unit_field, config.protocol,
+            ion2, config.emitter, [0.0], unit_field, config.protocol,
             config.detector, 31, window_half_width_mhz=60.0,
         )
         fit = fit_lorentzian(points[0].scan.frequencies_mhz, points[0].scan.counts)
         assert fit.value("center_mhz") == pytest.approx(-40.0, abs=3.0 * fit.stderr("center_mhz"))
         assert points[0].field.e_parallel_v_per_cm == 0.0
 
-    def test_equally_spaced_voltages_give_equally_spaced_peaks(self, config, ion1, unit_field):
+    def test_equally_spaced_voltages_give_equally_spaced_peaks(self, config, ion1, emitter, unit_field):
         points = simulate_stark_scan(
-            ion1, [0.0, 111.0, 222.0], unit_field, config.protocol,
+            ion1, emitter, [0.0, 111.0, 222.0], unit_field, config.protocol,
             config.detector, 33,
         )
         centres, errs = [], []
@@ -339,26 +341,24 @@ class TestStarkScan:
         first = centres[1] - centres[0]
         second = centres[2] - centres[1]
         assert first == pytest.approx(second, abs=3.0 * math.hypot(*errs[:2], errs[2]))
-        expected = stark_shift_empirical(ion1.model, points[1].field).shift_mhz
+        expected = stark_shift_empirical(ion1, points[1].field).shift_mhz
         assert first == pytest.approx(expected, abs=3.0 * math.hypot(errs[0], errs[1]))
 
-    def test_voltage_limit_enforced(self, config, ion1, unit_field):
+    def test_voltage_limit_enforced(self, config, ion1, emitter, unit_field):
         with pytest.raises(SimulationError):
             simulate_stark_scan(
-                ion1, [400.0], unit_field, config.protocol,
+                ion1, emitter, [400.0], unit_field, config.protocol,
                 config.detector, 1, v_max=333.0,
             )
 
     def test_scan_windows_track_expected_peak(self, config, unit_field):
-        ion3 = config.simulated_ion("ion3")
+        ion3 = config.ion("ion3")
         points = simulate_stark_scan(
-            ion3, [0.0, 333.0], unit_field, config.protocol,
+            ion3, config.emitter, [0.0, 333.0], unit_field, config.protocol,
             config.detector, 35, window_half_width_mhz=50.0,
         )
         for point in points:
-            expected = ion3.model.zero_field_frequency_mhz + stark_shift_empirical(
-                ion3.model, point.field
-            ).shift_mhz
+            expected = ion3.zero_field_frequency_mhz + stark_shift_empirical(ion3, point.field).shift_mhz
             freqs = point.scan.frequencies_mhz
             assert freqs[0] <= expected <= freqs[-1]
             assert np.argmax(point.scan.counts) not in (0, freqs.size - 1)
@@ -367,12 +367,12 @@ class TestStarkScan:
 class TestPipelineClosure:
     """Simulate -> fit recovers the configured truth within its own errors."""
 
-    def test_ple_center_and_width_calibrated(self, config, ion1):
+    def test_ple_center_and_width_calibrated(self, config, ion1, emitter):
         proto = config.protocol.replace_scan(-60.0, 60.0)
         hits = 0
         for seed in range(12):
             scan = simulate_ple_scan(
-                [ion1], proto, config.detector, FieldVector(0.0, 0.0), mix_seed(888, seed)
+                [ion1], emitter, proto, config.detector, FieldVector(0.0, 0.0), mix_seed(888, seed)
             )
             fit = fit_lorentzian(scan.frequencies_mhz, scan.counts)
             centre_ok = abs(fit.value("center_mhz")) <= 3.0 * fit.stderr("center_mhz")
@@ -380,14 +380,14 @@ class TestPipelineClosure:
             hits += centre_ok and width_ok
         assert hits >= 11
 
-    def test_g2_estimate_calibrated(self, config, ion1):
+    def test_g2_estimate_calibrated(self, config, emitter):
         from starksim.analysis import estimate_g2_zero
 
         truth = 1.0 - 0.949**2
         hits = 0
         for seed in range(12):
             hist = simulate_g2_histogram(
-                ion1.emitter, 1.0 - 0.949, config.protocol, 200_000, 10, mix_seed(999, seed)
+                emitter, 1.0 - 0.949, config.protocol, 200_000, 10, mix_seed(999, seed)
             )
             estimate = estimate_g2_zero(hist)
             hits += abs(estimate.g2_zero - truth) <= 3.0 * estimate.standard_error
@@ -395,9 +395,9 @@ class TestPipelineClosure:
 
 
 class TestCsvRoundTrips:
-    def test_ple_csv(self, tmp_path, config, ion1):
+    def test_ple_csv(self, tmp_path, config, ion1, emitter):
         scan = simulate_ple_scan(
-            [ion1], config.protocol.replace_scan(-20.0, 20.0), config.detector,
+            [ion1], emitter, config.protocol.replace_scan(-20.0, 20.0), config.detector,
             FieldVector(0.0, 0.0), 41,
         )
         path = tmp_path / "ple_scan.csv"
@@ -407,16 +407,16 @@ class TestCsvRoundTrips:
         assert np.array_equal(again.counts, scan.counts)
         assert again.integration_s == scan.integration_s
 
-    def test_decay_csv(self, tmp_path, config, ion1):
-        hist = simulate_decay_histogram(ion1.emitter, config.protocol, config.detector, 100_000, 1.0, 43)
+    def test_decay_csv(self, tmp_path, config, emitter):
+        hist = simulate_decay_histogram(emitter, config.protocol, config.detector, 100_000, 1.0, 43)
         path = tmp_path / "decay.csv"
         write_decay_csv(hist, path)
         again = read_decay_csv(path)
         assert np.array_equal(again.counts, hist.counts)
         assert np.allclose(again.bin_edges_us, hist.bin_edges_us)
 
-    def test_g2_csv(self, tmp_path, config, ion1):
-        hist = simulate_g2_histogram(ion1.emitter, 0.05, config.protocol, 20_000, 6, 45)
+    def test_g2_csv(self, tmp_path, config, emitter):
+        hist = simulate_g2_histogram(emitter, 0.05, config.protocol, 20_000, 6, 45)
         path = tmp_path / "g2.csv"
         write_g2_csv(hist, path)
         again = read_g2_csv(path)

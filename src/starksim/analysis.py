@@ -401,27 +401,26 @@ def write_fit_report_csv(rows: Sequence[tuple[str, float, float, str]], path: st
 
 
 def read_ple_csv(path: str | Path) -> ScanResult:
-    rows = read_table(path, ["frequency_offset_mhz", "counts", "integration_s"])
+    frequencies, counts, integration = read_table(
+        path, {"frequency_offset_mhz": float, "counts": int, "integration_s": float}
+    )
     return ScanResult(
-        frequencies_mhz=np.array([float(r[0]) for r in rows]),
-        counts=np.array([int(r[1]) for r in rows], dtype=np.int64),
-        integration_s=float(rows[0][2]) if rows else float("nan"),
+        frequencies_mhz=np.array(frequencies),
+        counts=np.array(counts, dtype=np.int64),
+        integration_s=integration[0] if integration else float("nan"),
     )
 
 
 def read_decay_csv(path: str | Path) -> Histogram:
-    rows = read_table(path, ["time_us", "counts"])
-    centers = np.array([float(r[0]) for r in rows])
-    counts = np.array([int(r[1]) for r in rows], dtype=np.int64)
+    centers, counts = read_table(path, {"time_us": float, "counts": int})
+    centers = np.array(centers)
     if centers.size < 2:
         raise ValueError(f"{path}: need at least two bins")
     width = float(np.median(np.diff(centers)))
     edges = np.concatenate([centers - width / 2.0, [centers[-1] + width / 2.0]])
-    return Histogram(bin_edges_us=edges, counts=counts)
+    return Histogram(bin_edges_us=edges, counts=np.array(counts, dtype=np.int64))
 
 
 def read_g2_csv(path: str | Path) -> G2Histogram:
-    rows = read_table(path, ["lag_pulses", "coincidences", "normalized"])
-    lags = np.array([int(r[0]) for r in rows])
-    coincidences = np.array([int(r[1]) for r in rows], dtype=np.int64)
-    return G2Histogram(lags=lags, coincidences=coincidences)
+    lags, coincidences, _ = read_table(path, {"lag_pulses": int, "coincidences": int, "normalized": float})
+    return G2Histogram(lags=np.array(lags), coincidences=np.array(coincidences, dtype=np.int64))

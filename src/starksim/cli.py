@@ -79,7 +79,6 @@ from .stark import (
     StarkModelError,
     VoltageOutOfRangeError,
     resonance_voltage,
-    stark_shift_empirical,
 )
 
 EXIT_OK = 0
@@ -237,7 +236,7 @@ def _fit_lifetime(config: ExperimentConfig, histogram: Histogram) -> list[Row]:
     edges = histogram.bin_edges_us
     n_inside = int(np.count_nonzero(edges[1:] <= config.protocol.window_length_us * (1.0 + 1e-9)))
     bin_width_us = float(edges[1] - edges[0])
-    dark_floor = config.detector.dark_rate_hz * bin_width_us * 1e-6 * config.decay.n_pulses
+    dark_floor = config.detector.dark_mean_per_pulse(bin_width_us) * config.decay.n_pulses
     fit = fit_exponential_decay(
         Histogram(bin_edges_us=edges[: n_inside + 1], counts=histogram.counts[:n_inside]),
         config.decay.fit_start_us,
@@ -280,12 +279,11 @@ def _stark_sweep(
         config.detector,
         seed,
         window_half_width_mhz=config.stark.window_half_width_mhz,
-        v_max=config.run.max_voltage_v,
     )
     rows = []
     for point in points:
         fit = fit_lorentzian(point.scan.frequencies_mhz, point.scan.counts)
-        centre, fwhm = fit.parameters["center_mhz"], fit.parameters["fwhm_mhz"]
+        centre, fwhm = ((fit.value(name), fit.stderr(name)) for name in ("center_mhz", "fwhm_mhz"))
         rows.append((point.voltage_v, point.field.e_parallel_v_per_cm, *centre, *fwhm))
     write_stark_csv(rows, path)
     return rows
@@ -363,8 +361,7 @@ def _cmd_resonance(args, config: ExperimentConfig, seed: int, out_dir: Path | No
         ion_a, ion_b, unit_field.e_parallel_v_per_cm, config.run.max_voltage_v
     )
     field = unit_field.scaled(voltage)
-    f_a = ion_a.zero_field_frequency_mhz + stark_shift_empirical(ion_a, field).shift_mhz
-    f_b = ion_b.zero_field_frequency_mhz + stark_shift_empirical(ion_b, field).shift_mhz
+    (f_a, _), (f_b, _) = ion_a.line(field), ion_b.line(field)
     print(f"voltage_v={voltage:.17g}")
     print(f"residual_detuning_mhz={abs(f_a - f_b):.17g}")
     print(f"feasible={'true' if abs(voltage) <= config.run.max_voltage_v else 'false'}")

@@ -25,10 +25,9 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
-from .cavity import EmitterParams, lifetime_limited_fwhm_mhz
 from .electrostatics import ElectrodeLayout
 from .experiment import DEFAULT_MASTER_SEED, DetectorModel, PLEProtocol
-from .stark import IonModel
+from .stark import EmitterParams, IonModel, lifetime_limited_fwhm_mhz
 
 __all__ = [
     "ConfigError",
@@ -183,6 +182,12 @@ class ExperimentConfig:
             raise ConfigError("ion ids must be unique")
         if self.stark.ion_id not in ("", *ids):
             raise ConfigError(f"[stark].ion_id {self.stark.ion_id!r} is not in the ion registry")
+        for voltage in self.stark.voltages_v:  # the sweep stays within the supply
+            if not abs(voltage) <= self.run.max_voltage_v:
+                raise ConfigError(
+                    f"[stark].voltages_v holds {voltage:g} V, outside the "
+                    f"+/-{self.run.max_voltage_v:g} V of [run].max_voltage_v"
+                )
         limit = lifetime_limited_fwhm_mhz(self.emitter.lifetime_us)
         for ion in self.ions:  # the [emitter] lifetime bounds every ion's linewidth from below
             if ion.zero_field_fwhm_mhz < limit:

@@ -33,13 +33,26 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
     return path
 
 
-def read_table(path: str | Path, expected_header: Sequence[str] | None = None) -> list[list[str]]:
+def read_table(path: str | Path, columns: dict[str, type]) -> list[list]:
+    """Columns of a CSV whose header is ``columns``' names, each cell converted
+    by its column's type. A cell that does not convert names the file, its
+    row (the header is row 1, as in a spreadsheet) and its column."""
+    values: list[list] = [[] for _ in columns]
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        if expected_header is not None and header != list(expected_header):
-            raise ValueError(f"{path}: unexpected header {header!r}, want {list(expected_header)!r}")
-        return [row for row in reader if row]
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV")
+        if header != list(columns):
+            raise ValueError(f"{path}: unexpected header {header!r}, want {list(columns)!r}")
+        for row in filter(None, reader):
+            if len(row) != len(columns):
+                raise ValueError(f"{path}: row {reader.line_num} has {len(row)} cells, want {len(columns)}")
+            for column, (name, kind), cell in zip(values, columns.items(), row):
+                try:
+                    column.append(kind(cell))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: row {reader.line_num}, column {name!r}: expected {kind.__name__}, got {cell!r}"
+                    ) from None
+    return values

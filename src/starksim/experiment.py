@@ -10,7 +10,7 @@ over the open window.
 
 The simulators take each ion's own line as an :class:`~starksim.stark.IonModel`
 and the lifetime and saturation all ions share as one
-:class:`~starksim.cavity.EmitterParams`, the only input of decay and g2.
+:class:`~starksim.stark.EmitterParams`, the only input of decay and g2.
 
 Determinism contract: every scan point draws from its own generator,
 seeded as ``splitmix64(master_seed, point_index)``, so a scan point's
@@ -25,10 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cavity import EmitterParams, excitation_probability
 from .csvio import write_table
 from .electrostatics import FieldVector
-from .stark import IonModel, stark_shift_empirical
+from .stark import EmitterParams, IonModel, excitation_probability
 
 __all__ = [
     "G2Histogram",
@@ -191,13 +190,6 @@ def emission_window_probability(lifetime_us: float, delay_us: float, window_us: 
     return math.exp(-delay_us / lifetime_us) - math.exp(-(delay_us + window_us) / lifetime_us)
 
 
-def _shifted_line(ion: IonModel, field: FieldVector) -> tuple[float, float]:
-    """Line centre and broadened width of an ion under the applied field."""
-    response = stark_shift_empirical(ion, field)
-    centre = ion.zero_field_frequency_mhz + response.shift_mhz
-    return centre, response.fwhm_mhz
-
-
 def simulate_ple_scan(
     ions: Sequence[IonModel],
     emitter: EmitterParams,
@@ -217,7 +209,7 @@ def simulate_ple_scan(
     frequencies = protocol.scan_frequencies_mhz()
     n_pulses = protocol.pulses_per_point
 
-    lines = [_shifted_line(ion, field) for ion in ions]
+    lines = [ion.line(field) for ion in ions]
     window_prob = emission_window_probability(
         emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
     )
@@ -348,23 +340,19 @@ def simulate_stark_scan(
     seed: int,
     *,
     window_half_width_mhz: float = 60.0,
-    v_max: float = 333.0,
 ) -> list[StarkScanPoint]:
     """PLE scans of one ion at a series of electrode voltages.
 
     ``unit_field`` is the probe field per volt of bias (see
     :func:`~starksim.electrostatics.field_per_volt`), scaled linearly to
     each voltage; each scan window tracks the expected Stark-shifted
-    peak. Each voltage gets its own derived seed.
+    peak. Each voltage gets its own derived seed. The config checks the
+    voltages against ``[run] max_voltage_v`` when it loads.
     """
-    for v in voltages_v:
-        if not math.isfinite(v) or abs(v) > v_max:
-            raise SimulationError(f"voltage {v} V outside the +/-{v_max} V limit")
-
     results = []
     for v_index, voltage in enumerate(voltages_v):
         field = unit_field.scaled(voltage)
-        centre, _ = _shifted_line(ion, field)
+        centre, _ = ion.line(field)
         base = round(centre / protocol.scan_pitch_mhz) * protocol.scan_pitch_mhz
         scan_protocol = protocol.replace_scan(
             base - window_half_width_mhz, base + window_half_width_mhz

@@ -72,13 +72,6 @@ class FitResult:
     reduced_chi_square: float
     iterations: int
 
-    @property
-    def parameters(self) -> dict[str, tuple[float, float]]:
-        return {
-            name: (float(v), float(s))
-            for name, v, s in zip(self.names, self.values, self.stderrs)
-        }
-
     def value(self, name: str) -> float:
         return float(self.values[self.names.index(name)])
 

@@ -1,31 +1,36 @@
-"""Electric-field response of individual emitters.
+"""The emitter model: each ion's line in the applied field, and the
+lifetime and saturation all ions share.
 
-Each ion follows the empirical scalar law ``shift = s * E_parallel``
-with a signed coefficient, plus a linear line-broadening term.
-The two-ion resonance condition lives here too.
+An ion's line is centred at ``f0 + s * E_parallel``, with a signed
+coefficient ``s``, and broadens linearly with ``|E_parallel|``; the
+per-pulse excitation probability is a Lorentzian in laser detuning. The
+two-ion resonance condition lives here too.
 
-Units: fields in V/cm, coefficients in kHz/(V/cm), shifts and widths in
-MHz.
+Units: fields in V/cm, coefficients in kHz/(V/cm), frequencies and widths
+in MHz, lifetimes in us (the bulk lifetime in ms).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .electrostatics import FieldVector
 
 __all__ = [
+    "EmitterParams",
     "IonModel",
     "NoResonanceError",
-    "ShiftResult",
     "StarkModelError",
     "VoltageOutOfRangeError",
+    "excitation_probability",
+    "lifetime_limited_fwhm_mhz",
     "resonance_voltage",
-    "stark_shift_empirical",
 ]
 
 KHZ_PER_MHZ = 1000.0
 V_PER_CM_PER_KV_PER_CM = 1000.0
+US_PER_MS = 1000.0
 
 
 class StarkModelError(ValueError):
@@ -39,7 +44,6 @@ class NoResonanceError(StarkModelError):
 class VoltageOutOfRangeError(StarkModelError):
     def __init__(self, required_voltage_v: float, v_max: float):
         self.required_voltage_v = required_voltage_v
-        self.v_max = v_max
         super().__init__(
             f"resonance needs {required_voltage_v:.1f} V, beyond the +/-{v_max:.1f} V limit"
         )
@@ -61,23 +65,52 @@ class IonModel:
         if self.broadening_mhz_per_kv_cm < 0.0:
             raise StarkModelError(f"{self.ion_id}: broadening coefficient must be >= 0")
 
+    def line(self, field: FieldVector) -> tuple[float, float]:
+        """Line centre and field-broadened width, in MHz, under ``field``.
+
+        Only the component along the inter-electrode axis couples; the
+        linewidth grows linearly with its magnitude.
+        """
+        e_par = field.e_parallel_v_per_cm
+        centre = self.zero_field_frequency_mhz + self.stark_coefficient_khz_per_v_cm * e_par / KHZ_PER_MHZ
+        fwhm = self.zero_field_fwhm_mhz + self.broadening_mhz_per_kv_cm * abs(e_par) / V_PER_CM_PER_KV_PER_CM
+        return centre, fwhm
+
 
 @dataclass(frozen=True)
-class ShiftResult:
-    shift_mhz: float
-    fwhm_mhz: float
+class EmitterParams:
+    """Bulk lifetime, the measured lifetime enhancement of the cavity and the
+    saturated excitation probability, shared by every ion."""
+
+    bulk_lifetime_ms: float
+    enhancement_factor: float
+    saturation_excitation_prob: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.bulk_lifetime_ms <= 0.0:
+            raise ValueError(f"[emitter].bulk_lifetime_ms must be positive, got {self.bulk_lifetime_ms}")
+        if self.enhancement_factor < 1.0:
+            raise ValueError(f"[emitter].enhancement_factor must be >= 1, got {self.enhancement_factor}")
+        if not 0.0 <= self.saturation_excitation_prob <= 1.0:
+            raise ValueError("[emitter].saturation_excitation_prob must lie in [0, 1]")
+
+    @property
+    def lifetime_us(self) -> float:
+        """Cavity-shortened lifetime in us: the bulk lifetime over the enhancement."""
+        return self.bulk_lifetime_ms * US_PER_MS / self.enhancement_factor
 
 
-def stark_shift_empirical(ion: IonModel, field: FieldVector) -> ShiftResult:
-    """Scalar-coefficient shift and field-broadened linewidth.
+def lifetime_limited_fwhm_mhz(lifetime_us: float) -> float:
+    """Fourier-limited linewidth ``1 / (2 pi tau)`` for a lifetime in us."""
+    return 1.0 / (2.0 * math.pi * lifetime_us)
 
-    Only the component along the inter-electrode axis couples; the
-    linewidth grows linearly with its magnitude.
-    """
-    e_par = field.e_parallel_v_per_cm
-    shift = ion.stark_coefficient_khz_per_v_cm * e_par / KHZ_PER_MHZ
-    fwhm = ion.zero_field_fwhm_mhz + ion.broadening_mhz_per_kv_cm * abs(e_par) / V_PER_CM_PER_KV_PER_CM
-    return ShiftResult(shift_mhz=shift, fwhm_mhz=fwhm)
+
+def excitation_probability(saturation_prob: float, fwhm_mhz: float, detuning_mhz: float) -> float:
+    """Per-pulse excitation probability of a ``fwhm_mhz`` wide line at a laser detuning (MHz)."""
+    if not math.isfinite(detuning_mhz):
+        raise ValueError("detuning must be finite")
+    u = 2.0 * detuning_mhz / fwhm_mhz
+    return saturation_prob / (1.0 + u**2)
 
 
 def resonance_voltage(

@@ -199,6 +199,13 @@ class TestLoadTimeChecks:
             # the one ion_id still checked against the registry
             ('[stark]\nion_id = "ion99"\n', "[stark].ion_id 'ion99' is not in the ion registry",
              ["reproduce", "fig4a"]),
+            ("[emitter]\nbulk_lifetime_ms = 0.0\n", "[emitter].bulk_lifetime_ms must be positive, got 0.0",
+             ["reproduce", "fig3b"]),
+            ("[emitter]\nenhancement_factor = 0.5\n", "[emitter].enhancement_factor must be >= 1, got 0.5",
+             ["reproduce", "fig3b"]),
+            # checked against [run] max_voltage_v at load time, not when the sweep reaches 400 V
+            ("[stark]\nvoltages_v = [0.0, 100.0, 400.0]\n",
+             "[stark].voltages_v holds 400 V, outside the +/-333 V of [run].max_voltage_v", ["stark"]),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, tmp_path, text, where, argv):
@@ -488,6 +495,26 @@ class TestPipelines:
         )
         assert code == EXIT_FITTING
         assert out == "" and err == f"error: fitting failed: need exactly one lag-0 bin, got {found}\n"
+
+    @pytest.mark.parametrize(
+        "kind, text, cell",
+        [
+            ("ple", "frequency_offset_mhz,counts,integration_s\n-5.0,3,5.0\n0.0,1.5,5.0\n",
+             "row 3, column 'counts': expected int, got '1.5'"),
+            ("g2", "lag_pulses,coincidences,normalized\n-1,6,1.0\n0,x,0.0\n",
+             "row 3, column 'coincidences': expected int, got 'x'"),
+            ("decay", "time_us,counts\n0.5,3\n1.5\n", "row 3 has 1 cells, want 2"),
+        ],
+        ids=["ple-float-count", "g2-text-count", "decay-short-row"],
+    )
+    def test_malformed_cell_names_file_row_and_column(self, capsys, config_path, tmp_path, kind, text, cell):
+        data = tmp_path / f"{kind}.csv"
+        data.write_text(text, encoding="utf-8")
+        code, out, err = run(
+            capsys, "fit", "--config", config_path, "--kind", kind, "--input", data, "--out", tmp_path / "x",
+        )
+        assert code == EXIT_FITTING
+        assert out == "" and err == f"error: fitting failed: {data}: {cell}\n"
 
     def test_fit_on_missing_file_exits_5(self, capsys, config_path, tmp_path):
         code, _, _ = run(

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from starksim.cavity import EmitterParams, lifetime_limited_fwhm_mhz
 from starksim.cli import EXIT_CONFIG, main
 from starksim.config import (
     ConfigError,
@@ -17,7 +16,7 @@ from starksim.config import (
     dumps_config,
     loads_config,
 )
-from starksim.stark import IonModel
+from starksim.stark import EmitterParams, IonModel, lifetime_limited_fwhm_mhz
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -346,7 +345,7 @@ def test_round_trip_property():
                 )
             )
         figure_ion = st.sampled_from(["", *ids])
-        return dataclasses.replace(
+        config = dataclasses.replace(
             base,
             ions=tuple(ions),
             # no enhancement: a lifetime limit below every drawn linewidth
@@ -355,17 +354,19 @@ def test_round_trip_property():
                 enhancement_factor=1.0,
                 saturation_excitation_prob=draw(st.floats(min_value=0.0, max_value=1.0)),
             ),
-            run=dataclasses.replace(
-                base.run,
-                seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
-                max_voltage_v=draw(st.floats(min_value=1e-3, max_value=1e4)),
-            ),
-            stark=dataclasses.replace(
-                base.stark,
-                ion_id=draw(figure_ion),
-                voltages_v=tuple(draw(st.lists(finite, min_size=3, max_size=12))),
-            ),
         )
+        # drawn independently, so some sweeps exceed the supply: built in check()
+        run = dataclasses.replace(
+            base.run,
+            seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+            max_voltage_v=draw(st.floats(min_value=1e-3, max_value=1e4)),
+        )
+        stark = dataclasses.replace(
+            base.stark,
+            ion_id=draw(figure_ion),
+            voltages_v=tuple(draw(st.lists(finite, min_size=3, max_size=12))),
+        )
+        return config, run, stark
 
     # values a file cannot hold: strings are written between quotes, one key per line
     enhancement_factors = st.floats(min_value=1.0, max_value=1e4)
@@ -373,16 +374,21 @@ def test_round_trip_property():
 
     @hypothesis.settings(max_examples=200, deadline=None)
     @hypothesis.given(configs(), enhancement_factors, output_dirs)
-    def check(config, enhancement_factor, output_dir):
+    def check(drawn, enhancement_factor, output_dir):
+        config, run, stark = drawn
         writable = '"' not in output_dir and not any(
             ch in output_dir for ch in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
         )
         emitter = dataclasses.replace(config.emitter, enhancement_factor=enhancement_factor)
         limit = lifetime_limited_fwhm_mhz(emitter.lifetime_us)
-        valid = writable and all(ion.zero_field_fwhm_mhz >= limit for ion in config.ions)
+        valid = (
+            writable
+            and all(ion.zero_field_fwhm_mhz >= limit for ion in config.ions)
+            and all(abs(v) <= run.max_voltage_v for v in stark.voltages_v)
+        )
         try:
             config = dataclasses.replace(
-                config, emitter=emitter, run=dataclasses.replace(config.run, output_dir=output_dir)
+                config, emitter=emitter, run=dataclasses.replace(run, output_dir=output_dir), stark=stark
             )
         except ConfigError:
             assert not valid

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from starksim.analysis import fit_lorentzian, read_decay_csv, read_g2_csv, read_ple_csv
-from starksim.cavity import EmitterParams
+from starksim.config import ConfigError
 from starksim.electrostatics import ElectrodeLayout, FieldVector, field_per_volt
 from starksim.experiment import (
     DetectorModel,
@@ -22,7 +22,7 @@ from starksim.experiment import (
     write_g2_csv,
     write_ple_csv,
 )
-from starksim.stark import stark_shift_empirical
+from starksim.stark import EmitterParams
 
 
 class TestSeedMixing:
@@ -341,15 +341,18 @@ class TestStarkScan:
         first = centres[1] - centres[0]
         second = centres[2] - centres[1]
         assert first == pytest.approx(second, abs=3.0 * math.hypot(*errs[:2], errs[2]))
-        expected = stark_shift_empirical(ion1, points[1].field).shift_mhz
+        expected = ion1.line(points[1].field)[0] - ion1.zero_field_frequency_mhz
         assert first == pytest.approx(expected, abs=3.0 * math.hypot(errs[0], errs[1]))
 
-    def test_voltage_limit_enforced(self, config, ion1, emitter, unit_field):
-        with pytest.raises(SimulationError):
-            simulate_stark_scan(
-                ion1, emitter, [400.0], unit_field, config.protocol,
-                config.detector, 1, v_max=333.0,
-            )
+    def test_voltage_limit_enforced(self, config):
+        # the sweep's voltages are checked against the supply when the config is built
+        def sweep(*voltages_v):
+            return dataclasses.replace(config, stark=dataclasses.replace(config.stark, voltages_v=voltages_v))
+
+        for voltages_v in [(0.0, 111.0, 400.0), (-333.5, 0.0, 333.0)]:
+            with pytest.raises(ConfigError, match=r"\[stark\]\.voltages_v holds .* V, outside the \+/-333 V"):
+                sweep(*voltages_v)
+        assert sweep(-333.0, 0.0, 333.0).stark.voltages_v == (-333.0, 0.0, 333.0)
 
     def test_scan_windows_track_expected_peak(self, config, unit_field):
         ion3 = config.ion("ion3")
@@ -358,7 +361,7 @@ class TestStarkScan:
             config.detector, 35, window_half_width_mhz=50.0,
         )
         for point in points:
-            expected = ion3.zero_field_frequency_mhz + stark_shift_empirical(ion3, point.field).shift_mhz
+            expected, _ = ion3.line(point.field)
             freqs = point.scan.frequencies_mhz
             assert freqs[0] <= expected <= freqs[-1]
             assert np.argmax(point.scan.counts) not in (0, freqs.size - 1)

@@ -3,12 +3,13 @@ import pytest
 
 from starksim.electrostatics import FieldVector
 from starksim.stark import (
+    EmitterParams,
     IonModel,
     NoResonanceError,
     StarkModelError,
     VoltageOutOfRangeError,
+    excitation_probability,
     resonance_voltage,
-    stark_shift_empirical,
 )
 
 
@@ -24,34 +25,40 @@ def make_ion(s, f0=0.0, fwhm=6.7, broadening=0.0, ion_id="ion"):
 
 class TestEmpiricalShift:
     def test_reference_coefficient(self):
-        result = stark_shift_empirical(make_ion(19.8), FieldVector(1000.0, 0.0))
-        assert result.shift_mhz == pytest.approx(19.8)
+        centre, _ = make_ion(19.8).line(FieldVector(1000.0, 0.0))
+        assert centre == pytest.approx(19.8)
 
     def test_zero_field_zero_shift(self):
-        result = stark_shift_empirical(make_ion(19.8), FieldVector(0.0, 0.0))
-        assert result.shift_mhz == 0.0
-        assert result.fwhm_mhz == pytest.approx(6.7)
+        centre, fwhm = make_ion(19.8).line(FieldVector(0.0, 0.0))
+        assert centre == 0.0
+        assert fwhm == pytest.approx(6.7)
+
+    def test_centre_is_rest_frequency_plus_shift(self):
+        # the order of the arithmetic is part of the byte-identity contract
+        ion = make_ion(-9.8, f0=-250.0)
+        centre, _ = ion.line(FieldVector(21652.534, 0.0))
+        assert centre == -250.0 + -9.8 * 21652.534 / 1000.0
 
     def test_broadening_grows_with_field_magnitude(self):
         ion = make_ion(19.8, broadening=0.5)
-        low = stark_shift_empirical(ion, FieldVector(1000.0, 0.0))
-        high = stark_shift_empirical(ion, FieldVector(-10_000.0, 0.0))
-        assert low.fwhm_mhz == pytest.approx(6.7 + 0.5 * 1.0)
-        assert high.fwhm_mhz == pytest.approx(6.7 + 0.5 * 10.0)
-        assert high.fwhm_mhz > low.fwhm_mhz >= ion.zero_field_fwhm_mhz
+        _, low = ion.line(FieldVector(1000.0, 0.0))
+        _, high = ion.line(FieldVector(-10_000.0, 0.0))
+        assert low == pytest.approx(6.7 + 0.5 * 1.0)
+        assert high == pytest.approx(6.7 + 0.5 * 10.0)
+        assert high > low >= ion.zero_field_fwhm_mhz
 
     def test_linearity_in_field(self):
         rng = np.random.default_rng(23)
         ion = make_ion(-12.5)
-        base = stark_shift_empirical(ion, FieldVector(1500.0, 0.0)).shift_mhz
+        base, _ = ion.line(FieldVector(1500.0, 0.0))
         for _ in range(100):
             alpha = rng.uniform(-5.0, 5.0)
-            scaled = stark_shift_empirical(ion, FieldVector(1500.0 * alpha, 0.0)).shift_mhz
+            scaled, _ = ion.line(FieldVector(1500.0 * alpha, 0.0))
             assert scaled == pytest.approx(alpha * base, rel=1e-12, abs=1e-12)
 
     def test_perpendicular_component_ignored(self):
         ion = make_ion(19.8)
-        assert stark_shift_empirical(ion, FieldVector(0.0, 5000.0)).shift_mhz == 0.0
+        assert ion.line(FieldVector(0.0, 5000.0)) == (0.0, 6.7)
 
 
 class TestIonModelValidation:
@@ -100,6 +107,47 @@ class TestResonanceVoltage:
                 continue
             hits += 1
             field = FieldVector(scale * v, 0.0)
-            fa = f_a + stark_shift_empirical(a, field).shift_mhz
-            fb = f_b + stark_shift_empirical(b, field).shift_mhz
+            (fa, _), (fb, _) = a.line(field), b.line(field)
             assert abs(fa - fb) < 1e-3
+
+
+class TestEffectiveLifetime:
+    def test_measured_enhancement(self):
+        emitter = EmitterParams(bulk_lifetime_ms=11.4, enhancement_factor=278.0)
+        assert emitter.lifetime_us == pytest.approx(41.0, abs=0.01)
+
+    def test_validation(self):
+        with pytest.raises(ValueError, match=r"\[emitter\]\.bulk_lifetime_ms must be positive, got 0\.0"):
+            EmitterParams(bulk_lifetime_ms=0.0, enhancement_factor=278.0)
+        with pytest.raises(ValueError, match=r"\[emitter\]\.enhancement_factor must be >= 1, got 0\.5"):
+            EmitterParams(bulk_lifetime_ms=1.0, enhancement_factor=0.5)
+
+
+class TestExcitationProbability:
+    def test_on_resonance_saturates(self):
+        assert excitation_probability(0.37, 6.7, 0.0) == pytest.approx(0.37)
+
+    def test_half_width_gives_half_probability(self):
+        assert excitation_probability(0.5, 6.7, 6.7 / 2.0) == pytest.approx(0.25)
+
+    def test_one_scan_pitch_detuning(self):
+        p = excitation_probability(1.0, 6.7, 5.0)
+        assert p == pytest.approx(1.0 / (1.0 + (10.0 / 6.7) ** 2), rel=1e-12)
+        assert p == pytest.approx(0.310, abs=2e-3)
+
+    def test_even_and_bounded(self):
+        for d in np.linspace(0.0, 100.0, 37):
+            lo = excitation_probability(0.5, 6.7, -d)
+            hi = excitation_probability(0.5, 6.7, d)
+            assert lo == hi
+            assert 0.0 <= hi <= 0.5
+
+
+class TestEmitterValidation:
+    def test_rejects_bad_probability(self):
+        with pytest.raises(ValueError, match="saturation_excitation_prob"):
+            EmitterParams(bulk_lifetime_ms=11.4, enhancement_factor=278.0, saturation_excitation_prob=1.2)
+        with pytest.raises(ValueError, match="saturation_excitation_prob"):
+            EmitterParams(bulk_lifetime_ms=11.4, enhancement_factor=278.0, saturation_excitation_prob=-0.1)
+        for p in (0.0, 1.0):
+            EmitterParams(bulk_lifetime_ms=11.4, enhancement_factor=278.0, saturation_excitation_prob=p)

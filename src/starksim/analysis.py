@@ -1,9 +1,9 @@
 """Parameter extraction from photon-counting data.
 
-Peak finding on PLE scans, Poisson maximum-likelihood Lorentzian and
-exponential fits of the counts, inverse-variance weighted linear
-regression for the field response, and the coincidence-ratio estimate of
-the zero-lag autocorrelation.
+Peak finding on PLE scans, Poisson maximum-likelihood fits of the counts
+(a Lorentzian, an exponential, and one ion's whole voltage sweep against
+its line law), and the coincidence-ratio estimate of the zero-lag
+autocorrelation.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from .optimize import (
     FitConvergenceError,
     FitError,
     FitResult,
-    SingularDesignError,
     least_squares,
 )
+from .stark import line_law
 
 __all__ = [
     "G2Estimate",
@@ -35,13 +35,14 @@ __all__ = [
     "exponential_decay_jacobian",
     "find_peaks",
     "fit_exponential_decay",
-    "fit_linear_weighted",
     "fit_lorentzian",
+    "fit_stark_sweep",
     "lorentzian",
     "lorentzian_jacobian",
     "read_decay_csv",
     "read_g2_csv",
     "read_ple_csv",
+    "read_stark_csv",
     "write_fit_report_csv",
 ]
 
@@ -317,53 +318,52 @@ def _decay_guess(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([amplitude, max(tau, 1e-6), background])
 
 
-def fit_linear_weighted(
+def fit_stark_sweep(
     fields_v_per_cm: Sequence[float] | np.ndarray,
-    shifts_mhz: Sequence[float] | np.ndarray,
-    shift_errors_mhz: Sequence[float] | np.ndarray,
+    frequencies_mhz: Sequence[float] | np.ndarray,
+    counts: Sequence[float] | np.ndarray,
 ) -> FitResult:
-    """Inverse-variance weighted straight line through (field, shift) data.
+    """Poisson maximum-likelihood fit of one ion's voltage sweep to its line law.
 
-    Returns (slope_khz_per_v_cm, intercept_mhz); the slope is the Stark
-    coefficient in kHz/(V/cm). Non-positive errors fall back to uniform
-    weights, in which case errors are scaled from the residual variance.
+    Each count's mean is the Lorentzian ``amplitude / (1 + (2 (f - c) /
+    w)^2) + offset``, with the centre ``c`` and width ``w`` of
+    :func:`~starksim.stark.line_law` at the count's field; parameters
+    (amplitude, zero_field_frequency, stark_coefficient, zero_field_fwhm,
+    broadening, offset). Starts from a line through the highest count at
+    each field, a 10 MHz width and no broadening.
     """
-    x = np.asarray(fields_v_per_cm, dtype=float)
-    y = np.asarray(shifts_mhz, dtype=float)
-    err = np.asarray(shift_errors_mhz, dtype=float)
-    if x.size < 3:
-        raise DegenerateDataError(f"need at least 3 points, got {x.size}")
-    if np.ptp(x) == 0.0:
-        raise SingularDesignError("all field values identical; slope is undefined")
+    e = np.asarray(fields_v_per_cm, dtype=float)
+    f = np.asarray(frequencies_mhz, dtype=float)
+    y = np.asarray(counts, dtype=float)
+    distinct, first = np.unique(e, return_index=True)
+    if distinct.size < 3:
+        raise DegenerateDataError(f"need at least 3 distinct fields, got {distinct.size}")
+    if np.ptp(y) == 0.0:
+        raise DegenerateDataError("counts are constant; nothing to fit")
+    # the law is linear in its coefficients: its value at unit s and b is its derivative in them
+    d_centre, d_width = line_law(e, 0.0, 1.0, 0.0, 1.0)
 
-    calibrated = bool(np.all(err > 0.0))
-    w = 1.0 / (err * err) if calibrated else np.ones_like(y)
+    def line_params(p: np.ndarray) -> tuple:
+        centre, fwhm = line_law(e, *p[1:5])
+        return p[0], centre, fwhm, p[5]
 
-    sw = w.sum()
-    xbar = float((w * x).sum() / sw)
-    ybar = float((w * y).sum() / sw)
-    sxx = float((w * (x - xbar) ** 2).sum())
-    slope_mhz = float((w * (x - xbar) * (y - ybar)).sum() / sxx)
-    intercept = ybar - slope_mhz * xbar
+    def model(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return lorentzian(x, line_params(p))
 
-    residual = y - (slope_mhz * x + intercept)
-    chi2 = float((w * residual * residual).sum())
-    dof = x.size - 2
-    reduced = chi2 / dof if dof > 0 else float("nan")
+    def jacobian(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        by_amplitude, by_centre, by_width, by_offset = lorentzian_jacobian(x, line_params(p)).T
+        return np.column_stack([by_amplitude, by_centre, by_centre * d_centre, by_width, by_width * d_width, by_offset])
 
-    var_slope = 1.0 / sxx
-    var_intercept = 1.0 / sw + xbar * xbar / sxx
-    if not calibrated and dof > 0:
-        var_slope *= chi2 / dof
-        var_intercept *= chi2 / dof
-
-    return FitResult(
-        names=("slope_khz_per_v_cm", "intercept_mhz"),
-        values=np.array([slope_mhz * 1000.0, intercept]),
-        stderrs=np.array([math.sqrt(var_slope) * 1000.0, math.sqrt(var_intercept)]),
-        reduced_chi_square=reduced,
-        iterations=0,
-    )
+    peaks = [f[e == value][np.argmax(y[e == value])] for value in distinct]
+    slope, intercept = np.polyfit(d_centre[first], peaks, 1)
+    offset = float(np.median(y))
+    names = ("amplitude", "zero_field_frequency", "stark_coefficient", "zero_field_fwhm", "broadening", "offset")
+    initial = [max(float(y.max()) - offset, 1e-9), intercept, slope, 10.0, 0.0, offset]
+    result = least_squares(model, jacobian, f, y, initial, names)
+    _, fwhm = line_law(e, *result.values[1:5])
+    if not np.all(np.isfinite(result.values)) or fwhm.min() <= 0.0:
+        raise FitConvergenceError(f"fit reached a width of {fwhm.min():.3g} MHz", result)
+    return result
 
 
 def estimate_g2_zero(histogram: G2Histogram) -> G2Estimate:
@@ -424,3 +424,9 @@ def read_decay_csv(path: str | Path) -> Histogram:
 def read_g2_csv(path: str | Path) -> G2Histogram:
     lags, coincidences, _ = read_table(path, {"lag_pulses": int, "coincidences": int, "normalized": float})
     return G2Histogram(lags=np.array(lags), coincidences=np.array(coincidences, dtype=np.int64))
+
+
+def read_stark_csv(path: str | Path) -> list[tuple]:
+    """Rows (ion_id, voltage_v, field_v_per_cm, frequency_mhz, counts) of a stark_scan.csv."""
+    columns = {"ion_id": str, "voltage_v": float, "field_v_per_cm": float, "frequency_mhz": float, "counts": int}
+    return list(zip(*read_table(path, columns)))

@@ -3,9 +3,11 @@
 Subcommands: ``field``, ``ple``, ``decay``, ``g2``, ``stark``, ``fit``,
 ``resonance``, ``reproduce``. Each figure of ``reproduce`` is one
 pipeline: a dataset function simulates and writes its CSV, then a fit
-stage writes ``fit_report.csv``. ``ple``, ``decay`` and ``g2`` are the
-no-fit forms of ``fig2``, ``fig3b`` and ``fig3c``; ``stark`` is
-``reproduce fig4a``; ``fit`` runs a fit stage on a CSV read back.
+stage writes ``fit_report.csv``. ``ple``, ``decay``, ``g2`` and ``stark``
+are the no-fit forms of ``fig2``, ``fig3b``, ``fig3c`` and ``fig4a``;
+``fit`` runs a figure's fit stage on its CSV read back. fig4's fit stage
+fits each ion's whole sweep, the counts at every voltage, to the ion's
+line law in one Poisson likelihood.
 
 ``main`` writes ``config.toml`` and ``manifest.json`` once, before the
 run, so partial outputs of a failed run still carry their provenance;
@@ -39,11 +41,12 @@ from .analysis import (
     estimate_g2_zero,
     find_peaks,
     fit_exponential_decay,
-    fit_linear_weighted,
     fit_lorentzian,
+    fit_stark_sweep,
     read_decay_csv,
     read_g2_csv,
     read_ple_csv,
+    read_stark_csv,
     write_fit_report_csv,
 )
 from .config import ConfigError, ExperimentConfig, RunSettings, default_config, load_config
@@ -72,9 +75,8 @@ from .experiment import (
     write_stark_csv,
 )
 from .manifest import write_run_manifest
-from .optimize import FitError, FitResult
+from .optimize import DegenerateDataError, FitError, FitResult
 from .stark import (
-    IonModel,
     NoResonanceError,
     StarkModelError,
     VoltageOutOfRangeError,
@@ -143,11 +145,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, figure, text in (
         ("decay", "fig3b", "simulate a fluorescence decay histogram"),
         ("g2", "fig3c", "simulate an intensity-autocorrelation histogram"),
-        ("stark", "fig4a", "simulate a voltage-swept scan and fit the line response"),
+        ("stark", "fig4a", "simulate voltage-swept scans of the [stark] ion"),
     ):
         p = sub.add_parser(name, help=text)
         add_common(p)
-        p.set_defaults(figure=figure, fit=name == "stark")
+        p.set_defaults(figure=figure, fit=False)
 
     p = sub.add_parser("fit", help="fit a dataset produced by the simulators")
     add_common(p)
@@ -166,14 +168,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rows(fit: FitResult, quantities: Sequence[tuple[str, str]], prefix: str = "") -> list[Row]:
-    """fit_report.csv rows ``(prefix + name, value, stderr, units)`` of the
-    named parameters; ``reduced_chi_square`` is the fit's, with stderr 0."""
-    return [
-        (prefix + name, fit.reduced_chi_square, 0.0, units) if name == "reduced_chi_square"
-        else (prefix + name, fit.value(name), fit.stderr(name), units)
-        for name, units in quantities
-    ]
+def _rows(fit: FitResult, quantities: Sequence[tuple[str, str]], prefix: str = "", suffix: str = "") -> list[Row]:
+    """fit_report.csv rows ``(prefix + name + suffix, value, stderr, units)`` of the named parameters."""
+    return [(prefix + name + suffix, fit.value(name), fit.stderr(name), units) for name, units in quantities]
 
 
 def _write_report(rows: Sequence[Row], out_dir: Path) -> Path:
@@ -191,10 +188,6 @@ def _field_per_volt(
 
 def _ple(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Path, ScanResult]:
     """Scan of the whole registry at ``args.voltage`` -> ple_scan.csv."""
-    if abs(args.voltage) > config.run.max_voltage_v:
-        raise SimulationError(
-            f"voltage {args.voltage} V outside the +/-{config.run.max_voltage_v} V limit"
-        )
     if args.voltage != 0.0:
         field = _field_per_volt(config)[0].scaled(args.voltage)
     else:
@@ -262,65 +255,62 @@ def _fit_g2(config: ExperimentConfig, histogram: G2Histogram) -> list[Row]:
     return [("g2_zero", estimate.g2_zero, estimate.standard_error, "dimensionless")]
 
 
-def _stark_sweep(
-    config: ExperimentConfig, unit_field: FieldVector, ion: IonModel, seed: int, path: Path
-) -> list[tuple]:
-    """Voltage sweep of one ion with a Lorentzian fit per voltage -> ``path``.
-
-    Returns the stark_scan.csv rows: voltage, field, centre and width with
-    their errors.
-    """
-    points = simulate_stark_scan(
-        ion,
-        config.emitter,
-        config.stark.voltages_v,
-        unit_field,
-        config.protocol,
-        config.detector,
-        seed,
-        window_half_width_mhz=config.stark.window_half_width_mhz,
-    )
-    rows = []
-    for point in points:
-        fit = fit_lorentzian(point.scan.frequencies_mhz, point.scan.counts)
-        centre, fwhm = ((fit.value(name), fit.stderr(name)) for name in ("center_mhz", "fwhm_mhz"))
-        rows.append((point.voltage_v, point.field.e_parallel_v_per_cm, *centre, *fwhm))
-    write_stark_csv(rows, path)
-    return rows
-
-
-def _fit_line(ion_id: str, rows: Sequence[tuple]) -> list[Row]:
-    """fig4's fit stage: a weighted line through the (field, centre) points."""
-    _, fields, centres, errors, _, _ = zip(*rows)
-    line = fit_linear_weighted(fields, centres, errors)
-    quantities = [("slope_khz_per_v_cm", "kHz/(V/cm)"), ("intercept_mhz", "MHz"),
-                  ("reduced_chi_square", "dimensionless")]
-    labels = ("stark_coefficient", "zero_field_frequency", "line_reduced_chi_square")
-    return [(f"{label}_{ion_id}", *row[1:]) for label, row in zip(labels, _rows(line, quantities))]
-
-
-def _stark(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[Path]:
-    """fig4a sweeps the [stark] ion; fig4b every ion, each on ``mix_seed(seed, index)``."""
+def _stark(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Path, list[tuple]]:
+    """Voltage sweeps -> stark_scan.csv, one row per scan point: fig4a sweeps
+    the [stark] ion on ``seed``, fig4b every ion, each on ``mix_seed(seed, index)``."""
     if args.figure == "fig4a":
-        sweeps = [(config.ion(config.stark.ion_id), seed, "stark_scan.csv")]
+        sweeps = [(config.ion(config.stark.ion_id), seed)]
     else:
-        sweeps = [(ion, mix_seed(seed, index), f"stark_scan_{ion.ion_id}.csv")
-                  for index, ion in enumerate(config.ions)]
+        sweeps = [(ion, mix_seed(seed, index)) for index, ion in enumerate(config.ions)]
     unit_field, _ = _field_per_volt(config)
-    paths, report = [], []
-    for ion, ion_seed, name in sweeps:
-        paths.append(out_dir / name)
-        report += _fit_line(ion.ion_id, _stark_sweep(config, unit_field, ion, ion_seed, paths[-1]))
-    return [*paths, _write_report(report, out_dir)]
+    rows = []
+    for ion, ion_seed in sweeps:
+        scans = simulate_stark_scan(
+            ion, config.emitter, config.stark.voltages_v, unit_field, config.protocol, config.detector,
+            ion_seed, window_half_width_mhz=config.stark.window_half_width_mhz,
+        )
+        for voltage, (field, scan) in zip(config.stark.voltages_v, scans):
+            rows += [(ion.ion_id, float(voltage), field.e_parallel_v_per_cm, f, c)
+                     for f, c in zip(scan.frequencies_mhz.tolist(), scan.counts.tolist())]
+    path = out_dir / "stark_scan.csv"
+    write_stark_csv(rows, path)
+    return path, rows
 
 
-PIPELINES = {"fig2": (_ple, _fit_peaks), "fig3b": (_decay, _fit_lifetime), "fig3c": (_g2, _fit_g2)}
-FITS = {"ple": (read_ple_csv, _fit_peaks), "decay": (read_decay_csv, _fit_lifetime), "g2": (read_g2_csv, _fit_g2)}
+def _fit_stark(config: ExperimentConfig, rows: Sequence[tuple]) -> list[Row]:
+    """fig4's fit stage: one fit of each ion's sweep to its line law, ions in file order."""
+    if not rows:
+        raise DegenerateDataError("no scan points to fit")
+    report: list[Row] = []
+    for ion_id in dict.fromkeys(row[0] for row in rows):
+        _, _, fields, frequencies, counts = zip(*(row for row in rows if row[0] == ion_id))
+        try:
+            fit = fit_stark_sweep(fields, frequencies, counts)
+        except FitError as exc:
+            raise FitError(f"{ion_id}: {exc}") from None
+        quantities = [("stark_coefficient", "kHz/(V/cm)"), ("zero_field_frequency", "MHz"),
+                      ("zero_field_fwhm", "MHz"), ("broadening", "MHz/(kV/cm)")]
+        report += _rows(fit, quantities, suffix=f"_{ion_id}")
+        report.append((f"line_reduced_chi_square_{ion_id}", fit.reduced_chi_square, 0.0, "dimensionless"))
+    return report
+
+
+PIPELINES = {
+    "fig2": (_ple, _fit_peaks),
+    "fig3b": (_decay, _fit_lifetime),
+    "fig3c": (_g2, _fit_g2),
+    "fig4a": (_stark, _fit_stark),
+    "fig4b": (_stark, _fit_stark),
+}
+FITS = {
+    "ple": (read_ple_csv, _fit_peaks),
+    "decay": (read_decay_csv, _fit_lifetime),
+    "g2": (read_g2_csv, _fit_g2),
+    "stark": (read_stark_csv, _fit_stark),
+}
 
 
 def _cmd_figure(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[Path]:
-    if args.figure not in PIPELINES:
-        return _stark(args, config, seed, out_dir)
     simulate, fit = PIPELINES[args.figure]
     path, data = simulate(args, config, seed, out_dir)
     return [path, _write_report(fit(config, data), out_dir)] if args.fit else [path]
@@ -374,6 +364,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.command_line = shlex.join(["starksim", *argv])  # recorded in every manifest
     try:
         config = load_config(args.config) if args.config is not None else default_config()
+        if args.command == "ple" and abs(args.voltage) > config.run.max_voltage_v:
+            raise ConfigError(
+                f"--voltage {args.voltage:g} V is outside the +/-{config.run.max_voltage_v:g} V of [run].max_voltage_v"
+            )
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8 text
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

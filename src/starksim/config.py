@@ -10,7 +10,7 @@ records, then dropped and never written. Units are in the key
 names (``gap_um``, ``dark_rate_hz``), so a file is never unit-ambiguous.
 Unknown sections or keys are rejected, and every number must be finite.
 The writer emits ``[section]`` tables, the ``[[ions]]`` array of tables,
-basic strings, booleans, integers, floats and flat arrays.
+basic strings, integers, floats and flat arrays.
 """
 
 from __future__ import annotations
@@ -54,8 +54,6 @@ class ConfigError(ValueError):
 
 
 def _format_value(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (int, float)):
         return repr(value)
     if isinstance(value, str):
@@ -96,10 +94,9 @@ class RunSettings:
             raise ConfigError(f"[run].seed must lie in [0, 2**64), got {self.seed}")
         if not self.max_voltage_v > 0.0:
             raise ConfigError(f"[run].max_voltage_v must be positive, got {self.max_voltage_v}")
-        # the paths under it print one per line, so nothing str.splitlines() breaks
-        # at; no '"' either, a rule kept from the reader before tomllib, which had no escapes
-        if '"' in self.output_dir or "".join(self.output_dir.splitlines()) != self.output_dir:
-            raise ConfigError(f"[run].output_dir {self.output_dir!r} may not hold '\"' or a line break")
+        # the paths under it print one per line, so nothing str.splitlines() breaks at
+        if "".join(self.output_dir.splitlines()) != self.output_dir:
+            raise ConfigError(f"[run].output_dir {self.output_dir!r} may not hold a line break")
 
 
 @dataclass(frozen=True)

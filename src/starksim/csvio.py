@@ -15,8 +15,6 @@ __all__ = ["format_value", "read_table", "write_table"]
 
 
 def format_value(value: object) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):

@@ -35,7 +35,6 @@ __all__ = [
     "PLEProtocol",
     "DetectorModel",
     "ScanResult",
-    "StarkScanPoint",
     "SimulationError",
     "emission_window_probability",
     "mix_seed",
@@ -176,13 +175,6 @@ class G2Histogram:
         side = self.coincidences[self.lags != 0]
         mean_side = side.mean() if side.size else float("nan")
         return self.coincidences / mean_side
-
-
-@dataclass(frozen=True)
-class StarkScanPoint:
-    voltage_v: float
-    field: FieldVector
-    scan: ScanResult
 
 
 def emission_window_probability(lifetime_us: float, delay_us: float, window_us: float) -> float:
@@ -340,8 +332,9 @@ def simulate_stark_scan(
     seed: int,
     *,
     window_half_width_mhz: float = 60.0,
-) -> list[StarkScanPoint]:
-    """PLE scans of one ion at a series of electrode voltages.
+) -> list[tuple[FieldVector, ScanResult]]:
+    """PLE scans of one ion at a series of electrode voltages: the field and
+    the scan at each voltage, in order.
 
     ``unit_field`` is the probe field per volt of bias (see
     :func:`~starksim.electrostatics.field_per_volt`), scaled linearly to
@@ -358,7 +351,7 @@ def simulate_stark_scan(
             base - window_half_width_mhz, base + window_half_width_mhz
         )
         scan = simulate_ple_scan([ion], emitter, scan_protocol, detector, field, mix_seed(seed, v_index))
-        results.append(StarkScanPoint(voltage_v=float(voltage), field=field, scan=scan))
+        results.append((field, scan))
     return results
 
 
@@ -391,9 +384,5 @@ def write_g2_csv(histogram: G2Histogram, path) -> None:
 
 
 def write_stark_csv(rows: Sequence[tuple], path) -> None:
-    """Rows: (voltage_v, field_v_per_cm, peak_mhz, peak_err_mhz, fwhm_mhz, fwhm_err_mhz)."""
-    write_table(
-        path,
-        ["voltage_v", "field_v_per_cm", "peak_mhz", "peak_err_mhz", "fwhm_mhz", "fwhm_err_mhz"],
-        rows,
-    )
+    """Rows: (ion_id, voltage_v, field_v_per_cm, frequency_mhz, counts), one per scan point."""
+    write_table(path, ["ion_id", "voltage_v", "field_v_per_cm", "frequency_mhz", "counts"], rows)

@@ -30,7 +30,6 @@ __all__ = [
     "FitConvergenceError",
     "FitError",
     "FitResult",
-    "SingularDesignError",
     "least_squares",
     "poisson_deviance",
 ]
@@ -48,10 +47,6 @@ class FitError(RuntimeError):
 
 class DegenerateDataError(FitError):
     """Data carry no information for the requested model (zero variance)."""
-
-
-class SingularDesignError(FitError):
-    """Design matrix is singular (e.g. all abscissae identical)."""
 
 
 class FitConvergenceError(FitError):

@@ -25,6 +25,7 @@ __all__ = [
     "VoltageOutOfRangeError",
     "excitation_probability",
     "lifetime_limited_fwhm_mhz",
+    "line_law",
     "resonance_voltage",
 ]
 
@@ -71,10 +72,21 @@ class IonModel:
         Only the component along the inter-electrode axis couples; the
         linewidth grows linearly with its magnitude.
         """
-        e_par = field.e_parallel_v_per_cm
-        centre = self.zero_field_frequency_mhz + self.stark_coefficient_khz_per_v_cm * e_par / KHZ_PER_MHZ
-        fwhm = self.zero_field_fwhm_mhz + self.broadening_mhz_per_kv_cm * abs(e_par) / V_PER_CM_PER_KV_PER_CM
-        return centre, fwhm
+        return line_law(
+            field.e_parallel_v_per_cm,
+            self.zero_field_frequency_mhz,
+            self.stark_coefficient_khz_per_v_cm,
+            self.zero_field_fwhm_mhz,
+            self.broadening_mhz_per_kv_cm,
+        )
+
+
+def line_law(e_parallel_v_per_cm, f0_mhz, s_khz_per_v_cm, fwhm0_mhz, b_mhz_per_kv_cm):
+    """Line centre ``f0 + s E`` and width ``fwhm0 + b |E|``, in MHz, at a
+    field ``E`` along the inter-electrode axis: a number or a numpy array."""
+    centre = f0_mhz + s_khz_per_v_cm * e_parallel_v_per_cm / KHZ_PER_MHZ
+    fwhm = fwhm0_mhz + b_mhz_per_kv_cm * abs(e_parallel_v_per_cm) / V_PER_CM_PER_KV_PER_CM
+    return centre, fwhm
 
 
 @dataclass(frozen=True)

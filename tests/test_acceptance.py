@@ -1,6 +1,8 @@
 """Acceptance suite: one test per release criterion, each printing a
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``)."""
 
+import contextlib
+import io
 import math
 import time
 
@@ -12,27 +14,14 @@ from starksim.analysis import (
     exponential_decay,
     exponential_decay_jacobian,
     fit_exponential_decay,
-    fit_linear_weighted,
     fit_lorentzian,
     lorentzian,
     lorentzian_jacobian,
 )
 from starksim.cli import main
 from starksim.config import default_config, dumps_config
-from starksim.electrostatics import (
-    ElectrodeLayout,
-    FieldVector,
-    field_at,
-    field_per_volt,
-    solve_potential,
-)
-from starksim.experiment import (
-    mix_seed,
-    simulate_decay_histogram,
-    simulate_g2_histogram,
-    simulate_ple_scan,
-    simulate_stark_scan,
-)
+from starksim.electrostatics import ElectrodeLayout, FieldVector, field_at, solve_potential
+from starksim.experiment import simulate_decay_histogram, simulate_g2_histogram, simulate_ple_scan
 from starksim.optimize import poisson_deviance
 
 # exact discrete probe field at 0.625 um, the last spacing of the
@@ -115,64 +104,58 @@ def test_criterion_2_antibunching(config):
     )
 
 
-def _unit_field(config):
-    unit_field, _ = field_per_volt(config.layout, config.solver.spacing_um)
-    return unit_field
+def _quiet_main(argv):
+    """``main(argv)`` with its stdout returned."""
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = main([str(a) for a in argv])
+    assert code == 0
+    return stdout.getvalue()
 
 
-def test_criterion_3_stark_linearity(config):
-    points = simulate_stark_scan(
-        config.ion("ion1"),
-        config.emitter,
-        config.stark.voltages_v,
-        _unit_field(config),
-        config.protocol,
-        config.detector,
-        config.run.seed,
-        window_half_width_mhz=config.stark.window_half_width_mhz,
-    )
-    fields, centres, errors = [], [], []
-    for point in points:
-        fit = fit_lorentzian(point.scan.frequencies_mhz, point.scan.counts)
-        fields.append(point.field.e_parallel_v_per_cm)
-        centres.append(fit.value("center_mhz"))
-        errors.append(fit.stderr("center_mhz"))
-    line = fit_linear_weighted(fields, centres, errors)
-    slope = line.value("slope_khz_per_v_cm")
-    stderr = line.stderr("slope_khz_per_v_cm")
+def _fit_report(out_dir):
+    """A run's fit_report.csv as {quantity: (value, stderr)}."""
+    rows = (line.split(",") for line in (out_dir / "fit_report.csv").read_text().splitlines()[1:])
+    return {quantity: (float(value), float(stderr)) for quantity, value, stderr, _ in rows}
 
-    ok = (
-        len(points) >= 6
-        and abs(slope - 19.8) <= 3.0 * stderr
-        and 0.3 <= line.reduced_chi_square <= 3.0
-    )
+
+@pytest.fixture(scope="module")
+def fig4b_run(tmp_path_factory):
+    """``reproduce fig4b`` of the default config stored as a file; criteria 4 and 8 read it."""
+    base = tmp_path_factory.mktemp("fig4b")
+    config_path = base / "config.toml"
+    config_path.write_text(dumps_config(default_config()), encoding="utf-8")
+    _quiet_main(["reproduce", "fig4b", "--config", config_path, "--out", base / "a"])
+    return config_path, base / "a"
+
+
+def test_criterion_3_stark_linearity(tmp_path):
+    _quiet_main(["reproduce", "fig4a", "--out", tmp_path])
+    fit = _fit_report(tmp_path)
+    slope, stderr = fit["stark_coefficient_ion1"]
+    chi2, _ = fit["line_reduced_chi_square_ion1"]
+    voltages = {line.split(",")[1] for line in (tmp_path / "stark_scan.csv").read_text().splitlines()[1:]}
+
+    ok = len(voltages) >= 6 and abs(slope - 19.8) <= 3.0 * stderr and 0.3 <= chi2 <= 3.0
     report(
         3,
         "Stark linearity",
         ok,
-        f"slope {slope:.3f}±{stderr:.3f} kHz/(V/cm) vs 19.8 over {len(points)} voltages; "
-        f"line reduced chi2 {line.reduced_chi_square:.2f}",
+        f"slope {slope:.3f}±{stderr:.3f} kHz/(V/cm) vs 19.8 over {len(voltages)} voltages; "
+        f"line reduced chi2 {chi2:.2f}",
     )
 
 
-def test_criterion_4_maximum_shift_ratio(config):
+def test_criterion_4_maximum_shift_ratio(config, fig4b_run):
     ion = config.ion("ion2")
-    points = simulate_stark_scan(
-        ion,
-        config.emitter,
-        [0.0, 333.0],
-        _unit_field(config),
-        config.protocol,
-        config.detector,
-        mix_seed(config.run.seed, 4),
-    )
-    fits = [fit_lorentzian(p.scan.frequencies_mhz, p.scan.counts) for p in points]
-    rest = ion.zero_field_frequency_mhz
-    shift = fits[1].value("center_mhz") - rest
-    shift_err = fits[1].stderr("center_mhz")
+    fit = _fit_report(fig4b_run[1])
+    slope, slope_err = fit["stark_coefficient_ion2"]
+    rest, rest_err = fit["zero_field_frequency_ion2"]
+    field = dict(line.split("=") for line in _quiet_main(["field"]).splitlines())
+    field_at_333_v = 333.0 * float(field["volts_to_field_v_per_cm_per_v"])
+    shift, shift_err = slope * field_at_333_v / 1000.0, slope_err * field_at_333_v / 1000.0
     ratio = abs(shift) / ion.zero_field_fwhm_mhz
-    # the fitted zero-voltage line must agree with the configured rest frequency
-    anchored = abs(fits[0].value("center_mhz") - rest) <= 3.0 * fits[0].stderr("center_mhz")
+    # the fitted zero-field line must agree with the configured rest frequency
+    anchored = abs(rest - ion.zero_field_frequency_mhz) <= 3.0 * rest_err
 
     ok = anchored and abs(abs(shift) - 182.9) <= 0.8 and abs(ratio - 27.3) <= 1.2
     report(
@@ -180,7 +163,7 @@ def test_criterion_4_maximum_shift_ratio(config):
         "maximum shift ratio",
         ok,
         f"|shift| = {abs(shift):.2f}±{shift_err:.2f} MHz at 333 V (target 182.9±0.8); "
-        f"shift/zero-field fwhm = {ratio:.2f} (target 27.3±1.2); zero-voltage line anchored: {anchored}",
+        f"shift/zero-field fwhm = {ratio:.2f} (target 27.3±1.2); zero-field line anchored: {anchored}",
     )
 
 
@@ -306,24 +289,13 @@ def test_criterion_7_fit_correctness():
     )
 
 
-def test_criterion_8_determinism(tmp_path, capsys):
-    config_path = tmp_path / "config.toml"
-    config_path.write_text(dumps_config(default_config()), encoding="utf-8")
-
-    def reproduce(out_name):
-        out_dir = tmp_path / out_name
-        code = main(
-            ["reproduce", "fig4b", "--config", str(config_path), "--out", str(out_dir)]
-        )
-        capsys.readouterr()
-        assert code == 0
-        return out_dir
-
-    run_a = reproduce("a")
-    run_b = reproduce("b")
+def test_criterion_8_determinism(fig4b_run, tmp_path):
+    config_path, run_a = fig4b_run
+    run_b = tmp_path / "b"
+    _quiet_main(["reproduce", "fig4b", "--config", config_path, "--out", run_b])
 
     csvs = sorted(p.name for p in run_a.glob("*.csv"))
-    assert len(csvs) == 8  # seven per-ion sweeps plus the fit report
+    assert len(csvs) == 2  # every ion's sweep in one file, plus the fit report
     identical_reruns = all(
         (run_a / name).read_bytes() == (run_b / name).read_bytes() for name in csvs
     )

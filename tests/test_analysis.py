@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,21 +12,22 @@ from starksim.analysis import (
     exponential_decay_jacobian,
     find_peaks,
     fit_exponential_decay,
-    fit_linear_weighted,
     fit_lorentzian,
+    fit_stark_sweep,
     lorentzian,
     lorentzian_jacobian,
     write_fit_report_csv,
 )
-from starksim.experiment import G2Histogram, Histogram, ScanResult
+from starksim.electrostatics import FieldVector
+from starksim.experiment import G2Histogram, Histogram, ScanResult, simulate_stark_scan
 from starksim.optimize import (
     DegenerateDataError,
     FitConvergenceError,
     FitError,
-    SingularDesignError,
     least_squares,
     poisson_deviance,
 )
+from starksim.stark import line_law
 
 VOLTS_TO_FIELD = 65.022536219113164  # default-layout calibration, V/cm per V
 
@@ -180,55 +182,100 @@ class TestFitExponentialDecay:
         assert fit.value("tau_us") == pytest.approx(41.0, rel=1e-6)
 
 
-class TestFitLinearWeighted:
-    def test_exact_line_with_uniform_weights(self):
-        fields = np.array([0.0, 2000.0, 5000.0, 9000.0, 21000.0])
-        shifts = 19.8 * fields / 1000.0
-        fit = fit_linear_weighted(fields, shifts, np.zeros_like(fields))
-        assert fit.value("slope_khz_per_v_cm") == pytest.approx(19.8, rel=1e-12)
-        assert fit.value("intercept_mhz") == pytest.approx(0.0, abs=1e-9)
+def sweep_mean(fields, frequencies, params):
+    """Expected counts of a voltage sweep: a Lorentzian per count, centred and
+    widened by the line law at the count's field."""
+    centre, fwhm = line_law(fields, *params[1:5])
+    return lorentzian(frequencies, (params[0], centre, fwhm, params[5]))
 
-    def test_matches_ordinary_least_squares_with_equal_errors(self):
+
+def sweep_grid(voltages, params, half_width=60.0, pitch=5.0):
+    """Fields and frequencies of scans that track the line law's centre."""
+    fields = np.repeat(np.asarray(voltages, dtype=float) * VOLTS_TO_FIELD, int(2 * half_width / pitch) + 1)
+    centre, _ = line_law(fields, *params[1:5])
+    offsets = np.tile(np.arange(-half_width, half_width + 0.1, pitch), len(voltages))
+    return fields, np.round(centre / pitch) * pitch + offsets
+
+
+def simulated_sweep(config, ion, seed):
+    scans = simulate_stark_scan(
+        ion, config.emitter, config.stark.voltages_v, FieldVector(VOLTS_TO_FIELD, 0.0),
+        config.protocol, config.detector, seed,
+    )
+    fields = np.concatenate([np.full(scan.counts.size, field.e_parallel_v_per_cm) for field, scan in scans])
+    frequencies = np.concatenate([scan.frequencies_mhz for _, scan in scans])
+    return fields, frequencies, np.concatenate([scan.counts for _, scan in scans])
+
+
+class TestFitStarkSweep:
+    VOLTAGES = (-333.0, -222.0, -111.0, 0.0, 111.0, 222.0, 333.0)  # both signs: the width law takes |E|
+    TRUTH = np.array([200.0, -40.0, -8.4, 6.7, 0.5, 8.5])
+
+    def test_noiseless_recovery_to_1e6(self):
+        fields, frequencies = sweep_grid(self.VOLTAGES, self.TRUTH)
+        fit = fit_stark_sweep(fields, frequencies, sweep_mean(fields, frequencies, self.TRUTH))
+        assert fit.names == (
+            "amplitude", "zero_field_frequency", "stark_coefficient", "zero_field_fwhm", "broadening", "offset"
+        )
+        assert fit.values == pytest.approx(self.TRUTH, rel=1e-6)
+
+    def test_reaches_a_likelihood_stationary_point(self):
+        # the deviance's finite-difference gradient vanishes at the fit, in
+        # units of one standard error's pull, and the errors are those of the
+        # Fisher matrix of a finite-difference Jacobian: checks the analytic one
         rng = np.random.default_rng(29)
-        fields = np.linspace(0.0, 2e4, 9)
-        shifts = 12.0 * fields / 1000.0 + rng.normal(0.0, 0.4, fields.size)
-        fit = fit_linear_weighted(fields, shifts, np.full(fields.size, 0.4))
-        slope_ols, intercept_ols = np.polyfit(fields, shifts, 1)
-        assert fit.value("slope_khz_per_v_cm") == pytest.approx(slope_ols * 1000.0, rel=1e-10)
-        assert fit.value("intercept_mhz") == pytest.approx(intercept_ols, rel=1e-8)
+        fields, frequencies = sweep_grid(self.VOLTAGES, self.TRUTH)
+        for _ in range(5):
+            counts = rng.poisson(sweep_mean(fields, frequencies, self.TRUTH)).astype(float)
+            fit = fit_stark_sweep(fields, frequencies, counts)
 
-    def test_synthetic_ion1_slope(self):
-        rng = np.random.default_rng(31)
-        voltages = np.array([0.0, 55.5, 111.0, 166.5, 222.0, 277.5, 333.0])
-        fields = voltages * VOLTS_TO_FIELD
-        sigma = 0.25
-        shifts = 19.8 * fields / 1000.0 + rng.normal(0.0, sigma, fields.size)
-        fit = fit_linear_weighted(fields, shifts, np.full(fields.size, sigma))
-        assert abs(fit.value("slope_khz_per_v_cm") - 19.8) < 3.0 * fit.stderr("slope_khz_per_v_cm")
+            def model(x, params):
+                return sweep_mean(fields, x, params)
+
+            gradient = _finite_difference_gradient(model, frequencies, counts, fit.values)
+            assert np.max(np.abs(gradient) * fit.stderrs) < 1e-3
+            steps = 1e-6 * np.maximum(np.abs(fit.values), 1.0)
+            jacobian = np.column_stack([
+                (model(frequencies, fit.values + step) - model(frequencies, fit.values - step)) / (2.0 * step[j])
+                for j, step in enumerate(np.diag(steps))
+            ])
+            fisher = (jacobian.T / model(frequencies, fit.values)) @ jacobian
+            assert fit.stderrs == pytest.approx(np.sqrt(np.diag(np.linalg.inv(fisher))), rel=1e-5)
+
+    def test_synthetic_ion1_slope(self, config, ion1):
+        fit = fit_stark_sweep(*simulated_sweep(config, ion1, 31))
+        assert abs(fit.value("stark_coefficient") - 19.8) < 3.0 * fit.stderr("stark_coefficient")
         assert 0.1 < fit.reduced_chi_square < 3.0
 
-    def test_ensemble_statistics_recovered(self):
+    def test_ensemble_statistics_recovered(self, config, ion1):
         rng = np.random.default_rng(37)
         raw = rng.normal(20.0, 5.8, 6)
         slopes = 20.0 + (raw - raw.mean()) / raw.std(ddof=1) * 5.8  # exact mean/SD
-        fields = np.linspace(0.0, 2.1e4, 7)
         recovered = []
-        for true_slope in slopes:
-            shifts = true_slope * fields / 1000.0 + rng.normal(0.0, 0.25, fields.size)
-            fit = fit_linear_weighted(fields, shifts, np.full(fields.size, 0.25))
-            recovered.append(fit.value("slope_khz_per_v_cm"))
+        for index, true_slope in enumerate(slopes):
+            ion = dataclasses.replace(ion1, stark_coefficient_khz_per_v_cm=float(true_slope))
+            recovered.append(fit_stark_sweep(*simulated_sweep(config, ion, 100 + index)).value("stark_coefficient"))
         recovered = np.array(recovered)
-        # per-slope fit errors ~0.02, so the sample statistics must match closely
+        # per-slope fit errors ~0.013, so the sample statistics must match closely
         assert recovered.mean() == pytest.approx(20.0, abs=0.1)
         assert recovered.std(ddof=1) == pytest.approx(5.8, abs=0.2)
 
-    def test_identical_fields_singular(self):
-        with pytest.raises(SingularDesignError):
-            fit_linear_weighted([5.0, 5.0, 5.0], [1.0, 2.0, 3.0], [0.1, 0.1, 0.1])
+    def test_identical_fields_rejected(self):
+        fields, frequencies = sweep_grid((111.0, 111.0, 111.0), self.TRUTH)
+        with pytest.raises(DegenerateDataError, match="need at least 3 distinct fields, got 1"):
+            fit_stark_sweep(fields, frequencies, sweep_mean(fields, frequencies, self.TRUTH))
 
-    def test_needs_three_points(self):
-        with pytest.raises(DegenerateDataError):
-            fit_linear_weighted([1.0, 2.0], [1.0, 2.0], [0.1, 0.1])
+    def test_needs_three_distinct_fields(self):
+        fields, frequencies = sweep_grid((0.0, 333.0, 0.0, 333.0), self.TRUTH)
+        with pytest.raises(DegenerateDataError, match="need at least 3 distinct fields, got 2"):
+            fit_stark_sweep(fields, frequencies, sweep_mean(fields, frequencies, self.TRUTH))
+
+    def test_constant_counts_rejected(self):
+        # without the check, a flat sweep "converges" to errors of 1e16 MHz
+        fields, frequencies = sweep_grid(self.VOLTAGES, self.TRUTH)
+        for level in (0.0, 5.0):
+            with pytest.raises(DegenerateDataError, match="counts are constant"):
+                fit_stark_sweep(fields, frequencies, np.full(fields.size, level))
 
 
 class TestEstimateG2Zero:

@@ -5,6 +5,7 @@ import shlex
 import statistics
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from starksim.cli import (
     FIGURES,
     main,
 )
-from starksim.config import config_file_digest, default_config, dumps_config
+from starksim.config import config_file_digest, default_config, dumps_config, loads_config
 from starksim.stark import resonance_voltage
 
 
@@ -235,10 +236,26 @@ class TestLoadTimeChecks:
         assert err.startswith(f"error: cannot write output directory {out_dir}: ")
         assert out == "" and blocker.read_text(encoding="utf-8") == "not a directory\n"
 
-    def test_quote_in_output_dir_exits_2(self, capsys, tmp_path):
-        code, _, err = self.run_with(capsys, tmp_path, '[run]\noutput_dir = "runs\\"x"\n', "reproduce", "fig3b")
+    def test_quote_in_output_dir_round_trips_and_runs(self, capsys, tmp_path):
+        # the writer escapes strings, so a '"' needs no rule of its own
+        output_dir = tmp_path / 'runs"x'
+        config = default_config()
+        config = replace(config, run=replace(config.run, output_dir=str(output_dir)))
+        text = dumps_config(config)
+        assert loads_config(text) == config
+        path = tmp_path / "quote.toml"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "reproduce", "fig3b", "--config", path)
+        assert code == EXIT_OK
+        assert out.splitlines() == [str(output_dir / "decay.csv"), str(output_dir / "fit_report.csv")]
+        assert (output_dir / "config.toml").read_text(encoding="utf-8") == text
+
+    def test_ple_voltage_beyond_the_limit_exits_2(self, capsys, tmp_path):
+        # checked against [run] max_voltage_v before the manifest, as [stark] voltages_v is
+        code, out, err = run(capsys, "ple", "--voltage", "-333.5", "--out", tmp_path / "out")
         assert code == EXIT_CONFIG
-        assert "[run].output_dir" in err
+        assert err == "error: invalid configuration: --voltage -333.5 V is outside the +/-333 V of [run].max_voltage_v\n"
+        assert out == "" and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("kind", ["directory", "not utf-8", "missing"])
     def test_unreadable_config_exits_2(self, capsys, tmp_path, kind):
@@ -426,8 +443,14 @@ class TestPipelines:
 
     @pytest.mark.parametrize(
         "kind, figure, dataset",
-        [("ple", "fig2", "ple_scan.csv"), ("decay", "fig3b", "decay.csv"), ("g2", "fig3c", "g2.csv")],
-        ids=["ple-fig2", "decay-fig3b", "g2-fig3c"],
+        [
+            ("ple", "fig2", "ple_scan.csv"),
+            ("decay", "fig3b", "decay.csv"),
+            ("g2", "fig3c", "g2.csv"),
+            ("stark", "fig4a", "stark_scan.csv"),
+            ("stark", "fig4b", "stark_scan.csv"),
+        ],
+        ids=["ple-fig2", "decay-fig3b", "g2-fig3c", "stark-fig4a", "stark-fig4b"],
     )
     def test_fit_refits_its_figure(self, capsys, fast_config, tmp_path, kind, figure, dataset):
         # fit runs the figure's own fit stage, so its report is the figure's;
@@ -450,14 +473,14 @@ class TestPipelines:
             ("ple", "fig2", ["ple_scan.csv"]),
             ("decay", "fig3b", ["decay.csv"]),
             ("g2", "fig3c", ["g2.csv"]),
-            ("stark", "fig4a", ["stark_scan.csv", "fit_report.csv"]),
+            ("stark", "fig4a", ["stark_scan.csv"]),
         ],
         ids=["ple-fig2", "decay-fig3b", "g2-fig3c", "stark-fig4a"],
     )
     def test_dataset_command_writes_its_figures_bytes(
         self, capsys, fast_config, tmp_path, command, figure, datasets
     ):
-        # ple, decay and g2 are the no-fit forms of their figures; stark is fig4a
+        # ple, decay, g2 and stark are the no-fit forms of their figures
         a, b = tmp_path / "command", tmp_path / "figure"
         common = ["--config", fast_config, "--seed", 7]
         code_a, out_a, _ = run(capsys, command, *common, "--out", a)
@@ -465,9 +488,8 @@ class TestPipelines:
         assert code_a == code_b == EXIT_OK
         for name in [*datasets, "config.toml"]:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
-        figure_outputs = datasets if command == "stark" else [*datasets, "fit_report.csv"]
         assert out_a.splitlines() == [str(a / name) for name in datasets]
-        assert out_b.splitlines() == [str(b / name) for name in figure_outputs]
+        assert out_b.splitlines() == [str(b / name) for name in [*datasets, "fit_report.csv"]]
 
     def test_g2_without_side_lags_exits_5(self, capsys, config_path, tmp_path):
         histogram = tmp_path / "g2.csv"
@@ -504,8 +526,10 @@ class TestPipelines:
             ("g2", "lag_pulses,coincidences,normalized\n-1,6,1.0\n0,x,0.0\n",
              "row 3, column 'coincidences': expected int, got 'x'"),
             ("decay", "time_us,counts\n0.5,3\n1.5\n", "row 3 has 1 cells, want 2"),
+            ("stark", "ion_id,voltage_v,field_v_per_cm,frequency_mhz,counts\nion1,0,0,-5,3\nion1,0,0,zero,4\n",
+             "row 3, column 'frequency_mhz': expected float, got 'zero'"),
         ],
-        ids=["ple-float-count", "g2-text-count", "decay-short-row"],
+        ids=["ple-float-count", "g2-text-count", "decay-short-row", "stark-text-frequency"],
     )
     def test_malformed_cell_names_file_row_and_column(self, capsys, config_path, tmp_path, kind, text, cell):
         data = tmp_path / f"{kind}.csv"
@@ -561,14 +585,26 @@ class TestPipelines:
         assert manifest["command"] == shlex.join(["starksim", *argv])
 
     def test_stark_command_writes_scan_and_report(self, capsys, config_path, tmp_path):
+        # stark writes the sweep's counts; fit --kind stark writes the report
         out_dir = tmp_path / "stark_out"
         code, out, _ = run(capsys, "stark", "--config", config_path, "--out", out_dir)
         assert code == EXIT_OK
+        assert out.splitlines() == [str(out_dir / "stark_scan.csv")]
         scan = (out_dir / "stark_scan.csv").read_text().splitlines()
-        assert scan[0] == "voltage_v,field_v_per_cm,peak_mhz,peak_err_mhz,fwhm_mhz,fwhm_err_mhz"
-        assert len(scan) == 1 + 7
-        report = (out_dir / "fit_report.csv").read_text()
-        assert "stark_coefficient_ion1" in report
+        assert scan[0] == "ion_id,voltage_v,field_v_per_cm,frequency_mhz,counts"
+        assert len(scan) == 1 + 7 * 25
+        assert {row.split(",")[0] for row in scan[1:]} == {"ion1"}
+        assert len({row.split(",")[1] for row in scan[1:]}) == 7
+        code, _, _ = run(
+            capsys, "fit", "--config", config_path, "--kind", "stark",
+            "--input", out_dir / "stark_scan.csv", "--out", tmp_path / "fit",
+        )
+        assert code == EXIT_OK
+        quantities = [row.split(",")[0] for row in (tmp_path / "fit" / "fit_report.csv").read_text().splitlines()[1:]]
+        assert quantities == [
+            "stark_coefficient_ion1", "zero_field_frequency_ion1", "zero_field_fwhm_ion1",
+            "broadening_ion1", "line_reduced_chi_square_ion1",
+        ]
 
     def test_same_seed_reruns_byte_identical(self, capsys, config_path, tmp_path):
         a = tmp_path / "a"
@@ -591,7 +627,35 @@ class TestPipelines:
         assert any(v > 0 for v in slopes.values()) and any(v < 0 for v in slopes.values())
         assert slopes["ion1"] == pytest.approx(19.8, abs=0.1)
         assert slopes["ion7"] == pytest.approx(-9.8, abs=0.1)
-        assert (out_dir / "stark_scan_ion4.csv").exists()
+        ions = [row.split(",")[0] for row in (out_dir / "stark_scan.csv").read_text().splitlines()[1:]]
+        assert list(dict.fromkeys(ions)) == [f"ion{k}" for k in range(1, 8)]
+        assert ions.count("ion4") == 7 * 25
+
+    @pytest.mark.parametrize("seed", [1232, 1413])
+    def test_fig4b_fits_the_sweeps_one_scan_fit_could_not(self, capsys, tmp_path, seed):
+        # a scan holding one or two samples of a line collapsed its own width
+        # fit ("width 2.43 MHz" at seed 1232, no convergence at 1413); the
+        # sweep's one fit shares the width across the seven scans
+        code, _, err = run(capsys, "reproduce", "fig4b", "--seed", seed, "--out", tmp_path / "fig4b")
+        assert code == EXIT_OK, err
+
+    @pytest.mark.parametrize("fields, found", [((0.0,), 1), ((0.0, 65.0, 65.0), 2)], ids=["one-field", "two-fields"])
+    def test_stark_fit_needs_three_fields_per_ion(self, capsys, fast_config, tmp_path, fields, found):
+        # ion1's sweep fits; the ion after it, with too few fields, is named
+        assert run(capsys, "stark", "--config", fast_config, "--out", tmp_path)[0] == EXIT_OK
+        data = tmp_path / "stark_scan.csv"
+        with open(data, "a", encoding="utf-8") as handle:
+            handle.writelines(f"ion9,0,{field},{f},{c}\n" for field in fields for f, c in ((-5.0, 3), (0.0, 9), (5.0, 4)))
+        code, out, err = run(capsys, "fit", "--kind", "stark", "--input", data, "--out", tmp_path / "x")
+        assert code == EXIT_FITTING
+        assert out == "" and err == f"error: fitting failed: ion9: need at least 3 distinct fields, got {found}\n"
+
+    def test_stark_fit_of_no_rows_exits_5(self, capsys, tmp_path):
+        data = tmp_path / "stark_scan.csv"
+        data.write_text("ion_id,voltage_v,field_v_per_cm,frequency_mhz,counts\n", encoding="utf-8")
+        code, out, err = run(capsys, "fit", "--kind", "stark", "--input", data, "--out", tmp_path / "x")
+        assert code == EXIT_FITTING
+        assert out == "" and err == "error: fitting failed: no scan points to fit\n"
 
     def test_seed_override_changes_data(self, capsys, config_path, tmp_path):
         a = tmp_path / "a"
@@ -639,9 +703,14 @@ REPLAYED = [
     ["stark"],
     ["field", "--dump-grid"],
     ["resonance", "--ion-a", "ion1", "--ion-b", "ion7"],
-    *(["fit", "--kind", kind] for kind in ("ple", "decay", "g2")),
+    *(["fit", "--kind", kind] for kind in ("ple", "decay", "g2", "stark")),
 ]
-FIT_INPUTS = {"ple": ("fig2", "ple_scan.csv"), "decay": ("fig3b", "decay.csv"), "g2": ("fig3c", "g2.csv")}
+FIT_INPUTS = {
+    "ple": ("fig2", "ple_scan.csv"),
+    "decay": ("fig3b", "decay.csv"),
+    "g2": ("fig3c", "g2.csv"),
+    "stark": ("fig4b", "stark_scan.csv"),
+}
 
 
 def replay_id(argv):

@@ -64,7 +64,7 @@ class TestTomlSubset:
             loads_config("[layout]\ngap_um = 100.0\ngap_um = 50.0\n")
 
     def test_dump_round_trip(self):
-        data = {"s": {"x": 1.5, "n": 3, "ok": False, "name": 'v "q" \\ \t\n\x00\x7f\u2028', "arr": [1, 2]}}
+        data = {"s": {"x": 1.5, "n": 3, "name": 'v "q" \\ \t\n\x00\x7f\u2028', "arr": [1, 2]}}
         assert tomllib.loads(dump_toml(data)) == data
 
     # Forms the writer never produces: each loads to the config of its plain
@@ -236,12 +236,12 @@ class TestExperimentConfig:
 
     def test_output_dir_must_survive_the_round_trip(self):
         config = default_config()
-        for bad in ('runs"#x', "a\nb", "a\r", "a\u2028b"):
+        for bad in ("a\nb", "a\r", "a\u2028b"):
             with pytest.raises(ConfigError, match=r"\[run\]\.output_dir"):
                 dataclasses.replace(config.run, output_dir=bad)
-        run = dataclasses.replace(config.run, output_dir="runs #1/a\\b")
-        config = dataclasses.replace(config, run=run)
-        assert loads_config(dumps_config(config)) == config
+        for good in ("runs #1/a\\b", 'runs"#x'):
+            stored = dataclasses.replace(config, run=dataclasses.replace(config.run, output_dir=good))
+            assert loads_config(dumps_config(stored)) == stored
 
     def test_enhancement_factor_must_be_set(self):
         with pytest.raises(TypeError):
@@ -376,9 +376,7 @@ def test_round_trip_property():
     @hypothesis.given(configs(), enhancement_factors, output_dirs)
     def check(drawn, enhancement_factor, output_dir):
         config, run, stark = drawn
-        writable = '"' not in output_dir and not any(
-            ch in output_dir for ch in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-        )
+        writable = not any(ch in output_dir for ch in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
         emitter = dataclasses.replace(config.emitter, enhancement_factor=enhancement_factor)
         limit = lifetime_limited_fwhm_mhz(emitter.lifetime_us)
         valid = (

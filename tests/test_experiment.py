@@ -324,9 +324,10 @@ class TestStarkScan:
             ion2, config.emitter, [0.0], unit_field, config.protocol,
             config.detector, 31, window_half_width_mhz=60.0,
         )
-        fit = fit_lorentzian(points[0].scan.frequencies_mhz, points[0].scan.counts)
+        [(field, scan)] = points
+        fit = fit_lorentzian(scan.frequencies_mhz, scan.counts)
         assert fit.value("center_mhz") == pytest.approx(-40.0, abs=3.0 * fit.stderr("center_mhz"))
-        assert points[0].field.e_parallel_v_per_cm == 0.0
+        assert field.e_parallel_v_per_cm == 0.0
 
     def test_equally_spaced_voltages_give_equally_spaced_peaks(self, config, ion1, emitter, unit_field):
         points = simulate_stark_scan(
@@ -334,14 +335,14 @@ class TestStarkScan:
             config.detector, 33,
         )
         centres, errs = [], []
-        for point in points:
-            fit = fit_lorentzian(point.scan.frequencies_mhz, point.scan.counts)
+        for _, scan in points:
+            fit = fit_lorentzian(scan.frequencies_mhz, scan.counts)
             centres.append(fit.value("center_mhz"))
             errs.append(fit.stderr("center_mhz"))
         first = centres[1] - centres[0]
         second = centres[2] - centres[1]
         assert first == pytest.approx(second, abs=3.0 * math.hypot(*errs[:2], errs[2]))
-        expected = ion1.line(points[1].field)[0] - ion1.zero_field_frequency_mhz
+        expected = ion1.line(points[1][0])[0] - ion1.zero_field_frequency_mhz
         assert first == pytest.approx(expected, abs=3.0 * math.hypot(errs[0], errs[1]))
 
     def test_voltage_limit_enforced(self, config):
@@ -360,11 +361,11 @@ class TestStarkScan:
             ion3, config.emitter, [0.0, 333.0], unit_field, config.protocol,
             config.detector, 35, window_half_width_mhz=50.0,
         )
-        for point in points:
-            expected, _ = ion3.line(point.field)
-            freqs = point.scan.frequencies_mhz
+        for field, scan in points:
+            expected, _ = ion3.line(field)
+            freqs = scan.frequencies_mhz
             assert freqs[0] <= expected <= freqs[-1]
-            assert np.argmax(point.scan.counts) not in (0, freqs.size - 1)
+            assert np.argmax(scan.counts) not in (0, freqs.size - 1)
 
 
 class TestPipelineClosure:

@@ -132,8 +132,8 @@ class StarkScanSettings:
     window_half_width_mhz: float = 60.0
 
     def __post_init__(self) -> None:
-        if len(self.voltages_v) < 3:
-            raise ConfigError(f"[stark].voltages_v needs at least 3 voltages, got {len(self.voltages_v)}")
+        if len(set(self.voltages_v)) < 3:  # fig4's line-law fit needs 3 distinct fields
+            raise ConfigError(f"[stark].voltages_v needs at least 3 distinct voltages, got {len(set(self.voltages_v))}")
 
 
 _DEFAULT_IONS = (

@@ -12,9 +12,10 @@ The simulators take each ion's own line as an :class:`~starksim.stark.IonModel`
 and the lifetime and saturation all ions share as one
 :class:`~starksim.stark.EmitterParams`, the only input of decay and g2.
 
-Determinism contract: every scan point draws from its own generator,
-seeded as ``splitmix64(master_seed, point_index)``, so a scan point's
-counts depend only on the master seed and its index.
+Determinism contract: each PLE scan, decay histogram and g2 histogram is
+drawn in bulk from one generator, ``point_generator(seed, 0)``, in the
+draw order its simulator's docstring states; a Stark sweep scans voltage
+``i`` on ``mix_seed(seed, i)``.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ class SimulationError(ValueError):
 def mix_seed(master_seed: int, index: int) -> int:
     """splitmix64 finalizer over ``master_seed + (index+1)*golden_gamma``.
 
-    This is the one mixing function used to derive independent per-point
-    streams from a master seed; it is part of the reproducibility
-    contract, so do not change it.
+    This is the one mixing function used to derive independent streams
+    (per record, per sweep voltage, per fig4b ion) from a master seed; it
+    is part of the reproducibility contract, so do not change it.
     """
     z = (master_seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -193,32 +194,27 @@ def simulate_ple_scan(
     """Photon counts versus excitation frequency under the pulse protocol.
 
     Per pulse and per ion: Bernoulli excitation with the Lorentzian
-    detuning probability, exponential emission delay, detection iff the
-    photon falls in the window and survives the collection efficiency.
-    Dark counts add as Poisson background. Per-frequency counts only are
-    returned; arrival times are not needed for a scan.
+    detuning probability ``p_exc``, exponential emission delay, detection
+    iff the photon falls in the window and survives the collection
+    efficiency. Detection thins the excited pulses, so an ion's count at a
+    point is ``Binomial(n_pulses, p_exc * efficiency * P_window)``; Poisson
+    dark counts add to it. Drawn from ``point_generator(seed, 0)``: one
+    binomial array over (points x ions), then one Poisson count per point.
     """
     frequencies = protocol.scan_frequencies_mhz()
     n_pulses = protocol.pulses_per_point
-
-    lines = [ion.line(field) for ion in ions]
-    window_prob = emission_window_probability(
+    centres, fwhms = np.array([ion.line(field) for ion in ions]).reshape(-1, 2).T
+    p_exc = excitation_probability(emitter.saturation_excitation_prob, fwhms, frequencies[:, None] - centres)
+    p_detect = detector.total_efficiency * emission_window_probability(
         emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
     )
     dark_mean = detector.dark_mean_per_pulse(protocol.window_length_us) * n_pulses
 
-    counts = []
-    for index, freq in enumerate(frequencies):
-        rng = point_generator(seed, index)
-        total = 0
-        for centre, fwhm in lines:
-            p_exc = excitation_probability(emitter.saturation_excitation_prob, fwhm, freq - centre)
-            excited = rng.binomial(n_pulses, p_exc)
-            total += rng.binomial(excited, detector.total_efficiency * window_prob)
-        counts.append(total + rng.poisson(dark_mean))
+    rng = point_generator(seed, 0)
+    signal = rng.binomial(n_pulses, p_exc * p_detect).sum(axis=1)
     return ScanResult(
         frequencies_mhz=frequencies,
-        counts=np.asarray(counts, dtype=np.int64),
+        counts=signal + rng.poisson(dark_mean, frequencies.size),
         integration_s=protocol.integration_time_s,
     )
 
@@ -275,17 +271,21 @@ def simulate_g2_histogram(
     n_pulses: int,
     max_lag: int,
     seed: int,
-    *,
-    signal_statistics: str = "single",
 ) -> G2Histogram:
     """Hanbury Brown-Twiss coincidences versus pulse lag.
 
-    The emitter contributes at most one detected photon per pulse;
-    ``background_fraction`` of all detected events come from a Poissonian
-    background instead. Every event is routed 50/50 to the two arms and
-    ``C(k)`` counts arm-A events against arm-B events ``k`` pulses later.
-    ``signal_statistics="poissonian"`` swaps the emitter for a coherent
-    source of the same mean rate (the classical control).
+    The emitter contributes at most one detected photon per pulse, with
+    probability ``p``; ``background_fraction`` of all detected events come
+    from a Poissonian background of mean ``m`` per pulse instead. Every
+    event is routed 50/50 to the two arms and ``C(k)`` counts arm-A events
+    against arm-B events ``k`` pulses later, in exact int64 arithmetic.
+
+    The arms are drawn directly: a pulse's photon goes to arm A if its
+    uniform ``u < p/2`` and to arm B if ``p/2 <= u < p``; by Poisson
+    thinning each arm's background is an independent Poisson(``m/2``) per
+    pulse, drawn as one Poisson total placed on uniform pulse indices.
+    Draw order from ``point_generator(seed, 0)``: one uniform per pulse,
+    then arm A's background total and indices, then arm B's.
     """
     if not 0.0 <= background_fraction < 1.0:
         raise SimulationError("background fraction must lie in [0, 1)")
@@ -293,8 +293,6 @@ def simulate_g2_histogram(
         raise SimulationError("max lag must be >= 1")
     if n_pulses <= max_lag:
         raise SimulationError("need more pulses than the maximum lag")
-    if signal_statistics not in ("single", "poissonian"):
-        raise SimulationError(f"unknown signal statistics {signal_statistics!r}")
 
     rng = point_generator(seed, 0)
     p_signal = emitter.saturation_excitation_prob * emission_window_probability(
@@ -302,23 +300,18 @@ def simulate_g2_histogram(
     )
     background_mean = background_fraction / (1.0 - background_fraction) * p_signal
 
-    if signal_statistics == "single":
-        events = (rng.random(n_pulses) < p_signal).astype(np.int64)
-    else:
-        events = rng.poisson(p_signal, n_pulses)
-    if background_mean > 0.0:
-        events += rng.poisson(background_mean, n_pulses)
-    arm_a = rng.binomial(events, 0.5)
-    arm_b = events - arm_a
+    u = rng.random(n_pulses)
+    arm_a = (u < p_signal / 2.0).astype(np.int64)
+    arm_b = ((p_signal / 2.0 <= u) & (u < p_signal)).astype(np.int64)
+    for arm in (arm_a, arm_b):
+        n_background = rng.poisson(background_mean / 2.0 * n_pulses)
+        np.add.at(arm, rng.integers(0, n_pulses, n_background), 1)
 
     lags = np.arange(-max_lag, max_lag + 1)
-    coincidences = np.empty(lags.size, dtype=np.int64)
-    for i, lag in enumerate(lags):
-        k = abs(int(lag))
-        if lag >= 0:
-            coincidences[i] = int(np.dot(arm_a[: n_pulses - k], arm_b[k:]))
-        else:
-            coincidences[i] = int(np.dot(arm_a[k:], arm_b[: n_pulses - k]))
+    coincidences = np.array([
+        np.einsum("i,i->", arm_a[max(-k, 0): n_pulses - max(k, 0)], arm_b[max(k, 0): n_pulses - max(-k, 0)])
+        for k in lags.tolist()
+    ], dtype=np.int64)
     return G2Histogram(lags=lags, coincidences=coincidences)
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .electrostatics import FieldVector
 
 __all__ = [
@@ -117,9 +119,9 @@ def lifetime_limited_fwhm_mhz(lifetime_us: float) -> float:
     return 1.0 / (2.0 * math.pi * lifetime_us)
 
 
-def excitation_probability(saturation_prob: float, fwhm_mhz: float, detuning_mhz: float) -> float:
-    """Per-pulse excitation probability of a ``fwhm_mhz`` wide line at a laser detuning (MHz)."""
-    if not math.isfinite(detuning_mhz):
+def excitation_probability(saturation_prob, fwhm_mhz, detuning_mhz):
+    """Per-pulse excitation probability of a ``fwhm_mhz`` wide line at a laser detuning (MHz); numbers or arrays."""
+    if not np.all(np.isfinite(detuning_mhz)):
         raise ValueError("detuning must be finite")
     u = 2.0 * detuning_mhz / fwhm_mhz
     return saturation_prob / (1.0 + u**2)

@@ -17,11 +17,12 @@ from starksim.analysis import (
     fit_lorentzian,
     lorentzian,
     lorentzian_jacobian,
+    read_g2_csv,
 )
 from starksim.cli import main
 from starksim.config import default_config, dumps_config
 from starksim.electrostatics import ElectrodeLayout, FieldVector, field_at, solve_potential
-from starksim.experiment import simulate_decay_histogram, simulate_g2_histogram, simulate_ple_scan
+from starksim.experiment import simulate_ple_scan
 from starksim.optimize import poisson_deviance
 
 # exact discrete probe field at 0.625 um, the last spacing of the
@@ -46,64 +47,6 @@ def config():
     return default_config()
 
 
-def test_criterion_1_lifetime_chain(config):
-    assert config.emitter.bulk_lifetime_ms == 11.4
-    assert config.emitter.enhancement_factor == 278.0
-    emitter = config.emitter
-    floor = config.detector.dark_rate_hz * 1.0e-6 * 10_000_000
-
-    taus = []
-    worst_runtime = 0.0
-    for seed in range(20):
-        start = time.perf_counter()
-        histogram = simulate_decay_histogram(
-            emitter, config.protocol, config.detector, 10_000_000, 1.0, seed
-        )
-        worst_runtime = max(worst_runtime, time.perf_counter() - start)
-        fit = fit_exponential_decay(histogram, known_background=floor)
-        taus.append(fit.value("tau_us"))
-    taus = np.array(taus)
-    hits = int(np.sum(np.abs(taus - 41.0) <= 1.4))
-
-    ok = hits >= 19 and worst_runtime < 60.0
-    report(
-        1,
-        "lifetime chain",
-        ok,
-        f"{hits}/20 seeds inside 41.0±1.4 us (mean {taus.mean():.2f}, sd {taus.std(ddof=1):.2f}); "
-        f"slowest simulation {worst_runtime:.1f} s",
-    )
-
-
-def test_criterion_2_antibunching(config):
-    emitter = config.emitter
-
-    tuned = estimate_g2_zero(
-        simulate_g2_histogram(emitter, 1.0 - 0.949, config.protocol, 400_000, 10, 2025)
-    )
-    pure = simulate_g2_histogram(emitter, 0.0, config.protocol, 200_000, 10, 2026)
-    pure_zero_lag = int(pure.coincidences[pure.lags == 0][0])
-    poisson = estimate_g2_zero(
-        simulate_g2_histogram(
-            emitter, 0.0, config.protocol, 200_000, 10, 2027, signal_statistics="poissonian"
-        )
-    )
-
-    ok = (
-        0.06 <= tuned.g2_zero <= 0.14
-        and pure_zero_lag == 0
-        and abs(poisson.g2_zero - 1.0) <= 3.0 * poisson.standard_error
-    )
-    report(
-        2,
-        "antibunching",
-        ok,
-        f"g2(0)={tuned.g2_zero:.3f}±{tuned.standard_error:.3f} at signal fraction 0.949; "
-        f"pure emitter C(0)={pure_zero_lag}; Poissonian control {poisson.g2_zero:.4f}"
-        f"±{poisson.standard_error:.4f}",
-    )
-
-
 def _quiet_main(argv):
     """``main(argv)`` with its stdout returned."""
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
@@ -116,6 +59,58 @@ def _fit_report(out_dir):
     """A run's fit_report.csv as {quantity: (value, stderr)}."""
     rows = (line.split(",") for line in (out_dir / "fit_report.csv").read_text().splitlines()[1:])
     return {quantity: (float(value), float(stderr)) for quantity, value, stderr, _ in rows}
+
+
+def test_criterion_1_lifetime_chain(config, tmp_path):
+    assert config.emitter.bulk_lifetime_ms == 11.4
+    assert config.emitter.enhancement_factor == 278.0
+
+    taus = []
+    worst_runtime = 0.0
+    for seed in range(20):
+        start = time.perf_counter()
+        _quiet_main(["reproduce", "fig3b", "--seed", seed, "--out", tmp_path / str(seed)])
+        worst_runtime = max(worst_runtime, time.perf_counter() - start)
+        taus.append(_fit_report(tmp_path / str(seed))["tau_us"][0])
+    taus = np.array(taus)
+    hits = int(np.sum(np.abs(taus - 41.0) <= 1.4))
+
+    ok = hits >= 19 and worst_runtime < 60.0
+    report(
+        1,
+        "lifetime chain",
+        ok,
+        f"{hits}/20 seeds inside 41.0±1.4 us (mean {taus.mean():.2f}, sd {taus.std(ddof=1):.2f}); "
+        f"slowest run {worst_runtime:.1f} s",
+    )
+
+
+def test_criterion_2_antibunching(config, poissonian_g2, tmp_path):
+    # fig3c at signal fraction 0.949 (the default background) and 400 000 pulses, and a pure emitter
+    assert config.g2.background_fraction == pytest.approx(1.0 - 0.949)
+    (tmp_path / "tuned.toml").write_text("[g2]\nn_pulses = 400000\n", encoding="utf-8")
+    (tmp_path / "pure.toml").write_text("[g2]\nbackground_fraction = 0.0\n", encoding="utf-8")
+    _quiet_main(["reproduce", "fig3c", "--config", tmp_path / "tuned.toml", "--seed", 2025, "--out", tmp_path / "tuned"])
+    _quiet_main(["g2", "--config", tmp_path / "pure.toml", "--seed", 2026, "--out", tmp_path / "pure"])
+    tuned, tuned_err = _fit_report(tmp_path / "tuned")["g2_zero"]
+    pure = read_g2_csv(tmp_path / "pure" / "g2.csv")
+    pure_zero_lag = int(pure.coincidences[pure.lags == 0][0])
+    # the classical control has no command: a test-side coherent source
+    poisson = estimate_g2_zero(poissonian_g2(config.emitter, 0.0, config.protocol, 200_000, 10, 2027))
+
+    ok = (
+        0.06 <= tuned <= 0.14
+        and pure_zero_lag == 0
+        and abs(poisson.g2_zero - 1.0) <= 3.0 * poisson.standard_error
+    )
+    report(
+        2,
+        "antibunching",
+        ok,
+        f"g2(0)={tuned:.3f}±{tuned_err:.3f} at signal fraction 0.949; "
+        f"pure emitter C(0)={pure_zero_lag}; Poissonian control {poisson.g2_zero:.4f}"
+        f"±{poisson.standard_error:.4f}",
+    )
 
 
 @pytest.fixture(scope="module")

@@ -431,6 +431,21 @@ class TestPipelines:
         g2_value = float(report.splitlines()[1].split(",")[1])
         assert 0.06 <= g2_value <= 0.14
 
+    @pytest.mark.parametrize("figure, quantity", [("fig3b", "tau_us"), ("fig3c", "g2_zero")])
+    def test_reported_error_is_the_spread_over_seeds(self, capsys, config, tmp_path, figure, quantity):
+        # the pull (value - truth) / stderr of 50 default runs has sd near 1
+        truth = {"tau_us": config.emitter.lifetime_us, "g2_zero": 1.0 - (1.0 - config.g2.background_fraction) ** 2}
+        pulls = []
+        for seed in range(50):
+            out_dir = tmp_path / f"seed{seed}"
+            code, _, _ = run(capsys, "reproduce", figure, "--seed", seed, "--out", out_dir)
+            assert code == EXIT_OK
+            row = next(line for line in (out_dir / "fit_report.csv").read_text().splitlines() if line.startswith(quantity))
+            value, stderr = map(float, row.split(",")[1:3])
+            pulls.append((value - truth[quantity]) / stderr)
+        sd = statistics.stdev(pulls)
+        assert 0.8 <= sd <= 1.2, f"pull mean {statistics.fmean(pulls):.3f}, sd {sd:.3f}"
+
     def test_ple_scan_csv_shape(self, capsys, tmp_path):
         fast = tmp_path / "fast.toml"
         fast.write_text("[protocol]\nscan_range_mhz = [-50.0, 50.0]\n", encoding="utf-8")

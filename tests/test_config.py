@@ -151,6 +151,18 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="ion_id"):
             loads_config("[stark]\nion_id = \"ion99\"\n")
 
+    # fig2 and fig3 never read the sweep, yet refuse such a file too
+    @pytest.mark.parametrize("figure", ["fig4a", "fig2"])
+    @pytest.mark.parametrize("voltages", ["[0.0, 0.0, 333.0]", "[-0.0, 0.0, 111.0, 111.0]"], ids=["repeat", "signed-zero"])
+    def test_stark_voltages_must_be_distinct(self, capsys, tmp_path, figure, voltages):
+        path = tmp_path / "sweep.toml"
+        path.write_text(f"[stark]\nvoltages_v = {voltages}\n", encoding="utf-8")
+        code = main(["reproduce", figure, "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err == "error: invalid configuration: [stark].voltages_v needs at least 3 distinct voltages, got 2\n"
+        assert not (tmp_path / "out").exists()
+
     def test_defaults_match_paper_values(self):
         config = default_config()
         assert config.layout.gap_um == 100.0
@@ -364,7 +376,7 @@ def test_round_trip_property():
         stark = dataclasses.replace(
             base.stark,
             ion_id=draw(figure_ion),
-            voltages_v=tuple(draw(st.lists(finite, min_size=3, max_size=12))),
+            voltages_v=tuple(draw(st.lists(finite, min_size=3, max_size=12, unique=True))),
         )
         return config, run, stark
 

@@ -10,10 +10,12 @@ from starksim.config import ConfigError
 from starksim.electrostatics import ElectrodeLayout, FieldVector, field_per_volt
 from starksim.experiment import (
     DetectorModel,
+    G2Histogram,
     PLEProtocol,
     SimulationError,
     emission_window_probability,
     mix_seed,
+    point_generator,
     simulate_decay_histogram,
     simulate_g2_histogram,
     simulate_ple_scan,
@@ -22,7 +24,7 @@ from starksim.experiment import (
     write_g2_csv,
     write_ple_csv,
 )
-from starksim.stark import EmitterParams
+from starksim.stark import EmitterParams, excitation_probability
 
 
 class TestSeedMixing:
@@ -282,19 +284,89 @@ class TestDecayDegenerateInputs:
         assert abs(hist.counts[-1] - per_bin / 2.0) < 4.0 * math.sqrt(per_bin / 2.0)
 
 
+def _ple_point_moments(ions, emitter, protocol, detector, field):
+    """Closed-form mean and variance of each scan point's count: a binomial
+    per ion, ``p = p_sat / (1 + (2 detuning / fwhm)^2) * efficiency * P_window``,
+    plus Poisson darks."""
+    p_window = emission_window_probability(emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us)
+    n = protocol.pulses_per_point
+    darks = detector.dark_rate_hz * protocol.window_length_us * 1e-6 * n
+    mean = np.full(protocol.scan_frequencies_mhz().size, darks)
+    variance = mean.copy()
+    for ion in ions:
+        centre, fwhm = ion.line(field)
+        u = 2.0 * (protocol.scan_frequencies_mhz() - centre) / fwhm
+        p = emitter.saturation_excitation_prob / (1.0 + u**2) * detector.total_efficiency * p_window
+        mean += n * p
+        variance += n * p * (1.0 - p)
+    return mean, variance
+
+
+def _per_point_ple_counts(ions, emitter, protocol, detector, field, seed):
+    """Reference sampler: a generator per scan point; each ion's excited
+    pulses are drawn, then thinned to the detected ones."""
+    n_pulses = protocol.pulses_per_point
+    window_prob = emission_window_probability(
+        emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
+    )
+    dark_mean = detector.dark_mean_per_pulse(protocol.window_length_us) * n_pulses
+    counts = []
+    for index, freq in enumerate(protocol.scan_frequencies_mhz()):
+        rng = point_generator(seed, index)
+        total = 0
+        for ion in ions:
+            centre, fwhm = ion.line(field)
+            p_exc = excitation_probability(emitter.saturation_excitation_prob, fwhm, freq - centre)
+            excited = rng.binomial(n_pulses, p_exc)
+            total += rng.binomial(excited, detector.total_efficiency * window_prob)
+        counts.append(total + rng.poisson(dark_mean))
+    return np.array(counts)
+
+
+class TestPLEDistribution:
+    """The bulk scan sampler against the per-point draws it replaces.
+
+    Two lines 40 MHz apart in a 25-point window, so some points hold both
+    ions' tails and the outer points mostly darks.
+    """
+
+    N_SEEDS = 300
+
+    @pytest.fixture(scope="class")
+    def samples(self, config):
+        args = (
+            [config.ion("ion1"), config.ion("ion2")], config.emitter, config.protocol.replace_scan(-60.0, 60.0),
+            config.detector, FieldVector(0.0, 0.0),
+        )
+        bulk = np.array([simulate_ple_scan(*args, seed).counts for seed in range(self.N_SEEDS)])
+        reference = np.array([_per_point_ple_counts(*args, 10_000 + seed) for seed in range(self.N_SEEDS)])
+        assert bulk.shape == (self.N_SEEDS, 25)
+        return bulk, reference, _ple_point_moments(*args)
+
+    def test_points_match_closed_form_means(self, samples):
+        stats = pytest.importorskip("scipy.stats")
+        bulk, reference, (mean, variance) = samples
+        for counts in (bulk, reference):
+            z = (counts.sum(axis=0) - self.N_SEEDS * mean) / np.sqrt(self.N_SEEDS * variance)
+            assert stats.chi2.sf(np.sum(z**2), df=z.size) > 1e-3, z
+
+    def test_points_match_per_point_reference(self, samples):
+        stats = pytest.importorskip("scipy.stats")
+        bulk, reference, _ = samples
+        p_values = [stats.ks_2samp(a, b).pvalue for a, b in zip(bulk.T, reference.T)]
+        assert min(p_values) * len(p_values) > 1e-3, p_values  # Bonferroni over points
+
+
 class TestG2:
     def test_single_emitter_zero_lag_is_empty(self, config, emitter):
         hist = simulate_g2_histogram(emitter, 0.0, config.protocol, 100_000, 10, 21)
         assert hist.coincidences[hist.lags == 0][0] == 0
         assert hist.coincidences[hist.lags != 0].min() > 0
 
-    def test_poissonian_control_normalizes_to_one(self, config, emitter):
+    def test_poissonian_control_normalizes_to_one(self, config, emitter, poissonian_g2):
         from starksim.analysis import estimate_g2_zero
 
-        hist = simulate_g2_histogram(
-            emitter, 0.0, config.protocol, 100_000, 10, 23, signal_statistics="poissonian"
-        )
-        estimate = estimate_g2_zero(hist)
+        estimate = estimate_g2_zero(poissonian_g2(emitter, 0.0, config.protocol, 100_000, 10, 23))
         assert estimate.g2_zero == pytest.approx(1.0, abs=3.0 * estimate.standard_error)
 
     def test_signal_fraction_sets_zero_lag_value(self, config, emitter):
@@ -311,6 +383,72 @@ class TestG2:
     def test_background_fraction_bounds(self, config, emitter):
         with pytest.raises(SimulationError):
             simulate_g2_histogram(emitter, 1.0, config.protocol, 1000, 5, 1)
+
+
+def _g2_lag_means(emitter, background_fraction, protocol, n_pulses, max_lag):
+    """Closed-form mean of C(k): each arm gets ``(p + m)/2`` per pulse, and
+    at lag 0 the one signal photon of a pulse reaches only one arm."""
+    p = emitter.saturation_excitation_prob * emission_window_probability(
+        emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
+    )
+    m = background_fraction / (1.0 - background_fraction) * p
+    lags = np.arange(-max_lag, max_lag + 1)
+    return np.where(lags == 0, n_pulses * (p * m / 2.0 + m**2 / 4.0), (n_pulses - np.abs(lags)) * ((p + m) / 2.0) ** 2)
+
+
+def _per_pulse_g2(emitter, background_fraction, protocol, n_pulses, max_lag, seed):
+    """Reference sampler: per-pulse signal and background events, each
+    event routed to arm A or B by a fair binomial split."""
+    rng = np.random.default_rng(seed)
+    p_signal = emitter.saturation_excitation_prob * emission_window_probability(
+        emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
+    )
+    background_mean = background_fraction / (1.0 - background_fraction) * p_signal
+    events = (rng.random(n_pulses) < p_signal).astype(np.int64)
+    events += rng.poisson(background_mean, n_pulses)
+    arm_a = rng.binomial(events, 0.5)
+    arm_b = events - arm_a
+    lags = np.arange(-max_lag, max_lag + 1)
+    coincidences = np.empty(lags.size, dtype=np.int64)
+    for i, lag in enumerate(lags):
+        k = abs(int(lag))
+        if lag >= 0:
+            coincidences[i] = int(np.dot(arm_a[: n_pulses - k], arm_b[k:]))
+        else:
+            coincidences[i] = int(np.dot(arm_a[k:], arm_b[: n_pulses - k]))
+    return G2Histogram(lags=lags, coincidences=coincidences)
+
+
+class TestG2Distribution:
+    """The direct two-arm g2 sampler against the per-pulse split it replaces."""
+
+    N_PULSES = 10_000
+    N_SEEDS = 200
+    MAX_LAG = 4
+
+    @pytest.fixture(scope="class", params=[0.051, 0.5], ids=["default-background", "background-heavy"])
+    def samples(self, request, config):
+        args = (config.emitter, request.param, config.protocol, self.N_PULSES, self.MAX_LAG)
+        bulk = [simulate_g2_histogram(*args, seed) for seed in range(self.N_SEEDS)]
+        reference = [_per_pulse_g2(*args, 10_000 + seed) for seed in range(self.N_SEEDS)]
+        return bulk, reference, _g2_lag_means(*args)
+
+    def test_lags_match_closed_form_means(self, samples):
+        stats = pytest.importorskip("scipy.stats")
+        bulk, reference, means = samples
+        for histograms in (bulk, reference):
+            counts = np.array([h.coincidences for h in histograms])
+            z = (counts.mean(axis=0) - means) / (counts.std(axis=0, ddof=1) / math.sqrt(self.N_SEEDS))
+            p_values = 2.0 * stats.norm.sf(np.abs(z))
+            assert p_values.min() * z.size > 1e-3, z  # Bonferroni over lags, valid though lags correlate
+
+    def test_zero_lag_estimate_matches_per_pulse_reference(self, samples):
+        stats = pytest.importorskip("scipy.stats")
+        from starksim.analysis import estimate_g2_zero
+
+        bulk, reference, _ = samples
+        estimates = [[estimate_g2_zero(h).g2_zero for h in histograms] for histograms in (bulk, reference)]
+        assert stats.ks_2samp(*estimates).pvalue > 1e-3
 
 
 class TestStarkScan:

@@ -142,6 +142,22 @@ class TestExcitationProbability:
             assert lo == hi
             assert 0.0 <= hi <= 0.5
 
+    def test_array_detunings_match_scalar_calls(self):
+        # a scan's (points x ions) detunings, each ion with its own width
+        fwhm = np.array([6.7, 12.0])
+        detuning = np.linspace(-30.0, 30.0, 13)[:, None] - np.array([0.0, 5.0])
+        p = excitation_probability(0.5, fwhm, detuning)
+        assert p.shape == (13, 2)
+        expected = [[excitation_probability(0.5, w, d) for d, w in zip(row, fwhm.tolist())] for row in detuning.tolist()]
+        assert np.array_equal(p, expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_detuning_rejected(self, bad):
+        with pytest.raises(ValueError, match="detuning must be finite"):
+            excitation_probability(0.5, 6.7, bad)
+        with pytest.raises(ValueError, match="detuning must be finite"):
+            excitation_probability(0.5, 6.7, np.array([0.0, bad, 5.0]))
+
 
 class TestEmitterValidation:
     def test_rejects_bad_probability(self):

@@ -238,18 +238,15 @@ def _lorentzian_guess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([amplitude, center, fwhm, offset])
 
 
-def fit_exponential_decay(
-    histogram: Histogram,
-    fit_start_us: float = 0.0,
-    known_background: float | None = None,
-) -> FitResult:
+def fit_exponential_decay(histogram: Histogram, fit_start_us: float, background: float) -> FitResult:
     """Poisson maximum-likelihood exponential fit of a decay histogram
-    from ``fit_start_us`` on; parameters (amplitude, tau_us, background).
+    from ``fit_start_us`` on, with the dark floor per bin pinned at
+    ``background``; parameters (amplitude, tau_us, background), the last
+    reported with zero error.
 
-    On a window of only ~2 lifetimes a free background is almost fully
-    anticorrelated with the lifetime; when the dark floor per bin is
-    known from the detector calibration, pass it as
-    ``known_background`` to pin it (its reported error is then zero).
+    On a window of only ~2 lifetimes a free floor would be almost fully
+    anticorrelated with the lifetime, so the floor comes from the
+    detector calibration instead.
     """
     t = histogram.bin_centers_us
     y = np.asarray(histogram.counts, dtype=float)
@@ -260,18 +257,7 @@ def fit_exponential_decay(
     if np.ptp(y) == 0.0:
         raise DegenerateDataError("histogram is constant; nothing to fit")
     guess = _decay_guess(t, y)
-    if known_background is None:
-        result = least_squares(
-            exponential_decay,
-            exponential_decay_jacobian,
-            t,
-            y,
-            guess,
-            ("amplitude", "tau_us", "background"),
-        )
-        return _check_decay_result(result, t)
-
-    floor = float(known_background)
+    floor = float(background)
 
     def pinned(tt: np.ndarray, params: np.ndarray) -> np.ndarray:
         return exponential_decay(tt, np.array([params[0], params[1], floor]))
@@ -293,14 +279,9 @@ def fit_exponential_decay(
         values=np.append(partial.values, floor),
         stderrs=np.append(partial.stderrs, 0.0),
     )
-    return _check_decay_result(result, t)
-
-
-def _check_decay_result(result: FitResult, t: np.ndarray) -> FitResult:
-    """Reject lifetimes the window cannot constrain (runaway or negative)."""
     tau = result.value("tau_us")
-    span = float(t[-1] - t[0])
-    if not np.all(np.isfinite(result.values)) or tau <= 0.0 or tau > 50.0 * span:
+    # reject lifetimes the window cannot constrain (runaway or negative)
+    if not np.all(np.isfinite(result.values)) or tau <= 0.0 or tau > 50.0 * float(t[-1] - t[0]):
         raise FitConvergenceError(f"lifetime {tau:.3g} us is unconstrained by the data", result)
     return result
 

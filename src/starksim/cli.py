@@ -2,12 +2,14 @@
 
 Subcommands: ``field``, ``ple``, ``decay``, ``g2``, ``stark``, ``fit``,
 ``resonance``, ``reproduce``. Each figure of ``reproduce`` is one
-pipeline: a dataset function simulates and writes its CSV, then a fit
-stage writes ``fit_report.csv``. ``ple``, ``decay``, ``g2`` and ``stark``
-are the no-fit forms of ``fig2``, ``fig3b``, ``fig3c`` and ``fig4a``;
-``fit`` runs a figure's fit stage on its CSV read back. fig4's fit stage
-fits each ion's whole sweep, the counts at every voltage, to the ion's
-line law in one Poisson likelihood.
+pipeline: a dataset function simulates and writes its CSV, then the
+figure's fit step reads that CSV back, fits it and writes
+``fit_report.csv``. ``fit --kind`` runs the same step on a CSV it is
+given, so its report is the figure's, byte for byte. ``ple``, ``decay``,
+``g2`` and ``stark`` are the no-fit forms of ``fig2``, ``fig3b``,
+``fig3c`` and ``fig4a``. fig4's fit stage fits each ion's whole sweep,
+the counts at every voltage, to the ion's line law in one Poisson
+likelihood.
 
 ``main`` writes ``config.toml`` and ``manifest.json`` once, before the
 run, so partial outputs of a failed run still carry their provenance;
@@ -17,8 +19,9 @@ go to stdout, one per line (``field`` and ``resonance`` print their small
 key=value reports first); diagnostics go to stderr.
 
 Exit codes: 0 ok, 2 configuration/validation failure or an output
-directory that cannot be written, 3 the field solve broke down on
-non-finite numbers, 4 simulation failure, 5 fitting failure, 6
+directory that cannot be written (the manifest or any later file), 3 the
+field solve broke down on non-finite numbers, 4 simulation failure, 5
+fitting failure, a ``fit --input`` that cannot be read included, 6
 resonance has no solution, 7 resonance voltage beyond the configured
 limit.
 """
@@ -173,12 +176,6 @@ def _rows(fit: FitResult, quantities: Sequence[tuple[str, str]], prefix: str = "
     return [(prefix + name + suffix, fit.value(name), fit.stderr(name), units) for name, units in quantities]
 
 
-def _write_report(rows: Sequence[Row], out_dir: Path) -> Path:
-    path = out_dir / "fit_report.csv"
-    write_fit_report_csv(rows, path)
-    return path
-
-
 def _field_per_volt(
     config: ExperimentConfig, voltage_v: float | None = None
 ) -> tuple[FieldVector, PotentialGrid]:
@@ -186,7 +183,7 @@ def _field_per_volt(
     return field_per_volt(config.layout, config.solver.spacing_um, voltage_v=voltage_v)
 
 
-def _ple(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Path, ScanResult]:
+def _ple(args, config: ExperimentConfig, seed: int, out_dir: Path) -> Path:
     """Scan of the whole registry at ``args.voltage`` -> ple_scan.csv."""
     if args.voltage != 0.0:
         field = _field_per_volt(config)[0].scaled(args.voltage)
@@ -195,7 +192,7 @@ def _ple(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Path
     scan = simulate_ple_scan(config.ions, config.emitter, config.protocol, config.detector, field, seed)
     path = out_dir / "ple_scan.csv"
     write_ple_csv(scan, path)
-    return path, scan
+    return path
 
 
 def _fit_peaks(config: ExperimentConfig, scan: ScanResult) -> list[Row]:
@@ -208,7 +205,7 @@ def _fit_peaks(config: ExperimentConfig, scan: ScanResult) -> list[Row]:
     return report
 
 
-def _decay(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Path, Histogram]:
+def _decay(args, config: ExperimentConfig, seed: int, out_dir: Path) -> Path:
     """Decay histogram of the shared emitter -> decay.csv."""
     histogram = simulate_decay_histogram(
         config.emitter, config.protocol, config.detector,
@@ -216,7 +213,7 @@ def _decay(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Pa
     )
     path = out_dir / "decay.csv"
     write_decay_csv(histogram, path)
-    return path, histogram
+    return path
 
 
 def _fit_lifetime(config: ExperimentConfig, histogram: Histogram) -> list[Row]:
@@ -233,12 +230,12 @@ def _fit_lifetime(config: ExperimentConfig, histogram: Histogram) -> list[Row]:
     fit = fit_exponential_decay(
         Histogram(bin_edges_us=edges[: n_inside + 1], counts=histogram.counts[:n_inside]),
         config.decay.fit_start_us,
-        known_background=dark_floor,
+        dark_floor,
     )
     return _rows(fit, [("tau_us", "us"), ("amplitude", "counts"), ("background", "counts")])
 
 
-def _g2(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Path, G2Histogram]:
+def _g2(args, config: ExperimentConfig, seed: int, out_dir: Path) -> Path:
     """Autocorrelation histogram of the shared emitter -> g2.csv."""
     histogram = simulate_g2_histogram(
         config.emitter, config.g2.background_fraction, config.protocol,
@@ -246,7 +243,7 @@ def _g2(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Path,
     )
     path = out_dir / "g2.csv"
     write_g2_csv(histogram, path)
-    return path, histogram
+    return path
 
 
 def _fit_g2(config: ExperimentConfig, histogram: G2Histogram) -> list[Row]:
@@ -255,7 +252,7 @@ def _fit_g2(config: ExperimentConfig, histogram: G2Histogram) -> list[Row]:
     return [("g2_zero", estimate.g2_zero, estimate.standard_error, "dimensionless")]
 
 
-def _stark(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Path, list[tuple]]:
+def _stark(args, config: ExperimentConfig, seed: int, out_dir: Path) -> Path:
     """Voltage sweeps -> stark_scan.csv, one row per scan point: fig4a sweeps
     the [stark] ion on ``seed``, fig4b every ion, each on ``mix_seed(seed, index)``."""
     if args.figure == "fig4a":
@@ -274,7 +271,7 @@ def _stark(args, config: ExperimentConfig, seed: int, out_dir: Path) -> tuple[Pa
                      for f, c in zip(scan.frequencies_mhz.tolist(), scan.counts.tolist())]
     path = out_dir / "stark_scan.csv"
     write_stark_csv(rows, path)
-    return path, rows
+    return path
 
 
 def _fit_stark(config: ExperimentConfig, rows: Sequence[tuple]) -> list[Row]:
@@ -295,30 +292,37 @@ def _fit_stark(config: ExperimentConfig, rows: Sequence[tuple]) -> list[Row]:
     return report
 
 
-PIPELINES = {
-    "fig2": (_ple, _fit_peaks),
-    "fig3b": (_decay, _fit_lifetime),
-    "fig3c": (_g2, _fit_g2),
-    "fig4a": (_stark, _fit_stark),
-    "fig4b": (_stark, _fit_stark),
-}
 FITS = {
     "ple": (read_ple_csv, _fit_peaks),
     "decay": (read_decay_csv, _fit_lifetime),
     "g2": (read_g2_csv, _fit_g2),
     "stark": (read_stark_csv, _fit_stark),
 }
+PIPELINES = {  # figure -> (its dataset function, the FITS kind of its CSV)
+    "fig2": (_ple, "ple"),
+    "fig3b": (_decay, "decay"),
+    "fig3c": (_g2, "g2"),
+    "fig4a": (_stark, "stark"),
+    "fig4b": (_stark, "stark"),
+}
+
+
+def _fit_csv(kind: str, config: ExperimentConfig, dataset: Path, out_dir: Path) -> Path:
+    """The one fit step of ``reproduce`` and ``fit``: read a dataset CSV, fit it, write fit_report.csv."""
+    read, fit = FITS[kind]
+    path = out_dir / "fit_report.csv"
+    write_fit_report_csv(fit(config, read(dataset)), path)
+    return path
 
 
 def _cmd_figure(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[Path]:
-    simulate, fit = PIPELINES[args.figure]
-    path, data = simulate(args, config, seed, out_dir)
-    return [path, _write_report(fit(config, data), out_dir)] if args.fit else [path]
+    simulate, kind = PIPELINES[args.figure]
+    path = simulate(args, config, seed, out_dir)
+    return [path, _fit_csv(kind, config, path, out_dir)] if args.fit else [path]
 
 
 def _cmd_fit(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[Path]:
-    read, fit = FITS[args.kind]
-    return [_write_report(fit(config, read(args.input)), out_dir)]
+    return [_fit_csv(args.kind, config, args.input, out_dir)]
 
 
 def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) -> list[Path]:
@@ -354,7 +358,7 @@ def _cmd_resonance(args, config: ExperimentConfig, seed: int, out_dir: Path | No
     (f_a, _), (f_b, _) = ion_a.line(field), ion_b.line(field)
     print(f"voltage_v={voltage:.17g}")
     print(f"residual_detuning_mhz={abs(f_a - f_b):.17g}")
-    print(f"feasible={'true' if abs(voltage) <= config.run.max_voltage_v else 'false'}")
+    print("feasible=true")  # a voltage beyond [run] max_voltage_v raised VoltageOutOfRangeError
     return []
 
 
@@ -407,9 +411,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SimulationError as exc:
         print(f"error: simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
-    except (FitError, ValueError, OSError) as exc:
+    except (FitError, ValueError) as exc:  # the readers report an unreadable dataset as a ValueError
         print(f"error: fitting failed: {exc}", file=sys.stderr)
         return EXIT_FITTING
+    except OSError as exc:  # only writes under out_dir raise it
+        print(f"error: cannot write output directory {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     for path in paths:
         print(path)
     return EXIT_OK

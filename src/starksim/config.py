@@ -108,6 +108,8 @@ class DecaySettings:
     def __post_init__(self) -> None:
         if self.n_pulses < 1:
             raise ConfigError(f"[decay].n_pulses must be at least 1, got {self.n_pulses}")
+        if not self.bin_width_us > 0.0:
+            raise ConfigError(f"[decay].bin_width_us must be positive, got {self.bin_width_us}")
 
 
 @dataclass(frozen=True)
@@ -134,6 +136,8 @@ class StarkScanSettings:
     def __post_init__(self) -> None:
         if len(set(self.voltages_v)) < 3:  # fig4's line-law fit needs 3 distinct fields
             raise ConfigError(f"[stark].voltages_v needs at least 3 distinct voltages, got {len(set(self.voltages_v))}")
+        if not self.window_half_width_mhz > 0.0:
+            raise ConfigError(f"[stark].window_half_width_mhz must be positive, got {self.window_half_width_mhz}")
 
 
 _DEFAULT_IONS = (

@@ -33,10 +33,15 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
 
 def read_table(path: str | Path, columns: dict[str, type]) -> list[list]:
     """Columns of a CSV whose header is ``columns``' names, each cell converted
-    by its column's type. A cell that does not convert names the file, its
-    row (the header is row 1, as in a spreadsheet) and its column."""
+    by its column's type. Every failure is a ValueError naming the file: one
+    that cannot be opened, or a cell that does not convert, with its row (the
+    header is row 1, as in a spreadsheet) and its column."""
     values: list[list] = [[] for _ in columns]
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    try:
+        handle = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:  # an unreadable dataset is bad input, not an output directory failure
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    with handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:

@@ -265,7 +265,7 @@ def test_criterion_7_fit_correctness():
     hist = Histogram(
         bin_edges_us=np.arange(0.0, 85.5, 1.0), counts=exponential_decay(t_exp, exp_truth)
     )
-    exp_fit = fit_exponential_decay(hist)
+    exp_fit = fit_exponential_decay(hist, 0.0, exp_truth[2])
     noiseless_ok = (
         abs(lor_fit.value("amplitude") - 100.0) / 100.0 < 1e-6
         and abs(lor_fit.value("center_mhz")) < 1e-6 * 6.7

@@ -144,16 +144,16 @@ class TestFitExponentialDecay:
         hist = make_histogram(centers, np.round(exponential_decay(centers, truth) * 1e6) / 1e6)
         # exact model values (not rounded) so the optimum is the truth
         hist = Histogram(bin_edges_us=hist.bin_edges_us, counts=exponential_decay(centers, truth))
-        fit = fit_exponential_decay(hist)
+        fit = fit_exponential_decay(hist, 0.0, 20.0)
         assert fit.value("amplitude") == pytest.approx(1200.0, rel=1e-6)
         assert fit.value("tau_us") == pytest.approx(41.0, rel=1e-6)
-        assert fit.value("background") == pytest.approx(20.0, rel=1e-4)
+        assert fit.value("background") == 20.0
 
     def test_pinned_background_reports_zero_error(self):
         rng = np.random.default_rng(19)
         centers = np.arange(0.5, 85.0, 1.0)
         counts = rng.poisson(exponential_decay(centers, np.array([1200.0, 41.0, 20.0])))
-        fit = fit_exponential_decay(make_histogram(centers, counts), known_background=20.0)
+        fit = fit_exponential_decay(make_histogram(centers, counts), 0.0, 20.0)
         assert fit.value("background") == 20.0
         assert fit.stderr("background") == 0.0
         assert abs(fit.value("tau_us") - 41.0) < 3.0 * fit.stderr("tau_us")
@@ -164,7 +164,7 @@ class TestFitExponentialDecay:
         rng = np.random.default_rng(23)
         centers = np.arange(0.5, 85.0, 1.0)
         try:
-            fit = fit_exponential_decay(make_histogram(centers, rng.poisson(20.0, centers.size)))
+            fit = fit_exponential_decay(make_histogram(centers, rng.poisson(20.0, centers.size)), 0.0, 20.0)
         except FitConvergenceError as err:
             assert not np.all(np.isfinite(err.last_result.stderrs)) or (
                 err.last_result.value("tau_us") > 100.0
@@ -178,7 +178,7 @@ class TestFitExponentialDecay:
         hist = Histogram(
             bin_edges_us=np.arange(0.0, 85.5, 1.0), counts=exponential_decay(centers, truth)
         )
-        fit = fit_exponential_decay(hist, fit_start_us=10.0)
+        fit = fit_exponential_decay(hist, fit_start_us=10.0, background=0.0)
         assert fit.value("tau_us") == pytest.approx(41.0, rel=1e-6)
 
 
@@ -380,13 +380,9 @@ class TestPoissonFit:
             truth = np.array([rng.uniform(300, 2000), rng.uniform(20, 60), rng.uniform(5, 30)])
             counts = rng.poisson(exponential_decay(centers, truth)).astype(float)
             histogram = make_histogram(centers, counts)
-            free = fit_exponential_decay(histogram)
-            pinned = fit_exponential_decay(histogram, known_background=truth[2])
-            for fit, free_columns in ((free, 3), (pinned, 2)):
-                score = _scaled_score(
-                    exponential_decay, exponential_decay_jacobian, centers, counts, fit.values, free_columns
-                )
-                worst = max(worst, score)
+            fit = fit_exponential_decay(histogram, 0.0, truth[2])
+            score = _scaled_score(exponential_decay, exponential_decay_jacobian, centers, counts, fit.values, 2)
+            worst = max(worst, score)
         assert worst < 1e-4
 
     def test_flipped_jacobian_stalls_instead_of_converging(self):

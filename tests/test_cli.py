@@ -207,6 +207,9 @@ class TestLoadTimeChecks:
             # checked against [run] max_voltage_v at load time, not when the sweep reaches 400 V
             ("[stark]\nvoltages_v = [0.0, 100.0, 400.0]\n",
              "[stark].voltages_v holds 400 V, outside the +/-333 V of [run].max_voltage_v", ["stark"]),
+            ("[decay]\nbin_width_us = 0.0\n", "[decay].bin_width_us must be positive, got 0.0", ["decay"]),
+            ("[stark]\nwindow_half_width_mhz = -5.0\n", "[stark].window_half_width_mhz must be positive, got -5.0",
+             ["reproduce", "fig4a"]),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, tmp_path, text, where, argv):
@@ -457,24 +460,30 @@ class TestPipelines:
         assert len(lines) == 1 + 21
 
     @pytest.mark.parametrize(
-        "kind, figure, dataset",
+        "kind, figure, dataset, extra",
         [
-            ("ple", "fig2", "ple_scan.csv"),
-            ("decay", "fig3b", "decay.csv"),
-            ("g2", "fig3c", "g2.csv"),
-            ("stark", "fig4a", "stark_scan.csv"),
-            ("stark", "fig4b", "stark_scan.csv"),
+            ("ple", "fig2", "ple_scan.csv", ""),
+            ("decay", "fig3b", "decay.csv", ""),
+            # 0.7 us bins: the centres in the CSV do not give back the simulator's edges exactly
+            ("decay", "fig3b", "decay.csv", "bin_width_us = 0.7\n"),
+            ("g2", "fig3c", "g2.csv", ""),
+            ("stark", "fig4a", "stark_scan.csv", ""),
+            ("stark", "fig4b", "stark_scan.csv", ""),
         ],
-        ids=["ple-fig2", "decay-fig3b", "g2-fig3c", "stark-fig4a", "stark-fig4b"],
+        ids=["ple-fig2", "decay-fig3b", "decay-fig3b-0.7us-bins", "g2-fig3c", "stark-fig4a", "stark-fig4b"],
     )
-    def test_fit_refits_its_figure(self, capsys, fast_config, tmp_path, kind, figure, dataset):
-        # fit runs the figure's own fit stage, so its report is the figure's;
-        # the default registry's scan holds seven lines, so the ple refit
-        # must run fig2's per-peak fits, not one Lorentzian over the spectrum
+    def test_fit_refits_its_figure(self, capsys, fast_config, tmp_path, kind, figure, dataset, extra):
+        # fit runs the figure's own fit step on the figure's CSV, so its
+        # report is the figure's; the default registry's scan holds seven
+        # lines, so the ple refit must run fig2's per-peak fits, not one
+        # Lorentzian over the spectrum
+        config = tmp_path / "refit.toml"
+        config.write_text(fast_config.read_text(encoding="utf-8").replace("[decay]\n", "[decay]\n" + extra),
+                          encoding="utf-8")
         fig = tmp_path / "fig"
-        assert run(capsys, "reproduce", figure, "--config", fast_config, "--out", fig)[0] == EXIT_OK
+        assert run(capsys, "reproduce", figure, "--config", config, "--out", fig)[0] == EXIT_OK
         code, out, _ = run(
-            capsys, "fit", "--config", fast_config, "--kind", kind,
+            capsys, "fit", "--config", config, "--kind", kind,
             "--input", fig / dataset, "--out", tmp_path / "refit",
         )
         assert code == EXIT_OK
@@ -556,11 +565,27 @@ class TestPipelines:
         assert out == "" and err == f"error: fitting failed: {data}: {cell}\n"
 
     def test_fit_on_missing_file_exits_5(self, capsys, config_path, tmp_path):
-        code, _, _ = run(
+        code, _, err = run(
             capsys, "fit", "--config", config_path, "--kind", "g2",
             "--input", tmp_path / "missing.csv", "--out", tmp_path / "x",
         )
         assert code == EXIT_FITTING
+        assert err == f"error: fitting failed: {tmp_path / 'missing.csv'}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "argv, blocked",
+        [(["reproduce", "fig2"], "ple_scan.csv"), (["reproduce", "fig3b"], "fit_report.csv"),
+         (["field", "--dump-grid"], "potential_grid.csv")],
+        ids=["fig2-dataset", "fig3b-report", "field-grid"],
+    )
+    def test_write_failure_after_the_manifest_exits_2(self, capsys, tmp_path, argv, blocked):
+        # as an unwritable --out does, though the manifest went in first
+        out_dir = tmp_path / "d"
+        (out_dir / blocked).mkdir(parents=True)
+        code, out, err = run(capsys, *argv, "--out", out_dir)
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"error: cannot write output directory {out_dir}: [Errno 21] Is a directory")
+        assert str(out_dir) not in out and (out_dir / "manifest.json").exists()  # field prints its report first
 
     @pytest.mark.parametrize(
         "argv",

@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .csvio import read_table, write_table
-from .experiment import G2Histogram, Histogram, ScanResult
 from .optimize import (
     DegenerateDataError,
     FitConvergenceError,
@@ -39,11 +36,6 @@ __all__ = [
     "fit_stark_sweep",
     "lorentzian",
     "lorentzian_jacobian",
-    "read_decay_csv",
-    "read_g2_csv",
-    "read_ple_csv",
-    "read_stark_csv",
-    "write_fit_report_csv",
 ]
 
 
@@ -107,7 +99,9 @@ def exponential_decay_jacobian(t: np.ndarray, params: np.ndarray) -> np.ndarray:
 # peak finding
 
 
-def find_peaks(scan: ScanResult, threshold_sigma: float) -> list[PeakCandidate]:
+def find_peaks(
+    frequencies_mhz: Sequence[float] | np.ndarray, counts: Sequence[float] | np.ndarray, threshold_sigma: float
+) -> list[PeakCandidate]:
     """Prominent local maxima of a scan, sorted by center frequency.
 
     Counts are smoothed with a [1, 2, 1]/4 kernel before peak finding so
@@ -118,9 +112,9 @@ def find_peaks(scan: ScanResult, threshold_sigma: float) -> list[PeakCandidate]:
     raw counts at the peak sample; plateau ties resolve to the lower
     frequency.
     """
-    counts = np.asarray(scan.counts, dtype=float)
+    counts = np.asarray(counts, dtype=float)
     if counts.size == 0:
-        raise ValueError("scan is empty")
+        raise DegenerateDataError("scan is empty")
     if counts.size < 3:
         return []
     padded = np.concatenate([counts[:1], counts, counts[-1:]])
@@ -135,7 +129,7 @@ def find_peaks(scan: ScanResult, threshold_sigma: float) -> list[PeakCandidate]:
         if prominence > threshold:
             candidates.append(
                 PeakCandidate(
-                    center_mhz=float(scan.frequencies_mhz[idx]),
+                    center_mhz=float(frequencies_mhz[idx]),
                     height_counts=float(counts[idx]),
                     prominence=float(prominence),
                 )
@@ -238,26 +232,39 @@ def _lorentzian_guess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.array([amplitude, center, fwhm, offset])
 
 
-def fit_exponential_decay(histogram: Histogram, fit_start_us: float, background: float) -> FitResult:
-    """Poisson maximum-likelihood exponential fit of a decay histogram
-    from ``fit_start_us`` on, with the dark floor per bin pinned at
-    ``background``; parameters (amplitude, tau_us, background), the last
-    reported with zero error.
+def fit_exponential_decay(
+    times_us: Sequence[float] | np.ndarray, counts: Sequence[float] | np.ndarray, fit_start_us: float, background: float
+) -> FitResult:
+    """Poisson maximum-likelihood exponential fit of the decay counts at
+    bin centres ``times_us`` from ``fit_start_us`` on, with the dark floor
+    per bin pinned at ``background``; parameters (amplitude, tau_us,
+    background), the last reported with zero error.
 
     On a window of only ~2 lifetimes a free floor would be almost fully
     anticorrelated with the lifetime, so the floor comes from the
-    detector calibration instead.
+    detector calibration instead. A floor more than 5 Poisson standard
+    errors above the mean of the last tenth of the fitted bins does not
+    describe the histogram (say, one taken with other settings) and is
+    refused.
     """
-    t = histogram.bin_centers_us
-    y = np.asarray(histogram.counts, dtype=float)
+    t = np.asarray(times_us, dtype=float)
+    y = np.asarray(counts, dtype=float)
     keep = t >= fit_start_us
     t, y = t[keep], y[keep]
     if t.size < 4:
         raise DegenerateDataError("too few bins past the fit start")
     if np.ptp(y) == 0.0:
         raise DegenerateDataError("histogram is constant; nothing to fit")
-    guess = _decay_guess(t, y)
     floor = float(background)
+    tail = y[-max(y.size // 10, 1):]
+    # the floor's excess over the tail mean in Poisson standard errors; an empty tail counts as 1 event
+    excess = (floor - tail.mean()) * tail.size / math.sqrt(max(float(tail.sum()), 1.0))
+    if excess > 5.0:
+        raise DegenerateDataError(
+            f"pinned floor {floor:.4g} counts/bin is {excess:.1f} standard errors "
+            f"above the mean {tail.mean():.4g} counts/bin of the last {tail.size} bins"
+        )
+    guess = _decay_guess(t, y)
 
     def pinned(tt: np.ndarray, params: np.ndarray) -> np.ndarray:
         return exponential_decay(tt, np.array([params[0], params[1], floor]))
@@ -347,7 +354,9 @@ def fit_stark_sweep(
     return result
 
 
-def estimate_g2_zero(histogram: G2Histogram) -> G2Estimate:
+def estimate_g2_zero(
+    lags: Sequence[int] | np.ndarray, coincidences: Sequence[int] | np.ndarray
+) -> G2Estimate:
     """Zero-lag coincidences over the mean of the side lags.
 
     Standard error propagates Poisson uncertainties of the zero-lag
@@ -355,8 +364,8 @@ def estimate_g2_zero(histogram: G2Histogram) -> G2Estimate:
     mean; the estimate itself is invariant under a uniform rescaling of
     the histogram.
     """
-    lags = np.asarray(histogram.lags)
-    coincidences = np.asarray(histogram.coincidences, dtype=float)
+    lags = np.asarray(lags)
+    coincidences = np.asarray(coincidences, dtype=float)
     zero_lag = coincidences[lags == 0]
     if zero_lag.size != 1:
         raise DegenerateDataError(f"need exactly one lag-0 bin, got {zero_lag.size}")
@@ -370,44 +379,3 @@ def estimate_g2_zero(histogram: G2Histogram) -> G2Estimate:
     var_mean = side.sum() / side.size**2
     sigma = math.sqrt(var_c0 / mean_side**2 + (c0 * c0) * var_mean / mean_side**4)
     return G2Estimate(g2_zero=g2, standard_error=sigma)
-
-
-# ---------------------------------------------------------------------------
-# CSV interfaces
-
-
-def write_fit_report_csv(rows: Sequence[tuple[str, float, float, str]], path: str | Path) -> None:
-    """Rows: (quantity, value, stderr, units)."""
-    write_table(path, ["quantity", "value", "stderr", "units"], rows)
-
-
-def read_ple_csv(path: str | Path) -> ScanResult:
-    frequencies, counts, integration = read_table(
-        path, {"frequency_offset_mhz": float, "counts": int, "integration_s": float}
-    )
-    return ScanResult(
-        frequencies_mhz=np.array(frequencies),
-        counts=np.array(counts, dtype=np.int64),
-        integration_s=integration[0] if integration else float("nan"),
-    )
-
-
-def read_decay_csv(path: str | Path) -> Histogram:
-    centers, counts = read_table(path, {"time_us": float, "counts": int})
-    centers = np.array(centers)
-    if centers.size < 2:
-        raise ValueError(f"{path}: need at least two bins")
-    width = float(np.median(np.diff(centers)))
-    edges = np.concatenate([centers - width / 2.0, [centers[-1] + width / 2.0]])
-    return Histogram(bin_edges_us=edges, counts=np.array(counts, dtype=np.int64))
-
-
-def read_g2_csv(path: str | Path) -> G2Histogram:
-    lags, coincidences, _ = read_table(path, {"lag_pulses": int, "coincidences": int, "normalized": float})
-    return G2Histogram(lags=np.array(lags), coincidences=np.array(coincidences, dtype=np.int64))
-
-
-def read_stark_csv(path: str | Path) -> list[tuple]:
-    """Rows (ion_id, voltage_v, field_v_per_cm, frequency_mhz, counts) of a stark_scan.csv."""
-    columns = {"ion_id": str, "voltage_v": float, "field_v_per_cm": float, "frequency_mhz": float, "counts": int}
-    return list(zip(*read_table(path, columns)))

@@ -2,10 +2,11 @@
 
 Subcommands: ``field``, ``ple``, ``decay``, ``g2``, ``stark``, ``fit``,
 ``resonance``, ``reproduce``. Each figure of ``reproduce`` is one
-pipeline: a dataset function simulates and writes its CSV, then the
-figure's fit step reads that CSV back, fits it and writes
-``fit_report.csv``. ``fit --kind`` runs the same step on a CSV it is
-given, so its report is the figure's, byte for byte. ``ple``, ``decay``,
+pipeline: a dataset function simulates and returns the rows of its CSV,
+whose file name and columns ``FITS`` alone declares, then the figure's
+fit step reads that CSV back, fits it and writes ``fit_report.csv``.
+``fit --kind`` runs the same step on a CSV it is given, so its report is
+the figure's, byte for byte. ``ple``, ``decay``,
 ``g2`` and ``stark`` are the no-fit forms of ``fig2``, ``fig3b``,
 ``fig3c`` and ``fig4a``. fig4's fit stage fits each ion's whole sweep,
 the counts at every voltage, to the ion's line law in one Poisson
@@ -21,7 +22,7 @@ key=value reports first); diagnostics go to stderr.
 Exit codes: 0 ok, 2 configuration/validation failure or an output
 directory that cannot be written (the manifest or any later file), 3 the
 field solve broke down on non-finite numbers, 4 simulation failure, 5
-fitting failure, a ``fit --input`` that cannot be read included, 6
+fitting failure (``FitError`` only), a ``fit --input`` that cannot be read included, 6
 resonance has no solution, 7 resonance voltage beyond the configured
 limit.
 """
@@ -46,13 +47,9 @@ from .analysis import (
     fit_exponential_decay,
     fit_lorentzian,
     fit_stark_sweep,
-    read_decay_csv,
-    read_g2_csv,
-    read_ple_csv,
-    read_stark_csv,
-    write_fit_report_csv,
 )
 from .config import ConfigError, ExperimentConfig, RunSettings, default_config, load_config
+from .csvio import read_table, write_table
 from .electrostatics import (
     ConvergenceError,
     FieldVector,
@@ -60,22 +57,14 @@ from .electrostatics import (
     PotentialGrid,
     field_at,
     field_per_volt,
-    write_grid_csv,
 )
 from .experiment import (
-    G2Histogram,
-    Histogram,
-    ScanResult,
     SimulationError,
     mix_seed,
     simulate_decay_histogram,
     simulate_g2_histogram,
     simulate_ple_scan,
     simulate_stark_scan,
-    write_decay_csv,
-    write_g2_csv,
-    write_ple_csv,
-    write_stark_csv,
 )
 from .manifest import write_run_manifest
 from .optimize import DegenerateDataError, FitError, FitResult
@@ -183,77 +172,71 @@ def _field_per_volt(
     return field_per_volt(config.layout, config.solver.spacing_um, voltage_v=voltage_v)
 
 
-def _ple(args, config: ExperimentConfig, seed: int, out_dir: Path) -> Path:
-    """Scan of the whole registry at ``args.voltage`` -> ple_scan.csv."""
+def _ple(args, config: ExperimentConfig, seed: int) -> list[tuple]:
+    """Scan of the whole registry at ``args.voltage``: ple_scan.csv's rows."""
     if args.voltage != 0.0:
         field = _field_per_volt(config)[0].scaled(args.voltage)
     else:
         field = FieldVector(0.0, 0.0)
     scan = simulate_ple_scan(config.ions, config.emitter, config.protocol, config.detector, field, seed)
-    path = out_dir / "ple_scan.csv"
-    write_ple_csv(scan, path)
-    return path
+    return [(f, c, scan.integration_s) for f, c in zip(scan.frequencies_mhz.tolist(), scan.counts.tolist())]
 
 
-def _fit_peaks(config: ExperimentConfig, scan: ScanResult) -> list[Row]:
+def _fit_peaks(config: ExperimentConfig, frequencies_mhz, counts, integration_s) -> list[Row]:
     """fig2's fit stage: a Lorentzian within 30 MHz of each peak found."""
+    frequencies_mhz, counts = np.array(frequencies_mhz), np.array(counts)
     report: list[Row] = []
-    for index, peak in enumerate(find_peaks(scan, 5.0), start=1):
-        window = np.abs(scan.frequencies_mhz - peak.center_mhz) <= 30.0
-        fit = fit_lorentzian(scan.frequencies_mhz[window], scan.counts[window])
+    for index, peak in enumerate(find_peaks(frequencies_mhz, counts, 5.0), start=1):
+        window = np.abs(frequencies_mhz - peak.center_mhz) <= 30.0
+        fit = fit_lorentzian(frequencies_mhz[window], counts[window])
         report += _rows(fit, [("center_mhz", "MHz"), ("fwhm_mhz", "MHz")], f"peak{index}_")
     return report
 
 
-def _decay(args, config: ExperimentConfig, seed: int, out_dir: Path) -> Path:
-    """Decay histogram of the shared emitter -> decay.csv."""
+def _decay(args, config: ExperimentConfig, seed: int) -> list[tuple]:
+    """Decay histogram of the shared emitter: decay.csv's rows, one per bin centre."""
     histogram = simulate_decay_histogram(
         config.emitter, config.protocol, config.detector,
         config.decay.n_pulses, config.decay.bin_width_us, seed,
     )
-    path = out_dir / "decay.csv"
-    write_decay_csv(histogram, path)
-    return path
+    return list(zip(histogram.bin_centers_us.tolist(), histogram.counts.tolist()))
 
 
-def _fit_lifetime(config: ExperimentConfig, histogram: Histogram) -> list[Row]:
+def _fit_lifetime(config: ExperimentConfig, times_us, counts) -> list[Row]:
     """fig3b's fit stage: a lifetime fit of the bins wholly inside the detection window.
 
-    The dark floor per bin is pinned from the detector calibration. A last
-    bin that overruns the window holds truncated signal and fewer darks,
-    which neither the model nor the floor describe, so it is left out.
+    The bin width is the median spacing of the bin centres, and the dark
+    floor per bin is pinned from the detector calibration. A last bin that
+    overruns the window holds truncated signal and fewer darks, which
+    neither the model nor the floor describe, so it is left out.
     """
-    edges = histogram.bin_edges_us
-    n_inside = int(np.count_nonzero(edges[1:] <= config.protocol.window_length_us * (1.0 + 1e-9)))
-    bin_width_us = float(edges[1] - edges[0])
+    times_us = np.array(times_us)
+    if times_us.size < 2:
+        raise DegenerateDataError("need at least two bins")
+    bin_width_us = float(np.median(np.diff(times_us)))
+    n_inside = int(np.count_nonzero(times_us + bin_width_us / 2.0 <= config.protocol.window_length_us * (1 + 1e-9)))
     dark_floor = config.detector.dark_mean_per_pulse(bin_width_us) * config.decay.n_pulses
-    fit = fit_exponential_decay(
-        Histogram(bin_edges_us=edges[: n_inside + 1], counts=histogram.counts[:n_inside]),
-        config.decay.fit_start_us,
-        dark_floor,
-    )
+    fit = fit_exponential_decay(times_us[:n_inside], counts[:n_inside], config.decay.fit_start_us, dark_floor)
     return _rows(fit, [("tau_us", "us"), ("amplitude", "counts"), ("background", "counts")])
 
 
-def _g2(args, config: ExperimentConfig, seed: int, out_dir: Path) -> Path:
-    """Autocorrelation histogram of the shared emitter -> g2.csv."""
+def _g2(args, config: ExperimentConfig, seed: int) -> list[tuple]:
+    """Autocorrelation histogram of the shared emitter: g2.csv's rows, one per lag."""
     histogram = simulate_g2_histogram(
         config.emitter, config.g2.background_fraction, config.protocol,
         config.g2.n_pulses, config.g2.max_lag, seed,
     )
-    path = out_dir / "g2.csv"
-    write_g2_csv(histogram, path)
-    return path
+    return list(zip(histogram.lags.tolist(), histogram.coincidences.tolist(), histogram.normalized.tolist()))
 
 
-def _fit_g2(config: ExperimentConfig, histogram: G2Histogram) -> list[Row]:
+def _fit_g2(config: ExperimentConfig, lags, coincidences, normalized) -> list[Row]:
     """fig3c's fit stage."""
-    estimate = estimate_g2_zero(histogram)
+    estimate = estimate_g2_zero(lags, coincidences)
     return [("g2_zero", estimate.g2_zero, estimate.standard_error, "dimensionless")]
 
 
-def _stark(args, config: ExperimentConfig, seed: int, out_dir: Path) -> Path:
-    """Voltage sweeps -> stark_scan.csv, one row per scan point: fig4a sweeps
+def _stark(args, config: ExperimentConfig, seed: int) -> list[tuple]:
+    """Voltage sweeps: stark_scan.csv's rows, one per scan point. fig4a sweeps
     the [stark] ion on ``seed``, fig4b every ion, each on ``mix_seed(seed, index)``."""
     if args.figure == "fig4a":
         sweeps = [(config.ion(config.stark.ion_id), seed)]
@@ -269,20 +252,20 @@ def _stark(args, config: ExperimentConfig, seed: int, out_dir: Path) -> Path:
         for voltage, (field, scan) in zip(config.stark.voltages_v, scans):
             rows += [(ion.ion_id, float(voltage), field.e_parallel_v_per_cm, f, c)
                      for f, c in zip(scan.frequencies_mhz.tolist(), scan.counts.tolist())]
-    path = out_dir / "stark_scan.csv"
-    write_stark_csv(rows, path)
-    return path
+    return rows
 
 
-def _fit_stark(config: ExperimentConfig, rows: Sequence[tuple]) -> list[Row]:
+def _fit_stark(config: ExperimentConfig, ion_ids, voltages_v, fields_v_per_cm, frequencies_mhz, counts) -> list[Row]:
     """fig4's fit stage: one fit of each ion's sweep to its line law, ions in file order."""
-    if not rows:
+    if not ion_ids:
         raise DegenerateDataError("no scan points to fit")
+    ion_ids, fields_v_per_cm = np.array(ion_ids), np.array(fields_v_per_cm)
+    frequencies_mhz, counts = np.array(frequencies_mhz), np.array(counts)
     report: list[Row] = []
-    for ion_id in dict.fromkeys(row[0] for row in rows):
-        _, _, fields, frequencies, counts = zip(*(row for row in rows if row[0] == ion_id))
+    for ion_id in dict.fromkeys(ion_ids.tolist()):
+        mine = ion_ids == ion_id
         try:
-            fit = fit_stark_sweep(fields, frequencies, counts)
+            fit = fit_stark_sweep(fields_v_per_cm[mine], frequencies_mhz[mine], counts[mine])
         except FitError as exc:
             raise FitError(f"{ion_id}: {exc}") from None
         quantities = [("stark_coefficient", "kHz/(V/cm)"), ("zero_field_frequency", "MHz"),
@@ -292,12 +275,19 @@ def _fit_stark(config: ExperimentConfig, rows: Sequence[tuple]) -> list[Row]:
     return report
 
 
+# The one statement of each dataset's format: kind -> (its file name, the
+# file's {column: type}, its fit stage, which takes the columns in order).
 FITS = {
-    "ple": (read_ple_csv, _fit_peaks),
-    "decay": (read_decay_csv, _fit_lifetime),
-    "g2": (read_g2_csv, _fit_g2),
-    "stark": (read_stark_csv, _fit_stark),
+    "ple": ("ple_scan.csv", {"frequency_offset_mhz": float, "counts": int, "integration_s": float}, _fit_peaks),
+    "decay": ("decay.csv", {"time_us": float, "counts": int}, _fit_lifetime),
+    "g2": ("g2.csv", {"lag_pulses": int, "coincidences": int, "normalized": float}, _fit_g2),
+    "stark": (
+        "stark_scan.csv",
+        {"ion_id": str, "voltage_v": float, "field_v_per_cm": float, "frequency_mhz": float, "counts": int},
+        _fit_stark,
+    ),
 }
+REPORT_COLUMNS = ("quantity", "value", "stderr", "units")  # fit_report.csv, one Row per line
 PIPELINES = {  # figure -> (its dataset function, the FITS kind of its CSV)
     "fig2": (_ple, "ple"),
     "fig3b": (_decay, "decay"),
@@ -307,17 +297,24 @@ PIPELINES = {  # figure -> (its dataset function, the FITS kind of its CSV)
 }
 
 
+class UnreadableDatasetError(FitError):
+    """A dataset CSV that cannot be opened or read back as its FITS columns."""
+
+
 def _fit_csv(kind: str, config: ExperimentConfig, dataset: Path, out_dir: Path) -> Path:
     """The one fit step of ``reproduce`` and ``fit``: read a dataset CSV, fit it, write fit_report.csv."""
-    read, fit = FITS[kind]
-    path = out_dir / "fit_report.csv"
-    write_fit_report_csv(fit(config, read(dataset)), path)
-    return path
+    _, columns, fit = FITS[kind]
+    try:
+        data = read_table(dataset, columns)
+    except ValueError as exc:  # read_table names the file, and the row and column of a bad cell
+        raise UnreadableDatasetError(str(exc)) from None
+    return write_table(out_dir / "fit_report.csv", REPORT_COLUMNS, fit(config, *data))
 
 
 def _cmd_figure(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[Path]:
     simulate, kind = PIPELINES[args.figure]
-    path = simulate(args, config, seed, out_dir)
+    name, columns, _ = FITS[kind]
+    path = write_table(out_dir / name, columns, simulate(args, config, seed))
     return [path, _fit_csv(kind, config, path, out_dir)] if args.fit else [path]
 
 
@@ -342,9 +339,9 @@ def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) 
     print(f"volts_to_field_v_per_cm_per_v={fmt(scale.e_parallel_v_per_cm)}")
     if not args.dump_grid:
         return []
-    path = out_dir / "potential_grid.csv"
-    write_grid_csv(grid, path)
-    return [path]
+    xs = grid.x_coords_um.tolist()
+    rows = ((x, y, v) for y, row in zip(grid.y_coords_um.tolist(), grid.values.tolist()) for x, v in zip(xs, row))
+    return [write_table(out_dir / "potential_grid.csv", ("x_um", "y_um", "potential_v"), rows)]
 
 
 def _cmd_resonance(args, config: ExperimentConfig, seed: int, out_dir: Path | None) -> list[Path]:
@@ -411,7 +408,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SimulationError as exc:
         print(f"error: simulation failed: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
-    except (FitError, ValueError) as exc:  # the readers report an unreadable dataset as a ValueError
+    except FitError as exc:
         print(f"error: fitting failed: {exc}", file=sys.stderr)
         return EXIT_FITTING
     except OSError as exc:  # only writes under out_dir raise it

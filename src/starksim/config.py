@@ -181,6 +181,9 @@ class ExperimentConfig:
                 raise ConfigError(f"[[ions]].id {ion_id!r} may use only A-Z, a-z, 0-9, '_', '.' and '-'")
         if len(set(ids)) != len(ids):
             raise ConfigError("ion ids must be unique")
+        if not 0.0 < self.solver.spacing_um <= self.layout.gap_um / 20.0:  # as solve_potential checks it
+            raise ConfigError(f"[solver].spacing_um must lie in (0, gap/20 = {self.layout.gap_um / 20.0:g}] um, "
+                              f"got {self.solver.spacing_um}")
         if self.stark.ion_id not in ("", *ids):
             raise ConfigError(f"[stark].ion_id {self.stark.ion_id!r} is not in the ion registry")
         for voltage in self.stark.voltages_v:  # the sweep stays within the supply

@@ -1,4 +1,4 @@
-"""Small CSV helpers shared by the simulation and analysis outputs.
+"""The one CSV writer and reader of the command line; ``cli.FITS`` declares each dataset's columns.
 
 All files are RFC-4180 style with ``\n`` line endings, ``.`` decimal
 separator, and floats at 17 significant digits so runs reproduce
@@ -8,6 +8,7 @@ byte-identically.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,8 +35,9 @@ def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence
 def read_table(path: str | Path, columns: dict[str, type]) -> list[list]:
     """Columns of a CSV whose header is ``columns``' names, each cell converted
     by its column's type. Every failure is a ValueError naming the file: one
-    that cannot be opened, or a cell that does not convert, with its row (the
-    header is row 1, as in a spreadsheet) and its column."""
+    that cannot be opened, or a cell that does not convert or is a float
+    that is not finite, with its row (the header is row 1, as in a
+    spreadsheet) and its column."""
     values: list[list] = [[] for _ in columns]
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
@@ -53,9 +55,12 @@ def read_table(path: str | Path, columns: dict[str, type]) -> list[list]:
                 raise ValueError(f"{path}: row {reader.line_num} has {len(row)} cells, want {len(columns)}")
             for column, (name, kind), cell in zip(values, columns.items(), row):
                 try:
-                    column.append(kind(cell))
+                    value = kind(cell)
                 except ValueError:
                     raise ValueError(
                         f"{path}: row {reader.line_num}, column {name!r}: expected {kind.__name__}, got {cell!r}"
                     ) from None
+                if kind is float and not math.isfinite(value):
+                    raise ValueError(f"{path}: row {reader.line_num}, column {name!r} must be finite, got {cell!r}")
+                column.append(value)
     return values

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -58,7 +57,6 @@ __all__ = [
     "field_at",
     "field_per_volt",
     "solve_potential",
-    "write_grid_csv",
 ]
 
 V_PER_UM_TO_V_PER_CM = 1.0e4
@@ -338,14 +336,3 @@ def field_at(grid: PotentialGrid, point_um: tuple[float, float]) -> FieldVector:
         e_parallel_v_per_cm=blend(ex) * V_PER_UM_TO_V_PER_CM,
         e_perpendicular_v_per_cm=blend(ey) * V_PER_UM_TO_V_PER_CM,
     )
-
-
-def write_grid_csv(grid: PotentialGrid, path: str | Path) -> None:
-    """Dump the potential as ``x_um,y_um,potential_v`` rows."""
-    xs = grid.x_coords_um
-    ys = grid.y_coords_um
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("x_um,y_um,potential_v\n")
-        for i, y in enumerate(ys):
-            for j, x in enumerate(xs):
-                handle.write(f"{x:.17g},{y:.17g},{grid.values[i, j]:.17g}\n")

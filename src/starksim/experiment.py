@@ -26,7 +26,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .csvio import write_table
 from .electrostatics import FieldVector
 from .stark import EmitterParams, IonModel, excitation_probability
 
@@ -44,10 +43,6 @@ __all__ = [
     "simulate_g2_histogram",
     "simulate_ple_scan",
     "simulate_stark_scan",
-    "write_decay_csv",
-    "write_g2_csv",
-    "write_ple_csv",
-    "write_stark_csv",
 ]
 
 DEFAULT_MASTER_SEED = 0xE53_1536
@@ -183,6 +178,17 @@ def emission_window_probability(lifetime_us: float, delay_us: float, window_us: 
     return math.exp(-delay_us / lifetime_us) - math.exp(-(delay_us + window_us) / lifetime_us)
 
 
+def _line(ion: IonModel, field: FieldVector) -> tuple[float, float]:
+    """``ion.line(field)``; a line that overflows is a simulation failure naming the ion."""
+    centre, fwhm = ion.line(field)
+    if not (math.isfinite(centre) and math.isfinite(fwhm)):
+        raise SimulationError(
+            f"{ion.ion_id}: the line overflows at {field.e_parallel_v_per_cm:g} V/cm "
+            f"(centre {centre} MHz, width {fwhm} MHz)"
+        )
+    return centre, fwhm
+
+
 def simulate_ple_scan(
     ions: Sequence[IonModel],
     emitter: EmitterParams,
@@ -203,7 +209,7 @@ def simulate_ple_scan(
     """
     frequencies = protocol.scan_frequencies_mhz()
     n_pulses = protocol.pulses_per_point
-    centres, fwhms = np.array([ion.line(field) for ion in ions]).reshape(-1, 2).T
+    centres, fwhms = np.array([_line(ion, field) for ion in ions]).reshape(-1, 2).T
     p_exc = excitation_probability(emitter.saturation_excitation_prob, fwhms, frequencies[:, None] - centres)
     p_detect = detector.total_efficiency * emission_window_probability(
         emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
@@ -338,7 +344,7 @@ def simulate_stark_scan(
     results = []
     for v_index, voltage in enumerate(voltages_v):
         field = unit_field.scaled(voltage)
-        centre, _ = ion.line(field)
+        centre, _ = _line(ion, field)
         base = round(centre / protocol.scan_pitch_mhz) * protocol.scan_pitch_mhz
         scan_protocol = protocol.replace_scan(
             base - window_half_width_mhz, base + window_half_width_mhz
@@ -346,36 +352,3 @@ def simulate_stark_scan(
         scan = simulate_ple_scan([ion], emitter, scan_protocol, detector, field, mix_seed(seed, v_index))
         results.append((field, scan))
     return results
-
-
-def write_ple_csv(scan: ScanResult, path) -> None:
-    write_table(
-        path,
-        ["frequency_offset_mhz", "counts", "integration_s"],
-        [(float(f), int(c), scan.integration_s) for f, c in zip(scan.frequencies_mhz, scan.counts)],
-    )
-
-
-def write_decay_csv(histogram: Histogram, path) -> None:
-    write_table(
-        path,
-        ["time_us", "counts"],
-        [(float(t), int(c)) for t, c in zip(histogram.bin_centers_us, histogram.counts)],
-    )
-
-
-def write_g2_csv(histogram: G2Histogram, path) -> None:
-    normalized = histogram.normalized
-    write_table(
-        path,
-        ["lag_pulses", "coincidences", "normalized"],
-        [
-            (int(lag), int(c), float(n))
-            for lag, c, n in zip(histogram.lags, histogram.coincidences, normalized)
-        ],
-    )
-
-
-def write_stark_csv(rows: Sequence[tuple], path) -> None:
-    """Rows: (ion_id, voltage_v, field_v_per_cm, frequency_mhz, counts), one per scan point."""
-    write_table(path, ["ion_id", "voltage_v", "field_v_per_cm", "frequency_mhz", "counts"], rows)

@@ -17,9 +17,9 @@ from starksim.analysis import (
     fit_lorentzian,
     lorentzian,
     lorentzian_jacobian,
-    read_g2_csv,
 )
-from starksim.cli import main
+from starksim.cli import FITS, main
+from starksim.csvio import read_table
 from starksim.config import default_config, dumps_config
 from starksim.electrostatics import ElectrodeLayout, FieldVector, field_at, solve_potential
 from starksim.experiment import simulate_ple_scan
@@ -93,10 +93,11 @@ def test_criterion_2_antibunching(config, poissonian_g2, tmp_path):
     _quiet_main(["reproduce", "fig3c", "--config", tmp_path / "tuned.toml", "--seed", 2025, "--out", tmp_path / "tuned"])
     _quiet_main(["g2", "--config", tmp_path / "pure.toml", "--seed", 2026, "--out", tmp_path / "pure"])
     tuned, tuned_err = _fit_report(tmp_path / "tuned")["g2_zero"]
-    pure = read_g2_csv(tmp_path / "pure" / "g2.csv")
-    pure_zero_lag = int(pure.coincidences[pure.lags == 0][0])
+    lags, coincidences, _ = read_table(tmp_path / "pure" / "g2.csv", FITS["g2"][1])
+    pure_zero_lag = coincidences[lags.index(0)]
     # the classical control has no command: a test-side coherent source
-    poisson = estimate_g2_zero(poissonian_g2(config.emitter, 0.0, config.protocol, 200_000, 10, 2027))
+    control = poissonian_g2(config.emitter, 0.0, config.protocol, 200_000, 10, 2027)
+    poisson = estimate_g2_zero(control.lags, control.coincidences)
 
     ok = (
         0.06 <= tuned <= 0.14
@@ -259,13 +260,9 @@ def test_criterion_7_fit_correctness():
 
     lor_truth = np.array([100.0, 0.0, 6.7, 0.0])
     lor_fit = fit_lorentzian(x_lor, lorentzian(x_lor, lor_truth))
-    from starksim.experiment import Histogram
 
     exp_truth = np.array([1200.0, 41.0, 20.0])
-    hist = Histogram(
-        bin_edges_us=np.arange(0.0, 85.5, 1.0), counts=exponential_decay(t_exp, exp_truth)
-    )
-    exp_fit = fit_exponential_decay(hist, 0.0, exp_truth[2])
+    exp_fit = fit_exponential_decay(t_exp, exponential_decay(t_exp, exp_truth), 0.0, exp_truth[2])
     noiseless_ok = (
         abs(lor_fit.value("amplitude") - 100.0) / 100.0 < 1e-6
         and abs(lor_fit.value("center_mhz")) < 1e-6 * 6.7

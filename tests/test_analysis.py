@@ -16,10 +16,11 @@ from starksim.analysis import (
     fit_stark_sweep,
     lorentzian,
     lorentzian_jacobian,
-    write_fit_report_csv,
 )
+from starksim.cli import REPORT_COLUMNS
+from starksim.csvio import write_table
 from starksim.electrostatics import FieldVector
-from starksim.experiment import G2Histogram, Histogram, ScanResult, simulate_stark_scan
+from starksim.experiment import simulate_decay_histogram, simulate_stark_scan
 from starksim.optimize import (
     DegenerateDataError,
     FitConvergenceError,
@@ -32,31 +33,15 @@ from starksim.stark import line_law
 VOLTS_TO_FIELD = 65.022536219113164  # default-layout calibration, V/cm per V
 
 
-def make_scan(frequencies, counts):
-    return ScanResult(
-        frequencies_mhz=np.asarray(frequencies, dtype=float),
-        counts=np.asarray(counts, dtype=np.int64),
-        integration_s=5.0,
-    )
-
-
-def make_histogram(centers, counts):
-    centers = np.asarray(centers, dtype=float)
-    width = centers[1] - centers[0]
-    edges = np.concatenate([centers - width / 2.0, [centers[-1] + width / 2.0]])
-    return Histogram(bin_edges_us=edges, counts=np.asarray(counts, dtype=np.int64))
-
-
 class TestFindPeaks:
     def test_all_zero_scan_is_empty(self):
-        scan = make_scan(np.arange(50) * 5.0, np.zeros(50))
-        assert find_peaks(scan, 5.0) == []
+        assert find_peaks(np.arange(50) * 5.0, np.zeros(50), 5.0) == []
 
     def test_flat_poisson_background_rarely_triggers(self):
         rng = np.random.default_rng(321)
         freqs = np.arange(1000) * 5.0
         false_positives = sum(
-            1 for _ in range(100) if find_peaks(make_scan(freqs, rng.poisson(8.5, 1000)), 5.0)
+            1 for _ in range(100) if find_peaks(freqs, rng.poisson(8.5, 1000), 5.0)
         )
         assert false_positives <= 2
 
@@ -66,7 +51,7 @@ class TestFindPeaks:
         truth = 501.3
         signal = 170.0 / (1.0 + (2.0 * (freqs - truth) / 6.7) ** 2)
         counts = rng.poisson(8.5 + signal)
-        peaks = find_peaks(make_scan(freqs, counts), 5.0)
+        peaks = find_peaks(freqs, counts, 5.0)
         assert len(peaks) == 1
         assert abs(peaks[0].center_mhz - truth) <= 5.0
         assert peaks[0].height_counts > 100.0
@@ -77,7 +62,7 @@ class TestFindPeaks:
         counts = rng.poisson(8.5, 400).astype(float)
         for centre in (1500.0, 250.0, 900.0):
             counts += 200.0 / (1.0 + (2.0 * (freqs - centre) / 6.7) ** 2)
-        peaks = find_peaks(make_scan(freqs, rng.poisson(counts)), 5.0)
+        peaks = find_peaks(freqs, rng.poisson(counts), 5.0)
         assert len(peaks) == 3
         assert [p.center_mhz for p in peaks] == sorted(p.center_mhz for p in peaks)
 
@@ -141,10 +126,8 @@ class TestFitExponentialDecay:
     def test_noiseless_recovery_to_1e6(self):
         centers = np.arange(0.5, 85.0, 1.0)
         truth = np.array([1200.0, 41.0, 20.0])
-        hist = make_histogram(centers, np.round(exponential_decay(centers, truth) * 1e6) / 1e6)
         # exact model values (not rounded) so the optimum is the truth
-        hist = Histogram(bin_edges_us=hist.bin_edges_us, counts=exponential_decay(centers, truth))
-        fit = fit_exponential_decay(hist, 0.0, 20.0)
+        fit = fit_exponential_decay(centers, exponential_decay(centers, truth), 0.0, 20.0)
         assert fit.value("amplitude") == pytest.approx(1200.0, rel=1e-6)
         assert fit.value("tau_us") == pytest.approx(41.0, rel=1e-6)
         assert fit.value("background") == 20.0
@@ -153,7 +136,7 @@ class TestFitExponentialDecay:
         rng = np.random.default_rng(19)
         centers = np.arange(0.5, 85.0, 1.0)
         counts = rng.poisson(exponential_decay(centers, np.array([1200.0, 41.0, 20.0])))
-        fit = fit_exponential_decay(make_histogram(centers, counts), 0.0, 20.0)
+        fit = fit_exponential_decay(centers, counts, 0.0, 20.0)
         assert fit.value("background") == 20.0
         assert fit.stderr("background") == 0.0
         assert abs(fit.value("tau_us") - 41.0) < 3.0 * fit.stderr("tau_us")
@@ -164,7 +147,7 @@ class TestFitExponentialDecay:
         rng = np.random.default_rng(23)
         centers = np.arange(0.5, 85.0, 1.0)
         try:
-            fit = fit_exponential_decay(make_histogram(centers, rng.poisson(20.0, centers.size)), 0.0, 20.0)
+            fit = fit_exponential_decay(centers, rng.poisson(20.0, centers.size), 0.0, 20.0)
         except FitConvergenceError as err:
             assert not np.all(np.isfinite(err.last_result.stderrs)) or (
                 err.last_result.value("tau_us") > 100.0
@@ -175,11 +158,30 @@ class TestFitExponentialDecay:
     def test_fit_start_trims_bins(self):
         centers = np.arange(0.5, 85.0, 1.0)
         truth = np.array([800.0, 41.0, 0.0])
-        hist = Histogram(
-            bin_edges_us=np.arange(0.0, 85.5, 1.0), counts=exponential_decay(centers, truth)
-        )
-        fit = fit_exponential_decay(hist, fit_start_us=10.0, background=0.0)
+        fit = fit_exponential_decay(centers, exponential_decay(centers, truth), fit_start_us=10.0, background=0.0)
         assert fit.value("tau_us") == pytest.approx(41.0, rel=1e-6)
+
+    def test_floor_above_the_tail_is_refused(self):
+        # the tail is the last tenth of the 85 bins; its mean's Poisson standard error is sqrt(sum) / 8
+        centers = np.arange(0.5, 85.0, 1.0)
+        counts = np.round(exponential_decay(centers, np.array([60.0, 41.0, 5.0])))
+        tail = counts[-8:]
+        standard_error = math.sqrt(tail.sum()) / 8
+        with pytest.raises(DegenerateDataError, match=r"pinned floor .* is 5.0 standard errors above the mean"):
+            fit_exponential_decay(centers, counts, 0.0, tail.mean() + 5.01 * standard_error)
+        fit = fit_exponential_decay(centers, counts, 0.0, tail.mean() + 4.99 * standard_error)
+        assert fit.value("background") == tail.mean() + 4.99 * standard_error
+
+    def test_darks_alone_are_not_refused(self, config, emitter):
+        # the calibrated floor of a zero-excitation histogram is the tail's own mean
+        dark = dataclasses.replace(emitter, saturation_excitation_prob=0.0)
+        floor = config.detector.dark_mean_per_pulse(1.0) * config.decay.n_pulses
+        for seed in range(200):
+            hist = simulate_decay_histogram(dark, config.protocol, config.detector, config.decay.n_pulses, 1.0, seed)
+            try:
+                fit_exponential_decay(hist.bin_centers_us, hist.counts, 0.0, floor)
+            except FitConvergenceError:  # an unconstrained lifetime, as pure background may give
+                pass
 
 
 def sweep_mean(fields, frequencies, params):
@@ -282,25 +284,25 @@ class TestEstimateG2Zero:
     def make(self, c0, sides):
         lags = np.arange(-len(sides) // 2, len(sides) // 2 + 1)
         coincidences = np.insert(np.asarray(sides, dtype=np.int64), len(sides) // 2, c0)
-        return G2Histogram(lags=lags, coincidences=coincidences)
+        return lags, coincidences
 
     def test_empty_zero_lag(self):
-        estimate = estimate_g2_zero(self.make(0, [40, 38, 41, 44, 39, 37]))
+        estimate = estimate_g2_zero(*self.make(0, [40, 38, 41, 44, 39, 37]))
         assert estimate.g2_zero == 0.0
         assert estimate.standard_error > 0.0
 
     def test_all_lags_equal_gives_one(self):
-        estimate = estimate_g2_zero(self.make(40, [40] * 6))
+        estimate = estimate_g2_zero(*self.make(40, [40] * 6))
         assert estimate.g2_zero == pytest.approx(1.0)
 
     def test_scale_invariance(self):
-        a = estimate_g2_zero(self.make(12, [40, 38, 41, 44, 39, 37]))
-        b = estimate_g2_zero(self.make(12 * 7, [v * 7 for v in [40, 38, 41, 44, 39, 37]]))
+        a = estimate_g2_zero(*self.make(12, [40, 38, 41, 44, 39, 37]))
+        b = estimate_g2_zero(*self.make(12 * 7, [v * 7 for v in [40, 38, 41, 44, 39, 37]]))
         assert a.g2_zero == pytest.approx(b.g2_zero, rel=1e-12)
 
     def test_zero_side_lags_rejected(self):
         with pytest.raises(UndefinedNormalizationError):
-            estimate_g2_zero(self.make(5, [0, 0, 0, 0]))
+            estimate_g2_zero(*self.make(5, [0, 0, 0, 0]))
 
 
 class TestObjectiveGradient:
@@ -379,8 +381,7 @@ class TestPoissonFit:
 
             truth = np.array([rng.uniform(300, 2000), rng.uniform(20, 60), rng.uniform(5, 30)])
             counts = rng.poisson(exponential_decay(centers, truth)).astype(float)
-            histogram = make_histogram(centers, counts)
-            fit = fit_exponential_decay(histogram, 0.0, truth[2])
+            fit = fit_exponential_decay(centers, counts, 0.0, truth[2])
             score = _scaled_score(exponential_decay, exponential_decay_jacobian, centers, counts, fit.values, 2)
             worst = max(worst, score)
         assert worst < 1e-4
@@ -408,7 +409,7 @@ def _scaled_score(model, jacobian, x, y, params, free_columns=None):
 
 def test_fit_report_csv(tmp_path):
     path = tmp_path / "fit_report.csv"
-    write_fit_report_csv([("tau_us", 41.0, 0.4, "us")], path)
+    write_table(path, REPORT_COLUMNS, [("tau_us", 41.0, 0.4, "us")])
     lines = path.read_text().splitlines()
     assert lines[0] == "quantity,value,stderr,units"
     assert lines[1] == "tau_us,41,0.40000000000000002,us"

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from starksim.cli import (
@@ -15,12 +17,17 @@ from starksim.cli import (
     EXIT_FITTING,
     EXIT_NO_RESONANCE,
     EXIT_OK,
+    EXIT_SIMULATION,
     EXIT_SOLVER,
     EXIT_VOLTAGE_RANGE,
     FIGURES,
+    FITS,
+    PIPELINES,
     main,
 )
-from starksim.config import config_file_digest, default_config, dumps_config, loads_config
+from starksim.config import config_file_digest, default_config, dumps_config, load_config, loads_config
+from starksim.csvio import read_table
+from starksim.electrostatics import field_per_volt
 from starksim.stark import resonance_voltage
 
 
@@ -63,9 +70,17 @@ class TestFieldCommand:
         out_dir = tmp_path / "out"
         code, out, _ = run(capsys, "field", "--config", config_path, "--out", out_dir, "--dump-grid")
         assert code == EXIT_OK
-        grid = out_dir / "potential_grid.csv"
-        assert str(grid) in out
-        assert grid.read_text().splitlines()[0] == "x_um,y_um,potential_v"
+        path = out_dir / "potential_grid.csv"
+        assert str(path) in out
+        assert path.read_text().splitlines()[0] == "x_um,y_um,potential_v"
+        # one row per node, x fastest, every value read back exactly
+        config = default_config()
+        _, grid = field_per_volt(config.layout, config.solver.spacing_um, voltage_v=config.layout.bias_v)
+        x, y, potential = read_table(path, {"x_um": float, "y_um": float, "potential_v": float})
+        rows, columns = grid.values.shape
+        assert x == np.tile(grid.x_coords_um, rows).tolist()
+        assert y == np.repeat(grid.y_coords_um, columns).tolist()
+        assert potential == grid.values.ravel().tolist()
 
     def test_zero_voltage(self, capsys, config_path, tmp_path):
         code, out, _ = run(capsys, "field", "--config", config_path, "--voltage", 0, "--out", tmp_path)
@@ -210,6 +225,9 @@ class TestLoadTimeChecks:
             ("[decay]\nbin_width_us = 0.0\n", "[decay].bin_width_us must be positive, got 0.0", ["decay"]),
             ("[stark]\nwindow_half_width_mhz = -5.0\n", "[stark].window_half_width_mhz must be positive, got -5.0",
              ["reproduce", "fig4a"]),
+            # checked as solve_potential checks it, though fig2 solves no field
+            ("[solver]\nspacing_um = 10.0\n", "[solver].spacing_um must lie in (0, gap/20 = 5] um, got 10.0",
+             ["reproduce", "fig2"]),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, tmp_path, text, where, argv):
@@ -552,8 +570,14 @@ class TestPipelines:
             ("decay", "time_us,counts\n0.5,3\n1.5\n", "row 3 has 1 cells, want 2"),
             ("stark", "ion_id,voltage_v,field_v_per_cm,frequency_mhz,counts\nion1,0,0,-5,3\nion1,0,0,zero,4\n",
              "row 3, column 'frequency_mhz': expected float, got 'zero'"),
+            ("ple", "frequency_offset_mhz,counts,integration_s\n-5.0,3,5.0\ninf,1,5.0\n",
+             "row 3, column 'frequency_offset_mhz' must be finite, got 'inf'"),
+            ("stark", "ion_id,voltage_v,field_v_per_cm,frequency_mhz,counts\nion1,0,nan,-5,3\n",
+             "row 2, column 'field_v_per_cm' must be finite, got 'nan'"),
+            ("decay", "time_us,counts\nnan,3\n1.5,4\n", "row 2, column 'time_us' must be finite, got 'nan'"),
         ],
-        ids=["ple-float-count", "g2-text-count", "decay-short-row", "stark-text-frequency"],
+        ids=["ple-float-count", "g2-text-count", "decay-short-row", "stark-text-frequency",
+             "ple-inf-frequency", "stark-nan-field", "decay-nan-time"],
     )
     def test_malformed_cell_names_file_row_and_column(self, capsys, config_path, tmp_path, kind, text, cell):
         data = tmp_path / f"{kind}.csv"
@@ -563,6 +587,40 @@ class TestPipelines:
         )
         assert code == EXIT_FITTING
         assert out == "" and err == f"error: fitting failed: {data}: {cell}\n"
+
+    @pytest.mark.parametrize(
+        "kind, header, message",
+        [("ple", "frequency_offset_mhz,counts,integration_s", "scan is empty"),
+         ("decay", "time_us,counts", "need at least two bins")],
+    )
+    def test_empty_dataset_exits_5(self, capsys, tmp_path, kind, header, message):
+        data = tmp_path / f"{kind}.csv"
+        data.write_text(header + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "fit", "--kind", kind, "--input", data, "--out", tmp_path / "x")
+        assert code == EXIT_FITTING
+        assert out == "" and err == f"error: fitting failed: {message}\n"
+
+    def test_decay_fit_under_another_config_exits_5(self, capsys, tmp_path):
+        # 500 000 pulses leave 1 dark count per bin; the default config's floor is 20
+        fast = tmp_path / "fast.toml"
+        fast.write_text("[decay]\nn_pulses = 500000\n", encoding="utf-8")
+        assert run(capsys, "reproduce", "fig3b", "--config", fast, "--out", tmp_path / "fig")[0] == EXIT_OK
+        code, out, err = run(capsys, "fit", "--kind", "decay", "--input", tmp_path / "fig" / "decay.csv",
+                             "--out", tmp_path / "x")
+        assert code == EXIT_FITTING
+        assert out == "" and err == (
+            "error: fitting failed: pinned floor 20 counts/bin is 11.0 standard errors above the mean "
+            "8.625 counts/bin of the last 8 bins\n"
+        )
+
+    @pytest.mark.parametrize("argv", [["ple", "--voltage", "333"], ["stark"]], ids=["ple", "stark"])
+    def test_overflowing_line_exits_4(self, capsys, tmp_path, argv):
+        path = tmp_path / "huge.toml"
+        path.write_text('[[ions]]\nid = "ionX"\nstark_coefficient_khz_per_v_cm = 1e306\nzero_field_fwhm_mhz = 6.7\n',
+                        encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--config", path, "--out", tmp_path / "x")
+        assert code == EXIT_SIMULATION
+        assert out == "" and err.startswith("error: simulation failed: ionX: the line overflows at ")
 
     def test_fit_on_missing_file_exits_5(self, capsys, config_path, tmp_path):
         code, _, err = run(
@@ -703,6 +761,27 @@ class TestPipelines:
         run(capsys, "g2", "--config", config_path, "--out", a)
         run(capsys, "g2", "--config", config_path, "--out", b, "--seed", 1)
         assert (a / "g2.csv").read_bytes() != (b / "g2.csv").read_bytes()
+
+
+DATASETS = {  # FITS kind -> (the command writing it, its figure, its file name, its exact header)
+    "ple": ("ple", "fig2", "ple_scan.csv", "frequency_offset_mhz,counts,integration_s"),
+    "decay": ("decay", "fig3b", "decay.csv", "time_us,counts"),
+    "g2": ("g2", "fig3c", "g2.csv", "lag_pulses,coincidences,normalized"),
+    "stark": ("stark", "fig4a", "stark_scan.csv", "ion_id,voltage_v,field_v_per_cm,frequency_mhz,counts"),
+}
+
+
+@pytest.mark.parametrize("kind", list(FITS))
+def test_dataset_csv_is_the_one_fits_declares(capsys, fast_config, tmp_path, kind):
+    # its file name, its exact header, and every value read back as its dataset function gave it
+    command, figure, name, header = DATASETS[kind]
+    assert FITS[kind][0] == name
+    code, out, _ = run(capsys, command, "--config", fast_config, "--out", tmp_path)
+    assert code == EXIT_OK and out.splitlines() == [str(tmp_path / name)]
+    assert (tmp_path / name).read_text(encoding="utf-8").splitlines()[0] == header
+    config = load_config(fast_config)
+    rows = PIPELINES[figure][0](argparse.Namespace(figure=figure, voltage=0.0), config, config.run.seed)
+    assert list(zip(*read_table(tmp_path / name, FITS[kind][1]))) == rows
 
 
 def replay_argv(command, config, out_dir):

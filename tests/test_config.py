@@ -79,7 +79,7 @@ class TestTomlSubset:
                          r"\[stark\]\.voltages_v: expected a number", id="nested-array"),
             pytest.param("[layout.extra]\n", None, r"\[layout\]: unknown key 'extra'", id="sub-table"),
             pytest.param("[layout]\ngap.um = 1.0\n", None, r"\[layout\]: unknown key 'gap'", id="dotted-key"),
-            pytest.param("layout = {gap_um = 50.0}\n", "[layout]\ngap_um = 50.0\n", None, id="inline-table"),
+            pytest.param("layout = {gap_um = 110.0}\n", "[layout]\ngap_um = 110.0\n", None, id="inline-table"),
             pytest.param(
                 "ions = [{id = 'a', stark_coefficient_khz_per_v_cm = 1.0, zero_field_fwhm_mhz = 7.0}]\n",
                 '[[ions]]\nid = "a"\nstark_coefficient_khz_per_v_cm = 1.0\nzero_field_fwhm_mhz = 7.0\n',

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from starksim.cli import main
 from starksim.electrostatics import (
     ConvergenceError,
     ElectrodeLayout,
@@ -8,7 +9,6 @@ from starksim.electrostatics import (
     PotentialGrid,
     field_at,
     solve_potential,
-    write_grid_csv,
 )
 
 # exact discrete probe field of the default layout at spacing 5 um (sparse
@@ -191,11 +191,20 @@ class TestFieldAt:
             field_at(grid, (5.0, 0.2))
 
 
-def test_grid_csv_dump(tmp_path):
-    grid = ramp_grid(1.0, n=4)
-    path = tmp_path / "grid.csv"
-    write_grid_csv(grid, path)
-    lines = path.read_text().splitlines()
+def test_grid_csv_dump(tmp_path, capsys):
+    # the grid dump is written by `field --dump-grid`: one x_um,y_um,potential_v row per node
+    config = tmp_path / "small.toml"
+    config.write_text(
+        "[layout]\nelectrode_width_um = 60.0\ngap_um = 40.0\n"
+        "electrode_potentials_v = [10.0, -10.0]\ndomain_extent_um = [360.0, 200.0]\n\n"
+        "[solver]\nspacing_um = 2.0\n",
+        encoding="utf-8",
+    )
+    assert main(["field", "--config", str(config), "--out", str(tmp_path), "--dump-grid"]) == 0
+    capsys.readouterr()
+    grid = solve_potential(small_layout(), 2.0)
+    lines = (tmp_path / "potential_grid.csv").read_text().splitlines()
     assert lines[0] == "x_um,y_um,potential_v"
-    assert len(lines) == 1 + 16
-    assert lines[1] == "0,0,0"
+    assert len(lines) == 1 + grid.values.size
+    x0, y0 = grid.x_coords_um[0], grid.y_coords_um[0]
+    assert lines[1] == f"{x0:.17g},{y0:.17g},{grid.values[0, 0]:.17g}"

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from starksim.analysis import fit_lorentzian, read_decay_csv, read_g2_csv, read_ple_csv
+from starksim.analysis import fit_lorentzian
 from starksim.config import ConfigError
 from starksim.electrostatics import ElectrodeLayout, FieldVector, field_per_volt
 from starksim.experiment import (
@@ -20,9 +20,6 @@ from starksim.experiment import (
     simulate_g2_histogram,
     simulate_ple_scan,
     simulate_stark_scan,
-    write_decay_csv,
-    write_g2_csv,
-    write_ple_csv,
 )
 from starksim.stark import EmitterParams, excitation_probability
 
@@ -105,7 +102,7 @@ class TestDecay:
         from starksim.analysis import fit_exponential_decay
 
         floor = config.detector.dark_rate_hz * 1e-6 * 10_000_000
-        fit = fit_exponential_decay(hist, 0.0, floor)
+        fit = fit_exponential_decay(hist.bin_centers_us, hist.counts, 0.0, floor)
         assert fit.value("tau_us") == pytest.approx(41.007, rel=0.02)
 
     def test_zero_excitation_leaves_uniform_darks(self, config, emitter):
@@ -366,14 +363,15 @@ class TestG2:
     def test_poissonian_control_normalizes_to_one(self, config, emitter, poissonian_g2):
         from starksim.analysis import estimate_g2_zero
 
-        estimate = estimate_g2_zero(poissonian_g2(emitter, 0.0, config.protocol, 100_000, 10, 23))
+        hist = poissonian_g2(emitter, 0.0, config.protocol, 100_000, 10, 23)
+        estimate = estimate_g2_zero(hist.lags, hist.coincidences)
         assert estimate.g2_zero == pytest.approx(1.0, abs=3.0 * estimate.standard_error)
 
     def test_signal_fraction_sets_zero_lag_value(self, config, emitter):
         from starksim.analysis import estimate_g2_zero
 
         hist = simulate_g2_histogram(emitter, 1.0 - 0.949, config.protocol, 400_000, 10, 25)
-        estimate = estimate_g2_zero(hist)
+        estimate = estimate_g2_zero(hist.lags, hist.coincidences)
         assert estimate.g2_zero == pytest.approx(1.0 - 0.949**2, abs=3.5 * estimate.standard_error)
 
     def test_lag_axis(self, config, emitter):
@@ -447,7 +445,8 @@ class TestG2Distribution:
         from starksim.analysis import estimate_g2_zero
 
         bulk, reference, _ = samples
-        estimates = [[estimate_g2_zero(h).g2_zero for h in histograms] for histograms in (bulk, reference)]
+        estimates = [[estimate_g2_zero(h.lags, h.coincidences).g2_zero for h in histograms]
+                     for histograms in (bulk, reference)]
         assert stats.ks_2samp(*estimates).pvalue > 1e-3
 
 
@@ -531,38 +530,7 @@ class TestPipelineClosure:
             hist = simulate_g2_histogram(
                 emitter, 1.0 - 0.949, config.protocol, 200_000, 10, mix_seed(999, seed)
             )
-            estimate = estimate_g2_zero(hist)
+            estimate = estimate_g2_zero(hist.lags, hist.coincidences)
             hits += abs(estimate.g2_zero - truth) <= 3.0 * estimate.standard_error
         assert hits >= 11
 
-
-class TestCsvRoundTrips:
-    def test_ple_csv(self, tmp_path, config, ion1, emitter):
-        scan = simulate_ple_scan(
-            [ion1], emitter, config.protocol.replace_scan(-20.0, 20.0), config.detector,
-            FieldVector(0.0, 0.0), 41,
-        )
-        path = tmp_path / "ple_scan.csv"
-        write_ple_csv(scan, path)
-        again = read_ple_csv(path)
-        assert np.array_equal(again.frequencies_mhz, scan.frequencies_mhz)
-        assert np.array_equal(again.counts, scan.counts)
-        assert again.integration_s == scan.integration_s
-
-    def test_decay_csv(self, tmp_path, config, emitter):
-        hist = simulate_decay_histogram(emitter, config.protocol, config.detector, 100_000, 1.0, 43)
-        path = tmp_path / "decay.csv"
-        write_decay_csv(hist, path)
-        again = read_decay_csv(path)
-        assert np.array_equal(again.counts, hist.counts)
-        assert np.allclose(again.bin_edges_us, hist.bin_edges_us)
-
-    def test_g2_csv(self, tmp_path, config, emitter):
-        hist = simulate_g2_histogram(emitter, 0.05, config.protocol, 20_000, 6, 45)
-        path = tmp_path / "g2.csv"
-        write_g2_csv(hist, path)
-        again = read_g2_csv(path)
-        assert np.array_equal(again.lags, hist.lags)
-        assert np.array_equal(again.coincidences, hist.coincidences)
-        header = path.read_text().splitlines()[0]
-        assert header == "lag_pulses,coincidences,normalized"

@@ -58,40 +58,48 @@ class G2Estimate:
 
 # ---------------------------------------------------------------------------
 # model functions
+#
+# Each takes its parameters as a sequence (one fit) or as a (fits, params)
+# array against (fits, points) ``x``, and broadcasts over the fits.
+
+
+def _columns(params):
+    """The parameters one by one; those of a (fits, params) stack as (fits, 1) columns against its points."""
+    return params.T[..., None] if getattr(params, "ndim", 1) == 2 else params
 
 
 def lorentzian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
     """amplitude / (1 + (2 (x - center) / fwhm)^2) + offset"""
-    amplitude, center, fwhm, offset = params
+    amplitude, center, fwhm, offset = _columns(params)
     u = 2.0 * (x - center) / fwhm
     return amplitude / (1.0 + u * u) + offset
 
 
 def lorentzian_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    amplitude, center, fwhm, _ = params
+    amplitude, center, fwhm, _ = _columns(params)
     u = 2.0 * (x - center) / fwhm
     denom = 1.0 + u * u
-    jac = np.empty((x.size, 4))
-    jac[:, 0] = 1.0 / denom
-    jac[:, 1] = amplitude * 4.0 * u / (fwhm * denom * denom)
-    jac[:, 2] = amplitude * 2.0 * u * u / (fwhm * denom * denom)
-    jac[:, 3] = 1.0
+    jac = np.empty(u.shape + (4,))
+    jac[..., 0] = 1.0 / denom
+    jac[..., 1] = amplitude * 4.0 * u / (fwhm * denom * denom)
+    jac[..., 2] = amplitude * 2.0 * u * u / (fwhm * denom * denom)
+    jac[..., 3] = 1.0
     return jac
 
 
 def exponential_decay(t: np.ndarray, params: np.ndarray) -> np.ndarray:
     """amplitude * exp(-t / tau) + background"""
-    amplitude, tau, background = params
+    amplitude, tau, background = _columns(params)
     return amplitude * np.exp(-t / tau) + background
 
 
 def exponential_decay_jacobian(t: np.ndarray, params: np.ndarray) -> np.ndarray:
-    amplitude, tau, _ = params
+    amplitude, tau, _ = _columns(params)
     decay = np.exp(-t / tau)
-    jac = np.empty((t.size, 3))
-    jac[:, 0] = decay
-    jac[:, 1] = amplitude * decay * (t / tau) / tau  # grouped to avoid tau^2 overflow
-    jac[:, 2] = 1.0
+    jac = np.empty(decay.shape + (3,))
+    jac[..., 0] = decay
+    jac[..., 1] = amplitude * decay * (t / tau) / tau  # grouped to avoid tau^2 overflow
+    jac[..., 2] = 1.0
     return jac
 
 
@@ -179,37 +187,49 @@ def _prominence(values: np.ndarray, peak: int) -> float:
 def fit_lorentzian(
     frequencies_mhz: Sequence[float] | np.ndarray,
     counts: Sequence[float] | np.ndarray,
-) -> FitResult:
+) -> FitResult | list[FitResult]:
     """Poisson maximum-likelihood Lorentzian fit; parameters (amplitude,
     center_mhz, fwhm_mhz, offset).
 
     Initializes from the highest sample and the half-height crossings.
+    (fits, points) arrays are a stack of windows of equal length, fitted
+    in one :func:`~starksim.optimize.least_squares` loop, and give a
+    list; each fit is the one its window gives alone, and a failure is
+    the first failing window's own error.
     """
     x = np.asarray(frequencies_mhz, dtype=float)
     y = np.asarray(counts, dtype=float)
-    if x.size < 8:
-        raise DegenerateDataError(f"need at least 8 points, got {x.size}")
-    if np.ptp(y) == 0.0:
-        raise DegenerateDataError("counts are constant; nothing to fit")
-    result = least_squares(
+    if x.shape[-1] < 8:
+        raise DegenerateDataError(f"need at least 8 points, got {x.shape[-1]}")
+    xs, ys = np.atleast_2d(x, y)
+    n = next((index for index, row in enumerate(ys) if np.ptp(row) == 0.0), len(ys))  # the first constant window
+
+    def check(index: int, result: FitResult) -> FitResult:
+        # the model is even in fwhm; canonicalize the sign, then reject widths
+        # the sampling cannot resolve (a spike latched onto a single sample)
+        values = result.values.copy()
+        values[2] = abs(values[2])
+        result = replace(result, values=values)
+        pitch = float(np.median(np.diff(np.sort(xs[index]))))
+        if not np.all(np.isfinite(values)) or values[2] < 0.5 * pitch:
+            raise FitConvergenceError(
+                f"fit collapsed to an unresolvable width {values[2]:.3g} MHz", result
+            )
+        return result
+
+    # the windows before the first constant one are fitted, so one of them that fails names the error
+    results = least_squares(
         lorentzian,
         lorentzian_jacobian,
-        x,
-        y,
-        _lorentzian_guess(x, y),
+        xs[:n],
+        ys[:n],
+        [_lorentzian_guess(*window) for window in zip(xs[:n], ys[:n])],
         ("amplitude", "center_mhz", "fwhm_mhz", "offset"),
-    )
-    # the model is even in fwhm; canonicalize the sign, then reject widths
-    # the sampling cannot resolve (a spike latched onto a single sample)
-    values = result.values.copy()
-    values[2] = abs(values[2])
-    result = replace(result, values=values)
-    pitch = float(np.median(np.diff(np.sort(x))))
-    if not np.all(np.isfinite(values)) or values[2] < 0.5 * pitch:
-        raise FitConvergenceError(
-            f"fit collapsed to an unresolvable width {values[2]:.3g} MHz", result
-        )
-    return result
+        check,
+    ) if n else []
+    if n < len(ys):
+        raise DegenerateDataError("counts are constant; nothing to fit")
+    return results[0] if y.ndim == 1 else results
 
 
 def _lorentzian_guess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -267,10 +287,10 @@ def fit_exponential_decay(
     guess = _decay_guess(t, y)
 
     def pinned(tt: np.ndarray, params: np.ndarray) -> np.ndarray:
-        return exponential_decay(tt, np.array([params[0], params[1], floor]))
+        return exponential_decay(tt, (*_columns(params), floor))
 
     def pinned_jacobian(tt: np.ndarray, params: np.ndarray) -> np.ndarray:
-        return exponential_decay_jacobian(tt, np.array([params[0], params[1], floor]))[:, :2]
+        return exponential_decay_jacobian(tt, (*_columns(params), floor))[..., :2]
 
     partial = least_squares(
         pinned,
@@ -332,15 +352,15 @@ def fit_stark_sweep(
     d_centre, d_width = line_law(e, 0.0, 1.0, 0.0, 1.0)
 
     def line_params(p: np.ndarray) -> tuple:
-        centre, fwhm = line_law(e, *p[1:5])
-        return p[0], centre, fwhm, p[5]
+        amplitude, f0, s, fwhm0, b, offset = _columns(p)
+        return (amplitude, *line_law(e, f0, s, fwhm0, b), offset)
 
     def model(x: np.ndarray, p: np.ndarray) -> np.ndarray:
         return lorentzian(x, line_params(p))
 
     def jacobian(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        by_amplitude, by_centre, by_width, by_offset = lorentzian_jacobian(x, line_params(p)).T
-        return np.column_stack([by_amplitude, by_centre, by_centre * d_centre, by_width, by_width * d_width, by_offset])
+        by_amplitude, by_centre, by_width, by_offset = np.moveaxis(lorentzian_jacobian(x, line_params(p)), -1, 0)
+        return np.stack([by_amplitude, by_centre, by_centre * d_centre, by_width, by_width * d_width, by_offset], axis=-1)
 
     peaks = [f[e == value][np.argmax(y[e == value])] for value in distinct]
     slope, intercept = np.polyfit(d_centre[first], peaks, 1)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import shlex
 import sys
@@ -183,12 +184,20 @@ def _ple(args, config: ExperimentConfig, seed: int) -> list[tuple]:
 
 
 def _fit_peaks(config: ExperimentConfig, frequencies_mhz, counts, integration_s) -> list[Row]:
-    """fig2's fit stage: a Lorentzian within 30 MHz of each peak found."""
+    """fig2's fit stage: a Lorentzian within 30 MHz of each peak found.
+
+    Each run of consecutive windows of equal length is one stacked fit
+    (all seven unless a scan edge clips one), so a failure is the first
+    failing window's own error.
+    """
     frequencies_mhz, counts = np.array(frequencies_mhz), np.array(counts)
+    windows = [np.abs(frequencies_mhz - peak.center_mhz) <= 30.0 for peak in find_peaks(frequencies_mhz, counts, 5.0)]
+    fits: list[FitResult] = []
+    for _, run in itertools.groupby(windows, key=np.count_nonzero):
+        run = list(run)
+        fits += fit_lorentzian(np.array([frequencies_mhz[w] for w in run]), np.array([counts[w] for w in run]))
     report: list[Row] = []
-    for index, peak in enumerate(find_peaks(frequencies_mhz, counts, 5.0), start=1):
-        window = np.abs(frequencies_mhz - peak.center_mhz) <= 30.0
-        fit = fit_lorentzian(frequencies_mhz[window], counts[window])
+    for index, fit in enumerate(fits, start=1):
         report += _rows(fit, [("center_mhz", "MHz"), ("fwhm_mhz", "MHz")], f"peak{index}_")
     return report
 

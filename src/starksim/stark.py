@@ -141,24 +141,24 @@ def resonance_voltage(
     Raises
     ------
     NoResonanceError
-        If the coefficients are equal but the zero-field frequencies differ.
+        If the detuning does not change with the voltage (equal
+        coefficients, or a zero volts-to-field scale) but the zero-field
+        frequencies differ.
     VoltageOutOfRangeError
         If the closed-form voltage exceeds ``v_max`` in magnitude.
     """
-    if volts_to_field_v_per_cm_per_v <= 0.0:
-        raise StarkModelError("volts-to-field scale must be positive")
     if v_max <= 0.0:
         raise StarkModelError("voltage limit must be positive")
     df_mhz = ion_b.zero_field_frequency_mhz - ion_a.zero_field_frequency_mhz
     ds = ion_a.stark_coefficient_khz_per_v_cm - ion_b.stark_coefficient_khz_per_v_cm
-    if ds == 0.0:
+    slope_mhz_per_v = ds * volts_to_field_v_per_cm_per_v / KHZ_PER_MHZ  # either sign: the probe may sit anywhere
+    if slope_mhz_per_v == 0.0:
         if df_mhz == 0.0:
             return 0.0
+        cause = "share the Stark coefficient" if ds == 0.0 else "see a probe field that does not change with the voltage"
         raise NoResonanceError(
-            f"{ion_a.ion_id} and {ion_b.ion_id} share the Stark coefficient; "
-            f"the {df_mhz:+g} MHz offset cannot be closed"
+            f"{ion_a.ion_id} and {ion_b.ion_id} {cause}; the {df_mhz:+g} MHz offset cannot be closed"
         )
-    slope_mhz_per_v = ds * volts_to_field_v_per_cm_per_v / KHZ_PER_MHZ
     voltage = df_mhz / slope_mhz_per_v
     if abs(voltage) > v_max:
         raise VoltageOutOfRangeError(voltage, v_max)

@@ -20,11 +20,12 @@ from starksim.analysis import (
 from starksim.cli import REPORT_COLUMNS
 from starksim.csvio import write_table
 from starksim.electrostatics import FieldVector
-from starksim.experiment import simulate_decay_histogram, simulate_stark_scan
+from starksim.experiment import simulate_decay_histogram, simulate_ple_scan, simulate_stark_scan
 from starksim.optimize import (
     DegenerateDataError,
     FitConvergenceError,
     FitError,
+    _solve,
     least_squares,
     poisson_deviance,
 )
@@ -278,6 +279,100 @@ class TestFitStarkSweep:
         for level in (0.0, 5.0):
             with pytest.raises(DegenerateDataError, match="counts are constant"):
                 fit_stark_sweep(fields, frequencies, np.full(fields.size, level))
+
+
+def fig2_windows(config, seed):
+    """(frequencies, counts) of each window fig2's fit stage cuts from one seed's scan."""
+    scan = simulate_ple_scan(config.ions, config.emitter, config.protocol, config.detector, FieldVector(0.0, 0.0), seed)
+    f, counts = scan.frequencies_mhz, scan.counts
+    return [(f[window], counts[window]) for window in (np.abs(f - peak.center_mhz) <= 30.0
+                                                       for peak in find_peaks(f, counts, 5.0))]
+
+
+def assert_same_fit(stacked, alone):
+    assert stacked.names == alone.names
+    assert np.array_equal(stacked.values, alone.values)
+    assert np.array_equal(stacked.stderrs, alone.stderrs, equal_nan=True)
+    assert stacked.reduced_chi_square == alone.reduced_chi_square
+    assert stacked.iterations == alone.iterations
+
+
+class TestStackedFits:
+    """A (fits, points) stack shares one loop; each fit is bitwise the one it gives alone."""
+
+    def test_fig2_windows_of_50_seeds(self, config):
+        windows = [window for seed in range(50) for window in fig2_windows(config, seed)]
+        assert len(windows) == 350 and {f.size for f, _ in windows} == {13}
+        stack = fit_lorentzian(np.array([f for f, _ in windows]), np.array([c for _, c in windows]))
+        assert len(stack) == 350
+        for (f, counts), fit in zip(windows, stack):
+            assert_same_fit(fit, fit_lorentzian(f, counts))
+
+    def test_first_failing_member_names_the_error(self):
+        freqs = np.arange(-60.0, 60.1, 5.0)
+        rng = np.random.default_rng(3)
+        good = [rng.poisson(lorentzian(freqs, np.array([200.0, c, 6.7, 8.5]))) for c in (-10.0, 0.0, 10.0)]
+        narrow = lorentzian(freqs, np.array([200.0, 0.0, 1.0, 8.0]))  # a 1 MHz line collapses below pitch/2
+        flat = np.full(freqs.size, 7.0)
+        with pytest.raises(FitConvergenceError) as alone:
+            fit_lorentzian(freqs, narrow)
+        stack = np.tile(freqs, (5, 1))
+        with pytest.raises(FitConvergenceError) as stacked:
+            fit_lorentzian(stack, np.array([good[0], good[1], narrow, good[2], flat]))
+        assert str(stacked.value) == str(alone.value) == "fit collapsed to an unresolvable width 1 MHz"
+        assert_same_fit(stacked.value.last_result, alone.value.last_result)
+        with pytest.raises(DegenerateDataError, match="^counts are constant; nothing to fit$"):
+            fit_lorentzian(stack, np.array([good[0], good[1], good[2], flat, narrow]))
+
+    def test_run_out_of_iterations_and_stall_are_members_errors(self):
+        freqs = np.arange(-60.0, 60.1, 5.0)
+        counts = lorentzian(freqs, np.array([200.0, 0.0, 6.7, 8.5]))
+        spike = np.full(freqs.size, 8.0)
+        spike[7] = 200.0  # a one-sample spike narrows without end
+        with pytest.raises(FitConvergenceError) as alone:
+            fit_lorentzian(freqs, spike)
+        with pytest.raises(FitConvergenceError) as stacked:
+            fit_lorentzian(np.tile(freqs, (2, 1)), np.array([counts, spike]))
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value).startswith("no convergence after 200 iterations")
+        assert_same_fit(stacked.value.last_result, alone.value.last_result)
+
+        def flipped_for_members_past_zero(x, params):  # member 1's scan sits at positive frequencies
+            jac = lorentzian_jacobian(x, params)
+            return np.where(x[:, :1, None] > 0.0, -jac, jac)
+
+        initial = [[150.0, 3.0, 9.0, 5.0], [150.0, 103.0, 9.0, 5.0]]
+        x = np.array([freqs, freqs + 100.0])
+        y = np.array([counts, lorentzian(freqs, np.array([200.0, 100.0, 6.7, 8.5]))])
+        with pytest.raises(FitConvergenceError, match="stalled: no downhill step") as err:
+            least_squares(lorentzian, flipped_for_members_past_zero, x, y, initial, ("a", "c", "w", "o"))
+        assert np.array_equal(err.value.last_result.values, initial[1])  # member 1's point: member 0 converges
+
+    def test_member_with_a_singular_fisher_matrix_leaves_the_others_alone(self):
+        # at zero amplitude the centre and width do not enter the model: the
+        # member's Fisher matrix is singular, so its errors are NaN
+        freqs = np.arange(-60.0, 60.1, 5.0)
+        rng = np.random.default_rng(5)
+        counts = [rng.poisson(lorentzian(freqs, np.array([200.0, c, 6.7, 8.5]))) for c in (-5.0, 5.0)]
+        y = np.array([counts[0], np.full(freqs.size, 8.0), counts[1]])
+        initial = np.array([[150.0, 0.0, 8.0, 8.0], [0.0, 0.0, 6.7, 8.0], [150.0, 0.0, 8.0, 8.0]])
+        names = ("a", "c", "w", "o")
+        stack = least_squares(lorentzian, lorentzian_jacobian, np.tile(freqs, (3, 1)), y, initial, names)
+        assert np.isnan(stack[1].stderrs).all()
+        for member, fit in enumerate(stack):
+            assert_same_fit(fit, least_squares(lorentzian, lorentzian_jacobian, freqs, y[member], initial[member], names))
+
+    def test_singular_system_is_solved_alone_and_flagged(self):
+        rng = np.random.default_rng(8)
+        matrices = rng.normal(size=(3, 4, 4)) + 4.0 * np.eye(4)
+        matrices[1] = 0.0
+        rhs = rng.normal(size=(3, 4))
+        steps, singular = _solve(matrices, rhs)
+        assert singular.tolist() == [False, True, False]
+        for member in (0, 2):
+            assert np.array_equal(steps[member], np.linalg.solve(matrices[member], rhs[member]))
+        steps, singular = _solve(matrices[[0, 2]], rhs[[0, 2]])
+        assert singular is None
 
 
 class TestEstimateG2Zero:

@@ -361,6 +361,19 @@ class TestResonanceCommand:
         assert code == EXIT_VOLTAGE_RANGE
         assert "required voltage" in err
 
+    def test_probe_with_a_negative_field_per_volt_resonates(self, capsys, tmp_path):
+        # beyond the right electrode the field along the axis points the other way
+        path = tmp_path / "beyond.toml"
+        path.write_text("[layout]\nprobe_point_um = [300.0, 5.0]\n", encoding="utf-8")
+        code, out, _ = run(capsys, "field", "--config", path)
+        assert code == EXIT_OK
+        assert float(dict(line.split("=") for line in out.splitlines())["volts_to_field_v_per_cm_per_v"]) < 0.0
+        code, out, _ = run(capsys, "resonance", "--config", path, "--ion-a", "ion1", "--ion-b", "ion2")
+        assert code == EXIT_OK
+        values = dict(line.split("=") for line in out.splitlines())
+        assert float(values["voltage_v"]) == pytest.approx(61.0, abs=0.05)
+        assert float(values["residual_detuning_mhz"]) <= 1e-6
+
     def test_unknown_ion_exits_2(self, capsys, config_path):
         code, _, _ = run(capsys, "resonance", "--config", config_path, "--ion-a", "ion1", "--ion-b", "nope")
         assert code == EXIT_CONFIG

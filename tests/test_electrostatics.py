@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from starksim.electrostatics import (
     GeometryError,
     PotentialGrid,
     field_at,
+    field_per_volt,
     solve_potential,
 )
 
@@ -189,6 +192,54 @@ class TestFieldAt:
             field_at(grid, (30.0, 5.0))
         with pytest.raises(GeometryError):
             field_at(grid, (5.0, 0.2))
+
+
+def ellipk(k: float) -> float:
+    """Complete elliptic integral of the first kind of modulus k, by the
+    arithmetic-geometric mean (Abramowitz & Stegun 17.6)."""
+    a, b = 1.0, math.sqrt(1.0 - k * k)
+    for _ in range(6):  # converges quadratically: rounding level at k = 0.2
+        a, b = (a + b) / 2.0, math.sqrt(a * b)
+    return math.pi / (2.0 * a)
+
+
+def strip_pair_field_per_volt(gap_um: float, width_um: float) -> float:
+    """Exact surface field at the gap centre of two zero-thickness coplanar
+    strips at +-V/2 on a <= |x| <= b in open space, per volt, in V/cm:
+    ``V / (2 a K(a/b))`` (Wen, IEEE Trans. MTT 17, 1087, 1969)."""
+    a = gap_um / 2.0
+    b = a + width_um
+    return 1.0 / (2.0 * a * ellipk(a / b)) * 1.0e4
+
+
+class TestStripPairClosedForm:
+    """The discrete field approaches the continuum strip pair's, first order in the spacing."""
+
+    EXACT = strip_pair_field_per_volt(100.0, 200.0)
+
+    def test_closed_form(self):
+        assert self.EXACT == pytest.approx(63.0172198, abs=1e-7)
+        special = pytest.importorskip("scipy.special")
+        assert ellipk(0.2) == pytest.approx(float(special.ellipk(0.2**2)), rel=1e-15)
+
+    def test_refinement_converges_to_closed_form(self):
+        box = ElectrodeLayout(
+            electrode_width_um=200.0,
+            gap_um=100.0,
+            electrode_potentials_v=(0.5, -0.5),
+            domain_extent_um=(3000.0, 1800.0),
+        )
+        fields = [field_per_volt(box, spacing)[0].e_parallel_v_per_cm for spacing in (5.0, 2.5, 1.25)]
+        errors = [field / self.EXACT - 1.0 for field in fields]  # +3.9%, +1.8%, +0.85%
+        assert 0.0 < errors[2] < errors[1] < errors[0] < 0.05
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 1.8 < coarse / fine < 2.5  # first order: the field is singular at the strip edges
+        richardson = 2.0 * fields[2] - fields[1]
+        assert abs(richardson / self.EXACT - 1.0) < 0.002
+
+    def test_default_solve_reads_3_percent_high(self, paper_grid):
+        field = field_at(paper_grid, (0.0, 0.0)).e_parallel_v_per_cm / 333.0
+        assert field / self.EXACT - 1.0 == pytest.approx(0.032, abs=0.001)
 
 
 def test_grid_csv_dump(tmp_path, capsys):

@@ -23,6 +23,8 @@ from starksim.experiment import (
 )
 from starksim.stark import EmitterParams, excitation_probability
 
+from conftest import _lag_coincidences
+
 
 class TestSeedMixing:
     def test_known_values(self):
@@ -381,6 +383,28 @@ class TestG2:
     def test_background_fraction_bounds(self, config, emitter):
         with pytest.raises(SimulationError):
             simulate_g2_histogram(emitter, 1.0, config.protocol, 1000, 5, 1)
+
+    @pytest.mark.parametrize("background_fraction", [0.0, 0.051, 0.5, 0.95])
+    @pytest.mark.parametrize("n_pulses, max_lag", [(11, 10), (12, 10), (30, 3), (1000, 50), (20_000, 10)])
+    def test_lag_sums_are_those_of_the_two_arms(self, config, emitter, background_fraction, n_pulses, max_lag):
+        # the arms the sampler's draws describe, rebuilt per pulse, give the same coincidences exactly
+        protocol = config.protocol
+        p = emitter.saturation_excitation_prob * emission_window_probability(
+            emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
+        )
+        m = background_fraction / (1.0 - background_fraction) * p
+        for seed in range(3):
+            rng = point_generator(seed, 0)
+            u = rng.random(n_pulses)
+            arm_a = (u < p / 2.0).astype(np.int64)
+            arm_b = ((p / 2.0 <= u) & (u < p)).astype(np.int64)
+            for arm in (arm_a, arm_b):
+                arm += np.bincount(rng.integers(0, n_pulses, rng.poisson(m / 2.0 * n_pulses)), minlength=n_pulses)
+            expected = _lag_coincidences(arm_a, arm_b, max_lag)
+            hist = simulate_g2_histogram(emitter, background_fraction, protocol, n_pulses, max_lag, seed)
+            assert np.array_equal(hist.lags, expected.lags)
+            assert hist.coincidences.dtype == np.int64
+            assert np.array_equal(hist.coincidences, expected.coincidences)
 
 
 def _g2_lag_means(emitter, background_fraction, protocol, n_pulses, max_lag):

@@ -79,6 +79,15 @@ class TestResonanceVoltage:
         with pytest.raises(NoResonanceError):
             resonance_voltage(make_ion(19.8, 0.0), make_ion(19.8, 50.0), 30.0, 333.0)
 
+    def test_negative_scale_mirrors_the_voltage(self):
+        a, b = make_ion(20.0, 0.0), make_ion(-20.0, 100.0)
+        assert resonance_voltage(a, b, -30.0, 333.0) == -resonance_voltage(a, b, 30.0, 333.0)
+
+    def test_zero_scale_acts_as_equal_coefficients(self):
+        assert resonance_voltage(make_ion(20.0, 5.0), make_ion(-20.0, 5.0), 0.0, 333.0) == 0.0
+        with pytest.raises(NoResonanceError, match="does not change with the voltage"):
+            resonance_voltage(make_ion(20.0, 0.0), make_ion(-20.0, 100.0), 0.0, 333.0)
+
     def test_out_of_range_carries_required_voltage(self):
         with pytest.raises(VoltageOutOfRangeError) as err:
             resonance_voltage(make_ion(20.0, 0.0), make_ion(-20.0, 3000.0), 30.0, 333.0)

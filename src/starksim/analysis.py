@@ -131,53 +131,42 @@ def find_peaks(
     background = float(np.median(counts))
     threshold = threshold_sigma * math.sqrt(background)
 
-    candidates = []
-    for idx in _local_maxima(smooth):
-        prominence = _prominence(smooth, idx)
-        if prominence > threshold:
-            candidates.append(
-                PeakCandidate(
-                    center_mhz=float(frequencies_mhz[idx]),
-                    height_counts=float(counts[idx]),
-                    prominence=float(prominence),
-                )
-            )
-    candidates.sort(key=lambda c: c.center_mhz)
-    return candidates
+    peaks = _local_maxima(smooth)
+    prominences = _prominences(smooth, peaks)
+    keep = prominences > threshold
+    candidates = [
+        PeakCandidate(center_mhz=float(frequencies_mhz[idx]), height_counts=float(counts[idx]), prominence=prominence)
+        for idx, prominence in zip(peaks[keep].tolist(), prominences[keep].tolist())
+    ]
+    return sorted(candidates, key=lambda c: c.center_mhz)
 
 
-def _local_maxima(values: np.ndarray) -> list[int]:
-    """Indices of strict local maxima; a flat plateau yields its first index."""
-    maxima = []
-    n = values.size
-    i = 1
-    while i < n - 1:
-        if values[i] > values[i - 1]:
-            j = i
-            while j + 1 < n and values[j + 1] == values[i]:
-                j += 1
-            if j < n - 1 and values[j + 1] < values[i]:
-                maxima.append(i)
-            i = j + 1
-        else:
-            i += 1
-    return maxima
+def _local_maxima(values: np.ndarray) -> np.ndarray:
+    """Indices of strict local maxima; a flat plateau yields its first index.
+
+    Runs of equal values are compared as one sample; a run above both its
+    neighbouring runs is a maximum, and neither end of the scan is one.
+    """
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    level = values[starts]
+    return starts[np.flatnonzero((level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])) + 1]
 
 
-def _prominence(values: np.ndarray, peak: int) -> float:
-    """Topographic prominence: height above the higher enclosing valley."""
-    height = values[peak]
-    left_min = height
-    for i in range(peak - 1, -1, -1):
-        if values[i] > height:
-            break
-        left_min = min(left_min, values[i])
-    right_min = height
-    for i in range(peak + 1, values.size):
-        if values[i] > height:
-            break
-        right_min = min(right_min, values[i])
-    return float(height - max(left_min, right_min))
+def _prominences(values: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Topographic prominence of each peak: its height above the higher enclosing valley.
+
+    A peak's valley on each side is the lowest sample between it and the
+    nearest higher sample on that side, or the scan's end.
+    """
+    height = values[peaks, None]
+    index = np.arange(values.size)
+    before, after = index < peaks[:, None], index > peaks[:, None]
+    higher = values > height
+    left = np.max(np.where(higher & before, index, -1), axis=1, keepdims=True)
+    right = np.min(np.where(higher & after, index, values.size), axis=1, keepdims=True)
+    left_min = np.min(np.where(before & (index > left), values, height), axis=1)
+    right_min = np.min(np.where(after & (index < right), values, height), axis=1)
+    return height[:, 0] - np.maximum(left_min, right_min)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +192,7 @@ def fit_lorentzian(
         raise DegenerateDataError(f"need at least 8 points, got {x.shape[-1]}")
     xs, ys = np.atleast_2d(x, y)
     n = next((index for index, row in enumerate(ys) if np.ptp(row) == 0.0), len(ys))  # the first constant window
+    pitches = np.median(np.diff(np.sort(xs[:n], axis=1), axis=1), axis=1)
 
     def check(index: int, result: FitResult) -> FitResult:
         # the model is even in fwhm; canonicalize the sign, then reject widths
@@ -210,8 +200,7 @@ def fit_lorentzian(
         values = result.values.copy()
         values[2] = abs(values[2])
         result = replace(result, values=values)
-        pitch = float(np.median(np.diff(np.sort(xs[index]))))
-        if not np.all(np.isfinite(values)) or values[2] < 0.5 * pitch:
+        if not np.all(np.isfinite(values)) or values[2] < 0.5 * pitches[index]:
             raise FitConvergenceError(
                 f"fit collapsed to an unresolvable width {values[2]:.3g} MHz", result
             )
@@ -223,7 +212,7 @@ def fit_lorentzian(
         lorentzian_jacobian,
         xs[:n],
         ys[:n],
-        [_lorentzian_guess(*window) for window in zip(xs[:n], ys[:n])],
+        _lorentzian_guess(xs[:n], ys[:n]),
         ("amplitude", "center_mhz", "fwhm_mhz", "offset"),
         check,
     ) if n else []
@@ -232,24 +221,18 @@ def fit_lorentzian(
     return results[0] if y.ndim == 1 else results
 
 
-def _lorentzian_guess(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    offset = float(np.median(y))
-    peak = int(np.argmax(y))
-    amplitude = max(float(y[peak]) - offset, 1e-9)
-    center = float(x[peak])
-    half = offset + amplitude / 2.0
-    left = x[0]
-    for i in range(peak, -1, -1):
-        if y[i] < half:
-            left = x[i]
-            break
-    right = x[-1]
-    for i in range(peak, x.size):
-        if y[i] < half:
-            right = x[i]
-            break
-    fwhm = max(float(right - left), float(np.median(np.diff(x))))
-    return np.array([amplitude, center, fwhm, offset])
+def _lorentzian_guess(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """(fits, 4) starting points of a stack of windows: the highest sample above
+    the median, and the width between the half-height crossings nearest it."""
+    offset = np.median(ys, axis=1)
+    fits, index = np.arange(len(ys)), np.arange(ys.shape[1])
+    peak = np.argmax(ys, axis=1)
+    amplitude = np.maximum(ys[fits, peak] - offset, 1e-9)
+    below = ys < (offset + amplitude / 2.0)[:, None]
+    left = np.max(np.where(below & (index <= peak[:, None]), index, 0), axis=1)
+    right = np.min(np.where(below & (index >= peak[:, None]), index, index[-1]), axis=1)
+    fwhm = np.maximum(xs[fits, right] - xs[fits, left], np.median(np.diff(xs, axis=1), axis=1))
+    return np.stack([amplitude, xs[fits, peak], fwhm, offset], axis=1)
 
 
 def fit_exponential_decay(

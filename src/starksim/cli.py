@@ -336,7 +336,7 @@ def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) 
     voltage = args.voltage if args.voltage is not None else layout.bias_v
     scale, grid = _field_per_volt(config, voltage)
     if voltage == 0.0:  # the per-volt field came from a 1 V solve; at 0 V the potential is zero
-        grid = replace(grid, values=np.zeros_like(grid.values))
+        grid = replace(grid, quarter=np.zeros_like(grid.quarter))
     probe = field_at(grid, layout.probe_point_um)
 
     def fmt(value: float) -> str:

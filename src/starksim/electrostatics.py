@@ -21,12 +21,10 @@ differences, so eps_above and eps_below factor out there too. The
 discrete solution is unique, so it is even in y and solves the
 five-point system with unit weights, Laplace's equation, for any
 permittivity pair (Wen, IEEE Trans. MTT 17, 1087, 1969, gives the
-continuum case). That system is the one solved, and ``residual_v`` is
-its full-domain residual. The balanced pair makes the solution odd in x
-as well, zero on the column x = 0. So the potential is solved on the
-quarter x >= 0, y >= 0, with the column x = 0 at zero and the surface
-row's southern neighbour its mirror image, and mirrored back to the full
-grid.
+continuum case). That system is the one solved. The balanced pair makes
+the solution odd in x as well, zero on the column x = 0. So the
+potential is solved on the quarter x >= 0, y >= 0, with the column x = 0
+at zero and the surface row's southern neighbour its mirror image.
 
 The quarter is a rectangle with zero walls and one electrode on its
 bottom row, and it is solved directly, exact to rounding, by a fast
@@ -36,7 +34,14 @@ J. Numer. Anal. 7, 627, 1970; Buzbee, Dorr, George & Golub, ibid. 8,
 closed-form decay in y, which gives the surface row's Green's function
 as one cosine series. The electrode's node charges then solve a dense
 system of one unknown per electrode node (41 at the default 5 um), and
-one inverse transform of their modes gives the grid.
+one inverse transform of their modes gives the quarter.
+
+The solve stays on that quarter. Every node of the full grid is a
+quarter node or its exact negation, so ``residual_v``, the full domain's
+residual, is taken over the quarter's own equations, and
+:func:`field_at` reads its stencil through the mirror. The full grid is
+mirrored out only when a caller reads ``PotentialGrid.values``, as
+``field --dump-grid`` does.
 
 Units: lengths in micrometres, potentials in volts, fields in V/cm.
 """
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -146,36 +152,71 @@ class FieldVector:
 
 @dataclass(frozen=True)
 class PotentialGrid:
-    """Solved potential on a uniform node-centred grid.
+    """Solved potential on a uniform node-centred grid centred on the gap.
 
-    ``values[i, j]`` is the potential at ``(x0 + j*h, y0 + i*h)``;
-    ``fixed`` marks Dirichlet nodes (the electrodes and, for
-    :func:`solve_potential`, the outer box). ``residual_v`` is the true
-    residual max|b - A v| of the full-domain five-point equations with
-    unit weights, the equations solved; the solve is direct, so it is
-    rounding error.
+    The grid is held as the quarter x >= 0, y >= 0 that was solved:
+    ``quarter[m, k]`` is the potential at ``(k*h, m*h)``, row 0 the
+    surface. Its Dirichlet nodes hold their exact values: the top row,
+    the wall column and the surface row's ``electrode`` columns. The
+    potential is odd in x and even in y, so node ``(i, j)`` of the full
+    grid, at ``(x0 + j*h, y0 + i*h)``, is ``quarter[|i - s|, |j - c|]``,
+    negated for j < c, where s is the surface row and c the centre
+    column. :func:`field_at` reads its nodes so, and ``residual_v`` was
+    taken on the quarter: the true residual max|b - A v| of the
+    full-domain five-point equations with unit weights, the equations
+    solved; the solve is direct, so it is rounding error. ``values`` (the
+    full grid) and ``fixed`` (its Dirichlet nodes: the electrodes and the
+    outer box) are mirrored out only when read.
     """
 
     spacing_um: float
-    values: np.ndarray
-    x0_um: float
-    y0_um: float
-    fixed: np.ndarray = field(repr=False)
+    quarter: np.ndarray
+    electrode: np.ndarray = field(repr=False)
     residual_v: float = 0.0
 
     @property
+    def x0_um(self) -> float:
+        return -(self.quarter.shape[1] - 1) * self.spacing_um
+
+    @property
+    def y0_um(self) -> float:
+        return -(self.quarter.shape[0] - 1) * self.spacing_um
+
+    @property
     def x_coords_um(self) -> np.ndarray:
-        return self.x0_um + self.spacing_um * np.arange(self.values.shape[1])
+        return self.x0_um + self.spacing_um * np.arange(2 * self.quarter.shape[1] - 1)
 
     @property
     def y_coords_um(self) -> np.ndarray:
-        return self.y0_um + self.spacing_um * np.arange(self.values.shape[0])
+        return self.y0_um + self.spacing_um * np.arange(2 * self.quarter.shape[0] - 1)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        upper = np.hstack((0.0 - self.quarter[:, :0:-1], self.quarter))  # see _mirrored for 0 - v
+        return np.vstack((upper[:0:-1], upper))
+
+    @cached_property
+    def fixed(self) -> np.ndarray:
+        rows, cols = self.quarter.shape
+        fixed = np.zeros((2 * rows - 1, 2 * cols - 1), dtype=bool)
+        fixed[[0, -1]] = fixed[:, [0, -1]] = True
+        fixed[rows - 1, cols - 1 - self.electrode] = fixed[rows - 1, cols - 1 + self.electrode] = True
+        return fixed
 
 
-def _axis_nodes(extent_um: float, spacing_um: float) -> np.ndarray:
-    """Symmetric node coordinates covering [-extent/2, extent/2]."""
-    half_cells = max(int(round(extent_um / 2.0 / spacing_um)), 2)
-    return spacing_um * np.arange(-half_cells, half_cells + 1)
+def _mirrored(quarter: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Full-grid nodes at offsets ``rows`` x ``cols`` from the surface row and the centre column.
+
+    The potential is even in y and odd in x. A node left of the centre is
+    0 - v, not -v, so that the walls' zeros stay +0, as they are in the quarter.
+    """
+    v = quarter[np.abs(rows)[:, None], np.abs(cols)]
+    return np.where(cols < 0, 0.0 - v, v)
+
+
+def _half_cells(extent_um: float, spacing_um: float) -> int:
+    """Cells from the centre to each edge of a grid spanning [-extent/2, extent/2]."""
+    return max(int(round(extent_um / 2.0 / spacing_um)), 2)
 
 
 def _quarter_potential(cols: int, rows: int, electrode: np.ndarray, potential_v: float) -> np.ndarray:
@@ -192,7 +233,10 @@ def _quarter_potential(cols: int, rows: int, electrode: np.ndarray, potential_v:
     charge that holds each electrode node at its potential and vanishes on
     every free node. Its inverse, the surface Green's function, is a cosine
     series c; the electrode's charges solve one small dense system through
-    it, and the charges' modes give every row.
+    it, and the charges' modes give every row. The transform holds the
+    Dirichlet nodes, the walls j = cols and m = rows and the electrode, only
+    to rounding, so they are then pinned to their exact values. The column
+    j = 0 is free in the full domain and keeps the transform's value.
     """
     n = 2 * cols  # a sine transform over the columns is a real FFT of length n
     t = 2.0 * np.arcsinh(np.sin(np.pi * np.arange(1, cols) / n))
@@ -208,18 +252,30 @@ def _quarter_potential(cols: int, rows: int, electrode: np.ndarray, potential_v:
     surface = -np.fft.rfft(charge).imag * gain  # s_k: the charges' sine modes over d_k
     modes = np.zeros((rows + 1, cols), complex)
     np.multiply(phi, -2j * surface[1:cols], out=modes[:, 1:])
-    return np.fft.irfft(modes, n)[:, : cols + 1]
+    quarter = np.fft.irfft(modes, n)[:, : cols + 1]
+    quarter[-1] = quarter[:, -1] = 0.0
+    quarter[0, electrode] = potential_v
+    return quarter
 
 
-def _residual(values: np.ndarray, fixed: np.ndarray) -> float:
-    """True residual max|b - A v| of the unit-weight five-point equations at the free nodes.
+def _residual(quarter: np.ndarray, electrode: np.ndarray) -> float:
+    """True residual max|b - A v| of the full domain's unit-weight five-point equations at its free nodes.
 
-    The Dirichlet data sit in ``values``, so b is zero and the residual is A v.
+    Every full-grid node is a quarter node or its negation, so those
+    equations are the quarter's free nodes' (all but the top row, the wall
+    column and the electrode), with two ghost lines: row -1 is row 1 (even
+    in y) and column -1 is -column 1 (odd in x). Each is summed in the full
+    grid's order, south, north, west, east. The Dirichlet data sit in
+    ``quarter``, so b is zero and the residual is A v.
     """
-    applied = 4.0 * values[1:-1, 1:-1]
-    for neighbour in (values[:-2, 1:-1], values[2:, 1:-1], values[1:-1, :-2], values[1:-1, 2:]):
-        applied -= neighbour
-    applied[fixed[1:-1, 1:-1]] = 0.0
+    applied = 4.0 * quarter[:-1, :-1]
+    applied[0] -= quarter[1, :-1]  # south of the surface row: its mirror image
+    applied[1:] -= quarter[:-2, :-1]
+    applied -= quarter[1:, :-1]
+    applied[:, 0] += quarter[:-1, 1]  # west of the column x = 0: its odd image
+    applied[:, 1:] -= quarter[:-1, :-2]
+    applied -= quarter[:-1, 1:]
+    applied[0, electrode] = 0.0
     return float(np.abs(applied, out=applied).max())
 
 
@@ -244,40 +300,17 @@ def solve_potential(layout: ElectrodeLayout, spacing_um: float) -> PotentialGrid
             f"spacing {spacing_um} um too coarse: need <= gap/20 = {layout.gap_um / 20.0} um"
         )
 
-    x = _axis_nodes(layout.domain_extent_um[0], spacing_um)
-    y = _axis_nodes(layout.domain_extent_um[1], spacing_um)
-    values = np.zeros((len(y), len(x)))
-    fixed = np.zeros_like(values, dtype=bool)
-
-    fixed[0, :] = fixed[-1, :] = True
-    fixed[:, 0] = fixed[:, -1] = True
-
-    surface_row, centre = len(y) // 2, len(x) // 2  # the nodes at y = 0 and at x = 0
-    half_gap = layout.gap_um / 2.0
-    outer = half_gap + layout.electrode_width_um
+    cols = _half_cells(layout.domain_extent_um[0], spacing_um)
+    rows = _half_cells(layout.domain_extent_um[1], spacing_um)
+    x = spacing_um * np.arange(cols + 1)  # the quarter's columns, x >= 0
     snap = spacing_um / 4.0
-    left = (x >= -outer - snap) & (x <= -half_gap + snap)
-    right = (x >= half_gap - snap) & (x <= outer + snap)
-    values[surface_row, left] = layout.bias_v / 2.0
-    values[surface_row, right] = -layout.bias_v / 2.0
-    fixed[surface_row, left | right] = True
-
-    # the quarter x >= 0, y >= 0, mirrored back: odd in x, even in y
-    quarter = _quarter_potential(centre, surface_row, np.flatnonzero(right[centre:]), -layout.bias_v / 2.0)
-    upper = np.hstack((-quarter[:, :0:-1], quarter))
-    values = np.where(fixed, values, np.vstack((upper[:0:-1], upper)))
-    residual = _residual(values, fixed)
-    if not (math.isfinite(residual) and np.isfinite(values).all()):
+    half_gap = layout.gap_um / 2.0
+    electrode = np.flatnonzero((x >= half_gap - snap) & (x <= half_gap + layout.electrode_width_um + snap))
+    quarter = _quarter_potential(cols, rows, electrode, -layout.bias_v / 2.0)
+    residual = _residual(quarter, electrode)
+    if not (math.isfinite(residual) and np.isfinite(quarter).all()):
         raise ConvergenceError(residual)
-
-    return PotentialGrid(
-        spacing_um=spacing_um,
-        values=values,
-        x0_um=float(x[0]),
-        y0_um=float(y[0]),
-        fixed=fixed,
-        residual_v=residual,
-    )
+    return PotentialGrid(spacing_um=spacing_um, quarter=quarter, electrode=electrode, residual_v=residual)
 
 
 def field_per_volt(
@@ -303,29 +336,28 @@ def field_at(grid: PotentialGrid, point_um: tuple[float, float]) -> FieldVector:
     The two gradient components are evaluated at the four nodes
     surrounding the point and blended bilinearly, which is exact for
     linear potentials. The point must stay at least one cell away from
-    the grid edge so the stencil fits.
+    the grid edge so the stencil fits. The stencil's nodes are read from
+    the quarter through the mirror.
     """
     x, y = point_um
     h = grid.spacing_um
-    ny, nx = grid.values.shape
+    rows, cols = grid.quarter.shape
+    ny, nx = 2 * rows - 1, 2 * cols - 1
     xi = (x - grid.x0_um) / h
     yi = (y - grid.y0_um) / h
     if not (1.0 <= xi <= nx - 2.0 and 1.0 <= yi <= ny - 2.0):
         raise GeometryError(f"probe point {point_um} um is outside the interior of the grid")
 
-    j0 = min(int(xi), nx - 2)
-    i0 = min(int(yi), ny - 2)
+    # the cell's lower-left node; on the last interior node, the cell below it
+    j0 = min(int(xi), nx - 3)
+    i0 = min(int(yi), ny - 3)
     fx = xi - j0
     fy = yi - i0
 
-    v = grid.values
-    ex = np.empty((2, 2))
-    ey = np.empty((2, 2))
-    for di in (0, 1):
-        for dj in (0, 1):
-            i, j = i0 + di, j0 + dj
-            ex[di, dj] = -(v[i, j + 1] - v[i, j - 1]) / (2.0 * h)
-            ey[di, dj] = -(v[i + 1, j] - v[i - 1, j]) / (2.0 * h)
+    # the 4 x 4 nodes (i0 - 1 .. i0 + 2) x (j0 - 1 .. j0 + 2): v[1 + di, 1 + dj] is node (i0 + di, j0 + dj)
+    v = _mirrored(grid.quarter, np.arange(i0 - rows, i0 - rows + 4), np.arange(j0 - cols, j0 - cols + 4))
+    ex = -(v[1:3, 2:] - v[1:3, :2]) / (2.0 * h)
+    ey = -(v[2:, 1:3] - v[:2, 1:3]) / (2.0 * h)
 
     def blend(corner: np.ndarray) -> float:
         top = corner[0, 0] * (1 - fx) + corner[0, 1] * fx

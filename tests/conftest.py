@@ -44,3 +44,42 @@ def poissonian_g2():
         return _lag_coincidences(arm_a, arm_b, max_lag)
 
     return sample
+
+
+def full_grid_field(values, x0_um, y0_um, spacing_um, point_um):
+    """``(E_parallel, E_perpendicular)`` in V/cm at a point of a full potential
+    grid ``values[i, j]`` at ``(x0 + j*h, y0 + i*h)``: the negated
+    central-difference gradient at the four surrounding nodes, blended
+    bilinearly, each node read straight from ``values``, in the order of
+    operations of ``electrostatics.field_at``."""
+    h = spacing_um
+    ny, nx = values.shape
+    xi = (point_um[0] - x0_um) / h
+    yi = (point_um[1] - y0_um) / h
+    assert 1.0 <= xi <= nx - 2.0 and 1.0 <= yi <= ny - 2.0
+    j0, i0 = min(int(xi), nx - 3), min(int(yi), ny - 3)
+    fx, fy = xi - j0, yi - i0
+    ex = np.empty((2, 2))
+    ey = np.empty((2, 2))
+    for di in (0, 1):
+        for dj in (0, 1):
+            i, j = i0 + di, j0 + dj
+            ex[di, dj] = -(values[i, j + 1] - values[i, j - 1]) / (2.0 * h)
+            ey[di, dj] = -(values[i + 1, j] - values[i - 1, j]) / (2.0 * h)
+
+    def blend(corner):
+        top = corner[0, 0] * (1 - fx) + corner[0, 1] * fx
+        bottom = corner[1, 0] * (1 - fx) + corner[1, 1] * fx
+        return float(top * (1 - fy) + bottom * fy)
+
+    return blend(ex) * 1.0e4, blend(ey) * 1.0e4
+
+
+def full_grid_residual(values, fixed):
+    """max|A v| of the unit-weight five-point equations at the free nodes of a
+    full grid whose Dirichlet data sit in ``values``."""
+    applied = 4.0 * values[1:-1, 1:-1]
+    for neighbour in (values[:-2, 1:-1], values[2:, 1:-1], values[1:-1, :-2], values[1:-1, 2:]):
+        applied -= neighbour
+    applied[fixed[1:-1, 1:-1]] = 0.0
+    return float(np.abs(applied).max())

@@ -7,6 +7,7 @@ import pytest
 from starksim.analysis import (
     G2Estimate,
     UndefinedNormalizationError,
+    _lorentzian_guess,
     estimate_g2_zero,
     exponential_decay,
     exponential_decay_jacobian,
@@ -67,8 +68,48 @@ class TestFindPeaks:
         assert len(peaks) == 3
         assert [p.center_mhz for p in peaks] == sorted(p.center_mhz for p in peaks)
 
+    def test_maxima_and_prominences_match_scipy(self):
+        # scipy puts a plateau's peak at its middle and find_peaks at its first
+        # index, scipy's left edge; the prominences are compared at that index
+        signal = pytest.importorskip("scipy.signal")
+        rng = np.random.default_rng(2024)
+        for trial in range(200):
+            n = int(rng.integers(3, 130))
+            # small integer counts give plateaus in the smoothed trace
+            counts = rng.integers(0, 4, n) if trial % 2 else rng.poisson(rng.uniform(1.0, 60.0), n)
+            padded = np.concatenate([counts[:1], counts, counts[-1:]]).astype(float)
+            smooth = (padded[:-2] + 2.0 * padded[1:-1] + padded[2:]) / 4.0
+            _, properties = signal.find_peaks(smooth, plateau_size=1)
+            first = properties["left_edges"]
+            # threshold 0: every local maximum has a positive prominence
+            peaks = find_peaks(np.arange(n, dtype=float), counts, 0.0)
+            assert [p.center_mhz for p in peaks] == first.tolist()
+            assert [p.prominence for p in peaks] == signal.peak_prominences(smooth, first)[0].tolist()
+
+
+def lorentzian_guess_of_one_window(x, y):
+    """The starting point of one window, sample by sample: the reference for the stacked guess."""
+    offset = float(np.median(y))
+    peak = int(np.argmax(y))
+    amplitude = max(float(y[peak]) - offset, 1e-9)
+    half = offset + amplitude / 2.0
+    left = next((x[i] for i in range(peak, -1, -1) if y[i] < half), x[0])
+    right = next((x[i] for i in range(peak, x.size) if y[i] < half), x[-1])
+    fwhm = max(float(right - left), float(np.median(np.diff(x))))
+    return np.array([amplitude, float(x[peak]), fwhm, offset])
+
 
 class TestFitLorentzian:
+    def test_stacked_guess_is_each_window_alone(self):
+        rng = np.random.default_rng(17)
+        for points in (8, 13, 21):
+            x = np.sort(rng.uniform(-30.0, 30.0, (40, points)), axis=1)
+            centres = rng.uniform(-40.0, 40.0, (40, 1))  # some peaks outside the window: crossings missing
+            y = rng.poisson(5.0 + 60.0 / (1.0 + ((x - centres) / 3.0) ** 2)).astype(float)
+            y[0] = 7.0  # flat: the amplitude floor
+            expected = np.array([lorentzian_guess_of_one_window(a, b) for a, b in zip(x, y)])
+            assert np.array_equal(_lorentzian_guess(x, y), expected)
+
     def test_noiseless_recovery_to_1e6(self):
         freqs = np.arange(-100.0, 100.1, 5.0)
         truth = np.array([100.0, 0.0, 6.7, 0.0])

@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from conftest import full_grid_field, full_grid_residual
 
 from starksim.cli import main
+from starksim.config import default_config
 from starksim.electrostatics import (
     ConvergenceError,
     ElectrodeLayout,
@@ -11,6 +14,7 @@ from starksim.electrostatics import (
     PotentialGrid,
     field_at,
     field_per_volt,
+    _residual,
     solve_potential,
 )
 
@@ -48,14 +52,12 @@ def paper_grid():
 
 
 def ramp_grid(slope_v_per_um=1.0, n=21, spacing=1.0):
+    """The ramp ``slope * x`` on [-(n-1)h, (n-1)h]^2: odd in x and even in y, so held as its quarter."""
     x = spacing * np.arange(n)
-    values = np.tile(slope_v_per_um * x, (n, 1))
     return PotentialGrid(
         spacing_um=spacing,
-        values=values,
-        x0_um=0.0,
-        y0_um=0.0,
-        fixed=np.zeros_like(values, dtype=bool),
+        quarter=np.tile(slope_v_per_um * x, (n, 1)),
+        electrode=np.array([], dtype=int),
     )
 
 
@@ -174,7 +176,7 @@ class TestLayoutValidation:
 class TestFieldAt:
     def test_linear_ramp_gradient_exact(self):
         grid = ramp_grid(1.0)
-        for probe in [(5.0, 5.0), (7.3, 11.2), (14.9, 3.4)]:
+        for probe in [(5.0, 5.0), (7.3, 11.2), (14.9, 3.4), (-7.3, 11.2), (-14.9, -3.4), (0.4, -19.0)]:
             field = field_at(grid, probe)
             assert abs(field.e_parallel_v_per_cm) == pytest.approx(1.0e4, rel=1e-12)
             assert field.e_parallel_v_per_cm == pytest.approx(-1.0e4)  # negated gradient
@@ -191,7 +193,102 @@ class TestFieldAt:
         with pytest.raises(GeometryError):
             field_at(grid, (30.0, 5.0))
         with pytest.raises(GeometryError):
-            field_at(grid, (5.0, 0.2))
+            field_at(grid, (5.0, -19.8))
+
+
+# the layouts of tests/test_oracle.py's cases, with the spacing each is solved at
+ORACLE_LAYOUTS = {
+    "paper_5um": (PAPER_LAYOUT, 5.0),
+    "odd_cells_2.5um": (dataclasses.replace(PAPER_LAYOUT, domain_extent_um=(1005.0, 605.0)), 2.5),
+    "biased_5um": (dataclasses.replace(PAPER_LAYOUT, electrode_potentials_v=(250.0, -40.0)), 5.0),
+}
+
+
+def probe_points(grid):
+    """Probes in all four quadrants, on and off the nodes, next to the electrodes,
+    and with stencils that reach each wall column, the top and bottom rows and
+    the last interior node."""
+    x, y = grid.x_coords_um, grid.y_coords_um
+    h = grid.spacing_um
+    return [
+        (0.0, 0.0), (37.3, 12.9), (-37.3, 12.9), (-41.1, -8.6), (23.2, -30.7), (3 * h, -2 * h),
+        (-51.0, 0.7 * h), (49.2, -0.3 * h),
+        (x[1] + 0.25 * h, 7.1), (x[-2] - 0.25 * h, -7.1), (3.3, y[-2] - 0.5 * h), (-3.3, y[1] + 0.2 * h),
+        (x[1], y[1]), (x[-2], y[-2]), (x[-2], 0.0),
+    ]
+
+
+def assert_bitwise_equal(a: float, b: float) -> None:
+    assert a.hex() == b.hex()
+
+
+class TestQuarterGrid:
+    """The solve keeps the quarter it solves: the probe reads it through the mirror,
+    the residual is taken on it, and the full grid is mirrored out only when read."""
+
+    @pytest.mark.parametrize("case", list(ORACLE_LAYOUTS) + ["small_2um"])
+    def test_probe_through_the_mirror_is_the_full_grid_probe(self, case):
+        layout, spacing = ORACLE_LAYOUTS.get(case, (small_layout(), 2.0))
+        grid = solve_potential(layout, spacing)
+        for point in probe_points(grid):
+            probe = field_at(grid, point)
+            e_parallel, e_perpendicular = full_grid_field(grid.values, grid.x0_um, grid.y0_um, spacing, point)
+            assert_bitwise_equal(probe.e_parallel_v_per_cm, e_parallel)
+            assert_bitwise_equal(probe.e_perpendicular_v_per_cm, e_perpendicular)
+
+    def test_last_interior_node_is_probed(self, paper_grid):
+        # a probe one cell inside the far edges reads the node itself
+        x, y = paper_grid.x_coords_um[-2], paper_grid.y_coords_um[-2]
+        corner = field_at(paper_grid, (x, y))
+        inside = field_at(paper_grid, (x - 1e-9, y - 1e-9))
+        assert corner.e_parallel_v_per_cm == pytest.approx(inside.e_parallel_v_per_cm, rel=1e-9)
+        assert corner.e_perpendicular_v_per_cm == pytest.approx(inside.e_perpendicular_v_per_cm, rel=1e-9)
+
+    def test_zero_voltage_grid_is_positive_zero(self, capsys, tmp_path):
+        # `field --voltage 0` probes and dumps the quarter's zeros: +0 everywhere, as the dump prints "0"
+        assert main(["field", "--voltage", "0", "--out", str(tmp_path), "--dump-grid"]) == 0
+        printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines() if "=" in line)
+        assert printed["e_parallel_v_per_cm"] == printed["e_perpendicular_v_per_cm"] == "0"
+        config = default_config()
+        grid = solve_potential(config.layout, config.solver.spacing_um)
+        zero = dataclasses.replace(grid, quarter=np.zeros_like(grid.quarter))
+        assert zero.values.shape == grid.values.shape
+        assert not zero.values.any() and not np.signbit(zero.values).any()
+        potentials = [row.rsplit(",", 1)[1] for row in (tmp_path / "potential_grid.csv").read_text().splitlines()[1:]]
+        assert potentials == ["0"] * zero.values.size
+        for point in probe_points(zero):
+            probe = field_at(zero, point)
+            e_parallel, e_perpendicular = full_grid_field(zero.values, zero.x0_um, zero.y0_um, zero.spacing_um, point)
+            assert_bitwise_equal(probe.e_parallel_v_per_cm, e_parallel)
+            assert_bitwise_equal(probe.e_perpendicular_v_per_cm, e_perpendicular)
+
+    def test_full_grid_is_the_mirrored_quarter(self, paper_grid):
+        s, c = np.array(paper_grid.quarter.shape) - 1
+        values, fixed = paper_grid.values, paper_grid.fixed
+        assert np.array_equal(values[s:, c:], paper_grid.quarter)
+        assert np.array_equal(values[:s, :], values[:s:-1, :])  # even in y
+        assert np.array_equal(values[:, :c], -values[:, :c:-1])  # odd in x
+        assert np.array_equal(fixed, fixed[::-1, ::-1])
+        assert np.count_nonzero(fixed[s]) == 2 + 2 * paper_grid.electrode.size
+        assert not np.signbit(values[fixed & (values == 0.0)]).any()
+
+    @pytest.mark.parametrize("case", list(ORACLE_LAYOUTS))
+    def test_quarter_residual_is_the_full_domain_residual(self, case):
+        grid = solve_potential(*ORACLE_LAYOUTS[case])
+        assert 0.0 < grid.residual_v == pytest.approx(full_grid_residual(grid.values, grid.fixed), abs=1e-13)
+
+    # a free node on the column x = 0, and one on the surface row between the electrodes:
+    # their equations read the ghost column and the ghost row
+    @pytest.mark.parametrize("node", [(5, 0), (0, 3)])
+    def test_quarter_residual_rises_with_a_perturbed_node(self, node):
+        grid = solve_potential(small_layout(), 2.0)
+        assert node[1] < grid.electrode.min()
+        quarter = grid.quarter.copy()
+        quarter[node] += 1e-3
+        perturbed = dataclasses.replace(grid, quarter=quarter)
+        residual = _residual(quarter, grid.electrode)
+        assert residual == pytest.approx(4e-3, rel=1e-9)  # the node's own equation
+        assert residual == pytest.approx(full_grid_residual(perturbed.values, perturbed.fixed), abs=1e-13)
 
 
 def ellipk(k: float) -> float:

@@ -14,6 +14,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import full_grid_field
 
 from starksim.config import SolverSettings, default_config, dumps_config, loads_config
 from starksim.electrostatics import ElectrodeLayout, field_at, solve_potential
@@ -121,12 +122,18 @@ def test_error_within_tolerance(case, tolerance_v):
     assert 0.0 < grid.residual_v
 
 
+def probe(grid, values: np.ndarray, point_um: tuple[float, float]) -> tuple[float, float]:
+    """``(E_parallel, E_perpendicular)`` at a point of a full potential ``values`` on ``grid``'s
+    nodes, read from the whole array, not through the solver's mirror."""
+    return full_grid_field(values, grid.x0_um, grid.y0_um, grid.spacing_um, point_um)
+
+
 def test_golden_probe_field_is_exact():
     # the pins in test_electrostatics and test_cli are this value
     grid = solve_potential(PAPER_LAYOUT, 5.0)
-    exact = dataclasses.replace(grid, values=exact_potential(grid, VACUUM_ON_CRYSTAL))
-    for solved in (grid, exact):
-        assert field_at(solved, (0.0, 0.0)).e_parallel_v_per_cm == pytest.approx(21652.534344268526, rel=1e-12)
+    exact = exact_potential(grid, VACUUM_ON_CRYSTAL)
+    for field in (field_at(grid, (0.0, 0.0)).e_parallel_v_per_cm, probe(grid, exact, (0.0, 0.0))[0]):
+        assert field == pytest.approx(21652.534344268526, rel=1e-12)
 
 
 # a bias other than the default, on a crystal other than the default
@@ -148,12 +155,15 @@ def test_probe_below_the_surface():
     # the exact discrete potential is even in y for any permittivity pair,
     # so the surface-normal field flips sign across the surface
     grid = solve_potential(BIASED_LAYOUT, 5.0)
-    exact = dataclasses.replace(grid, values=exact_potential(grid, CRYSTAL))
-    above, below = field_at(exact, (30.0, 10.0)), field_at(exact, (30.0, -10.0))
-    assert abs(above.e_perpendicular_v_per_cm) > 0.1 * abs(above.e_parallel_v_per_cm)
-    assert below.e_perpendicular_v_per_cm == pytest.approx(-above.e_perpendicular_v_per_cm, rel=1e-9)
-    assert below.e_parallel_v_per_cm == pytest.approx(above.e_parallel_v_per_cm, rel=1e-9)
-    for point, expected in (((30.0, 10.0), above), ((30.0, -10.0), below)):
-        probe = field_at(grid, point)
-        assert probe.e_parallel_v_per_cm == pytest.approx(expected.e_parallel_v_per_cm, rel=1e-6)
-        assert probe.e_perpendicular_v_per_cm == pytest.approx(expected.e_perpendicular_v_per_cm, rel=1e-6)
+    exact = exact_potential(grid, CRYSTAL)
+    (above_parallel, above_perpendicular), (below_parallel, below_perpendicular) = (
+        probe(grid, exact, point) for point in ((30.0, 10.0), (30.0, -10.0))
+    )
+    assert abs(above_perpendicular) > 0.1 * abs(above_parallel)
+    assert below_perpendicular == pytest.approx(-above_perpendicular, rel=1e-9)
+    assert below_parallel == pytest.approx(above_parallel, rel=1e-9)
+    for point, expected in (((30.0, 10.0), (above_parallel, above_perpendicular)),
+                            ((30.0, -10.0), (below_parallel, below_perpendicular))):
+        solved = field_at(grid, point)
+        assert solved.e_parallel_v_per_cm == pytest.approx(expected[0], rel=1e-6)
+        assert solved.e_perpendicular_v_per_cm == pytest.approx(expected[1], rel=1e-6)

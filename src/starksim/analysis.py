@@ -1,9 +1,9 @@
 """Parameter extraction from photon-counting data.
 
 Peak finding on PLE scans, Poisson maximum-likelihood fits of the counts
-(a Lorentzian, an exponential, and one ion's whole voltage sweep against
-its line law), and the coincidence-ratio estimate of the zero-lag
-autocorrelation.
+(a sum of Lorentzians on one offset, an exponential, and one ion's whole
+voltage sweep against its line law), and the coincidence-ratio estimate
+of the zero-lag autocorrelation.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "find_peaks",
     "fit_exponential_decay",
     "fit_lorentzian",
+    "fit_lorentzians",
     "fit_stark_sweep",
     "lorentzian",
     "lorentzian_jacobian",
@@ -59,24 +60,19 @@ class G2Estimate:
 # ---------------------------------------------------------------------------
 # model functions
 #
-# Each takes its parameters as a sequence (one fit) or as a (fits, params)
-# array against (fits, points) ``x``, and broadcasts over the fits.
-
-
-def _columns(params):
-    """The parameters one by one; those of a (fits, params) stack as (fits, 1) columns against its points."""
-    return params.T[..., None] if getattr(params, "ndim", 1) == 2 else params
+# Each takes its parameters as a sequence; parameters given as (K, 1)
+# columns broadcast against the points into K rows, one per line.
 
 
 def lorentzian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
     """amplitude / (1 + (2 (x - center) / fwhm)^2) + offset"""
-    amplitude, center, fwhm, offset = _columns(params)
+    amplitude, center, fwhm, offset = params
     u = 2.0 * (x - center) / fwhm
     return amplitude / (1.0 + u * u) + offset
 
 
 def lorentzian_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    amplitude, center, fwhm, _ = _columns(params)
+    amplitude, center, fwhm, _ = params
     u = 2.0 * (x - center) / fwhm
     denom = 1.0 + u * u
     jac = np.empty(u.shape + (4,))
@@ -89,12 +85,12 @@ def lorentzian_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
 
 def exponential_decay(t: np.ndarray, params: np.ndarray) -> np.ndarray:
     """amplitude * exp(-t / tau) + background"""
-    amplitude, tau, background = _columns(params)
+    amplitude, tau, background = params
     return amplitude * np.exp(-t / tau) + background
 
 
 def exponential_decay_jacobian(t: np.ndarray, params: np.ndarray) -> np.ndarray:
-    amplitude, tau, _ = _columns(params)
+    amplitude, tau, _ = params
     decay = np.exp(-t / tau)
     jac = np.empty(decay.shape + (3,))
     jac[..., 0] = decay
@@ -173,66 +169,81 @@ def _prominences(values: np.ndarray, peaks: np.ndarray) -> np.ndarray:
 # fits
 
 
-def fit_lorentzian(
-    frequencies_mhz: Sequence[float] | np.ndarray,
-    counts: Sequence[float] | np.ndarray,
-) -> FitResult | list[FitResult]:
-    """Poisson maximum-likelihood Lorentzian fit; parameters (amplitude,
-    center_mhz, fwhm_mhz, offset).
+_LINE = ("amplitude", "center_mhz", "fwhm_mhz", "offset")  # one line's parameters
 
-    Initializes from the highest sample and the half-height crossings.
-    (fits, points) arrays are a stack of windows of equal length, fitted
-    in one :func:`~starksim.optimize.least_squares` loop, and give a
-    list; each fit is the one its window gives alone, and a failure is
-    the first failing window's own error.
+
+def fit_lorentzian(frequencies_mhz: Sequence[float] | np.ndarray, counts: Sequence[float] | np.ndarray) -> FitResult:
+    """Poisson maximum-likelihood Lorentzian fit; parameters (amplitude,
+    center_mhz, fwhm_mhz, offset). The one-line :func:`fit_lorentzians`,
+    started at the highest sample."""
+    y = np.asarray(counts, dtype=float)
+    [line] = fit_lorentzians(frequencies_mhz, y, [int(np.argmax(y))] if y.size else [])
+    return line
+
+
+def fit_lorentzians(
+    frequencies_mhz: Sequence[float] | np.ndarray, counts: Sequence[float] | np.ndarray, peaks: Sequence[int]
+) -> list[FitResult]:
+    """Poisson maximum-likelihood fit of a scan as the sum of a Lorentzian
+    started at each sample index of ``peaks`` and one shared offset: 3K + 1
+    parameters for K lines.
+
+    Returns each line's (amplitude, center_mhz, fwhm_mhz, offset), errors,
+    and the joint fit's reduced chi-square and iterations, in centre
+    order. The model is even in each width, so widths are reported
+    positive. A line narrower than half the sampling pitch, which the
+    sampling cannot resolve (a spike latched onto one sample), raises
+    :class:`FitConvergenceError` for the first such line, named
+    ``peak<i>`` by its place in centre order from 1.
     """
     x = np.asarray(frequencies_mhz, dtype=float)
     y = np.asarray(counts, dtype=float)
-    if x.shape[-1] < 8:
-        raise DegenerateDataError(f"need at least 8 points, got {x.shape[-1]}")
-    xs, ys = np.atleast_2d(x, y)
-    n = next((index for index, row in enumerate(ys) if np.ptp(row) == 0.0), len(ys))  # the first constant window
-    pitches = np.median(np.diff(np.sort(xs[:n], axis=1), axis=1), axis=1)
-
-    def check(index: int, result: FitResult) -> FitResult:
-        # the model is even in fwhm; canonicalize the sign, then reject widths
-        # the sampling cannot resolve (a spike latched onto a single sample)
-        values = result.values.copy()
-        values[2] = abs(values[2])
-        result = replace(result, values=values)
-        if not np.all(np.isfinite(values)) or values[2] < 0.5 * pitches[index]:
-            raise FitConvergenceError(
-                f"fit collapsed to an unresolvable width {values[2]:.3g} MHz", result
-            )
-        return result
-
-    # the windows before the first constant one are fitted, so one of them that fails names the error
-    results = least_squares(
-        lorentzian,
-        lorentzian_jacobian,
-        xs[:n],
-        ys[:n],
-        _lorentzian_guess(xs[:n], ys[:n]),
-        ("amplitude", "center_mhz", "fwhm_mhz", "offset"),
-        check,
-    ) if n else []
-    if n < len(ys):
+    if x.size < 8:
+        raise DegenerateDataError(f"need at least 8 points, got {x.size}")
+    if np.ptp(y) == 0.0:
         raise DegenerateDataError("counts are constant; nothing to fit")
-    return results[0] if y.ndim == 1 else results
+    names = tuple(f"peak{k}_{name}" for k in range(1, len(peaks) + 1) for name in _LINE[:3]) + ("offset",)
+    fit = least_squares(_lines, _lines_jacobian, x, y, _lorentzian_guess(x, y, peaks), names)
+    values = fit.values.copy()
+    values[2:-1:3] = np.abs(values[2:-1:3])
+    pitch = float(np.median(np.diff(np.sort(x))))
+    lines = []
+    for index, line in enumerate(np.argsort(values[1:-1:3], kind="stable").tolist(), start=1):
+        keep = [3 * line, 3 * line + 1, 3 * line + 2, -1]
+        lines.append(FitResult(_LINE, values[keep], fit.stderrs[keep], fit.reduced_chi_square, fit.iterations))
+        width = lines[-1].values[2]
+        if not np.all(np.isfinite(lines[-1].values)) or width < 0.5 * pitch:
+            message = f"peak{index}: fit collapsed to an unresolvable width {width:.3g} MHz"
+            raise FitConvergenceError(message, lines[-1])
+    return lines
 
 
-def _lorentzian_guess(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """(fits, 4) starting points of a stack of windows: the highest sample above
+def _line_columns(params: np.ndarray) -> tuple:
+    """:func:`lorentzian`'s (K, 1) parameter columns of ``[a1, c1, w1, ..., aK, cK, wK, offset]``, offset 0."""
+    return (*np.reshape(params[:-1], (-1, 3)).T[..., None], 0.0)
+
+
+def _lines(x: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """The sum of the K Lorentzians of ``params`` plus its last entry, the shared offset."""
+    return lorentzian(x, _line_columns(params)).sum(axis=0) + params[-1]
+
+
+def _lines_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
+    by_line = lorentzian_jacobian(x, _line_columns(params))  # (K, points, 4)
+    return np.column_stack([by_line[..., :3].transpose(1, 0, 2).reshape(x.size, -1), np.ones(x.size)])
+
+
+def _lorentzian_guess(x: np.ndarray, y: np.ndarray, peaks: Sequence[int]) -> np.ndarray:
+    """``[a1, c1, w1, ..., aK, cK, wK, offset]``: each peak sample's height above
     the median, and the width between the half-height crossings nearest it."""
-    offset = np.median(ys, axis=1)
-    fits, index = np.arange(len(ys)), np.arange(ys.shape[1])
-    peak = np.argmax(ys, axis=1)
-    amplitude = np.maximum(ys[fits, peak] - offset, 1e-9)
-    below = ys < (offset + amplitude / 2.0)[:, None]
-    left = np.max(np.where(below & (index <= peak[:, None]), index, 0), axis=1)
-    right = np.min(np.where(below & (index >= peak[:, None]), index, index[-1]), axis=1)
-    fwhm = np.maximum(xs[fits, right] - xs[fits, left], np.median(np.diff(xs, axis=1), axis=1))
-    return np.stack([amplitude, xs[fits, peak], fwhm, offset], axis=1)
+    offset = np.median(y)
+    peaks, index = np.asarray(peaks, dtype=int), np.arange(y.size)
+    amplitude = np.maximum(y[peaks] - offset, 1e-9)
+    below = y < (offset + amplitude / 2.0)[:, None]
+    left = np.max(np.where(below & (index <= peaks[:, None]), index, 0), axis=1)
+    right = np.min(np.where(below & (index >= peaks[:, None]), index, index[-1]), axis=1)
+    fwhm = np.maximum(x[right] - x[left], np.median(np.diff(x)))
+    return np.append(np.column_stack([amplitude, x[peaks], fwhm]), offset)
 
 
 def fit_exponential_decay(
@@ -270,10 +281,10 @@ def fit_exponential_decay(
     guess = _decay_guess(t, y)
 
     def pinned(tt: np.ndarray, params: np.ndarray) -> np.ndarray:
-        return exponential_decay(tt, (*_columns(params), floor))
+        return exponential_decay(tt, (*params, floor))
 
     def pinned_jacobian(tt: np.ndarray, params: np.ndarray) -> np.ndarray:
-        return exponential_decay_jacobian(tt, (*_columns(params), floor))[..., :2]
+        return exponential_decay_jacobian(tt, (*params, floor))[..., :2]
 
     partial = least_squares(
         pinned,
@@ -335,7 +346,7 @@ def fit_stark_sweep(
     d_centre, d_width = line_law(e, 0.0, 1.0, 0.0, 1.0)
 
     def line_params(p: np.ndarray) -> tuple:
-        amplitude, f0, s, fwhm0, b, offset = _columns(p)
+        amplitude, f0, s, fwhm0, b, offset = p
         return (amplitude, *line_law(e, f0, s, fwhm0, b), offset)
 
     def model(x: np.ndarray, p: np.ndarray) -> np.ndarray:

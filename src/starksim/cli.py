@@ -10,7 +10,8 @@ the figure's, byte for byte. ``ple``, ``decay``,
 ``g2`` and ``stark`` are the no-fit forms of ``fig2``, ``fig3b``,
 ``fig3c`` and ``fig4a``. fig4's fit stage fits each ion's whole sweep,
 the counts at every voltage, to the ion's line law in one Poisson
-likelihood.
+likelihood; fig2's fits the whole scan in one, as the sum of its lines
+and one offset.
 
 ``main`` writes ``config.toml`` and ``manifest.json`` once, before the
 run, so partial outputs of a failed run still carry their provenance;
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import shlex
 import sys
@@ -46,7 +46,7 @@ from .analysis import (
     estimate_g2_zero,
     find_peaks,
     fit_exponential_decay,
-    fit_lorentzian,
+    fit_lorentzians,
     fit_stark_sweep,
 )
 from .config import ConfigError, ExperimentConfig, RunSettings, default_config, load_config
@@ -184,21 +184,15 @@ def _ple(args, config: ExperimentConfig, seed: int) -> list[tuple]:
 
 
 def _fit_peaks(config: ExperimentConfig, frequencies_mhz, counts, integration_s) -> list[Row]:
-    """fig2's fit stage: a Lorentzian within 30 MHz of each peak found.
-
-    Each run of consecutive windows of equal length is one stacked fit
-    (all seven unless a scan edge clips one), so a failure is the first
-    failing window's own error.
-    """
-    frequencies_mhz, counts = np.array(frequencies_mhz), np.array(counts)
-    windows = [np.abs(frequencies_mhz - peak.center_mhz) <= 30.0 for peak in find_peaks(frequencies_mhz, counts, 5.0)]
-    fits: list[FitResult] = []
-    for _, run in itertools.groupby(windows, key=np.count_nonzero):
-        run = list(run)
-        fits += fit_lorentzian(np.array([frequencies_mhz[w] for w in run]), np.array([counts[w] for w in run]))
+    """fig2's fit stage: one fit of the scan as the sum of a Lorentzian at
+    each peak found and one shared offset. The scan is sorted by frequency
+    first, since peak finding and the starting guess read neighbouring rows."""
+    order = np.argsort(frequencies_mhz, kind="stable")
+    frequencies_mhz, counts = np.array(frequencies_mhz)[order], np.array(counts)[order]
+    peaks = np.searchsorted(frequencies_mhz, [peak.center_mhz for peak in find_peaks(frequencies_mhz, counts, 5.0)])
     report: list[Row] = []
-    for index, fit in enumerate(fits, start=1):
-        report += _rows(fit, [("center_mhz", "MHz"), ("fwhm_mhz", "MHz")], f"peak{index}_")
+    for index, line in enumerate(fit_lorentzians(frequencies_mhz, counts, peaks) if peaks.size else [], start=1):
+        report += _rows(line, [("center_mhz", "MHz"), ("fwhm_mhz", "MHz")], f"peak{index}_")
     return report
 
 

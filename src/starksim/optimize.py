@@ -15,12 +15,6 @@ raises :class:`FitConvergenceError`.
 Standard errors come from the inverse Fisher matrix ``(J^T W J)^-1``
 with ``W = 1/mu`` at the optimum; the reduced chi-square is Pearson's
 ``sum (y - mu)^2 / mu`` over the degrees of freedom.
-
-One loop runs a stack of independent fits of one model. Every fit keeps
-its own damping, accept/reject decisions, iteration count and stopping
-test, and each stacked product and solve goes through the BLAS/LAPACK
-call of a fit run alone, so a fit's values, errors and iterations are
-bitwise those it has alone.
 """
 
 from __future__ import annotations
@@ -92,19 +86,12 @@ def poisson_deviance(
     so the deviance keeps its precision when the model nearly matches
     the data.
     """
-    return float(_deviances(np.asarray(y, dtype=float)[None], model(x, params)[None])[0])
-
-
-def _deviances(y: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """:func:`poisson_deviance` of each row of the (fits, points) counts ``y`` about ``mu``."""
-    if not (mu > 0.0).all():
-        positive = (mu > 0.0).all(axis=-1)
-        deviances = np.full(positive.shape, math.inf)
-        deviances[positive] = _deviances(y[positive], mu[positive])
-        return deviances
+    mu = model(x, params)
+    if not np.all(mu > 0.0):
+        return math.inf
     excess = y - mu
     log_ratio = np.log1p(excess / mu, out=np.zeros_like(mu), where=y > 0.0)
-    return 2.0 * (y * log_ratio - excess).sum(axis=-1)
+    return float(2.0 * np.sum(y * log_ratio - excess))
 
 
 def least_squares(
@@ -114,25 +101,17 @@ def least_squares(
     y: Sequence[float] | np.ndarray,
     initial: Sequence[float] | np.ndarray,
     names: Sequence[str],
-    check: Callable[[int, FitResult], FitResult] | None = None,
-) -> FitResult | list[FitResult]:
+) -> FitResult:
     """Fit ``model`` to the counts ``y`` by Poisson maximum likelihood from
     ``initial``.
 
-    As in numpy's stacked linear algebra, a 1-D ``y`` is one fit and
-    returns one :class:`FitResult`; a (fits, points) ``y`` is a stack of
-    independent fits, with ``x`` of shape (fits, points, ...) and
-    ``initial`` (fits, params), and returns a list. ``model(x, p)``
-    returns the expected counts, of ``x``'s first two dimensions, and
-    ``jacobian(x, p)`` the (fits, points, params) derivatives, for any
-    stack of fits ``p``. ``check(i, result)``, if given, is called with
-    each converged fit and its index; it returns the result to report, or
-    raises a :class:`FitError`, which becomes that fit's failure.
+    ``model(x, p)`` returns the expected counts, ``jacobian(x, p)`` the
+    ``(n_points, n_params)`` derivative matrix.
 
     Raises
     ------
     FitError
-        Of the lowest-index fit that fails, the one it raises alone.
+        If the points are too few or ill-matched, or the start is invalid.
     FitConvergenceError
         If no downhill step exists from a point that has not met the
         relative-decrease test, or the iteration budget runs out; the
@@ -140,152 +119,63 @@ def least_squares(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    p = np.asarray(initial, dtype=float)
-    single = y.ndim == 1
-    if single:
-        x, y, p = x[None], y[None], p[None]
-    if x.shape[: y.ndim] != y.shape:
+    p = np.asarray(initial, dtype=float).copy()
+    names = tuple(names)
+    if x.size != y.size:
         raise FitError("x and y must have matching lengths")
-    n_params = p.shape[-1]
-    if y.shape[1] <= n_params:
-        raise FitError(f"need more than {n_params} points to fit {n_params} parameters")
-    outcomes = _fit_stack(model, jacobian, x, y, p, tuple(names))
-    for index, outcome in enumerate(outcomes):
-        if check is not None and isinstance(outcome, FitResult):
-            try:
-                outcome = outcomes[index] = check(index, outcome)
-            except FitError as exc:
-                outcome = exc
-        if isinstance(outcome, FitError):
-            raise outcome
-    return outcomes[0] if single else outcomes
+    if x.size <= p.size:
+        raise FitError(f"need more than {p.size} points to fit {p.size} parameters")
+    deviance = poisson_deviance(model, x, y, p)
+    if np.any(y < 0.0) or not np.isfinite(deviance):
+        raise FitError("counts must be >= 0 and the initial model > 0 at every point")
 
-
-def _fit_stack(model, jacobian, x, y, p, names) -> list[FitResult | FitError]:
-    """Each fit's result or failure, from one damped Fisher-scoring loop over the stack.
-
-    A round evaluates the Jacobian of the fits still in the loop
-    (``live``); every fit in it has taken one step per round, so its
-    iteration count is the round's. A fit that converged in the last
-    round, or any fit after the last round, takes its result from that
-    Jacobian and leaves. The others each take one step, those whose trial
-    was singular or uphill retrying with more damping until every one has
-    stepped or stalled. The model is kept from the accepted trial, where
-    the loop would evaluate it again.
-    """
-    n_fits, n_points = y.shape
-    n_params = p.shape[1]
-    p = p.copy()
-    mu = model(x, p)
-    deviance = _deviances(y, mu)
-    outcomes: list = [None] * n_fits
-    stopped = (y < 0.0).any(axis=1) | ~np.isfinite(deviance)  # fits with an outcome
-    for i in np.flatnonzero(stopped).tolist():
-        outcomes[i] = FitError("counts must be >= 0 and the initial model > 0 at every point")
-    damping = np.full(n_fits, DEFAULT_DAMPING)
-    converged = np.zeros(n_fits, dtype=bool)
-    rounds = 0
-
-    def freeze(fits, fisher, failure=None) -> None:
-        """Store the outcomes of ``fits`` at their current point, ``failure(i)`` errors if given."""
-        stopped[fits] = True
-        stderrs = _standard_errors(fisher)
-        chi2 = ((y[fits] - mu[fits]) ** 2 / mu[fits]).sum(axis=-1) / (n_points - n_params)
-        for i, errors, reduced in zip(fits.tolist(), stderrs, chi2.tolist()):
-            result = FitResult(names, p[i].copy(), errors, reduced, rounds)
-            outcomes[i] = result if failure is None else FitConvergenceError(failure(i), result)
-
-    live = np.flatnonzero(~stopped)
-    leaving = False  # a fit converged or stalled this round
-    while live.size:
-        jac = jacobian(x[live], p[live])
-        jac_t = jac.swapaxes(-1, -2)
-        mu_live = mu[live]
-        fisher = (jac_t / mu_live[:, None, :]) @ jac
-        if leaving or rounds == MAX_ITERATIONS:
-            out = np.flatnonzero(converged[live])
-            freeze(live[out], fisher[out])
-            if rounds == MAX_ITERATIONS:
-                out = np.flatnonzero(~stopped[live])
-                freeze(live[out], fisher[out], lambda i: (
-                    f"no convergence after {rounds} iterations (deviance={deviance[i]:.6g})"
-                ))
-            keep = np.flatnonzero(~stopped[live])
-            live, jac_t, fisher, mu_live = live[keep], jac_t[keep], fisher[keep], mu_live[keep]
-            leaving = False
-            if not live.size:
-                break
-        rounds += 1
-        score = (jac_t @ ((y[live] - mu_live) / mu_live)[..., None])[..., 0]
-        scaling = np.zeros_like(fisher)  # Marquardt's: the diagonal of the Fisher matrix
-        scaling.reshape(len(fisher), -1)[:, :: n_params + 1] = np.maximum(
-            np.diagonal(fisher, axis1=-2, axis2=-1), 1e-300
+    def result() -> FitResult:
+        mu = model(x, p)
+        return FitResult(
+            names=names,
+            values=p,
+            stderrs=_standard_errors(jacobian(x, p), mu),
+            reduced_chi_square=float(np.sum((y - mu) ** 2 / mu)) / (x.size - p.size),
+            iterations=iterations,
         )
-        rows = np.arange(live.size)  # the positions in ``live`` of the fits yet to step this round
-        while rows.size:
-            fits = live[rows]
-            step_damping = damping[fits]
-            stalled = step_damping >= _DAMPING_CEILING
-            if stalled.any():
-                out = rows[stalled]
-                freeze(live[out], fisher[out], lambda i: (
-                    f"stalled: no downhill step (deviance={deviance[i]:.6g})"
-                ))
-                leaving = True
-                rows = rows[~stalled]
+
+    damping = DEFAULT_DAMPING
+    for iterations in range(1, MAX_ITERATIONS + 1):
+        mu = model(x, p)
+        jac = jacobian(x, p)
+        score = jac.T @ ((y - mu) / mu)
+        fisher = (jac.T / mu) @ jac
+        scaling = np.diag(np.maximum(np.diag(fisher), 1e-300))
+        while True:
+            if damping >= _DAMPING_CEILING:
+                raise FitConvergenceError(
+                    f"stalled: no downhill step (deviance={deviance:.6g})", result()
+                )
+            try:
+                trial = p + np.linalg.solve(fisher + damping * scaling, score)
+            except np.linalg.LinAlgError:
+                damping *= DAMPING_STEP
                 continue
-            steps, singular = _solve(fisher[rows] + step_damping[:, None, None] * scaling[rows], score[rows])
-            trial = p[fits] + steps
-            trial_mu = model(x[fits], trial)
-            trial_deviance = _deviances(y[fits], trial_mu)
-            accepted = trial_deviance <= deviance[fits]  # False for inf and nan
-            if singular is not None:
-                accepted &= ~singular
-            damping[fits[~accepted]] *= DAMPING_STEP
-            retry, rows, fits = rows[~accepted], rows[accepted], fits[accepted]
-            trial, trial_mu, trial_deviance, step_damping = (
-                trial[accepted], trial_mu[accepted], trial_deviance[accepted], step_damping[accepted]
-            )
-            with np.errstate(invalid="ignore"):  # -inf - -inf: a nan decrease does not converge
-                decrease = deviance[fits] - trial_deviance
-            p[fits], mu[fits], deviance[fits] = trial, trial_mu, trial_deviance
-            damping[fits] = np.maximum(step_damping / DAMPING_STEP, 1e-12)
-            converged[fits] = done = decrease <= RELATIVE_DECREASE_TOL * np.maximum(trial_deviance, 1e-300)
-            leaving |= bool(done.any())
-            rows = retry
-    return outcomes
+            trial_deviance = poisson_deviance(model, x, y, trial)
+            if trial_deviance <= deviance:  # False for inf and nan
+                break
+            damping *= DAMPING_STEP
+        decrease = deviance - trial_deviance
+        p, deviance = trial, trial_deviance
+        damping = max(damping / DAMPING_STEP, 1e-12)
+        if decrease <= RELATIVE_DECREASE_TOL * max(deviance, 1e-300):
+            return result()
+    raise FitConvergenceError(
+        f"no convergence after {iterations} iterations (deviance={deviance:.6g})", result()
+    )
 
 
-def _solve(matrices: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Each system's solution, and which systems are singular (None if none is).
-
-    A stacked solve raises if any member is singular, so then each member
-    is solved alone and only the singular ones are marked.
-    """
+def _standard_errors(jac: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """sqrt of the inverse Fisher matrix's diagonal; NaN where it is singular."""
     try:
-        return np.linalg.solve(matrices, rhs[..., None])[..., 0], None
+        cov = np.linalg.inv((jac.T / mu) @ jac)
     except np.linalg.LinAlgError:
-        steps = np.zeros_like(rhs)
-        singular = np.zeros(len(rhs), dtype=bool)
-        for k, (matrix, vector) in enumerate(zip(matrices, rhs)):
-            try:
-                steps[k] = np.linalg.solve(matrix, vector)
-            except np.linalg.LinAlgError:
-                singular[k] = True
-        return steps, singular
-
-
-def _standard_errors(fisher: np.ndarray) -> np.ndarray:
-    """sqrt of each inverse Fisher matrix's diagonal; NaN for one that is singular."""
-    try:
-        cov = np.linalg.inv(fisher)
-    except np.linalg.LinAlgError:
-        cov = np.full_like(fisher, np.nan)
-        for k, matrix in enumerate(fisher):
-            try:
-                cov[k] = np.linalg.inv(matrix)
-            except np.linalg.LinAlgError:
-                pass
-    diag = np.diagonal(cov, axis1=-2, axis2=-1).copy()
+        return np.full(jac.shape[1], np.nan)
+    diag = np.diag(cov).copy()
     diag[diag < 0.0] = np.nan
     return np.sqrt(diag)

@@ -7,6 +7,8 @@ import pytest
 from starksim.analysis import (
     G2Estimate,
     UndefinedNormalizationError,
+    _lines,
+    _lines_jacobian,
     _lorentzian_guess,
     estimate_g2_zero,
     exponential_decay,
@@ -14,6 +16,7 @@ from starksim.analysis import (
     find_peaks,
     fit_exponential_decay,
     fit_lorentzian,
+    fit_lorentzians,
     fit_stark_sweep,
     lorentzian,
     lorentzian_jacobian,
@@ -21,12 +24,11 @@ from starksim.analysis import (
 from starksim.cli import REPORT_COLUMNS
 from starksim.csvio import write_table
 from starksim.electrostatics import FieldVector
-from starksim.experiment import simulate_decay_histogram, simulate_ple_scan, simulate_stark_scan
+from starksim.experiment import simulate_decay_histogram, simulate_stark_scan
 from starksim.optimize import (
     DegenerateDataError,
     FitConvergenceError,
     FitError,
-    _solve,
     least_squares,
     poisson_deviance,
 )
@@ -87,28 +89,29 @@ class TestFindPeaks:
             assert [p.prominence for p in peaks] == signal.peak_prominences(smooth, first)[0].tolist()
 
 
-def lorentzian_guess_of_one_window(x, y):
-    """The starting point of one window, sample by sample: the reference for the stacked guess."""
+def lorentzian_guess_of_one_line(x, y, peak):
+    """The starting point of the line at sample ``peak``, sample by sample: the reference for the guess."""
     offset = float(np.median(y))
-    peak = int(np.argmax(y))
     amplitude = max(float(y[peak]) - offset, 1e-9)
     half = offset + amplitude / 2.0
     left = next((x[i] for i in range(peak, -1, -1) if y[i] < half), x[0])
     right = next((x[i] for i in range(peak, x.size) if y[i] < half), x[-1])
     fwhm = max(float(right - left), float(np.median(np.diff(x))))
-    return np.array([amplitude, float(x[peak]), fwhm, offset])
+    return [amplitude, float(x[peak]), fwhm]
 
 
 class TestFitLorentzian:
-    def test_stacked_guess_is_each_window_alone(self):
+    def test_each_line_starts_from_its_sample_and_nearest_crossings(self):
         rng = np.random.default_rng(17)
-        for points in (8, 13, 21):
-            x = np.sort(rng.uniform(-30.0, 30.0, (40, points)), axis=1)
-            centres = rng.uniform(-40.0, 40.0, (40, 1))  # some peaks outside the window: crossings missing
-            y = rng.poisson(5.0 + 60.0 / (1.0 + ((x - centres) / 3.0) ** 2)).astype(float)
-            y[0] = 7.0  # flat: the amplitude floor
-            expected = np.array([lorentzian_guess_of_one_window(a, b) for a, b in zip(x, y)])
-            assert np.array_equal(_lorentzian_guess(x, y), expected)
+        for points in (8, 13, 121):
+            x = np.sort(rng.uniform(-60.0, 60.0, points))
+            centres = rng.uniform(-80.0, 80.0, (3, 1))  # some lines outside the scan: crossings missing
+            y = rng.poisson(5.0 + (60.0 / (1.0 + ((x - centres) / 3.0) ** 2)).sum(axis=0)).astype(float)
+            for peaks in ([int(np.argmax(y))], rng.integers(0, points, 4).tolist(), []):
+                expected = [v for peak in peaks for v in lorentzian_guess_of_one_line(x, y, peak)] + [np.median(y)]
+                assert np.array_equal(_lorentzian_guess(x, y, peaks), expected)
+        flat = np.full(10, 7.0)  # no sample above the median: the amplitude floor
+        assert _lorentzian_guess(np.arange(10.0), flat, [3])[0] == 1e-9
 
     def test_noiseless_recovery_to_1e6(self):
         freqs = np.arange(-100.0, 100.1, 5.0)
@@ -137,6 +140,8 @@ class TestFitLorentzian:
     def test_needs_eight_points(self):
         with pytest.raises(DegenerateDataError):
             fit_lorentzian(np.arange(7.0), np.arange(7.0))
+        with pytest.raises(DegenerateDataError, match="need at least 8 points, got 0"):
+            fit_lorentzian([], [])
 
     def test_flat_noise_flagged_or_consistent_with_zero(self):
         rng = np.random.default_rng(13)
@@ -322,98 +327,33 @@ class TestFitStarkSweep:
                 fit_stark_sweep(fields, frequencies, np.full(fields.size, level))
 
 
-def fig2_windows(config, seed):
-    """(frequencies, counts) of each window fig2's fit stage cuts from one seed's scan."""
-    scan = simulate_ple_scan(config.ions, config.emitter, config.protocol, config.detector, FieldVector(0.0, 0.0), seed)
-    f, counts = scan.frequencies_mhz, scan.counts
-    return [(f[window], counts[window]) for window in (np.abs(f - peak.center_mhz) <= 30.0
-                                                       for peak in find_peaks(f, counts, 5.0))]
+class TestFitLorentzians:
+    """One fit of a scan as the sum of K Lorentzians and one shared offset."""
 
+    def test_noiseless_overlapping_lines_recovered_to_1e6(self):
+        # 40 MHz apart, each line is still ~10% of its peak in the other's +-30 MHz window
+        freqs = np.arange(-60.0, 60.1, 1.0)
+        truth = [(300.0, -40.0, 6.7), (200.0, 0.0, 5.5), (150.0, 35.0, 8.0)]
+        counts = sum(lorentzian(freqs, (a, c, w, 0.0)) for a, c, w in truth) + 8.5
+        peaks = [int(np.argmin(np.abs(freqs - c))) for _, c, _ in truth]
+        lines = fit_lorentzians(freqs, counts, peaks[::-1])  # given in any order, reported in centre order
+        for line, (a, c, w) in zip(lines, truth):
+            assert line.names == ("amplitude", "center_mhz", "fwhm_mhz", "offset")
+            assert line.values == pytest.approx([a, c, w, 8.5], rel=1e-6, abs=1e-6)
+            assert line.iterations == lines[0].iterations
+        assert lines[0].value("offset") == lines[2].value("offset")
 
-def assert_same_fit(stacked, alone):
-    assert stacked.names == alone.names
-    assert np.array_equal(stacked.values, alone.values)
-    assert np.array_equal(stacked.stderrs, alone.stderrs, equal_nan=True)
-    assert stacked.reduced_chi_square == alone.reduced_chi_square
-    assert stacked.iterations == alone.iterations
-
-
-class TestStackedFits:
-    """A (fits, points) stack shares one loop; each fit is bitwise the one it gives alone."""
-
-    def test_fig2_windows_of_50_seeds(self, config):
-        windows = [window for seed in range(50) for window in fig2_windows(config, seed)]
-        assert len(windows) == 350 and {f.size for f, _ in windows} == {13}
-        stack = fit_lorentzian(np.array([f for f, _ in windows]), np.array([c for _, c in windows]))
-        assert len(stack) == 350
-        for (f, counts), fit in zip(windows, stack):
-            assert_same_fit(fit, fit_lorentzian(f, counts))
-
-    def test_first_failing_member_names_the_error(self):
+    def test_collapse_names_the_first_collapsed_line(self):
         freqs = np.arange(-60.0, 60.1, 5.0)
-        rng = np.random.default_rng(3)
-        good = [rng.poisson(lorentzian(freqs, np.array([200.0, c, 6.7, 8.5]))) for c in (-10.0, 0.0, 10.0)]
         narrow = lorentzian(freqs, np.array([200.0, 0.0, 1.0, 8.0]))  # a 1 MHz line collapses below pitch/2
-        flat = np.full(freqs.size, 7.0)
-        with pytest.raises(FitConvergenceError) as alone:
+        with pytest.raises(FitConvergenceError) as err:
             fit_lorentzian(freqs, narrow)
-        stack = np.tile(freqs, (5, 1))
-        with pytest.raises(FitConvergenceError) as stacked:
-            fit_lorentzian(stack, np.array([good[0], good[1], narrow, good[2], flat]))
-        assert str(stacked.value) == str(alone.value) == "fit collapsed to an unresolvable width 1 MHz"
-        assert_same_fit(stacked.value.last_result, alone.value.last_result)
-        with pytest.raises(DegenerateDataError, match="^counts are constant; nothing to fit$"):
-            fit_lorentzian(stack, np.array([good[0], good[1], good[2], flat, narrow]))
-
-    def test_run_out_of_iterations_and_stall_are_members_errors(self):
-        freqs = np.arange(-60.0, 60.1, 5.0)
-        counts = lorentzian(freqs, np.array([200.0, 0.0, 6.7, 8.5]))
-        spike = np.full(freqs.size, 8.0)
-        spike[7] = 200.0  # a one-sample spike narrows without end
-        with pytest.raises(FitConvergenceError) as alone:
-            fit_lorentzian(freqs, spike)
-        with pytest.raises(FitConvergenceError) as stacked:
-            fit_lorentzian(np.tile(freqs, (2, 1)), np.array([counts, spike]))
-        assert str(stacked.value) == str(alone.value)
-        assert str(alone.value).startswith("no convergence after 200 iterations")
-        assert_same_fit(stacked.value.last_result, alone.value.last_result)
-
-        def flipped_for_members_past_zero(x, params):  # member 1's scan sits at positive frequencies
-            jac = lorentzian_jacobian(x, params)
-            return np.where(x[:, :1, None] > 0.0, -jac, jac)
-
-        initial = [[150.0, 3.0, 9.0, 5.0], [150.0, 103.0, 9.0, 5.0]]
-        x = np.array([freqs, freqs + 100.0])
-        y = np.array([counts, lorentzian(freqs, np.array([200.0, 100.0, 6.7, 8.5]))])
-        with pytest.raises(FitConvergenceError, match="stalled: no downhill step") as err:
-            least_squares(lorentzian, flipped_for_members_past_zero, x, y, initial, ("a", "c", "w", "o"))
-        assert np.array_equal(err.value.last_result.values, initial[1])  # member 1's point: member 0 converges
-
-    def test_member_with_a_singular_fisher_matrix_leaves_the_others_alone(self):
-        # at zero amplitude the centre and width do not enter the model: the
-        # member's Fisher matrix is singular, so its errors are NaN
-        freqs = np.arange(-60.0, 60.1, 5.0)
-        rng = np.random.default_rng(5)
-        counts = [rng.poisson(lorentzian(freqs, np.array([200.0, c, 6.7, 8.5]))) for c in (-5.0, 5.0)]
-        y = np.array([counts[0], np.full(freqs.size, 8.0), counts[1]])
-        initial = np.array([[150.0, 0.0, 8.0, 8.0], [0.0, 0.0, 6.7, 8.0], [150.0, 0.0, 8.0, 8.0]])
-        names = ("a", "c", "w", "o")
-        stack = least_squares(lorentzian, lorentzian_jacobian, np.tile(freqs, (3, 1)), y, initial, names)
-        assert np.isnan(stack[1].stderrs).all()
-        for member, fit in enumerate(stack):
-            assert_same_fit(fit, least_squares(lorentzian, lorentzian_jacobian, freqs, y[member], initial[member], names))
-
-    def test_singular_system_is_solved_alone_and_flagged(self):
-        rng = np.random.default_rng(8)
-        matrices = rng.normal(size=(3, 4, 4)) + 4.0 * np.eye(4)
-        matrices[1] = 0.0
-        rhs = rng.normal(size=(3, 4))
-        steps, singular = _solve(matrices, rhs)
-        assert singular.tolist() == [False, True, False]
-        for member in (0, 2):
-            assert np.array_equal(steps[member], np.linalg.solve(matrices[member], rhs[member]))
-        steps, singular = _solve(matrices[[0, 2]], rhs[[0, 2]])
-        assert singular is None
+        assert str(err.value) == "peak1: fit collapsed to an unresolvable width 1 MHz"
+        assert err.value.last_result.value("fwhm_mhz") == pytest.approx(1.0, rel=1e-6)
+        # a resolved line at -40 MHz, then the narrow one and another like it at 40 MHz
+        counts = narrow + sum(lorentzian(freqs, (200.0, c, w, 0.0)) for c, w in ((-40.0, 6.7), (40.0, 1.0)))
+        with pytest.raises(FitConvergenceError, match="^peak2: fit collapsed to an unresolvable width 1 MHz$"):
+            fit_lorentzians(freqs, counts, [20, 4, 12])
 
 
 class TestEstimateG2Zero:
@@ -453,6 +393,18 @@ class TestObjectiveGradient:
             probe = params * rng.uniform(0.8, 1.2, 4)
             grad = _deviance_gradient(lorentzian, lorentzian_jacobian, x, y, probe)
             fd = _finite_difference_gradient(lorentzian, x, y, probe)
+            assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-4
+
+    def test_sum_of_lorentzians_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(42)
+        x = np.arange(-80.0, 80.1, 2.0)
+        for _ in range(10):
+            lines = [[rng.uniform(20, 500), rng.uniform(-60, 60), rng.uniform(3, 25)] for _ in range(3)]
+            params = np.array([v for line in lines for v in line] + [rng.uniform(1, 40)])
+            y = rng.poisson(_lines(x, params) + 5.0).astype(float)
+            probe = params * rng.uniform(0.9, 1.1, params.size)
+            grad = _deviance_gradient(_lines, _lines_jacobian, x, y, probe)
+            fd = _finite_difference_gradient(_lines, x, y, probe)
             assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-4
 
     def test_exponential_gradient_matches_finite_differences(self):
@@ -533,6 +485,22 @@ class TestPoissonFit:
         with pytest.raises(FitConvergenceError, match="stalled: no downhill step") as err:
             least_squares(lorentzian, flipped, freqs, counts, initial, ("a", "c", "w", "o"))
         assert np.array_equal(err.value.last_result.values, initial)
+
+    def test_run_out_of_iterations(self):
+        freqs = np.arange(-60.0, 60.1, 5.0)
+        spike = np.full(freqs.size, 8.0)
+        spike[7] = 200.0  # a one-sample spike narrows without end
+        with pytest.raises(FitConvergenceError, match="^no convergence after 200 iterations") as err:
+            fit_lorentzian(freqs, spike)
+        assert err.value.last_result.iterations == 200
+
+    def test_singular_fisher_matrix_gives_nan_errors(self):
+        # at zero amplitude the centre and width do not enter the model: the
+        # Fisher matrix is singular, so the errors are NaN
+        freqs = np.arange(-60.0, 60.1, 5.0)
+        flat = np.full(freqs.size, 8.0)
+        fit = least_squares(lorentzian, lorentzian_jacobian, freqs, flat, [0.0, 0.0, 6.7, 8.0], ("a", "c", "w", "o"))
+        assert np.isnan(fit.stderrs).all()
 
 
 def _scaled_score(model, jacobian, x, y, params, free_columns=None):

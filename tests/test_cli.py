@@ -23,11 +23,12 @@ from starksim.cli import (
     FIGURES,
     FITS,
     PIPELINES,
+    REPORT_COLUMNS,
     main,
 )
 from starksim.config import config_file_digest, default_config, dumps_config, load_config, loads_config
 from starksim.csvio import read_table
-from starksim.electrostatics import field_per_volt
+from starksim.electrostatics import FieldVector, field_per_volt
 from starksim.stark import resonance_voltage
 
 
@@ -53,6 +54,32 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+REPORT_TABLE = dict(zip(REPORT_COLUMNS, (str, float, float, str)))  # fit_report.csv's columns
+
+
+def reproduce_pulls(capsys, tmp_path, figure, seeds, truth):
+    """{quantity: its pulls (value - truth) / stderr} over ``reproduce figure`` at each seed."""
+    pulls = {quantity: [] for quantity in truth}
+    for seed in seeds:
+        out_dir = tmp_path / f"{figure}-{seed}"
+        code, _, err = run(capsys, "reproduce", figure, "--seed", seed, "--out", out_dir)
+        assert code == EXIT_OK, err
+        quantities, values, stderrs, _ = read_table(out_dir / "fit_report.csv", REPORT_TABLE)
+        report = dict(zip(quantities, zip(values, stderrs)))
+        for quantity, expected in truth.items():
+            value, stderr = report[quantity]
+            pulls[quantity].append((value - expected) / stderr)
+    return pulls
+
+
+def assert_calibrated(pulls):
+    """Each quantity's pulls have |mean| <= 0.3 and sd in [0.8, 1.2]: its reported error is its spread."""
+    stats = {quantity: (statistics.fmean(p), statistics.stdev(p)) for quantity, p in pulls.items()}
+    off = {quantity: f"mean {mean:.3f}, sd {sd:.3f}" for quantity, (mean, sd) in stats.items()
+           if not (abs(mean) <= 0.3 and 0.8 <= sd <= 1.2)}
+    assert not off, off
 
 
 class TestFieldCommand:
@@ -467,18 +494,52 @@ class TestPipelines:
 
     @pytest.mark.parametrize("figure, quantity", [("fig3b", "tau_us"), ("fig3c", "g2_zero")])
     def test_reported_error_is_the_spread_over_seeds(self, capsys, config, tmp_path, figure, quantity):
-        # the pull (value - truth) / stderr of 50 default runs has sd near 1
+        # the pull (value - truth) / stderr of 50 default runs has mean near 0 and sd near 1
         truth = {"tau_us": config.emitter.lifetime_us, "g2_zero": 1.0 - (1.0 - config.g2.background_fraction) ** 2}
-        pulls = []
-        for seed in range(50):
-            out_dir = tmp_path / f"seed{seed}"
-            code, _, _ = run(capsys, "reproduce", figure, "--seed", seed, "--out", out_dir)
-            assert code == EXIT_OK
-            row = next(line for line in (out_dir / "fit_report.csv").read_text().splitlines() if line.startswith(quantity))
-            value, stderr = map(float, row.split(",")[1:3])
-            pulls.append((value - truth[quantity]) / stderr)
-        sd = statistics.stdev(pulls)
-        assert 0.8 <= sd <= 1.2, f"pull mean {statistics.fmean(pulls):.3f}, sd {sd:.3f}"
+        assert_calibrated(reproduce_pulls(capsys, tmp_path, figure, range(50), {quantity: truth[quantity]}))
+
+    def test_fig2_lines_are_calibrated_over_seeds(self, capsys, config, tmp_path):
+        # peaks matched to ions in frequency order; a window fit of each peak
+        # alone read the widths of ion2 and ion1, 40 MHz apart, ~1.1 sd low
+        lines = sorted(ion.line(FieldVector(0.0, 0.0)) for ion in config.ions)
+        truth = {f"peak{k}_{name}": value for k, line in enumerate(lines, start=1)
+                 for name, value in zip(("center_mhz", "fwhm_mhz"), line)}
+        assert_calibrated(reproduce_pulls(capsys, tmp_path, "fig2", range(100), truth))
+
+    def test_fig4a_sweep_fit_is_calibrated_over_seeds(self, capsys, config, tmp_path):
+        ion = config.ion(config.stark.ion_id)
+        truth = {
+            f"stark_coefficient_{ion.ion_id}": ion.stark_coefficient_khz_per_v_cm,
+            f"zero_field_frequency_{ion.ion_id}": ion.zero_field_frequency_mhz,
+            f"zero_field_fwhm_{ion.ion_id}": ion.zero_field_fwhm_mhz,
+            f"broadening_{ion.ion_id}": ion.broadening_mhz_per_kv_cm,
+        }
+        assert_calibrated(reproduce_pulls(capsys, tmp_path, "fig4a", range(100), truth))
+
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_ple_fit_reads_the_scan_in_frequency_order(self, capsys, tmp_path, order):
+        assert run(capsys, "reproduce", "fig2", "--out", tmp_path / "fig")[0] == EXIT_OK
+        header, *rows = (tmp_path / "fig" / "ple_scan.csv").read_text(encoding="utf-8").splitlines()
+        rows = rows[::-1] if order == "reversed" else np.random.default_rng(5).permutation(rows).tolist()
+        data = tmp_path / "ple_scan.csv"
+        data.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, "fit", "--kind", "ple", "--input", data, "--out", tmp_path / "refit")
+        assert code == EXIT_OK, err
+        figure, refit = (read_table(tmp_path / name / "fit_report.csv", REPORT_TABLE) for name in ("fig", "refit"))
+        assert refit[0] == figure[0] and refit[3] == figure[3]
+        assert refit[1] == pytest.approx(figure[1], rel=1e-9) and refit[2] == pytest.approx(figure[2], rel=1e-9)
+
+    def test_collapsed_line_names_its_peak(self, capsys, tmp_path):
+        # a one-sample spike between the lines at 130 and 215 MHz is the
+        # seventh peak in frequency order; its line narrows below pitch/2
+        assert run(capsys, "ple", "--out", tmp_path)[0] == EXIT_OK
+        data = tmp_path / "ple_scan.csv"
+        header, *rows = data.read_text(encoding="utf-8").splitlines()
+        rows = [f"170,100,{row.split(',')[2]}" if row.startswith("170,") else row for row in rows]
+        data.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        code, out, err = run(capsys, "fit", "--kind", "ple", "--input", data, "--out", tmp_path / "x")
+        assert code == EXIT_FITTING
+        assert out == "" and err.startswith("error: fitting failed: peak7: fit collapsed to an unresolvable width ")
 
     def test_ple_scan_csv_shape(self, capsys, tmp_path):
         fast = tmp_path / "fast.toml"
@@ -506,7 +567,7 @@ class TestPipelines:
     def test_fit_refits_its_figure(self, capsys, fast_config, tmp_path, kind, figure, dataset, extra):
         # fit runs the figure's own fit step on the figure's CSV, so its
         # report is the figure's; the default registry's scan holds seven
-        # lines, so the ple refit must run fig2's per-peak fits, not one
+        # lines, so the ple refit must run fig2's fit of every line, not one
         # Lorentzian over the spectrum
         config = tmp_path / "refit.toml"
         config.write_text(fast_config.read_text(encoding="utf-8").replace("[decay]\n", "[decay]\n" + extra),

@@ -25,7 +25,6 @@ from .stark import line_law
 
 __all__ = [
     "G2Estimate",
-    "PeakCandidate",
     "UndefinedNormalizationError",
     "estimate_g2_zero",
     "exponential_decay",
@@ -42,13 +41,6 @@ __all__ = [
 
 class UndefinedNormalizationError(FitError):
     """All side lags empty: the coincidence ratio has no denominator."""
-
-
-@dataclass(frozen=True)
-class PeakCandidate:
-    center_mhz: float
-    height_counts: float
-    prominence: float
 
 
 @dataclass(frozen=True)
@@ -103,18 +95,15 @@ def exponential_decay_jacobian(t: np.ndarray, params: np.ndarray) -> np.ndarray:
 # peak finding
 
 
-def find_peaks(
-    frequencies_mhz: Sequence[float] | np.ndarray, counts: Sequence[float] | np.ndarray, threshold_sigma: float
-) -> list[PeakCandidate]:
-    """Prominent local maxima of a scan, sorted by center frequency.
+def find_peaks(counts: Sequence[float] | np.ndarray, threshold_sigma: float) -> list[int]:
+    """Sample indices of the prominent local maxima of a scan, in scan order.
 
     Counts are smoothed with a [1, 2, 1]/4 kernel before peak finding so
     single-sample shot-noise spikes do not qualify; prominence is
     measured on the smoothed trace against the higher of the two
     enclosing valleys, and must exceed
-    ``threshold_sigma * sqrt(median count)``. Reported heights are the
-    raw counts at the peak sample; plateau ties resolve to the lower
-    frequency.
+    ``threshold_sigma * sqrt(median count)``. A plateau's peak is its
+    first sample.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.size == 0:
@@ -128,13 +117,7 @@ def find_peaks(
     threshold = threshold_sigma * math.sqrt(background)
 
     peaks = _local_maxima(smooth)
-    prominences = _prominences(smooth, peaks)
-    keep = prominences > threshold
-    candidates = [
-        PeakCandidate(center_mhz=float(frequencies_mhz[idx]), height_counts=float(counts[idx]), prominence=prominence)
-        for idx, prominence in zip(peaks[keep].tolist(), prominences[keep].tolist())
-    ]
-    return sorted(candidates, key=lambda c: c.center_mhz)
+    return peaks[_prominences(smooth, peaks) > threshold].tolist()
 
 
 def _local_maxima(values: np.ndarray) -> np.ndarray:
@@ -194,7 +177,9 @@ def fit_lorentzians(
     positive. A line narrower than half the sampling pitch, which the
     sampling cannot resolve (a spike latched onto one sample), raises
     :class:`FitConvergenceError` for the first such line, named
-    ``peak<i>`` by its place in centre order from 1.
+    ``peak<i>`` by its place in centre order from 1; a fit that does not
+    converge is checked so at its last state, since such a line can
+    narrow without end.
     """
     x = np.asarray(frequencies_mhz, dtype=float)
     y = np.asarray(counts, dtype=float)
@@ -203,7 +188,11 @@ def fit_lorentzians(
     if np.ptp(y) == 0.0:
         raise DegenerateDataError("counts are constant; nothing to fit")
     names = tuple(f"peak{k}_{name}" for k in range(1, len(peaks) + 1) for name in _LINE[:3]) + ("offset",)
-    fit = least_squares(_lines, _lines_jacobian, x, y, _lorentzian_guess(x, y, peaks), names)
+    failure = None
+    try:
+        fit = least_squares(_lines, _lines_jacobian, x, y, _lorentzian_guess(x, y, peaks), names)
+    except FitConvergenceError as exc:  # its last state may show the line that kept it narrowing
+        fit, failure = exc.last_result, exc
     values = fit.values.copy()
     values[2:-1:3] = np.abs(values[2:-1:3])
     pitch = float(np.median(np.diff(np.sort(x))))
@@ -215,6 +204,8 @@ def fit_lorentzians(
         if not np.all(np.isfinite(lines[-1].values)) or width < 0.5 * pitch:
             message = f"peak{index}: fit collapsed to an unresolvable width {width:.3g} MHz"
             raise FitConvergenceError(message, lines[-1])
+    if failure is not None:
+        raise failure
     return lines
 
 

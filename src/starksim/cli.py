@@ -189,19 +189,16 @@ def _fit_peaks(config: ExperimentConfig, frequencies_mhz, counts, integration_s)
     first, since peak finding and the starting guess read neighbouring rows."""
     order = np.argsort(frequencies_mhz, kind="stable")
     frequencies_mhz, counts = np.array(frequencies_mhz)[order], np.array(counts)[order]
-    peaks = np.searchsorted(frequencies_mhz, [peak.center_mhz for peak in find_peaks(frequencies_mhz, counts, 5.0)])
+    peaks = find_peaks(counts, 5.0)
     report: list[Row] = []
-    for index, line in enumerate(fit_lorentzians(frequencies_mhz, counts, peaks) if peaks.size else [], start=1):
+    for index, line in enumerate(fit_lorentzians(frequencies_mhz, counts, peaks) if peaks else [], start=1):
         report += _rows(line, [("center_mhz", "MHz"), ("fwhm_mhz", "MHz")], f"peak{index}_")
     return report
 
 
 def _decay(args, config: ExperimentConfig, seed: int) -> list[tuple]:
     """Decay histogram of the shared emitter: decay.csv's rows, one per bin centre."""
-    histogram = simulate_decay_histogram(
-        config.emitter, config.protocol, config.detector,
-        config.decay.n_pulses, config.decay.bin_width_us, seed,
-    )
+    histogram = simulate_decay_histogram(config.emitter, config.protocol, config.detector, config.decay, seed)
     return list(zip(histogram.bin_centers_us.tolist(), histogram.counts.tolist()))
 
 
@@ -225,10 +222,7 @@ def _fit_lifetime(config: ExperimentConfig, times_us, counts) -> list[Row]:
 
 def _g2(args, config: ExperimentConfig, seed: int) -> list[tuple]:
     """Autocorrelation histogram of the shared emitter: g2.csv's rows, one per lag."""
-    histogram = simulate_g2_histogram(
-        config.emitter, config.g2.background_fraction, config.protocol,
-        config.g2.n_pulses, config.g2.max_lag, seed,
-    )
+    histogram = simulate_g2_histogram(config.emitter, config.g2, config.protocol, seed)
     return list(zip(histogram.lags.tolist(), histogram.coincidences.tolist(), histogram.normalized.tolist()))
 
 
@@ -249,8 +243,7 @@ def _stark(args, config: ExperimentConfig, seed: int) -> list[tuple]:
     rows = []
     for ion, ion_seed in sweeps:
         scans = simulate_stark_scan(
-            ion, config.emitter, config.stark.voltages_v, unit_field, config.protocol, config.detector,
-            ion_seed, window_half_width_mhz=config.stark.window_half_width_mhz,
+            ion, config.emitter, config.stark, unit_field, config.protocol, config.detector, ion_seed
         )
         for voltage, (field, scan) in zip(config.stark.voltages_v, scans):
             rows += [(ion.ion_id, float(voltage), field.e_parallel_v_per_cm, f, c)

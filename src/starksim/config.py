@@ -2,12 +2,16 @@
 
 The dataclasses are the schema. Each field of ``ExperimentConfig`` is a
 section of the file, a section's keys are the field names of its
-dataclass, and each value is checked against the field's annotation. The
-departures sit in tables next to the generic reader and writer: the
-``[[ions]]`` key ``id``, the one optional ion key, and the retired keys,
-which a file may still hold and which are checked as the type their table
-records, then dropped and never written. Units are in the key
-names (``gap_um``, ``dark_rate_hz``), so a file is never unit-ambiguous.
+dataclass, and each value is checked against the field's annotation.
+Each record checks its own values when built: ``[solver]`` and ``[run]``
+are defined here, ``[layout]`` in ``electrostatics``, ``[[ions]]`` and
+``[emitter]`` in ``stark``, and the other sections in ``experiment``;
+``ExperimentConfig`` checks across sections. The departures sit in
+tables next to the generic reader and writer: the ``[[ions]]`` key
+``id``, the one optional ion key, and the retired keys, which a file may
+still hold and which are checked as the type their table records, then
+dropped and never written. Units are in the key names (``gap_um``,
+``dark_rate_hz``), so a file is never unit-ambiguous.
 Unknown sections or keys are rejected, and every number must be finite.
 The writer emits ``[section]`` tables, the ``[[ions]]`` array of tables,
 basic strings, integers, floats and flat arrays.
@@ -26,17 +30,14 @@ from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .electrostatics import ElectrodeLayout
-from .experiment import DEFAULT_MASTER_SEED, DetectorModel, PLEProtocol
+from .experiment import DEFAULT_MASTER_SEED, DecaySettings, DetectorModel, G2Settings, PLEProtocol, StarkScanSettings
 from .stark import EmitterParams, IonModel, lifetime_limited_fwhm_mhz
 
 __all__ = [
     "ConfigError",
-    "DecaySettings",
     "ExperimentConfig",
-    "G2Settings",
     "RunSettings",
     "SolverSettings",
-    "StarkScanSettings",
     "config_file_digest",
     "default_config",
     "dumps_config",
@@ -97,47 +98,6 @@ class RunSettings:
         # the paths under it print one per line, so nothing str.splitlines() breaks at
         if "".join(self.output_dir.splitlines()) != self.output_dir:
             raise ConfigError(f"[run].output_dir {self.output_dir!r} may not hold a line break")
-
-
-@dataclass(frozen=True)
-class DecaySettings:
-    n_pulses: int = 10_000_000
-    bin_width_us: float = 1.0
-    fit_start_us: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.n_pulses < 1:
-            raise ConfigError(f"[decay].n_pulses must be at least 1, got {self.n_pulses}")
-        if not self.bin_width_us > 0.0:
-            raise ConfigError(f"[decay].bin_width_us must be positive, got {self.bin_width_us}")
-
-
-@dataclass(frozen=True)
-class G2Settings:
-    background_fraction: float = 0.051
-    n_pulses: int = 200_000
-    max_lag: int = 10
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.background_fraction < 1.0:
-            raise ConfigError(f"[g2].background_fraction must lie in [0, 1), got {self.background_fraction}")
-        if self.max_lag < 1:
-            raise ConfigError(f"[g2].max_lag must be at least 1, got {self.max_lag}")
-        if self.n_pulses <= self.max_lag:
-            raise ConfigError(f"[g2].n_pulses must exceed max_lag = {self.max_lag}, got {self.n_pulses}")
-
-
-@dataclass(frozen=True)
-class StarkScanSettings:
-    ion_id: str = ""  # empty: first registry ion
-    voltages_v: tuple[float, ...] = (0.0, 55.5, 111.0, 166.5, 222.0, 277.5, 333.0)
-    window_half_width_mhz: float = 60.0
-
-    def __post_init__(self) -> None:
-        if len(set(self.voltages_v)) < 3:  # fig4's line-law fit needs 3 distinct fields
-            raise ConfigError(f"[stark].voltages_v needs at least 3 distinct voltages, got {len(set(self.voltages_v))}")
-        if not self.window_half_width_mhz > 0.0:
-            raise ConfigError(f"[stark].window_half_width_mhz must be positive, got {self.window_half_width_mhz}")
 
 
 _DEFAULT_IONS = (
@@ -201,10 +161,9 @@ class ExperimentConfig:
                 )
 
     def ion(self, ion_id: str) -> IonModel:
-        if ion_id == "":
-            return self.ions[0]
+        """The registry ion ``ion_id``; ``""`` is the first, which an empty registry lacks."""
         for ion in self.ions:
-            if ion.ion_id == ion_id:
+            if ion_id in ("", ion.ion_id):
                 return ion
         raise ConfigError(f"unknown ion id {ion_id!r}")
 

@@ -49,7 +49,7 @@ Units: lengths in micrometres, potentials in volts, fields in V/cm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -125,13 +125,7 @@ class ElectrodeLayout:
 
     def with_bias(self, voltage_v: float) -> "ElectrodeLayout":
         """Same geometry with potentials ``(+V/2, -V/2)``."""
-        return ElectrodeLayout(
-            electrode_width_um=self.electrode_width_um,
-            gap_um=self.gap_um,
-            electrode_potentials_v=(voltage_v / 2.0, -voltage_v / 2.0),
-            domain_extent_um=self.domain_extent_um,
-            probe_point_um=self.probe_point_um,
-        )
+        return replace(self, electrode_potentials_v=(voltage_v / 2.0, -voltage_v / 2.0))
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ over the open window.
 The simulators take each ion's own line as an :class:`~starksim.stark.IonModel`
 and the lifetime and saturation all ions share as one
 :class:`~starksim.stark.EmitterParams`, the only input of decay and g2.
+Each also takes its config record whole, and a record checks its limits
+when it is built, so the simulators check none of them again.
 
 Determinism contract: each PLE scan, decay histogram and g2 histogram is
-drawn in bulk from one generator, ``point_generator(seed, 0)``, in the
+drawn in bulk from one generator, ``point_generator(seed)``, in the
 draw order its simulator's docstring states; a Stark sweep scans voltage
 ``i`` on ``mix_seed(seed, i)``.
 """
@@ -30,12 +32,15 @@ from .electrostatics import FieldVector
 from .stark import EmitterParams, IonModel, excitation_probability
 
 __all__ = [
+    "DecaySettings",
     "G2Histogram",
+    "G2Settings",
     "Histogram",
     "PLEProtocol",
     "DetectorModel",
     "ScanResult",
     "SimulationError",
+    "StarkScanSettings",
     "emission_window_probability",
     "mix_seed",
     "point_generator",
@@ -68,8 +73,8 @@ def mix_seed(master_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def point_generator(master_seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(mix_seed(master_seed, index)))
+def point_generator(master_seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(mix_seed(master_seed, 0)))
 
 
 @dataclass(frozen=True)
@@ -117,9 +122,6 @@ class PLEProtocol:
         n = int(math.floor((hi - lo) / self.scan_pitch_mhz + 1e-9)) + 1
         return lo + self.scan_pitch_mhz * np.arange(n)
 
-    def replace_scan(self, lo_mhz: float, hi_mhz: float) -> "PLEProtocol":
-        return replace(self, scan_range_mhz=(lo_mhz, hi_mhz))
-
 
 @dataclass(frozen=True)
 class DetectorModel:
@@ -137,6 +139,53 @@ class DetectorModel:
 
     def dark_mean_per_pulse(self, window_length_us: float) -> float:
         return self.dark_rate_hz * window_length_us * 1e-6
+
+
+@dataclass(frozen=True)
+class DecaySettings:
+    """The ``[decay]`` section: the histogram's pulses and bin width, and where its fit starts."""
+
+    n_pulses: int = 10_000_000
+    bin_width_us: float = 1.0
+    fit_start_us: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.n_pulses < 1:
+            raise SimulationError(f"[decay].n_pulses must be at least 1, got {self.n_pulses}")
+        if not self.bin_width_us > 0.0:
+            raise SimulationError(f"[decay].bin_width_us must be positive, got {self.bin_width_us}")
+
+
+@dataclass(frozen=True)
+class G2Settings:
+    """The ``[g2]`` section: background share of the detected events, pulses and largest lag."""
+
+    background_fraction: float = 0.051
+    n_pulses: int = 200_000
+    max_lag: int = 10
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.background_fraction < 1.0:
+            raise SimulationError(f"[g2].background_fraction must lie in [0, 1), got {self.background_fraction}")
+        if self.max_lag < 1:
+            raise SimulationError(f"[g2].max_lag must be at least 1, got {self.max_lag}")
+        if self.n_pulses <= self.max_lag:
+            raise SimulationError(f"[g2].n_pulses must exceed max_lag = {self.max_lag}, got {self.n_pulses}")
+
+
+@dataclass(frozen=True)
+class StarkScanSettings:
+    """The ``[stark]`` section: the swept ion, its voltages and each scan's half-width."""
+
+    ion_id: str = ""  # empty: first registry ion
+    voltages_v: tuple[float, ...] = (0.0, 55.5, 111.0, 166.5, 222.0, 277.5, 333.0)
+    window_half_width_mhz: float = 60.0
+
+    def __post_init__(self) -> None:
+        if len(set(self.voltages_v)) < 3:  # fig4's line-law fit needs 3 distinct fields
+            raise SimulationError(f"[stark].voltages_v needs at least 3 distinct voltages, got {len(set(self.voltages_v))}")
+        if not self.window_half_width_mhz > 0.0:
+            raise SimulationError(f"[stark].window_half_width_mhz must be positive, got {self.window_half_width_mhz}")
 
 
 @dataclass(frozen=True)
@@ -205,7 +254,7 @@ def simulate_ple_scan(
     iff the photon falls in the window and survives the collection
     efficiency. Detection thins the excited pulses, so an ion's count at a
     point is ``Binomial(n_pulses, p_exc * efficiency * P_window)``; Poisson
-    dark counts add to it. Drawn from ``point_generator(seed, 0)``: one
+    dark counts add to it. Drawn from ``point_generator(seed)``: one
     binomial array over (points x ions), then one Poisson count per point.
     """
     frequencies = protocol.scan_frequencies_mhz()
@@ -217,7 +266,7 @@ def simulate_ple_scan(
     )
     dark_mean = detector.dark_mean_per_pulse(protocol.window_length_us) * n_pulses
 
-    rng = point_generator(seed, 0)
+    rng = point_generator(seed)
     signal = rng.binomial(n_pulses, p_exc * p_detect).sum(axis=1)
     return ScanResult(
         frequencies_mhz=frequencies,
@@ -230,8 +279,7 @@ def simulate_decay_histogram(
     emitter: EmitterParams,
     protocol: PLEProtocol,
     detector: DetectorModel,
-    n_pulses: int,
-    bin_width_us: float,
+    decay: DecaySettings,
     seed: int,
 ) -> Histogram:
     """Histogram of detection times within the window (decay curve).
@@ -247,42 +295,36 @@ def simulate_decay_histogram(
     to the window, and ``P_window`` is their sum, so times past the last
     edge are dropped when the bins fall short of the window.
 
-    Draw order from ``point_generator(seed, 0)``: the binomial signal
+    Draw order from ``point_generator(seed)``: the binomial signal
     total, the multinomial split (skipped when the total is 0), then one
     Poisson dark count per bin.
     """
-    if n_pulses <= 0:
-        raise SimulationError("n_pulses must be positive")
-    if bin_width_us <= 0.0:
-        raise SimulationError("bin width must be positive")
-    n_bins = max(int(math.ceil(protocol.window_length_us / bin_width_us - 1e-9)), 1)
-    edges = bin_width_us * np.arange(n_bins + 1)
+    n_bins = max(int(math.ceil(protocol.window_length_us / decay.bin_width_us - 1e-9)), 1)
+    edges = decay.bin_width_us * np.arange(n_bins + 1)
     inside = np.minimum(edges, protocol.window_length_us)
     survival = np.exp(-(protocol.window_delay_us + inside) / emitter.lifetime_us)
     bin_probs = survival[:-1] - survival[1:]
     p_window = float(bin_probs.sum())
 
-    rng = point_generator(seed, 0)
+    rng = point_generator(seed)
     p_photon = emitter.saturation_excitation_prob * detector.total_efficiency * p_window
-    n_signal = rng.binomial(n_pulses, p_photon)
+    n_signal = rng.binomial(decay.n_pulses, p_photon)
     # a pulse can only yield a photon if p_window > 0, so the split never divides by 0
     signal = rng.multinomial(n_signal, bin_probs / p_window) if n_signal else 0
-    darks = rng.poisson(detector.dark_mean_per_pulse(np.diff(inside)) * n_pulses)
+    darks = rng.poisson(detector.dark_mean_per_pulse(np.diff(inside)) * decay.n_pulses)
     return Histogram(bin_edges_us=edges, counts=(signal + darks).astype(np.int64))
 
 
 def simulate_g2_histogram(
     emitter: EmitterParams,
-    background_fraction: float,
+    g2: G2Settings,
     protocol: PLEProtocol,
-    n_pulses: int,
-    max_lag: int,
     seed: int,
 ) -> G2Histogram:
     """Hanbury Brown-Twiss coincidences versus pulse lag.
 
     The emitter contributes at most one detected photon per pulse, with
-    probability ``p``; ``background_fraction`` of all detected events come
+    probability ``p``; ``g2.background_fraction`` of all detected events come
     from a Poissonian background of mean ``m`` per pulse instead. Every
     event is routed 50/50 to the two arms and ``C(k)`` counts arm-A events
     against arm-B events ``k`` pulses later, in exact int64 arithmetic.
@@ -291,7 +333,7 @@ def simulate_g2_histogram(
     uniform ``u < p/2`` and to arm B if ``p/2 <= u < p``; by Poisson
     thinning each arm's background is an independent Poisson(``m/2``) per
     pulse, drawn as one Poisson total placed on uniform pulse indices.
-    Draw order from ``point_generator(seed, 0)``: one uniform per pulse,
+    Draw order from ``point_generator(seed)``: one uniform per pulse,
     then arm A's background total and indices, then arm B's.
 
     The signal stays two boolean masks, so the signal x signal sum is a
@@ -301,18 +343,12 @@ def simulate_g2_histogram(
     200 000 pulses a call takes about 3 times as long as whole-record
     sums at a background fraction of 0.5, and 11 times at 0.95.
     """
-    if not 0.0 <= background_fraction < 1.0:
-        raise SimulationError("background fraction must lie in [0, 1)")
-    if max_lag < 1:
-        raise SimulationError("max lag must be >= 1")
-    if n_pulses <= max_lag:
-        raise SimulationError("need more pulses than the maximum lag")
-
-    rng = point_generator(seed, 0)
+    n_pulses, max_lag = g2.n_pulses, g2.max_lag
+    rng = point_generator(seed)
     p_signal = emitter.saturation_excitation_prob * emission_window_probability(
         emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
     )
-    background_mean = background_fraction / (1.0 - background_fraction) * p_signal
+    background_mean = g2.background_fraction / (1.0 - g2.background_fraction) * p_signal
 
     # arm X at pulse i is its signal mask plus its background events there; on
     # arrays padded with max_lag empty pulses each side C(k) = sum_i a_i b_(i+k)
@@ -343,31 +379,29 @@ def simulate_g2_histogram(
 def simulate_stark_scan(
     ion: IonModel,
     emitter: EmitterParams,
-    voltages_v: Sequence[float],
+    stark: StarkScanSettings,
     unit_field: FieldVector,
     protocol: PLEProtocol,
     detector: DetectorModel,
     seed: int,
-    *,
-    window_half_width_mhz: float = 60.0,
 ) -> list[tuple[FieldVector, ScanResult]]:
-    """PLE scans of one ion at a series of electrode voltages: the field and
-    the scan at each voltage, in order.
+    """PLE scans of ``ion`` at each of ``stark.voltages_v``: the field and
+    the scan at each voltage, in order (``stark.ion_id`` is not read).
 
     ``unit_field`` is the probe field per volt of bias (see
     :func:`~starksim.electrostatics.field_per_volt`), scaled linearly to
-    each voltage; each scan window tracks the expected Stark-shifted
-    peak. Each voltage gets its own derived seed. The config checks the
-    voltages against ``[run] max_voltage_v`` when it loads.
+    each voltage; each scan spans ``stark.window_half_width_mhz`` either
+    side of the expected Stark-shifted peak. Each voltage gets its own
+    derived seed. The config checks the voltages against ``[run]
+    max_voltage_v`` when it loads.
     """
     results = []
-    for v_index, voltage in enumerate(voltages_v):
+    half_width = stark.window_half_width_mhz
+    for v_index, voltage in enumerate(stark.voltages_v):
         field = unit_field.scaled(voltage)
         centre, _ = _line(ion, field)
         base = round(centre / protocol.scan_pitch_mhz) * protocol.scan_pitch_mhz
-        scan_protocol = protocol.replace_scan(
-            base - window_half_width_mhz, base + window_half_width_mhz
-        )
+        scan_protocol = replace(protocol, scan_range_mhz=(base - half_width, base + half_width))
         scan = simulate_ple_scan([ion], emitter, scan_protocol, detector, field, mix_seed(seed, v_index))
         results.append((field, scan))
     return results

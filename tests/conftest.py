@@ -34,14 +34,14 @@ def poissonian_g2():
     mean rate ``p`` plus the background ``m``, split 50/50, so the arms are
     independent Poisson((p + m)/2) per pulse and g2(0) is 1."""
 
-    def sample(emitter, background_fraction, protocol, n_pulses, max_lag, seed):
+    def sample(emitter, g2, protocol, seed):
         p_signal = emitter.saturation_excitation_prob * emission_window_probability(
             emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
         )
-        mean = p_signal / (1.0 - background_fraction)  # p + m
+        mean = p_signal / (1.0 - g2.background_fraction)  # p + m
         rng = np.random.default_rng(seed)
-        arm_a, arm_b = rng.poisson(mean / 2.0, (2, n_pulses)).astype(np.int64)
-        return _lag_coincidences(arm_a, arm_b, max_lag)
+        arm_a, arm_b = rng.poisson(mean / 2.0, (2, g2.n_pulses)).astype(np.int64)
+        return _lag_coincidences(arm_a, arm_b, g2.max_lag)
 
     return sample
 

@@ -529,17 +529,30 @@ class TestPipelines:
         assert refit[0] == figure[0] and refit[3] == figure[3]
         assert refit[1] == pytest.approx(figure[1], rel=1e-9) and refit[2] == pytest.approx(figure[2], rel=1e-9)
 
-    def test_collapsed_line_names_its_peak(self, capsys, tmp_path):
-        # a one-sample spike between the lines at 130 and 215 MHz is the
-        # seventh peak in frequency order; its line narrows below pitch/2
+    @staticmethod
+    def fit_with_spike(capsys, tmp_path, frequency, counts):
+        """``fit --kind ple`` of the default scan with its row at ``frequency`` MHz set to ``counts``."""
         assert run(capsys, "ple", "--out", tmp_path)[0] == EXIT_OK
         data = tmp_path / "ple_scan.csv"
         header, *rows = data.read_text(encoding="utf-8").splitlines()
-        rows = [f"170,100,{row.split(',')[2]}" if row.startswith("170,") else row for row in rows]
+        rows = [f"{frequency},{counts},{row.split(',')[2]}" if row.startswith(f"{frequency},") else row for row in rows]
         data.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
-        code, out, err = run(capsys, "fit", "--kind", "ple", "--input", data, "--out", tmp_path / "x")
+        return run(capsys, "fit", "--kind", "ple", "--input", data, "--out", tmp_path / "x")
+
+    def test_collapsed_line_names_its_peak(self, capsys, tmp_path):
+        # a one-sample spike between the lines at 130 and 215 MHz is the
+        # seventh peak in frequency order; its line narrows below pitch/2
+        code, out, err = self.fit_with_spike(capsys, tmp_path, 170, 100)
         assert code == EXIT_FITTING
         assert out == "" and err.startswith("error: fitting failed: peak7: fit collapsed to an unresolvable width ")
+
+    @pytest.mark.parametrize("frequency, counts, peak", [(100, 200, "peak6"), (-100, 100, "peak3")])
+    def test_line_collapsing_without_convergence_names_its_peak(self, capsys, tmp_path, frequency, counts, peak):
+        # taller spikes narrow their line without end, so the fit runs out of
+        # iterations; its last state still names the line
+        code, out, err = self.fit_with_spike(capsys, tmp_path, frequency, counts)
+        assert code == EXIT_FITTING
+        assert out == "" and err.startswith(f"error: fitting failed: {peak}: fit collapsed to an unresolvable width ")
 
     def test_ple_scan_csv_shape(self, capsys, tmp_path):
         fast = tmp_path / "fast.toml"
@@ -828,6 +841,15 @@ class TestPipelines:
         code, out, err = run(capsys, "fit", "--kind", "stark", "--input", data, "--out", tmp_path / "x")
         assert code == EXIT_FITTING
         assert out == "" and err == "error: fitting failed: no scan points to fit\n"
+
+    @pytest.mark.parametrize("argv", [["stark"], ["reproduce", "fig4a"]], ids=["stark", "fig4a"])
+    def test_sweep_of_an_empty_registry_exits_2(self, capsys, tmp_path, argv):
+        # an empty registry loads (ple scans darks alone), but the [stark] ion_id "" names its first ion
+        config = tmp_path / "empty.toml"
+        config.write_text("ions = []\n", encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--config", config, "--out", tmp_path / "out")
+        assert code == EXIT_CONFIG
+        assert out == "" and err == "error: unknown ion id ''\n"
 
     def test_seed_override_changes_data(self, capsys, config_path, tmp_path):
         a = tmp_path / "a"

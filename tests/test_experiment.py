@@ -9,10 +9,13 @@ from starksim.analysis import fit_lorentzian
 from starksim.config import ConfigError
 from starksim.electrostatics import ElectrodeLayout, FieldVector, field_per_volt
 from starksim.experiment import (
+    DecaySettings,
     DetectorModel,
     G2Histogram,
+    G2Settings,
     PLEProtocol,
     SimulationError,
+    StarkScanSettings,
     emission_window_probability,
     mix_seed,
     point_generator,
@@ -59,7 +62,7 @@ class TestProtocolValidation:
 
 class TestPLEScan:
     def test_deterministic(self, config, ion1, emitter):
-        proto = config.protocol.replace_scan(-50.0, 50.0)
+        proto = dataclasses.replace(config.protocol, scan_range_mhz=(-50.0, 50.0))
         runs = [
             simulate_ple_scan([ion1], emitter, proto, config.detector, FieldVector(0.0, 0.0), 99) for _ in range(2)
         ]
@@ -67,13 +70,12 @@ class TestPLEScan:
 
     def test_zero_efficiency_and_darks_give_zero_counts(self, config, ion1, emitter):
         detector = DetectorModel(total_efficiency=0.0, dark_rate_hz=0.0)
-        scan = simulate_ple_scan(
-            [ion1], emitter, config.protocol.replace_scan(-20.0, 20.0), detector, FieldVector(0.0, 0.0), 1
-        )
+        proto = dataclasses.replace(config.protocol, scan_range_mhz=(-20.0, 20.0))
+        scan = simulate_ple_scan([ion1], emitter, proto, detector, FieldVector(0.0, 0.0), 1)
         assert np.all(scan.counts == 0)
 
     def test_ion_free_scan_matches_dark_expectation(self, config):
-        proto = config.protocol.replace_scan(0.0, 5.0 * 999)
+        proto = dataclasses.replace(config.protocol, scan_range_mhz=(0.0, 5.0 * 999))
         scan = simulate_ple_scan([], config.emitter, proto, config.detector, FieldVector(0.0, 0.0), 7)
         expected = 2.0 * 85e-6 * 50_000  # rate x window x pulses
         assert expected == pytest.approx(8.5)
@@ -81,7 +83,7 @@ class TestPLEScan:
         assert abs(scan.counts.mean() - expected) < 3.0 * sigma
 
     def test_single_ion_linewidth_recovered(self, config, ion1, emitter):
-        proto = config.protocol.replace_scan(-60.0, 60.0)
+        proto = dataclasses.replace(config.protocol, scan_range_mhz=(-60.0, 60.0))
         scan = simulate_ple_scan([ion1], emitter, proto, config.detector, FieldVector(0.0, 0.0), 17)
         fit = fit_lorentzian(scan.frequencies_mhz, scan.counts)
         assert fit.value("fwhm_mhz") == pytest.approx(6.7, abs=3.0 * fit.stderr("fwhm_mhz"))
@@ -89,7 +91,7 @@ class TestPLEScan:
 
     def test_counts_nonnegative_and_frequencies_increasing(self, config, ion1, emitter):
         scan = simulate_ple_scan(
-            [ion1], emitter, config.protocol.replace_scan(-30.0, 30.0), config.detector,
+            [ion1], emitter, dataclasses.replace(config.protocol, scan_range_mhz=(-30.0, 30.0)), config.detector,
             FieldVector(2000.0, 0.0), 3,
         )
         assert np.all(scan.counts >= 0)
@@ -98,9 +100,7 @@ class TestPLEScan:
 
 class TestDecay:
     def test_lifetime_recovered_within_two_percent(self, config, emitter):
-        hist = simulate_decay_histogram(
-            emitter, config.protocol, config.detector, 10_000_000, 1.0, 42
-        )
+        hist = simulate_decay_histogram(emitter, config.protocol, config.detector, DecaySettings(10_000_000, 1.0), 42)
         from starksim.analysis import fit_exponential_decay
 
         floor = config.detector.dark_rate_hz * 1e-6 * 10_000_000
@@ -110,7 +110,7 @@ class TestDecay:
     def test_zero_excitation_leaves_uniform_darks(self, config, emitter):
         emitter = dataclasses.replace(emitter, saturation_excitation_prob=0.0)
         n_pulses = 2_000_000
-        hist = simulate_decay_histogram(emitter, config.protocol, config.detector, n_pulses, 1.0, 5)
+        hist = simulate_decay_histogram(emitter, config.protocol, config.detector, DecaySettings(n_pulses, 1.0), 5)
         per_bin = config.detector.dark_rate_hz * 1.0 * 1e-6 * n_pulses
         assert per_bin == pytest.approx(4.0)
         assert hist.counts.sum() > 0, "dark counts expected"
@@ -122,7 +122,7 @@ class TestDecay:
     def test_signal_total_matches_closed_form(self, config, emitter):
         n_pulses = 1_000_000
         detector = DetectorModel(total_efficiency=config.detector.total_efficiency, dark_rate_hz=0.0)
-        hist = simulate_decay_histogram(emitter, config.protocol, detector, n_pulses, 1.0, 9)
+        hist = simulate_decay_histogram(emitter, config.protocol, detector, DecaySettings(n_pulses, 1.0), 9)
         p_window = emission_window_probability(emitter.lifetime_us, 1.0, 85.0)
         expected = n_pulses * 0.5 * p_window * detector.total_efficiency
         assert abs(hist.counts.sum() - expected) < 3.0 * math.sqrt(expected)
@@ -134,9 +134,9 @@ class TestDecay:
         assert emitter.lifetime_us == 20.0
         detector = DetectorModel(total_efficiency=1.0, dark_rate_hz=0.0)
         n_pulses = 20
+        decay = DecaySettings(n_pulses, 5.0)
         totals = np.array([
-            simulate_decay_histogram(emitter, config.protocol, detector, n_pulses, 5.0, seed).counts.sum()
-            for seed in range(400)
+            simulate_decay_histogram(emitter, config.protocol, detector, decay, seed).counts.sum() for seed in range(400)
         ])
         p_window = emission_window_probability(20.0, 1.0, 85.0)
         variance = n_pulses * p_window * (1.0 - p_window)
@@ -145,21 +145,22 @@ class TestDecay:
         assert totals.var(ddof=1) == pytest.approx(variance, rel=0.3)
 
     def test_times_inside_window(self, config, emitter):
-        hist = simulate_decay_histogram(emitter, config.protocol, config.detector, 200_000, 2.0, 13)
+        hist = simulate_decay_histogram(emitter, config.protocol, config.detector, DecaySettings(200_000, 2.0), 13)
         assert hist.counts.dtype == np.int64
         assert np.all(hist.counts >= 0)
         assert hist.bin_edges_us[0] == 0.0
         assert hist.bin_edges_us[-2] < 85.0 <= hist.bin_edges_us[-1]
 
     def test_histogram_covers_window(self, config, emitter):
-        hist = simulate_decay_histogram(emitter, config.protocol, config.detector, 100_000, 1.0, 3)
+        hist = simulate_decay_histogram(emitter, config.protocol, config.detector, DecaySettings(100_000, 1.0), 3)
         assert hist.bin_edges_us[0] == 0.0
         assert hist.bin_edges_us[-1] == pytest.approx(85.0)
         assert hist.counts.sum() > 0
 
 
-def _decay_bin_means(emitter, protocol, detector, n_pulses, edges):
+def _decay_bin_means(emitter, protocol, detector, decay, edges):
     """Closed-form signal and dark means per bin, bins clipped to the window."""
+    n_pulses = decay.n_pulses
     inside = np.minimum(edges, protocol.window_length_us)
     survival = np.exp(-(protocol.window_delay_us + inside) / emitter.lifetime_us)
     p_photon = emitter.saturation_excitation_prob * detector.total_efficiency
@@ -168,9 +169,10 @@ def _decay_bin_means(emitter, protocol, detector, n_pulses, edges):
     return signal, darks
 
 
-def _per_pulse_decay_counts(emitter, protocol, detector, n_pulses, edges, seed):
+def _per_pulse_decay_counts(emitter, protocol, detector, decay, edges, seed):
     """Reference sampler: one excitation draw per pulse, one exponential
     delay per excited pulse, darks placed uniformly over the window."""
+    n_pulses = decay.n_pulses
     rng = np.random.default_rng(seed)
     excited = int(np.count_nonzero(rng.random(n_pulses) < emitter.saturation_excitation_prob))
     delays = rng.exponential(emitter.lifetime_us, excited)
@@ -197,11 +199,9 @@ class TestDecayDistribution:
     @pytest.fixture(scope="class", params=[2.0, 200.0], ids=["default-darks", "dark-heavy"])
     def samples(self, request, config, emitter):
         detector = DetectorModel(total_efficiency=config.detector.total_efficiency, dark_rate_hz=request.param)
-        args = (emitter, config.protocol, detector, self.N_PULSES)
-        fast = np.array([
-            simulate_decay_histogram(*args, self.BIN_WIDTH_US, seed).counts for seed in range(self.N_SEEDS)
-        ])
-        edges = simulate_decay_histogram(*args, self.BIN_WIDTH_US, 0).bin_edges_us
+        args = (emitter, config.protocol, detector, DecaySettings(self.N_PULSES, self.BIN_WIDTH_US))
+        fast = np.array([simulate_decay_histogram(*args, seed).counts for seed in range(self.N_SEEDS)])
+        edges = simulate_decay_histogram(*args, 0).bin_edges_us
         reference = np.array([
             _per_pulse_decay_counts(*args, edges, 10_000 + seed) for seed in range(self.N_SEEDS)
         ])
@@ -240,7 +240,9 @@ class TestDecayDegenerateInputs:
     def _histogram(self, config, emitter, detector, bin_width_us=1.0, seed=71):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hist = simulate_decay_histogram(emitter, config.protocol, detector, self.N_PULSES, bin_width_us, seed)
+            hist = simulate_decay_histogram(
+                emitter, config.protocol, detector, DecaySettings(self.N_PULSES, bin_width_us), seed
+            )
         assert hist.counts.dtype == np.int64 and np.all(hist.counts >= 0)
         return hist
 
@@ -267,8 +269,9 @@ class TestDecayDegenerateInputs:
     def test_bin_wider_than_window(self, config, emitter):
         hist = self._histogram(config, emitter, config.detector, bin_width_us=100.0)
         assert hist.bin_edges_us.tolist() == [0.0, 100.0]
-        signal, darks = _decay_bin_means(emitter, config.protocol, config.detector, self.N_PULSES,
-                                         hist.bin_edges_us)
+        signal, darks = _decay_bin_means(
+            emitter, config.protocol, config.detector, DecaySettings(self.N_PULSES), hist.bin_edges_us
+        )
         expected = signal.sum() + darks.sum()  # darks over the 85 us window only
         assert abs(hist.counts.sum() - expected) < 4.0 * math.sqrt(expected)
 
@@ -281,6 +284,20 @@ class TestDecayDegenerateInputs:
         assert full.mean() == pytest.approx(per_bin, abs=4.0 * math.sqrt(per_bin / full.size))
         # the last bin is half inside the window, so it gets half the darks
         assert abs(hist.counts[-1] - per_bin / 2.0) < 4.0 * math.sqrt(per_bin / 2.0)
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"n_pulses": 0}, "[decay].n_pulses must be at least 1, got 0"),
+            ({"bin_width_us": 0.0}, "[decay].bin_width_us must be positive, got 0.0"),
+            ({"bin_width_us": -1.0}, "[decay].bin_width_us must be positive, got -1.0"),
+        ],
+    )
+    def test_settings_out_of_range_are_refused(self, settings, message):
+        # the record refuses them, so no simulator call can see them
+        with pytest.raises(SimulationError) as caught:
+            DecaySettings(**settings)
+        assert str(caught.value) == message
 
 
 def _ple_point_moments(ions, emitter, protocol, detector, field):
@@ -311,7 +328,7 @@ def _per_point_ple_counts(ions, emitter, protocol, detector, field, seed):
     dark_mean = detector.dark_mean_per_pulse(protocol.window_length_us) * n_pulses
     counts = []
     for index, freq in enumerate(protocol.scan_frequencies_mhz()):
-        rng = point_generator(seed, index)
+        rng = np.random.Generator(np.random.PCG64(mix_seed(seed, index)))
         total = 0
         for ion in ions:
             centre, fwhm = ion.line(field)
@@ -334,8 +351,8 @@ class TestPLEDistribution:
     @pytest.fixture(scope="class")
     def samples(self, config):
         args = (
-            [config.ion("ion1"), config.ion("ion2")], config.emitter, config.protocol.replace_scan(-60.0, 60.0),
-            config.detector, FieldVector(0.0, 0.0),
+            [config.ion("ion1"), config.ion("ion2")], config.emitter,
+            dataclasses.replace(config.protocol, scan_range_mhz=(-60.0, 60.0)), config.detector, FieldVector(0.0, 0.0),
         )
         bulk = np.array([simulate_ple_scan(*args, seed).counts for seed in range(self.N_SEEDS)])
         reference = np.array([_per_point_ple_counts(*args, 10_000 + seed) for seed in range(self.N_SEEDS)])
@@ -358,31 +375,34 @@ class TestPLEDistribution:
 
 class TestG2:
     def test_single_emitter_zero_lag_is_empty(self, config, emitter):
-        hist = simulate_g2_histogram(emitter, 0.0, config.protocol, 100_000, 10, 21)
+        hist = simulate_g2_histogram(emitter, G2Settings(0.0, 100_000, 10), config.protocol, 21)
         assert hist.coincidences[hist.lags == 0][0] == 0
         assert hist.coincidences[hist.lags != 0].min() > 0
 
     def test_poissonian_control_normalizes_to_one(self, config, emitter, poissonian_g2):
         from starksim.analysis import estimate_g2_zero
 
-        hist = poissonian_g2(emitter, 0.0, config.protocol, 100_000, 10, 23)
+        hist = poissonian_g2(emitter, G2Settings(0.0, 100_000, 10), config.protocol, 23)
         estimate = estimate_g2_zero(hist.lags, hist.coincidences)
         assert estimate.g2_zero == pytest.approx(1.0, abs=3.0 * estimate.standard_error)
 
     def test_signal_fraction_sets_zero_lag_value(self, config, emitter):
         from starksim.analysis import estimate_g2_zero
 
-        hist = simulate_g2_histogram(emitter, 1.0 - 0.949, config.protocol, 400_000, 10, 25)
+        hist = simulate_g2_histogram(emitter, G2Settings(1.0 - 0.949, 400_000, 10), config.protocol, 25)
         estimate = estimate_g2_zero(hist.lags, hist.coincidences)
         assert estimate.g2_zero == pytest.approx(1.0 - 0.949**2, abs=3.5 * estimate.standard_error)
 
     def test_lag_axis(self, config, emitter):
-        hist = simulate_g2_histogram(emitter, 0.1, config.protocol, 5_000, 4, 2)
+        hist = simulate_g2_histogram(emitter, G2Settings(0.1, 5_000, 4), config.protocol, 2)
         assert list(hist.lags) == list(range(-4, 5))
 
-    def test_background_fraction_bounds(self, config, emitter):
-        with pytest.raises(SimulationError):
-            simulate_g2_histogram(emitter, 1.0, config.protocol, 1000, 5, 1)
+    def test_background_fraction_bounds(self):
+        # the record refuses a fraction outside [0, 1), so no simulator call can see one
+        for fraction in (1.0, -0.1):
+            with pytest.raises(SimulationError) as caught:
+                G2Settings(background_fraction=fraction)
+            assert str(caught.value) == f"[g2].background_fraction must lie in [0, 1), got {fraction}"
 
     @pytest.mark.parametrize("background_fraction", [0.0, 0.051, 0.5, 0.95])
     @pytest.mark.parametrize("n_pulses, max_lag", [(11, 10), (12, 10), (30, 3), (1000, 50), (20_000, 10)])
@@ -394,22 +414,23 @@ class TestG2:
         )
         m = background_fraction / (1.0 - background_fraction) * p
         for seed in range(3):
-            rng = point_generator(seed, 0)
+            rng = point_generator(seed)
             u = rng.random(n_pulses)
             arm_a = (u < p / 2.0).astype(np.int64)
             arm_b = ((p / 2.0 <= u) & (u < p)).astype(np.int64)
             for arm in (arm_a, arm_b):
                 arm += np.bincount(rng.integers(0, n_pulses, rng.poisson(m / 2.0 * n_pulses)), minlength=n_pulses)
             expected = _lag_coincidences(arm_a, arm_b, max_lag)
-            hist = simulate_g2_histogram(emitter, background_fraction, protocol, n_pulses, max_lag, seed)
+            hist = simulate_g2_histogram(emitter, G2Settings(background_fraction, n_pulses, max_lag), protocol, seed)
             assert np.array_equal(hist.lags, expected.lags)
             assert hist.coincidences.dtype == np.int64
             assert np.array_equal(hist.coincidences, expected.coincidences)
 
 
-def _g2_lag_means(emitter, background_fraction, protocol, n_pulses, max_lag):
+def _g2_lag_means(emitter, g2, protocol):
     """Closed-form mean of C(k): each arm gets ``(p + m)/2`` per pulse, and
     at lag 0 the one signal photon of a pulse reaches only one arm."""
+    background_fraction, n_pulses, max_lag = g2.background_fraction, g2.n_pulses, g2.max_lag
     p = emitter.saturation_excitation_prob * emission_window_probability(
         emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
     )
@@ -418,9 +439,10 @@ def _g2_lag_means(emitter, background_fraction, protocol, n_pulses, max_lag):
     return np.where(lags == 0, n_pulses * (p * m / 2.0 + m**2 / 4.0), (n_pulses - np.abs(lags)) * ((p + m) / 2.0) ** 2)
 
 
-def _per_pulse_g2(emitter, background_fraction, protocol, n_pulses, max_lag, seed):
+def _per_pulse_g2(emitter, g2, protocol, seed):
     """Reference sampler: per-pulse signal and background events, each
     event routed to arm A or B by a fair binomial split."""
+    background_fraction, n_pulses, max_lag = g2.background_fraction, g2.n_pulses, g2.max_lag
     rng = np.random.default_rng(seed)
     p_signal = emitter.saturation_excitation_prob * emission_window_probability(
         emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
@@ -450,7 +472,7 @@ class TestG2Distribution:
 
     @pytest.fixture(scope="class", params=[0.051, 0.5], ids=["default-background", "background-heavy"])
     def samples(self, request, config):
-        args = (config.emitter, request.param, config.protocol, self.N_PULSES, self.MAX_LAG)
+        args = (config.emitter, G2Settings(request.param, self.N_PULSES, self.MAX_LAG), config.protocol)
         bulk = [simulate_g2_histogram(*args, seed) for seed in range(self.N_SEEDS)]
         reference = [_per_pulse_g2(*args, 10_000 + seed) for seed in range(self.N_SEEDS)]
         return bulk, reference, _g2_lag_means(*args)
@@ -481,20 +503,17 @@ class TestStarkScan:
 
     def test_zero_voltage_peak_at_rest_frequency(self, config, unit_field):
         ion2 = config.ion("ion2")
-        points = simulate_stark_scan(
-            ion2, config.emitter, [0.0], unit_field, config.protocol,
-            config.detector, 31, window_half_width_mhz=60.0,
-        )
-        [(field, scan)] = points
+        # the sweep needs 3 voltages; its first scan, at 0 V, is drawn on the stream a lone 0 V scan would use
+        stark = StarkScanSettings(voltages_v=(0.0, 111.0, 222.0), window_half_width_mhz=60.0)
+        points = simulate_stark_scan(ion2, config.emitter, stark, unit_field, config.protocol, config.detector, 31)
+        field, scan = points[0]
         fit = fit_lorentzian(scan.frequencies_mhz, scan.counts)
         assert fit.value("center_mhz") == pytest.approx(-40.0, abs=3.0 * fit.stderr("center_mhz"))
         assert field.e_parallel_v_per_cm == 0.0
 
     def test_equally_spaced_voltages_give_equally_spaced_peaks(self, config, ion1, emitter, unit_field):
-        points = simulate_stark_scan(
-            ion1, emitter, [0.0, 111.0, 222.0], unit_field, config.protocol,
-            config.detector, 33,
-        )
+        stark = StarkScanSettings(voltages_v=(0.0, 111.0, 222.0))
+        points = simulate_stark_scan(ion1, emitter, stark, unit_field, config.protocol, config.detector, 33)
         centres, errs = [], []
         for _, scan in points:
             fit = fit_lorentzian(scan.frequencies_mhz, scan.counts)
@@ -518,10 +537,8 @@ class TestStarkScan:
 
     def test_scan_windows_track_expected_peak(self, config, unit_field):
         ion3 = config.ion("ion3")
-        points = simulate_stark_scan(
-            ion3, config.emitter, [0.0, 333.0], unit_field, config.protocol,
-            config.detector, 35, window_half_width_mhz=50.0,
-        )
+        stark = StarkScanSettings(voltages_v=(0.0, 333.0, 166.5), window_half_width_mhz=50.0)
+        points = simulate_stark_scan(ion3, config.emitter, stark, unit_field, config.protocol, config.detector, 35)
         for field, scan in points:
             expected, _ = ion3.line(field)
             freqs = scan.frequencies_mhz
@@ -533,7 +550,7 @@ class TestPipelineClosure:
     """Simulate -> fit recovers the configured truth within its own errors."""
 
     def test_ple_center_and_width_calibrated(self, config, ion1, emitter):
-        proto = config.protocol.replace_scan(-60.0, 60.0)
+        proto = dataclasses.replace(config.protocol, scan_range_mhz=(-60.0, 60.0))
         hits = 0
         for seed in range(12):
             scan = simulate_ple_scan(
@@ -549,11 +566,10 @@ class TestPipelineClosure:
         from starksim.analysis import estimate_g2_zero
 
         truth = 1.0 - 0.949**2
+        g2 = G2Settings(1.0 - 0.949, 200_000, 10)
         hits = 0
         for seed in range(12):
-            hist = simulate_g2_histogram(
-                emitter, 1.0 - 0.949, config.protocol, 200_000, 10, mix_seed(999, seed)
-            )
+            hist = simulate_g2_histogram(emitter, g2, config.protocol, mix_seed(999, seed))
             estimate = estimate_g2_zero(hist.lags, hist.coincidences)
             hits += abs(estimate.g2_zero - truth) <= 3.0 * estimate.standard_error
         assert hits >= 11

@@ -51,14 +51,7 @@ from .analysis import (
 )
 from .config import ConfigError, ExperimentConfig, RunSettings, default_config, load_config
 from .csvio import read_table, write_table
-from .electrostatics import (
-    ConvergenceError,
-    FieldVector,
-    GeometryError,
-    PotentialGrid,
-    field_at,
-    field_per_volt,
-)
+from .electrostatics import ConvergenceError, GeometryError, field_at, field_per_volt
 from .experiment import (
     SimulationError,
     mix_seed,
@@ -166,21 +159,19 @@ def _rows(fit: FitResult, quantities: Sequence[tuple[str, str]], prefix: str = "
     return [(prefix + name + suffix, fit.value(name), fit.stderr(name), units) for name, units in quantities]
 
 
-def _field_per_volt(
-    config: ExperimentConfig, voltage_v: float | None = None
-) -> tuple[FieldVector, PotentialGrid]:
-    """:func:`field_per_volt` of the configured layout and solver."""
-    return field_per_volt(config.layout, config.solver.spacing_um, voltage_v=voltage_v)
+def _volts_to_field(config: ExperimentConfig) -> float:
+    """The probe field per volt of bias along the inter-electrode axis, in
+    V/cm per V, of the configured layout and solver: the one component of
+    the field the ions' lines read."""
+    return field_per_volt(config.layout, config.solver.spacing_um)[0].e_parallel_v_per_cm
 
 
 def _ple(args, config: ExperimentConfig, seed: int) -> list[tuple]:
     """Scan of the whole registry at ``args.voltage``: ple_scan.csv's rows."""
-    if args.voltage != 0.0:
-        field = _field_per_volt(config)[0].scaled(args.voltage)
-    else:
-        field = FieldVector(0.0, 0.0)
-    scan = simulate_ple_scan(config.ions, config.emitter, config.protocol, config.detector, field, seed)
-    return [(f, c, scan.integration_s) for f, c in zip(scan.frequencies_mhz.tolist(), scan.counts.tolist())]
+    field = _volts_to_field(config) * args.voltage if args.voltage != 0.0 else 0.0  # 0 V needs no solve
+    frequencies, counts = simulate_ple_scan(config.ions, config.emitter, config.protocol, config.detector, field, seed)
+    integration_s = config.protocol.integration_time_s
+    return [(f, c, integration_s) for f, c in zip(frequencies.tolist(), counts.tolist())]
 
 
 def _fit_peaks(config: ExperimentConfig, frequencies_mhz, counts, integration_s) -> list[Row]:
@@ -198,8 +189,8 @@ def _fit_peaks(config: ExperimentConfig, frequencies_mhz, counts, integration_s)
 
 def _decay(args, config: ExperimentConfig, seed: int) -> list[tuple]:
     """Decay histogram of the shared emitter: decay.csv's rows, one per bin centre."""
-    histogram = simulate_decay_histogram(config.emitter, config.protocol, config.detector, config.decay, seed)
-    return list(zip(histogram.bin_centers_us.tolist(), histogram.counts.tolist()))
+    times_us, counts = simulate_decay_histogram(config.emitter, config.protocol, config.detector, config.decay, seed)
+    return list(zip(times_us.tolist(), counts.tolist()))
 
 
 def _fit_lifetime(config: ExperimentConfig, times_us, counts) -> list[Row]:
@@ -221,9 +212,12 @@ def _fit_lifetime(config: ExperimentConfig, times_us, counts) -> list[Row]:
 
 
 def _g2(args, config: ExperimentConfig, seed: int) -> list[tuple]:
-    """Autocorrelation histogram of the shared emitter: g2.csv's rows, one per lag."""
-    histogram = simulate_g2_histogram(config.emitter, config.g2, config.protocol, seed)
-    return list(zip(histogram.lags.tolist(), histogram.coincidences.tolist(), histogram.normalized.tolist()))
+    """Autocorrelation histogram of the shared emitter: g2.csv's rows, one per
+    lag, each count also over the mean of the side lags (``[g2] max_lag >= 1``
+    guarantees there are some)."""
+    lags, coincidences = simulate_g2_histogram(config.emitter, config.g2, config.protocol, seed)
+    normalized = coincidences / coincidences[lags != 0].mean()
+    return list(zip(lags.tolist(), coincidences.tolist(), normalized.tolist()))
 
 
 def _fit_g2(config: ExperimentConfig, lags, coincidences, normalized) -> list[Row]:
@@ -239,15 +233,14 @@ def _stark(args, config: ExperimentConfig, seed: int) -> list[tuple]:
         sweeps = [(config.ion(config.stark.ion_id), seed)]
     else:
         sweeps = [(ion, mix_seed(seed, index)) for index, ion in enumerate(config.ions)]
-    unit_field, _ = _field_per_volt(config)
+    volts_to_field = _volts_to_field(config)
     rows = []
     for ion, ion_seed in sweeps:
         scans = simulate_stark_scan(
-            ion, config.emitter, config.stark, unit_field, config.protocol, config.detector, ion_seed
+            ion, config.emitter, config.stark, volts_to_field, config.protocol, config.detector, ion_seed
         )
-        for voltage, (field, scan) in zip(config.stark.voltages_v, scans):
-            rows += [(ion.ion_id, float(voltage), field.e_parallel_v_per_cm, f, c)
-                     for f, c in zip(scan.frequencies_mhz.tolist(), scan.counts.tolist())]
+        for voltage, (field, frequencies, counts) in zip(config.stark.voltages_v, scans):
+            rows += [(ion.ion_id, float(voltage), field, f, c) for f, c in zip(frequencies.tolist(), counts.tolist())]
     return rows
 
 
@@ -321,7 +314,7 @@ def _cmd_fit(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[P
 def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) -> list[Path]:
     layout = config.layout
     voltage = args.voltage if args.voltage is not None else layout.bias_v
-    scale, grid = _field_per_volt(config, voltage)
+    scale, grid = field_per_volt(layout, config.solver.spacing_um, voltage_v=voltage)
     if voltage == 0.0:  # the per-volt field came from a 1 V solve; at 0 V the potential is zero
         grid = replace(grid, quarter=np.zeros_like(grid.quarter))
     probe = field_at(grid, layout.probe_point_um)
@@ -343,11 +336,9 @@ def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) 
 def _cmd_resonance(args, config: ExperimentConfig, seed: int, out_dir: Path | None) -> list[Path]:
     ion_a = config.ion(args.ion_a)
     ion_b = config.ion(args.ion_b)
-    unit_field, _ = _field_per_volt(config)
-    voltage = resonance_voltage(
-        ion_a, ion_b, unit_field.e_parallel_v_per_cm, config.run.max_voltage_v
-    )
-    field = unit_field.scaled(voltage)
+    volts_to_field = _volts_to_field(config)
+    voltage = resonance_voltage(ion_a, ion_b, volts_to_field, config.run.max_voltage_v)
+    field = volts_to_field * voltage
     (f_a, _), (f_b, _) = ion_a.line(field), ion_b.line(field)
     print(f"voltage_v={voltage:.17g}")
     print(f"residual_detuning_mhz={abs(f_a - f_b):.17g}")

@@ -158,9 +158,8 @@ class PotentialGrid:
     column. :func:`field_at` reads its nodes so, and ``residual_v`` was
     taken on the quarter: the true residual max|b - A v| of the
     full-domain five-point equations with unit weights, the equations
-    solved; the solve is direct, so it is rounding error. ``values`` (the
-    full grid) and ``fixed`` (its Dirichlet nodes: the electrodes and the
-    outer box) are mirrored out only when read.
+    solved; the solve is direct, so it is rounding error. ``values``, the
+    full grid, is mirrored out only when read.
     """
 
     spacing_um: float
@@ -188,14 +187,6 @@ class PotentialGrid:
     def values(self) -> np.ndarray:
         upper = np.hstack((0.0 - self.quarter[:, :0:-1], self.quarter))  # see _mirrored for 0 - v
         return np.vstack((upper[:0:-1], upper))
-
-    @cached_property
-    def fixed(self) -> np.ndarray:
-        rows, cols = self.quarter.shape
-        fixed = np.zeros((2 * rows - 1, 2 * cols - 1), dtype=bool)
-        fixed[[0, -1]] = fixed[:, [0, -1]] = True
-        fixed[rows - 1, cols - 1 - self.electrode] = fixed[rows - 1, cols - 1 + self.electrode] = True
-        return fixed
 
 
 def _mirrored(quarter: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -300,8 +291,9 @@ def solve_potential(layout: ElectrodeLayout, spacing_um: float) -> PotentialGrid
     snap = spacing_um / 4.0
     half_gap = layout.gap_um / 2.0
     electrode = np.flatnonzero((x >= half_gap - snap) & (x <= half_gap + layout.electrode_width_um + snap))
-    quarter = _quarter_potential(cols, rows, electrode, -layout.bias_v / 2.0)
-    residual = _residual(quarter, electrode)
+    with np.errstate(all="ignore"):  # a bias that overflows is caught below, not warned about
+        quarter = _quarter_potential(cols, rows, electrode, -layout.bias_v / 2.0)
+        residual = _residual(quarter, electrode)
     if not (math.isfinite(residual) and np.isfinite(quarter).all()):
         raise ConvergenceError(residual)
     return PotentialGrid(spacing_um=spacing_um, quarter=quarter, electrode=electrode, residual_v=residual)

@@ -12,7 +12,10 @@ The simulators take each ion's own line as an :class:`~starksim.stark.IonModel`
 and the lifetime and saturation all ions share as one
 :class:`~starksim.stark.EmitterParams`, the only input of decay and g2.
 Each also takes its config record whole, and a record checks its limits
-when it is built, so the simulators check none of them again.
+when it is built, so the simulators check none of them again. The field
+enters as one number, its component along the inter-electrode axis in
+V/cm (a Stark sweep takes the volts-to-field scale instead), and each
+simulator returns the arrays it drew: an axis and the counts on it.
 
 Determinism contract: each PLE scan, decay histogram and g2 histogram is
 drawn in bulk from one generator, ``point_generator(seed)``, in the
@@ -28,17 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .electrostatics import FieldVector
 from .stark import EmitterParams, IonModel, excitation_probability
 
 __all__ = [
     "DecaySettings",
-    "G2Histogram",
     "G2Settings",
-    "Histogram",
     "PLEProtocol",
     "DetectorModel",
-    "ScanResult",
     "SimulationError",
     "StarkScanSettings",
     "emission_window_probability",
@@ -188,52 +187,17 @@ class StarkScanSettings:
             raise SimulationError(f"[stark].window_half_width_mhz must be positive, got {self.window_half_width_mhz}")
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """Counts per scan frequency for one integration per point."""
-
-    frequencies_mhz: np.ndarray
-    counts: np.ndarray
-    integration_s: float
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Binned arrival times within the detection window."""
-
-    bin_edges_us: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def bin_centers_us(self) -> np.ndarray:
-        return (self.bin_edges_us[:-1] + self.bin_edges_us[1:]) / 2.0
-
-
-@dataclass(frozen=True)
-class G2Histogram:
-    """Coincidences of a 50/50 detection split versus pulse lag."""
-
-    lags: np.ndarray
-    coincidences: np.ndarray
-
-    @property
-    def normalized(self) -> np.ndarray:
-        side = self.coincidences[self.lags != 0]
-        mean_side = side.mean() if side.size else float("nan")
-        return self.coincidences / mean_side
-
-
 def emission_window_probability(lifetime_us: float, delay_us: float, window_us: float) -> float:
     """Chance an exponential emission (clock at pulse end) lands in the window."""
     return math.exp(-delay_us / lifetime_us) - math.exp(-(delay_us + window_us) / lifetime_us)
 
 
-def _line(ion: IonModel, field: FieldVector) -> tuple[float, float]:
-    """``ion.line(field)``; a line that overflows is a simulation failure naming the ion."""
-    centre, fwhm = ion.line(field)
+def _line(ion: IonModel, e_parallel_v_per_cm: float) -> tuple[float, float]:
+    """``ion.line(e_parallel_v_per_cm)``; a line that overflows is a simulation failure naming the ion."""
+    centre, fwhm = ion.line(e_parallel_v_per_cm)
     if not (math.isfinite(centre) and math.isfinite(fwhm)):
         raise SimulationError(
-            f"{ion.ion_id}: the line overflows at {field.e_parallel_v_per_cm:g} V/cm "
+            f"{ion.ion_id}: the line overflows at {e_parallel_v_per_cm:g} V/cm "
             f"(centre {centre} MHz, width {fwhm} MHz)"
         )
     return centre, fwhm
@@ -244,10 +208,11 @@ def simulate_ple_scan(
     emitter: EmitterParams,
     protocol: PLEProtocol,
     detector: DetectorModel,
-    field: FieldVector,
+    e_parallel_v_per_cm: float,
     seed: int,
-) -> ScanResult:
-    """Photon counts versus excitation frequency under the pulse protocol.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Photon counts versus excitation frequency under the pulse protocol,
+    with every ion in the field ``e_parallel_v_per_cm``: ``(frequencies_mhz, counts)``.
 
     Per pulse and per ion: Bernoulli excitation with the Lorentzian
     detuning probability ``p_exc``, exponential emission delay, detection
@@ -259,7 +224,7 @@ def simulate_ple_scan(
     """
     frequencies = protocol.scan_frequencies_mhz()
     n_pulses = protocol.pulses_per_point
-    centres, fwhms = np.array([_line(ion, field) for ion in ions]).reshape(-1, 2).T
+    centres, fwhms = np.array([_line(ion, e_parallel_v_per_cm) for ion in ions]).reshape(-1, 2).T
     p_exc = excitation_probability(emitter.saturation_excitation_prob, fwhms, frequencies[:, None] - centres)
     p_detect = detector.total_efficiency * emission_window_probability(
         emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
@@ -268,11 +233,7 @@ def simulate_ple_scan(
 
     rng = point_generator(seed)
     signal = rng.binomial(n_pulses, p_exc * p_detect).sum(axis=1)
-    return ScanResult(
-        frequencies_mhz=frequencies,
-        counts=signal + rng.poisson(dark_mean, frequencies.size),
-        integration_s=protocol.integration_time_s,
-    )
+    return frequencies, signal + rng.poisson(dark_mean, frequencies.size)
 
 
 def simulate_decay_histogram(
@@ -281,8 +242,9 @@ def simulate_decay_histogram(
     detector: DetectorModel,
     decay: DecaySettings,
     seed: int,
-) -> Histogram:
-    """Histogram of detection times within the window (decay curve).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Detection times within the window, binned (the decay curve):
+    ``(bin_centers_us, counts)``, times from the window's start.
 
     Drawn from its exact distribution in O(bins), never per pulse. A pulse
     yields at most one signal photon, with probability
@@ -312,7 +274,7 @@ def simulate_decay_histogram(
     # a pulse can only yield a photon if p_window > 0, so the split never divides by 0
     signal = rng.multinomial(n_signal, bin_probs / p_window) if n_signal else 0
     darks = rng.poisson(detector.dark_mean_per_pulse(np.diff(inside)) * decay.n_pulses)
-    return Histogram(bin_edges_us=edges, counts=(signal + darks).astype(np.int64))
+    return (edges[:-1] + edges[1:]) / 2.0, (signal + darks).astype(np.int64)
 
 
 def simulate_g2_histogram(
@@ -320,8 +282,9 @@ def simulate_g2_histogram(
     g2: G2Settings,
     protocol: PLEProtocol,
     seed: int,
-) -> G2Histogram:
-    """Hanbury Brown-Twiss coincidences versus pulse lag.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hanbury Brown-Twiss coincidences versus pulse lag: ``(lags, coincidences)``,
+    lags ``-max_lag .. max_lag``.
 
     The emitter contributes at most one detected photon per pulse, with
     probability ``p``; ``g2.background_fraction`` of all detected events come
@@ -373,35 +336,36 @@ def simulate_g2_histogram(
     for start in range(0, max(background_a.size, background_b.size), block):
         coincidences += arm_b[background_a[start: start + block, None] + lags].sum(axis=0)
         coincidences += signal_a[background_b[start: start + block, None] - lags].sum(axis=0)
-    return G2Histogram(lags=lags, coincidences=coincidences)
+    return lags, coincidences
 
 
 def simulate_stark_scan(
     ion: IonModel,
     emitter: EmitterParams,
     stark: StarkScanSettings,
-    unit_field: FieldVector,
+    volts_to_field_v_per_cm_per_v: float,
     protocol: PLEProtocol,
     detector: DetectorModel,
     seed: int,
-) -> list[tuple[FieldVector, ScanResult]]:
+) -> list[tuple[float, np.ndarray, np.ndarray]]:
     """PLE scans of ``ion`` at each of ``stark.voltages_v``: the field and
-    the scan at each voltage, in order (``stark.ion_id`` is not read).
+    the scan ``(e_parallel_v_per_cm, frequencies_mhz, counts)`` at each
+    voltage, in order (``stark.ion_id`` is not read).
 
-    ``unit_field`` is the probe field per volt of bias (see
-    :func:`~starksim.electrostatics.field_per_volt`), scaled linearly to
-    each voltage; each scan spans ``stark.window_half_width_mhz`` either
-    side of the expected Stark-shifted peak. Each voltage gets its own
-    derived seed. The config checks the voltages against ``[run]
-    max_voltage_v`` when it loads.
+    The field is ``volts_to_field_v_per_cm_per_v`` times the voltage, the
+    scale being the probe field per volt of bias along the inter-electrode
+    axis; each scan spans ``stark.window_half_width_mhz`` either side of
+    the expected Stark-shifted peak. Each voltage gets its own derived
+    seed. The config checks the voltages against ``[run] max_voltage_v``
+    when it loads.
     """
     results = []
     half_width = stark.window_half_width_mhz
     for v_index, voltage in enumerate(stark.voltages_v):
-        field = unit_field.scaled(voltage)
+        field = volts_to_field_v_per_cm_per_v * voltage
         centre, _ = _line(ion, field)
         base = round(centre / protocol.scan_pitch_mhz) * protocol.scan_pitch_mhz
         scan_protocol = replace(protocol, scan_range_mhz=(base - half_width, base + half_width))
         scan = simulate_ple_scan([ion], emitter, scan_protocol, detector, field, mix_seed(seed, v_index))
-        results.append((field, scan))
+        results.append((field, *scan))
     return results

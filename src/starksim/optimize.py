@@ -82,16 +82,18 @@ def poisson_deviance(
 ) -> float:
     """``2 sum(mu - y + y log(y/mu))``, with ``y log(y/mu) = 0`` where y = 0.
 
-    Any ``mu <= 0`` gives +inf. The log is taken as ``log1p((y - mu)/mu)``
-    so the deviance keeps its precision when the model nearly matches
-    the data.
+    Any ``mu <= 0`` gives +inf, and so does a sum that is not finite, as
+    when a huge ``mu`` rounds ``(y - mu)/mu`` to -1. The log is taken as
+    ``log1p((y - mu)/mu)`` so the deviance keeps its precision when the
+    model nearly matches the data.
     """
     mu = model(x, params)
     if not np.all(mu > 0.0):
         return math.inf
     excess = y - mu
     log_ratio = np.log1p(excess / mu, out=np.zeros_like(mu), where=y > 0.0)
-    return float(2.0 * np.sum(y * log_ratio - excess))
+    deviance = float(2.0 * np.sum(y * log_ratio - excess))
+    return deviance if math.isfinite(deviance) else math.inf
 
 
 def least_squares(
@@ -156,8 +158,9 @@ def least_squares(
             except np.linalg.LinAlgError:
                 damping *= DAMPING_STEP
                 continue
-            trial_deviance = poisson_deviance(model, x, y, trial)
-            if trial_deviance <= deviance:  # False for inf and nan
+            with np.errstate(all="ignore"):  # a trial the model cannot evaluate scores +inf
+                trial_deviance = poisson_deviance(model, x, y, trial)
+            if trial_deviance <= deviance:  # False for inf
                 break
             damping *= DAMPING_STEP
         decrease = deviance - trial_deviance

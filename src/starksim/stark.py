@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .electrostatics import FieldVector
-
 __all__ = [
     "EmitterParams",
     "IonModel",
@@ -68,14 +66,13 @@ class IonModel:
         if self.broadening_mhz_per_kv_cm < 0.0:
             raise StarkModelError(f"{self.ion_id}: broadening coefficient must be >= 0")
 
-    def line(self, field: FieldVector) -> tuple[float, float]:
-        """Line centre and field-broadened width, in MHz, under ``field``.
-
-        Only the component along the inter-electrode axis couples; the
-        linewidth grows linearly with its magnitude.
+    def line(self, e_parallel_v_per_cm: float) -> tuple[float, float]:
+        """Line centre and field-broadened width, in MHz, at the field
+        ``e_parallel_v_per_cm`` along the inter-electrode axis, the only
+        component that couples; the linewidth grows linearly with its magnitude.
         """
         return line_law(
-            field.e_parallel_v_per_cm,
+            e_parallel_v_per_cm,
             self.zero_field_frequency_mhz,
             self.stark_coefficient_khz_per_v_cm,
             self.zero_field_fwhm_mhz,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from starksim.config import default_config
-from starksim.experiment import G2Histogram, emission_window_probability
+from starksim.experiment import emission_window_probability
 
 
 @pytest.fixture(scope="session")
@@ -21,11 +21,11 @@ def emitter(config):
 
 
 def _lag_coincidences(arm_a, arm_b, max_lag):
-    """``C(k) = sum_i a_i b_(i+k)`` for ``|k| <= max_lag``, in exact int64 arithmetic."""
+    """``(lags, C)`` with ``C(k) = sum_i a_i b_(i+k)`` for ``|k| <= max_lag``, in exact int64 arithmetic."""
     n = arm_a.size
     lags = np.arange(-max_lag, max_lag + 1)
     sums = [int(np.sum(arm_a[max(-k, 0): n - max(k, 0)] * arm_b[max(k, 0): n - max(-k, 0)])) for k in lags.tolist()]
-    return G2Histogram(lags=lags, coincidences=np.array(sums, dtype=np.int64))
+    return lags, np.array(sums, dtype=np.int64)
 
 
 @pytest.fixture(scope="session")
@@ -73,6 +73,33 @@ def full_grid_field(values, x0_um, y0_um, spacing_um, point_um):
         return float(top * (1 - fy) + bottom * fy)
 
     return blend(ex) * 1.0e4, blend(ey) * 1.0e4
+
+
+def dirichlet_nodes(layout, spacing_um):
+    """``(fixed, values)``: the Dirichlet nodes of the electrode problem on the
+    solver's full grid and their potentials, stated from the layout alone, as
+    ``bench/oracle.py`` states them. The node-centred grid spans the domain
+    symmetrically about the gap centre; the outer box is at zero; a surface
+    node within h/4 of an electrode is that electrode's, held at its half of
+    the balanced pair ``+-bias/2``, the left one positive. ``values`` is zero
+    at the free nodes."""
+    h = spacing_um
+
+    def axis(extent_um):
+        half_cells = max(int(round(extent_um / 2.0 / h)), 2)
+        return h * np.arange(-half_cells, half_cells + 1)
+
+    x, y = axis(layout.domain_extent_um[0]), axis(layout.domain_extent_um[1])
+    fixed = np.zeros((y.size, x.size), dtype=bool)
+    fixed[[0, -1]] = fixed[:, [0, -1]] = True
+    values = np.zeros(fixed.shape)
+    surface = y.size // 2
+    half_gap, outer, snap = layout.gap_um / 2.0, layout.gap_um / 2.0 + layout.electrode_width_um, h / 4.0
+    left = (x >= -outer - snap) & (x <= -half_gap + snap)
+    right = (x >= half_gap - snap) & (x <= outer + snap)
+    values[surface, left], values[surface, right] = layout.bias_v / 2.0, -layout.bias_v / 2.0
+    fixed[surface, left | right] = True
+    return fixed, values
 
 
 def full_grid_residual(values, fixed):

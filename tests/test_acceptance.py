@@ -97,8 +97,7 @@ def test_criterion_2_antibunching(config, poissonian_g2, tmp_path):
     pure_zero_lag = coincidences[lags.index(0)]
     # the classical control has no command: a test-side coherent source
     no_background = dataclasses.replace(config.g2, background_fraction=0.0)
-    control = poissonian_g2(config.emitter, no_background, config.protocol, 2027)
-    poisson = estimate_g2_zero(control.lags, control.coincidences)
+    poisson = estimate_g2_zero(*poissonian_g2(config.emitter, no_background, config.protocol, 2027))
 
     ok = (
         0.06 <= tuned <= 0.14

@@ -24,7 +24,6 @@ from starksim.analysis import (
 )
 from starksim.cli import REPORT_COLUMNS
 from starksim.csvio import write_table
-from starksim.electrostatics import FieldVector
 from starksim.experiment import simulate_decay_histogram, simulate_stark_scan
 from starksim.optimize import (
     DegenerateDataError,
@@ -223,9 +222,9 @@ class TestFitExponentialDecay:
         dark = dataclasses.replace(emitter, saturation_excitation_prob=0.0)
         floor = config.detector.dark_mean_per_pulse(1.0) * config.decay.n_pulses
         for seed in range(200):
-            hist = simulate_decay_histogram(dark, config.protocol, config.detector, config.decay, seed)
+            times, counts = simulate_decay_histogram(dark, config.protocol, config.detector, config.decay, seed)
             try:
-                fit_exponential_decay(hist.bin_centers_us, hist.counts, 0.0, floor)
+                fit_exponential_decay(times, counts, 0.0, floor)
             except FitConvergenceError:  # an unconstrained lifetime, as pure background may give
                 pass
 
@@ -246,12 +245,10 @@ def sweep_grid(voltages, params, half_width=60.0, pitch=5.0):
 
 
 def simulated_sweep(config, ion, seed):
-    scans = simulate_stark_scan(
-        ion, config.emitter, config.stark, FieldVector(VOLTS_TO_FIELD, 0.0), config.protocol, config.detector, seed
-    )
-    fields = np.concatenate([np.full(scan.counts.size, field.e_parallel_v_per_cm) for field, scan in scans])
-    frequencies = np.concatenate([scan.frequencies_mhz for _, scan in scans])
-    return fields, frequencies, np.concatenate([scan.counts for _, scan in scans])
+    scans = simulate_stark_scan(ion, config.emitter, config.stark, VOLTS_TO_FIELD, config.protocol, config.detector, seed)
+    fields = np.concatenate([np.full(counts.size, field) for field, _, counts in scans])
+    frequencies = np.concatenate([frequencies for _, frequencies, _ in scans])
+    return fields, frequencies, np.concatenate([counts for _, _, counts in scans])
 
 
 class TestFitStarkSweep:
@@ -443,6 +440,14 @@ class TestPoissonFit:
             2.0 * lorentzian(x, params).sum(), rel=1e-14
         )
         assert poisson_deviance(lorentzian, x, y, np.array([30.0, 4.0, 3.0, -5.0])) == math.inf
+
+    @pytest.mark.parametrize("amplitude", [1e300, math.inf], ids=["huge", "infinite"])
+    def test_deviance_of_an_overflowing_model_is_inf(self, amplitude):
+        # a huge mu rounds (y - mu)/mu to -1, whose log1p is -inf, and an
+        # infinite one makes it nan; a sum that is not finite scores +inf
+        x = np.arange(10.0)
+        with np.errstate(all="ignore"):
+            assert poisson_deviance(lorentzian, x, np.ones(10), np.array([amplitude, 4.0, 3.0, 1.0])) == math.inf
 
     def test_negative_counts_and_non_positive_start_rejected(self):
         x = np.arange(10.0)

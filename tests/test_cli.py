@@ -2,10 +2,12 @@ import argparse
 import json
 import math
 import os
+import re
 import shlex
 import statistics
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from starksim.cli import (
 )
 from starksim.config import config_file_digest, default_config, dumps_config, load_config, loads_config
 from starksim.csvio import read_table
-from starksim.electrostatics import FieldVector, field_per_volt
+from starksim.electrostatics import field_per_volt
 from starksim.stark import resonance_voltage
 
 
@@ -54,6 +56,14 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_strict(capsys, *argv):
+    """``run`` with every warning an error, so a run that would print a
+    warning block to stderr ahead of its own lines fails instead."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(capsys, *argv)
 
 
 REPORT_TABLE = dict(zip(REPORT_COLUMNS, (str, float, float, str)))  # fit_report.csv's columns
@@ -144,10 +154,10 @@ class TestFieldCommand:
     def test_non_finite_solve_exits_3(self, capsys, tmp_path, text, argv):
         path = tmp_path / "huge.toml"
         path.write_text(text, encoding="utf-8")
-        code, out, err = run(capsys, "field", "--config", path, *argv)
-        assert code == EXIT_SOLVER
-        assert "nan" not in out
-        assert "field solve broke down on non-finite numbers" in err
+        code, out, err = run_strict(capsys, "field", "--config", path, *argv)
+        assert (code, out) == (EXIT_SOLVER, "")
+        # the one error line, with no numpy warning ahead of it
+        assert err == "error: the field solve broke down on non-finite numbers (residual nan V)\n"
 
 
 class TestSolverSettings:
@@ -498,10 +508,26 @@ class TestPipelines:
         truth = {"tau_us": config.emitter.lifetime_us, "g2_zero": 1.0 - (1.0 - config.g2.background_fraction) ** 2}
         assert_calibrated(reproduce_pulls(capsys, tmp_path, figure, range(50), {quantity: truth[quantity]}))
 
+    def test_darks_only_decay_fit_prints_one_error_line(self, capsys, tmp_path):
+        # a darks-only histogram may leave the lifetime unconstrained; a fit
+        # trial whose model overflows is refused, not taken at deviance -inf,
+        # and a failing fit prints its one error line with no warning ahead of it
+        path = tmp_path / "darks.toml"
+        path.write_text("[emitter]\nsaturation_excitation_prob = 0.0\n", encoding="utf-8")
+        errors = {}
+        for seed in range(40):
+            code, _, err = run_strict(
+                capsys, "reproduce", "fig3b", "--config", path, "--seed", seed, "--out", tmp_path / "out"
+            )
+            assert (code, err) == (EXIT_OK, "") or (code == EXIT_FITTING and err.count("\n") == 1), err
+            errors[seed] = err
+        assert not any("deviance=-inf" in err for err in errors.values())
+        assert re.fullmatch(r"error: fitting failed: lifetime -\S+ us is unconstrained by the data\n", errors[10])
+
     def test_fig2_lines_are_calibrated_over_seeds(self, capsys, config, tmp_path):
         # peaks matched to ions in frequency order; a window fit of each peak
         # alone read the widths of ion2 and ion1, 40 MHz apart, ~1.1 sd low
-        lines = sorted(ion.line(FieldVector(0.0, 0.0)) for ion in config.ions)
+        lines = sorted(ion.line(0.0) for ion in config.ions)
         truth = {f"peak{k}_{name}": value for k, line in enumerate(lines, start=1)
                  for name, value in zip(("center_mhz", "fwhm_mhz"), line)}
         assert_calibrated(reproduce_pulls(capsys, tmp_path, "fig2", range(100), truth))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import shlex
 import string
 import tomllib
 from pathlib import Path
@@ -262,16 +263,19 @@ class TestExperimentConfig:
             EmitterParams(11.4)
 
     def test_default_dump_matches_committed_out(self):
-        committed = Path(__file__).resolve().parents[1] / "out" / "config.toml"
+        # the golden default dump is tracked, so a fresh clone checks it too
+        committed = FIXTURES / "default_config.toml"
         assert dumps_config(default_config()) == committed.read_text(encoding="utf-8")
 
-    def test_committed_manifest_digests_its_config(self):
-        # out/ is the output of `starksim field --out out` with the defaults
-        out = Path(__file__).resolve().parents[1] / "out"
-        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-        stored = (out / "config.toml").read_text(encoding="utf-8")
+    def test_committed_manifest_digests_its_config(self, capsys, tmp_path):
+        # `starksim field --out DIR` with the defaults stores the golden dump and its digest
+        assert main(["field", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+        stored = (tmp_path / "config.toml").read_text(encoding="utf-8")
+        assert stored == (FIXTURES / "default_config.toml").read_text(encoding="utf-8")
         assert manifest["config_digest"] == config_file_digest(stored)
-        assert manifest["command"] == "starksim field --out out"
+        assert manifest["command"] == shlex.join(["starksim", "field", "--out", str(tmp_path)])
 
 
 class TestRetiredKeys:

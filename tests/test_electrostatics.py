@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import full_grid_field, full_grid_residual
+from conftest import dirichlet_nodes, full_grid_field, full_grid_residual
 
 from starksim.cli import main
 from starksim.config import default_config
@@ -90,9 +90,9 @@ class TestSolvePotential:
 
     def test_electrodes_pinned_exactly(self):
         grid = solve_potential(small_layout(), 2.0)
-        pinned = grid.values[grid.fixed]
-        assert set(np.unique(pinned)).issubset({-10.0, 0.0, 10.0})
-        assert np.any(pinned == 10.0) and np.any(pinned == -10.0)
+        fixed, values = dirichlet_nodes(small_layout(), 2.0)
+        assert set(np.unique(values[fixed])) == {-10.0, 0.0, 10.0}
+        assert np.array_equal(grid.values[fixed], values[fixed])
 
     def test_golden_probe_field(self, paper_grid):
         probe = field_at(paper_grid, (0.0, 0.0))
@@ -126,7 +126,7 @@ class TestSolvePotential:
         grid = solve_potential(layout, 2.0)
         balanced = solve_potential(small_layout((14.5, -14.5)), 2.0)
         assert np.array_equal(grid.values, balanced.values)
-        assert np.array_equal(grid.fixed, balanced.fixed)
+        assert np.array_equal(grid.electrode, balanced.electrode)
         assert grid.residual_v == balanced.residual_v
 
     def test_antisymmetric_for_balanced_bias(self):
@@ -264,7 +264,7 @@ class TestQuarterGrid:
 
     def test_full_grid_is_the_mirrored_quarter(self, paper_grid):
         s, c = np.array(paper_grid.quarter.shape) - 1
-        values, fixed = paper_grid.values, paper_grid.fixed
+        values, (fixed, _) = paper_grid.values, dirichlet_nodes(PAPER_LAYOUT, 5.0)
         assert np.array_equal(values[s:, c:], paper_grid.quarter)
         assert np.array_equal(values[:s, :], values[:s:-1, :])  # even in y
         assert np.array_equal(values[:, :c], -values[:, :c:-1])  # odd in x
@@ -275,7 +275,8 @@ class TestQuarterGrid:
     @pytest.mark.parametrize("case", list(ORACLE_LAYOUTS))
     def test_quarter_residual_is_the_full_domain_residual(self, case):
         grid = solve_potential(*ORACLE_LAYOUTS[case])
-        assert 0.0 < grid.residual_v == pytest.approx(full_grid_residual(grid.values, grid.fixed), abs=1e-13)
+        fixed, _ = dirichlet_nodes(*ORACLE_LAYOUTS[case])
+        assert 0.0 < grid.residual_v == pytest.approx(full_grid_residual(grid.values, fixed), abs=1e-13)
 
     # a free node on the column x = 0, and one on the surface row between the electrodes:
     # their equations read the ghost column and the ghost row
@@ -288,7 +289,8 @@ class TestQuarterGrid:
         perturbed = dataclasses.replace(grid, quarter=quarter)
         residual = _residual(quarter, grid.electrode)
         assert residual == pytest.approx(4e-3, rel=1e-9)  # the node's own equation
-        assert residual == pytest.approx(full_grid_residual(perturbed.values, perturbed.fixed), abs=1e-13)
+        fixed, _ = dirichlet_nodes(small_layout(), 2.0)
+        assert residual == pytest.approx(full_grid_residual(perturbed.values, fixed), abs=1e-13)
 
 
 def ellipk(k: float) -> float:

@@ -7,11 +7,10 @@ import pytest
 
 from starksim.analysis import fit_lorentzian
 from starksim.config import ConfigError
-from starksim.electrostatics import ElectrodeLayout, FieldVector, field_per_volt
+from starksim.electrostatics import field_per_volt
 from starksim.experiment import (
     DecaySettings,
     DetectorModel,
-    G2Histogram,
     G2Settings,
     PLEProtocol,
     SimulationError,
@@ -63,69 +62,69 @@ class TestProtocolValidation:
 class TestPLEScan:
     def test_deterministic(self, config, ion1, emitter):
         proto = dataclasses.replace(config.protocol, scan_range_mhz=(-50.0, 50.0))
-        runs = [
-            simulate_ple_scan([ion1], emitter, proto, config.detector, FieldVector(0.0, 0.0), 99) for _ in range(2)
-        ]
-        assert np.array_equal(runs[0].counts, runs[1].counts)
+        runs = [simulate_ple_scan([ion1], emitter, proto, config.detector, 0.0, 99)[1] for _ in range(2)]
+        assert np.array_equal(runs[0], runs[1])
 
     def test_zero_efficiency_and_darks_give_zero_counts(self, config, ion1, emitter):
         detector = DetectorModel(total_efficiency=0.0, dark_rate_hz=0.0)
         proto = dataclasses.replace(config.protocol, scan_range_mhz=(-20.0, 20.0))
-        scan = simulate_ple_scan([ion1], emitter, proto, detector, FieldVector(0.0, 0.0), 1)
-        assert np.all(scan.counts == 0)
+        _, counts = simulate_ple_scan([ion1], emitter, proto, detector, 0.0, 1)
+        assert np.all(counts == 0)
 
     def test_ion_free_scan_matches_dark_expectation(self, config):
         proto = dataclasses.replace(config.protocol, scan_range_mhz=(0.0, 5.0 * 999))
-        scan = simulate_ple_scan([], config.emitter, proto, config.detector, FieldVector(0.0, 0.0), 7)
+        _, counts = simulate_ple_scan([], config.emitter, proto, config.detector, 0.0, 7)
         expected = 2.0 * 85e-6 * 50_000  # rate x window x pulses
         assert expected == pytest.approx(8.5)
-        sigma = math.sqrt(expected / scan.counts.size)
-        assert abs(scan.counts.mean() - expected) < 3.0 * sigma
+        sigma = math.sqrt(expected / counts.size)
+        assert abs(counts.mean() - expected) < 3.0 * sigma
 
     def test_single_ion_linewidth_recovered(self, config, ion1, emitter):
         proto = dataclasses.replace(config.protocol, scan_range_mhz=(-60.0, 60.0))
-        scan = simulate_ple_scan([ion1], emitter, proto, config.detector, FieldVector(0.0, 0.0), 17)
-        fit = fit_lorentzian(scan.frequencies_mhz, scan.counts)
+        fit = fit_lorentzian(*simulate_ple_scan([ion1], emitter, proto, config.detector, 0.0, 17))
         assert fit.value("fwhm_mhz") == pytest.approx(6.7, abs=3.0 * fit.stderr("fwhm_mhz"))
         assert fit.value("center_mhz") == pytest.approx(0.0, abs=3.0 * fit.stderr("center_mhz"))
 
     def test_counts_nonnegative_and_frequencies_increasing(self, config, ion1, emitter):
-        scan = simulate_ple_scan(
-            [ion1], emitter, dataclasses.replace(config.protocol, scan_range_mhz=(-30.0, 30.0)), config.detector,
-            FieldVector(2000.0, 0.0), 3,
-        )
-        assert np.all(scan.counts >= 0)
-        assert np.all(np.diff(scan.frequencies_mhz) > 0)
+        proto = dataclasses.replace(config.protocol, scan_range_mhz=(-30.0, 30.0))
+        frequencies, counts = simulate_ple_scan([ion1], emitter, proto, config.detector, 2000.0, 3)
+        assert np.array_equal(frequencies, proto.scan_frequencies_mhz())
+        assert np.all(counts >= 0)
+        assert np.all(np.diff(frequencies) > 0)
 
 
 class TestDecay:
     def test_lifetime_recovered_within_two_percent(self, config, emitter):
-        hist = simulate_decay_histogram(emitter, config.protocol, config.detector, DecaySettings(10_000_000, 1.0), 42)
+        times, counts = simulate_decay_histogram(
+            emitter, config.protocol, config.detector, DecaySettings(10_000_000, 1.0), 42
+        )
         from starksim.analysis import fit_exponential_decay
 
         floor = config.detector.dark_rate_hz * 1e-6 * 10_000_000
-        fit = fit_exponential_decay(hist.bin_centers_us, hist.counts, 0.0, floor)
+        fit = fit_exponential_decay(times, counts, 0.0, floor)
         assert fit.value("tau_us") == pytest.approx(41.007, rel=0.02)
 
     def test_zero_excitation_leaves_uniform_darks(self, config, emitter):
         emitter = dataclasses.replace(emitter, saturation_excitation_prob=0.0)
         n_pulses = 2_000_000
-        hist = simulate_decay_histogram(emitter, config.protocol, config.detector, DecaySettings(n_pulses, 1.0), 5)
+        times, counts = simulate_decay_histogram(
+            emitter, config.protocol, config.detector, DecaySettings(n_pulses, 1.0), 5
+        )
         per_bin = config.detector.dark_rate_hz * 1.0 * 1e-6 * n_pulses
         assert per_bin == pytest.approx(4.0)
-        assert hist.counts.sum() > 0, "dark counts expected"
-        assert hist.counts.mean() == pytest.approx(per_bin, abs=3.0 * math.sqrt(per_bin / hist.counts.size))
+        assert counts.sum() > 0, "dark counts expected"
+        assert counts.mean() == pytest.approx(per_bin, abs=3.0 * math.sqrt(per_bin / counts.size))
         # flat over the window: the mean detection time sits mid-window
-        mean_time = np.average(hist.bin_centers_us, weights=hist.counts)
-        assert mean_time == pytest.approx(85.0 / 2.0, abs=3.0 * 85.0 / math.sqrt(12 * hist.counts.sum()))
+        mean_time = np.average(times, weights=counts)
+        assert mean_time == pytest.approx(85.0 / 2.0, abs=3.0 * 85.0 / math.sqrt(12 * counts.sum()))
 
     def test_signal_total_matches_closed_form(self, config, emitter):
         n_pulses = 1_000_000
         detector = DetectorModel(total_efficiency=config.detector.total_efficiency, dark_rate_hz=0.0)
-        hist = simulate_decay_histogram(emitter, config.protocol, detector, DecaySettings(n_pulses, 1.0), 9)
+        _, counts = simulate_decay_histogram(emitter, config.protocol, detector, DecaySettings(n_pulses, 1.0), 9)
         p_window = emission_window_probability(emitter.lifetime_us, 1.0, 85.0)
         expected = n_pulses * 0.5 * p_window * detector.total_efficiency
-        assert abs(hist.counts.sum() - expected) < 3.0 * math.sqrt(expected)
+        assert abs(counts.sum() - expected) < 3.0 * math.sqrt(expected)
 
     def test_at_most_one_signal_photon_per_pulse(self, config, emitter):
         # every pulse excited, every photon detected, no darks: the total is
@@ -136,7 +135,7 @@ class TestDecay:
         n_pulses = 20
         decay = DecaySettings(n_pulses, 5.0)
         totals = np.array([
-            simulate_decay_histogram(emitter, config.protocol, detector, decay, seed).counts.sum() for seed in range(400)
+            simulate_decay_histogram(emitter, config.protocol, detector, decay, seed)[1].sum() for seed in range(400)
         ])
         p_window = emission_window_probability(20.0, 1.0, 85.0)
         variance = n_pulses * p_window * (1.0 - p_window)
@@ -145,17 +144,26 @@ class TestDecay:
         assert totals.var(ddof=1) == pytest.approx(variance, rel=0.3)
 
     def test_times_inside_window(self, config, emitter):
-        hist = simulate_decay_histogram(emitter, config.protocol, config.detector, DecaySettings(200_000, 2.0), 13)
-        assert hist.counts.dtype == np.int64
-        assert np.all(hist.counts >= 0)
-        assert hist.bin_edges_us[0] == 0.0
-        assert hist.bin_edges_us[-2] < 85.0 <= hist.bin_edges_us[-1]
+        times, counts = simulate_decay_histogram(
+            emitter, config.protocol, config.detector, DecaySettings(200_000, 2.0), 13
+        )
+        assert counts.dtype == np.int64
+        assert np.all(counts >= 0)
+        edges = bin_edges(times, 2.0)
+        assert edges[0] == 0.0
+        assert edges[-2] < 85.0 <= edges[-1]
 
     def test_histogram_covers_window(self, config, emitter):
-        hist = simulate_decay_histogram(emitter, config.protocol, config.detector, DecaySettings(100_000, 1.0), 3)
-        assert hist.bin_edges_us[0] == 0.0
-        assert hist.bin_edges_us[-1] == pytest.approx(85.0)
-        assert hist.counts.sum() > 0
+        times, counts = simulate_decay_histogram(
+            emitter, config.protocol, config.detector, DecaySettings(100_000, 1.0), 3
+        )
+        assert np.array_equal(times, np.arange(85) + 0.5)
+        assert counts.sum() > 0
+
+
+def bin_edges(centers_us, bin_width_us):
+    """The edges of abutting bins of ``bin_width_us`` at ``centers_us``."""
+    return np.append(centers_us - bin_width_us / 2.0, centers_us[-1] + bin_width_us / 2.0)
 
 
 def _decay_bin_means(emitter, protocol, detector, decay, edges):
@@ -200,8 +208,8 @@ class TestDecayDistribution:
     def samples(self, request, config, emitter):
         detector = DetectorModel(total_efficiency=config.detector.total_efficiency, dark_rate_hz=request.param)
         args = (emitter, config.protocol, detector, DecaySettings(self.N_PULSES, self.BIN_WIDTH_US))
-        fast = np.array([simulate_decay_histogram(*args, seed).counts for seed in range(self.N_SEEDS)])
-        edges = simulate_decay_histogram(*args, 0).bin_edges_us
+        fast = np.array([simulate_decay_histogram(*args, seed)[1] for seed in range(self.N_SEEDS)])
+        edges = bin_edges(simulate_decay_histogram(*args, 0)[0], self.BIN_WIDTH_US)
         reference = np.array([
             _per_pulse_decay_counts(*args, edges, 10_000 + seed) for seed in range(self.N_SEEDS)
         ])
@@ -240,11 +248,11 @@ class TestDecayDegenerateInputs:
     def _histogram(self, config, emitter, detector, bin_width_us=1.0, seed=71):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hist = simulate_decay_histogram(
+            times, counts = simulate_decay_histogram(
                 emitter, config.protocol, detector, DecaySettings(self.N_PULSES, bin_width_us), seed
             )
-        assert hist.counts.dtype == np.int64 and np.all(hist.counts >= 0)
-        return hist
+        assert counts.dtype == np.int64 and np.all(counts >= 0)
+        return times, counts
 
     @pytest.mark.parametrize("case", ["no excitation", "no efficiency", "window probability underflows"])
     @pytest.mark.parametrize("dark_rate_hz", [0.0, 2.0])
@@ -259,31 +267,31 @@ class TestDecayDegenerateInputs:
             assert emitter.lifetime_us == 1e-3
             assert emission_window_probability(1e-3, 1.0, 85.0) == 0.0
         detector = DetectorModel(total_efficiency=efficiency, dark_rate_hz=dark_rate_hz)
-        hist = self._histogram(config, emitter, detector)
+        _, counts = self._histogram(config, emitter, detector)
         expected = detector.dark_mean_per_pulse(85.0) * self.N_PULSES
         if dark_rate_hz == 0.0:
-            assert hist.counts.sum() == 0
+            assert counts.sum() == 0
         else:
-            assert abs(hist.counts.sum() - expected) < 4.0 * math.sqrt(expected)
+            assert abs(counts.sum() - expected) < 4.0 * math.sqrt(expected)
 
     def test_bin_wider_than_window(self, config, emitter):
-        hist = self._histogram(config, emitter, config.detector, bin_width_us=100.0)
-        assert hist.bin_edges_us.tolist() == [0.0, 100.0]
+        times, counts = self._histogram(config, emitter, config.detector, bin_width_us=100.0)
+        assert times.tolist() == [50.0]
         signal, darks = _decay_bin_means(
-            emitter, config.protocol, config.detector, DecaySettings(self.N_PULSES), hist.bin_edges_us
+            emitter, config.protocol, config.detector, DecaySettings(self.N_PULSES), bin_edges(times, 100.0)
         )
         expected = signal.sum() + darks.sum()  # darks over the 85 us window only
-        assert abs(hist.counts.sum() - expected) < 4.0 * math.sqrt(expected)
+        assert abs(counts.sum() - expected) < 4.0 * math.sqrt(expected)
 
     def test_window_not_a_multiple_of_the_bin(self, config, emitter):
         emitter = dataclasses.replace(emitter, saturation_excitation_prob=0.0)
-        hist = self._histogram(config, emitter, config.detector, bin_width_us=2.0)
-        assert hist.counts.size == 43 and hist.bin_edges_us[-1] == 86.0
+        times, counts = self._histogram(config, emitter, config.detector, bin_width_us=2.0)
+        assert counts.size == 43 and times[-1] == 85.0
         per_bin = config.detector.dark_rate_hz * 2.0 * 1e-6 * self.N_PULSES
-        full = hist.counts[:-1]
+        full = counts[:-1]
         assert full.mean() == pytest.approx(per_bin, abs=4.0 * math.sqrt(per_bin / full.size))
         # the last bin is half inside the window, so it gets half the darks
-        assert abs(hist.counts[-1] - per_bin / 2.0) < 4.0 * math.sqrt(per_bin / 2.0)
+        assert abs(counts[-1] - per_bin / 2.0) < 4.0 * math.sqrt(per_bin / 2.0)
 
     @pytest.mark.parametrize(
         "settings, message",
@@ -300,7 +308,7 @@ class TestDecayDegenerateInputs:
         assert str(caught.value) == message
 
 
-def _ple_point_moments(ions, emitter, protocol, detector, field):
+def _ple_point_moments(ions, emitter, protocol, detector, e_parallel_v_per_cm):
     """Closed-form mean and variance of each scan point's count: a binomial
     per ion, ``p = p_sat / (1 + (2 detuning / fwhm)^2) * efficiency * P_window``,
     plus Poisson darks."""
@@ -310,7 +318,7 @@ def _ple_point_moments(ions, emitter, protocol, detector, field):
     mean = np.full(protocol.scan_frequencies_mhz().size, darks)
     variance = mean.copy()
     for ion in ions:
-        centre, fwhm = ion.line(field)
+        centre, fwhm = ion.line(e_parallel_v_per_cm)
         u = 2.0 * (protocol.scan_frequencies_mhz() - centre) / fwhm
         p = emitter.saturation_excitation_prob / (1.0 + u**2) * detector.total_efficiency * p_window
         mean += n * p
@@ -318,7 +326,7 @@ def _ple_point_moments(ions, emitter, protocol, detector, field):
     return mean, variance
 
 
-def _per_point_ple_counts(ions, emitter, protocol, detector, field, seed):
+def _per_point_ple_counts(ions, emitter, protocol, detector, e_parallel_v_per_cm, seed):
     """Reference sampler: a generator per scan point; each ion's excited
     pulses are drawn, then thinned to the detected ones."""
     n_pulses = protocol.pulses_per_point
@@ -331,7 +339,7 @@ def _per_point_ple_counts(ions, emitter, protocol, detector, field, seed):
         rng = np.random.Generator(np.random.PCG64(mix_seed(seed, index)))
         total = 0
         for ion in ions:
-            centre, fwhm = ion.line(field)
+            centre, fwhm = ion.line(e_parallel_v_per_cm)
             p_exc = excitation_probability(emitter.saturation_excitation_prob, fwhm, freq - centre)
             excited = rng.binomial(n_pulses, p_exc)
             total += rng.binomial(excited, detector.total_efficiency * window_prob)
@@ -352,9 +360,9 @@ class TestPLEDistribution:
     def samples(self, config):
         args = (
             [config.ion("ion1"), config.ion("ion2")], config.emitter,
-            dataclasses.replace(config.protocol, scan_range_mhz=(-60.0, 60.0)), config.detector, FieldVector(0.0, 0.0),
+            dataclasses.replace(config.protocol, scan_range_mhz=(-60.0, 60.0)), config.detector, 0.0,
         )
-        bulk = np.array([simulate_ple_scan(*args, seed).counts for seed in range(self.N_SEEDS)])
+        bulk = np.array([simulate_ple_scan(*args, seed)[1] for seed in range(self.N_SEEDS)])
         reference = np.array([_per_point_ple_counts(*args, 10_000 + seed) for seed in range(self.N_SEEDS)])
         assert bulk.shape == (self.N_SEEDS, 25)
         return bulk, reference, _ple_point_moments(*args)
@@ -375,27 +383,27 @@ class TestPLEDistribution:
 
 class TestG2:
     def test_single_emitter_zero_lag_is_empty(self, config, emitter):
-        hist = simulate_g2_histogram(emitter, G2Settings(0.0, 100_000, 10), config.protocol, 21)
-        assert hist.coincidences[hist.lags == 0][0] == 0
-        assert hist.coincidences[hist.lags != 0].min() > 0
+        lags, coincidences = simulate_g2_histogram(emitter, G2Settings(0.0, 100_000, 10), config.protocol, 21)
+        assert coincidences[lags == 0][0] == 0
+        assert coincidences[lags != 0].min() > 0
 
     def test_poissonian_control_normalizes_to_one(self, config, emitter, poissonian_g2):
         from starksim.analysis import estimate_g2_zero
 
-        hist = poissonian_g2(emitter, G2Settings(0.0, 100_000, 10), config.protocol, 23)
-        estimate = estimate_g2_zero(hist.lags, hist.coincidences)
+        estimate = estimate_g2_zero(*poissonian_g2(emitter, G2Settings(0.0, 100_000, 10), config.protocol, 23))
         assert estimate.g2_zero == pytest.approx(1.0, abs=3.0 * estimate.standard_error)
 
     def test_signal_fraction_sets_zero_lag_value(self, config, emitter):
         from starksim.analysis import estimate_g2_zero
 
-        hist = simulate_g2_histogram(emitter, G2Settings(1.0 - 0.949, 400_000, 10), config.protocol, 25)
-        estimate = estimate_g2_zero(hist.lags, hist.coincidences)
+        estimate = estimate_g2_zero(
+            *simulate_g2_histogram(emitter, G2Settings(1.0 - 0.949, 400_000, 10), config.protocol, 25)
+        )
         assert estimate.g2_zero == pytest.approx(1.0 - 0.949**2, abs=3.5 * estimate.standard_error)
 
     def test_lag_axis(self, config, emitter):
-        hist = simulate_g2_histogram(emitter, G2Settings(0.1, 5_000, 4), config.protocol, 2)
-        assert list(hist.lags) == list(range(-4, 5))
+        lags, _ = simulate_g2_histogram(emitter, G2Settings(0.1, 5_000, 4), config.protocol, 2)
+        assert list(lags) == list(range(-4, 5))
 
     def test_background_fraction_bounds(self):
         # the record refuses a fraction outside [0, 1), so no simulator call can see one
@@ -420,11 +428,13 @@ class TestG2:
             arm_b = ((p / 2.0 <= u) & (u < p)).astype(np.int64)
             for arm in (arm_a, arm_b):
                 arm += np.bincount(rng.integers(0, n_pulses, rng.poisson(m / 2.0 * n_pulses)), minlength=n_pulses)
-            expected = _lag_coincidences(arm_a, arm_b, max_lag)
-            hist = simulate_g2_histogram(emitter, G2Settings(background_fraction, n_pulses, max_lag), protocol, seed)
-            assert np.array_equal(hist.lags, expected.lags)
-            assert hist.coincidences.dtype == np.int64
-            assert np.array_equal(hist.coincidences, expected.coincidences)
+            expected_lags, expected = _lag_coincidences(arm_a, arm_b, max_lag)
+            lags, coincidences = simulate_g2_histogram(
+                emitter, G2Settings(background_fraction, n_pulses, max_lag), protocol, seed
+            )
+            assert np.array_equal(lags, expected_lags)
+            assert coincidences.dtype == np.int64
+            assert np.array_equal(coincidences, expected)
 
 
 def _g2_lag_means(emitter, g2, protocol):
@@ -460,7 +470,7 @@ def _per_pulse_g2(emitter, g2, protocol, seed):
             coincidences[i] = int(np.dot(arm_a[: n_pulses - k], arm_b[k:]))
         else:
             coincidences[i] = int(np.dot(arm_a[k:], arm_b[: n_pulses - k]))
-    return G2Histogram(lags=lags, coincidences=coincidences)
+    return lags, coincidences
 
 
 class TestG2Distribution:
@@ -481,7 +491,7 @@ class TestG2Distribution:
         stats = pytest.importorskip("scipy.stats")
         bulk, reference, means = samples
         for histograms in (bulk, reference):
-            counts = np.array([h.coincidences for h in histograms])
+            counts = np.array([coincidences for _, coincidences in histograms])
             z = (counts.mean(axis=0) - means) / (counts.std(axis=0, ddof=1) / math.sqrt(self.N_SEEDS))
             p_values = 2.0 * stats.norm.sf(np.abs(z))
             assert p_values.min() * z.size > 1e-3, z  # Bonferroni over lags, valid though lags correlate
@@ -491,32 +501,33 @@ class TestG2Distribution:
         from starksim.analysis import estimate_g2_zero
 
         bulk, reference, _ = samples
-        estimates = [[estimate_g2_zero(h.lags, h.coincidences).g2_zero for h in histograms]
+        estimates = [[estimate_g2_zero(*histogram).g2_zero for histogram in histograms]
                      for histograms in (bulk, reference)]
         assert stats.ks_2samp(*estimates).pvalue > 1e-3
 
 
 class TestStarkScan:
     @pytest.fixture(scope="class")
-    def unit_field(self, config):
-        return field_per_volt(config.layout, config.layout.gap_um / 20.0)[0]
+    def volts_to_field(self, config):
+        return field_per_volt(config.layout, config.layout.gap_um / 20.0)[0].e_parallel_v_per_cm
 
-    def test_zero_voltage_peak_at_rest_frequency(self, config, unit_field):
+    def test_zero_voltage_peak_at_rest_frequency(self, config, volts_to_field):
         ion2 = config.ion("ion2")
         # the sweep needs 3 voltages; its first scan, at 0 V, is drawn on the stream a lone 0 V scan would use
         stark = StarkScanSettings(voltages_v=(0.0, 111.0, 222.0), window_half_width_mhz=60.0)
-        points = simulate_stark_scan(ion2, config.emitter, stark, unit_field, config.protocol, config.detector, 31)
-        field, scan = points[0]
-        fit = fit_lorentzian(scan.frequencies_mhz, scan.counts)
+        points = simulate_stark_scan(ion2, config.emitter, stark, volts_to_field, config.protocol, config.detector, 31)
+        field, *scan = points[0]
+        fit = fit_lorentzian(*scan)
         assert fit.value("center_mhz") == pytest.approx(-40.0, abs=3.0 * fit.stderr("center_mhz"))
-        assert field.e_parallel_v_per_cm == 0.0
+        assert field == 0.0
 
-    def test_equally_spaced_voltages_give_equally_spaced_peaks(self, config, ion1, emitter, unit_field):
+    def test_equally_spaced_voltages_give_equally_spaced_peaks(self, config, ion1, emitter, volts_to_field):
         stark = StarkScanSettings(voltages_v=(0.0, 111.0, 222.0))
-        points = simulate_stark_scan(ion1, emitter, stark, unit_field, config.protocol, config.detector, 33)
+        points = simulate_stark_scan(ion1, emitter, stark, volts_to_field, config.protocol, config.detector, 33)
+        assert [field for field, _, _ in points] == [volts_to_field * v for v in stark.voltages_v]
         centres, errs = [], []
-        for _, scan in points:
-            fit = fit_lorentzian(scan.frequencies_mhz, scan.counts)
+        for _, *scan in points:
+            fit = fit_lorentzian(*scan)
             centres.append(fit.value("center_mhz"))
             errs.append(fit.stderr("center_mhz"))
         first = centres[1] - centres[0]
@@ -535,15 +546,14 @@ class TestStarkScan:
                 sweep(*voltages_v)
         assert sweep(-333.0, 0.0, 333.0).stark.voltages_v == (-333.0, 0.0, 333.0)
 
-    def test_scan_windows_track_expected_peak(self, config, unit_field):
+    def test_scan_windows_track_expected_peak(self, config, volts_to_field):
         ion3 = config.ion("ion3")
         stark = StarkScanSettings(voltages_v=(0.0, 333.0, 166.5), window_half_width_mhz=50.0)
-        points = simulate_stark_scan(ion3, config.emitter, stark, unit_field, config.protocol, config.detector, 35)
-        for field, scan in points:
+        points = simulate_stark_scan(ion3, config.emitter, stark, volts_to_field, config.protocol, config.detector, 35)
+        for field, freqs, counts in points:
             expected, _ = ion3.line(field)
-            freqs = scan.frequencies_mhz
             assert freqs[0] <= expected <= freqs[-1]
-            assert np.argmax(scan.counts) not in (0, freqs.size - 1)
+            assert np.argmax(counts) not in (0, freqs.size - 1)
 
 
 class TestPipelineClosure:
@@ -553,10 +563,7 @@ class TestPipelineClosure:
         proto = dataclasses.replace(config.protocol, scan_range_mhz=(-60.0, 60.0))
         hits = 0
         for seed in range(12):
-            scan = simulate_ple_scan(
-                [ion1], emitter, proto, config.detector, FieldVector(0.0, 0.0), mix_seed(888, seed)
-            )
-            fit = fit_lorentzian(scan.frequencies_mhz, scan.counts)
+            fit = fit_lorentzian(*simulate_ple_scan([ion1], emitter, proto, config.detector, 0.0, mix_seed(888, seed)))
             centre_ok = abs(fit.value("center_mhz")) <= 3.0 * fit.stderr("center_mhz")
             width_ok = abs(fit.value("fwhm_mhz") - 6.7) <= 3.0 * fit.stderr("fwhm_mhz")
             hits += centre_ok and width_ok
@@ -569,8 +576,7 @@ class TestPipelineClosure:
         g2 = G2Settings(1.0 - 0.949, 200_000, 10)
         hits = 0
         for seed in range(12):
-            hist = simulate_g2_histogram(emitter, g2, config.protocol, mix_seed(999, seed))
-            estimate = estimate_g2_zero(hist.lags, hist.coincidences)
+            estimate = estimate_g2_zero(*simulate_g2_histogram(emitter, g2, config.protocol, mix_seed(999, seed)))
             hits += abs(estimate.g2_zero - truth) <= 3.0 * estimate.standard_error
         assert hits >= 11
 

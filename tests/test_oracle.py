@@ -3,18 +3,19 @@
 The oracle assembles the five-point equations of div(eps grad V) = 0 on
 the solver's grid (permittivity constant per cell by the sign of the
 cell centre's y, face weights the mean of the two flanking cells, the
-solver's fixed nodes as Dirichlet data) and solves them with scipy's
-sparse LU. The solver takes no permittivity: it solves the unit-weight
-system, whose solution the permittivity-weighted systems share, so the
-cases below compare it with the LU of several permittivity pairs. scipy
-is a test-only dependency.
+Dirichlet data stated from the layout by ``conftest.dirichlet_nodes``,
+not read from the solver) and solves them with scipy's sparse LU. The
+solver takes no permittivity: it solves the unit-weight system, whose
+solution the permittivity-weighted systems share, so the cases below
+compare it with the LU of several permittivity pairs. scipy is a
+test-only dependency.
 """
 
 import dataclasses
 
 import numpy as np
 import pytest
-from conftest import full_grid_field
+from conftest import dirichlet_nodes, full_grid_field
 
 from starksim.config import SolverSettings, default_config, dumps_config, loads_config
 from starksim.electrostatics import ElectrodeLayout, field_at, solve_potential
@@ -43,13 +44,14 @@ CASES = {
 }
 
 
-def assemble(grid, permittivities: tuple[float, float]):
-    """Sparse matrix and right-hand side of the equations of ``grid``'s free nodes,
-    for the relative permittivities ``(above, below)`` of the surface."""
-    values = np.where(grid.fixed, grid.values, 0.0)
-    y = grid.y_coords_um
+def assemble(layout: ElectrodeLayout, spacing_um: float, permittivities: tuple[float, float]):
+    """Sparse matrix and right-hand side of the equations of the free nodes of
+    ``layout`` at ``spacing_um``, for the relative permittivities ``(above,
+    below)`` of the surface, with the problem's Dirichlet mask and values."""
+    fixed, values = dirichlet_nodes(layout, spacing_um)
+    y = spacing_um * (np.arange(fixed.shape[0]) - fixed.shape[0] // 2)
     eps = np.where((y[:-1] + y[1:]) / 2.0 > 0.0, *permittivities)
-    free = ~grid.fixed
+    free = ~fixed
     unknown = np.full(values.shape, -1)
     unknown[free] = np.arange(np.count_nonzero(free))
     i, j = np.nonzero(free)
@@ -69,14 +71,13 @@ def assemble(grid, permittivities: tuple[float, float]):
     matrix = sparse.csc_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(k.size, k.size)
     )
-    return matrix, rhs
+    return matrix, rhs, fixed, values
 
 
-def exact_potential(grid, permittivities: tuple[float, float]) -> np.ndarray:
-    """Exact discrete potential on ``grid``'s nodes, its fixed nodes held."""
-    matrix, rhs = assemble(grid, permittivities)
-    values = np.where(grid.fixed, grid.values, 0.0)
-    values[~grid.fixed] = sparse_linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve(rhs)
+def exact_potential(layout: ElectrodeLayout, spacing_um: float, permittivities: tuple[float, float]) -> np.ndarray:
+    """Exact discrete potential of ``layout`` on the nodes at ``spacing_um``, its Dirichlet nodes held."""
+    matrix, rhs, fixed, values = assemble(layout, spacing_um, permittivities)
+    values[~fixed] = sparse_linalg.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve(rhs)
     return values
 
 
@@ -84,13 +85,13 @@ def exact_potential(grid, permittivities: tuple[float, float]) -> np.ndarray:
 TOLERANCE_V = 1e-9
 
 
-def assert_matches_lu(grid, permittivities: tuple[float, float]) -> None:
-    """The solve is within TOLERANCE_V of the full-domain LU of ``permittivities``,
-    and its residual is that of the unit-weight system, the one solved."""
-    exact = exact_potential(grid, permittivities)
+def assert_matches_lu(grid, layout: ElectrodeLayout, permittivities: tuple[float, float]) -> None:
+    """The solve of ``layout`` is within TOLERANCE_V of the full-domain LU of
+    ``permittivities``, and its residual is that of the unit-weight system, the one solved."""
+    exact = exact_potential(layout, grid.spacing_um, permittivities)
     assert np.max(np.abs(grid.values - exact)) <= TOLERANCE_V
-    matrix, rhs = assemble(grid, UNIT)
-    residual = np.max(np.abs(rhs - matrix @ grid.values[~grid.fixed]))
+    matrix, rhs, fixed, _ = assemble(layout, grid.spacing_um, UNIT)
+    residual = np.max(np.abs(rhs - matrix @ grid.values[~fixed]))
     # both are rounding error, summed in different orders
     assert grid.residual_v == pytest.approx(residual, abs=1e-13)
 
@@ -118,7 +119,7 @@ def test_error_within_tolerance(case, tolerance_v):
     # the bound is TOLERANCE_V whatever tolerance the config still carries
     layout, permittivities, spacing = CASES[case]
     grid = solve_stored(layout, spacing, tolerance_v)
-    assert_matches_lu(grid, permittivities)
+    assert_matches_lu(grid, layout, permittivities)
     assert 0.0 < grid.residual_v
 
 
@@ -131,7 +132,7 @@ def probe(grid, values: np.ndarray, point_um: tuple[float, float]) -> tuple[floa
 def test_golden_probe_field_is_exact():
     # the pins in test_electrostatics and test_cli are this value
     grid = solve_potential(PAPER_LAYOUT, 5.0)
-    exact = exact_potential(grid, VACUUM_ON_CRYSTAL)
+    exact = exact_potential(PAPER_LAYOUT, 5.0, VACUUM_ON_CRYSTAL)
     for field in (field_at(grid, (0.0, 0.0)).e_parallel_v_per_cm, probe(grid, exact, (0.0, 0.0))[0]):
         assert field == pytest.approx(21652.534344268526, rel=1e-12)
 
@@ -143,19 +144,20 @@ CRYSTAL = (2.0, 11.0)
 
 @pytest.mark.parametrize("tolerance_v", STORED_TOLERANCES_V)
 def test_unbalanced_layout_within_tolerance(tolerance_v):
-    # (250, -40) V is solved as its balanced pair +-145 V, which the LU of
-    # the grid's own Dirichlet data then checks
+    # (250, -40) V is solved as its balanced pair +-145 V, the Dirichlet
+    # data the LU states from the layout
     layout = dataclasses.replace(BIASED_LAYOUT, electrode_potentials_v=(250.0, -40.0))
     grid = solve_stored(layout, 5.0, tolerance_v)
-    assert set(np.unique(grid.values[grid.fixed])) == {-145.0, 0.0, 145.0}
-    assert_matches_lu(grid, CRYSTAL)
+    fixed, _ = dirichlet_nodes(layout, 5.0)
+    assert set(np.unique(grid.values[fixed])) == {-145.0, 0.0, 145.0}
+    assert_matches_lu(grid, layout, CRYSTAL)
 
 
 def test_probe_below_the_surface():
     # the exact discrete potential is even in y for any permittivity pair,
     # so the surface-normal field flips sign across the surface
     grid = solve_potential(BIASED_LAYOUT, 5.0)
-    exact = exact_potential(grid, CRYSTAL)
+    exact = exact_potential(BIASED_LAYOUT, 5.0, CRYSTAL)
     (above_parallel, above_perpendicular), (below_parallel, below_perpendicular) = (
         probe(grid, exact, point) for point in ((30.0, 10.0), (30.0, -10.0))
     )

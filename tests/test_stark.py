@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from starksim.electrostatics import FieldVector
+from starksim.cli import _volts_to_field
+from starksim.config import default_config
+from starksim.electrostatics import field_per_volt
 from starksim.stark import (
     EmitterParams,
     IonModel,
@@ -25,24 +29,24 @@ def make_ion(s, f0=0.0, fwhm=6.7, broadening=0.0, ion_id="ion"):
 
 class TestEmpiricalShift:
     def test_reference_coefficient(self):
-        centre, _ = make_ion(19.8).line(FieldVector(1000.0, 0.0))
+        centre, _ = make_ion(19.8).line(1000.0)
         assert centre == pytest.approx(19.8)
 
     def test_zero_field_zero_shift(self):
-        centre, fwhm = make_ion(19.8).line(FieldVector(0.0, 0.0))
+        centre, fwhm = make_ion(19.8).line(0.0)
         assert centre == 0.0
         assert fwhm == pytest.approx(6.7)
 
     def test_centre_is_rest_frequency_plus_shift(self):
         # the order of the arithmetic is part of the byte-identity contract
         ion = make_ion(-9.8, f0=-250.0)
-        centre, _ = ion.line(FieldVector(21652.534, 0.0))
+        centre, _ = ion.line(21652.534)
         assert centre == -250.0 + -9.8 * 21652.534 / 1000.0
 
     def test_broadening_grows_with_field_magnitude(self):
         ion = make_ion(19.8, broadening=0.5)
-        _, low = ion.line(FieldVector(1000.0, 0.0))
-        _, high = ion.line(FieldVector(-10_000.0, 0.0))
+        _, low = ion.line(1000.0)
+        _, high = ion.line(-10_000.0)
         assert low == pytest.approx(6.7 + 0.5 * 1.0)
         assert high == pytest.approx(6.7 + 0.5 * 10.0)
         assert high > low >= ion.zero_field_fwhm_mhz
@@ -50,15 +54,21 @@ class TestEmpiricalShift:
     def test_linearity_in_field(self):
         rng = np.random.default_rng(23)
         ion = make_ion(-12.5)
-        base, _ = ion.line(FieldVector(1500.0, 0.0))
+        base, _ = ion.line(1500.0)
         for _ in range(100):
             alpha = rng.uniform(-5.0, 5.0)
-            scaled, _ = ion.line(FieldVector(1500.0 * alpha, 0.0))
+            scaled, _ = ion.line(1500.0 * alpha)
             assert scaled == pytest.approx(alpha * base, rel=1e-12, abs=1e-12)
 
     def test_perpendicular_component_ignored(self):
-        ion = make_ion(19.8)
-        assert ion.line(FieldVector(0.0, 5000.0)) == (0.0, 6.7)
+        # the lines read one number, and the chain picks it in one place: off
+        # the axis, where the probe also sees a large perpendicular field, the
+        # volts-to-field scale is the parallel field per volt alone
+        config = default_config()
+        config = dataclasses.replace(config, layout=dataclasses.replace(config.layout, probe_point_um=(30.0, 10.0)))
+        unit, _ = field_per_volt(config.layout, config.solver.spacing_um)
+        assert abs(unit.e_perpendicular_v_per_cm) > 0.1 * abs(unit.e_parallel_v_per_cm)
+        assert _volts_to_field(config) == unit.e_parallel_v_per_cm
 
 
 class TestIonModelValidation:
@@ -115,7 +125,7 @@ class TestResonanceVoltage:
             except (NoResonanceError, VoltageOutOfRangeError):
                 continue
             hits += 1
-            field = FieldVector(scale * v, 0.0)
+            field = scale * v
             (fa, _), (fb, _) = a.line(field), b.line(field)
             assert abs(fa - fb) < 1e-3
 

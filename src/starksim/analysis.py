@@ -17,7 +17,6 @@ import numpy as np
 from .optimize import (
     DegenerateDataError,
     FitConvergenceError,
-    FitError,
     FitResult,
     least_squares,
 )
@@ -25,7 +24,6 @@ from .stark import line_law
 
 __all__ = [
     "G2Estimate",
-    "UndefinedNormalizationError",
     "estimate_g2_zero",
     "exponential_decay",
     "exponential_decay_jacobian",
@@ -37,10 +35,6 @@ __all__ = [
     "lorentzian",
     "lorentzian_jacobian",
 ]
-
-
-class UndefinedNormalizationError(FitError):
-    """All side lags empty: the coincidence ratio has no denominator."""
 
 
 @dataclass(frozen=True)
@@ -135,17 +129,24 @@ def _prominences(values: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     """Topographic prominence of each peak: its height above the higher enclosing valley.
 
     A peak's valley on each side is the lowest sample between it and the
-    nearest higher sample on that side, or the scan's end.
+    nearest higher sample on that side, or the scan's end. The peaks are
+    taken a block at a time, so the (peaks x points) temporaries stay
+    near 2**18 elements however long the scan.
     """
-    height = values[peaks, None]
     index = np.arange(values.size)
-    before, after = index < peaks[:, None], index > peaks[:, None]
-    higher = values > height
-    left = np.max(np.where(higher & before, index, -1), axis=1, keepdims=True)
-    right = np.min(np.where(higher & after, index, values.size), axis=1, keepdims=True)
-    left_min = np.min(np.where(before & (index > left), values, height), axis=1)
-    right_min = np.min(np.where(after & (index < right), values, height), axis=1)
-    return height[:, 0] - np.maximum(left_min, right_min)
+    prominences = np.empty(peaks.size)
+    block = max(2**18 // values.size, 1)
+    for start in range(0, peaks.size, block):
+        at = peaks[start: start + block, None]
+        height = values[at]
+        before, after = index < at, index > at
+        higher = values > height
+        left = np.max(np.where(higher & before, index, -1), axis=1, keepdims=True)
+        right = np.min(np.where(higher & after, index, values.size), axis=1, keepdims=True)
+        left_min = np.min(np.where(before & (index > left), values, height), axis=1)
+        right_min = np.min(np.where(after & (index < right), values, height), axis=1)
+        prominences[start: start + block] = height[:, 0] - np.maximum(left_min, right_min)
+    return prominences
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +186,6 @@ def fit_lorentzians(
     y = np.asarray(counts, dtype=float)
     if x.size < 8:
         raise DegenerateDataError(f"need at least 8 points, got {x.size}")
-    if np.ptp(y) == 0.0:
-        raise DegenerateDataError("counts are constant; nothing to fit")
     names = tuple(f"peak{k}_{name}" for k in range(1, len(peaks) + 1) for name in _LINE[:3]) + ("offset",)
     failure = None
     try:
@@ -201,7 +200,7 @@ def fit_lorentzians(
         keep = [3 * line, 3 * line + 1, 3 * line + 2, -1]
         lines.append(FitResult(_LINE, values[keep], fit.stderrs[keep], fit.reduced_chi_square, fit.iterations))
         width = lines[-1].values[2]
-        if not np.all(np.isfinite(lines[-1].values)) or width < 0.5 * pitch:
+        if width < 0.5 * pitch:
             message = f"peak{index}: fit collapsed to an unresolvable width {width:.3g} MHz"
             raise FitConvergenceError(message, lines[-1])
     if failure is not None:
@@ -250,7 +249,8 @@ def fit_exponential_decay(
     detector calibration instead. A floor more than 5 Poisson standard
     errors above the mean of the last tenth of the fitted bins does not
     describe the histogram (say, one taken with other settings) and is
-    refused.
+    refused. Darks alone are not, but a fit that fails on counts at most 5
+    standard errors above the floor in all reports no signal, however it failed.
     """
     t = np.asarray(times_us, dtype=float)
     y = np.asarray(counts, dtype=float)
@@ -258,8 +258,6 @@ def fit_exponential_decay(
     t, y = t[keep], y[keep]
     if t.size < 4:
         raise DegenerateDataError("too few bins past the fit start")
-    if np.ptp(y) == 0.0:
-        raise DegenerateDataError("histogram is constant; nothing to fit")
     floor = float(background)
     tail = y[-max(y.size // 10, 1):]
     # the floor's excess over the tail mean in Poisson standard errors; an empty tail counts as 1 event
@@ -277,24 +275,21 @@ def fit_exponential_decay(
     def pinned_jacobian(tt: np.ndarray, params: np.ndarray) -> np.ndarray:
         return exponential_decay_jacobian(tt, (*params, floor))[..., :2]
 
-    partial = least_squares(
-        pinned,
-        pinned_jacobian,
-        t,
-        y,
-        np.array([max(guess[0] + guess[2] - floor, 1e-9), guess[1]]),
-        ("amplitude", "tau_us"),
-    )
-    result = replace(
-        partial,
-        names=("amplitude", "tau_us", "background"),
-        values=np.append(partial.values, floor),
-        stderrs=np.append(partial.stderrs, 0.0),
-    )
-    tau = result.value("tau_us")
-    # reject lifetimes the window cannot constrain (runaway or negative)
-    if not np.all(np.isfinite(result.values)) or tau <= 0.0 or tau > 50.0 * float(t[-1] - t[0]):
-        raise FitConvergenceError(f"lifetime {tau:.3g} us is unconstrained by the data", result)
+    start = np.array([max(guess[0] + guess[2] - floor, 1e-9), guess[1]])
+    try:
+        partial = least_squares(pinned, pinned_jacobian, t, y, start, ("amplitude", "tau_us"))
+        result = replace(partial, names=("amplitude", "tau_us", "background"),
+                         values=np.append(partial.values, floor), stderrs=np.append(partial.stderrs, 0.0))
+        tau = result.value("tau_us")
+        if not 0.0 < tau <= 50.0 * float(t[-1] - t[0]):  # a runaway or negative lifetime
+            raise FitConvergenceError(f"lifetime {tau:.3g} us is unconstrained by the data", result)
+    except FitConvergenceError as exc:
+        # the counts' excess over the floor in Poisson standard errors, as the floor rule measures it
+        signal = (float(y.sum()) - floor * y.size) / math.sqrt(max(float(y.sum()), 1.0))
+        if signal > 5.0:
+            raise
+        message = f"no signal above the pinned floor: the counts exceed it by {signal:.1f} standard errors"
+        raise FitConvergenceError(message, exc.last_result) from None
     return result
 
 
@@ -331,8 +326,6 @@ def fit_stark_sweep(
     distinct, first = np.unique(e, return_index=True)
     if distinct.size < 3:
         raise DegenerateDataError(f"need at least 3 distinct fields, got {distinct.size}")
-    if np.ptp(y) == 0.0:
-        raise DegenerateDataError("counts are constant; nothing to fit")
     # the law is linear in its coefficients: its value at unit s and b is its derivative in them
     d_centre, d_width = line_law(e, 0.0, 1.0, 0.0, 1.0)
 
@@ -354,7 +347,7 @@ def fit_stark_sweep(
     initial = [max(float(y.max()) - offset, 1e-9), intercept, slope, 10.0, 0.0, offset]
     result = least_squares(model, jacobian, f, y, initial, names)
     _, fwhm = line_law(e, *result.values[1:5])
-    if not np.all(np.isfinite(result.values)) or fwhm.min() <= 0.0:
+    if fwhm.min() <= 0.0:
         raise FitConvergenceError(f"fit reached a width of {fwhm.min():.3g} MHz", result)
     return result
 
@@ -376,7 +369,7 @@ def estimate_g2_zero(
         raise DegenerateDataError(f"need exactly one lag-0 bin, got {zero_lag.size}")
     side = coincidences[lags != 0]
     if np.count_nonzero(side) < 3:
-        raise UndefinedNormalizationError("need at least 3 nonzero side lags to normalize")
+        raise DegenerateDataError("need at least 3 nonzero side lags to normalize")
     c0 = float(zero_lag[0])
     mean_side = float(side.mean())
     g2 = c0 / mean_side

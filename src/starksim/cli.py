@@ -20,12 +20,10 @@ run, so partial outputs of a failed run still carry their provenance;
 go to stdout, one per line (``field`` and ``resonance`` print their small
 key=value reports first); diagnostics go to stderr.
 
-Exit codes: 0 ok, 2 configuration/validation failure or an output
-directory that cannot be written (the manifest or any later file), 3 the
-field solve broke down on non-finite numbers, 4 simulation failure, 5
-fitting failure (``FitError`` only), a ``fit --input`` that cannot be read included, 6
-resonance has no solution, 7 resonance voltage beyond the configured
-limit.
+Exit codes are the ``EXIT_*`` constants. A config that fails to load,
+or a manifest that cannot be written, exits 2 where it happens; every
+later failure exits with the code and message of its row of
+``FAILURES``, the one table of failure class, exit code and message.
 """
 
 from __future__ import annotations
@@ -76,6 +74,20 @@ EXIT_SIMULATION = 4
 EXIT_FITTING = 5
 EXIT_NO_RESONANCE = 6
 EXIT_VOLTAGE_RANGE = 7
+
+# Each run-time failure's (class, exit code, message format of exc and out_dir),
+# read in order, so a class comes before its bases.
+FAILURES = (
+    (NoResonanceError, EXIT_NO_RESONANCE, "{exc}"),
+    (VoltageOutOfRangeError, EXIT_VOLTAGE_RANGE, "{exc} (required voltage {exc.required_voltage_v:.17g} V)"),
+    (ConvergenceError, EXIT_SOLVER, "{exc}"),
+    (ConfigError, EXIT_CONFIG, "{exc}"),
+    (GeometryError, EXIT_CONFIG, "{exc}"),
+    (StarkModelError, EXIT_CONFIG, "{exc}"),
+    (SimulationError, EXIT_SIMULATION, "simulation failed: {exc}"),
+    (FitError, EXIT_FITTING, "fitting failed: {exc}"),
+    (OSError, EXIT_CONFIG, "cannot write output directory {out_dir}: {exc}"),  # only writes under out_dir raise it
+)
 
 FIGURES = ("fig2", "fig3b", "fig3c", "fig4a", "fig4b")
 
@@ -286,17 +298,13 @@ PIPELINES = {  # figure -> (its dataset function, the FITS kind of its CSV)
 }
 
 
-class UnreadableDatasetError(FitError):
-    """A dataset CSV that cannot be opened or read back as its FITS columns."""
-
-
 def _fit_csv(kind: str, config: ExperimentConfig, dataset: Path, out_dir: Path) -> Path:
     """The one fit step of ``reproduce`` and ``fit``: read a dataset CSV, fit it, write fit_report.csv."""
     _, columns, fit = FITS[kind]
     try:
         data = read_table(dataset, columns)
     except ValueError as exc:  # read_table names the file, and the row and column of a bad cell
-        raise UnreadableDatasetError(str(exc)) from None
+        raise FitError(str(exc)) from None
     return write_table(out_dir / "fit_report.csv", REPORT_COLUMNS, fit(config, *data))
 
 
@@ -377,30 +385,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_CONFIG
     try:
         paths = handlers.get(args.command, _cmd_figure)(args, config, seed, out_dir)
-    except NoResonanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_RESONANCE
-    except VoltageOutOfRangeError as exc:
-        print(
-            f"error: {exc} (required voltage {exc.required_voltage_v:.17g} V)",
-            file=sys.stderr,
-        )
-        return EXIT_VOLTAGE_RANGE
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (ConfigError, GeometryError, StarkModelError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SimulationError as exc:
-        print(f"error: simulation failed: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
-    except FitError as exc:
-        print(f"error: fitting failed: {exc}", file=sys.stderr)
-        return EXIT_FITTING
-    except OSError as exc:  # only writes under out_dir raise it
-        print(f"error: cannot write output directory {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except tuple(cls for cls, _, _ in FAILURES) as exc:
+        code, text = next((code, text) for cls, code, text in FAILURES if isinstance(exc, cls))
+        print("error: " + text.format(exc=exc, out_dir=out_dir), file=sys.stderr)
+        return code
     for path in paths:
         print(path)
     return EXIT_OK

@@ -31,6 +31,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 
 from .electrostatics import ElectrodeLayout
 from .experiment import DEFAULT_MASTER_SEED, DecaySettings, DetectorModel, G2Settings, PLEProtocol, StarkScanSettings
+from .experiment import check_count
 from .stark import EmitterParams, IonModel, lifetime_limited_fwhm_mhz
 
 __all__ = [
@@ -144,6 +145,8 @@ class ExperimentConfig:
         if not 0.0 < self.solver.spacing_um <= self.layout.gap_um / 20.0:  # as solve_potential checks it
             raise ConfigError(f"[solver].spacing_um must lie in (0, gap/20 = {self.layout.gap_um / 20.0:g}] um, "
                               f"got {self.solver.spacing_um}")
+        half_width, pitch = self.stark.window_half_width_mhz, self.protocol.scan_pitch_mhz
+        check_count("[stark].window_half_width_mhz", 2.0 * half_width / pitch + 1)  # a Stark scan's points
         if self.stark.ion_id not in ("", *ids):
             raise ConfigError(f"[stark].ion_id {self.stark.ion_id!r} is not in the ion registry")
         for voltage in self.stark.voltages_v:  # the sweep stays within the supply

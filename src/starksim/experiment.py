@@ -40,6 +40,7 @@ __all__ = [
     "DetectorModel",
     "SimulationError",
     "StarkScanSettings",
+    "check_count",
     "emission_window_probability",
     "mix_seed",
     "point_generator",
@@ -57,6 +58,12 @@ _GATHER_BLOCK = 1 << 18  # g2 background events x lags gathered at once, so memo
 
 class SimulationError(ValueError):
     pass
+
+
+def check_count(where: str, count: float) -> None:
+    """Refuse a point or pulse count numpy cannot represent: one not finite, or 2**63 or more."""
+    if not count < 2**63:
+        raise SimulationError(f"{where} gives a count of {count:.4g}, and numpy counts only below 2**63")
 
 
 def mix_seed(master_seed: int, index: int) -> int:
@@ -107,6 +114,8 @@ class PLEProtocol:
         lo, hi = self.scan_range_mhz
         if not lo < hi:
             raise SimulationError("scan range must be increasing")
+        check_count("[protocol].scan_range_mhz", (hi - lo) / self.scan_pitch_mhz + 1)
+        check_count("[protocol].integration_time_s", self.integration_time_s * self.repetition_rate_khz * 1000.0)
 
     @property
     def period_us(self) -> float:
@@ -151,6 +160,7 @@ class DecaySettings:
     def __post_init__(self) -> None:
         if self.n_pulses < 1:
             raise SimulationError(f"[decay].n_pulses must be at least 1, got {self.n_pulses}")
+        check_count("[decay].n_pulses", self.n_pulses)
         if not self.bin_width_us > 0.0:
             raise SimulationError(f"[decay].bin_width_us must be positive, got {self.bin_width_us}")
 
@@ -170,6 +180,7 @@ class G2Settings:
             raise SimulationError(f"[g2].max_lag must be at least 1, got {self.max_lag}")
         if self.n_pulses <= self.max_lag:
             raise SimulationError(f"[g2].n_pulses must exceed max_lag = {self.max_lag}, got {self.n_pulses}")
+        check_count("[g2].n_pulses", self.n_pulses)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ the deviance by less than 1e-10 relative; a fit that runs out of its 200
 iterations, or whose damping reaches 1e14 without a downhill step,
 raises :class:`FitConvergenceError`.
 
+Every fit shares two refusals, stated here only: constant counts raise
+:class:`DegenerateDataError`, and a step to parameters that are not all
+finite scores +inf, so the state a fit returns or carries is finite.
+
 Standard errors come from the inverse Fisher matrix ``(J^T W J)^-1``
 with ``W = 1/mu`` at the optimum; the reduced chi-square is Pearson's
 ``sum (y - mu)^2 / mu`` over the degrees of freedom.
@@ -82,11 +86,13 @@ def poisson_deviance(
 ) -> float:
     """``2 sum(mu - y + y log(y/mu))``, with ``y log(y/mu) = 0`` where y = 0.
 
-    Any ``mu <= 0`` gives +inf, and so does a sum that is not finite, as
-    when a huge ``mu`` rounds ``(y - mu)/mu`` to -1. The log is taken as
-    ``log1p((y - mu)/mu)`` so the deviance keeps its precision when the
-    model nearly matches the data.
+    Parameters that are not all finite give +inf, as do any ``mu <= 0``
+    and a sum that is not finite, say when a huge ``mu`` rounds ``(y -
+    mu)/mu`` to -1. The log is taken as ``log1p((y - mu)/mu)`` so the
+    deviance keeps its precision when the model nearly matches the data.
     """
+    if not np.all(np.isfinite(params)):
+        return math.inf
     mu = model(x, params)
     if not np.all(mu > 0.0):
         return math.inf
@@ -113,7 +119,8 @@ def least_squares(
     Raises
     ------
     FitError
-        If the points are too few or ill-matched, or the start is invalid.
+        If the points are too few or ill-matched, or the start is invalid;
+        :class:`DegenerateDataError` if the counts are constant.
     FitConvergenceError
         If no downhill step exists from a point that has not met the
         relative-decrease test, or the iteration budget runs out; the
@@ -130,6 +137,8 @@ def least_squares(
     deviance = poisson_deviance(model, x, y, p)
     if np.any(y < 0.0) or not np.isfinite(deviance):
         raise FitError("counts must be >= 0 and the initial model > 0 at every point")
+    if np.ptp(y) == 0.0:
+        raise DegenerateDataError("counts are constant; nothing to fit")
 
     def result() -> FitResult:
         mu = model(x, p)
@@ -158,7 +167,7 @@ def least_squares(
             except np.linalg.LinAlgError:
                 damping *= DAMPING_STEP
                 continue
-            with np.errstate(all="ignore"):  # a trial the model cannot evaluate scores +inf
+            with np.errstate(all="ignore"):  # a trial the model cannot evaluate, or not finite, scores +inf
                 trial_deviance = poisson_deviance(model, x, y, trial)
             if trial_deviance <= deviance:  # False for inf
                 break

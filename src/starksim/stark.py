@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "EmitterParams",
     "IonModel",
@@ -118,8 +116,6 @@ def lifetime_limited_fwhm_mhz(lifetime_us: float) -> float:
 
 def excitation_probability(saturation_prob, fwhm_mhz, detuning_mhz):
     """Per-pulse excitation probability of a ``fwhm_mhz`` wide line at a laser detuning (MHz); numbers or arrays."""
-    if not np.all(np.isfinite(detuning_mhz)):
-        raise ValueError("detuning must be finite")
     u = 2.0 * detuning_mhz / fwhm_mhz
     return saturation_prob / (1.0 + u**2)
 

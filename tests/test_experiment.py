@@ -15,6 +15,7 @@ from starksim.experiment import (
     PLEProtocol,
     SimulationError,
     StarkScanSettings,
+    check_count,
     emission_window_probability,
     mix_seed,
     point_generator,
@@ -57,6 +58,15 @@ class TestProtocolValidation:
 
     def test_pulses_per_point(self, config):
         assert config.protocol.pulses_per_point == 50_000
+
+    def test_counts_stop_below_2_to_the_63(self):
+        check_count("[g2].n_pulses", 2**63 - 1)
+        for count in (2**63, 2.0**63, math.inf, math.nan):
+            with pytest.raises(SimulationError, match=r"^\[g2\]\.n_pulses gives a count of"):
+                check_count("[g2].n_pulses", count)
+        G2Settings(n_pulses=2**63 - 1)  # representable: built, never drawn here
+        with pytest.raises(SimulationError, match=r"^\[decay\]\.n_pulses"):
+            DecaySettings(n_pulses=2**63)
 
 
 class TestPLEScan:

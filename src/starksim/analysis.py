@@ -29,7 +29,6 @@ __all__ = [
     "exponential_decay_jacobian",
     "find_peaks",
     "fit_exponential_decay",
-    "fit_lorentzian",
     "fit_lorentzians",
     "fit_stark_sweep",
     "lorentzian",
@@ -154,15 +153,6 @@ def _prominences(values: np.ndarray, peaks: np.ndarray) -> np.ndarray:
 
 
 _LINE = ("amplitude", "center_mhz", "fwhm_mhz", "offset")  # one line's parameters
-
-
-def fit_lorentzian(frequencies_mhz: Sequence[float] | np.ndarray, counts: Sequence[float] | np.ndarray) -> FitResult:
-    """Poisson maximum-likelihood Lorentzian fit; parameters (amplitude,
-    center_mhz, fwhm_mhz, offset). The one-line :func:`fit_lorentzians`,
-    started at the highest sample."""
-    y = np.asarray(counts, dtype=float)
-    [line] = fit_lorentzians(frequencies_mhz, y, [int(np.argmax(y))] if y.size else [])
-    return line
 
 
 def fit_lorentzians(

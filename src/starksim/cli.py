@@ -33,7 +33,6 @@ import functools
 import math
 import shlex
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -49,7 +48,7 @@ from .analysis import (
 )
 from .config import ConfigError, ExperimentConfig, RunSettings, default_config, load_config
 from .csvio import read_table, write_table
-from .electrostatics import ConvergenceError, GeometryError, field_at, field_per_volt
+from .electrostatics import FieldOverflowError, GeometryError, field_at, solve_potential
 from .experiment import (
     SimulationError,
     mix_seed,
@@ -80,7 +79,7 @@ EXIT_VOLTAGE_RANGE = 7
 FAILURES = (
     (NoResonanceError, EXIT_NO_RESONANCE, "{exc}"),
     (VoltageOutOfRangeError, EXIT_VOLTAGE_RANGE, "{exc} (required voltage {exc.required_voltage_v:.17g} V)"),
-    (ConvergenceError, EXIT_SOLVER, "{exc}"),
+    (FieldOverflowError, EXIT_SOLVER, "{exc}"),
     (ConfigError, EXIT_CONFIG, "{exc}"),
     (GeometryError, EXIT_CONFIG, "{exc}"),
     (StarkModelError, EXIT_CONFIG, "{exc}"),
@@ -175,7 +174,8 @@ def _volts_to_field(config: ExperimentConfig) -> float:
     """The probe field per volt of bias along the inter-electrode axis, in
     V/cm per V, of the configured layout and solver: the one component of
     the field the ions' lines read."""
-    return field_per_volt(config.layout, config.solver.spacing_um)[0].e_parallel_v_per_cm
+    layout = config.layout
+    return field_at(solve_potential(layout, config.solver.spacing_um), layout.probe_point_um).e_parallel_v_per_cm
 
 
 def _ple(args, config: ExperimentConfig, seed: int) -> list[tuple]:
@@ -218,7 +218,7 @@ def _fit_lifetime(config: ExperimentConfig, times_us, counts) -> list[Row]:
         raise DegenerateDataError("need at least two bins")
     bin_width_us = float(np.median(np.diff(times_us)))
     n_inside = int(np.count_nonzero(times_us + bin_width_us / 2.0 <= config.protocol.window_length_us * (1 + 1e-9)))
-    dark_floor = config.detector.dark_mean_per_pulse(bin_width_us) * config.decay.n_pulses
+    dark_floor = config.decay.dark_mean(config.detector, bin_width_us)
     fit = fit_exponential_decay(times_us[:n_inside], counts[:n_inside], config.decay.fit_start_us, dark_floor)
     return _rows(fit, [("tau_us", "us"), ("amplitude", "counts"), ("background", "counts")])
 
@@ -322,10 +322,9 @@ def _cmd_fit(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[P
 def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) -> list[Path]:
     layout = config.layout
     voltage = args.voltage if args.voltage is not None else layout.bias_v
-    scale, grid = field_per_volt(layout, config.solver.spacing_um, voltage_v=voltage)
-    if voltage == 0.0:  # the per-volt field came from a 1 V solve; at 0 V the potential is zero
-        grid = replace(grid, quarter=np.zeros_like(grid.quarter))
-    probe = field_at(grid, layout.probe_point_um)
+    grid = solve_potential(layout, config.solver.spacing_um)
+    unit = field_at(grid, layout.probe_point_um)
+    probe = unit.scaled(voltage)
 
     def fmt(value: float) -> str:
         return format(0.0 if value == 0.0 else value, ".17g")
@@ -333,11 +332,12 @@ def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) 
     print(f"voltage_v={fmt(voltage)}")
     print(f"e_parallel_v_per_cm={fmt(probe.e_parallel_v_per_cm)}")
     print(f"e_perpendicular_v_per_cm={fmt(probe.e_perpendicular_v_per_cm)}")
-    print(f"volts_to_field_v_per_cm_per_v={fmt(scale.e_parallel_v_per_cm)}")
+    print(f"volts_to_field_v_per_cm_per_v={fmt(unit.e_parallel_v_per_cm)}")
     if not args.dump_grid:
         return []
     xs = grid.x_coords_um.tolist()
-    rows = ((x, y, v) for y, row in zip(grid.y_coords_um.tolist(), grid.values.tolist()) for x, v in zip(xs, row))
+    potentials = (grid.values * voltage + 0.0).tolist()  # + 0.0: no "-0" cells where the product is -0
+    rows = ((x, y, v) for y, row in zip(grid.y_coords_um.tolist(), potentials) for x, v in zip(xs, row))
     return [write_table(out_dir / "potential_grid.csv", ("x_um", "y_um", "potential_v"), rows)]
 
 

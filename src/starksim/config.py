@@ -29,9 +29,9 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
-from .electrostatics import ElectrodeLayout
+from .electrostatics import ElectrodeLayout, check_grid
 from .experiment import DEFAULT_MASTER_SEED, DecaySettings, DetectorModel, G2Settings, PLEProtocol, StarkScanSettings
-from .experiment import check_count
+from .experiment import check_count, check_poisson_mean
 from .stark import EmitterParams, IonModel, lifetime_limited_fwhm_mhz
 
 __all__ = [
@@ -142,11 +142,14 @@ class ExperimentConfig:
                 raise ConfigError(f"[[ions]].id {ion_id!r} may use only A-Z, a-z, 0-9, '_', '.' and '-'")
         if len(set(ids)) != len(ids):
             raise ConfigError("ion ids must be unique")
-        if not 0.0 < self.solver.spacing_um <= self.layout.gap_um / 20.0:  # as solve_potential checks it
-            raise ConfigError(f"[solver].spacing_um must lie in (0, gap/20 = {self.layout.gap_um / 20.0:g}] um, "
-                              f"got {self.solver.spacing_um}")
+        check_grid(self.layout, self.solver.spacing_um)  # as solve_potential checks it
         half_width, pitch = self.stark.window_half_width_mhz, self.protocol.scan_pitch_mhz
         check_count("[stark].window_half_width_mhz", 2.0 * half_width / pitch + 1)  # a Stark scan's points
+        # the Poisson means the simulators draw from: a scan point's darks, the decay's widest bin's, g2's per arm
+        widest_bin_us = min(self.decay.bin_width_us, self.protocol.window_length_us)
+        darks = max(self.protocol.dark_mean(self.detector), self.decay.dark_mean(self.detector, widest_bin_us))
+        check_poisson_mean("[detector].dark_rate_hz", darks)
+        check_poisson_mean("[g2].background_fraction", self.g2.means(self.emitter, self.protocol)[1])
         if self.stark.ion_id not in ("", *ids):
             raise ConfigError(f"[stark].ion_id {self.stark.ion_id!r} is not in the ion registry")
         for voltage in self.stark.voltages_v:  # the sweep stays within the supply

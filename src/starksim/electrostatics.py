@@ -7,9 +7,9 @@ normal, vacuum above, crystal below) is discretised by the five-point
 stencil on a node-centred grid; electrodes and the outer box are
 Dirichlet data.
 
-Only the bias p0 - p1 across the pair enters the model: the solver holds
-the electrodes at the balanced pair +-(p0 - p1)/2, and the common mode
-(p0 + p1)/2 of the two potentials is not part of the model.
+The potential is linear in the bias p0 - p1, and the common mode (p0 + p1)/2
+is not part of the model: each geometry is solved once, per volt, at +-1/2 V,
+and a caller scales the grid or its probe field by its own bias.
 
 The discrete problem has two exact symmetries, and the solver uses both.
 The grid and the electrode nodes are mirror-symmetric in x and in y, and
@@ -49,19 +49,19 @@ Units: lengths in micrometres, potentials in volts, fields in V/cm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 __all__ = [
-    "ConvergenceError",
     "ElectrodeLayout",
+    "FieldOverflowError",
     "FieldVector",
     "GeometryError",
     "PotentialGrid",
+    "check_grid",
     "field_at",
-    "field_per_volt",
     "solve_potential",
 ]
 
@@ -72,12 +72,8 @@ class GeometryError(ValueError):
     """Layout or solver inputs violate a geometric precondition."""
 
 
-class ConvergenceError(RuntimeError):
-    """The field solve broke down on non-finite numbers, say a bias that overflows."""
-
-    def __init__(self, residual_v: float):
-        self.residual_v = residual_v
-        super().__init__(f"the field solve broke down on non-finite numbers (residual {residual_v} V)")
+class FieldOverflowError(ArithmeticError):
+    """The per-volt field, scaled to a bias, overflows."""
 
 
 @dataclass(frozen=True)
@@ -87,9 +83,9 @@ class ElectrodeLayout:
     The coordinate origin is the gap centre on the surface. The left
     electrode occupies ``[-gap/2 - width, -gap/2]`` at ``y = 0`` and has
     the potential ``electrode_potentials_v[0]``; the right one mirrors it.
-    Only their difference, :attr:`bias_v`, is solved.
+    Only their difference, :attr:`bias_v`, enters: it scales the per-volt grid.
     ``probe_point_um`` is where the cavity centre sits relative to the
-    gap centre.
+    gap centre; :func:`check_grid` holds it one cell inside the grid.
     """
 
     electrode_width_um: float
@@ -114,18 +110,11 @@ class ElectrodeLayout:
             raise GeometryError(
                 f"domain height {height} um leaves less than 2x gap margin around the surface"
             )
-        px, py = self.probe_point_um
-        if abs(px) >= width / 2.0 or abs(py) >= height / 2.0:
-            raise GeometryError(f"probe point {self.probe_point_um} lies outside the domain")
 
     @property
     def bias_v(self) -> float:
         """Potential difference across the pair (left minus right)."""
         return self.electrode_potentials_v[0] - self.electrode_potentials_v[1]
-
-    def with_bias(self, voltage_v: float) -> "ElectrodeLayout":
-        """Same geometry with potentials ``(+V/2, -V/2)``."""
-        return replace(self, electrode_potentials_v=(voltage_v / 2.0, -voltage_v / 2.0))
 
 
 @dataclass(frozen=True)
@@ -140,15 +129,20 @@ class FieldVector:
     e_parallel_v_per_cm: float
     e_perpendicular_v_per_cm: float
 
-    def scaled(self, factor: float) -> "FieldVector":
-        return FieldVector(self.e_parallel_v_per_cm * factor, self.e_perpendicular_v_per_cm * factor)
+    def scaled(self, voltage_v: float) -> "FieldVector":
+        """This field per volt of bias at ``voltage_v``; :class:`FieldOverflowError` if that is not finite."""
+        scaled = FieldVector(self.e_parallel_v_per_cm * voltage_v, self.e_perpendicular_v_per_cm * voltage_v)
+        if not (math.isfinite(scaled.e_parallel_v_per_cm) and math.isfinite(scaled.e_perpendicular_v_per_cm)):
+            raise FieldOverflowError(f"the probe field overflows at a bias of {voltage_v:.17g} V")
+        return scaled
 
 
 @dataclass(frozen=True)
 class PotentialGrid:
-    """Solved potential on a uniform node-centred grid centred on the gap.
+    """Potential per volt of bias on a uniform node-centred grid centred on the gap.
 
-    The grid is held as the quarter x >= 0, y >= 0 that was solved:
+    The electrodes are at +-1/2 V, so a bias V gives ``V * values``. The
+    grid is held as the quarter x >= 0, y >= 0 that was solved:
     ``quarter[m, k]`` is the potential at ``(k*h, m*h)``, row 0 the
     surface. Its Dirichlet nodes hold their exact values: the top row,
     the wall column and the surface row's ``electrode`` columns. The
@@ -197,11 +191,6 @@ def _mirrored(quarter: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nda
     """
     v = quarter[np.abs(rows)[:, None], np.abs(cols)]
     return np.where(cols < 0, 0.0 - v, v)
-
-
-def _half_cells(extent_um: float, spacing_um: float) -> int:
-    """Cells from the centre to each edge of a grid spanning [-extent/2, extent/2]."""
-    return max(int(round(extent_um / 2.0 / spacing_um)), 2)
 
 
 def _quarter_potential(cols: int, rows: int, electrode: np.ndarray, potential_v: float) -> np.ndarray:
@@ -265,55 +254,44 @@ def _residual(quarter: np.ndarray, electrode: np.ndarray) -> float:
 
 
 def solve_potential(layout: ElectrodeLayout, spacing_um: float) -> PotentialGrid:
-    """Solve the bias of the electrode pair to its potential grid.
+    """Solve the geometry of the electrode pair to its potential grid per volt of bias.
 
-    The electrodes are held at ``+-bias_v / 2``, the outer box at zero
-    (the far boundary). The solve is direct: the grid is the exact
-    solution of the discrete equations up to rounding.
-
-    Raises
-    ------
-    GeometryError
-        If ``spacing_um > gap/20`` or the layout is invalid.
-    ConvergenceError
-        If the solved grid or its residual is not finite.
+    The electrodes are held at +-1/2 V, the left one positive, and the
+    outer box at zero (the far boundary); ``electrode_potentials_v`` is
+    not read. The solve is direct: the grid is the exact solution of the
+    discrete equations up to rounding. :class:`GeometryError` if
+    :func:`check_grid` refuses the layout at ``spacing_um``.
     """
-    if not spacing_um > 0.0:
-        raise GeometryError(f"spacing must be positive, got {spacing_um}")
-    if spacing_um > layout.gap_um / 20.0:
-        raise GeometryError(
-            f"spacing {spacing_um} um too coarse: need <= gap/20 = {layout.gap_um / 20.0} um"
-        )
-
-    cols = _half_cells(layout.domain_extent_um[0], spacing_um)
-    rows = _half_cells(layout.domain_extent_um[1], spacing_um)
+    cols, rows = check_grid(layout, spacing_um)
     x = spacing_um * np.arange(cols + 1)  # the quarter's columns, x >= 0
     snap = spacing_um / 4.0
     half_gap = layout.gap_um / 2.0
     electrode = np.flatnonzero((x >= half_gap - snap) & (x <= half_gap + layout.electrode_width_um + snap))
-    with np.errstate(all="ignore"):  # a bias that overflows is caught below, not warned about
-        quarter = _quarter_potential(cols, rows, electrode, -layout.bias_v / 2.0)
-        residual = _residual(quarter, electrode)
-    if not (math.isfinite(residual) and np.isfinite(quarter).all()):
-        raise ConvergenceError(residual)
-    return PotentialGrid(spacing_um=spacing_um, quarter=quarter, electrode=electrode, residual_v=residual)
+    quarter = _quarter_potential(cols, rows, electrode, -0.5)  # the quarter holds the right electrode
+    return PotentialGrid(spacing_um, quarter, electrode, _residual(quarter, electrode))
 
 
-def field_per_volt(
-    layout: ElectrodeLayout, spacing_um: float, *, voltage_v: float | None = None
-) -> tuple[FieldVector, PotentialGrid]:
-    """Probe field per volt of bias, and the grid it was read from.
+def _stencil_position(
+    point_um: tuple[float, float], spacing_um: float, cols: int, rows: int, what: str = "probe point"
+) -> tuple[float, float]:
+    """The point's fractional node indices ``(xi, yi)`` on the full grid of a ``cols`` x ``rows``-cell quarter.
+    The field stencil reaches one node past the point's cell, so :class:`GeometryError` unless it is one cell inside."""
+    xi = (point_um[0] + cols * spacing_um) / spacing_um
+    yi = (point_um[1] + rows * spacing_um) / spacing_um
+    if not (1.0 <= xi <= 2 * cols - 1.0 and 1.0 <= yi <= 2 * rows - 1.0):
+        raise GeometryError(f"{what} {point_um} um is not one cell ({spacing_um:g} um) inside the grid's edge")
+    return xi, yi
 
-    The layout's geometry is solved with the balanced pair ``(+V/2, -V/2)``,
-    where V is ``voltage_v``, by default the layout's bias, and 1 V if
-    that is 0; the probe field is divided by V. The field is linear in
-    the bias, so the result scales to any voltage.
-    """
-    voltage = layout.bias_v if voltage_v is None else voltage_v
-    if voltage == 0.0:
-        voltage = 1.0
-    grid = solve_potential(layout.with_bias(voltage), spacing_um)
-    return field_at(grid, layout.probe_point_um).scaled(1.0 / voltage), grid
+
+def check_grid(layout: ElectrodeLayout, spacing_um: float) -> tuple[int, int]:
+    """The cells ``(cols, rows)`` from the gap centre to the side and top walls of the grid that solves ``layout``
+    at ``spacing_um``, checked as the config is when it loads: :class:`GeometryError` for a spacing outside
+    (0, gap/20], or a probe whose field stencil leaves the grid."""
+    if not 0.0 < spacing_um <= layout.gap_um / 20.0:
+        raise GeometryError(f"[solver].spacing_um must lie in (0, gap/20 = {layout.gap_um / 20.0:g}] um, got {spacing_um}")
+    cols, rows = (max(int(round(extent / 2.0 / spacing_um)), 2) for extent in layout.domain_extent_um)
+    _stencil_position(layout.probe_point_um, spacing_um, cols, rows, "[layout].probe_point_um")
+    return cols, rows
 
 
 def field_at(grid: PotentialGrid, point_um: tuple[float, float]) -> FieldVector:
@@ -325,18 +303,13 @@ def field_at(grid: PotentialGrid, point_um: tuple[float, float]) -> FieldVector:
     the grid edge so the stencil fits. The stencil's nodes are read from
     the quarter through the mirror.
     """
-    x, y = point_um
     h = grid.spacing_um
     rows, cols = grid.quarter.shape
-    ny, nx = 2 * rows - 1, 2 * cols - 1
-    xi = (x - grid.x0_um) / h
-    yi = (y - grid.y0_um) / h
-    if not (1.0 <= xi <= nx - 2.0 and 1.0 <= yi <= ny - 2.0):
-        raise GeometryError(f"probe point {point_um} um is outside the interior of the grid")
+    xi, yi = _stencil_position(point_um, h, cols - 1, rows - 1)
 
-    # the cell's lower-left node; on the last interior node, the cell below it
-    j0 = min(int(xi), nx - 3)
-    i0 = min(int(yi), ny - 3)
+    # the cell's lower-left node; on the last interior node, the cell below it (the full grid is 2 * cols - 1 wide)
+    j0 = min(int(xi), 2 * cols - 4)
+    i0 = min(int(yi), 2 * rows - 4)
     fx = xi - j0
     fy = yi - i0
 

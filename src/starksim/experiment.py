@@ -41,6 +41,7 @@ __all__ = [
     "SimulationError",
     "StarkScanSettings",
     "check_count",
+    "check_poisson_mean",
     "emission_window_probability",
     "mix_seed",
     "point_generator",
@@ -54,6 +55,7 @@ DEFAULT_MASTER_SEED = 0xE53_1536
 
 _MASK64 = (1 << 64) - 1
 _GATHER_BLOCK = 1 << 18  # g2 background events x lags gathered at once, so memory stays bounded
+_POISSON_MAX = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)  # the largest mean numpy's Poisson sampler takes
 
 
 class SimulationError(ValueError):
@@ -64,6 +66,12 @@ def check_count(where: str, count: float) -> None:
     """Refuse a point or pulse count numpy cannot represent: one not finite, or 2**63 or more."""
     if not count < 2**63:
         raise SimulationError(f"{where} gives a count of {count:.4g}, and numpy counts only below 2**63")
+
+
+def check_poisson_mean(where: str, mean: float) -> None:
+    """Refuse a Poisson mean numpy cannot draw from: one above 2**63 - 1 - 10 sqrt(2**63 - 1), or not a number."""
+    if not mean <= _POISSON_MAX:
+        raise SimulationError(f"{where} gives a Poisson mean of {mean:.4g}, above numpy's largest, {_POISSON_MAX:.4g}")
 
 
 def mix_seed(master_seed: int, index: int) -> int:
@@ -125,6 +133,10 @@ class PLEProtocol:
     def pulses_per_point(self) -> int:
         return int(round(self.integration_time_s * self.repetition_rate_khz * 1000.0))
 
+    def dark_mean(self, detector: DetectorModel) -> float:
+        """Dark counts expected at one scan point: one window per pulse."""
+        return detector.dark_mean_per_pulse(self.window_length_us) * self.pulses_per_point
+
     def scan_frequencies_mhz(self) -> np.ndarray:
         lo, hi = self.scan_range_mhz
         n = int(math.floor((hi - lo) / self.scan_pitch_mhz + 1e-9)) + 1
@@ -164,6 +176,10 @@ class DecaySettings:
         if not self.bin_width_us > 0.0:
             raise SimulationError(f"[decay].bin_width_us must be positive, got {self.bin_width_us}")
 
+    def dark_mean(self, detector: DetectorModel, width_us: float | np.ndarray) -> float | np.ndarray:
+        """Dark counts expected over the pulses in a bin whose part inside the window is ``width_us`` wide."""
+        return detector.dark_mean_per_pulse(width_us) * self.n_pulses
+
 
 @dataclass(frozen=True)
 class G2Settings:
@@ -181,6 +197,13 @@ class G2Settings:
         if self.n_pulses <= self.max_lag:
             raise SimulationError(f"[g2].n_pulses must exceed max_lag = {self.max_lag}, got {self.n_pulses}")
         check_count("[g2].n_pulses", self.n_pulses)
+
+    def means(self, emitter: EmitterParams, protocol: PLEProtocol) -> tuple[float, float]:
+        """The emitter's chance of a detected photon per pulse, and each arm's mean background events over the record."""
+        p_signal = emitter.saturation_excitation_prob * emission_window_probability(
+            emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
+        )
+        return p_signal, self.background_fraction / (1.0 - self.background_fraction) * p_signal / 2.0 * self.n_pulses
 
 
 @dataclass(frozen=True)
@@ -234,17 +257,15 @@ def simulate_ple_scan(
     binomial array over (points x ions), then one Poisson count per point.
     """
     frequencies = protocol.scan_frequencies_mhz()
-    n_pulses = protocol.pulses_per_point
     centres, fwhms = np.array([_line(ion, e_parallel_v_per_cm) for ion in ions]).reshape(-1, 2).T
     p_exc = excitation_probability(emitter.saturation_excitation_prob, fwhms, frequencies[:, None] - centres)
     p_detect = detector.total_efficiency * emission_window_probability(
         emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
     )
-    dark_mean = detector.dark_mean_per_pulse(protocol.window_length_us) * n_pulses
 
     rng = point_generator(seed)
-    signal = rng.binomial(n_pulses, p_exc * p_detect).sum(axis=1)
-    return frequencies, signal + rng.poisson(dark_mean, frequencies.size)
+    signal = rng.binomial(protocol.pulses_per_point, p_exc * p_detect).sum(axis=1)
+    return frequencies, signal + rng.poisson(protocol.dark_mean(detector), frequencies.size)
 
 
 def simulate_decay_histogram(
@@ -263,7 +284,7 @@ def simulate_decay_histogram(
     given the total, the signal bins are multinomial over the truncated
     exponential (Devroye 1986, ch. XI). Dark counts are Poisson in every
     bin with mean ``dark_rate * overlap * n_pulses``, where ``overlap`` is
-    the part of the bin inside the window. Bin probabilities are
+    the bin's part inside the window, at most one bin width. Bin probabilities are
     differences of ``exp(-(delay + edge) / lifetime)`` over edges clipped
     to the window, and ``P_window`` is their sum, so times past the last
     edge are dropped when the bins fall short of the window.
@@ -284,7 +305,8 @@ def simulate_decay_histogram(
     n_signal = rng.binomial(decay.n_pulses, p_photon)
     # a pulse can only yield a photon if p_window > 0, so the split never divides by 0
     signal = rng.multinomial(n_signal, bin_probs / p_window) if n_signal else 0
-    darks = rng.poisson(detector.dark_mean_per_pulse(np.diff(inside)) * decay.n_pulses)
+    # each bin's part inside the window, capped at one bin width: the widest is the first, which the config checks
+    darks = rng.poisson(decay.dark_mean(detector, np.minimum(np.diff(inside), decay.bin_width_us)))
     return (edges[:-1] + edges[1:]) / 2.0, (signal + darks).astype(np.int64)
 
 
@@ -319,10 +341,7 @@ def simulate_g2_histogram(
     """
     n_pulses, max_lag = g2.n_pulses, g2.max_lag
     rng = point_generator(seed)
-    p_signal = emitter.saturation_excitation_prob * emission_window_probability(
-        emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
-    )
-    background_mean = g2.background_fraction / (1.0 - g2.background_fraction) * p_signal
+    p_signal, arm_background = g2.means(emitter, protocol)
 
     # arm X at pulse i is its signal mask plus its background events there; on
     # arrays padded with max_lag empty pulses each side C(k) = sum_i a_i b_(i+k)
@@ -334,7 +353,7 @@ def simulate_g2_histogram(
     np.less(u, p_signal, out=signal_b[record])
     signal_b[record] &= ~signal_a[record]
     background_a, background_b = (
-        max_lag + rng.integers(0, n_pulses, rng.poisson(background_mean / 2.0 * n_pulses)) for _ in "ab"
+        max_lag + rng.integers(0, n_pulses, rng.poisson(arm_background)) for _ in "ab"
     )
     lags = np.arange(-max_lag, max_lag + 1)
     later = [slice(max_lag + k, max_lag + k + n_pulses) for k in lags.tolist()]  # the record k pulses later

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from starksim.analysis import fit_lorentzians
 from starksim.config import default_config
 from starksim.experiment import emission_window_probability
 
@@ -110,3 +111,9 @@ def full_grid_residual(values, fixed):
         applied -= neighbour
     applied[fixed[1:-1, 1:-1]] = 0.0
     return float(np.abs(applied).max())
+
+
+def fit_one_lorentzian(frequencies_mhz, counts):
+    """The one-line ``fit_lorentzians``, started at the highest sample."""
+    [line] = fit_lorentzians(frequencies_mhz, counts, [int(np.argmax(counts))])
+    return line

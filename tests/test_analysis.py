@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import fit_one_lorentzian
 
 from starksim.analysis import (
     G2Estimate,
@@ -16,7 +17,6 @@ from starksim.analysis import (
     exponential_decay_jacobian,
     find_peaks,
     fit_exponential_decay,
-    fit_lorentzian,
     fit_lorentzians,
     fit_stark_sweep,
     lorentzian,
@@ -127,7 +127,7 @@ class TestFitLorentzian:
         freqs = np.arange(-100.0, 100.1, 5.0)
         truth = np.array([100.0, 0.0, 6.7, 0.0])
         counts = lorentzian(freqs, truth)
-        fit = fit_lorentzian(freqs, counts)
+        fit = fit_one_lorentzian(freqs, counts)
         assert fit.value("amplitude") == pytest.approx(100.0, rel=1e-6)
         assert fit.value("center_mhz") == pytest.approx(0.0, abs=1e-6 * 6.7)
         assert fit.value("fwhm_mhz") == pytest.approx(6.7, rel=1e-6)
@@ -137,7 +137,7 @@ class TestFitLorentzian:
         rng = np.random.default_rng(11)
         freqs = np.arange(-60.0, 60.1, 5.0)
         truth = np.array([213.0, 0.0, 6.7, 8.5])
-        fit = fit_lorentzian(freqs, rng.poisson(lorentzian(freqs, truth)))
+        fit = fit_one_lorentzian(freqs, rng.poisson(lorentzian(freqs, truth)))
         assert abs(fit.value("fwhm_mhz") - 6.7) < 3.0 * fit.stderr("fwhm_mhz")
         assert abs(fit.value("center_mhz")) < 3.0 * fit.stderr("center_mhz")
         assert 0.2 < fit.reduced_chi_square < 3.0
@@ -145,13 +145,13 @@ class TestFitLorentzian:
     def test_constant_data_rejected(self):
         freqs = np.arange(20.0)
         with pytest.raises(DegenerateDataError):
-            fit_lorentzian(freqs, np.full(20, 7.0))
+            fit_one_lorentzian(freqs, np.full(20, 7.0))
 
     def test_needs_eight_points(self):
         with pytest.raises(DegenerateDataError):
-            fit_lorentzian(np.arange(7.0), np.arange(7.0))
+            fit_one_lorentzian(np.arange(7.0), np.arange(7.0))
         with pytest.raises(DegenerateDataError, match="need at least 8 points, got 0"):
-            fit_lorentzian([], [])
+            fit_lorentzians([], [], [])
 
     def test_flat_noise_flagged_or_consistent_with_zero(self):
         rng = np.random.default_rng(13)
@@ -160,7 +160,7 @@ class TestFitLorentzian:
         for _ in range(5):
             counts = rng.poisson(8.5, freqs.size)
             try:
-                fit = fit_lorentzian(freqs, counts)
+                fit = fit_one_lorentzian(freqs, counts)
             except FitConvergenceError:
                 flagged += 1
                 continue
@@ -171,8 +171,8 @@ class TestFitLorentzian:
         rng = np.random.default_rng(17)
         freqs = np.arange(-60.0, 60.1, 5.0)
         counts = rng.poisson(lorentzian(freqs, np.array([400.0, 2.0, 6.7, 50.0])))
-        base = fit_lorentzian(freqs, counts)
-        scaled = fit_lorentzian(freqs, counts * 16)
+        base = fit_one_lorentzian(freqs, counts)
+        scaled = fit_one_lorentzian(freqs, counts * 16)
         assert scaled.value("amplitude") == pytest.approx(16.0 * base.value("amplitude"), rel=1e-6)
         assert scaled.value("offset") == pytest.approx(16.0 * base.value("offset"), rel=1e-6)
         assert scaled.value("center_mhz") == pytest.approx(base.value("center_mhz"), abs=1e-6)
@@ -365,7 +365,7 @@ class TestFitLorentzians:
         freqs = np.arange(-60.0, 60.1, 5.0)
         narrow = lorentzian(freqs, np.array([200.0, 0.0, 1.0, 8.0]))  # a 1 MHz line collapses below pitch/2
         with pytest.raises(FitConvergenceError) as err:
-            fit_lorentzian(freqs, narrow)
+            fit_one_lorentzian(freqs, narrow)
         assert str(err.value) == "peak1: fit collapsed to an unresolvable width 1 MHz"
         assert err.value.last_result.value("fwhm_mhz") == pytest.approx(1.0, rel=1e-6)
         # a resolved line at -40 MHz, then the narrow one and another like it at 40 MHz
@@ -491,7 +491,7 @@ class TestPoissonFit:
         for _ in range(200):
             truth = np.array([rng.uniform(100, 400), rng.uniform(-20, 20), rng.uniform(5, 12), rng.uniform(2, 20)])
             counts = rng.poisson(lorentzian(freqs, truth)).astype(float)
-            fit = fit_lorentzian(freqs, counts)
+            fit = fit_one_lorentzian(freqs, counts)
             worst = max(worst, _scaled_score(lorentzian, lorentzian_jacobian, freqs, counts, fit.values))
 
             truth = np.array([rng.uniform(300, 2000), rng.uniform(20, 60), rng.uniform(5, 30)])
@@ -523,7 +523,7 @@ class TestPoissonFit:
         assert err.value.last_result.iterations == 200
         # the line fit reads that last state and names the line narrowing below pitch/2
         with pytest.raises(FitConvergenceError, match="^peak1: fit collapsed to an unresolvable width") as err:
-            fit_lorentzian(freqs, spike)
+            fit_one_lorentzian(freqs, spike)
         assert err.value.last_result.iterations == 200
 
     def test_singular_fisher_matrix_gives_nan_errors(self):

@@ -32,7 +32,7 @@ from starksim.cli import (
 )
 from starksim.config import config_file_digest, default_config, dumps_config, load_config, loads_config
 from starksim.csvio import read_table
-from starksim.electrostatics import ConvergenceError, field_per_volt
+from starksim.electrostatics import solve_potential
 from starksim.stark import VoltageOutOfRangeError, resonance_voltage
 
 
@@ -114,12 +114,12 @@ class TestFieldCommand:
         assert path.read_text().splitlines()[0] == "x_um,y_um,potential_v"
         # one row per node, x fastest, every value read back exactly
         config = default_config()
-        _, grid = field_per_volt(config.layout, config.solver.spacing_um, voltage_v=config.layout.bias_v)
+        grid = solve_potential(config.layout, config.solver.spacing_um)
         x, y, potential = read_table(path, {"x_um": float, "y_um": float, "potential_v": float})
         rows, columns = grid.values.shape
         assert x == np.tile(grid.x_coords_um, rows).tolist()
         assert y == np.repeat(grid.y_coords_um, columns).tolist()
-        assert potential == grid.values.ravel().tolist()
+        assert potential == (config.layout.bias_v * grid.values).ravel().tolist()  # the bias times the per-volt grid
 
     def test_zero_voltage(self, capsys, config_path, tmp_path):
         code, out, _ = run(capsys, "field", "--config", config_path, "--voltage", 0, "--out", tmp_path)
@@ -129,7 +129,7 @@ class TestFieldCommand:
         assert float(values["volts_to_field_v_per_cm_per_v"]) > 0.0
 
     def test_zero_voltage_grid_dump_is_zero(self, capsys, config_path, tmp_path):
-        # the per-volt field comes from a 1 V solve; the grid dumped is the 0 V one
+        # the dump is the per-volt grid times 0 V: "0" in every cell, never "-0"
         code, _, _ = run(
             capsys, "field", "--config", config_path, "--voltage", 0, "--out", tmp_path, "--dump-grid"
         )
@@ -145,21 +145,50 @@ class TestFieldCommand:
         assert "line 2" in err
 
     @pytest.mark.parametrize(
-        "text, argv",
+        "text, argv, bias",
         [
-            ("", ["--voltage", "1e308"]),
+            ("", ["--voltage", "1e308"], "1e+308"),
             # finite potentials whose bias overflows to inf
-            ("[layout]\nelectrode_potentials_v = [1e308, -1e308]\n", []),
+            ("[layout]\nelectrode_potentials_v = [1e308, -1e308]\n", [], "inf"),
         ],
         ids=["voltage-flag", "config-bias"],
     )
-    def test_non_finite_solve_exits_3(self, capsys, tmp_path, text, argv):
+    def test_non_finite_solve_exits_3(self, capsys, tmp_path, text, argv, bias):
         path = tmp_path / "huge.toml"
         path.write_text(text, encoding="utf-8")
         code, out, err = run_strict(capsys, "field", "--config", path, *argv)
         assert (code, out) == (EXIT_SOLVER, "")
-        # the one error line, with no numpy warning ahead of it
-        assert err == "error: the field solve broke down on non-finite numbers (residual nan V)\n"
+        # the one error line, naming the bias, with no numpy warning ahead of it
+        assert err == f"error: the probe field overflows at a bias of {bias} V\n"
+
+    def test_scale_is_one_number_at_every_voltage(self, capsys):
+        # one per-volt solve: the scale prints byte-identical at every bias, and the field is scale * V exactly
+        reports = []
+        for voltage in (0.0, 1.0, 100.0, 333.0, -333.0):
+            code, out, _ = run(capsys, "field", "--voltage", voltage)
+            assert code == EXIT_OK
+            reports.append(dict(line.split("=") for line in out.splitlines()))
+            scale = float(reports[-1]["volts_to_field_v_per_cm_per_v"])
+            assert float(reports[-1]["e_parallel_v_per_cm"]) == scale * voltage
+        assert len({report["volts_to_field_v_per_cm_per_v"] for report in reports}) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["resonance", "--ion-a", "ion1", "--ion-b", "ion7"], ["reproduce", "fig4a"], ["ple", "--voltage", "10"]],
+        ids=["resonance", "fig4a", "ple"],
+    )
+    def test_commands_with_their_own_voltage_ignore_the_potentials(self, capsys, tmp_path, argv):
+        # resonance finds its voltage, fig4a sweeps [stark] voltages_v and ple takes --voltage:
+        # none reads the layout's potentials, not even a pair whose bias overflows
+        runs = []
+        for index, potentials in enumerate(("[50.0, -50.0]", "[166.5, -166.5]", "[1e308, -1e308]")):
+            path, out_dir = tmp_path / f"layout{index}.toml", tmp_path / f"out{index}"
+            path.write_text(f"[layout]\nelectrode_potentials_v = {potentials}\n", encoding="utf-8")
+            code, out, err = run_strict(capsys, *argv, "--config", path, "--out", out_dir)
+            files = {f.name: f.read_bytes() for f in out_dir.iterdir() if f.name not in ("manifest.json", "config.toml")}
+            runs.append((code, out.replace(str(out_dir), "<out>"), err, files))
+        assert runs[0][0] == EXIT_OK
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestSolverSettings:
@@ -194,7 +223,6 @@ class TestSolverSettings:
         assert "unknown key" in err
 
     def test_non_finite_potential_exits_2(self, capsys, tmp_path):
-        # the solver's own stop on non-finite numbers is tested in test_electrostatics.py
         path = tmp_path / "nan.toml"
         path.write_text("[layout]\nelectrode_potentials_v = [nan, -1.0]\n", encoding="utf-8")
         code, _, err = run(capsys, "field", "--config", path, "--out", tmp_path / "out")
@@ -267,6 +295,10 @@ class TestLoadTimeChecks:
             # checked as solve_potential checks it, though fig2 solves no field
             ("[solver]\nspacing_um = 10.0\n", "[solver].spacing_um must lie in (0, gap/20 = 5] um, got 10.0",
              ["reproduce", "fig2"]),
+            # inside the 1000 um box, but the field stencil of a 5 um grid reaches past its edge
+            ("[layout]\nprobe_point_um = [498.0, 0.0]\n",
+             "[layout].probe_point_um (498.0, 0.0) um is not one cell (5 um) inside the grid's edge",
+             ["reproduce", "fig4b"]),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, tmp_path, text, where, argv):
@@ -291,6 +323,23 @@ class TestLoadTimeChecks:
         code, out, err = self.run_with(capsys, tmp_path, text, *argv)
         assert code == EXIT_CONFIG
         pattern = rf"{re.escape(where)} gives a count of \S+, and numpy counts only below 2\*\*63\n"
+        assert re.fullmatch("error: invalid configuration: " + pattern, err), err
+        assert out == "" and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, where, argv",
+        [
+            # each once ended in a traceback from numpy's Poisson sampler after the manifest was written
+            ("[detector]\ndark_rate_hz = 1e20\n", "[detector].dark_rate_hz", ["ple"]),
+            ("[detector]\ndark_rate_hz = 1e20\n", "[detector].dark_rate_hz", ["decay"]),
+            ("[detector]\ndark_rate_hz = 1e20\n", "[detector].dark_rate_hz", ["reproduce", "fig4a"]),
+            ("[g2]\nbackground_fraction = 0.9999999999999999\n", "[g2].background_fraction", ["g2"]),
+        ],
+    )
+    def test_poisson_mean_numpy_refuses_exits_2(self, capsys, tmp_path, text, where, argv):
+        code, out, err = self.run_with(capsys, tmp_path, text, *argv)
+        assert code == EXIT_CONFIG
+        pattern = rf"{re.escape(where)} gives a Poisson mean of \S+, above numpy's largest, 9.223e\+18\n"
         assert re.fullmatch("error: invalid configuration: " + pattern, err), err
         assert out == "" and not (tmp_path / "out").exists()
 
@@ -1023,8 +1072,6 @@ def _failure(cls):
     """An instance of a FAILURES class, built with the arguments it takes."""
     if cls is VoltageOutOfRangeError:
         return cls(400.0, 333.0)
-    if cls is ConvergenceError:
-        return cls(math.nan)
     return cls("boom")
 
 

@@ -8,12 +8,11 @@ from conftest import dirichlet_nodes, full_grid_field, full_grid_residual
 from starksim.cli import main
 from starksim.config import default_config
 from starksim.electrostatics import (
-    ConvergenceError,
     ElectrodeLayout,
     GeometryError,
     PotentialGrid,
+    check_grid,
     field_at,
-    field_per_volt,
     _residual,
     solve_potential,
 )
@@ -76,26 +75,20 @@ class TestUniformFieldOracle:
 class TestParallelPlates:
     def test_solver_field_bounded_by_oracle(self, paper_grid):
         bound = uniform_field_oracle(333.0, 100.0)
-        probe = field_at(paper_grid, (0.0, 0.0))
+        probe = field_at(paper_grid, (0.0, 0.0)).scaled(PAPER_LAYOUT.bias_v)
         assert abs(probe.e_parallel_v_per_cm) < bound
 
 
 class TestSolvePotential:
-    def test_zero_potentials_give_zero_solution(self):
-        grid = solve_potential(small_layout((0.0, 0.0)), 2.0)
-        assert np.all(grid.values == 0.0)
-        field = field_at(grid, (0.0, 10.0))
-        assert field.e_parallel_v_per_cm == 0.0
-        assert field.e_perpendicular_v_per_cm == 0.0
-
     def test_electrodes_pinned_exactly(self):
+        # the grid is per volt: +-1/2 V, which the bias scales to the layout's Dirichlet data
         grid = solve_potential(small_layout(), 2.0)
         fixed, values = dirichlet_nodes(small_layout(), 2.0)
-        assert set(np.unique(values[fixed])) == {-10.0, 0.0, 10.0}
-        assert np.array_equal(grid.values[fixed], values[fixed])
+        assert set(np.unique(grid.values[fixed])) == {-0.5, 0.0, 0.5}
+        assert np.array_equal(small_layout().bias_v * grid.values[fixed], values[fixed])
 
     def test_golden_probe_field(self, paper_grid):
-        probe = field_at(paper_grid, (0.0, 0.0))
+        probe = field_at(paper_grid, (0.0, 0.0)).scaled(PAPER_LAYOUT.bias_v)
         assert probe.e_parallel_v_per_cm == pytest.approx(GOLDEN_E_PARALLEL_333V, rel=1e-6)
         assert probe.e_perpendicular_v_per_cm == pytest.approx(0.0, abs=1e-6)
 
@@ -104,30 +97,13 @@ class TestSolvePotential:
         offset = field_at(paper_grid, (0.0, 30.0))
         assert abs(offset.e_parallel_v_per_cm) < abs(centre.e_parallel_v_per_cm)
 
-    def test_linear_in_voltage(self):
-        g1 = solve_potential(small_layout((10.0, -10.0)), 2.0)
-        g2 = solve_potential(small_layout((20.0, -20.0)), 2.0)
-        assert np.max(np.abs(2.0 * g1.values - g2.values)) < 5e-4
-        f1 = field_at(g1, (0.0, 0.0))
-        f2 = field_at(g2, (0.0, 0.0))
-        assert f2.e_parallel_v_per_cm == pytest.approx(2.0 * f1.e_parallel_v_per_cm, rel=1e-4)
-
     def test_discrete_maximum_principle(self):
         rng = np.random.default_rng(5)
         for _ in range(5):
             bias = rng.uniform(-100.0, 100.0)
-            grid = solve_potential(small_layout((bias / 2.0, -bias / 2.0)), 2.0)
-            assert grid.values.min() >= -abs(bias) / 2.0 - 1e-9
-            assert grid.values.max() <= abs(bias) / 2.0 + 1e-9
-
-    def test_unbalanced_layout_solves_its_balanced_pair(self):
-        # only the bias enters the model: the common mode of (25, -4) is dropped
-        layout = small_layout((25.0, -4.0))
-        grid = solve_potential(layout, 2.0)
-        balanced = solve_potential(small_layout((14.5, -14.5)), 2.0)
-        assert np.array_equal(grid.values, balanced.values)
-        assert np.array_equal(grid.electrode, balanced.electrode)
-        assert grid.residual_v == balanced.residual_v
+            values = bias * solve_potential(small_layout((bias / 2.0, -bias / 2.0)), 2.0).values
+            assert values.min() >= -abs(bias) / 2.0 - 1e-9
+            assert values.max() <= abs(bias) / 2.0 + 1e-9
 
     def test_antisymmetric_for_balanced_bias(self):
         grid = solve_potential(small_layout((10.0, -10.0)), 2.0)
@@ -149,12 +125,12 @@ class TestSolvePotential:
         with pytest.raises(GeometryError):
             solve_potential(small_layout(), 3.0)
 
-    def test_non_finite_potential_stops_at_once(self):
-        # a nan potential, and a bias that overflows to inf
-        for potentials in ((float("nan"), -1.0), (1e308, -1e308)):
-            with pytest.raises(ConvergenceError, match="broke down on non-finite numbers") as err:
-                solve_potential(small_layout(potentials), 2.0)
-            assert not np.isfinite(err.value.residual_v)
+    def test_potentials_are_not_read(self):
+        # the solve is per volt, so no bias, not even one that overflows, reaches it
+        grid = solve_potential(small_layout(), 2.0)
+        for potentials in ((0.0, 0.0), (25.0, -4.0), (1e308, -1e308)):
+            other = solve_potential(small_layout(potentials), 2.0)
+            assert np.array_equal(other.quarter, grid.quarter) and other.residual_v == grid.residual_v
 
 
 class TestLayoutValidation:
@@ -169,8 +145,11 @@ class TestLayoutValidation:
         ElectrodeLayout(200.0, 100.0, (1.0, -1.0), (900.0, 600.0))
 
     def test_rejects_probe_outside_domain(self):
-        with pytest.raises(GeometryError):
-            ElectrodeLayout(200.0, 100.0, (1.0, -1.0), (1000.0, 600.0), probe_point_um=(600.0, 0.0))
+        # the layout alone knows no grid: the probe is held inside it where the grid is built
+        layout = ElectrodeLayout(200.0, 100.0, (1.0, -1.0), (1000.0, 600.0), probe_point_um=(600.0, 0.0))
+        for check in (check_grid, solve_potential):
+            with pytest.raises(GeometryError, match="probe_point_um"):
+                check(layout, 5.0)
 
 
 class TestFieldAt:
@@ -194,6 +173,20 @@ class TestFieldAt:
             field_at(grid, (30.0, 5.0))
         with pytest.raises(GeometryError):
             field_at(grid, (5.0, -19.8))
+
+    def test_load_check_is_the_probe_rule(self):
+        # check_grid refuses exactly the points field_at refuses: those not one cell inside the grid's edge
+        layout, spacing = PAPER_LAYOUT, 5.0
+        grid = solve_potential(layout, spacing)
+        x, y = grid.x_coords_um[-2], grid.y_coords_um[-2]  # 495 and 295 um
+        for point in [(x, 0.0), (-x, y), (np.nextafter(x, 1e3), 0.0), (0.0, -np.nextafter(y, 1e3)), (498.0, 0.0)]:
+            try:
+                field_at(grid, point)
+            except GeometryError:
+                with pytest.raises(GeometryError, match=r"^\[layout\].probe_point_um .* is not one cell \(5 um\)"):
+                    check_grid(dataclasses.replace(layout, probe_point_um=point), spacing)
+            else:
+                check_grid(dataclasses.replace(layout, probe_point_um=point), spacing)
 
 
 # the layouts of tests/test_oracle.py's cases, with the spacing each is solved at
@@ -245,7 +238,7 @@ class TestQuarterGrid:
         assert corner.e_perpendicular_v_per_cm == pytest.approx(inside.e_perpendicular_v_per_cm, rel=1e-9)
 
     def test_zero_voltage_grid_is_positive_zero(self, capsys, tmp_path):
-        # `field --voltage 0` probes and dumps the quarter's zeros: +0 everywhere, as the dump prints "0"
+        # `field --voltage 0` scales the grid by 0 and dumps "0" in every cell; a zero quarter mirrors and probes to +0
         assert main(["field", "--voltage", "0", "--out", str(tmp_path), "--dump-grid"]) == 0
         printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines() if "=" in line)
         assert printed["e_parallel_v_per_cm"] == printed["e_perpendicular_v_per_cm"] == "0"
@@ -328,7 +321,7 @@ class TestStripPairClosedForm:
             electrode_potentials_v=(0.5, -0.5),
             domain_extent_um=(3000.0, 1800.0),
         )
-        fields = [field_per_volt(box, spacing)[0].e_parallel_v_per_cm for spacing in (5.0, 2.5, 1.25)]
+        fields = [field_at(solve_potential(box, spacing), (0.0, 0.0)).e_parallel_v_per_cm for spacing in (5.0, 2.5, 1.25)]
         errors = [field / self.EXACT - 1.0 for field in fields]  # +3.9%, +1.8%, +0.85%
         assert 0.0 < errors[2] < errors[1] < errors[0] < 0.05
         for coarse, fine in zip(errors, errors[1:]):
@@ -337,7 +330,7 @@ class TestStripPairClosedForm:
         assert abs(richardson / self.EXACT - 1.0) < 0.002
 
     def test_default_solve_reads_3_percent_high(self, paper_grid):
-        field = field_at(paper_grid, (0.0, 0.0)).e_parallel_v_per_cm / 333.0
+        field = field_at(paper_grid, (0.0, 0.0)).e_parallel_v_per_cm
         assert field / self.EXACT - 1.0 == pytest.approx(0.032, abs=0.001)
 
 
@@ -357,4 +350,7 @@ def test_grid_csv_dump(tmp_path, capsys):
     assert lines[0] == "x_um,y_um,potential_v"
     assert len(lines) == 1 + grid.values.size
     x0, y0 = grid.x_coords_um[0], grid.y_coords_um[0]
-    assert lines[1] == f"{x0:.17g},{y0:.17g},{grid.values[0, 0]:.17g}"
+    assert lines[1] == f"{x0:.17g},{y0:.17g},0"
+    # the bias, 20 V, times the per-volt grid
+    potentials = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
+    assert potentials == (small_layout().bias_v * grid.values).ravel().tolist()

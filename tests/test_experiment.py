@@ -5,9 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from starksim.analysis import fit_lorentzian
 from starksim.config import ConfigError
-from starksim.electrostatics import field_per_volt
+from starksim.electrostatics import field_at, solve_potential
 from starksim.experiment import (
     DecaySettings,
     DetectorModel,
@@ -15,7 +14,9 @@ from starksim.experiment import (
     PLEProtocol,
     SimulationError,
     StarkScanSettings,
+    _POISSON_MAX,
     check_count,
+    check_poisson_mean,
     emission_window_probability,
     mix_seed,
     point_generator,
@@ -26,7 +27,7 @@ from starksim.experiment import (
 )
 from starksim.stark import EmitterParams, excitation_probability
 
-from conftest import _lag_coincidences
+from conftest import _lag_coincidences, fit_one_lorentzian
 
 
 class TestSeedMixing:
@@ -68,6 +69,26 @@ class TestProtocolValidation:
         with pytest.raises(SimulationError, match=r"^\[decay\]\.n_pulses"):
             DecaySettings(n_pulses=2**63)
 
+    def test_poisson_limit_is_numpys(self):
+        rng = np.random.default_rng(0)
+        rng.poisson(_POISSON_MAX)
+        check_poisson_mean("[g2].background_fraction", _POISSON_MAX)
+        for mean in (np.nextafter(_POISSON_MAX, math.inf), math.inf, math.nan):
+            with pytest.raises(SimulationError, match=r"^\[g2\]\.background_fraction gives a Poisson mean of"):
+                check_poisson_mean("[g2].background_fraction", mean)
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(_POISSON_MAX, math.inf))
+
+    def test_each_poisson_mean_is_checked(self, config):
+        # at 1e18 Hz a scan point's darks (85 us x 50 000 pulses) stay below the limit while the
+        # decay's widest bin (1 us x 10^7 pulses) does not; at 2.2e18 Hz the reverse, over 1000 pulses
+        for rate, decay, mean in ((1e18, config.decay, "1e\\+19"), (2.2e18, DecaySettings(n_pulses=1000), "9.35e\\+18")):
+            with pytest.raises(SimulationError, match=rf"^\[detector\]\.dark_rate_hz gives a Poisson mean of {mean},"):
+                dataclasses.replace(config, detector=DetectorModel(dark_rate_hz=rate), decay=decay)
+        g2 = G2Settings(background_fraction=1.0 - 2.0**-52)  # a background 2**52 - 1 times the signal
+        with pytest.raises(SimulationError, match=r"^\[g2\]\.background_fraction gives a Poisson mean"):
+            dataclasses.replace(config, g2=g2)
+
 
 class TestPLEScan:
     def test_deterministic(self, config, ion1, emitter):
@@ -91,7 +112,7 @@ class TestPLEScan:
 
     def test_single_ion_linewidth_recovered(self, config, ion1, emitter):
         proto = dataclasses.replace(config.protocol, scan_range_mhz=(-60.0, 60.0))
-        fit = fit_lorentzian(*simulate_ple_scan([ion1], emitter, proto, config.detector, 0.0, 17))
+        fit = fit_one_lorentzian(*simulate_ple_scan([ion1], emitter, proto, config.detector, 0.0, 17))
         assert fit.value("fwhm_mhz") == pytest.approx(6.7, abs=3.0 * fit.stderr("fwhm_mhz"))
         assert fit.value("center_mhz") == pytest.approx(0.0, abs=3.0 * fit.stderr("center_mhz"))
 
@@ -519,7 +540,8 @@ class TestG2Distribution:
 class TestStarkScan:
     @pytest.fixture(scope="class")
     def volts_to_field(self, config):
-        return field_per_volt(config.layout, config.layout.gap_um / 20.0)[0].e_parallel_v_per_cm
+        unit = field_at(solve_potential(config.layout, config.layout.gap_um / 20.0), config.layout.probe_point_um)
+        return unit.e_parallel_v_per_cm
 
     def test_zero_voltage_peak_at_rest_frequency(self, config, volts_to_field):
         ion2 = config.ion("ion2")
@@ -527,7 +549,7 @@ class TestStarkScan:
         stark = StarkScanSettings(voltages_v=(0.0, 111.0, 222.0), window_half_width_mhz=60.0)
         points = simulate_stark_scan(ion2, config.emitter, stark, volts_to_field, config.protocol, config.detector, 31)
         field, *scan = points[0]
-        fit = fit_lorentzian(*scan)
+        fit = fit_one_lorentzian(*scan)
         assert fit.value("center_mhz") == pytest.approx(-40.0, abs=3.0 * fit.stderr("center_mhz"))
         assert field == 0.0
 
@@ -537,7 +559,7 @@ class TestStarkScan:
         assert [field for field, _, _ in points] == [volts_to_field * v for v in stark.voltages_v]
         centres, errs = [], []
         for _, *scan in points:
-            fit = fit_lorentzian(*scan)
+            fit = fit_one_lorentzian(*scan)
             centres.append(fit.value("center_mhz"))
             errs.append(fit.stderr("center_mhz"))
         first = centres[1] - centres[0]
@@ -573,7 +595,7 @@ class TestPipelineClosure:
         proto = dataclasses.replace(config.protocol, scan_range_mhz=(-60.0, 60.0))
         hits = 0
         for seed in range(12):
-            fit = fit_lorentzian(*simulate_ple_scan([ion1], emitter, proto, config.detector, 0.0, mix_seed(888, seed)))
+            fit = fit_one_lorentzian(*simulate_ple_scan([ion1], emitter, proto, config.detector, 0.0, mix_seed(888, seed)))
             centre_ok = abs(fit.value("center_mhz")) <= 3.0 * fit.stderr("center_mhz")
             width_ok = abs(fit.value("fwhm_mhz") - 6.7) <= 3.0 * fit.stderr("fwhm_mhz")
             hits += centre_ok and width_ok

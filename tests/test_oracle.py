@@ -86,14 +86,16 @@ TOLERANCE_V = 1e-9
 
 
 def assert_matches_lu(grid, layout: ElectrodeLayout, permittivities: tuple[float, float]) -> None:
-    """The solve of ``layout`` is within TOLERANCE_V of the full-domain LU of
-    ``permittivities``, and its residual is that of the unit-weight system, the one solved."""
+    """The layout's bias times the per-volt solve of its geometry is within
+    TOLERANCE_V of the full-domain LU of ``permittivities`` at that bias, and
+    the solve's residual, scaled so, is that of the unit-weight system, the one solved."""
+    values = layout.bias_v * grid.values
     exact = exact_potential(layout, grid.spacing_um, permittivities)
-    assert np.max(np.abs(grid.values - exact)) <= TOLERANCE_V
+    assert np.max(np.abs(values - exact)) <= TOLERANCE_V
     matrix, rhs, fixed, _ = assemble(layout, grid.spacing_um, UNIT)
-    residual = np.max(np.abs(rhs - matrix @ grid.values[~fixed]))
+    residual = np.max(np.abs(rhs - matrix @ values[~fixed]))
     # both are rounding error, summed in different orders
-    assert grid.residual_v == pytest.approx(residual, abs=1e-13)
+    assert layout.bias_v * grid.residual_v == pytest.approx(residual, abs=1e-13)
 
 
 # the [solver] tolerance_v that configs stored by the former iterative solver carry
@@ -133,7 +135,8 @@ def test_golden_probe_field_is_exact():
     # the pins in test_electrostatics and test_cli are this value
     grid = solve_potential(PAPER_LAYOUT, 5.0)
     exact = exact_potential(PAPER_LAYOUT, 5.0, VACUUM_ON_CRYSTAL)
-    for field in (field_at(grid, (0.0, 0.0)).e_parallel_v_per_cm, probe(grid, exact, (0.0, 0.0))[0]):
+    solved = field_at(grid, (0.0, 0.0)).scaled(PAPER_LAYOUT.bias_v)
+    for field in (solved.e_parallel_v_per_cm, probe(grid, exact, (0.0, 0.0))[0]):
         assert field == pytest.approx(21652.534344268526, rel=1e-12)
 
 
@@ -144,12 +147,12 @@ CRYSTAL = (2.0, 11.0)
 
 @pytest.mark.parametrize("tolerance_v", STORED_TOLERANCES_V)
 def test_unbalanced_layout_within_tolerance(tolerance_v):
-    # (250, -40) V is solved as its balanced pair +-145 V, the Dirichlet
-    # data the LU states from the layout
+    # (250, -40) V is the bias 290 V, which scales the per-volt grid to the
+    # balanced pair +-145 V, the Dirichlet data the LU states from the layout
     layout = dataclasses.replace(BIASED_LAYOUT, electrode_potentials_v=(250.0, -40.0))
     grid = solve_stored(layout, 5.0, tolerance_v)
     fixed, _ = dirichlet_nodes(layout, 5.0)
-    assert set(np.unique(grid.values[fixed])) == {-145.0, 0.0, 145.0}
+    assert set(np.unique(layout.bias_v * grid.values[fixed])) == {-145.0, 0.0, 145.0}
     assert_matches_lu(grid, layout, CRYSTAL)
 
 
@@ -166,6 +169,6 @@ def test_probe_below_the_surface():
     assert below_parallel == pytest.approx(above_parallel, rel=1e-9)
     for point, expected in (((30.0, 10.0), (above_parallel, above_perpendicular)),
                             ((30.0, -10.0), (below_parallel, below_perpendicular))):
-        solved = field_at(grid, point)
+        solved = field_at(grid, point).scaled(BIASED_LAYOUT.bias_v)
         assert solved.e_parallel_v_per_cm == pytest.approx(expected[0], rel=1e-6)
         assert solved.e_perpendicular_v_per_cm == pytest.approx(expected[1], rel=1e-6)

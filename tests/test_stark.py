@@ -5,7 +5,7 @@ import pytest
 
 from starksim.cli import _volts_to_field
 from starksim.config import default_config
-from starksim.electrostatics import field_per_volt
+from starksim.electrostatics import field_at, solve_potential
 from starksim.stark import (
     EmitterParams,
     IonModel,
@@ -66,7 +66,7 @@ class TestEmpiricalShift:
         # volts-to-field scale is the parallel field per volt alone
         config = default_config()
         config = dataclasses.replace(config, layout=dataclasses.replace(config.layout, probe_point_um=(30.0, 10.0)))
-        unit, _ = field_per_volt(config.layout, config.solver.spacing_um)
+        unit = field_at(solve_potential(config.layout, config.solver.spacing_um), config.layout.probe_point_um)
         assert abs(unit.e_perpendicular_v_per_cm) > 0.1 * abs(unit.e_parallel_v_per_cm)
         assert _volts_to_field(config) == unit.e_parallel_v_per_cm
 

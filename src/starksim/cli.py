@@ -20,10 +20,10 @@ run, so partial outputs of a failed run still carry their provenance;
 go to stdout, one per line (``field`` and ``resonance`` print their small
 key=value reports first); diagnostics go to stderr.
 
-Exit codes are the ``EXIT_*`` constants. A config that fails to load,
-or a manifest that cannot be written, exits 2 where it happens; every
-later failure exits with the code and message of its row of
-``FAILURES``, the one table of failure class, exit code and message.
+Exit codes are the ``EXIT_*`` constants. A config that fails to load
+exits 2 where it happens; every later failure, from writing the manifest
+on, exits with the code and message of its row of ``FAILURES``, the one
+table of failure class, exit code and message.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .analysis import (
 )
 from .config import ConfigError, ExperimentConfig, RunSettings, default_config, load_config
 from .csvio import read_table, write_table
-from .electrostatics import FieldOverflowError, GeometryError, field_at, solve_potential
+from .electrostatics import GeometryError, field_at, solve_potential
 from .experiment import (
     SimulationError,
     mix_seed,
@@ -74,6 +74,11 @@ EXIT_FITTING = 5
 EXIT_NO_RESONANCE = 6
 EXIT_VOLTAGE_RANGE = 7
 
+
+class FieldOverflowError(ArithmeticError):
+    """The per-volt probe field, times ``field``'s voltage, is not finite."""
+
+
 # Each run-time failure's (class, exit code, message format of exc and out_dir),
 # read in order, so a class comes before its bases.
 FAILURES = (
@@ -86,6 +91,7 @@ FAILURES = (
     (SimulationError, EXIT_SIMULATION, "simulation failed: {exc}"),
     (FitError, EXIT_FITTING, "fitting failed: {exc}"),
     (OSError, EXIT_CONFIG, "cannot write output directory {out_dir}: {exc}"),  # only writes under out_dir raise it
+    (MemoryError, EXIT_CONFIG, "out of memory: {exc}"),
 )
 
 FIGURES = ("fig2", "fig3b", "fig3c", "fig4a", "fig4b")
@@ -175,7 +181,7 @@ def _volts_to_field(config: ExperimentConfig) -> float:
     V/cm per V, of the configured layout and solver: the one component of
     the field the ions' lines read."""
     layout = config.layout
-    return field_at(solve_potential(layout, config.solver.spacing_um), layout.probe_point_um).e_parallel_v_per_cm
+    return field_at(solve_potential(layout, config.solver.spacing_um), layout.probe_point_um)[0]
 
 
 def _ple(args, config: ExperimentConfig, seed: int) -> list[tuple]:
@@ -324,15 +330,17 @@ def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) 
     voltage = args.voltage if args.voltage is not None else layout.bias_v
     grid = solve_potential(layout, config.solver.spacing_um)
     unit = field_at(grid, layout.probe_point_um)
-    probe = unit.scaled(voltage)
+    e_parallel, e_perpendicular = (component * voltage for component in unit)
+    if not (math.isfinite(e_parallel) and math.isfinite(e_perpendicular)):
+        raise FieldOverflowError(f"the probe field overflows at a bias of {voltage:.17g} V")
 
     def fmt(value: float) -> str:
         return format(0.0 if value == 0.0 else value, ".17g")
 
     print(f"voltage_v={fmt(voltage)}")
-    print(f"e_parallel_v_per_cm={fmt(probe.e_parallel_v_per_cm)}")
-    print(f"e_perpendicular_v_per_cm={fmt(probe.e_perpendicular_v_per_cm)}")
-    print(f"volts_to_field_v_per_cm_per_v={fmt(unit.e_parallel_v_per_cm)}")
+    print(f"e_parallel_v_per_cm={fmt(e_parallel)}")
+    print(f"e_perpendicular_v_per_cm={fmt(e_perpendicular)}")
+    print(f"volts_to_field_v_per_cm_per_v={fmt(unit[0])}")
     if not args.dump_grid:
         return []
     xs = grid.x_coords_um.tolist()
@@ -377,13 +385,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.out is None and reports_only:
         out_dir = None  # the report commands print to stdout and write files only when asked to
     handlers = {"field": _cmd_field, "fit": _cmd_fit, "resonance": _cmd_resonance}
-    if out_dir is not None:
-        try:
-            write_run_manifest(out_dir, config, seed, args.command_line)
-        except OSError as exc:  # a file where the directory should be, no permission, ...
-            print(f"error: cannot write output directory {out_dir}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
     try:
+        if out_dir is not None:
+            write_run_manifest(out_dir, config, seed, args.command_line)
         paths = handlers.get(args.command, _cmd_figure)(args, config, seed, out_dir)
     except tuple(cls for cls, _, _ in FAILURES) as exc:
         code, text = next((code, text) for cls, code, text in FAILURES if isinstance(exc, cls))

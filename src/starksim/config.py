@@ -140,8 +140,9 @@ class ExperimentConfig:
         for ion_id in ids:  # ids name output files and are written between quotes
             if not re.fullmatch(r"[A-Za-z0-9_.-]+", ion_id):
                 raise ConfigError(f"[[ions]].id {ion_id!r} may use only A-Z, a-z, 0-9, '_', '.' and '-'")
-        if len(set(ids)) != len(ids):
-            raise ConfigError("ion ids must be unique")
+        for index, ion_id in enumerate(ids):
+            if ion_id in ids[:index]:
+                raise ConfigError(f"[[ions]].id {ion_id!r} is not unique")
         check_grid(self.layout, self.solver.spacing_um)  # as solve_potential checks it
         half_width, pitch = self.stark.window_half_width_mhz, self.protocol.scan_pitch_mhz
         check_count("[stark].window_half_width_mhz", 2.0 * half_width / pitch + 1)  # a Stark scan's points

@@ -9,7 +9,7 @@ Dirichlet data.
 
 The potential is linear in the bias p0 - p1, and the common mode (p0 + p1)/2
 is not part of the model: each geometry is solved once, per volt, at +-1/2 V,
-and a caller scales the grid or its probe field by its own bias.
+and every grid and field here is per volt.
 
 The discrete problem has two exact symmetries, and the solver uses both.
 The grid and the electrode nodes are mirror-symmetric in x and in y, and
@@ -43,12 +43,12 @@ residual, is taken over the quarter's own equations, and
 mirrored out only when a caller reads ``PotentialGrid.values``, as
 ``field --dump-grid`` does.
 
-Units: lengths in micrometres, potentials in volts, fields in V/cm.
+Units: lengths in micrometres, potentials in volts per volt of bias,
+fields in V/cm per volt.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -56,8 +56,6 @@ import numpy as np
 
 __all__ = [
     "ElectrodeLayout",
-    "FieldOverflowError",
-    "FieldVector",
     "GeometryError",
     "PotentialGrid",
     "check_grid",
@@ -72,10 +70,6 @@ class GeometryError(ValueError):
     """Layout or solver inputs violate a geometric precondition."""
 
 
-class FieldOverflowError(ArithmeticError):
-    """The per-volt field, scaled to a bias, overflows."""
-
-
 @dataclass(frozen=True)
 class ElectrodeLayout:
     """Coplanar electrode pair, symmetric about the gap centre.
@@ -83,7 +77,8 @@ class ElectrodeLayout:
     The coordinate origin is the gap centre on the surface. The left
     electrode occupies ``[-gap/2 - width, -gap/2]`` at ``y = 0`` and has
     the potential ``electrode_potentials_v[0]``; the right one mirrors it.
-    Only their difference, :attr:`bias_v`, enters: it scales the per-volt grid.
+    The solve is per volt and reads neither potential: their difference,
+    :attr:`bias_v`, is only ``field``'s default voltage.
     ``probe_point_um`` is where the cavity centre sits relative to the
     gap centre; :func:`check_grid` holds it one cell inside the grid.
     """
@@ -96,19 +91,19 @@ class ElectrodeLayout:
 
     def __post_init__(self) -> None:
         if self.gap_um <= 0.0:
-            raise GeometryError(f"gap must be positive, got {self.gap_um}")
+            raise GeometryError(f"[layout].gap_um must be positive, got {self.gap_um}")
         if self.electrode_width_um <= 0.0:
-            raise GeometryError(f"electrode width must be positive, got {self.electrode_width_um}")
+            raise GeometryError(f"[layout].electrode_width_um must be positive, got {self.electrode_width_um}")
         width, height = self.domain_extent_um
         half_span = self.gap_um / 2.0 + self.electrode_width_um
         margin = 2.0 * self.gap_um
         if width / 2.0 < half_span + margin:
             raise GeometryError(
-                f"domain width {width} um leaves less than 2x gap margin around the electrodes"
+                f"[layout].domain_extent_um width {width} um leaves less than 2x gap margin around the electrodes"
             )
         if height / 2.0 < margin:
             raise GeometryError(
-                f"domain height {height} um leaves less than 2x gap margin around the surface"
+                f"[layout].domain_extent_um height {height} um leaves less than 2x gap margin around the surface"
             )
 
     @property
@@ -118,36 +113,15 @@ class ElectrodeLayout:
 
 
 @dataclass(frozen=True)
-class FieldVector:
-    """Electric field at a point, in V/cm.
-
-    ``e_parallel`` points along the inter-electrode axis (the crystal
-    axis the bias field is aligned with); ``e_perpendicular`` is the
-    surface-normal component.
-    """
-
-    e_parallel_v_per_cm: float
-    e_perpendicular_v_per_cm: float
-
-    def scaled(self, voltage_v: float) -> "FieldVector":
-        """This field per volt of bias at ``voltage_v``; :class:`FieldOverflowError` if that is not finite."""
-        scaled = FieldVector(self.e_parallel_v_per_cm * voltage_v, self.e_perpendicular_v_per_cm * voltage_v)
-        if not (math.isfinite(scaled.e_parallel_v_per_cm) and math.isfinite(scaled.e_perpendicular_v_per_cm)):
-            raise FieldOverflowError(f"the probe field overflows at a bias of {voltage_v:.17g} V")
-        return scaled
-
-
-@dataclass(frozen=True)
 class PotentialGrid:
     """Potential per volt of bias on a uniform node-centred grid centred on the gap.
 
-    The electrodes are at +-1/2 V, so a bias V gives ``V * values``. The
-    grid is held as the quarter x >= 0, y >= 0 that was solved:
-    ``quarter[m, k]`` is the potential at ``(k*h, m*h)``, row 0 the
-    surface. Its Dirichlet nodes hold their exact values: the top row,
+    The electrodes are at +-1/2 V. The grid is held as the quarter
+    x >= 0, y >= 0 that was solved: ``quarter[m, k]`` is the potential at
+    ``(k*h, m*h)``, row 0 the surface. Its Dirichlet nodes hold their exact values: the top row,
     the wall column and the surface row's ``electrode`` columns. The
     potential is odd in x and even in y, so node ``(i, j)`` of the full
-    grid, at ``(x0 + j*h, y0 + i*h)``, is ``quarter[|i - s|, |j - c|]``,
+    grid, at ``((j - c)*h, (i - s)*h)``, is ``quarter[|i - s|, |j - c|]``,
     negated for j < c, where s is the surface row and c the centre
     column. :func:`field_at` reads its nodes so, and ``residual_v`` was
     taken on the quarter: the true residual max|b - A v| of the
@@ -162,25 +136,17 @@ class PotentialGrid:
     residual_v: float = 0.0
 
     @property
-    def x0_um(self) -> float:
-        return -(self.quarter.shape[1] - 1) * self.spacing_um
-
-    @property
-    def y0_um(self) -> float:
-        return -(self.quarter.shape[0] - 1) * self.spacing_um
-
-    @property
-    def x_coords_um(self) -> np.ndarray:
-        return self.x0_um + self.spacing_um * np.arange(2 * self.quarter.shape[1] - 1)
+    def x_coords_um(self) -> np.ndarray:  # h * k, each rounded once, so they mirror about 0 as the nodes do
+        return self.spacing_um * np.arange(1 - self.quarter.shape[1], self.quarter.shape[1])
 
     @property
     def y_coords_um(self) -> np.ndarray:
-        return self.y0_um + self.spacing_um * np.arange(2 * self.quarter.shape[0] - 1)
+        return self.spacing_um * np.arange(1 - self.quarter.shape[0], self.quarter.shape[0])
 
     @cached_property
     def values(self) -> np.ndarray:
-        upper = np.hstack((0.0 - self.quarter[:, :0:-1], self.quarter))  # see _mirrored for 0 - v
-        return np.vstack((upper[:0:-1], upper))
+        rows, cols = self.quarter.shape
+        return _mirrored(self.quarter, np.arange(1 - rows, rows), np.arange(1 - cols, cols))
 
 
 def _mirrored(quarter: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -193,11 +159,11 @@ def _mirrored(quarter: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.nda
     return np.where(cols < 0, 0.0 - v, v)
 
 
-def _quarter_potential(cols: int, rows: int, electrode: np.ndarray, potential_v: float) -> np.ndarray:
+def _quarter_potential(cols: int, rows: int, electrode: np.ndarray) -> np.ndarray:
     """Exact potential on the quarter: columns 0..cols, rows 0..rows, row 0 the surface.
 
     The walls j = 0, j = cols and m = rows are at zero, the surface nodes
-    ``electrode`` at ``potential_v``, and every other node obeys the
+    ``electrode`` at -1/2 V, and every other node obeys the
     five-point equation, the surface row with its mirror image v(-1) =
     v(1) below. The column sine mode sin(pi k j / cols) decouples the
     rows: above the surface it falls off as phi_k(m) = sinh((rows - m) t_k)
@@ -222,13 +188,13 @@ def _quarter_potential(cols: int, rows: int, electrode: np.ndarray, potential_v:
     c = np.fft.irfft(gain, n)
     green = c[(electrode[:, None] - electrode) % n] - c[electrode[:, None] + electrode]
     charge = np.zeros(n)
-    charge[electrode] = np.linalg.solve(green, np.full(electrode.size, potential_v))
+    charge[electrode] = np.linalg.solve(green, np.full(electrode.size, -0.5))
     surface = -np.fft.rfft(charge).imag * gain  # s_k: the charges' sine modes over d_k
     modes = np.zeros((rows + 1, cols), complex)
     np.multiply(phi, -2j * surface[1:cols], out=modes[:, 1:])
     quarter = np.fft.irfft(modes, n)[:, : cols + 1]
     quarter[-1] = quarter[:, -1] = 0.0
-    quarter[0, electrode] = potential_v
+    quarter[0, electrode] = -0.5
     return quarter
 
 
@@ -267,7 +233,7 @@ def solve_potential(layout: ElectrodeLayout, spacing_um: float) -> PotentialGrid
     snap = spacing_um / 4.0
     half_gap = layout.gap_um / 2.0
     electrode = np.flatnonzero((x >= half_gap - snap) & (x <= half_gap + layout.electrode_width_um + snap))
-    quarter = _quarter_potential(cols, rows, electrode, -0.5)  # the quarter holds the right electrode
+    quarter = _quarter_potential(cols, rows, electrode)  # the quarter holds the right electrode, at -1/2 V
     return PotentialGrid(spacing_um, quarter, electrode, _residual(quarter, electrode))
 
 
@@ -294,14 +260,17 @@ def check_grid(layout: ElectrodeLayout, spacing_um: float) -> tuple[int, int]:
     return cols, rows
 
 
-def field_at(grid: PotentialGrid, point_um: tuple[float, float]) -> FieldVector:
-    """Negated central-difference gradient at a point, in V/cm.
+def field_at(grid: PotentialGrid, point_um: tuple[float, float]) -> tuple[float, float]:
+    """Negated central-difference gradient of the per-volt grid at a point:
+    ``(e_parallel, e_perpendicular)`` in V/cm per V.
 
-    The two gradient components are evaluated at the four nodes
-    surrounding the point and blended bilinearly, which is exact for
-    linear potentials. The point must stay at least one cell away from
-    the grid edge so the stencil fits. The stencil's nodes are read from
-    the quarter through the mirror.
+    ``e_parallel`` points along the inter-electrode axis (the crystal
+    axis the bias field is aligned with); ``e_perpendicular`` is the
+    surface-normal component. The two gradient components are evaluated
+    at the four nodes surrounding the point and blended bilinearly, which
+    is exact for linear potentials. The point must stay at least one cell
+    away from the grid edge so the stencil fits. The stencil's nodes are
+    read from the quarter through the mirror.
     """
     h = grid.spacing_um
     rows, cols = grid.quarter.shape
@@ -323,7 +292,4 @@ def field_at(grid: PotentialGrid, point_um: tuple[float, float]) -> FieldVector:
         bottom = corner[1, 0] * (1 - fx) + corner[1, 1] * fx
         return float(top * (1 - fy) + bottom * fy)
 
-    return FieldVector(
-        e_parallel_v_per_cm=blend(ex) * V_PER_UM_TO_V_PER_CM,
-        e_perpendicular_v_per_cm=blend(ey) * V_PER_UM_TO_V_PER_CM,
-    )
+    return blend(ex) * V_PER_UM_TO_V_PER_CM, blend(ey) * V_PER_UM_TO_V_PER_CM

@@ -113,15 +113,16 @@ class PLEProtocol:
             "scan_pitch_mhz",
         ):
             if getattr(self, name) <= 0.0:
-                raise SimulationError(f"{name} must be positive")
+                raise SimulationError(f"[protocol].{name} must be positive, got {getattr(self, name)}")
         if self.pulse_length_us + self.window_delay_us + self.window_length_us > self.period_us:
             raise SimulationError(
-                "pulse + delay + window exceed the repetition period "
-                f"({self.period_us:g} us at {self.repetition_rate_khz:g} kHz)"
+                f"[protocol] pulse_length_us + window_delay_us + window_length_us = {self.pulse_length_us:g} + "
+                f"{self.window_delay_us:g} + {self.window_length_us:g} us exceed the repetition period, "
+                f"{self.period_us:g} us at repetition_rate_khz = {self.repetition_rate_khz:g}"
             )
         lo, hi = self.scan_range_mhz
         if not lo < hi:
-            raise SimulationError("scan range must be increasing")
+            raise SimulationError(f"[protocol].scan_range_mhz must be increasing, got {self.scan_range_mhz}")
         check_count("[protocol].scan_range_mhz", (hi - lo) / self.scan_pitch_mhz + 1)
         check_count("[protocol].integration_time_s", self.integration_time_s * self.repetition_rate_khz * 1000.0)
 
@@ -153,9 +154,9 @@ class DetectorModel:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.total_efficiency <= 1.0:
-            raise SimulationError("total efficiency must lie in [0, 1]")
+            raise SimulationError(f"[detector].total_efficiency must lie in [0, 1], got {self.total_efficiency}")
         if self.dark_rate_hz < 0.0:
-            raise SimulationError("dark rate must be >= 0")
+            raise SimulationError(f"[detector].dark_rate_hz must be >= 0, got {self.dark_rate_hz}")
 
     def dark_mean_per_pulse(self, window_length_us: float) -> float:
         return self.dark_rate_hz * window_length_us * 1e-6

@@ -60,9 +60,13 @@ class IonModel:
 
     def __post_init__(self) -> None:
         if self.zero_field_fwhm_mhz <= 0.0:
-            raise StarkModelError(f"{self.ion_id}: zero-field linewidth must be positive")
+            raise StarkModelError(
+                f"[[ions]].zero_field_fwhm_mhz of {self.ion_id!r} must be positive, got {self.zero_field_fwhm_mhz}"
+            )
         if self.broadening_mhz_per_kv_cm < 0.0:
-            raise StarkModelError(f"{self.ion_id}: broadening coefficient must be >= 0")
+            raise StarkModelError(
+                f"[[ions]].broadening_mhz_per_kv_cm of {self.ion_id!r} must be >= 0, got {self.broadening_mhz_per_kv_cm}"
+            )
 
     def line(self, e_parallel_v_per_cm: float) -> tuple[float, float]:
         """Line centre and field-broadened width, in MHz, at the field
@@ -101,7 +105,7 @@ class EmitterParams:
         if self.enhancement_factor < 1.0:
             raise ValueError(f"[emitter].enhancement_factor must be >= 1, got {self.enhancement_factor}")
         if not 0.0 <= self.saturation_excitation_prob <= 1.0:
-            raise ValueError("[emitter].saturation_excitation_prob must lie in [0, 1]")
+            raise ValueError(f"[emitter].saturation_excitation_prob must lie in [0, 1], got {self.saturation_excitation_prob}")
 
     @property
     def lifetime_us(self) -> float:

@@ -169,7 +169,7 @@ def refinement_chain():
     fields = []
     for spacing in (5.0, 2.5, 1.25, 0.625):
         grid = solve_potential(PAPER_LAYOUT, spacing)
-        fields.append(PAPER_LAYOUT.bias_v * field_at(grid, (0.0, 0.0)).e_parallel_v_per_cm)
+        fields.append(PAPER_LAYOUT.bias_v * field_at(grid, (0.0, 0.0))[0])
     return fields
 
 
@@ -180,8 +180,8 @@ def test_criterion_5_field_solver(config, refinement_chain):
     g1 = solve_potential(PAPER_LAYOUT, 5.0)
     g2 = solve_potential(doubled_layout, 5.0)
     potential_slack = float(np.max(np.abs(2.0 * PAPER_LAYOUT.bias_v * g1.values - doubled_layout.bias_v * g2.values)))
-    e1 = PAPER_LAYOUT.bias_v * field_at(g1, (0.0, 0.0)).e_parallel_v_per_cm
-    e2 = doubled_layout.bias_v * field_at(g2, (0.0, 0.0)).e_parallel_v_per_cm
+    e1 = PAPER_LAYOUT.bias_v * field_at(g1, (0.0, 0.0))[0]
+    e2 = doubled_layout.bias_v * field_at(g2, (0.0, 0.0))[0]
     linear_ok = potential_slack == 0.0 and e2 == 2.0 * e1
 
     # grid refinement: changes shrink monotonically below 0.5% per halving

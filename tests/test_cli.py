@@ -343,6 +343,42 @@ class TestLoadTimeChecks:
         assert re.fullmatch("error: invalid configuration: " + pattern, err), err
         assert out == "" and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            *((f"[protocol]\n{key} = -1.0\n", f"[protocol].{key} must be positive, got -1.0")
+              for key in ("pulse_length_us", "repetition_rate_khz", "window_delay_us", "window_length_us",
+                          "integration_time_s", "scan_pitch_mhz")),
+            ("[protocol]\nwindow_length_us = 95.0\n",
+             "[protocol] pulse_length_us + window_delay_us + window_length_us = 10 + 1 + 95 us exceed the "
+             "repetition period, 100 us at repetition_rate_khz = 10"),
+            ("[protocol]\nscan_range_mhz = [300.0, -300.0]\n",
+             "[protocol].scan_range_mhz must be increasing, got (300.0, -300.0)"),
+            ("[detector]\ntotal_efficiency = 1.5\n", "[detector].total_efficiency must lie in [0, 1], got 1.5"),
+            ("[detector]\ndark_rate_hz = -1.0\n", "[detector].dark_rate_hz must be >= 0, got -1.0"),
+            ("[layout]\ngap_um = -1.0\n", "[layout].gap_um must be positive, got -1.0"),
+            ("[layout]\nelectrode_width_um = 0.0\n", "[layout].electrode_width_um must be positive, got 0.0"),
+            ("[layout]\ndomain_extent_um = [880.0, 600.0]\n",
+             "[layout].domain_extent_um width 880.0 um leaves less than 2x gap margin around the electrodes"),
+            ("[layout]\ndomain_extent_um = [1000.0, 300.0]\n",
+             "[layout].domain_extent_um height 300.0 um leaves less than 2x gap margin around the surface"),
+            ('[[ions]]\nid = "a"\nstark_coefficient_khz_per_v_cm = 1.0\nzero_field_fwhm_mhz = 0.0\n',
+             "[[ions]].zero_field_fwhm_mhz of 'a' must be positive, got 0.0"),
+            ('[[ions]]\nid = "a"\nstark_coefficient_khz_per_v_cm = 1.0\nzero_field_fwhm_mhz = 5.0\n'
+             "broadening_mhz_per_kv_cm = -1.0\n",
+             "[[ions]].broadening_mhz_per_kv_cm of 'a' must be >= 0, got -1.0"),
+            ('[[ions]]\nid = "a"\nstark_coefficient_khz_per_v_cm = 1.0\nzero_field_fwhm_mhz = 5.0\n' * 2,
+             "[[ions]].id 'a' is not unique"),
+            ("[emitter]\nsaturation_excitation_prob = 1.5\n",
+             "[emitter].saturation_excitation_prob must lie in [0, 1], got 1.5"),
+        ],
+    )
+    def test_refusal_names_key_and_value(self, capsys, tmp_path, text, where):
+        code, out, err = self.run_with(capsys, tmp_path, text, "reproduce", "fig2")
+        assert code == EXIT_CONFIG
+        assert err == f"error: invalid configuration: {where}\n"
+        assert out == "" and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("ion_id", ['a"b', "a/b", "a b", "a#b", ""])
     def test_bad_ion_id_exits_2(self, capsys, tmp_path, ion_id):
         text = (
@@ -1090,12 +1126,34 @@ def test_each_failure_exits_as_its_row_says(capsys, monkeypatch, tmp_path, cls, 
     assert (out, err) == ("", "error: " + text.format(exc=exc, out_dir=out_dir) + "\n")
 
 
+def _child_env() -> dict[str, str]:
+    """The environment of a child Python that imports this checkout's starksim."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_cli_import_leaves_scipy_out():
     # numpy is the only runtime dependency; scipy is a test-only oracle
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-c", "import sys, starksim.cli; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
+        capture_output=True, text=True, env=_child_env(), timeout=60, check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_out_of_memory_exits_2(tmp_path):
+    # ~4.3e12 background events per g2 arm pass the Poisson-mean rule, but their
+    # pulse indices (31 TiB) do not fit in memory; the child's address space is
+    # capped at 2 GiB so the allocation fails at once whatever the machine
+    resource = pytest.importorskip("resource")
+    config = tmp_path / "background.toml"
+    config.write_text("[g2]\nbackground_fraction = 0.99999999\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from starksim.cli import main; sys.exit(main(sys.argv[1:]))",
+         "g2", "--config", str(config), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+    )
+    assert result.returncode == EXIT_CONFIG
+    assert re.fullmatch(r"error: out of memory: Unable to allocate [^\n]*\n", result.stderr), result.stderr
+    assert result.stdout == ""

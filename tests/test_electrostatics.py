@@ -7,6 +7,7 @@ from conftest import dirichlet_nodes, full_grid_field, full_grid_residual
 
 from starksim.cli import main
 from starksim.config import default_config
+from starksim.csvio import read_table
 from starksim.electrostatics import (
     ElectrodeLayout,
     GeometryError,
@@ -75,8 +76,8 @@ class TestUniformFieldOracle:
 class TestParallelPlates:
     def test_solver_field_bounded_by_oracle(self, paper_grid):
         bound = uniform_field_oracle(333.0, 100.0)
-        probe = field_at(paper_grid, (0.0, 0.0)).scaled(PAPER_LAYOUT.bias_v)
-        assert abs(probe.e_parallel_v_per_cm) < bound
+        e_parallel, _ = field_at(paper_grid, (0.0, 0.0))
+        assert abs(PAPER_LAYOUT.bias_v * e_parallel) < bound
 
 
 class TestSolvePotential:
@@ -88,14 +89,14 @@ class TestSolvePotential:
         assert np.array_equal(small_layout().bias_v * grid.values[fixed], values[fixed])
 
     def test_golden_probe_field(self, paper_grid):
-        probe = field_at(paper_grid, (0.0, 0.0)).scaled(PAPER_LAYOUT.bias_v)
-        assert probe.e_parallel_v_per_cm == pytest.approx(GOLDEN_E_PARALLEL_333V, rel=1e-6)
-        assert probe.e_perpendicular_v_per_cm == pytest.approx(0.0, abs=1e-6)
+        e_parallel, e_perpendicular = field_at(paper_grid, (0.0, 0.0))
+        assert PAPER_LAYOUT.bias_v * e_parallel == pytest.approx(GOLDEN_E_PARALLEL_333V, rel=1e-6)
+        assert PAPER_LAYOUT.bias_v * e_perpendicular == pytest.approx(0.0, abs=1e-6)
 
     def test_offset_probe_sees_smaller_field(self, paper_grid):
-        centre = field_at(paper_grid, (0.0, 0.0))
-        offset = field_at(paper_grid, (0.0, 30.0))
-        assert abs(offset.e_parallel_v_per_cm) < abs(centre.e_parallel_v_per_cm)
+        centre, _ = field_at(paper_grid, (0.0, 0.0))
+        offset, _ = field_at(paper_grid, (0.0, 30.0))
+        assert abs(offset) < abs(centre)
 
     def test_discrete_maximum_principle(self):
         rng = np.random.default_rng(5)
@@ -117,8 +118,8 @@ class TestSolvePotential:
             domain_extent_um=(2000.0, 1200.0),
         )
         grid = solve_potential(doubled, 5.0)
-        e_base = field_at(paper_grid, (0.0, 0.0)).e_parallel_v_per_cm
-        e_doubled = field_at(grid, (0.0, 0.0)).e_parallel_v_per_cm
+        e_base, _ = field_at(paper_grid, (0.0, 0.0))
+        e_doubled, _ = field_at(grid, (0.0, 0.0))
         assert abs(e_doubled - e_base) / e_base < 0.01
 
     def test_too_coarse_spacing_rejected(self):
@@ -156,16 +157,14 @@ class TestFieldAt:
     def test_linear_ramp_gradient_exact(self):
         grid = ramp_grid(1.0)
         for probe in [(5.0, 5.0), (7.3, 11.2), (14.9, 3.4), (-7.3, 11.2), (-14.9, -3.4), (0.4, -19.0)]:
-            field = field_at(grid, probe)
-            assert abs(field.e_parallel_v_per_cm) == pytest.approx(1.0e4, rel=1e-12)
-            assert field.e_parallel_v_per_cm == pytest.approx(-1.0e4)  # negated gradient
-            assert field.e_perpendicular_v_per_cm == pytest.approx(0.0, abs=1e-9)
+            e_parallel, e_perpendicular = field_at(grid, probe)
+            assert abs(e_parallel) == pytest.approx(1.0e4, rel=1e-12)
+            assert e_parallel == pytest.approx(-1.0e4)  # negated gradient
+            assert e_perpendicular == pytest.approx(0.0, abs=1e-9)
 
     def test_constant_grid_zero_field(self):
         grid = ramp_grid(0.0)
-        field = field_at(grid, (8.0, 8.0))
-        assert field.e_parallel_v_per_cm == 0.0
-        assert field.e_perpendicular_v_per_cm == 0.0
+        assert field_at(grid, (8.0, 8.0)) == (0.0, 0.0)
 
     def test_probe_outside_grid_rejected(self):
         grid = ramp_grid(1.0)
@@ -211,8 +210,8 @@ def probe_points(grid):
     ]
 
 
-def assert_bitwise_equal(a: float, b: float) -> None:
-    assert a.hex() == b.hex()
+def assert_bitwise_equal(a: tuple[float, float], b: tuple[float, float]) -> None:
+    assert [x.hex() for x in a] == [x.hex() for x in b]
 
 
 class TestQuarterGrid:
@@ -224,18 +223,15 @@ class TestQuarterGrid:
         layout, spacing = ORACLE_LAYOUTS.get(case, (small_layout(), 2.0))
         grid = solve_potential(layout, spacing)
         for point in probe_points(grid):
-            probe = field_at(grid, point)
-            e_parallel, e_perpendicular = full_grid_field(grid.values, grid.x0_um, grid.y0_um, spacing, point)
-            assert_bitwise_equal(probe.e_parallel_v_per_cm, e_parallel)
-            assert_bitwise_equal(probe.e_perpendicular_v_per_cm, e_perpendicular)
+            expected = full_grid_field(grid.values, grid.x_coords_um[0], grid.y_coords_um[0], spacing, point)
+            assert_bitwise_equal(field_at(grid, point), expected)
 
     def test_last_interior_node_is_probed(self, paper_grid):
         # a probe one cell inside the far edges reads the node itself
         x, y = paper_grid.x_coords_um[-2], paper_grid.y_coords_um[-2]
         corner = field_at(paper_grid, (x, y))
         inside = field_at(paper_grid, (x - 1e-9, y - 1e-9))
-        assert corner.e_parallel_v_per_cm == pytest.approx(inside.e_parallel_v_per_cm, rel=1e-9)
-        assert corner.e_perpendicular_v_per_cm == pytest.approx(inside.e_perpendicular_v_per_cm, rel=1e-9)
+        assert corner == pytest.approx(inside, rel=1e-9)
 
     def test_zero_voltage_grid_is_positive_zero(self, capsys, tmp_path):
         # `field --voltage 0` scales the grid by 0 and dumps "0" in every cell; a zero quarter mirrors and probes to +0
@@ -250,10 +246,8 @@ class TestQuarterGrid:
         potentials = [row.rsplit(",", 1)[1] for row in (tmp_path / "potential_grid.csv").read_text().splitlines()[1:]]
         assert potentials == ["0"] * zero.values.size
         for point in probe_points(zero):
-            probe = field_at(zero, point)
-            e_parallel, e_perpendicular = full_grid_field(zero.values, zero.x0_um, zero.y0_um, zero.spacing_um, point)
-            assert_bitwise_equal(probe.e_parallel_v_per_cm, e_parallel)
-            assert_bitwise_equal(probe.e_perpendicular_v_per_cm, e_perpendicular)
+            expected = full_grid_field(zero.values, zero.x_coords_um[0], zero.y_coords_um[0], zero.spacing_um, point)
+            assert_bitwise_equal(field_at(zero, point), expected)
 
     def test_full_grid_is_the_mirrored_quarter(self, paper_grid):
         s, c = np.array(paper_grid.quarter.shape) - 1
@@ -321,7 +315,7 @@ class TestStripPairClosedForm:
             electrode_potentials_v=(0.5, -0.5),
             domain_extent_um=(3000.0, 1800.0),
         )
-        fields = [field_at(solve_potential(box, spacing), (0.0, 0.0)).e_parallel_v_per_cm for spacing in (5.0, 2.5, 1.25)]
+        fields = [field_at(solve_potential(box, spacing), (0.0, 0.0))[0] for spacing in (5.0, 2.5, 1.25)]
         errors = [field / self.EXACT - 1.0 for field in fields]  # +3.9%, +1.8%, +0.85%
         assert 0.0 < errors[2] < errors[1] < errors[0] < 0.05
         for coarse, fine in zip(errors, errors[1:]):
@@ -330,7 +324,7 @@ class TestStripPairClosedForm:
         assert abs(richardson / self.EXACT - 1.0) < 0.002
 
     def test_default_solve_reads_3_percent_high(self, paper_grid):
-        field = field_at(paper_grid, (0.0, 0.0)).e_parallel_v_per_cm
+        field, _ = field_at(paper_grid, (0.0, 0.0))
         assert field / self.EXACT - 1.0 == pytest.approx(0.032, abs=0.001)
 
 
@@ -354,3 +348,17 @@ def test_grid_csv_dump(tmp_path, capsys):
     # the bias, 20 V, times the per-volt grid
     potentials = [float(line.rsplit(",", 1)[1]) for line in lines[1:]]
     assert potentials == (small_layout().bias_v * grid.values).ravel().tolist()
+
+
+def test_grid_dump_coordinates_mirror_about_zero(tmp_path, capsys):
+    # at a spacing that is no power of two, x0 + h * j left 158 of the 305 x pairs
+    # that are not each other's negatives; the nodes are the rounded multiples h * k
+    config = tmp_path / "spacing.toml"
+    config.write_text("[solver]\nspacing_um = 3.3\n", encoding="utf-8")
+    assert main(["field", "--config", str(config), "--out", str(tmp_path), "--dump-grid"]) == 0
+    capsys.readouterr()
+    x, y, _ = read_table(tmp_path / "potential_grid.csv", {"x_um": float, "y_um": float, "potential_v": float})
+    for coords in (np.unique(x), np.unique(y)):
+        half = coords.size // 2
+        assert np.array_equal(coords, 3.3 * np.arange(-half, half + 1))
+        assert np.array_equal(coords, -coords[::-1])

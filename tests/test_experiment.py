@@ -540,8 +540,7 @@ class TestG2Distribution:
 class TestStarkScan:
     @pytest.fixture(scope="class")
     def volts_to_field(self, config):
-        unit = field_at(solve_potential(config.layout, config.layout.gap_um / 20.0), config.layout.probe_point_um)
-        return unit.e_parallel_v_per_cm
+        return field_at(solve_potential(config.layout, config.layout.gap_um / 20.0), config.layout.probe_point_um)[0]
 
     def test_zero_voltage_peak_at_rest_frequency(self, config, volts_to_field):
         ion2 = config.ion("ion2")

@@ -128,15 +128,15 @@ def test_error_within_tolerance(case, tolerance_v):
 def probe(grid, values: np.ndarray, point_um: tuple[float, float]) -> tuple[float, float]:
     """``(E_parallel, E_perpendicular)`` at a point of a full potential ``values`` on ``grid``'s
     nodes, read from the whole array, not through the solver's mirror."""
-    return full_grid_field(values, grid.x0_um, grid.y0_um, grid.spacing_um, point_um)
+    return full_grid_field(values, grid.x_coords_um[0], grid.y_coords_um[0], grid.spacing_um, point_um)
 
 
 def test_golden_probe_field_is_exact():
     # the pins in test_electrostatics and test_cli are this value
     grid = solve_potential(PAPER_LAYOUT, 5.0)
     exact = exact_potential(PAPER_LAYOUT, 5.0, VACUUM_ON_CRYSTAL)
-    solved = field_at(grid, (0.0, 0.0)).scaled(PAPER_LAYOUT.bias_v)
-    for field in (solved.e_parallel_v_per_cm, probe(grid, exact, (0.0, 0.0))[0]):
+    solved, _ = field_at(grid, (0.0, 0.0))
+    for field in (solved * PAPER_LAYOUT.bias_v, probe(grid, exact, (0.0, 0.0))[0]):
         assert field == pytest.approx(21652.534344268526, rel=1e-12)
 
 
@@ -169,6 +169,5 @@ def test_probe_below_the_surface():
     assert below_parallel == pytest.approx(above_parallel, rel=1e-9)
     for point, expected in (((30.0, 10.0), (above_parallel, above_perpendicular)),
                             ((30.0, -10.0), (below_parallel, below_perpendicular))):
-        solved = field_at(grid, point).scaled(BIASED_LAYOUT.bias_v)
-        assert solved.e_parallel_v_per_cm == pytest.approx(expected[0], rel=1e-6)
-        assert solved.e_perpendicular_v_per_cm == pytest.approx(expected[1], rel=1e-6)
+        solved = tuple(component * BIASED_LAYOUT.bias_v for component in field_at(grid, point))
+        assert solved == pytest.approx(expected, rel=1e-6)

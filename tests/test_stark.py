@@ -66,9 +66,11 @@ class TestEmpiricalShift:
         # volts-to-field scale is the parallel field per volt alone
         config = default_config()
         config = dataclasses.replace(config, layout=dataclasses.replace(config.layout, probe_point_um=(30.0, 10.0)))
-        unit = field_at(solve_potential(config.layout, config.solver.spacing_um), config.layout.probe_point_um)
-        assert abs(unit.e_perpendicular_v_per_cm) > 0.1 * abs(unit.e_parallel_v_per_cm)
-        assert _volts_to_field(config) == unit.e_parallel_v_per_cm
+        e_parallel, e_perpendicular = field_at(
+            solve_potential(config.layout, config.solver.spacing_um), config.layout.probe_point_um
+        )
+        assert abs(e_perpendicular) > 0.1 * abs(e_parallel)
+        assert _volts_to_field(config) == e_parallel
 
 
 class TestIonModelValidation:

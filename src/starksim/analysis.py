@@ -50,20 +50,26 @@ class G2Estimate:
 
 
 def lorentzian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """amplitude / (1 + (2 (x - center) / fwhm)^2) + offset"""
+    """amplitude / (1 + (2 (x - center) / fwhm)^2) + offset
+
+    Here and in its Jacobian, a point so far off the line that a power of
+    its reduced detuning overflows takes the line's limit there, 0, exactly.
+    """
     amplitude, center, fwhm, offset = params
     u = 2.0 * (x - center) / fwhm
-    return amplitude / (1.0 + u * u) + offset
+    with np.errstate(over="ignore"):
+        return amplitude / (1.0 + u * u) + offset
 
 
 def lorentzian_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
     amplitude, center, fwhm, _ = params
     u = 2.0 * (x - center) / fwhm
-    denom = 1.0 + u * u
     jac = np.empty(u.shape + (4,))
-    jac[..., 0] = 1.0 / denom
-    jac[..., 1] = amplitude * 4.0 * u / (fwhm * denom * denom)
-    jac[..., 2] = amplitude * 2.0 * u * u / (fwhm * denom * denom)
+    with np.errstate(over="ignore"):
+        denom = 1.0 + u * u
+        jac[..., 0] = 1.0 / denom
+        jac[..., 1] = amplitude * 4.0 * u / (fwhm * denom * denom)
+        jac[..., 2] = amplitude * 2.0 * u * u / (fwhm * denom * denom)
     jac[..., 3] = 1.0
     return jac
 
@@ -152,50 +158,47 @@ def _prominences(values: np.ndarray, peaks: np.ndarray) -> np.ndarray:
 # fits
 
 
-_LINE = ("amplitude", "center_mhz", "fwhm_mhz", "offset")  # one line's parameters
+_LINE = ("amplitude", "center_mhz", "fwhm_mhz")  # one line's parameters, each named peak<i>_<name>
 
 
 def fit_lorentzians(
     frequencies_mhz: Sequence[float] | np.ndarray, counts: Sequence[float] | np.ndarray, peaks: Sequence[int]
-) -> list[FitResult]:
+) -> FitResult:
     """Poisson maximum-likelihood fit of a scan as the sum of a Lorentzian
     started at each sample index of ``peaks`` and one shared offset: 3K + 1
     parameters for K lines.
 
-    Returns each line's (amplitude, center_mhz, fwhm_mhz, offset), errors,
-    and the joint fit's reduced chi-square and iterations, in centre
-    order. The model is even in each width, so widths are reported
-    positive. A line narrower than half the sampling pitch, which the
-    sampling cannot resolve (a spike latched onto one sample), raises
+    Returns the one joint fit, its lines in centre order, line ``i`` from 1
+    as ``peak<i>_amplitude``, ``peak<i>_center_mhz`` and ``peak<i>_fwhm_mhz``,
+    then ``offset``. The model is even in each width, so widths are
+    reported positive. A line narrower than half the sampling pitch, which
+    the sampling cannot resolve (a spike latched onto one sample), raises
     :class:`FitConvergenceError` for the first such line, named
-    ``peak<i>`` by its place in centre order from 1; a fit that does not
-    converge is checked so at its last state, since such a line can
-    narrow without end.
+    ``peak<i>``, carrying the joint fit; a fit that does not converge is
+    checked so at its last state, since such a line can narrow without end.
     """
     x = np.asarray(frequencies_mhz, dtype=float)
     y = np.asarray(counts, dtype=float)
     if x.size < 8:
         raise DegenerateDataError(f"need at least 8 points, got {x.size}")
-    names = tuple(f"peak{k}_{name}" for k in range(1, len(peaks) + 1) for name in _LINE[:3]) + ("offset",)
+    names = tuple(f"peak{k}_{name}" for k in range(1, len(peaks) + 1) for name in _LINE) + ("offset",)
     failure = None
     try:
         fit = least_squares(_lines, _lines_jacobian, x, y, _lorentzian_guess(x, y, peaks), names)
     except FitConvergenceError as exc:  # its last state may show the line that kept it narrowing
         fit, failure = exc.last_result, exc
-    values = fit.values.copy()
+    order = np.argsort(fit.values[1:-1:3], kind="stable")
+    keep = np.append(3 * order[:, None] + np.arange(3), -1)  # the lines in centre order, then the offset
+    values = fit.values[keep]
     values[2:-1:3] = np.abs(values[2:-1:3])
+    fit = replace(fit, values=values, stderrs=fit.stderrs[keep])
     pitch = float(np.median(np.diff(np.sort(x))))
-    lines = []
-    for index, line in enumerate(np.argsort(values[1:-1:3], kind="stable").tolist(), start=1):
-        keep = [3 * line, 3 * line + 1, 3 * line + 2, -1]
-        lines.append(FitResult(_LINE, values[keep], fit.stderrs[keep], fit.reduced_chi_square, fit.iterations))
-        width = lines[-1].values[2]
+    for index, width in enumerate(values[2:-1:3].tolist(), start=1):
         if width < 0.5 * pitch:
-            message = f"peak{index}: fit collapsed to an unresolvable width {width:.3g} MHz"
-            raise FitConvergenceError(message, lines[-1])
+            raise FitConvergenceError(f"peak{index}: fit collapsed to an unresolvable width {width:.3g} MHz", fit)
     if failure is not None:
         raise failure
-    return lines
+    return fit
 
 
 def _line_columns(params: np.ndarray) -> tuple:

@@ -2,9 +2,10 @@
 
 Subcommands: ``field``, ``ple``, ``decay``, ``g2``, ``stark``, ``fit``,
 ``resonance``, ``reproduce``. Each figure of ``reproduce`` is one
-pipeline: a dataset function simulates and returns the rows of its CSV,
-whose file name and columns ``FITS`` alone declares, then the figure's
-fit step reads that CSV back, fits it and writes ``fit_report.csv``.
+pipeline: a dataset function returns the arrays its simulator drew as
+the columns of its CSV, whose file name and ``{column: type}`` table
+``FITS`` alone declares, then the figure's fit step reads that CSV back
+as arrays, fits them and writes ``fit_report.csv`` (``REPORT_COLUMNS``).
 ``fit --kind`` runs the same step on a CSV it is given, so its report is
 the figure's, byte for byte. ``ple``, ``decay``,
 ``g2`` and ``stark`` are the no-fit forms of ``fig2``, ``fig3b``,
@@ -171,9 +172,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rows(fit: FitResult, quantities: Sequence[tuple[str, str]], prefix: str = "", suffix: str = "") -> list[Row]:
-    """fit_report.csv rows ``(prefix + name + suffix, value, stderr, units)`` of the named parameters."""
-    return [(prefix + name + suffix, fit.value(name), fit.stderr(name), units) for name, units in quantities]
+def _rows(fit: FitResult, quantities: Sequence[tuple[str, str]], suffix: str = "") -> list[Row]:
+    """fit_report.csv rows ``(name + suffix, value, stderr, units)`` of the named parameters."""
+    return [(name + suffix, fit.value(name), fit.stderr(name), units) for name, units in quantities]
 
 
 def _volts_to_field(config: ExperimentConfig) -> float:
@@ -184,12 +185,11 @@ def _volts_to_field(config: ExperimentConfig) -> float:
     return field_at(solve_potential(layout, config.solver.spacing_um), layout.probe_point_um)[0]
 
 
-def _ple(args, config: ExperimentConfig, seed: int) -> list[tuple]:
-    """Scan of the whole registry at ``args.voltage``: ple_scan.csv's rows."""
+def _ple(args, config: ExperimentConfig, seed: int) -> tuple[np.ndarray, ...]:
+    """Scan of the whole registry at ``args.voltage``: ple_scan.csv's columns."""
     field = _volts_to_field(config) * args.voltage if args.voltage != 0.0 else 0.0  # 0 V needs no solve
     frequencies, counts = simulate_ple_scan(config.ions, config.emitter, config.protocol, config.detector, field, seed)
-    integration_s = config.protocol.integration_time_s
-    return [(f, c, integration_s) for f, c in zip(frequencies.tolist(), counts.tolist())]
+    return frequencies, counts, np.full(counts.size, config.protocol.integration_time_s)
 
 
 def _fit_peaks(config: ExperimentConfig, frequencies_mhz, counts, integration_s) -> list[Row]:
@@ -197,18 +197,16 @@ def _fit_peaks(config: ExperimentConfig, frequencies_mhz, counts, integration_s)
     each peak found and one shared offset. The scan is sorted by frequency
     first, since peak finding and the starting guess read neighbouring rows."""
     order = np.argsort(frequencies_mhz, kind="stable")
-    frequencies_mhz, counts = np.array(frequencies_mhz)[order], np.array(counts)[order]
-    peaks = find_peaks(counts, 5.0)
-    report: list[Row] = []
-    for index, line in enumerate(fit_lorentzians(frequencies_mhz, counts, peaks) if peaks else [], start=1):
-        report += _rows(line, [("center_mhz", "MHz"), ("fwhm_mhz", "MHz")], f"peak{index}_")
-    return report
+    peaks = find_peaks(counts[order], 5.0)
+    if not peaks:
+        return []
+    fit = fit_lorentzians(frequencies_mhz[order], counts[order], peaks)
+    return _rows(fit, [(name, "MHz") for name in fit.names if name.endswith(("_center_mhz", "_fwhm_mhz"))])
 
 
-def _decay(args, config: ExperimentConfig, seed: int) -> list[tuple]:
-    """Decay histogram of the shared emitter: decay.csv's rows, one per bin centre."""
-    times_us, counts = simulate_decay_histogram(config.emitter, config.protocol, config.detector, config.decay, seed)
-    return list(zip(times_us.tolist(), counts.tolist()))
+def _decay(args, config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decay histogram of the shared emitter: decay.csv's columns, a count per bin centre."""
+    return simulate_decay_histogram(config.emitter, config.protocol, config.detector, config.decay, seed)
 
 
 def _fit_lifetime(config: ExperimentConfig, times_us, counts) -> list[Row]:
@@ -219,7 +217,6 @@ def _fit_lifetime(config: ExperimentConfig, times_us, counts) -> list[Row]:
     overruns the window holds truncated signal and fewer darks, which
     neither the model nor the floor describe, so it is left out.
     """
-    times_us = np.array(times_us)
     if times_us.size < 2:
         raise DegenerateDataError("need at least two bins")
     bin_width_us = float(np.median(np.diff(times_us)))
@@ -229,13 +226,15 @@ def _fit_lifetime(config: ExperimentConfig, times_us, counts) -> list[Row]:
     return _rows(fit, [("tau_us", "us"), ("amplitude", "counts"), ("background", "counts")])
 
 
-def _g2(args, config: ExperimentConfig, seed: int) -> list[tuple]:
-    """Autocorrelation histogram of the shared emitter: g2.csv's rows, one per
-    lag, each count also over the mean of the side lags (``[g2] max_lag >= 1``
-    guarantees there are some)."""
+def _g2(args, config: ExperimentConfig, seed: int) -> tuple[np.ndarray, ...]:
+    """Autocorrelation histogram of the shared emitter: g2.csv's columns, a
+    count per lag, each also over the mean of the side lags; a histogram
+    without a side-lag coincidence has no such mean, a simulation failure."""
     lags, coincidences = simulate_g2_histogram(config.emitter, config.g2, config.protocol, seed)
-    normalized = coincidences / coincidences[lags != 0].mean()
-    return list(zip(lags.tolist(), coincidences.tolist(), normalized.tolist()))
+    side_mean = coincidences[lags != 0].mean()  # [g2] max_lag >= 1: there are side lags
+    if side_mean == 0.0:
+        raise SimulationError(f"no coincidences at the {lags.size - 1} side lags, so g2 cannot be normalized")
+    return lags, coincidences, coincidences / side_mean
 
 
 def _fit_g2(config: ExperimentConfig, lags, coincidences, normalized) -> list[Row]:
@@ -244,30 +243,24 @@ def _fit_g2(config: ExperimentConfig, lags, coincidences, normalized) -> list[Ro
     return [("g2_zero", estimate.g2_zero, estimate.standard_error, "dimensionless")]
 
 
-def _stark(args, config: ExperimentConfig, seed: int) -> list[tuple]:
-    """Voltage sweeps: stark_scan.csv's rows, one per scan point. fig4a sweeps
-    the [stark] ion on ``seed``, fig4b every ion, each on ``mix_seed(seed, index)``."""
+def _stark(args, config: ExperimentConfig, seed: int) -> list[np.ndarray]:
+    """Voltage sweeps: stark_scan.csv's columns, an entry per scan point. fig4a
+    sweeps the [stark] ion on ``seed``, fig4b every ion, each on ``mix_seed(seed, index)``."""
     if args.figure == "fig4a":
         sweeps = [(config.ion(config.stark.ion_id), seed)]
     else:
         sweeps = [(ion, mix_seed(seed, index)) for index, ion in enumerate(config.ions)]
     volts_to_field = _volts_to_field(config)
-    rows = []
-    for ion, ion_seed in sweeps:
-        scans = simulate_stark_scan(
-            ion, config.emitter, config.stark, volts_to_field, config.protocol, config.detector, ion_seed
-        )
-        for voltage, (field, frequencies, counts) in zip(config.stark.voltages_v, scans):
-            rows += [(ion.ion_id, float(voltage), field, f, c) for f, c in zip(frequencies.tolist(), counts.tolist())]
-    return rows
+    scans = [simulate_stark_scan(ion, config.emitter, config.stark, volts_to_field, config.protocol, config.detector,
+                                 ion_seed) for ion, ion_seed in sweeps]
+    ion_ids = np.repeat([ion.ion_id for ion, _ in sweeps], [counts.size for *_, counts in scans])
+    return [ion_ids, *([np.concatenate(column) for column in zip(*scans)] or [()] * 4)]  # fig4b of no ions has no scans
 
 
 def _fit_stark(config: ExperimentConfig, ion_ids, voltages_v, fields_v_per_cm, frequencies_mhz, counts) -> list[Row]:
     """fig4's fit stage: one fit of each ion's sweep to its line law, ions in file order."""
-    if not ion_ids:
+    if ion_ids.size == 0:
         raise DegenerateDataError("no scan points to fit")
-    ion_ids, fields_v_per_cm = np.array(ion_ids), np.array(fields_v_per_cm)
-    frequencies_mhz, counts = np.array(frequencies_mhz), np.array(counts)
     report: list[Row] = []
     for ion_id in dict.fromkeys(ion_ids.tolist()):
         mine = ion_ids == ion_id
@@ -294,7 +287,8 @@ FITS = {
         _fit_stark,
     ),
 }
-REPORT_COLUMNS = ("quantity", "value", "stderr", "units")  # fit_report.csv, one Row per line
+REPORT_COLUMNS = {"quantity": str, "value": float, "stderr": float, "units": str}  # fit_report.csv, a Row a line
+GRID_COLUMNS = {"x_um": float, "y_um": float, "potential_v": float}  # potential_grid.csv, a grid node a line, x fastest
 PIPELINES = {  # figure -> (its dataset function, the FITS kind of its CSV)
     "fig2": (_ple, "ple"),
     "fig3b": (_decay, "decay"),
@@ -311,7 +305,8 @@ def _fit_csv(kind: str, config: ExperimentConfig, dataset: Path, out_dir: Path) 
         data = read_table(dataset, columns)
     except ValueError as exc:  # read_table names the file, and the row and column of a bad cell
         raise FitError(str(exc)) from None
-    return write_table(out_dir / "fit_report.csv", REPORT_COLUMNS, fit(config, *data))
+    report = fit(config, *data)
+    return write_table(out_dir / "fit_report.csv", REPORT_COLUMNS, list(zip(*report)) or [()] * len(REPORT_COLUMNS))
 
 
 def _cmd_figure(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[Path]:
@@ -343,10 +338,10 @@ def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) 
     print(f"volts_to_field_v_per_cm_per_v={fmt(unit[0])}")
     if not args.dump_grid:
         return []
-    xs = grid.x_coords_um.tolist()
-    potentials = (grid.values * voltage + 0.0).tolist()  # + 0.0: no "-0" cells where the product is -0
-    rows = ((x, y, v) for y, row in zip(grid.y_coords_um.tolist(), potentials) for x, v in zip(xs, row))
-    return [write_table(out_dir / "potential_grid.csv", ("x_um", "y_um", "potential_v"), rows)]
+    rows, cols = grid.values.shape
+    potentials = (grid.values * voltage + 0.0).ravel()  # + 0.0: no "-0" cells where the product is -0
+    columns = (np.tile(grid.x_coords_um, rows), np.repeat(grid.y_coords_um, cols), potentials)
+    return [write_table(out_dir / "potential_grid.csv", GRID_COLUMNS, columns)]
 
 
 def _cmd_resonance(args, config: ExperimentConfig, seed: int, out_dir: Path | None) -> list[Path]:

@@ -145,7 +145,12 @@ class ExperimentConfig:
                 raise ConfigError(f"[[ions]].id {ion_id!r} is not unique")
         check_grid(self.layout, self.solver.spacing_um)  # as solve_potential checks it
         half_width, pitch = self.stark.window_half_width_mhz, self.protocol.scan_pitch_mhz
-        check_count("[stark].window_half_width_mhz", 2.0 * half_width / pitch + 1)  # a Stark scan's points
+        # the largest arrays the simulators draw, each 8 bytes an entry: a scan's (points x ions)
+        # binomial counts, a Stark scan's points, and the decay's bins
+        lo, hi = self.protocol.scan_range_mhz
+        check_count("[protocol].scan_range_mhz", ((hi - lo) / pitch + 1) * max(len(self.ions), 1), 8)
+        check_count("[stark].window_half_width_mhz", 2.0 * half_width / pitch + 1, 8)
+        check_count("[decay].bin_width_us", self.protocol.window_length_us / self.decay.bin_width_us + 1, 8)
         # the Poisson means the simulators draw from: a scan point's darks, the decay's widest bin's, g2's per arm
         widest_bin_us = min(self.decay.bin_width_us, self.protocol.window_length_us)
         darks = max(self.protocol.dark_mean(self.detector), self.decay.dark_mean(self.detector, widest_bin_us))

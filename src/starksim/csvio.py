@@ -1,8 +1,9 @@
-"""The one CSV writer and reader of the command line; ``cli.FITS`` declares each dataset's columns.
+"""The one CSV writer and reader of the command line, for the tables ``cli`` declares as ``{column: type}``.
 
-All files are RFC-4180 style with ``\n`` line endings, ``.`` decimal
-separator, and floats at 17 significant digits so runs reproduce
-byte-identically.
+All files are RFC-4180 style with ``\n`` line endings and ``.`` decimal
+separator. A cell is formatted by its column's type: ints as ``str``
+writes them, strings as they are, and floats at 17 significant digits,
+so they read back bit for bit and runs reproduce byte-identically.
 """
 
 from __future__ import annotations
@@ -10,34 +11,34 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-__all__ = ["format_value", "read_table", "write_table"]
+import numpy as np
 
-
-def format_value(value: object) -> str:
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+__all__ = ["read_table", "write_table"]
 
 
-def write_table(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> Path:
+def write_table(path: str | Path, table: dict[str, type], columns: Sequence[Sequence]) -> Path:
+    """Write ``table``'s header, then a row per entry of ``columns``, one
+    equally long sequence per column of ``table``, in its order."""
+    cells = []
+    for kind, column in zip(table.values(), columns, strict=True):
+        values = column.tolist() if isinstance(column, np.ndarray) else column
+        cells.append([format(value, ".17g") if kind is float else str(value) for value in values])
     path = Path(path)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(format_value(v) for v in row) + "\n")
+        handle.write(",".join(table) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
     return path
 
 
-def read_table(path: str | Path, columns: dict[str, type]) -> list[list]:
+def read_table(path: str | Path, columns: dict[str, type]) -> list[np.ndarray]:
     """Columns of a CSV whose header is ``columns``' names, each cell converted
-    by its column's type. Every failure is a ValueError naming the file: one
-    that cannot be opened, or a cell that does not convert or is a float
-    that is not finite, with its row (the header is row 1, as in a
-    spreadsheet) and its column."""
+    by its column's type, each column the array ``np.array`` makes of its
+    values. Every failure is a ValueError naming the file: one that cannot
+    be opened, or a cell that does not convert or is a float that is not
+    finite, with its row (the header is row 1, as in a spreadsheet) and its
+    column."""
     values: list[list] = [[] for _ in columns]
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
@@ -63,4 +64,4 @@ def read_table(path: str | Path, columns: dict[str, type]) -> list[list]:
                 if kind is float and not math.isfinite(value):
                     raise ValueError(f"{path}: row {reader.line_num}, column {name!r} must be finite, got {cell!r}")
                 column.append(value)
-    return values
+    return [np.array(column) for column in values]

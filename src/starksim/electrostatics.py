@@ -54,6 +54,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .experiment import check_count
+
 __all__ = [
     "ElectrodeLayout",
     "GeometryError",
@@ -252,10 +254,14 @@ def _stencil_position(
 def check_grid(layout: ElectrodeLayout, spacing_um: float) -> tuple[int, int]:
     """The cells ``(cols, rows)`` from the gap centre to the side and top walls of the grid that solves ``layout``
     at ``spacing_um``, checked as the config is when it loads: :class:`GeometryError` for a spacing outside
-    (0, gap/20], or a probe whose field stencil leaves the grid."""
+    (0, gap/20], or a probe whose field stencil leaves the grid, and :class:`~starksim.experiment.SimulationError`
+    for a grid too large for numpy to hold (:func:`~starksim.experiment.check_count`)."""
     if not 0.0 < spacing_um <= layout.gap_um / 20.0:
         raise GeometryError(f"[solver].spacing_um must lie in (0, gap/20 = {layout.gap_um / 20.0:g}] um, got {spacing_um}")
-    cols, rows = (max(int(round(extent / 2.0 / spacing_um)), 2) for extent in layout.domain_extent_um)
+    half_cells = [extent / 2.0 / spacing_um for extent in layout.domain_extent_um]  # floats: an inf is refused
+    where = f"[layout].domain_extent_um at [solver].spacing_um = {spacing_um:g} um"
+    check_count(where, (half_cells[0] + 1) * (half_cells[1] + 1), 16)  # the quarter's complex128 modes
+    cols, rows = (max(int(round(cells)), 2) for cells in half_cells)
     _stencil_position(layout.probe_point_um, spacing_um, cols, rows, "[layout].probe_point_um")
     return cols, rows
 

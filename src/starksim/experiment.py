@@ -12,10 +12,14 @@ The simulators take each ion's own line as an :class:`~starksim.stark.IonModel`
 and the lifetime and saturation all ions share as one
 :class:`~starksim.stark.EmitterParams`, the only input of decay and g2.
 Each also takes its config record whole, and a record checks its limits
-when it is built, so the simulators check none of them again. The field
-enters as one number, its component along the inter-electrode axis in
-V/cm (a Stark sweep takes the volts-to-field scale instead), and each
-simulator returns the arrays it drew: an axis and the counts on it.
+when it is built, so the simulators check none of them again; among them
+:func:`check_count`'s, that no array a simulator draws outgrows numpy's
+largest. The field enters as one number, its component along the
+inter-electrode axis in V/cm (a Stark sweep takes the volts-to-field
+scale instead), and each simulator returns the arrays it drew: an axis
+and the counts on it, or for a Stark sweep flat columns of voltage,
+field, frequency and counts, an entry per scan point. ``cli`` writes
+them to CSV as they are.
 
 Determinism contract: each PLE scan, decay histogram and g2 histogram is
 drawn in bulk from one generator, ``point_generator(seed)``, in the
@@ -56,16 +60,20 @@ DEFAULT_MASTER_SEED = 0xE53_1536
 _MASK64 = (1 << 64) - 1
 _GATHER_BLOCK = 1 << 18  # g2 background events x lags gathered at once, so memory stays bounded
 _POISSON_MAX = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)  # the largest mean numpy's Poisson sampler takes
+_MAX_BYTES = np.iinfo(np.intp).max  # the largest array numpy makes, in bytes
 
 
 class SimulationError(ValueError):
     pass
 
 
-def check_count(where: str, count: float) -> None:
-    """Refuse a point or pulse count numpy cannot represent: one not finite, or 2**63 or more."""
-    if not count < 2**63:
-        raise SimulationError(f"{where} gives a count of {count:.4g}, and numpy counts only below 2**63")
+def check_count(where: str, count: float, itemsize: int = 1) -> None:
+    """Refuse a count numpy cannot hold: not a number, or one whose largest array, ``itemsize`` bytes an entry,
+    exceeds numpy's largest, ``np.iinfo(np.intp).max`` bytes. A count that sizes no array (a binomial's draws) is
+    an int64, 1 byte here. Give it as a float, before any ``int()``, so that an infinite one is refused."""
+    if not count * itemsize <= _MAX_BYTES:
+        largest = _MAX_BYTES // itemsize
+        raise SimulationError(f"{where} gives a count of {count:.4g}, above numpy's largest, {largest:.4g}")
 
 
 def check_poisson_mean(where: str, mean: float) -> None:
@@ -123,7 +131,7 @@ class PLEProtocol:
         lo, hi = self.scan_range_mhz
         if not lo < hi:
             raise SimulationError(f"[protocol].scan_range_mhz must be increasing, got {self.scan_range_mhz}")
-        check_count("[protocol].scan_range_mhz", (hi - lo) / self.scan_pitch_mhz + 1)
+        check_count("[protocol].scan_range_mhz", (hi - lo) / self.scan_pitch_mhz + 1, 8)  # its float64 frequencies
         check_count("[protocol].integration_time_s", self.integration_time_s * self.repetition_rate_khz * 1000.0)
 
     @property
@@ -197,7 +205,7 @@ class G2Settings:
             raise SimulationError(f"[g2].max_lag must be at least 1, got {self.max_lag}")
         if self.n_pulses <= self.max_lag:
             raise SimulationError(f"[g2].n_pulses must exceed max_lag = {self.max_lag}, got {self.n_pulses}")
-        check_count("[g2].n_pulses", self.n_pulses)
+        check_count("[g2].n_pulses", self.n_pulses + 2 * self.max_lag, 8)  # arm B's int64 counts, one a padded pulse
 
     def means(self, emitter: EmitterParams, protocol: PLEProtocol) -> tuple[float, float]:
         """The emitter's chance of a detected photon per pulse, and each arm's mean background events over the record."""
@@ -378,25 +386,27 @@ def simulate_stark_scan(
     protocol: PLEProtocol,
     detector: DetectorModel,
     seed: int,
-) -> list[tuple[float, np.ndarray, np.ndarray]]:
-    """PLE scans of ``ion`` at each of ``stark.voltages_v``: the field and
-    the scan ``(e_parallel_v_per_cm, frequencies_mhz, counts)`` at each
-    voltage, in order (``stark.ion_id`` is not read).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """PLE scans of ``ion`` at each of ``stark.voltages_v``, in order, as flat
+    columns ``(voltages_v, fields_v_per_cm, frequencies_mhz, counts)`` of one
+    entry per scan point (``stark.ion_id`` is not read).
 
     The field is ``volts_to_field_v_per_cm_per_v`` times the voltage, the
     scale being the probe field per volt of bias along the inter-electrode
     axis; each scan spans ``stark.window_half_width_mhz`` either side of
-    the expected Stark-shifted peak. Each voltage gets its own derived
-    seed. The config checks the voltages against ``[run] max_voltage_v``
-    when it loads.
+    the expected Stark-shifted peak. Voltage ``i`` is scanned on
+    ``mix_seed(seed, i)``. The config checks the voltages against
+    ``[run] max_voltage_v`` when it loads.
     """
-    results = []
+    voltages = np.asarray(stark.voltages_v, dtype=float)
+    fields = volts_to_field_v_per_cm_per_v * voltages
     half_width = stark.window_half_width_mhz
-    for v_index, voltage in enumerate(stark.voltages_v):
-        field = volts_to_field_v_per_cm_per_v * voltage
+    scans = []
+    for v_index, field in enumerate(fields.tolist()):
         centre, _ = _line(ion, field)
         base = round(centre / protocol.scan_pitch_mhz) * protocol.scan_pitch_mhz
         scan_protocol = replace(protocol, scan_range_mhz=(base - half_width, base + half_width))
-        scan = simulate_ple_scan([ion], emitter, scan_protocol, detector, field, mix_seed(seed, v_index))
-        results.append((field, *scan))
-    return results
+        scans.append(simulate_ple_scan([ion], emitter, scan_protocol, detector, field, mix_seed(seed, v_index)))
+    points = [counts.size for _, counts in scans]
+    frequencies, counts = (np.concatenate(column) for column in zip(*scans))
+    return np.repeat(voltages, points), np.repeat(fields, points), frequencies, counts

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "EmitterParams",
     "IonModel",
@@ -119,9 +121,11 @@ def lifetime_limited_fwhm_mhz(lifetime_us: float) -> float:
 
 
 def excitation_probability(saturation_prob, fwhm_mhz, detuning_mhz):
-    """Per-pulse excitation probability of a ``fwhm_mhz`` wide line at a laser detuning (MHz); numbers or arrays."""
+    """Per-pulse excitation probability of a ``fwhm_mhz`` wide line at a laser detuning (MHz); numbers or arrays.
+    Far enough off the line the square of the detuning overflows, and the probability is its limit, 0, exactly."""
     u = 2.0 * detuning_mhz / fwhm_mhz
-    return saturation_prob / (1.0 + u**2)
+    with np.errstate(over="ignore"):
+        return saturation_prob / (1.0 + u * u)
 
 
 def resonance_voltage(

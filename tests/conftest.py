@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -114,6 +116,7 @@ def full_grid_residual(values, fixed):
 
 
 def fit_one_lorentzian(frequencies_mhz, counts):
-    """The one-line ``fit_lorentzians``, started at the highest sample."""
-    [line] = fit_lorentzians(frequencies_mhz, counts, [int(np.argmax(counts))])
-    return line
+    """The one-line ``fit_lorentzians``, started at the highest sample, its
+    parameters named without their ``peak1_`` prefix."""
+    fit = fit_lorentzians(frequencies_mhz, counts, [int(np.argmax(counts))])
+    return replace(fit, names=tuple(name.removeprefix("peak1_") for name in fit.names))

@@ -94,7 +94,7 @@ def test_criterion_2_antibunching(config, poissonian_g2, tmp_path):
     _quiet_main(["g2", "--config", tmp_path / "pure.toml", "--seed", 2026, "--out", tmp_path / "pure"])
     tuned, tuned_err = _fit_report(tmp_path / "tuned")["g2_zero"]
     lags, coincidences, _ = read_table(tmp_path / "pure" / "g2.csv", FITS["g2"][1])
-    pure_zero_lag = coincidences[lags.index(0)]
+    [pure_zero_lag] = coincidences[lags == 0]
     # the classical control has no command: a test-side coherent source
     no_background = dataclasses.replace(config.g2, background_fraction=0.0)
     poisson = estimate_g2_zero(*poissonian_g2(config.emitter, no_background, config.protocol, 2027))
@@ -307,7 +307,7 @@ def test_criterion_9_background_statistics(config, tmp_path):
     (tmp_path / "dark.toml").write_text("ions = []\n[protocol]\nscan_range_mhz = [0.0, 4995.0]\n", encoding="utf-8")
     _quiet_main(["ple", "--seed", 909, "--config", tmp_path / "dark.toml", "--out", tmp_path])
     _, counts, _ = read_table(tmp_path / "ple_scan.csv", FITS["ple"][1])
-    counts = np.array(counts, dtype=float)
+    counts = counts.astype(float)
     n = counts.size
     assert n == 1000
 

@@ -26,6 +26,7 @@ from starksim.cli import (
     FAILURES,
     FIGURES,
     FITS,
+    GRID_COLUMNS,
     PIPELINES,
     REPORT_COLUMNS,
     main,
@@ -68,9 +69,6 @@ def run_strict(capsys, *argv):
         return run(capsys, *argv)
 
 
-REPORT_TABLE = dict(zip(REPORT_COLUMNS, (str, float, float, str)))  # fit_report.csv's columns
-
-
 def reproduce_pulls(capsys, tmp_path, figure, seeds, truth):
     """{quantity: its pulls (value - truth) / stderr} over ``reproduce figure`` at each seed."""
     pulls = {quantity: [] for quantity in truth}
@@ -78,7 +76,7 @@ def reproduce_pulls(capsys, tmp_path, figure, seeds, truth):
         out_dir = tmp_path / f"{figure}-{seed}"
         code, _, err = run(capsys, "reproduce", figure, "--seed", seed, "--out", out_dir)
         assert code == EXIT_OK, err
-        quantities, values, stderrs, _ = read_table(out_dir / "fit_report.csv", REPORT_TABLE)
+        quantities, values, stderrs, _ = read_table(out_dir / "fit_report.csv", REPORT_COLUMNS)
         report = dict(zip(quantities, zip(values, stderrs)))
         for quantity, expected in truth.items():
             value, stderr = report[quantity]
@@ -115,11 +113,11 @@ class TestFieldCommand:
         # one row per node, x fastest, every value read back exactly
         config = default_config()
         grid = solve_potential(config.layout, config.solver.spacing_um)
-        x, y, potential = read_table(path, {"x_um": float, "y_um": float, "potential_v": float})
+        x, y, potential = read_table(path, GRID_COLUMNS)
         rows, columns = grid.values.shape
-        assert x == np.tile(grid.x_coords_um, rows).tolist()
-        assert y == np.repeat(grid.y_coords_um, columns).tolist()
-        assert potential == (config.layout.bias_v * grid.values).ravel().tolist()  # the bias times the per-volt grid
+        assert np.array_equal(x, np.tile(grid.x_coords_um, rows))
+        assert np.array_equal(y, np.repeat(grid.y_coords_um, columns))
+        assert np.array_equal(potential, (config.layout.bias_v * grid.values).ravel())  # the bias times the per-volt grid
 
     def test_zero_voltage(self, capsys, config_path, tmp_path):
         code, out, _ = run(capsys, "field", "--config", config_path, "--voltage", 0, "--out", tmp_path)
@@ -317,12 +315,26 @@ class TestLoadTimeChecks:
             ("[decay]\nn_pulses = 100000000000000000000\n", "[decay].n_pulses", ["decay"]),
             ("[protocol]\nintegration_time_s = 1e300\n", "[protocol].integration_time_s", ["ple"]),
             ("[g2]\nn_pulses = 9223372036854775808\n", "[g2].n_pulses", ["g2"]),
+            # each below 2**63, but its largest array exceeds numpy's 2**63 - 1 bytes: each ended in a traceback
+            ("[protocol]\nscan_range_mhz = [-1e6, 1e6]\nscan_pitch_mhz = 3e-13\n", "[protocol].scan_range_mhz", ["ple"]),
+            ("[g2]\nn_pulses = 4000000000000000000\n", "[g2].n_pulses", ["g2"]),
+            ("[decay]\nbin_width_us = 1e-17\n", "[decay].bin_width_us", ["decay"]),
+            ("[decay]\nbin_width_us = 1e-300\n", "[decay].bin_width_us", ["decay"]),
+            ("[layout]\ndomain_extent_um = [1e30, 1e30]\n",
+             "[layout].domain_extent_um at [solver].spacing_um = 5 um", ["field"]),
+            ("[layout]\ndomain_extent_um = [1e300, 600.0]\n",
+             "[layout].domain_extent_um at [solver].spacing_um = 5 um", ["field"]),
+            ("[solver]\nspacing_um = 1e-300\n", "[layout].domain_extent_um at [solver].spacing_um = 1e-300 um", ["field"]),
+            # an infinite count of nodes, which once raised OverflowError inside the load-time grid check
+            ("[solver]\nspacing_um = 5e-324\n",
+             "[layout].domain_extent_um at [solver].spacing_um = 4.94066e-324 um", ["reproduce", "fig3c"]),
         ],
     )
     def test_count_numpy_cannot_hold_exits_2(self, capsys, tmp_path, text, where, argv):
+        # refused at load time, before any array is made
         code, out, err = self.run_with(capsys, tmp_path, text, *argv)
         assert code == EXIT_CONFIG
-        pattern = rf"{re.escape(where)} gives a count of \S+, and numpy counts only below 2\*\*63\n"
+        pattern = rf"{re.escape(where)} gives a count of \S+, above numpy's largest, \S+\n"
         assert re.fullmatch("error: invalid configuration: " + pattern, err), err
         assert out == "" and not (tmp_path / "out").exists()
 
@@ -659,8 +671,8 @@ class TestPipelines:
         data.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
         code, _, err = run(capsys, "fit", "--kind", "ple", "--input", data, "--out", tmp_path / "refit")
         assert code == EXIT_OK, err
-        figure, refit = (read_table(tmp_path / name / "fit_report.csv", REPORT_TABLE) for name in ("fig", "refit"))
-        assert refit[0] == figure[0] and refit[3] == figure[3]
+        figure, refit = (read_table(tmp_path / name / "fit_report.csv", REPORT_COLUMNS) for name in ("fig", "refit"))
+        assert np.array_equal(refit[0], figure[0]) and np.array_equal(refit[3], figure[3])
         assert refit[1] == pytest.approx(figure[1], rel=1e-9) and refit[2] == pytest.approx(figure[2], rel=1e-9)
 
     @staticmethod
@@ -843,6 +855,33 @@ class TestPipelines:
         assert code == EXIT_SIMULATION
         assert out == "" and err.startswith("error: simulation failed: ionX: the line overflows at ")
 
+    @pytest.mark.parametrize("argv", [["g2"], ["reproduce", "fig3c"]], ids=["g2", "fig3c"])
+    def test_g2_without_side_lag_coincidences_exits_4(self, capsys, tmp_path, argv):
+        # an emitter that is never excited, and so no background either: nothing normalizes the histogram
+        path = tmp_path / "unexcited.toml"
+        path.write_text("[emitter]\nsaturation_excitation_prob = 0.0\n", encoding="utf-8")
+        code, out, err = run_strict(capsys, *argv, "--config", path, "--out", tmp_path / "x")
+        assert code == EXIT_SIMULATION
+        assert out == ""
+        assert err == "error: simulation failed: no coincidences at the 20 side lags, so g2 cannot be normalized\n"
+        assert not (tmp_path / "x" / "g2.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("[protocol]\nscan_range_mhz = [-1e307, 1e307]\nscan_pitch_mhz = 1e306\n", ["ple"]),
+            ("[protocol]\nscan_range_mhz = [-1e307, 1e307]\nscan_pitch_mhz = 1e306\n", ["reproduce", "fig2"]),
+            ("[protocol]\nscan_pitch_mhz = 1e306\n\n[stark]\nwindow_half_width_mhz = 1e307\n", ["stark"]),
+        ],
+        ids=["ple", "fig2", "stark"],
+    )
+    def test_far_detuned_scan_is_silent(self, capsys, tmp_path, text, argv):
+        # far off every line the squared detuning overflows, where the line's value, 0, is exact
+        path = tmp_path / "far.toml"
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_strict(capsys, *argv, "--config", path, "--out", tmp_path / "x")
+        assert code == EXIT_OK and err == ""
+
     def test_fit_on_missing_file_exits_5(self, capsys, config_path, tmp_path):
         code, _, err = run(
             capsys, "fit", "--config", config_path, "--kind", "g2",
@@ -985,6 +1024,14 @@ class TestPipelines:
         assert code == EXIT_CONFIG
         assert out == "" and err == "error: unknown ion id ''\n"
 
+    def test_fig4b_of_an_empty_registry_writes_a_header_and_fits_nothing(self, capsys, tmp_path):
+        config = tmp_path / "empty.toml"
+        config.write_text("ions = []\n", encoding="utf-8")
+        code, out, err = run(capsys, "reproduce", "fig4b", "--config", config, "--out", tmp_path / "out")
+        assert code == EXIT_FITTING
+        assert out == "" and err == "error: fitting failed: no scan points to fit\n"
+        assert (tmp_path / "out" / "stark_scan.csv").read_text(encoding="utf-8") == ",".join(FITS["stark"][1]) + "\n"
+
     def test_seed_override_changes_data(self, capsys, config_path, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
@@ -1010,8 +1057,9 @@ def test_dataset_csv_is_the_one_fits_declares(capsys, fast_config, tmp_path, kin
     assert code == EXIT_OK and out.splitlines() == [str(tmp_path / name)]
     assert (tmp_path / name).read_text(encoding="utf-8").splitlines()[0] == header
     config = load_config(fast_config)
-    rows = PIPELINES[figure][0](argparse.Namespace(figure=figure, voltage=0.0), config, config.run.seed)
-    assert list(zip(*read_table(tmp_path / name, FITS[kind][1]))) == rows
+    columns = PIPELINES[figure][0](argparse.Namespace(figure=figure, voltage=0.0), config, config.run.seed)
+    read = read_table(tmp_path / name, FITS[kind][1])
+    assert len(read) == len(columns) and all(map(np.array_equal, read, columns))
 
 
 def replay_argv(command, config, out_dir):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import dirichlet_nodes, full_grid_field, full_grid_residual
 
-from starksim.cli import main
+from starksim.cli import GRID_COLUMNS, main
 from starksim.config import default_config
 from starksim.csvio import read_table
 from starksim.electrostatics import (
@@ -341,7 +341,7 @@ def test_grid_csv_dump(tmp_path, capsys):
     capsys.readouterr()
     grid = solve_potential(small_layout(), 2.0)
     lines = (tmp_path / "potential_grid.csv").read_text().splitlines()
-    assert lines[0] == "x_um,y_um,potential_v"
+    assert lines[0] == ",".join(GRID_COLUMNS)
     assert len(lines) == 1 + grid.values.size
     x0, y0 = grid.x_coords_um[0], grid.y_coords_um[0]
     assert lines[1] == f"{x0:.17g},{y0:.17g},0"
@@ -357,7 +357,7 @@ def test_grid_dump_coordinates_mirror_about_zero(tmp_path, capsys):
     config.write_text("[solver]\nspacing_um = 3.3\n", encoding="utf-8")
     assert main(["field", "--config", str(config), "--out", str(tmp_path), "--dump-grid"]) == 0
     capsys.readouterr()
-    x, y, _ = read_table(tmp_path / "potential_grid.csv", {"x_um": float, "y_um": float, "potential_v": float})
+    x, y, _ = read_table(tmp_path / "potential_grid.csv", GRID_COLUMNS)
     for coords in (np.unique(x), np.unique(y)):
         half = coords.size // 2
         assert np.array_equal(coords, 3.3 * np.arange(-half, half + 1))

@@ -61,11 +61,19 @@ class TestProtocolValidation:
         assert config.protocol.pulses_per_point == 50_000
 
     def test_counts_stop_below_2_to_the_63(self):
-        check_count("[g2].n_pulses", 2**63 - 1)
-        for count in (2**63, 2.0**63, math.inf, math.nan):
-            with pytest.raises(SimulationError, match=r"^\[g2\]\.n_pulses gives a count of"):
-                check_count("[g2].n_pulses", count)
-        G2Settings(n_pulses=2**63 - 1)  # representable: built, never drawn here
+        # a count that sizes no array stops at int64's largest; one that sizes an
+        # array of 8-byte entries at numpy's largest array, 2**63 - 1 bytes
+        check_count("[decay].n_pulses", 2**63 - 1)
+        check_count("[g2].n_pulses", (2**63 - 1) // 8, 8)
+        for count, itemsize in [(2**63, 1), (2.0**63, 1), (math.inf, 1), (math.nan, 1), ((2**63 - 1) // 8 + 1, 8)]:
+            with pytest.raises(SimulationError, match=r"^\[g2\]\.n_pulses gives a count of .*, above numpy's largest, "):
+                check_count("[g2].n_pulses", count, itemsize)
+        with pytest.raises(ValueError, match="array is too big"):  # numpy's own limit, refused before allocating
+            np.empty((2**63 - 1) // 8 + 1, dtype=np.int64)
+        # g2 holds its padded pulses, n_pulses + 2 max_lag, in int64 arrays
+        G2Settings(n_pulses=(2**63 - 1) // 8 - 20, max_lag=10)  # representable: built, never drawn here
+        with pytest.raises(SimulationError, match=r"^\[g2\]\.n_pulses"):
+            G2Settings(n_pulses=(2**63 - 1) // 8 - 19, max_lag=10)
         with pytest.raises(SimulationError, match=r"^\[decay\]\.n_pulses"):
             DecaySettings(n_pulses=2**63)
 
@@ -546,25 +554,30 @@ class TestStarkScan:
         ion2 = config.ion("ion2")
         # the sweep needs 3 voltages; its first scan, at 0 V, is drawn on the stream a lone 0 V scan would use
         stark = StarkScanSettings(voltages_v=(0.0, 111.0, 222.0), window_half_width_mhz=60.0)
-        points = simulate_stark_scan(ion2, config.emitter, stark, volts_to_field, config.protocol, config.detector, 31)
-        field, *scan = points[0]
-        fit = fit_one_lorentzian(*scan)
+        voltages, fields, freqs, counts = simulate_stark_scan(
+            ion2, config.emitter, stark, volts_to_field, config.protocol, config.detector, 31
+        )
+        first = voltages == 0.0
+        fit = fit_one_lorentzian(freqs[first], counts[first])
         assert fit.value("center_mhz") == pytest.approx(-40.0, abs=3.0 * fit.stderr("center_mhz"))
-        assert field == 0.0
+        assert np.all(fields[first] == 0.0)
 
     def test_equally_spaced_voltages_give_equally_spaced_peaks(self, config, ion1, emitter, volts_to_field):
         stark = StarkScanSettings(voltages_v=(0.0, 111.0, 222.0))
-        points = simulate_stark_scan(ion1, emitter, stark, volts_to_field, config.protocol, config.detector, 33)
-        assert [field for field, _, _ in points] == [volts_to_field * v for v in stark.voltages_v]
+        voltages, fields, freqs, counts = simulate_stark_scan(
+            ion1, emitter, stark, volts_to_field, config.protocol, config.detector, 33
+        )
+        assert np.unique(voltages).tolist() == list(stark.voltages_v)
+        assert np.array_equal(fields, volts_to_field * voltages)
         centres, errs = [], []
-        for _, *scan in points:
-            fit = fit_one_lorentzian(*scan)
+        for voltage in stark.voltages_v:
+            fit = fit_one_lorentzian(freqs[voltages == voltage], counts[voltages == voltage])
             centres.append(fit.value("center_mhz"))
             errs.append(fit.stderr("center_mhz"))
         first = centres[1] - centres[0]
         second = centres[2] - centres[1]
         assert first == pytest.approx(second, abs=3.0 * math.hypot(*errs[:2], errs[2]))
-        expected = ion1.line(points[1][0])[0] - ion1.zero_field_frequency_mhz
+        expected = ion1.line(volts_to_field * stark.voltages_v[1])[0] - ion1.zero_field_frequency_mhz
         assert first == pytest.approx(expected, abs=3.0 * math.hypot(errs[0], errs[1]))
 
     def test_voltage_limit_enforced(self, config):
@@ -580,9 +593,14 @@ class TestStarkScan:
     def test_scan_windows_track_expected_peak(self, config, volts_to_field):
         ion3 = config.ion("ion3")
         stark = StarkScanSettings(voltages_v=(0.0, 333.0, 166.5), window_half_width_mhz=50.0)
-        points = simulate_stark_scan(ion3, config.emitter, stark, volts_to_field, config.protocol, config.detector, 35)
-        for field, freqs, counts in points:
-            expected, _ = ion3.line(field)
+        voltages, fields, all_freqs, all_counts = simulate_stark_scan(
+            ion3, config.emitter, stark, volts_to_field, config.protocol, config.detector, 35
+        )
+        assert voltages[0] == 0.0 and voltages[-1] == 166.5  # the scans in the order of the voltages
+        for voltage in stark.voltages_v:
+            mine = voltages == voltage
+            freqs, counts = all_freqs[mine], all_counts[mine]
+            expected, _ = ion3.line(fields[mine][0])
             assert freqs[0] <= expected <= freqs[-1]
             assert np.argmax(counts) not in (0, freqs.size - 1)
 

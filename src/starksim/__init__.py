@@ -6,3 +6,7 @@ decay, intensity autocorrelation) -> fitted physical parameters.
 """
 
 __version__ = "0.1.0"
+
+
+class ConfigError(ValueError):
+    """An input a load-time rule refuses; every record and check raises it where its rule is stated."""

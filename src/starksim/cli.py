@@ -2,14 +2,15 @@
 
 Subcommands: ``field``, ``ple``, ``decay``, ``g2``, ``stark``, ``fit``,
 ``resonance``, ``reproduce``. Each figure of ``reproduce`` is one
-pipeline: a dataset function returns the arrays its simulator drew as
-the columns of its CSV, whose file name and ``{column: type}`` table
-``FITS`` alone declares, then the figure's fit step reads that CSV back
-as arrays, fits them and writes ``fit_report.csv`` (``REPORT_COLUMNS``).
-``fit --kind`` runs the same step on a CSV it is given, so its report is
-the figure's, byte for byte. ``ple``, ``decay``,
-``g2`` and ``stark`` are the no-fit forms of ``fig2``, ``fig3b``,
-``fig3c`` and ``fig4a``. fig4's fit stage fits each ion's whole sweep,
+pipeline over the dataset kind ``FIGURES`` gives it: the kind's dataset
+function returns the arrays its simulator drew as the columns of its
+CSV, whose file name and ``{column: type}`` table ``FITS`` alone
+declares, then the kind's fit step reads that CSV back as arrays, fits
+them and writes ``fit_report.csv`` (``REPORT_COLUMNS``). ``fit --kind``
+runs the same step on a CSV it is given, so its report is the figure's,
+byte for byte. Each kind is also a subcommand, the no-fit form of its
+first figure: ``ple``, ``decay``, ``g2`` and ``stark`` of ``fig2``,
+``fig3b``, ``fig3c`` and ``fig4a``. fig4's fit stage fits each ion's whole sweep,
 the counts at every voltage, to the ion's line law in one Poisson
 likelihood; fig2's fits the whole scan in one, as the sum of its lines
 and one offset.
@@ -24,7 +25,9 @@ key=value reports first); diagnostics go to stderr.
 Exit codes are the ``EXIT_*`` constants. A config that fails to load
 exits 2 where it happens; every later failure, from writing the manifest
 on, exits with the code and message of its row of ``FAILURES``, the one
-table of failure class, exit code and message.
+table of failure class, exit code and message. Every refused input is a
+``ConfigError``, so an exit code other than 2 means that a config that
+loaded failed at run time.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .analysis import (
 )
 from .config import ConfigError, ExperimentConfig, RunSettings, default_config, load_config
 from .csvio import read_table, write_table
-from .electrostatics import GeometryError, field_at, solve_potential
+from .electrostatics import field_at, solve_potential
 from .experiment import (
     SimulationError,
     mix_seed,
@@ -60,12 +63,7 @@ from .experiment import (
 )
 from .manifest import write_run_manifest
 from .optimize import DegenerateDataError, FitError, FitResult
-from .stark import (
-    NoResonanceError,
-    StarkModelError,
-    VoltageOutOfRangeError,
-    resonance_voltage,
-)
+from .stark import NoResonanceError, VoltageOutOfRangeError, resonance_voltage
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -87,15 +85,11 @@ FAILURES = (
     (VoltageOutOfRangeError, EXIT_VOLTAGE_RANGE, "{exc} (required voltage {exc.required_voltage_v:.17g} V)"),
     (FieldOverflowError, EXIT_SOLVER, "{exc}"),
     (ConfigError, EXIT_CONFIG, "{exc}"),
-    (GeometryError, EXIT_CONFIG, "{exc}"),
-    (StarkModelError, EXIT_CONFIG, "{exc}"),
     (SimulationError, EXIT_SIMULATION, "simulation failed: {exc}"),
     (FitError, EXIT_FITTING, "fitting failed: {exc}"),
     (OSError, EXIT_CONFIG, "cannot write output directory {out_dir}: {exc}"),  # only writes under out_dir raise it
     (MemoryError, EXIT_CONFIG, "out of memory: {exc}"),
 )
-
-FIGURES = ("fig2", "fig3b", "fig3c", "fig4a", "fig4b")
 
 Row = tuple[str, float, float, str]  # one fit_report.csv row: quantity, value, stderr, units
 
@@ -140,20 +134,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="bias across the pair (default: config potentials)")
     p.add_argument("--dump-grid", action="store_true", help="also write the potential grid CSV")
 
-    p = sub.add_parser("ple", help="simulate a PLE scan of the whole ion registry")
-    add_common(p)
-    p.add_argument("--voltage", type=_finite_float, default=0.0,
-                   help="electrode bias during the scan")
-    p.set_defaults(figure="fig2", fit=False)
-
-    for name, figure, text in (
-        ("decay", "fig3b", "simulate a fluorescence decay histogram"),
-        ("g2", "fig3c", "simulate an intensity-autocorrelation histogram"),
-        ("stark", "fig4a", "simulate voltage-swept scans of the [stark] ion"),
-    ):
-        p = sub.add_parser(name, help=text)
+    for kind, (name, *_) in FITS.items():  # each kind's command: its first figure, unfitted
+        figure = next(figure for figure, figure_kind in FIGURES.items() if figure_kind == kind)
+        p = sub.add_parser(kind, help=f"write {figure}'s {name}, unfitted")
         add_common(p)
         p.set_defaults(figure=figure, fit=False)
+        if kind == "ple":
+            p.add_argument("--voltage", type=_finite_float, default=0.0,
+                           help="electrode bias during the scan of the whole ion registry")
 
     p = sub.add_parser("fit", help="fit a dataset produced by the simulators")
     add_common(p)
@@ -275,32 +263,29 @@ def _fit_stark(config: ExperimentConfig, ion_ids, voltages_v, fields_v_per_cm, f
     return report
 
 
-# The one statement of each dataset's format: kind -> (its file name, the
-# file's {column: type}, its fit stage, which takes the columns in order).
+# The one statement of each dataset: kind -> (its file name, the file's
+# {column: type}, the dataset function that draws its columns, and its fit
+# stage, which takes them in order). Each kind is also the subcommand that
+# writes its first figure's dataset unfitted.
 FITS = {
-    "ple": ("ple_scan.csv", {"frequency_offset_mhz": float, "counts": int, "integration_s": float}, _fit_peaks),
-    "decay": ("decay.csv", {"time_us": float, "counts": int}, _fit_lifetime),
-    "g2": ("g2.csv", {"lag_pulses": int, "coincidences": int, "normalized": float}, _fit_g2),
+    "ple": ("ple_scan.csv", {"frequency_offset_mhz": float, "counts": int, "integration_s": float}, _ple, _fit_peaks),
+    "decay": ("decay.csv", {"time_us": float, "counts": int}, _decay, _fit_lifetime),
+    "g2": ("g2.csv", {"lag_pulses": int, "coincidences": int, "normalized": float}, _g2, _fit_g2),
     "stark": (
         "stark_scan.csv",
         {"ion_id": str, "voltage_v": float, "field_v_per_cm": float, "frequency_mhz": float, "counts": int},
+        _stark,
         _fit_stark,
     ),
 }
+FIGURES = {"fig2": "ple", "fig3b": "decay", "fig3c": "g2", "fig4a": "stark", "fig4b": "stark"}  # figure -> its kind
 REPORT_COLUMNS = {"quantity": str, "value": float, "stderr": float, "units": str}  # fit_report.csv, a Row a line
 GRID_COLUMNS = {"x_um": float, "y_um": float, "potential_v": float}  # potential_grid.csv, a grid node a line, x fastest
-PIPELINES = {  # figure -> (its dataset function, the FITS kind of its CSV)
-    "fig2": (_ple, "ple"),
-    "fig3b": (_decay, "decay"),
-    "fig3c": (_g2, "g2"),
-    "fig4a": (_stark, "stark"),
-    "fig4b": (_stark, "stark"),
-}
 
 
 def _fit_csv(kind: str, config: ExperimentConfig, dataset: Path, out_dir: Path) -> Path:
     """The one fit step of ``reproduce`` and ``fit``: read a dataset CSV, fit it, write fit_report.csv."""
-    _, columns, fit = FITS[kind]
+    _, columns, _, fit = FITS[kind]
     try:
         data = read_table(dataset, columns)
     except ValueError as exc:  # read_table names the file, and the row and column of a bad cell
@@ -310,9 +295,9 @@ def _fit_csv(kind: str, config: ExperimentConfig, dataset: Path, out_dir: Path) 
 
 
 def _cmd_figure(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[Path]:
-    simulate, kind = PIPELINES[args.figure]
-    name, columns, _ = FITS[kind]
-    path = write_table(out_dir / name, columns, simulate(args, config, seed))
+    kind = FIGURES[args.figure]
+    name, columns, dataset, _ = FITS[kind]
+    path = write_table(out_dir / name, columns, dataset(args, config, seed))
     return [path, _fit_csv(kind, config, path, out_dir)] if args.fit else [path]
 
 

@@ -3,10 +3,11 @@
 The dataclasses are the schema. Each field of ``ExperimentConfig`` is a
 section of the file, a section's keys are the field names of its
 dataclass, and each value is checked against the field's annotation.
-Each record checks its own values when built: ``[solver]`` and ``[run]``
-are defined here, ``[layout]`` in ``electrostatics``, ``[[ions]]`` and
-``[emitter]`` in ``stark``, and the other sections in ``experiment``;
-``ExperimentConfig`` checks across sections. The departures sit in
+Each record checks its own values when built, raising ``ConfigError``
+(the package's, re-exported here): ``[solver]`` and ``[run]`` are defined
+here, ``[layout]`` in ``electrostatics``, ``[[ions]]`` and ``[emitter]``
+in ``stark``, and the others in ``experiment``; ``ExperimentConfig``
+checks across sections. The departures sit in
 tables next to the generic reader and writer: the ``[[ions]]`` key
 ``id``, the one optional ion key, and the retired keys, which a file may
 still hold and which are checked as the type their table records, then
@@ -29,6 +30,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
+from . import ConfigError
 from .electrostatics import ElectrodeLayout, check_grid
 from .experiment import DEFAULT_MASTER_SEED, DecaySettings, DetectorModel, G2Settings, PLEProtocol, StarkScanSettings
 from .experiment import check_count, check_poisson_mean
@@ -45,10 +47,6 @@ __all__ = [
     "load_config",
     "loads_config",
 ]
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -278,28 +276,23 @@ def _read_ion(entry: Any) -> IonModel:
 
 def config_from_dict(data: dict[str, Any]) -> ExperimentConfig:
     """Config from parsed TOML; sections and keys the file leaves out keep
-    the defaults, and every dataclass validates itself on construction."""
+    the defaults, and every record raises :class:`ConfigError` for a value its rules refuse."""
     base = default_config()
     changes: dict[str, Any] = {}
-    try:
-        for section, content in data.items():
-            if section not in _SLOTS and section not in _RETIRED:
-                raise ConfigError(f"unknown section [{section}]")
-            if section in _ARRAYS:
-                if not isinstance(content, list):
-                    raise ConfigError(f"[[{section}]] must be a table array")
-                changes[section] = tuple(_read_ion(entry) for entry in content)
-                continue
-            if not isinstance(content, dict):
-                raise ConfigError(f"[{section}] must be a plain section, got {type(content).__name__}")
-            values = _read_table(f"[{section}]", section, content)
-            if section in _SLOTS:
-                changes[section] = replace(getattr(base, section), **values)
-        return replace(base, **changes)
-    except ConfigError:
-        raise
-    except ValueError as exc:  # a dataclass's own check: GeometryError, SimulationError, ...
-        raise ConfigError(str(exc)) from exc
+    for section, content in data.items():
+        if section not in _SLOTS and section not in _RETIRED:
+            raise ConfigError(f"unknown section [{section}]")
+        if section in _ARRAYS:
+            if not isinstance(content, list):
+                raise ConfigError(f"[[{section}]] must be a table array")
+            changes[section] = tuple(_read_ion(entry) for entry in content)
+            continue
+        if not isinstance(content, dict):
+            raise ConfigError(f"[{section}] must be a plain section, got {type(content).__name__}")
+        values = _read_table(f"[{section}]", section, content)
+        if section in _SLOTS:
+            changes[section] = replace(getattr(base, section), **values)
+    return replace(base, **changes)
 
 
 def _table(section: str, obj: Any) -> dict[str, Any]:

@@ -54,11 +54,11 @@ from functools import cached_property
 
 import numpy as np
 
+from . import ConfigError
 from .experiment import check_count
 
 __all__ = [
     "ElectrodeLayout",
-    "GeometryError",
     "PotentialGrid",
     "check_grid",
     "field_at",
@@ -66,10 +66,6 @@ __all__ = [
 ]
 
 V_PER_UM_TO_V_PER_CM = 1.0e4
-
-
-class GeometryError(ValueError):
-    """Layout or solver inputs violate a geometric precondition."""
 
 
 @dataclass(frozen=True)
@@ -93,18 +89,18 @@ class ElectrodeLayout:
 
     def __post_init__(self) -> None:
         if self.gap_um <= 0.0:
-            raise GeometryError(f"[layout].gap_um must be positive, got {self.gap_um}")
+            raise ConfigError(f"[layout].gap_um must be positive, got {self.gap_um}")
         if self.electrode_width_um <= 0.0:
-            raise GeometryError(f"[layout].electrode_width_um must be positive, got {self.electrode_width_um}")
+            raise ConfigError(f"[layout].electrode_width_um must be positive, got {self.electrode_width_um}")
         width, height = self.domain_extent_um
         half_span = self.gap_um / 2.0 + self.electrode_width_um
         margin = 2.0 * self.gap_um
         if width / 2.0 < half_span + margin:
-            raise GeometryError(
+            raise ConfigError(
                 f"[layout].domain_extent_um width {width} um leaves less than 2x gap margin around the electrodes"
             )
         if height / 2.0 < margin:
-            raise GeometryError(
+            raise ConfigError(
                 f"[layout].domain_extent_um height {height} um leaves less than 2x gap margin around the surface"
             )
 
@@ -227,7 +223,7 @@ def solve_potential(layout: ElectrodeLayout, spacing_um: float) -> PotentialGrid
     The electrodes are held at +-1/2 V, the left one positive, and the
     outer box at zero (the far boundary); ``electrode_potentials_v`` is
     not read. The solve is direct: the grid is the exact solution of the
-    discrete equations up to rounding. :class:`GeometryError` if
+    discrete equations up to rounding. ``ConfigError`` if
     :func:`check_grid` refuses the layout at ``spacing_um``.
     """
     cols, rows = check_grid(layout, spacing_um)
@@ -243,21 +239,21 @@ def _stencil_position(
     point_um: tuple[float, float], spacing_um: float, cols: int, rows: int, what: str = "probe point"
 ) -> tuple[float, float]:
     """The point's fractional node indices ``(xi, yi)`` on the full grid of a ``cols`` x ``rows``-cell quarter.
-    The field stencil reaches one node past the point's cell, so :class:`GeometryError` unless it is one cell inside."""
+    The field stencil reaches one node past the point's cell, so ``ConfigError`` unless it is one cell inside."""
     xi = (point_um[0] + cols * spacing_um) / spacing_um
     yi = (point_um[1] + rows * spacing_um) / spacing_um
     if not (1.0 <= xi <= 2 * cols - 1.0 and 1.0 <= yi <= 2 * rows - 1.0):
-        raise GeometryError(f"{what} {point_um} um is not one cell ({spacing_um:g} um) inside the grid's edge")
+        raise ConfigError(f"{what} {point_um} um is not one cell ({spacing_um:g} um) inside the grid's edge")
     return xi, yi
 
 
 def check_grid(layout: ElectrodeLayout, spacing_um: float) -> tuple[int, int]:
     """The cells ``(cols, rows)`` from the gap centre to the side and top walls of the grid that solves ``layout``
-    at ``spacing_um``, checked as the config is when it loads: :class:`GeometryError` for a spacing outside
-    (0, gap/20], or a probe whose field stencil leaves the grid, and :class:`~starksim.experiment.SimulationError`
-    for a grid too large for numpy to hold (:func:`~starksim.experiment.check_count`)."""
+    at ``spacing_um``, checked as the config is when it loads: ``ConfigError`` for a spacing outside (0, gap/20],
+    a grid too large for numpy to hold (:func:`~starksim.experiment.check_count`), or a probe whose field stencil
+    leaves the grid."""
     if not 0.0 < spacing_um <= layout.gap_um / 20.0:
-        raise GeometryError(f"[solver].spacing_um must lie in (0, gap/20 = {layout.gap_um / 20.0:g}] um, got {spacing_um}")
+        raise ConfigError(f"[solver].spacing_um must lie in (0, gap/20 = {layout.gap_um / 20.0:g}] um, got {spacing_um}")
     half_cells = [extent / 2.0 / spacing_um for extent in layout.domain_extent_um]  # floats: an inf is refused
     where = f"[layout].domain_extent_um at [solver].spacing_um = {spacing_um:g} um"
     check_count(where, (half_cells[0] + 1) * (half_cells[1] + 1), 16)  # the quarter's complex128 modes

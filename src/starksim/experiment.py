@@ -12,14 +12,15 @@ The simulators take each ion's own line as an :class:`~starksim.stark.IonModel`
 and the lifetime and saturation all ions share as one
 :class:`~starksim.stark.EmitterParams`, the only input of decay and g2.
 Each also takes its config record whole, and a record checks its limits
-when it is built, so the simulators check none of them again; among them
-:func:`check_count`'s, that no array a simulator draws outgrows numpy's
-largest. The field enters as one number, its component along the
-inter-electrode axis in V/cm (a Stark sweep takes the volts-to-field
-scale instead), and each simulator returns the arrays it drew: an axis
-and the counts on it, or for a Stark sweep flat columns of voltage,
-field, frequency and counts, an entry per scan point. ``cli`` writes
-them to CSV as they are.
+when it is built, raising ``ConfigError``, so the simulators check none
+of them again; among them :func:`check_count`'s, that no array a
+simulator draws outgrows numpy's largest. A :class:`SimulationError` is
+a failure at run time of a config that loaded. The field enters as one
+number, its component along the inter-electrode axis in V/cm (a Stark
+sweep takes the volts-to-field scale instead), and each simulator
+returns the arrays it drew: an axis and the counts on it, or for a Stark
+sweep flat columns of voltage, field, frequency and counts, an entry per
+scan point. ``cli`` writes them to CSV as they are.
 
 Determinism contract: each PLE scan, decay histogram and g2 histogram is
 drawn in bulk from one generator, ``point_generator(seed)``, in the
@@ -30,11 +31,12 @@ draw order its simulator's docstring states; a Stark sweep scans voltage
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import ConfigError
 from .stark import EmitterParams, IonModel, excitation_probability
 
 __all__ = [
@@ -64,7 +66,7 @@ _MAX_BYTES = np.iinfo(np.intp).max  # the largest array numpy makes, in bytes
 
 
 class SimulationError(ValueError):
-    pass
+    """A config that loaded fails at run time (exit 4)."""
 
 
 def check_count(where: str, count: float, itemsize: int = 1) -> None:
@@ -73,13 +75,13 @@ def check_count(where: str, count: float, itemsize: int = 1) -> None:
     an int64, 1 byte here. Give it as a float, before any ``int()``, so that an infinite one is refused."""
     if not count * itemsize <= _MAX_BYTES:
         largest = _MAX_BYTES // itemsize
-        raise SimulationError(f"{where} gives a count of {count:.4g}, above numpy's largest, {largest:.4g}")
+        raise ConfigError(f"{where} gives a count of {count:.4g}, above numpy's largest, {largest:.4g}")
 
 
 def check_poisson_mean(where: str, mean: float) -> None:
     """Refuse a Poisson mean numpy cannot draw from: one above 2**63 - 1 - 10 sqrt(2**63 - 1), or not a number."""
     if not mean <= _POISSON_MAX:
-        raise SimulationError(f"{where} gives a Poisson mean of {mean:.4g}, above numpy's largest, {_POISSON_MAX:.4g}")
+        raise ConfigError(f"{where} gives a Poisson mean of {mean:.4g}, above numpy's largest, {_POISSON_MAX:.4g}")
 
 
 def mix_seed(master_seed: int, index: int) -> int:
@@ -121,16 +123,16 @@ class PLEProtocol:
             "scan_pitch_mhz",
         ):
             if getattr(self, name) <= 0.0:
-                raise SimulationError(f"[protocol].{name} must be positive, got {getattr(self, name)}")
+                raise ConfigError(f"[protocol].{name} must be positive, got {getattr(self, name)}")
         if self.pulse_length_us + self.window_delay_us + self.window_length_us > self.period_us:
-            raise SimulationError(
+            raise ConfigError(
                 f"[protocol] pulse_length_us + window_delay_us + window_length_us = {self.pulse_length_us:g} + "
                 f"{self.window_delay_us:g} + {self.window_length_us:g} us exceed the repetition period, "
                 f"{self.period_us:g} us at repetition_rate_khz = {self.repetition_rate_khz:g}"
             )
         lo, hi = self.scan_range_mhz
         if not lo < hi:
-            raise SimulationError(f"[protocol].scan_range_mhz must be increasing, got {self.scan_range_mhz}")
+            raise ConfigError(f"[protocol].scan_range_mhz must be increasing, got {self.scan_range_mhz}")
         check_count("[protocol].scan_range_mhz", (hi - lo) / self.scan_pitch_mhz + 1, 8)  # its float64 frequencies
         check_count("[protocol].integration_time_s", self.integration_time_s * self.repetition_rate_khz * 1000.0)
 
@@ -147,9 +149,13 @@ class PLEProtocol:
         return detector.dark_mean_per_pulse(self.window_length_us) * self.pulses_per_point
 
     def scan_frequencies_mhz(self) -> np.ndarray:
-        lo, hi = self.scan_range_mhz
-        n = int(math.floor((hi - lo) / self.scan_pitch_mhz + 1e-9)) + 1
-        return lo + self.scan_pitch_mhz * np.arange(n)
+        return _scan_grid(*self.scan_range_mhz, self.scan_pitch_mhz)
+
+
+def _scan_grid(lo_mhz: float, hi_mhz: float, pitch_mhz: float) -> np.ndarray:
+    """Scan frequencies from ``lo_mhz`` up to ``hi_mhz`` at ``pitch_mhz``: the scan range's, and each Stark window's."""
+    n = int(math.floor((hi_mhz - lo_mhz) / pitch_mhz + 1e-9)) + 1
+    return lo_mhz + pitch_mhz * np.arange(n)
 
 
 @dataclass(frozen=True)
@@ -162,9 +168,9 @@ class DetectorModel:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.total_efficiency <= 1.0:
-            raise SimulationError(f"[detector].total_efficiency must lie in [0, 1], got {self.total_efficiency}")
+            raise ConfigError(f"[detector].total_efficiency must lie in [0, 1], got {self.total_efficiency}")
         if self.dark_rate_hz < 0.0:
-            raise SimulationError(f"[detector].dark_rate_hz must be >= 0, got {self.dark_rate_hz}")
+            raise ConfigError(f"[detector].dark_rate_hz must be >= 0, got {self.dark_rate_hz}")
 
     def dark_mean_per_pulse(self, window_length_us: float) -> float:
         return self.dark_rate_hz * window_length_us * 1e-6
@@ -180,10 +186,10 @@ class DecaySettings:
 
     def __post_init__(self) -> None:
         if self.n_pulses < 1:
-            raise SimulationError(f"[decay].n_pulses must be at least 1, got {self.n_pulses}")
+            raise ConfigError(f"[decay].n_pulses must be at least 1, got {self.n_pulses}")
         check_count("[decay].n_pulses", self.n_pulses)
         if not self.bin_width_us > 0.0:
-            raise SimulationError(f"[decay].bin_width_us must be positive, got {self.bin_width_us}")
+            raise ConfigError(f"[decay].bin_width_us must be positive, got {self.bin_width_us}")
 
     def dark_mean(self, detector: DetectorModel, width_us: float | np.ndarray) -> float | np.ndarray:
         """Dark counts expected over the pulses in a bin whose part inside the window is ``width_us`` wide."""
@@ -200,11 +206,11 @@ class G2Settings:
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.background_fraction < 1.0:
-            raise SimulationError(f"[g2].background_fraction must lie in [0, 1), got {self.background_fraction}")
+            raise ConfigError(f"[g2].background_fraction must lie in [0, 1), got {self.background_fraction}")
         if self.max_lag < 1:
-            raise SimulationError(f"[g2].max_lag must be at least 1, got {self.max_lag}")
+            raise ConfigError(f"[g2].max_lag must be at least 1, got {self.max_lag}")
         if self.n_pulses <= self.max_lag:
-            raise SimulationError(f"[g2].n_pulses must exceed max_lag = {self.max_lag}, got {self.n_pulses}")
+            raise ConfigError(f"[g2].n_pulses must exceed max_lag = {self.max_lag}, got {self.n_pulses}")
         check_count("[g2].n_pulses", self.n_pulses + 2 * self.max_lag, 8)  # arm B's int64 counts, one a padded pulse
 
     def means(self, emitter: EmitterParams, protocol: PLEProtocol) -> tuple[float, float]:
@@ -225,9 +231,9 @@ class StarkScanSettings:
 
     def __post_init__(self) -> None:
         if len(set(self.voltages_v)) < 3:  # fig4's line-law fit needs 3 distinct fields
-            raise SimulationError(f"[stark].voltages_v needs at least 3 distinct voltages, got {len(set(self.voltages_v))}")
+            raise ConfigError(f"[stark].voltages_v needs at least 3 distinct voltages, got {len(set(self.voltages_v))}")
         if not self.window_half_width_mhz > 0.0:
-            raise SimulationError(f"[stark].window_half_width_mhz must be positive, got {self.window_half_width_mhz}")
+            raise ConfigError(f"[stark].window_half_width_mhz must be positive, got {self.window_half_width_mhz}")
 
 
 def emission_window_probability(lifetime_us: float, delay_us: float, window_us: float) -> float:
@@ -266,6 +272,11 @@ def simulate_ple_scan(
     binomial array over (points x ions), then one Poisson count per point.
     """
     frequencies = protocol.scan_frequencies_mhz()
+    return frequencies, _scan_counts(ions, emitter, protocol, detector, e_parallel_v_per_cm, frequencies, seed)
+
+
+def _scan_counts(ions, emitter, protocol, detector, e_parallel_v_per_cm, frequencies, seed) -> np.ndarray:
+    """The counts of :func:`simulate_ple_scan` at ``frequencies``, drawn as it states."""
     centres, fwhms = np.array([_line(ion, e_parallel_v_per_cm) for ion in ions]).reshape(-1, 2).T
     p_exc = excitation_probability(emitter.saturation_excitation_prob, fwhms, frequencies[:, None] - centres)
     p_detect = detector.total_efficiency * emission_window_probability(
@@ -274,7 +285,7 @@ def simulate_ple_scan(
 
     rng = point_generator(seed)
     signal = rng.binomial(protocol.pulses_per_point, p_exc * p_detect).sum(axis=1)
-    return frequencies, signal + rng.poisson(protocol.dark_mean(detector), frequencies.size)
+    return signal + rng.poisson(protocol.dark_mean(detector), frequencies.size)
 
 
 def simulate_decay_histogram(
@@ -394,19 +405,29 @@ def simulate_stark_scan(
     The field is ``volts_to_field_v_per_cm_per_v`` times the voltage, the
     scale being the probe field per volt of bias along the inter-electrode
     axis; each scan spans ``stark.window_half_width_mhz`` either side of
-    the expected Stark-shifted peak. Voltage ``i`` is scanned on
+    the expected Stark-shifted peak, a :class:`SimulationError` naming the
+    ion where the peak lies so far out that the rounded window's ends meet,
+    or span more points than numpy can hold. Voltage ``i`` is scanned on
     ``mix_seed(seed, i)``. The config checks the voltages against
     ``[run] max_voltage_v`` when it loads.
     """
     voltages = np.asarray(stark.voltages_v, dtype=float)
     fields = volts_to_field_v_per_cm_per_v * voltages
-    half_width = stark.window_half_width_mhz
+    half_width, pitch = stark.window_half_width_mhz, protocol.scan_pitch_mhz
     scans = []
     for v_index, field in enumerate(fields.tolist()):
         centre, _ = _line(ion, field)
-        base = round(centre / protocol.scan_pitch_mhz) * protocol.scan_pitch_mhz
-        scan_protocol = replace(protocol, scan_range_mhz=(base - half_width, base + half_width))
-        scans.append(simulate_ple_scan([ion], emitter, scan_protocol, detector, field, mix_seed(seed, v_index)))
+        base = float(np.rint(centre / pitch)) * pitch  # half to even as round(), but inf where it overflows
+        lo, hi = base - half_width, base + half_width
+        # the ends' rounding may close the window, or widen it past the points the config's check allowed
+        if not (lo < hi and ((hi - lo) / pitch + 1) * 8 <= _MAX_BYTES):
+            raise SimulationError(
+                f"{ion.ion_id}: at {field:g} V/cm the scan window {base:g} +/- {half_width:g} MHz "
+                f"lies beyond float precision: its ends round to {lo:.17g} and {hi:.17g} MHz"
+            )
+        frequencies = _scan_grid(lo, hi, pitch)
+        counts = _scan_counts([ion], emitter, protocol, detector, field, frequencies, mix_seed(seed, v_index))
+        scans.append((frequencies, counts))
     points = [counts.size for _, counts in scans]
     frequencies, counts = (np.concatenate(column) for column in zip(*scans))
     return np.repeat(voltages, points), np.repeat(fields, points), frequencies, counts

@@ -14,7 +14,9 @@ raises :class:`FitConvergenceError`.
 
 Every fit shares two refusals, stated here only: constant counts raise
 :class:`DegenerateDataError`, and a step to parameters that are not all
-finite scores +inf, so the state a fit returns or carries is finite.
+finite scores +inf, so the state a fit returns or carries is finite. A
+model, Jacobian or error that overflows or divides inf by inf reads as
+its value (a refused step, a NaN error), never as a numpy warning.
 
 Standard errors come from the inverse Fisher matrix ``(J^T W J)^-1``
 with ``W = 1/mu`` at the optimum; the reduced chi-square is Pearson's
@@ -102,6 +104,7 @@ def poisson_deviance(
     return deviance if math.isfinite(deviance) else math.inf
 
 
+@np.errstate(all="ignore")  # the one place fits silence numpy: a bad value is read, not warned about
 def least_squares(
     model: Callable[[np.ndarray, np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -167,8 +170,7 @@ def least_squares(
             except np.linalg.LinAlgError:
                 damping *= DAMPING_STEP
                 continue
-            with np.errstate(all="ignore"):  # a trial the model cannot evaluate, or not finite, scores +inf
-                trial_deviance = poisson_deviance(model, x, y, trial)
+            trial_deviance = poisson_deviance(model, x, y, trial)  # +inf where the model cannot evaluate it
             if trial_deviance <= deviance:  # False for inf
                 break
             damping *= DAMPING_STEP

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ConfigError
+
 __all__ = [
     "EmitterParams",
     "IonModel",
     "NoResonanceError",
-    "StarkModelError",
     "VoltageOutOfRangeError",
     "excitation_probability",
     "lifetime_limited_fwhm_mhz",
@@ -34,15 +35,11 @@ V_PER_CM_PER_KV_PER_CM = 1000.0
 US_PER_MS = 1000.0
 
 
-class StarkModelError(ValueError):
-    pass
-
-
-class NoResonanceError(StarkModelError):
+class NoResonanceError(ValueError):
     """Equal Stark coefficients cannot bridge a frequency difference."""
 
 
-class VoltageOutOfRangeError(StarkModelError):
+class VoltageOutOfRangeError(ValueError):
     def __init__(self, required_voltage_v: float, v_max: float):
         self.required_voltage_v = required_voltage_v
         super().__init__(
@@ -62,11 +59,11 @@ class IonModel:
 
     def __post_init__(self) -> None:
         if self.zero_field_fwhm_mhz <= 0.0:
-            raise StarkModelError(
+            raise ConfigError(
                 f"[[ions]].zero_field_fwhm_mhz of {self.ion_id!r} must be positive, got {self.zero_field_fwhm_mhz}"
             )
         if self.broadening_mhz_per_kv_cm < 0.0:
-            raise StarkModelError(
+            raise ConfigError(
                 f"[[ions]].broadening_mhz_per_kv_cm of {self.ion_id!r} must be >= 0, got {self.broadening_mhz_per_kv_cm}"
             )
 
@@ -103,11 +100,11 @@ class EmitterParams:
 
     def __post_init__(self) -> None:
         if self.bulk_lifetime_ms <= 0.0:
-            raise ValueError(f"[emitter].bulk_lifetime_ms must be positive, got {self.bulk_lifetime_ms}")
+            raise ConfigError(f"[emitter].bulk_lifetime_ms must be positive, got {self.bulk_lifetime_ms}")
         if self.enhancement_factor < 1.0:
-            raise ValueError(f"[emitter].enhancement_factor must be >= 1, got {self.enhancement_factor}")
+            raise ConfigError(f"[emitter].enhancement_factor must be >= 1, got {self.enhancement_factor}")
         if not 0.0 <= self.saturation_excitation_prob <= 1.0:
-            raise ValueError(f"[emitter].saturation_excitation_prob must lie in [0, 1], got {self.saturation_excitation_prob}")
+            raise ConfigError(f"[emitter].saturation_excitation_prob must lie in [0, 1], got {self.saturation_excitation_prob}")
 
     @property
     def lifetime_us(self) -> float:
@@ -148,8 +145,6 @@ def resonance_voltage(
     VoltageOutOfRangeError
         If the closed-form voltage exceeds ``v_max`` in magnitude.
     """
-    if v_max <= 0.0:
-        raise StarkModelError("voltage limit must be positive")
     df_mhz = ion_b.zero_field_frequency_mhz - ion_a.zero_field_frequency_mhz
     ds = ion_a.stark_coefficient_khz_per_v_cm - ion_b.stark_coefficient_khz_per_v_cm
     slope_mhz_per_v = ds * volts_to_field_v_per_cm_per_v / KHZ_PER_MHZ  # either sign: the probe may sit anywhere

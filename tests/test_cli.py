@@ -27,7 +27,6 @@ from starksim.cli import (
     FIGURES,
     FITS,
     GRID_COLUMNS,
-    PIPELINES,
     REPORT_COLUMNS,
     main,
 )
@@ -882,6 +881,43 @@ class TestPipelines:
         code, _, err = run_strict(capsys, *argv, "--config", path, "--out", tmp_path / "x")
         assert code == EXIT_OK and err == ""
 
+    def test_far_detuned_sweep_fit_prints_one_error_line(self, capsys, tmp_path):
+        # fitting the far scans above runs the line law's Stark coefficient away until the model
+        # overflows; the fit reads those values as refused steps and stalls, with no numpy warning
+        path = tmp_path / "far.toml"
+        path.write_text("[protocol]\nscan_pitch_mhz = 1e306\n\n[stark]\nwindow_half_width_mhz = 1e307\n",
+                        encoding="utf-8")
+        code, out, err = run_strict(capsys, "reproduce", "fig4a", "--config", path, "--out", tmp_path / "x")
+        assert (code, out) == (EXIT_FITTING, "")
+        assert err == "error: fitting failed: ion1: stalled: no downhill step (deviance=1292.8)\n"
+
+    @pytest.mark.parametrize(
+        "text, coefficient",
+        [
+            ("", "1e300"),  # the line at 3.6e300 MHz: +/-60 MHz about it rounds to it
+            # the line over the pitch overflows
+            ("[protocol]\nscan_range_mhz = [-1e-8, 1e-8]\nscan_pitch_mhz = 1e-10\n\n"
+             "[stark]\nwindow_half_width_mhz = 1e-9\n", "1e300"),
+            # the line at 1.5 * 2**111 MHz, where floats are 2**59 apart: each end of +/-3e17 MHz rounds
+            # one spacing out, to 2**60 + 1 points, more than the 2**60 - 1 float64s numpy can hold
+            ("[protocol]\nscan_pitch_mhz = 1.0\n\n[stark]\nwindow_half_width_mhz = 3e17\n"
+             "voltages_v = [333.0, 332.0, 331.0]\n", "1.7985066237439913e+32"),
+        ],
+        ids=["ends-meet", "centre-over-pitch-overflows", "ends-widen-past-numpy"],
+    )
+    @pytest.mark.parametrize("argv", [["stark"], ["reproduce", "fig4a"]], ids=["stark", "fig4a"])
+    def test_stark_window_beyond_float_precision_exits_4_naming_the_ion(self, capsys, tmp_path, text, coefficient,
+                                                                         argv):
+        # a config that loads, whose line lies so far out that the rounding of its scan window's ends
+        # spoils the window: a run-time failure of the ion, not of a [protocol] key the file never set
+        path = tmp_path / "far.toml"
+        path.write_text(f'{text}\n[[ions]]\nid = "ion1"\nstark_coefficient_khz_per_v_cm = {coefficient}\n'
+                        'zero_field_fwhm_mhz = 6.7\n', encoding="utf-8")
+        code, out, err = run_strict(capsys, *argv, "--config", path, "--out", tmp_path / "x")
+        assert (code, out) == (EXIT_SIMULATION, "")
+        assert err.startswith("error: simulation failed: ion1: at ") and err.count("\n") == 1
+        assert "lies beyond float precision" in err and "[protocol]" not in err
+
     def test_fit_on_missing_file_exits_5(self, capsys, config_path, tmp_path):
         code, _, err = run(
             capsys, "fit", "--config", config_path, "--kind", "g2",
@@ -1057,7 +1093,7 @@ def test_dataset_csv_is_the_one_fits_declares(capsys, fast_config, tmp_path, kin
     assert code == EXIT_OK and out.splitlines() == [str(tmp_path / name)]
     assert (tmp_path / name).read_text(encoding="utf-8").splitlines()[0] == header
     config = load_config(fast_config)
-    columns = PIPELINES[figure][0](argparse.Namespace(figure=figure, voltage=0.0), config, config.run.seed)
+    columns = FITS[kind][2](argparse.Namespace(figure=figure, voltage=0.0), config, config.run.seed)
     read = read_table(tmp_path / name, FITS[kind][1])
     assert len(read) == len(columns) and all(map(np.array_equal, read, columns))
 

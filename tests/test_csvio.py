@@ -5,7 +5,7 @@ from starksim.cli import FITS, GRID_COLUMNS, REPORT_COLUMNS
 from starksim.csvio import read_table, write_table
 
 # every table the program writes: the four datasets, the fit report and the grid dump
-TABLES = {**{kind: columns for kind, (_, columns, _) in FITS.items()}, "report": REPORT_COLUMNS, "grid": GRID_COLUMNS}
+TABLES = {**{kind: columns for kind, (_, columns, *_) in FITS.items()}, "report": REPORT_COLUMNS, "grid": GRID_COLUMNS}
 
 
 @pytest.mark.parametrize("name", list(TABLES))

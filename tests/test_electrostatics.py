@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from conftest import dirichlet_nodes, full_grid_field, full_grid_residual
 
+from starksim import ConfigError
 from starksim.cli import GRID_COLUMNS, main
 from starksim.config import default_config
 from starksim.csvio import read_table
 from starksim.electrostatics import (
     ElectrodeLayout,
-    GeometryError,
     PotentialGrid,
     check_grid,
     field_at,
@@ -33,7 +33,7 @@ PAPER_LAYOUT = ElectrodeLayout(
 def uniform_field_oracle(voltage_v: float, gap_um: float) -> float:
     """Parallel-plate field ``V / gap`` in V/cm, which bounds the field in a coplanar gap."""
     if gap_um <= 0.0:
-        raise GeometryError(f"gap must be positive, got {gap_um}")
+        raise ConfigError(f"gap must be positive, got {gap_um}")
     return voltage_v / gap_um * 1.0e4
 
 
@@ -69,7 +69,7 @@ class TestUniformFieldOracle:
         assert uniform_field_oracle(0.0, 123.0) == 0.0
 
     def test_rejects_bad_gap(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigError):
             uniform_field_oracle(1.0, 0.0)
 
 
@@ -123,7 +123,7 @@ class TestSolvePotential:
         assert abs(e_doubled - e_base) / e_base < 0.01
 
     def test_too_coarse_spacing_rejected(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigError):
             solve_potential(small_layout(), 3.0)
 
     def test_potentials_are_not_read(self):
@@ -136,11 +136,11 @@ class TestSolvePotential:
 
 class TestLayoutValidation:
     def test_rejects_negative_gap(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigError):
             ElectrodeLayout(200.0, -1.0, (1.0, -1.0), (1000.0, 600.0))
 
     def test_rejects_thin_margin(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigError):
             ElectrodeLayout(200.0, 100.0, (1.0, -1.0), (880.0, 600.0))
         # margin of exactly 2x gap is allowed
         ElectrodeLayout(200.0, 100.0, (1.0, -1.0), (900.0, 600.0))
@@ -149,7 +149,7 @@ class TestLayoutValidation:
         # the layout alone knows no grid: the probe is held inside it where the grid is built
         layout = ElectrodeLayout(200.0, 100.0, (1.0, -1.0), (1000.0, 600.0), probe_point_um=(600.0, 0.0))
         for check in (check_grid, solve_potential):
-            with pytest.raises(GeometryError, match="probe_point_um"):
+            with pytest.raises(ConfigError, match="probe_point_um"):
                 check(layout, 5.0)
 
 
@@ -168,9 +168,9 @@ class TestFieldAt:
 
     def test_probe_outside_grid_rejected(self):
         grid = ramp_grid(1.0)
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigError):
             field_at(grid, (30.0, 5.0))
-        with pytest.raises(GeometryError):
+        with pytest.raises(ConfigError):
             field_at(grid, (5.0, -19.8))
 
     def test_load_check_is_the_probe_rule(self):
@@ -181,8 +181,8 @@ class TestFieldAt:
         for point in [(x, 0.0), (-x, y), (np.nextafter(x, 1e3), 0.0), (0.0, -np.nextafter(y, 1e3)), (498.0, 0.0)]:
             try:
                 field_at(grid, point)
-            except GeometryError:
-                with pytest.raises(GeometryError, match=r"^\[layout\].probe_point_um .* is not one cell \(5 um\)"):
+            except ConfigError:
+                with pytest.raises(ConfigError, match=r"^\[layout\].probe_point_um .* is not one cell \(5 um\)"):
                     check_grid(dataclasses.replace(layout, probe_point_um=point), spacing)
             else:
                 check_grid(dataclasses.replace(layout, probe_point_um=point), spacing)

@@ -12,7 +12,6 @@ from starksim.experiment import (
     DetectorModel,
     G2Settings,
     PLEProtocol,
-    SimulationError,
     StarkScanSettings,
     _POISSON_MAX,
     check_count,
@@ -45,11 +44,11 @@ class TestSeedMixing:
 
 class TestProtocolValidation:
     def test_window_must_fit_in_period(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             PLEProtocol(pulse_length_us=10.0, window_delay_us=10.0, window_length_us=85.0)
 
     def test_positive_fields(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigError):
             PLEProtocol(pulse_length_us=0.0)
 
     def test_scan_frequencies_step_by_pitch(self, config):
@@ -66,15 +65,15 @@ class TestProtocolValidation:
         check_count("[decay].n_pulses", 2**63 - 1)
         check_count("[g2].n_pulses", (2**63 - 1) // 8, 8)
         for count, itemsize in [(2**63, 1), (2.0**63, 1), (math.inf, 1), (math.nan, 1), ((2**63 - 1) // 8 + 1, 8)]:
-            with pytest.raises(SimulationError, match=r"^\[g2\]\.n_pulses gives a count of .*, above numpy's largest, "):
+            with pytest.raises(ConfigError, match=r"^\[g2\]\.n_pulses gives a count of .*, above numpy's largest, "):
                 check_count("[g2].n_pulses", count, itemsize)
         with pytest.raises(ValueError, match="array is too big"):  # numpy's own limit, refused before allocating
             np.empty((2**63 - 1) // 8 + 1, dtype=np.int64)
         # g2 holds its padded pulses, n_pulses + 2 max_lag, in int64 arrays
         G2Settings(n_pulses=(2**63 - 1) // 8 - 20, max_lag=10)  # representable: built, never drawn here
-        with pytest.raises(SimulationError, match=r"^\[g2\]\.n_pulses"):
+        with pytest.raises(ConfigError, match=r"^\[g2\]\.n_pulses"):
             G2Settings(n_pulses=(2**63 - 1) // 8 - 19, max_lag=10)
-        with pytest.raises(SimulationError, match=r"^\[decay\]\.n_pulses"):
+        with pytest.raises(ConfigError, match=r"^\[decay\]\.n_pulses"):
             DecaySettings(n_pulses=2**63)
 
     def test_poisson_limit_is_numpys(self):
@@ -82,7 +81,7 @@ class TestProtocolValidation:
         rng.poisson(_POISSON_MAX)
         check_poisson_mean("[g2].background_fraction", _POISSON_MAX)
         for mean in (np.nextafter(_POISSON_MAX, math.inf), math.inf, math.nan):
-            with pytest.raises(SimulationError, match=r"^\[g2\]\.background_fraction gives a Poisson mean of"):
+            with pytest.raises(ConfigError, match=r"^\[g2\]\.background_fraction gives a Poisson mean of"):
                 check_poisson_mean("[g2].background_fraction", mean)
         with pytest.raises(ValueError, match="lam value too large"):
             rng.poisson(np.nextafter(_POISSON_MAX, math.inf))
@@ -91,10 +90,10 @@ class TestProtocolValidation:
         # at 1e18 Hz a scan point's darks (85 us x 50 000 pulses) stay below the limit while the
         # decay's widest bin (1 us x 10^7 pulses) does not; at 2.2e18 Hz the reverse, over 1000 pulses
         for rate, decay, mean in ((1e18, config.decay, "1e\\+19"), (2.2e18, DecaySettings(n_pulses=1000), "9.35e\\+18")):
-            with pytest.raises(SimulationError, match=rf"^\[detector\]\.dark_rate_hz gives a Poisson mean of {mean},"):
+            with pytest.raises(ConfigError, match=rf"^\[detector\]\.dark_rate_hz gives a Poisson mean of {mean},"):
                 dataclasses.replace(config, detector=DetectorModel(dark_rate_hz=rate), decay=decay)
         g2 = G2Settings(background_fraction=1.0 - 2.0**-52)  # a background 2**52 - 1 times the signal
-        with pytest.raises(SimulationError, match=r"^\[g2\]\.background_fraction gives a Poisson mean"):
+        with pytest.raises(ConfigError, match=r"^\[g2\]\.background_fraction gives a Poisson mean"):
             dataclasses.replace(config, g2=g2)
 
 
@@ -342,7 +341,7 @@ class TestDecayDegenerateInputs:
     )
     def test_settings_out_of_range_are_refused(self, settings, message):
         # the record refuses them, so no simulator call can see them
-        with pytest.raises(SimulationError) as caught:
+        with pytest.raises(ConfigError) as caught:
             DecaySettings(**settings)
         assert str(caught.value) == message
 
@@ -447,7 +446,7 @@ class TestG2:
     def test_background_fraction_bounds(self):
         # the record refuses a fraction outside [0, 1), so no simulator call can see one
         for fraction in (1.0, -0.1):
-            with pytest.raises(SimulationError) as caught:
+            with pytest.raises(ConfigError) as caught:
                 G2Settings(background_fraction=fraction)
             assert str(caught.value) == f"[g2].background_fraction must lie in [0, 1), got {fraction}"
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from starksim import ConfigError
 from starksim.cli import _volts_to_field
 from starksim.config import default_config
 from starksim.electrostatics import field_at, solve_potential
@@ -10,7 +11,6 @@ from starksim.stark import (
     EmitterParams,
     IonModel,
     NoResonanceError,
-    StarkModelError,
     VoltageOutOfRangeError,
     excitation_probability,
     resonance_voltage,
@@ -75,7 +75,7 @@ class TestEmpiricalShift:
 
 class TestIonModelValidation:
     def test_linewidth_positive(self):
-        with pytest.raises(StarkModelError):
+        with pytest.raises(ConfigError):
             IonModel("x", 0.0, 19.8, 0.0)
 
 
@@ -138,9 +138,9 @@ class TestEffectiveLifetime:
         assert emitter.lifetime_us == pytest.approx(41.0, abs=0.01)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match=r"\[emitter\]\.bulk_lifetime_ms must be positive, got 0\.0"):
+        with pytest.raises(ConfigError, match=r"\[emitter\]\.bulk_lifetime_ms must be positive, got 0\.0"):
             EmitterParams(bulk_lifetime_ms=0.0, enhancement_factor=278.0)
-        with pytest.raises(ValueError, match=r"\[emitter\]\.enhancement_factor must be >= 1, got 0\.5"):
+        with pytest.raises(ConfigError, match=r"\[emitter\]\.enhancement_factor must be >= 1, got 0\.5"):
             EmitterParams(bulk_lifetime_ms=1.0, enhancement_factor=0.5)
 
 

@@ -198,19 +198,16 @@ def _decay(args, config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.nd
 
 
 def _fit_lifetime(config: ExperimentConfig, times_us, counts) -> list[Row]:
-    """fig3b's fit stage: a lifetime fit of the bins wholly inside the detection window.
+    """fig3b's fit stage: a lifetime fit of every bin, each a whole bin inside the detection window.
 
     The bin width is the median spacing of the bin centres, and the dark
-    floor per bin is pinned from the detector calibration. A last bin that
-    overruns the window holds truncated signal and fewer darks, which
-    neither the model nor the floor describe, so it is left out.
+    floor per bin is pinned from the detector calibration.
     """
     if times_us.size < 2:
         raise DegenerateDataError("need at least two bins")
     bin_width_us = float(np.median(np.diff(times_us)))
-    n_inside = int(np.count_nonzero(times_us + bin_width_us / 2.0 <= config.protocol.window_length_us * (1 + 1e-9)))
     dark_floor = config.decay.dark_mean(config.detector, bin_width_us)
-    fit = fit_exponential_decay(times_us[:n_inside], counts[:n_inside], config.decay.fit_start_us, dark_floor)
+    fit = fit_exponential_decay(times_us, counts, config.decay.fit_start_us, dark_floor)
     return _rows(fit, [("tau_us", "us"), ("amplitude", "counts"), ("background", "counts")])
 
 
@@ -305,6 +302,12 @@ def _cmd_fit(args, config: ExperimentConfig, seed: int, out_dir: Path) -> list[P
     return [_fit_csv(args.kind, config, args.input, out_dir)]
 
 
+def _print_report(**values: float) -> None:
+    """``field``'s and ``resonance``'s report: a ``key=value`` line per value, to 17 digits, and 0 never as "-0"."""
+    for key, value in values.items():
+        print(f"{key}={0.0 if value == 0.0 else value:.17g}")
+
+
 def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) -> list[Path]:
     layout = config.layout
     voltage = args.voltage if args.voltage is not None else layout.bias_v
@@ -313,14 +316,8 @@ def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) 
     e_parallel, e_perpendicular = (component * voltage for component in unit)
     if not (math.isfinite(e_parallel) and math.isfinite(e_perpendicular)):
         raise FieldOverflowError(f"the probe field overflows at a bias of {voltage:.17g} V")
-
-    def fmt(value: float) -> str:
-        return format(0.0 if value == 0.0 else value, ".17g")
-
-    print(f"voltage_v={fmt(voltage)}")
-    print(f"e_parallel_v_per_cm={fmt(e_parallel)}")
-    print(f"e_perpendicular_v_per_cm={fmt(e_perpendicular)}")
-    print(f"volts_to_field_v_per_cm_per_v={fmt(unit[0])}")
+    _print_report(voltage_v=voltage, e_parallel_v_per_cm=e_parallel, e_perpendicular_v_per_cm=e_perpendicular,
+                  volts_to_field_v_per_cm_per_v=unit[0])
     if not args.dump_grid:
         return []
     rows, cols = grid.values.shape
@@ -336,8 +333,7 @@ def _cmd_resonance(args, config: ExperimentConfig, seed: int, out_dir: Path | No
     voltage = resonance_voltage(ion_a, ion_b, volts_to_field, config.run.max_voltage_v)
     field = volts_to_field * voltage
     (f_a, _), (f_b, _) = ion_a.line(field), ion_b.line(field)
-    print(f"voltage_v={voltage:.17g}")
-    print(f"residual_detuning_mhz={abs(f_a - f_b):.17g}")
+    _print_report(voltage_v=voltage, residual_detuning_mhz=abs(f_a - f_b))
     print("feasible=true")  # a voltage beyond [run] max_voltage_v raised VoltageOutOfRangeError
     return []
 

@@ -148,10 +148,12 @@ class ExperimentConfig:
         lo, hi = self.protocol.scan_range_mhz
         check_count("[protocol].scan_range_mhz", ((hi - lo) / pitch + 1) * max(len(self.ions), 1), 8)
         check_count("[stark].window_half_width_mhz", 2.0 * half_width / pitch + 1, 8)
-        check_count("[decay].bin_width_us", self.protocol.window_length_us / self.decay.bin_width_us + 1, 8)
-        # the Poisson means the simulators draw from: a scan point's darks, the decay's widest bin's, g2's per arm
-        widest_bin_us = min(self.decay.bin_width_us, self.protocol.window_length_us)
-        darks = max(self.protocol.dark_mean(self.detector), self.decay.dark_mean(self.detector, widest_bin_us))
+        width, window = self.decay.bin_width_us, self.protocol.window_length_us
+        check_count("[decay].bin_width_us", window / width + 1, 8)
+        if width > window:  # the decay's bins are whole
+            raise ConfigError(f"[decay].bin_width_us = {width:g} us is wider than [protocol].window_length_us = {window:g} us")
+        # the Poisson means the simulators draw from: a scan point's darks, a decay bin's, g2's per arm
+        darks = max(self.protocol.dark_mean(self.detector), self.decay.dark_mean(self.detector, width))
         check_poisson_mean("[detector].dark_rate_hz", darks)
         check_poisson_mean("[g2].background_fraction", self.g2.means(self.emitter, self.protocol)[1])
         if self.stark.ion_id not in ("", *ids):

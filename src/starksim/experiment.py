@@ -152,10 +152,10 @@ class PLEProtocol:
         return _scan_grid(*self.scan_range_mhz, self.scan_pitch_mhz)
 
 
-def _scan_grid(lo_mhz: float, hi_mhz: float, pitch_mhz: float) -> np.ndarray:
-    """Scan frequencies from ``lo_mhz`` up to ``hi_mhz`` at ``pitch_mhz``: the scan range's, and each Stark window's."""
-    n = int(math.floor((hi_mhz - lo_mhz) / pitch_mhz + 1e-9)) + 1
-    return lo_mhz + pitch_mhz * np.arange(n)
+def _scan_grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """Whole steps from ``lo`` up to ``hi``: the scan's frequencies, each Stark window's, the decay's bin edges."""
+    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    return lo + step * np.arange(n)
 
 
 @dataclass(frozen=True)
@@ -191,8 +191,8 @@ class DecaySettings:
         if not self.bin_width_us > 0.0:
             raise ConfigError(f"[decay].bin_width_us must be positive, got {self.bin_width_us}")
 
-    def dark_mean(self, detector: DetectorModel, width_us: float | np.ndarray) -> float | np.ndarray:
-        """Dark counts expected over the pulses in a bin whose part inside the window is ``width_us`` wide."""
+    def dark_mean(self, detector: DetectorModel, width_us: float) -> float:
+        """Dark counts expected over the pulses in one bin ``width_us`` wide."""
         return detector.dark_mean_per_pulse(width_us) * self.n_pulses
 
 
@@ -298,25 +298,26 @@ def simulate_decay_histogram(
     """Detection times within the window, binned (the decay curve):
     ``(bin_centers_us, counts)``, times from the window's start.
 
+    The bins are whole: their edges are ``_scan_grid``'s steps of the bin
+    width from 0 up to the window's length, so where the width does not
+    divide the window, the times past the last edge are dropped. The config
+    refuses a bin wider than the window.
+
     Drawn from its exact distribution in O(bins), never per pulse. A pulse
     yields at most one signal photon, with probability
     ``p_exc * efficiency * P_window``, so the signal total is binomial and,
     given the total, the signal bins are multinomial over the truncated
     exponential (Devroye 1986, ch. XI). Dark counts are Poisson in every
-    bin with mean ``dark_rate * overlap * n_pulses``, where ``overlap`` is
-    the bin's part inside the window, at most one bin width. Bin probabilities are
-    differences of ``exp(-(delay + edge) / lifetime)`` over edges clipped
-    to the window, and ``P_window`` is their sum, so times past the last
-    edge are dropped when the bins fall short of the window.
+    bin with the one mean ``dark_rate * bin_width * n_pulses``. Bin
+    probabilities are differences of ``exp(-(delay + edge) / lifetime)``,
+    and ``P_window`` is their sum.
 
     Draw order from ``point_generator(seed)``: the binomial signal
     total, the multinomial split (skipped when the total is 0), then one
     Poisson dark count per bin.
     """
-    n_bins = max(int(math.ceil(protocol.window_length_us / decay.bin_width_us - 1e-9)), 1)
-    edges = decay.bin_width_us * np.arange(n_bins + 1)
-    inside = np.minimum(edges, protocol.window_length_us)
-    survival = np.exp(-(protocol.window_delay_us + inside) / emitter.lifetime_us)
+    edges = _scan_grid(0.0, protocol.window_length_us, decay.bin_width_us)
+    survival = np.exp(-(protocol.window_delay_us + edges) / emitter.lifetime_us)
     bin_probs = survival[:-1] - survival[1:]
     p_window = float(bin_probs.sum())
 
@@ -325,8 +326,7 @@ def simulate_decay_histogram(
     n_signal = rng.binomial(decay.n_pulses, p_photon)
     # a pulse can only yield a photon if p_window > 0, so the split never divides by 0
     signal = rng.multinomial(n_signal, bin_probs / p_window) if n_signal else 0
-    # each bin's part inside the window, capped at one bin width: the widest is the first, which the config checks
-    darks = rng.poisson(decay.dark_mean(detector, np.minimum(np.diff(inside), decay.bin_width_us)))
+    darks = rng.poisson(decay.dark_mean(detector, decay.bin_width_us), bin_probs.size)
     return (edges[:-1] + edges[1:]) / 2.0, (signal + darks).astype(np.int64)
 
 

@@ -105,6 +105,11 @@ class EmitterParams:
             raise ConfigError(f"[emitter].enhancement_factor must be >= 1, got {self.enhancement_factor}")
         if not 0.0 <= self.saturation_excitation_prob <= 1.0:
             raise ConfigError(f"[emitter].saturation_excitation_prob must lie in [0, 1], got {self.saturation_excitation_prob}")
+        if not self.lifetime_us > 0.0:  # the quotient underflows
+            raise ConfigError(
+                f"[emitter] bulk_lifetime_ms = {self.bulk_lifetime_ms} over enhancement_factor = "
+                f"{self.enhancement_factor} gives a lifetime of 0 us"
+            )
 
     @property
     def lifetime_us(self) -> float:

@@ -382,6 +382,11 @@ class TestLoadTimeChecks:
              "[[ions]].id 'a' is not unique"),
             ("[emitter]\nsaturation_excitation_prob = 1.5\n",
              "[emitter].saturation_excitation_prob must lie in [0, 1], got 1.5"),
+            # each once loaded: the bin gave one row centred at 50 us; the lifetime ended in a ZeroDivisionError
+            ("[decay]\nbin_width_us = 100.0\n",
+             "[decay].bin_width_us = 100 us is wider than [protocol].window_length_us = 85 us"),
+            ("[emitter]\nbulk_lifetime_ms = 5e-324\nenhancement_factor = 1e300\n",
+             "[emitter] bulk_lifetime_ms = 5e-324 over enhancement_factor = 1e+300 gives a lifetime of 0 us"),
         ],
     )
     def test_refusal_names_key_and_value(self, capsys, tmp_path, text, where):
@@ -490,6 +495,18 @@ class TestResonanceCommand:
         assert code == EXIT_OK
         assert "voltage_v=0" in out
 
+    def test_zero_volts_print_without_a_sign(self, capsys, tmp_path):
+        # one zero-field frequency and a negative slope: the voltage is 0 / (negative), -0.0
+        text = (
+            "[[ions]]\nid = \"a\"\nstark_coefficient_khz_per_v_cm = 19.8\nzero_field_fwhm_mhz = 6.7\n"
+            "[[ions]]\nid = \"b\"\nstark_coefficient_khz_per_v_cm = 30.0\nzero_field_fwhm_mhz = 6.7\n"
+        )
+        path = tmp_path / "same_f0.toml"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "resonance", "--config", path, "--ion-a", "a", "--ion-b", "b")
+        assert code == EXIT_OK
+        assert out.splitlines() == ["voltage_v=0", "residual_detuning_mhz=0", "feasible=true"]
+
     def test_no_solution_exits_6(self, capsys, tmp_path):
         text = (
             "[[ions]]\nid = \"a\"\nstark_coefficient_khz_per_v_cm = 19.8\nzero_field_fwhm_mhz = 6.7\n"
@@ -580,9 +597,8 @@ class TestPipelines:
 
     @pytest.mark.parametrize("bin_width_us", [2.0, 4.0, 10.0, 20.0])
     def test_lifetime_unbiased_when_bins_overrun_the_window(self, capsys, tmp_path, bin_width_us):
-        # the 85 us window is no multiple of these bins: the last bin holds
-        # truncated signal and fewer darks, and a fit that takes it for a
-        # full bin is biased (34.2 us at 20 us bins)
+        # the 85 us window is no multiple of these bins: the histogram ends
+        # at the last whole bin, and the fit takes every bin
         path = tmp_path / "bins.toml"
         path.write_text(f"[decay]\nbin_width_us = {bin_width_us}\n", encoding="utf-8")
         taus = []
@@ -594,22 +610,6 @@ class TestPipelines:
             taus.append(float(next(line for line in report if line.startswith("tau_us")).split(",")[1]))
         standard_error = statistics.stdev(taus) / math.sqrt(len(taus))
         assert abs(statistics.fmean(taus) - 11.4e3 / 278.0) < 3.0 * standard_error
-
-    def test_refit_skips_the_overrunning_bin(self, capsys, tmp_path):
-        path = tmp_path / "bins.toml"
-        path.write_text("[decay]\nbin_width_us = 20.0\n", encoding="utf-8")
-        code, _, _ = run(capsys, "reproduce", "fig3b", "--config", path, "--out", tmp_path / "fig")
-        assert code == EXIT_OK
-        code, _, _ = run(
-            capsys, "fit", "--config", path, "--kind", "decay",
-            "--input", tmp_path / "fig" / "decay.csv", "--out", tmp_path / "refit",
-        )
-        assert code == EXIT_OK
-        figure, refit = (
-            dict(line.split(",")[:2] for line in (tmp_path / name / "fit_report.csv").read_text().splitlines())
-            for name in ("fig", "refit")
-        )
-        assert refit["tau_us"] == figure["tau_us"]
 
     def test_g2_reproduction(self, capsys, config_path, tmp_path):
         out_dir = tmp_path / "g2_out"
@@ -716,11 +716,14 @@ class TestPipelines:
             ("decay", "fig3b", "decay.csv", ""),
             # 0.7 us bins: the centres in the CSV do not give back the simulator's edges exactly
             ("decay", "fig3b", "decay.csv", "bin_width_us = 0.7\n"),
+            # 20 us bins: the 85 us window is no multiple of them, and the histogram ends at the last whole bin
+            ("decay", "fig3b", "decay.csv", "bin_width_us = 20.0\n"),
             ("g2", "fig3c", "g2.csv", ""),
             ("stark", "fig4a", "stark_scan.csv", ""),
             ("stark", "fig4b", "stark_scan.csv", ""),
         ],
-        ids=["ple-fig2", "decay-fig3b", "decay-fig3b-0.7us-bins", "g2-fig3c", "stark-fig4a", "stark-fig4b"],
+        ids=["ple-fig2", "decay-fig3b", "decay-fig3b-0.7us-bins", "decay-fig3b-20us-bins", "g2-fig3c", "stark-fig4a",
+             "stark-fig4b"],
     )
     def test_fit_refits_its_figure(self, capsys, fast_config, tmp_path, kind, figure, dataset, extra):
         # fit runs the figure's own fit step on the figure's CSV, so its

@@ -88,7 +88,7 @@ class TestProtocolValidation:
 
     def test_each_poisson_mean_is_checked(self, config):
         # at 1e18 Hz a scan point's darks (85 us x 50 000 pulses) stay below the limit while the
-        # decay's widest bin (1 us x 10^7 pulses) does not; at 2.2e18 Hz the reverse, over 1000 pulses
+        # decay's bins (1 us x 10^7 pulses) do not; at 2.2e18 Hz the reverse, over 1000 pulses
         for rate, decay, mean in ((1e18, config.decay, "1e\\+19"), (2.2e18, DecaySettings(n_pulses=1000), "9.35e\\+18")):
             with pytest.raises(ConfigError, match=rf"^\[detector\]\.dark_rate_hz gives a Poisson mean of {mean},"):
                 dataclasses.replace(config, detector=DetectorModel(dark_rate_hz=rate), decay=decay)
@@ -182,14 +182,16 @@ class TestDecay:
         assert totals.var(ddof=1) == pytest.approx(variance, rel=0.3)
 
     def test_times_inside_window(self, config, emitter):
+        # whole 2 us bins: the last edge is the last whole step, 84 us, inside the 85 us window
         times, counts = simulate_decay_histogram(
             emitter, config.protocol, config.detector, DecaySettings(200_000, 2.0), 13
         )
         assert counts.dtype == np.int64
         assert np.all(counts >= 0)
+        assert counts.size == 42
         edges = bin_edges(times, 2.0)
         assert edges[0] == 0.0
-        assert edges[-2] < 85.0 <= edges[-1]
+        assert edges[-1] == 84.0 <= 85.0
 
     def test_histogram_covers_window(self, config, emitter):
         times, counts = simulate_decay_histogram(
@@ -205,13 +207,12 @@ def bin_edges(centers_us, bin_width_us):
 
 
 def _decay_bin_means(emitter, protocol, detector, decay, edges):
-    """Closed-form signal and dark means per bin, bins clipped to the window."""
+    """Closed-form signal and dark means per bin."""
     n_pulses = decay.n_pulses
-    inside = np.minimum(edges, protocol.window_length_us)
-    survival = np.exp(-(protocol.window_delay_us + inside) / emitter.lifetime_us)
+    survival = np.exp(-(protocol.window_delay_us + edges) / emitter.lifetime_us)
     p_photon = emitter.saturation_excitation_prob * detector.total_efficiency
     signal = n_pulses * p_photon * (survival[:-1] - survival[1:])
-    darks = detector.dark_rate_hz * np.diff(inside) * 1e-6 * n_pulses
+    darks = detector.dark_rate_hz * np.diff(edges) * 1e-6 * n_pulses
     return signal, darks
 
 
@@ -234,8 +235,9 @@ def _per_pulse_decay_counts(emitter, protocol, detector, decay, edges, seed):
 class TestDecayDistribution:
     """The O(bins) sampler against the per-pulse experiment it replaces.
 
-    Five 20 us bins over the 85 us window, so the last bin is partly
-    outside it; the dark-heavy detector makes darks as large as the signal.
+    Four whole 20 us bins over the 85 us window, so the window's last
+    5 us are past the last edge; the dark-heavy detector makes darks as
+    large as the signal.
     """
 
     N_PULSES = 100_000
@@ -313,23 +315,21 @@ class TestDecayDegenerateInputs:
             assert abs(counts.sum() - expected) < 4.0 * math.sqrt(expected)
 
     def test_bin_wider_than_window(self, config, emitter):
-        times, counts = self._histogram(config, emitter, config.detector, bin_width_us=100.0)
-        assert times.tolist() == [50.0]
-        signal, darks = _decay_bin_means(
-            emitter, config.protocol, config.detector, DecaySettings(self.N_PULSES), bin_edges(times, 100.0)
-        )
-        expected = signal.sum() + darks.sum()  # darks over the 85 us window only
-        assert abs(counts.sum() - expected) < 4.0 * math.sqrt(expected)
+        dataclasses.replace(config, decay=DecaySettings(bin_width_us=85.0))
+        times, _ = self._histogram(config, emitter, config.detector, bin_width_us=85.0)
+        assert times.tolist() == [42.5]  # one whole bin
+        with pytest.raises(ConfigError, match=r"^\[decay\]\.bin_width_us = 100 us is wider than "
+                                              r"\[protocol\]\.window_length_us = 85 us$"):
+            dataclasses.replace(config, decay=DecaySettings(bin_width_us=100.0))
 
     def test_window_not_a_multiple_of_the_bin(self, config, emitter):
         emitter = dataclasses.replace(emitter, saturation_excitation_prob=0.0)
         times, counts = self._histogram(config, emitter, config.detector, bin_width_us=2.0)
-        assert counts.size == 43 and times[-1] == 85.0
+        assert counts.size == 42 and times[-1] == 83.0
+        # every bin is whole, so each holds a full bin's darks
         per_bin = config.detector.dark_rate_hz * 2.0 * 1e-6 * self.N_PULSES
-        full = counts[:-1]
-        assert full.mean() == pytest.approx(per_bin, abs=4.0 * math.sqrt(per_bin / full.size))
-        # the last bin is half inside the window, so it gets half the darks
-        assert abs(counts[-1] - per_bin / 2.0) < 4.0 * math.sqrt(per_bin / 2.0)
+        assert counts.mean() == pytest.approx(per_bin, abs=4.0 * math.sqrt(per_bin / counts.size))
+        assert np.all(np.abs(counts - per_bin) < 5.0 * math.sqrt(per_bin))
 
     @pytest.mark.parametrize(
         "settings, message",

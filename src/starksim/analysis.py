@@ -3,7 +3,9 @@
 Peak finding on PLE scans, Poisson maximum-likelihood fits of the counts
 (a sum of Lorentzians on one offset, an exponential, and one ion's whole
 voltage sweep against its line law), and the coincidence-ratio estimate
-of the zero-lag autocorrelation.
+of the zero-lag autocorrelation. The line's shape and law,
+:func:`~starksim.stark.lorentzian` and :func:`~starksim.stark.line_law`,
+are ``stark``'s, the ones the PLE simulator draws from.
 """
 
 from __future__ import annotations
@@ -14,13 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .optimize import (
-    DegenerateDataError,
-    FitConvergenceError,
-    FitResult,
-    least_squares,
-)
-from .stark import line_law
+from .optimize import FitConvergenceError, FitError, FitResult, least_squares
+from .stark import line_law, lorentzian, lorentzian_jacobian
 
 __all__ = [
     "G2Estimate",
@@ -31,8 +28,6 @@ __all__ = [
     "fit_exponential_decay",
     "fit_lorentzians",
     "fit_stark_sweep",
-    "lorentzian",
-    "lorentzian_jacobian",
 ]
 
 
@@ -43,35 +38,7 @@ class G2Estimate:
 
 
 # ---------------------------------------------------------------------------
-# model functions
-#
-# Each takes its parameters as a sequence; parameters given as (K, 1)
-# columns broadcast against the points into K rows, one per line.
-
-
-def lorentzian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """amplitude / (1 + (2 (x - center) / fwhm)^2) + offset
-
-    Here and in its Jacobian, a point so far off the line that a power of
-    its reduced detuning overflows takes the line's limit there, 0, exactly.
-    """
-    amplitude, center, fwhm, offset = params
-    u = 2.0 * (x - center) / fwhm
-    with np.errstate(over="ignore"):
-        return amplitude / (1.0 + u * u) + offset
-
-
-def lorentzian_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    amplitude, center, fwhm, _ = params
-    u = 2.0 * (x - center) / fwhm
-    jac = np.empty(u.shape + (4,))
-    with np.errstate(over="ignore"):
-        denom = 1.0 + u * u
-        jac[..., 0] = 1.0 / denom
-        jac[..., 1] = amplitude * 4.0 * u / (fwhm * denom * denom)
-        jac[..., 2] = amplitude * 2.0 * u * u / (fwhm * denom * denom)
-    jac[..., 3] = 1.0
-    return jac
+# the decay's model function; the line's, lorentzian, is stark's
 
 
 def exponential_decay(t: np.ndarray, params: np.ndarray) -> np.ndarray:
@@ -106,7 +73,7 @@ def find_peaks(counts: Sequence[float] | np.ndarray, threshold_sigma: float) -> 
     """
     counts = np.asarray(counts, dtype=float)
     if counts.size == 0:
-        raise DegenerateDataError("scan is empty")
+        raise FitError("scan is empty")
     if counts.size < 3:
         return []
     padded = np.concatenate([counts[:1], counts, counts[-1:]])
@@ -180,7 +147,7 @@ def fit_lorentzians(
     x = np.asarray(frequencies_mhz, dtype=float)
     y = np.asarray(counts, dtype=float)
     if x.size < 8:
-        raise DegenerateDataError(f"need at least 8 points, got {x.size}")
+        raise FitError(f"need at least 8 points, got {x.size}")
     names = tuple(f"peak{k}_{name}" for k in range(1, len(peaks) + 1) for name in _LINE) + ("offset",)
     failure = None
     try:
@@ -250,13 +217,13 @@ def fit_exponential_decay(
     keep = t >= fit_start_us
     t, y = t[keep], y[keep]
     if t.size < 4:
-        raise DegenerateDataError("too few bins past the fit start")
+        raise FitError("too few bins past the fit start")
     floor = float(background)
     tail = y[-max(y.size // 10, 1):]
     # the floor's excess over the tail mean in Poisson standard errors; an empty tail counts as 1 event
     excess = (floor - tail.mean()) * tail.size / math.sqrt(max(float(tail.sum()), 1.0))
     if excess > 5.0:
-        raise DegenerateDataError(
+        raise FitError(
             f"pinned floor {floor:.4g} counts/bin is {excess:.1f} standard errors "
             f"above the mean {tail.mean():.4g} counts/bin of the last {tail.size} bins"
         )
@@ -318,7 +285,7 @@ def fit_stark_sweep(
     y = np.asarray(counts, dtype=float)
     distinct, first = np.unique(e, return_index=True)
     if distinct.size < 3:
-        raise DegenerateDataError(f"need at least 3 distinct fields, got {distinct.size}")
+        raise FitError(f"need at least 3 distinct fields, got {distinct.size}")
     # the law is linear in its coefficients: its value at unit s and b is its derivative in them
     d_centre, d_width = line_law(e, 0.0, 1.0, 0.0, 1.0)
 
@@ -359,10 +326,10 @@ def estimate_g2_zero(
     coincidences = np.asarray(coincidences, dtype=float)
     zero_lag = coincidences[lags == 0]
     if zero_lag.size != 1:
-        raise DegenerateDataError(f"need exactly one lag-0 bin, got {zero_lag.size}")
+        raise FitError(f"need exactly one lag-0 bin, got {zero_lag.size}")
     side = coincidences[lags != 0]
     if np.count_nonzero(side) < 3:
-        raise DegenerateDataError("need at least 3 nonzero side lags to normalize")
+        raise FitError("need at least 3 nonzero side lags to normalize")
     c0 = float(zero_lag[0])
     mean_side = float(side.mean())
     g2 = c0 / mean_side

@@ -62,7 +62,7 @@ from .experiment import (
     simulate_stark_scan,
 )
 from .manifest import write_run_manifest
-from .optimize import DegenerateDataError, FitError, FitResult
+from .optimize import FitError, FitResult
 from .stark import NoResonanceError, VoltageOutOfRangeError, resonance_voltage
 
 EXIT_OK = 0
@@ -200,13 +200,16 @@ def _decay(args, config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.nd
 def _fit_lifetime(config: ExperimentConfig, times_us, counts) -> list[Row]:
     """fig3b's fit stage: a lifetime fit of every bin, each a whole bin inside the detection window.
 
-    The bin width is the median spacing of the bin centres, and the dark
-    floor per bin is pinned from the detector calibration.
+    The bins are sorted by time first, since the bin width, the median
+    spacing of the bin centres, and the starting guess read neighbouring
+    rows; the dark floor per bin is pinned from the detector calibration.
     """
     if times_us.size < 2:
-        raise DegenerateDataError("need at least two bins")
+        raise FitError("need at least two bins")
+    order = np.argsort(times_us, kind="stable")
+    times_us, counts = times_us[order], counts[order]
     bin_width_us = float(np.median(np.diff(times_us)))
-    dark_floor = config.decay.dark_mean(config.detector, bin_width_us)
+    dark_floor = config.detector.dark_mean(bin_width_us, config.decay.n_pulses)
     fit = fit_exponential_decay(times_us, counts, config.decay.fit_start_us, dark_floor)
     return _rows(fit, [("tau_us", "us"), ("amplitude", "counts"), ("background", "counts")])
 
@@ -232,7 +235,9 @@ def _stark(args, config: ExperimentConfig, seed: int) -> list[np.ndarray]:
     """Voltage sweeps: stark_scan.csv's columns, an entry per scan point. fig4a
     sweeps the [stark] ion on ``seed``, fig4b every ion, each on ``mix_seed(seed, index)``."""
     if args.figure == "fig4a":
-        sweeps = [(config.ion(config.stark.ion_id), seed)]
+        if not (config.stark.ion_id or config.ions):
+            raise ConfigError("[stark].ion_id '' names the first ion, but the ion registry is empty")
+        sweeps = [(config.ion(config.stark.ion_id or config.ions[0].ion_id), seed)]
     else:
         sweeps = [(ion, mix_seed(seed, index)) for index, ion in enumerate(config.ions)]
     volts_to_field = _volts_to_field(config)
@@ -245,7 +250,7 @@ def _stark(args, config: ExperimentConfig, seed: int) -> list[np.ndarray]:
 def _fit_stark(config: ExperimentConfig, ion_ids, voltages_v, fields_v_per_cm, frequencies_mhz, counts) -> list[Row]:
     """fig4's fit stage: one fit of each ion's sweep to its line law, ions in file order."""
     if ion_ids.size == 0:
-        raise DegenerateDataError("no scan points to fit")
+        raise FitError("no scan points to fit")
     report: list[Row] = []
     for ion_id in dict.fromkeys(ion_ids.tolist()):
         mine = ion_ids == ion_id

@@ -153,7 +153,8 @@ class ExperimentConfig:
         if width > window:  # the decay's bins are whole
             raise ConfigError(f"[decay].bin_width_us = {width:g} us is wider than [protocol].window_length_us = {window:g} us")
         # the Poisson means the simulators draw from: a scan point's darks, a decay bin's, g2's per arm
-        darks = max(self.protocol.dark_mean(self.detector), self.decay.dark_mean(self.detector, width))
+        darks = max(self.detector.dark_mean(window, self.protocol.pulses_per_point),
+                    self.detector.dark_mean(width, self.decay.n_pulses))
         check_poisson_mean("[detector].dark_rate_hz", darks)
         check_poisson_mean("[g2].background_fraction", self.g2.means(self.emitter, self.protocol)[1])
         if self.stark.ion_id not in ("", *ids):
@@ -173,9 +174,9 @@ class ExperimentConfig:
                 )
 
     def ion(self, ion_id: str) -> IonModel:
-        """The registry ion ``ion_id``; ``""`` is the first, which an empty registry lacks."""
+        """The registry ion whose id is ``ion_id``."""
         for ion in self.ions:
-            if ion_id in ("", ion.ion_id):
+            if ion.ion_id == ion_id:
                 return ion
         raise ConfigError(f"unknown ion id {ion_id!r}")
 

@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ConfigError
-from .stark import EmitterParams, IonModel, excitation_probability
+from .stark import EmitterParams, IonModel, lorentzian
 
 __all__ = [
     "DecaySettings",
@@ -144,10 +144,6 @@ class PLEProtocol:
     def pulses_per_point(self) -> int:
         return int(round(self.integration_time_s * self.repetition_rate_khz * 1000.0))
 
-    def dark_mean(self, detector: DetectorModel) -> float:
-        """Dark counts expected at one scan point: one window per pulse."""
-        return detector.dark_mean_per_pulse(self.window_length_us) * self.pulses_per_point
-
     def scan_frequencies_mhz(self) -> np.ndarray:
         return _scan_grid(*self.scan_range_mhz, self.scan_pitch_mhz)
 
@@ -172,8 +168,10 @@ class DetectorModel:
         if self.dark_rate_hz < 0.0:
             raise ConfigError(f"[detector].dark_rate_hz must be >= 0, got {self.dark_rate_hz}")
 
-    def dark_mean_per_pulse(self, window_length_us: float) -> float:
-        return self.dark_rate_hz * window_length_us * 1e-6
+    def dark_mean(self, window_us: float, n_pulses: int) -> float:
+        """Dark counts expected in a gate ``window_us`` long, open once in each of ``n_pulses`` pulses: a scan
+        point's over its window, a decay bin's over its width."""
+        return self.dark_rate_hz * window_us * 1e-6 * n_pulses
 
 
 @dataclass(frozen=True)
@@ -190,10 +188,6 @@ class DecaySettings:
         check_count("[decay].n_pulses", self.n_pulses)
         if not self.bin_width_us > 0.0:
             raise ConfigError(f"[decay].bin_width_us must be positive, got {self.bin_width_us}")
-
-    def dark_mean(self, detector: DetectorModel, width_us: float) -> float:
-        """Dark counts expected over the pulses in one bin ``width_us`` wide."""
-        return detector.dark_mean_per_pulse(width_us) * self.n_pulses
 
 
 @dataclass(frozen=True)
@@ -278,14 +272,14 @@ def simulate_ple_scan(
 def _scan_counts(ions, emitter, protocol, detector, e_parallel_v_per_cm, frequencies, seed) -> np.ndarray:
     """The counts of :func:`simulate_ple_scan` at ``frequencies``, drawn as it states."""
     centres, fwhms = np.array([_line(ion, e_parallel_v_per_cm) for ion in ions]).reshape(-1, 2).T
-    p_exc = excitation_probability(emitter.saturation_excitation_prob, fwhms, frequencies[:, None] - centres)
+    p_exc = lorentzian(frequencies[:, None], (emitter.saturation_excitation_prob, centres, fwhms, 0.0))
     p_detect = detector.total_efficiency * emission_window_probability(
         emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
     )
 
     rng = point_generator(seed)
     signal = rng.binomial(protocol.pulses_per_point, p_exc * p_detect).sum(axis=1)
-    return signal + rng.poisson(protocol.dark_mean(detector), frequencies.size)
+    return signal + rng.poisson(detector.dark_mean(protocol.window_length_us, protocol.pulses_per_point), frequencies.size)
 
 
 def simulate_decay_histogram(
@@ -326,7 +320,7 @@ def simulate_decay_histogram(
     n_signal = rng.binomial(decay.n_pulses, p_photon)
     # a pulse can only yield a photon if p_window > 0, so the split never divides by 0
     signal = rng.multinomial(n_signal, bin_probs / p_window) if n_signal else 0
-    darks = rng.poisson(decay.dark_mean(detector, decay.bin_width_us), bin_probs.size)
+    darks = rng.poisson(detector.dark_mean(decay.bin_width_us, decay.n_pulses), bin_probs.size)
     return (edges[:-1] + edges[1:]) / 2.0, (signal + darks).astype(np.int64)
 
 

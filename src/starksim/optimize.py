@@ -13,10 +13,10 @@ iterations, or whose damping reaches 1e14 without a downhill step,
 raises :class:`FitConvergenceError`.
 
 Every fit shares two refusals, stated here only: constant counts raise
-:class:`DegenerateDataError`, and a step to parameters that are not all
-finite scores +inf, so the state a fit returns or carries is finite. A
-model, Jacobian or error that overflows or divides inf by inf reads as
-its value (a refused step, a NaN error), never as a numpy warning.
+:class:`FitError`, and a step to parameters that are not all finite
+scores +inf, so the state a fit returns or carries is finite. A model,
+Jacobian or error that overflows or divides inf by inf reads as its
+value (a refused step, a NaN error), never as a numpy warning.
 
 Standard errors come from the inverse Fisher matrix ``(J^T W J)^-1``
 with ``W = 1/mu`` at the optimum; the reduced chi-square is Pearson's
@@ -32,7 +32,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "DegenerateDataError",
     "FitConvergenceError",
     "FitError",
     "FitResult",
@@ -49,10 +48,6 @@ _DAMPING_CEILING = 1e14
 
 class FitError(RuntimeError):
     pass
-
-
-class DegenerateDataError(FitError):
-    """Data carry no information for the requested model (zero variance)."""
 
 
 class FitConvergenceError(FitError):
@@ -122,8 +117,8 @@ def least_squares(
     Raises
     ------
     FitError
-        If the points are too few or ill-matched, or the start is invalid;
-        :class:`DegenerateDataError` if the counts are constant.
+        If the points are too few or ill-matched, the start is invalid,
+        or the counts are constant.
     FitConvergenceError
         If no downhill step exists from a point that has not met the
         relative-decrease test, or the iteration budget runs out; the
@@ -141,7 +136,7 @@ def least_squares(
     if np.any(y < 0.0) or not np.isfinite(deviance):
         raise FitError("counts must be >= 0 and the initial model > 0 at every point")
     if np.ptp(y) == 0.0:
-        raise DegenerateDataError("counts are constant; nothing to fit")
+        raise FitError("counts are constant; nothing to fit")
 
     def result() -> FitResult:
         mu = model(x, p)

@@ -2,9 +2,11 @@
 lifetime and saturation all ions share.
 
 An ion's line is centred at ``f0 + s * E_parallel``, with a signed
-coefficient ``s``, and broadens linearly with ``|E_parallel|``; the
-per-pulse excitation probability is a Lorentzian in laser detuning. The
-two-ion resonance condition lives here too.
+coefficient ``s``, and broadens linearly with ``|E_parallel|``
+(:func:`line_law`); its shape is :func:`lorentzian` in laser detuning,
+the per-pulse excitation probability the PLE simulator draws from and
+the model the fits of ``analysis`` fit. The two-ion resonance condition
+lives here too.
 
 Units: fields in V/cm, coefficients in kHz/(V/cm), frequencies and widths
 in MHz, lifetimes in us (the bulk lifetime in ms).
@@ -24,9 +26,10 @@ __all__ = [
     "IonModel",
     "NoResonanceError",
     "VoltageOutOfRangeError",
-    "excitation_probability",
     "lifetime_limited_fwhm_mhz",
     "line_law",
+    "lorentzian",
+    "lorentzian_jacobian",
     "resonance_voltage",
 ]
 
@@ -89,6 +92,37 @@ def line_law(e_parallel_v_per_cm, f0_mhz, s_khz_per_v_cm, fwhm0_mhz, b_mhz_per_k
     return centre, fwhm
 
 
+# model functions: the line shape the PLE simulator draws from and the fits fit
+#
+# Each takes its parameters as a sequence; parameters given as (K, 1)
+# columns broadcast against the points into K rows, one per line.
+
+
+def lorentzian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
+    """amplitude / (1 + (2 (x - center) / fwhm)^2) + offset
+
+    Here and in its Jacobian, a point so far off the line that a power of
+    its reduced detuning overflows takes the line's limit there, 0, exactly.
+    """
+    amplitude, center, fwhm, offset = params
+    u = 2.0 * (x - center) / fwhm
+    with np.errstate(over="ignore"):
+        return amplitude / (1.0 + u * u) + offset
+
+
+def lorentzian_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
+    amplitude, center, fwhm, _ = params
+    u = 2.0 * (x - center) / fwhm
+    jac = np.empty(u.shape + (4,))
+    with np.errstate(over="ignore"):
+        denom = 1.0 + u * u
+        jac[..., 0] = 1.0 / denom
+        jac[..., 1] = amplitude * 4.0 * u / (fwhm * denom * denom)
+        jac[..., 2] = amplitude * 2.0 * u * u / (fwhm * denom * denom)
+    jac[..., 3] = 1.0
+    return jac
+
+
 @dataclass(frozen=True)
 class EmitterParams:
     """Bulk lifetime, the measured lifetime enhancement of the cavity and the
@@ -120,14 +154,6 @@ class EmitterParams:
 def lifetime_limited_fwhm_mhz(lifetime_us: float) -> float:
     """Fourier-limited linewidth ``1 / (2 pi tau)`` for a lifetime in us."""
     return 1.0 / (2.0 * math.pi * lifetime_us)
-
-
-def excitation_probability(saturation_prob, fwhm_mhz, detuning_mhz):
-    """Per-pulse excitation probability of a ``fwhm_mhz`` wide line at a laser detuning (MHz); numbers or arrays.
-    Far enough off the line the square of the detuning overflows, and the probability is its limit, 0, exactly."""
-    u = 2.0 * detuning_mhz / fwhm_mhz
-    with np.errstate(over="ignore"):
-        return saturation_prob / (1.0 + u * u)
 
 
 def resonance_voltage(

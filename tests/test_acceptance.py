@@ -16,14 +16,13 @@ from starksim.analysis import (
     exponential_decay,
     exponential_decay_jacobian,
     fit_exponential_decay,
-    lorentzian,
-    lorentzian_jacobian,
 )
 from starksim.cli import FITS, main
 from starksim.csvio import read_table
 from starksim.config import default_config, dumps_config
 from starksim.electrostatics import ElectrodeLayout, field_at, solve_potential
 from starksim.optimize import poisson_deviance
+from starksim.stark import lorentzian, lorentzian_jacobian
 
 # exact discrete probe field at 0.625 um, the last spacing of the
 # grid-refinement study (sparse LU of the same stencil)

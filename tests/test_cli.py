@@ -1,12 +1,16 @@
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import os
 import re
 import shlex
+import signal
 import statistics
 import subprocess
 import sys
+import traceback
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +34,15 @@ from starksim.cli import (
     REPORT_COLUMNS,
     main,
 )
-from starksim.config import config_file_digest, default_config, dumps_config, load_config, loads_config
+from starksim.config import (
+    config_file_digest,
+    config_to_dict,
+    default_config,
+    dump_toml,
+    dumps_config,
+    load_config,
+    loads_config,
+)
 from starksim.csvio import read_table
 from starksim.electrostatics import solve_potential
 from starksim.stark import VoltageOutOfRangeError, resonance_voltage
@@ -545,9 +557,12 @@ class TestResonanceCommand:
         assert float(values["voltage_v"]) == pytest.approx(61.0, abs=0.05)
         assert float(values["residual_detuning_mhz"]) <= 1e-6
 
-    def test_unknown_ion_exits_2(self, capsys, config_path):
-        code, _, _ = run(capsys, "resonance", "--config", config_path, "--ion-a", "ion1", "--ion-b", "nope")
+    # "" is [stark] ion_id's default, the first ion, and no id the command line may give
+    @pytest.mark.parametrize("ion_a, ion_b, unknown", [("ion1", "nope", "nope"), ("", "ion7", "")], ids=["nope", "empty"])
+    def test_unknown_ion_exits_2(self, capsys, config_path, ion_a, ion_b, unknown):
+        code, out, err = run(capsys, "resonance", "--config", config_path, "--ion-a", ion_a, "--ion-b", ion_b)
         assert code == EXIT_CONFIG
+        assert out == "" and err == f"error: unknown ion id {unknown!r}\n"
 
     def test_common_mode_potential_adds_no_field_per_volt(self, capsys, tmp_path):
         # an off-centre probe sees the common-mode field of an unbalanced
@@ -652,7 +667,7 @@ class TestPipelines:
         assert_calibrated(reproduce_pulls(capsys, tmp_path, "fig2", range(100), truth))
 
     def test_fig4a_sweep_fit_is_calibrated_over_seeds(self, capsys, config, tmp_path):
-        ion = config.ion(config.stark.ion_id)
+        ion = config.ions[0]  # [stark] ion_id's default
         truth = {
             f"stark_coefficient_{ion.ion_id}": ion.stark_coefficient_khz_per_v_cm,
             f"zero_field_frequency_{ion.ion_id}": ion.zero_field_frequency_mhz,
@@ -710,22 +725,26 @@ class TestPipelines:
         assert len(lines) == 1 + 21
 
     @pytest.mark.parametrize(
-        "kind, figure, dataset, extra",
+        "kind, figure, dataset, extra, reverse",
         [
-            ("ple", "fig2", "ple_scan.csv", ""),
-            ("decay", "fig3b", "decay.csv", ""),
+            ("ple", "fig2", "ple_scan.csv", "", False),
+            ("decay", "fig3b", "decay.csv", "", False),
             # 0.7 us bins: the centres in the CSV do not give back the simulator's edges exactly
-            ("decay", "fig3b", "decay.csv", "bin_width_us = 0.7\n"),
+            ("decay", "fig3b", "decay.csv", "bin_width_us = 0.7\n", False),
             # 20 us bins: the 85 us window is no multiple of them, and the histogram ends at the last whole bin
-            ("decay", "fig3b", "decay.csv", "bin_width_us = 20.0\n"),
-            ("g2", "fig3c", "g2.csv", ""),
-            ("stark", "fig4a", "stark_scan.csv", ""),
-            ("stark", "fig4b", "stark_scan.csv", ""),
+            ("decay", "fig3b", "decay.csv", "bin_width_us = 20.0\n", False),
+            ("g2", "fig3c", "g2.csv", "", False),
+            ("stark", "fig4a", "stark_scan.csv", "", False),
+            ("stark", "fig4b", "stark_scan.csv", "", False),
+            # the fit steps read their rows in axis order, whatever the file's
+            ("ple", "fig2", "ple_scan.csv", "", True),
+            ("decay", "fig3b", "decay.csv", "", True),
+            ("g2", "fig3c", "g2.csv", "", True),
         ],
         ids=["ple-fig2", "decay-fig3b", "decay-fig3b-0.7us-bins", "decay-fig3b-20us-bins", "g2-fig3c", "stark-fig4a",
-             "stark-fig4b"],
+             "stark-fig4b", "ple-fig2-reversed", "decay-fig3b-reversed", "g2-fig3c-reversed"],
     )
-    def test_fit_refits_its_figure(self, capsys, fast_config, tmp_path, kind, figure, dataset, extra):
+    def test_fit_refits_its_figure(self, capsys, fast_config, tmp_path, kind, figure, dataset, extra, reverse):
         # fit runs the figure's own fit step on the figure's CSV, so its
         # report is the figure's; the default registry's scan holds seven
         # lines, so the ple refit must run fig2's fit of every line, not one
@@ -735,9 +754,14 @@ class TestPipelines:
                           encoding="utf-8")
         fig = tmp_path / "fig"
         assert run(capsys, "reproduce", figure, "--config", config, "--out", fig)[0] == EXIT_OK
+        data = fig / dataset
+        if reverse:
+            header, *rows = data.read_text(encoding="utf-8").splitlines(keepends=True)
+            data = tmp_path / dataset
+            data.write_text(header + "".join(rows[::-1]), encoding="utf-8")
         code, out, _ = run(
             capsys, "fit", "--config", config, "--kind", kind,
-            "--input", fig / dataset, "--out", tmp_path / "refit",
+            "--input", data, "--out", tmp_path / "refit",
         )
         assert code == EXIT_OK
         assert out.splitlines() == [str(tmp_path / "refit" / "fit_report.csv")]
@@ -1061,7 +1085,7 @@ class TestPipelines:
         config.write_text("ions = []\n", encoding="utf-8")
         code, out, err = run(capsys, *argv, "--config", config, "--out", tmp_path / "out")
         assert code == EXIT_CONFIG
-        assert out == "" and err == "error: unknown ion id ''\n"
+        assert out == "" and err == "error: [stark].ion_id '' names the first ion, but the ion registry is empty\n"
 
     def test_fig4b_of_an_empty_registry_writes_a_header_and_fits_nothing(self, capsys, tmp_path):
         config = tmp_path / "empty.toml"
@@ -1244,3 +1268,103 @@ def test_out_of_memory_exits_2(tmp_path):
     assert result.returncode == EXIT_CONFIG
     assert re.fullmatch(r"error: out of memory: Unable to allocate [^\n]*\n", result.stderr), result.stderr
     assert result.stdout == ""
+
+
+# The command that reads each config section, run on a change to one of its keys.
+_READERS = {
+    "layout": ["field"],
+    "solver": ["field"],
+    "ions": ["reproduce", "fig4b"],
+    "emitter": ["reproduce", "fig3b"],
+    "protocol": ["reproduce", "fig2"],
+    "detector": ["reproduce", "fig3b"],
+    "run": ["resonance", "--ion-a", "ion1", "--ion-b", "ion7"],
+    "decay": ["reproduce", "fig3b"],
+    "g2": ["reproduce", "fig3c"],
+    "stark": ["reproduce", "fig4a"],
+}
+# each number type's edge values: zero, the smallest subnormal, negative, huge, infinite and not a number
+_EDGES = {float: [0.0, 5e-324, -1.0, 1e300, math.inf, math.nan], int: [0, -1, 2**63]}
+
+
+def _numbers(value, path=()):
+    """``(path, type)`` of every number in a config dict: a key, an ion's key or an array element."""
+    if isinstance(value, (int, float)):
+        yield path, type(value)
+    elif isinstance(value, (dict, list, tuple)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _numbers(item, (*path, key))
+
+
+def _with(data, path, value):
+    """A copy of the config dict ``data`` with ``value`` at ``path``."""
+    head, *rest = path
+    copy = dict(data) if isinstance(data, dict) else list(data)
+    copy[head] = _with(data[head], rest, value) if rest else value
+    return copy
+
+
+def _run_forked(argv, cwd: Path, stdout: Path, stderr: Path) -> int:
+    """The exit code of ``main(argv)`` in a forked child working in ``cwd``, its address space capped at
+    2 GiB and its time at 60 s (a signal ends it, a negative code); its stdout and stderr go to the two
+    files, and an exception that escapes ``main`` exits 70 with its traceback."""
+    resource = pytest.importorskip("resource")
+    pid = os.fork()
+    if pid == 0:  # the child: it must never return into the test run
+        code = 70
+        try:
+            for fd, path in ((1, stdout), (2, stderr)):
+                os.dup2(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC), fd)
+            sys.stdout, sys.stderr = open(1, "w", closefd=False), open(2, "w", closefd=False)
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(60)
+            os.chdir(cwd)
+            warnings.simplefilter("default")  # as a fresh interpreter shows them, on stderr
+            code = main(argv)
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            with contextlib.suppress(BaseException):
+                sys.stdout.flush()
+                sys.stderr.flush()
+            os._exit(code)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def test_no_one_key_config_ends_in_a_traceback(tmp_path):
+    # one number of the defaults at a time set to an edge value of its type, then the command reading its
+    # section: its exit code is one README's table gives, its stderr empty or one error line, and it writes
+    # nowhere but under --out
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    defaults = config_to_dict(default_config())
+    assert set(defaults) == set(_READERS)
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    # a section, then one of its numbers, so the 28 numbers of [[ions]] do not crowd out [solver]'s one
+    by_section = {section: list(_numbers(value, (section,))) for section, value in defaults.items()}
+    numbers = st.sampled_from(list(by_section)).flatmap(lambda section: st.sampled_from(by_section[section]))
+    cases = numbers.flatmap(lambda number: st.tuples(st.just(number[0]), st.sampled_from(_EDGES[number[1]])))
+    examples, exits = itertools.count(), set()
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(cases)
+    def check(case):
+        path, value = case
+        section = path[0]
+        case_dir = tmp_path / str(next(examples))
+        work = case_dir / "work"
+        work.mkdir(parents=True)
+        config = case_dir / "config.toml"
+        config.write_text(dump_toml(_with({section: defaults[section]}, path, value)), encoding="utf-8")
+        argv = [*_READERS[section], "--config", str(config), "--out", "out"]
+        code = _run_forked(argv, work, case_dir / "stdout", case_dir / "stderr")
+        stderr = (case_dir / "stderr").read_text(encoding="utf-8")
+        exits.add(code)
+        assert code in codes, (argv, stderr)
+        assert re.fullmatch(r"(error: [^\n]*\n)?", stderr), stderr
+        assert {p.name for p in work.iterdir()} <= {"out"}
+        assert {p.name for p in case_dir.iterdir()} == {"work", "config.toml", "stdout", "stderr"}
+
+    check()
+    assert EXIT_OK in exits  # the children had the memory to run a config that loads

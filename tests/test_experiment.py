@@ -24,7 +24,7 @@ from starksim.experiment import (
     simulate_ple_scan,
     simulate_stark_scan,
 )
-from starksim.stark import EmitterParams, excitation_probability
+from starksim.stark import EmitterParams, lorentzian
 
 from conftest import _lag_coincidences, fit_one_lorentzian
 
@@ -226,7 +226,7 @@ def _per_pulse_decay_counts(emitter, protocol, detector, decay, edges, seed):
     lo = protocol.window_delay_us
     in_window = (delays >= lo) & (delays <= lo + protocol.window_length_us)
     detected = in_window & (rng.random(excited) < detector.total_efficiency)
-    n_dark = rng.poisson(detector.dark_mean_per_pulse(protocol.window_length_us) * n_pulses)
+    n_dark = rng.poisson(detector.dark_mean(protocol.window_length_us, n_pulses))
     darks = rng.uniform(0.0, protocol.window_length_us, n_dark)
     counts, _ = np.histogram(np.concatenate([delays[detected] - lo, darks]), bins=edges)
     return counts
@@ -308,7 +308,7 @@ class TestDecayDegenerateInputs:
             assert emission_window_probability(1e-3, 1.0, 85.0) == 0.0
         detector = DetectorModel(total_efficiency=efficiency, dark_rate_hz=dark_rate_hz)
         _, counts = self._histogram(config, emitter, detector)
-        expected = detector.dark_mean_per_pulse(85.0) * self.N_PULSES
+        expected = detector.dark_mean(85.0, self.N_PULSES)
         if dark_rate_hz == 0.0:
             assert counts.sum() == 0
         else:
@@ -371,14 +371,14 @@ def _per_point_ple_counts(ions, emitter, protocol, detector, e_parallel_v_per_cm
     window_prob = emission_window_probability(
         emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
     )
-    dark_mean = detector.dark_mean_per_pulse(protocol.window_length_us) * n_pulses
+    dark_mean = detector.dark_mean(protocol.window_length_us, n_pulses)
     counts = []
     for index, freq in enumerate(protocol.scan_frequencies_mhz()):
         rng = np.random.Generator(np.random.PCG64(mix_seed(seed, index)))
         total = 0
         for ion in ions:
             centre, fwhm = ion.line(e_parallel_v_per_cm)
-            p_exc = excitation_probability(emitter.saturation_excitation_prob, fwhm, freq - centre)
+            p_exc = lorentzian(freq, (emitter.saturation_excitation_prob, centre, fwhm, 0.0))
             excited = rng.binomial(n_pulses, p_exc)
             total += rng.binomial(excited, detector.total_efficiency * window_prob)
         counts.append(total + rng.poisson(dark_mean))

@@ -324,6 +324,8 @@ def estimate_g2_zero(
     """
     lags = np.asarray(lags)
     coincidences = np.asarray(coincidences, dtype=float)
+    if np.any(coincidences < 0.0):  # as every Poisson fit refuses a negative count
+        raise FitError("coincidences must be >= 0")
     zero_lag = coincidences[lags == 0]
     if zero_lag.size != 1:
         raise FitError(f"need exactly one lag-0 bin, got {zero_lag.size}")

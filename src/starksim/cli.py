@@ -55,7 +55,6 @@ from .csvio import read_table, write_table
 from .electrostatics import field_at, solve_potential
 from .experiment import (
     SimulationError,
-    mix_seed,
     simulate_decay_histogram,
     simulate_g2_histogram,
     simulate_ple_scan,
@@ -231,20 +230,17 @@ def _fit_g2(config: ExperimentConfig, lags, coincidences, normalized) -> list[Ro
     return [("g2_zero", estimate.g2_zero, estimate.standard_error, "dimensionless")]
 
 
-def _stark(args, config: ExperimentConfig, seed: int) -> list[np.ndarray]:
-    """Voltage sweeps: stark_scan.csv's columns, an entry per scan point. fig4a
-    sweeps the [stark] ion on ``seed``, fig4b every ion, each on ``mix_seed(seed, index)``."""
-    if args.figure == "fig4a":
-        if not (config.stark.ion_id or config.ions):
-            raise ConfigError("[stark].ion_id '' names the first ion, but the ion registry is empty")
-        sweeps = [(config.ion(config.stark.ion_id or config.ions[0].ion_id), seed)]
+def _stark(args, config: ExperimentConfig, seed: int) -> tuple[np.ndarray, ...]:
+    """Voltage sweeps, drawn as one on ``seed``: stark_scan.csv's columns, an entry per scan
+    point. fig4a sweeps the [stark] ion, fig4b every ion of the registry."""
+    if args.figure == "fig4b":
+        ions = config.ions
+    elif config.stark.ion_id or config.ions:
+        ions = [config.ion(config.stark.ion_id or config.ions[0].ion_id)]
     else:
-        sweeps = [(ion, mix_seed(seed, index)) for index, ion in enumerate(config.ions)]
-    volts_to_field = _volts_to_field(config)
-    scans = [simulate_stark_scan(ion, config.emitter, config.stark, volts_to_field, config.protocol, config.detector,
-                                 ion_seed) for ion, ion_seed in sweeps]
-    ion_ids = np.repeat([ion.ion_id for ion, _ in sweeps], [counts.size for *_, counts in scans])
-    return [ion_ids, *([np.concatenate(column) for column in zip(*scans)] or [()] * 4)]  # fig4b of no ions has no scans
+        raise ConfigError("[stark].ion_id '' names the first ion, but the ion registry is empty")
+    return simulate_stark_scan(ions, config.emitter, config.stark, _volts_to_field(config), config.protocol,
+                               config.detector, seed)
 
 
 def _fit_stark(config: ExperimentConfig, ion_ids, voltages_v, fields_v_per_cm, frequencies_mhz, counts) -> list[Row]:

@@ -135,7 +135,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         ids = [ion.ion_id for ion in self.ions]
-        for ion_id in ids:  # ids name output files and are written between quotes
+        for ion_id in ids:  # ids name stark_scan.csv cells and fit_report.csv quantities, unquoted
             if not re.fullmatch(r"[A-Za-z0-9_.-]+", ion_id):
                 raise ConfigError(f"[[ions]].id {ion_id!r} may use only A-Z, a-z, 0-9, '_', '.' and '-'")
         for index, ion_id in enumerate(ids):
@@ -144,10 +144,11 @@ class ExperimentConfig:
         check_grid(self.layout, self.solver.spacing_um)  # as solve_potential checks it
         half_width, pitch = self.stark.window_half_width_mhz, self.protocol.scan_pitch_mhz
         # the largest arrays the simulators draw, each 8 bytes an entry: a scan's (points x ions)
-        # binomial counts, a Stark scan's points, and the decay's bins
+        # binomial counts, a Stark sweep's (ions x voltages x points), and the decay's bins
         lo, hi = self.protocol.scan_range_mhz
         check_count("[protocol].scan_range_mhz", ((hi - lo) / pitch + 1) * max(len(self.ions), 1), 8)
-        check_count("[stark].window_half_width_mhz", 2.0 * half_width / pitch + 1, 8)
+        check_count("[stark].window_half_width_mhz",
+                    (2.0 * half_width / pitch + 1) * len(self.stark.voltages_v) * max(len(self.ions), 1), 8)
         width, window = self.decay.bin_width_us, self.protocol.window_length_us
         check_count("[decay].bin_width_us", window / width + 1, 8)
         if width > window:  # the decay's bins are whole

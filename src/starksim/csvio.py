@@ -36,9 +36,9 @@ def read_table(path: str | Path, columns: dict[str, type]) -> list[np.ndarray]:
     """Columns of a CSV whose header is ``columns``' names, each cell converted
     by its column's type, each column the array ``np.array`` makes of its
     values. Every failure is a ValueError naming the file: one that cannot
-    be opened, or a cell that does not convert or is a float that is not
-    finite, with its row (the header is row 1, as in a spreadsheet) and its
-    column."""
+    be opened, or a cell that does not convert, is a float that is not
+    finite or an int outside int64, with its row (the header is row 1, as
+    in a spreadsheet) and its column."""
     values: list[list] = [[] for _ in columns]
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
@@ -63,5 +63,7 @@ def read_table(path: str | Path, columns: dict[str, type]) -> list[np.ndarray]:
                     ) from None
                 if kind is float and not math.isfinite(value):
                     raise ValueError(f"{path}: row {reader.line_num}, column {name!r} must be finite, got {cell!r}")
+                if kind is int and not -2**63 <= value < 2**63:  # else np.array makes an object or float column
+                    raise ValueError(f"{path}: row {reader.line_num}, column {name!r} must fit in int64, got {cell!r}")
                 column.append(value)
     return [np.array(column) for column in values]

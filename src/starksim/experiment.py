@@ -19,13 +19,13 @@ a failure at run time of a config that loaded. The field enters as one
 number, its component along the inter-electrode axis in V/cm (a Stark
 sweep takes the volts-to-field scale instead), and each simulator
 returns the arrays it drew: an axis and the counts on it, or for a Stark
-sweep flat columns of voltage, field, frequency and counts, an entry per
-scan point. ``cli`` writes them to CSV as they are.
+sweep flat columns of ion, voltage, field, frequency and counts, an entry
+per scan point. ``cli`` writes them to CSV as they are.
 
-Determinism contract: each PLE scan, decay histogram and g2 histogram is
-drawn in bulk from one generator, ``point_generator(seed)``, in the
-draw order its simulator's docstring states; a Stark sweep scans voltage
-``i`` on ``mix_seed(seed, i)``.
+Determinism contract: every record, a PLE scan, a decay histogram, a g2
+histogram or a Stark sweep of any number of ions, is drawn in bulk from
+one generator, ``point_generator(seed)``, in the draw order its
+simulator's docstring states.
 """
 
 from __future__ import annotations
@@ -87,9 +87,9 @@ def check_poisson_mean(where: str, mean: float) -> None:
 def mix_seed(master_seed: int, index: int) -> int:
     """splitmix64 finalizer over ``master_seed + (index+1)*golden_gamma``.
 
-    This is the one mixing function used to derive independent streams
-    (per record, per sweep voltage, per fig4b ion) from a master seed; it
-    is part of the reproducibility contract, so do not change it.
+    This is the one mixing function used to derive a record's stream from
+    a master seed, in :func:`point_generator`; it is part of the
+    reproducibility contract, so do not change it.
     """
     z = (master_seed + (index + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -266,20 +266,22 @@ def simulate_ple_scan(
     binomial array over (points x ions), then one Poisson count per point.
     """
     frequencies = protocol.scan_frequencies_mhz()
-    return frequencies, _scan_counts(ions, emitter, protocol, detector, e_parallel_v_per_cm, frequencies, seed)
-
-
-def _scan_counts(ions, emitter, protocol, detector, e_parallel_v_per_cm, frequencies, seed) -> np.ndarray:
-    """The counts of :func:`simulate_ple_scan` at ``frequencies``, drawn as it states."""
     centres, fwhms = np.array([_line(ion, e_parallel_v_per_cm) for ion in ions]).reshape(-1, 2).T
-    p_exc = lorentzian(frequencies[:, None], (emitter.saturation_excitation_prob, centres, fwhms, 0.0))
+    return frequencies, _scan_counts(centres, fwhms, emitter, protocol, detector, frequencies, seed)
+
+
+def _scan_counts(centres, fwhms, emitter, protocol, detector, frequencies, seed) -> np.ndarray:
+    """The counts of :func:`simulate_ple_scan` at ``frequencies`` of the lines ``(centres, fwhms)``, which
+    broadcast against ``frequencies[..., None]`` and sum over their last axis, drawn as it states."""
+    p_exc = lorentzian(frequencies[..., None], (emitter.saturation_excitation_prob, centres, fwhms, 0.0))
     p_detect = detector.total_efficiency * emission_window_probability(
         emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
     )
 
     rng = point_generator(seed)
-    signal = rng.binomial(protocol.pulses_per_point, p_exc * p_detect).sum(axis=1)
-    return signal + rng.poisson(detector.dark_mean(protocol.window_length_us, protocol.pulses_per_point), frequencies.size)
+    signal = rng.binomial(protocol.pulses_per_point, p_exc * p_detect).sum(axis=-1)
+    darks = rng.poisson(detector.dark_mean(protocol.window_length_us, protocol.pulses_per_point), frequencies.shape)
+    return signal + darks
 
 
 def simulate_decay_histogram(
@@ -384,44 +386,43 @@ def simulate_g2_histogram(
 
 
 def simulate_stark_scan(
-    ion: IonModel,
+    ions: Sequence[IonModel],
     emitter: EmitterParams,
     stark: StarkScanSettings,
     volts_to_field_v_per_cm_per_v: float,
     protocol: PLEProtocol,
     detector: DetectorModel,
     seed: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """PLE scans of ``ion`` at each of ``stark.voltages_v``, in order, as flat
-    columns ``(voltages_v, fields_v_per_cm, frequencies_mhz, counts)`` of one
-    entry per scan point (``stark.ion_id`` is not read).
+) -> tuple[np.ndarray, ...]:
+    """PLE scans of ``ions`` at each of ``stark.voltages_v`` (``stark.ion_id`` is not read), as flat columns
+    ``(ion_ids, voltages_v, fields_v_per_cm, frequencies_mhz, counts)`` of an entry per scan point, ion by ion
+    and then voltage by voltage.
 
-    The field is ``volts_to_field_v_per_cm_per_v`` times the voltage, the
-    scale being the probe field per volt of bias along the inter-electrode
-    axis; each scan spans ``stark.window_half_width_mhz`` either side of
-    the expected Stark-shifted peak, a :class:`SimulationError` naming the
-    ion where the peak lies so far out that the rounded window's ends meet,
-    or span more points than numpy can hold. Voltage ``i`` is scanned on
-    ``mix_seed(seed, i)``. The config checks the voltages against
-    ``[run] max_voltage_v`` when it loads.
+    The field is ``volts_to_field_v_per_cm_per_v`` times the voltage, the probe field per volt of bias along the
+    inter-electrode axis. Each window is ``stark.window_half_width_mhz`` either side of the expected peak rounded
+    to the pitch, so all have the same points; a peak so far out that a window's ends round together is a
+    :class:`SimulationError` naming the ion. Drawn as :func:`simulate_ple_scan` is, from ``point_generator(seed)``:
+    one binomial array over (ions x voltages x points), then one Poisson count per point. The config checks the
+    voltages against ``[run] max_voltage_v`` when it loads.
     """
     voltages = np.asarray(stark.voltages_v, dtype=float)
     fields = volts_to_field_v_per_cm_per_v * voltages
     half_width, pitch = stark.window_half_width_mhz, protocol.scan_pitch_mhz
-    scans = []
-    for v_index, field in enumerate(fields.tolist()):
-        centre, _ = _line(ion, field)
-        base = float(np.rint(centre / pitch)) * pitch  # half to even as round(), but inf where it overflows
-        lo, hi = base - half_width, base + half_width
-        # the ends' rounding may close the window, or widen it past the points the config's check allowed
-        if not (lo < hi and ((hi - lo) / pitch + 1) * 8 <= _MAX_BYTES):
-            raise SimulationError(
-                f"{ion.ion_id}: at {field:g} V/cm the scan window {base:g} +/- {half_width:g} MHz "
-                f"lies beyond float precision: its ends round to {lo:.17g} and {hi:.17g} MHz"
-            )
-        frequencies = _scan_grid(lo, hi, pitch)
-        counts = _scan_counts([ion], emitter, protocol, detector, field, frequencies, mix_seed(seed, v_index))
-        scans.append((frequencies, counts))
-    points = [counts.size for _, counts in scans]
-    frequencies, counts = (np.concatenate(column) for column in zip(*scans))
-    return np.repeat(voltages, points), np.repeat(fields, points), frequencies, counts
+    lines = np.array([[_line(ion, field) for field in fields.tolist()] for ion in ions])
+    centres, fwhms = lines.reshape(len(ions), fields.size, 2).transpose(2, 0, 1)  # each (ions, voltages)
+    with np.errstate(over="ignore"):  # inf where the centre over the pitch overflows
+        base = np.rint(centres / pitch) * pitch
+    closed = np.argwhere(~(base - half_width < base + half_width))
+    if closed.size:
+        i, v = closed[0]
+        raise SimulationError(
+            f"{ions[i].ion_id}: at {fields[v]:g} V/cm the scan window {base[i, v]:g} +/- {half_width:g} MHz "
+            f"lies beyond float precision: its ends round to {base[i, v] - half_width:.17g} and "
+            f"{base[i, v] + half_width:.17g} MHz"
+        )
+    frequencies = base[..., None] + _scan_grid(-half_width, half_width, pitch)  # (ions, voltages, points)
+    counts = _scan_counts(centres[..., None, None], fwhms[..., None, None], emitter, protocol, detector,
+                          frequencies, seed)  # a window's one line against its points
+    ion_ids = np.array([ion.ion_id for ion in ions], dtype=str)
+    columns = np.broadcast_arrays(ion_ids[:, None, None], voltages[:, None], fields[:, None], frequencies, counts)
+    return tuple(column.ravel() for column in columns)

@@ -265,8 +265,8 @@ def sweep_grid(voltages, params, half_width=60.0, pitch=5.0):
 
 
 def simulated_sweep(config, ion, seed):
-    _, fields, frequencies, counts = simulate_stark_scan(
-        ion, config.emitter, config.stark, VOLTS_TO_FIELD, config.protocol, config.detector, seed
+    *_, fields, frequencies, counts = simulate_stark_scan(
+        [ion], config.emitter, config.stark, VOLTS_TO_FIELD, config.protocol, config.detector, seed
     )
     return fields, frequencies, counts
 
@@ -334,6 +334,17 @@ class TestFitStarkSweep:
         with pytest.raises(FitError, match="need at least 3 distinct fields, got 2"):
             fit_stark_sweep(fields, frequencies, sweep_mean(fields, frequencies, self.TRUTH))
 
+    def test_a_negative_width_at_a_swept_field_is_refused(self):
+        # the line narrows with the field, 10 and 5 MHz wide, and is gone at the last: the law that fits
+        # runs through a width of 0 to a negative one there
+        fields = np.repeat([0.0, 1000.0, 2000.0], 25)
+        frequencies = np.tile(np.arange(-60.0, 60.1, 5.0), 3)
+        widths = np.select([fields == 0.0, fields == 1000.0], [10.0, 5.0], 1e-9)
+        counts = np.round(lorentzian(frequencies, (200.0, 2.5, widths, 5.0)))
+        with pytest.raises(FitConvergenceError, match=r"^fit reached a width of -0\.\d+ MHz$") as err:
+            fit_stark_sweep(fields, frequencies, counts)
+        assert err.value.last_result.value("broadening") < 0.0
+
     def test_constant_counts_rejected(self):
         # without the check, a flat sweep "converges" to errors of 1e16 MHz
         fields, frequencies = sweep_grid(self.VOLTAGES, self.TRUTH)
@@ -368,6 +379,16 @@ class TestFitLorentzians:
         counts = narrow + sum(lorentzian(freqs, (200.0, c, w, 0.0)) for c, w in ((-40.0, 6.7), (40.0, 1.0)))
         with pytest.raises(FitConvergenceError, match="^peak2: fit collapsed to an unresolvable width 1 MHz$"):
             fit_lorentzians(freqs, counts, [20, 4, 12])
+
+    def test_a_failure_of_resolved_lines_is_raised_as_it_is(self):
+        # flat Poisson(8.5) noise, whose line wanders off the scan's low end to fit its first samples:
+        # it never narrows below pitch/2, so the fit's own failure is raised, carrying its last state
+        freqs = np.arange(-60.0, 60.1, 5.0)
+        counts = np.array([15, 7, 15, 13, 8, 10, 7, 6, 12, 11, 7, 10, 5, 7, 11, 11, 12, 10, 5, 7, 7, 6, 8, 7, 10])
+        with pytest.raises(FitConvergenceError, match=r"^no convergence after 200 iterations") as err:
+            fit_lorentzians(freqs, counts, [int(np.argmax(counts))])
+        assert err.value.last_result.value("peak1_fwhm_mhz") >= 2.5
+        assert err.value.last_result.value("peak1_center_mhz") < freqs[0]
 
 
 class TestEstimateG2Zero:
@@ -476,6 +497,34 @@ class TestPoissonFit:
             least_squares(lorentzian, lorentzian_jacobian, x, np.full(10, -1.0), [30.0, 4.0, 3.0, 1.0], names)
         with pytest.raises(FitError, match="initial model > 0"):
             least_squares(lorentzian, lorentzian_jacobian, x, np.ones(10), [30.0, 4.0, 3.0, -5.0], names)
+
+    def test_ill_matched_points_rejected(self):
+        with pytest.raises(FitError, match="^x and y must have matching lengths$"):
+            least_squares(lorentzian, lorentzian_jacobian, np.arange(10.0), np.ones(9), [30.0, 4.0, 3.0, 1.0],
+                          ("a", "c", "w", "o"))
+
+    def test_a_singular_damped_step_is_retried_with_more_damping(self, monkeypatch):
+        # the damped Fisher matrix is never singular in exact terms, so the first solve is made to fail:
+        # the fit damps ten times harder, retries, and still reaches the optimum
+        freqs = np.arange(-60.0, 60.1, 5.0)
+        counts = lorentzian(freqs, np.array([200.0, 0.0, 6.7, 8.5]))
+        initial, names = np.array([150.0, 3.0, 9.0, 5.0]), ("a", "c", "w", "o")
+        expected = least_squares(lorentzian, lorentzian_jacobian, freqs, counts, initial, names)
+        solve, calls = np.linalg.solve, []
+
+        def failing_once(a, b):
+            calls.append(a.copy())
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_once)
+        fit = least_squares(lorentzian, lorentzian_jacobian, freqs, counts, initial, names)
+        assert fit.values == pytest.approx(expected.values, rel=1e-6)
+        # the retry damps the same Fisher matrix at 1e-2 instead of 1e-3: only its diagonal grows
+        first, retry = calls[:2]
+        assert np.array_equal(retry - np.diag(np.diag(retry)), first - np.diag(np.diag(first)))
+        assert np.diag(retry) == pytest.approx(np.diag(first) / (1.0 + 1e-3) * (1.0 + 1e-2), rel=1e-12)
 
     def test_count_fits_reach_a_likelihood_stationary_point(self):
         # the score J^T (y - mu)/mu vanishes at the maximum-likelihood point;

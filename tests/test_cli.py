@@ -804,6 +804,18 @@ class TestPipelines:
         assert code == EXIT_FITTING
         assert out == "" and err.startswith("error: fitting failed: need at least 3 nonzero side lags")
 
+    def test_g2_negative_coincidence_exits_5(self, capsys, config_path, tmp_path):
+        # once estimated as g2_zero = -0.1227 and exit 0
+        histogram = tmp_path / "g2.csv"
+        histogram.write_text("lag_pulses,coincidences,normalized\n-2,40,1\n-1,38,1\n0,-5,0.0\n1,41,1\n2,44,1\n",
+                             encoding="utf-8")
+        code, out, err = run(
+            capsys, "fit", "--config", config_path, "--kind", "g2",
+            "--input", histogram, "--out", tmp_path / "x",
+        )
+        assert code == EXIT_FITTING
+        assert out == "" and err == "error: fitting failed: coincidences must be >= 0\n"
+
     @pytest.mark.parametrize(
         "rows, found",
         [("-2,5,0\n-1,6,0\n1,5,0\n2,7,0\n", 0), ("-1,6,0\n0,1,0\n0,2,0\n1,5,0\n2,7,0\n", 2)],
@@ -834,9 +846,19 @@ class TestPipelines:
             ("stark", "ion_id,voltage_v,field_v_per_cm,frequency_mhz,counts\nion1,0,nan,-5,3\n",
              "row 2, column 'field_v_per_cm' must be finite, got 'nan'"),
             ("decay", "time_us,counts\nnan,3\n1.5,4\n", "row 2, column 'time_us' must be finite, got 'nan'"),
+            # a count numpy cannot hold as int64: once a traceback, or a float64 column that fitted
+            ("decay", f"time_us,counts\n0.5,3\n1.5,{'9' * 400}\n",
+             f"row 3, column 'counts' must fit in int64, got '{'9' * 400}'"),
+            ("g2", "lag_pulses,coincidences,normalized\n-1,6,1.0\n0,9223372036854775808,0.0\n",
+             "row 3, column 'coincidences' must fit in int64, got '9223372036854775808'"),
+            # the file as a whole: no header at all, or another kind's
+            ("decay", "", "empty CSV"),
+            ("decay", "lag_pulses,coincidences,normalized\n-1,6,1.0\n",
+             "unexpected header ['lag_pulses', 'coincidences', 'normalized'], want ['time_us', 'counts']"),
         ],
         ids=["ple-float-count", "g2-text-count", "decay-short-row", "stark-text-frequency",
-             "ple-inf-frequency", "stark-nan-field", "decay-nan-time"],
+             "ple-inf-frequency", "stark-nan-field", "decay-nan-time", "decay-400-digit-count", "g2-count-2**63",
+             "decay-zero-bytes", "decay-of-a-g2-csv"],
     )
     def test_malformed_cell_names_file_row_and_column(self, capsys, config_path, tmp_path, kind, text, cell):
         data = tmp_path / f"{kind}.csv"
@@ -858,6 +880,37 @@ class TestPipelines:
         code, out, err = run(capsys, "fit", "--kind", kind, "--input", data, "--out", tmp_path / "x")
         assert code == EXIT_FITTING
         assert out == "" and err == f"error: fitting failed: {message}\n"
+
+    @pytest.mark.parametrize(
+        "kind, rows, message",
+        [("decay", "0.5,30\n1.5,25\n2.5,20\n", "too few bins past the fit start"),
+         ("stark", "ion1,0,0,-5,3\nion1,1,65,-4,4\nion1,2,130,-3,5\n",
+          "ion1: need more than 6 points to fit 6 parameters")],
+        ids=["decay-three-bins", "stark-three-points"],
+    )
+    def test_too_short_dataset_exits_5(self, capsys, tmp_path, kind, rows, message):
+        name, columns, *_ = FITS[kind]
+        data = tmp_path / name
+        data.write_text(",".join(columns) + "\n" + rows, encoding="utf-8")
+        code, out, err = run(capsys, "fit", "--kind", kind, "--input", data, "--out", tmp_path / "x")
+        assert code == EXIT_FITTING
+        assert out == "" and err == f"error: fitting failed: {message}\n"
+
+    @pytest.mark.parametrize(
+        "config_text, dataset, argv",
+        [("[emitter]\nsaturation_excitation_prob = 0.0\n", None, ["reproduce", "fig2"]),  # darks alone
+         ("", "frequency_offset_mhz,counts,integration_s\n-5.0,3,5.0\n0.0,40,5.0\n", ["fit", "--kind", "ple"])],
+        ids=["fig2-unexcited", "ple-two-rows"],  # two samples are too few for a local maximum
+    )
+    def test_scan_without_a_peak_writes_a_header_only_report(self, capsys, tmp_path, config_text, dataset, argv):
+        config = tmp_path / "in.toml"
+        config.write_text(config_text, encoding="utf-8")
+        if dataset is not None:
+            (tmp_path / "ple_scan.csv").write_text(dataset, encoding="utf-8")
+            argv = [*argv, "--input", tmp_path / "ple_scan.csv"]
+        code, _, err = run_strict(capsys, *argv, "--config", config, "--out", tmp_path / "x")
+        assert (code, err) == (EXIT_OK, "")
+        assert (tmp_path / "x" / "fit_report.csv").read_text(encoding="utf-8") == "quantity,value,stderr,units\n"
 
     def test_decay_fit_under_another_config_exits_5(self, capsys, tmp_path):
         # 500 000 pulses leave 1 dark count per bin; the default config's floor is 20
@@ -916,7 +969,7 @@ class TestPipelines:
                         encoding="utf-8")
         code, out, err = run_strict(capsys, "reproduce", "fig4a", "--config", path, "--out", tmp_path / "x")
         assert (code, out) == (EXIT_FITTING, "")
-        assert err == "error: fitting failed: ion1: stalled: no downhill step (deviance=1292.8)\n"
+        assert err == "error: fitting failed: ion1: stalled: no downhill step (deviance=1354)\n"
 
     @pytest.mark.parametrize(
         "text, coefficient",
@@ -925,12 +978,8 @@ class TestPipelines:
             # the line over the pitch overflows
             ("[protocol]\nscan_range_mhz = [-1e-8, 1e-8]\nscan_pitch_mhz = 1e-10\n\n"
              "[stark]\nwindow_half_width_mhz = 1e-9\n", "1e300"),
-            # the line at 1.5 * 2**111 MHz, where floats are 2**59 apart: each end of +/-3e17 MHz rounds
-            # one spacing out, to 2**60 + 1 points, more than the 2**60 - 1 float64s numpy can hold
-            ("[protocol]\nscan_pitch_mhz = 1.0\n\n[stark]\nwindow_half_width_mhz = 3e17\n"
-             "voltages_v = [333.0, 332.0, 331.0]\n", "1.7985066237439913e+32"),
         ],
-        ids=["ends-meet", "centre-over-pitch-overflows", "ends-widen-past-numpy"],
+        ids=["ends-meet", "centre-over-pitch-overflows"],
     )
     @pytest.mark.parametrize("argv", [["stark"], ["reproduce", "fig4a"]], ids=["stark", "fig4a"])
     def test_stark_window_beyond_float_precision_exits_4_naming_the_ion(self, capsys, tmp_path, text, coefficient,
@@ -944,6 +993,21 @@ class TestPipelines:
         assert (code, out) == (EXIT_SIMULATION, "")
         assert err.startswith("error: simulation failed: ion1: at ") and err.count("\n") == 1
         assert "lies beyond float precision" in err and "[protocol]" not in err
+
+    @pytest.mark.parametrize("argv", [["stark"], ["reproduce", "fig4a"]], ids=["stark", "fig4a"])
+    def test_stark_sweep_past_numpy_is_refused_at_load(self, capsys, tmp_path, argv):
+        # 2 * 3e17 + 1 points at each of 3 voltages of one ion: wherever the line lies, the one array
+        # the sweep draws outgrows numpy's largest, so the config is refused before any run
+        path = tmp_path / "wide.toml"
+        path.write_text("[protocol]\nscan_pitch_mhz = 1.0\n\n[stark]\nwindow_half_width_mhz = 3e17\n"
+                        'voltages_v = [333.0, 332.0, 331.0]\n\n[[ions]]\nid = "ion1"\n'
+                        "stark_coefficient_khz_per_v_cm = 1.7985066237439913e+32\nzero_field_fwhm_mhz = 6.7\n",
+                        encoding="utf-8")
+        code, out, err = run_strict(capsys, *argv, "--config", path, "--out", tmp_path / "x")
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == ("error: invalid configuration: [stark].window_half_width_mhz gives a count of 1.8e+18, "
+                       "above numpy's largest, 1.153e+18\n")
+        assert not (tmp_path / "x").exists()
 
     def test_fit_on_missing_file_exits_5(self, capsys, config_path, tmp_path):
         code, _, err = run(
@@ -1332,10 +1396,11 @@ def _run_forked(argv, cwd: Path, stdout: Path, stderr: Path) -> int:
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def test_no_one_key_config_ends_in_a_traceback(tmp_path):
-    # one number of the defaults at a time set to an edge value of its type, then the command reading its
-    # section: its exit code is one README's table gives, its stderr empty or one error line, and it writes
-    # nowhere but under --out
+def test_no_one_or_two_key_config_ends_in_a_traceback(tmp_path):
+    # one or two numbers of the defaults set to edge values of their types, then the command reading the
+    # first one's section: its exit code is one README's table gives, its stderr empty or one error line,
+    # and it writes nowhere but under --out. Two keys reach rules one cannot, such as a lifetime that
+    # underflows only where a tiny bulk lifetime meets a huge enhancement
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     defaults = config_to_dict(default_config())
@@ -1344,20 +1409,23 @@ def test_no_one_key_config_ends_in_a_traceback(tmp_path):
     # a section, then one of its numbers, so the 28 numbers of [[ions]] do not crowd out [solver]'s one
     by_section = {section: list(_numbers(value, (section,))) for section, value in defaults.items()}
     numbers = st.sampled_from(list(by_section)).flatmap(lambda section: st.sampled_from(by_section[section]))
-    cases = numbers.flatmap(lambda number: st.tuples(st.just(number[0]), st.sampled_from(_EDGES[number[1]])))
+    settings = numbers.flatmap(lambda number: st.tuples(st.just(number[0]), st.sampled_from(_EDGES[number[1]])))
+    cases = st.lists(settings, min_size=1, max_size=2, unique_by=lambda setting: setting[0])
     examples, exits = itertools.count(), set()
 
     @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
     @hypothesis.given(cases)
     def check(case):
-        path, value = case
-        section = path[0]
+        data = {path[0]: defaults[path[0]] for path, _ in case}
+        for path, value in case:
+            data = _with(data, path, value)
         case_dir = tmp_path / str(next(examples))
         work = case_dir / "work"
         work.mkdir(parents=True)
         config = case_dir / "config.toml"
-        config.write_text(dump_toml(_with({section: defaults[section]}, path, value)), encoding="utf-8")
-        argv = [*_READERS[section], "--config", str(config), "--out", "out"]
+        config.write_text(dump_toml(data), encoding="utf-8")
+        (first_path, _), *_ = case
+        argv = [*_READERS[first_path[0]], "--config", str(config), "--out", "out"]
         code = _run_forked(argv, work, case_dir / "stdout", case_dir / "stderr")
         stderr = (case_dir / "stderr").read_text(encoding="utf-8")
         exits.add(code)

@@ -551,10 +551,10 @@ class TestStarkScan:
 
     def test_zero_voltage_peak_at_rest_frequency(self, config, volts_to_field):
         ion2 = config.ion("ion2")
-        # the sweep needs 3 voltages; its first scan, at 0 V, is drawn on the stream a lone 0 V scan would use
+        # the sweep needs 3 voltages; its first scan, at 0 V, is the one checked
         stark = StarkScanSettings(voltages_v=(0.0, 111.0, 222.0), window_half_width_mhz=60.0)
-        voltages, fields, freqs, counts = simulate_stark_scan(
-            ion2, config.emitter, stark, volts_to_field, config.protocol, config.detector, 31
+        _, voltages, fields, freqs, counts = simulate_stark_scan(
+            [ion2], config.emitter, stark, volts_to_field, config.protocol, config.detector, 31
         )
         first = voltages == 0.0
         fit = fit_one_lorentzian(freqs[first], counts[first])
@@ -563,8 +563,8 @@ class TestStarkScan:
 
     def test_equally_spaced_voltages_give_equally_spaced_peaks(self, config, ion1, emitter, volts_to_field):
         stark = StarkScanSettings(voltages_v=(0.0, 111.0, 222.0))
-        voltages, fields, freqs, counts = simulate_stark_scan(
-            ion1, emitter, stark, volts_to_field, config.protocol, config.detector, 33
+        _, voltages, fields, freqs, counts = simulate_stark_scan(
+            [ion1], emitter, stark, volts_to_field, config.protocol, config.detector, 33
         )
         assert np.unique(voltages).tolist() == list(stark.voltages_v)
         assert np.array_equal(fields, volts_to_field * voltages)
@@ -592,8 +592,8 @@ class TestStarkScan:
     def test_scan_windows_track_expected_peak(self, config, volts_to_field):
         ion3 = config.ion("ion3")
         stark = StarkScanSettings(voltages_v=(0.0, 333.0, 166.5), window_half_width_mhz=50.0)
-        voltages, fields, all_freqs, all_counts = simulate_stark_scan(
-            ion3, config.emitter, stark, volts_to_field, config.protocol, config.detector, 35
+        _, voltages, fields, all_freqs, all_counts = simulate_stark_scan(
+            [ion3], config.emitter, stark, volts_to_field, config.protocol, config.detector, 35
         )
         assert voltages[0] == 0.0 and voltages[-1] == 166.5  # the scans in the order of the voltages
         for voltage in stark.voltages_v:

@@ -1,11 +1,10 @@
 """Parameter extraction from photon-counting data.
 
 Peak finding on PLE scans, Poisson maximum-likelihood fits of the counts
-(a sum of Lorentzians on one offset, an exponential, and one ion's whole
-voltage sweep against its line law), and the coincidence-ratio estimate
-of the zero-lag autocorrelation. The line's shape and law,
-:func:`~starksim.stark.lorentzian` and :func:`~starksim.stark.line_law`,
-are ``stark``'s, the ones the PLE simulator draws from.
+(a sum of Lorentzians, or of a sweep's line laws, on one offset, and an
+exponential), and the coincidence-ratio estimate of the zero-lag
+autocorrelation. The line's shape and law are :func:`~starksim.stark.lorentzian`
+and :func:`~starksim.stark.line_law`, the ones the simulators draw from.
 """
 
 from __future__ import annotations
@@ -267,48 +266,55 @@ def _decay_guess(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def fit_stark_sweep(
+    ion_ids: Sequence[str] | np.ndarray,
     fields_v_per_cm: Sequence[float] | np.ndarray,
     frequencies_mhz: Sequence[float] | np.ndarray,
     counts: Sequence[float] | np.ndarray,
 ) -> FitResult:
-    """Poisson maximum-likelihood fit of one ion's voltage sweep to its line law.
+    """Poisson maximum-likelihood fit of a voltage sweep of K ions, every count of every window, to their line laws.
 
-    Each count's mean is the Lorentzian ``amplitude / (1 + (2 (f - c) /
-    w)^2) + offset``, with the centre ``c`` and width ``w`` of
-    :func:`~starksim.stark.line_law` at the count's field; parameters
-    (amplitude, zero_field_frequency, stark_coefficient, zero_field_fwhm,
-    broadening, offset). Starts from a line through the highest count at
-    each field, a 10 MHz width and no broadening.
+    Each count's mean is the sum over the ions of ``amplitude / (1 + (2 (f - c) / w)^2)``, with the centre ``c``
+    and width ``w`` of the ion's :func:`~starksim.stark.line_law` at the count's field, plus one offset: 5K + 1
+    parameters, ``amplitude_<id>``, ``zero_field_frequency_<id>``, ``stark_coefficient_<id>``,
+    ``zero_field_fwhm_<id>`` and ``broadening_<id>`` for each ion in order of first row, then ``offset``. An ion
+    starts from a line through its window centres (its mean frequency at each field), a 10 MHz width, no
+    broadening and its highest count less the median. An ion at fewer than 3 distinct fields, or whose fitted law
+    reaches a width <= 0 at a field of the sweep, is refused by name.
     """
-    e = np.asarray(fields_v_per_cm, dtype=float)
-    f = np.asarray(frequencies_mhz, dtype=float)
-    y = np.asarray(counts, dtype=float)
-    distinct, first = np.unique(e, return_index=True)
-    if distinct.size < 3:
-        raise FitError(f"need at least 3 distinct fields, got {distinct.size}")
-    # the law is linear in its coefficients: its value at unit s and b is its derivative in them
-    d_centre, d_width = line_law(e, 0.0, 1.0, 0.0, 1.0)
+    ids = np.asarray(ion_ids, dtype=str)
+    e, f, y = (np.asarray(column, dtype=float) for column in (fields_v_per_cm, frequencies_mhz, counts))
+    if ids.size == 0:
+        raise FitError("no scan points to fit")
+    d_centre, d_width = line_law(e, 0.0, 1.0, 0.0, 1.0)  # linear in s and b: its value at 1 is its derivative
 
     def line_params(p: np.ndarray) -> tuple:
-        amplitude, f0, s, fwhm0, b, offset = p
-        return (amplitude, *line_law(e, f0, s, fwhm0, b), offset)
+        amplitude, f0, s, fwhm0, b = np.reshape(p[:-1], (-1, 5)).T[..., None]  # each (K, 1)
+        return (amplitude, *line_law(e, f0, s, fwhm0, b), 0.0)
 
     def model(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return lorentzian(x, line_params(p))
+        return lorentzian(x, line_params(p)).sum(axis=0) + p[-1]
 
     def jacobian(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        by_amplitude, by_centre, by_width, by_offset = np.moveaxis(lorentzian_jacobian(x, line_params(p)), -1, 0)
-        return np.stack([by_amplitude, by_centre, by_centre * d_centre, by_width, by_width * d_width, by_offset], axis=-1)
+        by_amplitude, by_centre, by_width, _ = np.moveaxis(lorentzian_jacobian(x, line_params(p)), -1, 0)
+        by_law = np.stack([by_amplitude, by_centre, by_centre * d_centre, by_width, by_width * d_width], axis=-1)
+        return np.column_stack([by_law.transpose(1, 0, 2).reshape(x.size, -1), np.ones(x.size)])
 
-    peaks = [f[e == value][np.argmax(y[e == value])] for value in distinct]
-    slope, intercept = np.polyfit(d_centre[first], peaks, 1)
-    offset = float(np.median(y))
-    names = ("amplitude", "zero_field_frequency", "stark_coefficient", "zero_field_fwhm", "broadening", "offset")
-    initial = [max(float(y.max()) - offset, 1e-9), intercept, slope, 10.0, 0.0, offset]
-    result = least_squares(model, jacobian, f, y, initial, names)
-    _, fwhm = line_law(e, *result.values[1:5])
-    if fwhm.min() <= 0.0:
-        raise FitConvergenceError(f"fit reached a width of {fwhm.min():.3g} MHz", result)
+    order = list(dict.fromkeys(ids.tolist()))
+    offset, initial = float(np.median(y)), []
+    for ion_id in order:
+        mine = ids == ion_id
+        distinct, group = np.unique(e[mine], return_inverse=True)
+        if distinct.size < 3:
+            raise FitError(f"{ion_id}: need at least 3 distinct fields, got {distinct.size}")
+        centres = np.bincount(group, f[mine]) / np.bincount(group)
+        slope, intercept = np.polyfit(line_law(distinct, 0.0, 1.0, 0.0, 1.0)[0], centres, 1)
+        initial += [max(float(y[mine].max()) - offset, 1e-9), intercept, slope, 10.0, 0.0]
+    names = [f"{name}_{ion_id}" for ion_id in order
+             for name in ("amplitude", "zero_field_frequency", "stark_coefficient", "zero_field_fwhm", "broadening")]
+    result = least_squares(model, jacobian, f, y, [*initial, offset], [*names, "offset"])
+    for ion_id, width in zip(order, line_params(result.values)[2].min(axis=1).tolist()):
+        if width <= 0.0:
+            raise FitConvergenceError(f"{ion_id}: fit reached a width of {width:.3g} MHz", result)
     return result
 
 

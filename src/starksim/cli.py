@@ -10,10 +10,9 @@ them and writes ``fit_report.csv`` (``REPORT_COLUMNS``). ``fit --kind``
 runs the same step on a CSV it is given, so its report is the figure's,
 byte for byte. Each kind is also a subcommand, the no-fit form of its
 first figure: ``ple``, ``decay``, ``g2`` and ``stark`` of ``fig2``,
-``fig3b``, ``fig3c`` and ``fig4a``. fig4's fit stage fits each ion's whole sweep,
-the counts at every voltage, to the ion's line law in one Poisson
-likelihood; fig2's fits the whole scan in one, as the sum of its lines
-and one offset.
+``fig3b``, ``fig3c`` and ``fig4a``. fig2's and fig4's fit stages fit their
+whole file in one Poisson likelihood: a sum of lines, or of every swept
+ion's line law, on one offset.
 
 ``main`` writes ``config.toml`` and ``manifest.json`` once, before the
 run, so partial outputs of a failed run still carry their provenance;
@@ -159,9 +158,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _rows(fit: FitResult, quantities: Sequence[tuple[str, str]], suffix: str = "") -> list[Row]:
-    """fit_report.csv rows ``(name + suffix, value, stderr, units)`` of the named parameters."""
-    return [(name + suffix, fit.value(name), fit.stderr(name), units) for name, units in quantities]
+def _rows(fit: FitResult, quantities: Sequence[tuple[str, str]]) -> list[Row]:
+    """fit_report.csv rows ``(name, value, stderr, units)`` of the named parameters."""
+    return [(name, fit.value(name), fit.stderr(name), units) for name, units in quantities]
 
 
 def _volts_to_field(config: ExperimentConfig) -> float:
@@ -231,8 +230,8 @@ def _fit_g2(config: ExperimentConfig, lags, coincidences, normalized) -> list[Ro
 
 
 def _stark(args, config: ExperimentConfig, seed: int) -> tuple[np.ndarray, ...]:
-    """Voltage sweeps, drawn as one on ``seed``: stark_scan.csv's columns, an entry per scan
-    point. fig4a sweeps the [stark] ion, fig4b every ion of the registry."""
+    """Voltage sweeps, drawn as one on ``seed``: stark_scan.csv's columns, an entry per scan point. Each window
+    holds the line of every swept ion: fig4b sweeps every ion of the registry, fig4a the [stark] ion alone."""
     if args.figure == "fig4b":
         ions = config.ions
     elif config.stark.ion_id or config.ions:
@@ -244,19 +243,12 @@ def _stark(args, config: ExperimentConfig, seed: int) -> tuple[np.ndarray, ...]:
 
 
 def _fit_stark(config: ExperimentConfig, ion_ids, voltages_v, fields_v_per_cm, frequencies_mhz, counts) -> list[Row]:
-    """fig4's fit stage: one fit of each ion's sweep to its line law, ions in file order."""
-    if ion_ids.size == 0:
-        raise FitError("no scan points to fit")
+    """fig4's fit stage: one fit of every ion's line law, reported ion by ion in file order with the fit's chi2."""
+    fit = fit_stark_sweep(ion_ids, fields_v_per_cm, frequencies_mhz, counts)
     report: list[Row] = []
     for ion_id in dict.fromkeys(ion_ids.tolist()):
-        mine = ion_ids == ion_id
-        try:
-            fit = fit_stark_sweep(fields_v_per_cm[mine], frequencies_mhz[mine], counts[mine])
-        except FitError as exc:
-            raise FitError(f"{ion_id}: {exc}") from None
-        quantities = [("stark_coefficient", "kHz/(V/cm)"), ("zero_field_frequency", "MHz"),
-                      ("zero_field_fwhm", "MHz"), ("broadening", "MHz/(kV/cm)")]
-        report += _rows(fit, quantities, suffix=f"_{ion_id}")
+        report += _rows(fit, [(f"stark_coefficient_{ion_id}", "kHz/(V/cm)"), (f"zero_field_frequency_{ion_id}", "MHz"),
+                              (f"zero_field_fwhm_{ion_id}", "MHz"), (f"broadening_{ion_id}", "MHz/(kV/cm)")])
         report.append((f"line_reduced_chi_square_{ion_id}", fit.reduced_chi_square, 0.0, "dimensionless"))
     return report
 

@@ -144,11 +144,11 @@ class ExperimentConfig:
         check_grid(self.layout, self.solver.spacing_um)  # as solve_potential checks it
         half_width, pitch = self.stark.window_half_width_mhz, self.protocol.scan_pitch_mhz
         # the largest arrays the simulators draw, each 8 bytes an entry: a scan's (points x ions)
-        # binomial counts, a Stark sweep's (ions x voltages x points), and the decay's bins
+        # binomial counts, a Stark sweep's (ions x voltages x points x ions), and the decay's bins
         lo, hi = self.protocol.scan_range_mhz
         check_count("[protocol].scan_range_mhz", ((hi - lo) / pitch + 1) * max(len(self.ions), 1), 8)
         check_count("[stark].window_half_width_mhz",
-                    (2.0 * half_width / pitch + 1) * len(self.stark.voltages_v) * max(len(self.ions), 1), 8)
+                    (2.0 * half_width / pitch + 1) * len(self.stark.voltages_v) * max(len(self.ions), 1) ** 2, 8)
         width, window = self.decay.bin_width_us, self.protocol.window_length_us
         check_count("[decay].bin_width_us", window / width + 1, 8)
         if width > window:  # the decay's bins are whole

@@ -20,7 +20,8 @@ number, its component along the inter-electrode axis in V/cm (a Stark
 sweep takes the volts-to-field scale instead), and each simulator
 returns the arrays it drew: an axis and the counts on it, or for a Stark
 sweep flat columns of ion, voltage, field, frequency and counts, an entry
-per scan point. ``cli`` writes them to CSV as they are.
+per scan point, each window holding every swept ion's line. ``cli``
+writes them to CSV as they are.
 
 Determinism contract: every record, a PLE scan, a decay histogram, a g2
 histogram or a Stark sweep of any number of ions, is drawn in bulk from
@@ -399,11 +400,11 @@ def simulate_stark_scan(
     and then voltage by voltage.
 
     The field is ``volts_to_field_v_per_cm_per_v`` times the voltage, the probe field per volt of bias along the
-    inter-electrode axis. Each window is ``stark.window_half_width_mhz`` either side of the expected peak rounded
-    to the pitch, so all have the same points; a peak so far out that a window's ends round together is a
-    :class:`SimulationError` naming the ion. Drawn as :func:`simulate_ple_scan` is, from ``point_generator(seed)``:
-    one binomial array over (ions x voltages x points), then one Poisson count per point. The config checks the
-    voltages against ``[run] max_voltage_v`` when it loads.
+    inter-electrode axis. Each window is ``stark.window_half_width_mhz`` either side of its ion's expected peak
+    rounded to the pitch, so all have the same points; a peak so far out that a window's ends round together is a
+    :class:`SimulationError` naming the ion. Like a PLE scan, a window holds every ion's line at its voltage, so a
+    sweep of one ion (fig4a's) is the isolated-ion case. Drawn from ``point_generator(seed)``: one binomial array
+    over (ions x voltages x points x lines), then one Poisson count per point.
     """
     voltages = np.asarray(stark.voltages_v, dtype=float)
     fields = volts_to_field_v_per_cm_per_v * voltages
@@ -421,8 +422,8 @@ def simulate_stark_scan(
             f"{base[i, v] + half_width:.17g} MHz"
         )
     frequencies = base[..., None] + _scan_grid(-half_width, half_width, pitch)  # (ions, voltages, points)
-    counts = _scan_counts(centres[..., None, None], fwhms[..., None, None], emitter, protocol, detector,
-                          frequencies, seed)  # a window's one line against its points
+    counts = _scan_counts(centres.T[None, :, None, :], fwhms.T[None, :, None, :], emitter, protocol, detector,
+                          frequencies, seed)  # every ion's line at a window's voltage against its points
     ion_ids = np.array([ion.ion_id for ion in ions], dtype=str)
     columns = np.broadcast_arrays(ion_ids[:, None, None], voltages[:, None], fields[:, None], frequencies, counts)
     return tuple(column.ravel() for column in columns)

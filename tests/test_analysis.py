@@ -250,10 +250,11 @@ class TestFitExponentialDecay:
 
 
 def sweep_mean(fields, frequencies, params):
-    """Expected counts of a voltage sweep: a Lorentzian per count, centred and
-    widened by the line law at the count's field."""
-    centre, fwhm = line_law(fields, *params[1:5])
-    return lorentzian(frequencies, (params[0], centre, fwhm, params[5]))
+    """Expected counts of a voltage sweep: at each count's field, the sum of a Lorentzian per ion, centred and
+    widened by the ion's line law, and one offset; ``params`` holds 5 law parameters per ion, then the offset."""
+    laws = np.reshape(params[:-1], (-1, 5))
+    return sum(lorentzian(frequencies, (a, *line_law(fields, f0, s, w0, b), 0.0)) for a, f0, s, w0, b in laws) \
+        + params[-1]
 
 
 def sweep_grid(voltages, params, half_width=60.0, pitch=5.0):
@@ -264,24 +265,40 @@ def sweep_grid(voltages, params, half_width=60.0, pitch=5.0):
     return fields, np.round(centre / pitch) * pitch + offsets
 
 
+def one_ion(fields, frequencies, counts, ion_id="a"):
+    """``fit_stark_sweep``'s columns of a sweep of the one ion ``ion_id``."""
+    return np.full(np.shape(fields), ion_id), fields, frequencies, counts
+
+
 def simulated_sweep(config, ion, seed):
-    *_, fields, frequencies, counts = simulate_stark_scan(
+    ion_ids, _, fields, frequencies, counts = simulate_stark_scan(
         [ion], config.emitter, config.stark, VOLTS_TO_FIELD, config.protocol, config.detector, seed
     )
-    return fields, frequencies, counts
+    return ion_ids, fields, frequencies, counts
 
 
 class TestFitStarkSweep:
     VOLTAGES = (-333.0, -222.0, -111.0, 0.0, 111.0, 222.0, 333.0)  # both signs: the width law takes |E|
     TRUTH = np.array([200.0, -40.0, -8.4, 6.7, 0.5, 8.5])
+    LAW = ("amplitude", "zero_field_frequency", "stark_coefficient", "zero_field_fwhm", "broadening")
 
     def test_noiseless_recovery_to_1e6(self):
         fields, frequencies = sweep_grid(self.VOLTAGES, self.TRUTH)
-        fit = fit_stark_sweep(fields, frequencies, sweep_mean(fields, frequencies, self.TRUTH))
-        assert fit.names == (
-            "amplitude", "zero_field_frequency", "stark_coefficient", "zero_field_fwhm", "broadening", "offset"
-        )
+        fit = fit_stark_sweep(*one_ion(fields, frequencies, sweep_mean(fields, frequencies, self.TRUTH)))
+        assert fit.names == tuple(f"{name}_a" for name in self.LAW) + ("offset",)
         assert fit.values == pytest.approx(self.TRUTH, rel=1e-6)
+
+    def test_two_ions_in_each_others_windows_recovered_to_1e6(self):
+        # 40 MHz apart at 0 V, each line sits in the other's +-60 MHz window there; every count is the sum of
+        # both laws, and the ions come out in the order of their first rows
+        second = np.array([150.0, 0.0, 19.8, 6.7, 0.3])
+        truth = np.concatenate([second, self.TRUTH])
+        columns = [sweep_grid(self.VOLTAGES, law) for law in (second, self.TRUTH)]
+        fields, frequencies = (np.concatenate(column) for column in zip(*columns))
+        ion_ids = np.repeat(["b", "a"], [column[0].size for column in columns])
+        fit = fit_stark_sweep(ion_ids, fields, frequencies, sweep_mean(fields, frequencies, truth))
+        assert fit.names == tuple(f"{name}_{ion}" for ion in "ba" for name in self.LAW) + ("offset",)
+        assert fit.values == pytest.approx(truth, rel=1e-6, abs=1e-9)
 
     def test_reaches_a_likelihood_stationary_point(self):
         # the deviance's finite-difference gradient vanishes at the fit, in
@@ -291,7 +308,7 @@ class TestFitStarkSweep:
         fields, frequencies = sweep_grid(self.VOLTAGES, self.TRUTH)
         for _ in range(5):
             counts = rng.poisson(sweep_mean(fields, frequencies, self.TRUTH)).astype(float)
-            fit = fit_stark_sweep(fields, frequencies, counts)
+            fit = fit_stark_sweep(*one_ion(fields, frequencies, counts))
 
             def model(x, params):
                 return sweep_mean(fields, x, params)
@@ -308,7 +325,7 @@ class TestFitStarkSweep:
 
     def test_synthetic_ion1_slope(self, config, ion1):
         fit = fit_stark_sweep(*simulated_sweep(config, ion1, 31))
-        assert abs(fit.value("stark_coefficient") - 19.8) < 3.0 * fit.stderr("stark_coefficient")
+        assert abs(fit.value("stark_coefficient_ion1") - 19.8) < 3.0 * fit.stderr("stark_coefficient_ion1")
         assert 0.1 < fit.reduced_chi_square < 3.0
 
     def test_ensemble_statistics_recovered(self, config, ion1):
@@ -318,7 +335,8 @@ class TestFitStarkSweep:
         recovered = []
         for index, true_slope in enumerate(slopes):
             ion = dataclasses.replace(ion1, stark_coefficient_khz_per_v_cm=float(true_slope))
-            recovered.append(fit_stark_sweep(*simulated_sweep(config, ion, 100 + index)).value("stark_coefficient"))
+            fit = fit_stark_sweep(*simulated_sweep(config, ion, 100 + index))
+            recovered.append(fit.value("stark_coefficient_ion1"))
         recovered = np.array(recovered)
         # per-slope fit errors ~0.013, so the sample statistics must match closely
         assert recovered.mean() == pytest.approx(20.0, abs=0.1)
@@ -326,13 +344,20 @@ class TestFitStarkSweep:
 
     def test_identical_fields_rejected(self):
         fields, frequencies = sweep_grid((111.0, 111.0, 111.0), self.TRUTH)
-        with pytest.raises(FitError, match="need at least 3 distinct fields, got 1"):
-            fit_stark_sweep(fields, frequencies, sweep_mean(fields, frequencies, self.TRUTH))
+        with pytest.raises(FitError, match="^a: need at least 3 distinct fields, got 1$"):
+            fit_stark_sweep(*one_ion(fields, frequencies, sweep_mean(fields, frequencies, self.TRUTH)))
 
     def test_needs_three_distinct_fields(self):
+        # the refusal names the ion that was swept at too few fields, here the second of two
         fields, frequencies = sweep_grid((0.0, 333.0, 0.0, 333.0), self.TRUTH)
-        with pytest.raises(FitError, match="need at least 3 distinct fields, got 2"):
-            fit_stark_sweep(fields, frequencies, sweep_mean(fields, frequencies, self.TRUTH))
+        counts = sweep_mean(fields, frequencies, self.TRUTH)
+        with pytest.raises(FitError, match="^a: need at least 3 distinct fields, got 2$"):
+            fit_stark_sweep(*one_ion(fields, frequencies, counts))
+        swept, swept_frequencies = sweep_grid(self.VOLTAGES, self.TRUTH)
+        ion_ids = np.repeat(["b", "a"], [swept.size, fields.size])
+        with pytest.raises(FitError, match="^a: need at least 3 distinct fields, got 2$"):
+            fit_stark_sweep(ion_ids, np.concatenate([swept, fields]), np.concatenate([swept_frequencies, frequencies]),
+                            np.concatenate([sweep_mean(swept, swept_frequencies, self.TRUTH), counts]))
 
     def test_a_negative_width_at_a_swept_field_is_refused(self):
         # the line narrows with the field, 10 and 5 MHz wide, and is gone at the last: the law that fits
@@ -341,16 +366,16 @@ class TestFitStarkSweep:
         frequencies = np.tile(np.arange(-60.0, 60.1, 5.0), 3)
         widths = np.select([fields == 0.0, fields == 1000.0], [10.0, 5.0], 1e-9)
         counts = np.round(lorentzian(frequencies, (200.0, 2.5, widths, 5.0)))
-        with pytest.raises(FitConvergenceError, match=r"^fit reached a width of -0\.\d+ MHz$") as err:
-            fit_stark_sweep(fields, frequencies, counts)
-        assert err.value.last_result.value("broadening") < 0.0
+        with pytest.raises(FitConvergenceError, match=r"^a: fit reached a width of -0\.\d+ MHz$") as err:
+            fit_stark_sweep(*one_ion(fields, frequencies, counts))
+        assert err.value.last_result.value("broadening_a") < 0.0
 
     def test_constant_counts_rejected(self):
         # without the check, a flat sweep "converges" to errors of 1e16 MHz
         fields, frequencies = sweep_grid(self.VOLTAGES, self.TRUTH)
         for level in (0.0, 5.0):
             with pytest.raises(FitError, match="counts are constant"):
-                fit_stark_sweep(fields, frequencies, np.full(fields.size, level))
+                fit_stark_sweep(*one_ion(fields, frequencies, np.full(fields.size, level)))
 
 
 class TestFitLorentzians:

@@ -666,15 +666,26 @@ class TestPipelines:
                  for name, value in zip(("center_mhz", "fwhm_mhz"), line)}
         assert_calibrated(reproduce_pulls(capsys, tmp_path, "fig2", range(100), truth))
 
+    @staticmethod
+    def law_truth(ions):
+        """{quantity: its configured value} of each line-law row of fig4's report for ``ions``."""
+        return {f"{name}_{ion.ion_id}": value for ion in ions for name, value in (
+            ("stark_coefficient", ion.stark_coefficient_khz_per_v_cm),
+            ("zero_field_frequency", ion.zero_field_frequency_mhz),
+            ("zero_field_fwhm", ion.zero_field_fwhm_mhz),
+            ("broadening", ion.broadening_mhz_per_kv_cm),
+        )}
+
     def test_fig4a_sweep_fit_is_calibrated_over_seeds(self, capsys, config, tmp_path):
-        ion = config.ions[0]  # [stark] ion_id's default
-        truth = {
-            f"stark_coefficient_{ion.ion_id}": ion.stark_coefficient_khz_per_v_cm,
-            f"zero_field_frequency_{ion.ion_id}": ion.zero_field_frequency_mhz,
-            f"zero_field_fwhm_{ion.ion_id}": ion.zero_field_fwhm_mhz,
-            f"broadening_{ion.ion_id}": ion.broadening_mhz_per_kv_cm,
-        }
-        assert_calibrated(reproduce_pulls(capsys, tmp_path, "fig4a", range(100), truth))
+        # [stark] ion_id's default, the first ion, alone in its windows
+        assert_calibrated(reproduce_pulls(capsys, tmp_path, "fig4a", range(100), self.law_truth(config.ions[:1])))
+
+    def test_fig4b_sweep_fit_is_calibrated_over_seeds(self, capsys, config, tmp_path):
+        # 21 of the 49 windows hold another ion's line centre; each window draws every ion's line and one
+        # likelihood fits all seven laws, so every run fits and all 28 quantities are calibrated
+        truth = self.law_truth(config.ions)
+        assert len(truth) == 28
+        assert_calibrated(reproduce_pulls(capsys, tmp_path, "fig4b", range(100), truth))
 
     @pytest.mark.parametrize("order", ["reversed", "shuffled"])
     def test_ple_fit_reads_the_scan_in_frequency_order(self, capsys, tmp_path, order):
@@ -885,7 +896,7 @@ class TestPipelines:
         "kind, rows, message",
         [("decay", "0.5,30\n1.5,25\n2.5,20\n", "too few bins past the fit start"),
          ("stark", "ion1,0,0,-5,3\nion1,1,65,-4,4\nion1,2,130,-3,5\n",
-          "ion1: need more than 6 points to fit 6 parameters")],
+          "need more than 6 points to fit 6 parameters")],
         ids=["decay-three-bins", "stark-three-points"],
     )
     def test_too_short_dataset_exits_5(self, capsys, tmp_path, kind, rows, message):
@@ -969,7 +980,7 @@ class TestPipelines:
                         encoding="utf-8")
         code, out, err = run_strict(capsys, "reproduce", "fig4a", "--config", path, "--out", tmp_path / "x")
         assert (code, out) == (EXIT_FITTING, "")
-        assert err == "error: fitting failed: ion1: stalled: no downhill step (deviance=1354)\n"
+        assert err == "error: fitting failed: stalled: no downhill step (deviance=1354)\n"
 
     @pytest.mark.parametrize(
         "text, coefficient",
@@ -1347,17 +1358,19 @@ _READERS = {
     "g2": ["reproduce", "fig3c"],
     "stark": ["reproduce", "fig4a"],
 }
-# each number type's edge values: zero, the smallest subnormal, negative, huge, infinite and not a number
-_EDGES = {float: [0.0, 5e-324, -1.0, 1e300, math.inf, math.nan], int: [0, -1, 2**63]}
+# each leaf type's edge values: for a number zero, the smallest subnormal, negative, huge, infinite and not a
+# number; for a string empty, a line break, a character outside ASCII and a long one
+_EDGES = {float: [0.0, 5e-324, -1.0, 1e300, math.inf, math.nan], int: [0, -1, 2**63],
+          str: ["", "\n", "\u00e9", "x" * 10_000]}
 
 
-def _numbers(value, path=()):
-    """``(path, type)`` of every number in a config dict: a key, an ion's key or an array element."""
-    if isinstance(value, (int, float)):
+def _leaves(value, path=()):
+    """``(path, type)`` of every number and string in a config dict: a key, an ion's key or an array element."""
+    if isinstance(value, (int, float, str)):
         yield path, type(value)
     elif isinstance(value, (dict, list, tuple)):
         for key, item in value.items() if isinstance(value, dict) else enumerate(value):
-            yield from _numbers(item, (*path, key))
+            yield from _leaves(item, (*path, key))
 
 
 def _with(data, path, value):
@@ -1397,19 +1410,21 @@ def _run_forked(argv, cwd: Path, stdout: Path, stderr: Path) -> int:
 
 
 def test_no_one_or_two_key_config_ends_in_a_traceback(tmp_path):
-    # one or two numbers of the defaults set to edge values of their types, then the command reading the
-    # first one's section: its exit code is one README's table gives, its stderr empty or one error line,
-    # and it writes nowhere but under --out. Two keys reach rules one cannot, such as a lifetime that
-    # underflows only where a tiny bulk lifetime meets a huge enhancement
+    # one or two numbers or strings of the defaults ([[ions]].id and [stark].ion_id among them) set to edge
+    # values of their types, then the command reading the first one's section: its exit code is one README's
+    # table gives, its stderr empty or one error line, and it writes nowhere but under --out. Two keys reach
+    # rules one cannot, such as a lifetime that underflows only where a tiny bulk lifetime meets a huge
+    # enhancement
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     defaults = config_to_dict(default_config())
     assert set(defaults) == set(_READERS)
     codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
-    # a section, then one of its numbers, so the 28 numbers of [[ions]] do not crowd out [solver]'s one
-    by_section = {section: list(_numbers(value, (section,))) for section, value in defaults.items()}
-    numbers = st.sampled_from(list(by_section)).flatmap(lambda section: st.sampled_from(by_section[section]))
-    settings = numbers.flatmap(lambda number: st.tuples(st.just(number[0]), st.sampled_from(_EDGES[number[1]])))
+    # a section, then one of its leaves, so the 35 leaves of [[ions]] do not crowd out [solver]'s one
+    by_section = {section: list(_leaves(value, (section,))) for section, value in defaults.items()}
+    assert {("ions", 0, "id"), ("stark", "ion_id")} <= {path for path, _ in itertools.chain(*by_section.values())}
+    leaves = st.sampled_from(list(by_section)).flatmap(lambda section: st.sampled_from(by_section[section]))
+    settings = leaves.flatmap(lambda leaf: st.tuples(st.just(leaf[0]), st.sampled_from(_EDGES[leaf[1]])))
     cases = st.lists(settings, min_size=1, max_size=2, unique_by=lambda setting: setting[0])
     examples, exits = itertools.count(), set()
 

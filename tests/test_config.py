@@ -164,6 +164,16 @@ class TestExperimentConfig:
         assert err == "error: invalid configuration: [stark].voltages_v needs at least 3 distinct voltages, got 2\n"
         assert not (tmp_path / "out").exists()
 
+    def test_stark_window_size_counts_a_line_of_every_ion_in_every_window(self):
+        # fig4b draws (ions x voltages x points x ions) 8-byte entries: 7 x 7 x 8e15 x 7 here, 2.2e19 bytes,
+        # above numpy's 9.2e18, though one line a window would be 3.1e18; a single ion's 4.5e17 bytes load.
+        # Only the config is built, so nothing is allocated
+        config = default_config()
+        wide = dataclasses.replace(config.stark, window_half_width_mhz=2e16)
+        with pytest.raises(ConfigError, match=r"^\[stark\]\.window_half_width_mhz gives a count of 2\.744e\+18, "):
+            dataclasses.replace(config, stark=wide)
+        assert dataclasses.replace(config, stark=wide, ions=config.ions[:1]).stark == wide
+
     def test_defaults_match_paper_values(self):
         config = default_config()
         assert config.layout.gap_um == 100.0

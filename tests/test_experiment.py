@@ -603,6 +603,32 @@ class TestStarkScan:
             assert freqs[0] <= expected <= freqs[-1]
             assert np.argmax(counts) not in (0, freqs.size - 1)
 
+    def test_each_window_draws_every_swept_ions_line(self, config, volts_to_field):
+        # ion1 and ion2 lie 40 MHz apart at 0 V, each in the other's +-60 MHz window there: swept together,
+        # every window's counts follow the sum of both lines at its voltage, and a sweep of ion1 alone follows
+        # ion1's line alone. Pearson's chi-square of 150 or 75 Poisson-like counts about their mean
+        ions = [config.ion("ion1"), config.ion("ion2")]
+        stark = StarkScanSettings(voltages_v=(0.0, 111.0, 222.0))
+        protocol, detector, emitter = config.protocol, config.detector, config.emitter
+        p_detect = detector.total_efficiency * emission_window_probability(
+            emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
+        )
+        darks = detector.dark_mean(protocol.window_length_us, protocol.pulses_per_point)
+
+        def chi_square(swept, lines, seed):
+            _, _, fields, freqs, counts = simulate_stark_scan(
+                swept, emitter, stark, volts_to_field, protocol, detector, seed
+            )
+            saturation = emitter.saturation_excitation_prob
+            p_exc = sum(lorentzian(freqs, (saturation, *ion.line(fields), 0.0)) for ion in lines)
+            mean = protocol.pulses_per_point * p_exc * p_detect + darks
+            return float(np.sum((counts - mean) ** 2 / mean)), counts.size
+
+        for swept, lines in ((ions, ions), (ions[:1], ions[:1])):
+            chi2, points = chi_square(swept, lines, 41)
+            assert abs(chi2 - points) < 5.0 * math.sqrt(2.0 * points), (len(swept), chi2)
+        assert chi_square(ions, ions[:1], 41)[0] > 10.0 * 150  # the neighbour's line is in the counts
+
 
 class TestPipelineClosure:
     """Simulate -> fit recovers the configured truth within its own errors."""

@@ -1,10 +1,10 @@
 """Parameter extraction from photon-counting data.
 
 Peak finding on PLE scans, Poisson maximum-likelihood fits of the counts
-(a sum of Lorentzians, or of a sweep's line laws, on one offset, and an
-exponential), and the coincidence-ratio estimate of the zero-lag
-autocorrelation. The line's shape and law are :func:`~starksim.stark.lorentzian`
-and :func:`~starksim.stark.line_law`, the ones the simulators draw from.
+(one line-sum model, a sum of Lorentzians on one offset, for fig2's scan and
+fig4's sweep of line laws, and an exponential), and the coincidence-ratio
+estimate of the zero-lag autocorrelation. The line's shape and law are
+:func:`~starksim.stark.lorentzian` and :func:`~starksim.stark.line_law`, the ones the simulators draw from.
 """
 
 from __future__ import annotations
@@ -148,9 +148,10 @@ def fit_lorentzians(
     if x.size < 8:
         raise FitError(f"need at least 8 points, got {x.size}")
     names = tuple(f"peak{k}_{name}" for k in range(1, len(peaks) + 1) for name in _LINE) + ("offset",)
+    model, jacobian = _line_sum(lambda p: np.reshape(p[:-1], (-1, 3)).T[..., None], lambda *by: by)
     failure = None
     try:
-        fit = least_squares(_lines, _lines_jacobian, x, y, _lorentzian_guess(x, y, peaks), names)
+        fit = least_squares(model, jacobian, x, y, _lorentzian_guess(x, y, peaks), names)
     except FitConvergenceError as exc:  # its last state may show the line that kept it narrowing
         fit, failure = exc.last_result, exc
     order = np.argsort(fit.values[1:-1:3], kind="stable")
@@ -167,19 +168,19 @@ def fit_lorentzians(
     return fit
 
 
-def _line_columns(params: np.ndarray) -> tuple:
-    """:func:`lorentzian`'s (K, 1) parameter columns of ``[a1, c1, w1, ..., aK, cK, wK, offset]``, offset 0."""
-    return (*np.reshape(params[:-1], (-1, 3)).T[..., None], 0.0)
+def _line_sum(line_params, law) -> tuple:
+    """The model and Jacobian of K Lorentzians on one offset, the last parameter: ``line_params(p)`` gives each
+    line's amplitude, centre and width as (K, 1) or (K, points) arrays, and ``law(by_amplitude, by_centre,
+    by_width)`` maps a line's partial derivatives, each (K, points), to the columns of its own parameters."""
+    def model(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return lorentzian(x, (*line_params(p), 0.0)).sum(axis=0) + p[-1]
 
+    def jacobian(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+        by_amplitude, by_centre, by_width, _ = np.moveaxis(lorentzian_jacobian(x, (*line_params(p), 0.0)), -1, 0)
+        by_line = np.stack(law(by_amplitude, by_centre, by_width), axis=-1)  # (K, points, parameters of a line)
+        return np.column_stack([by_line.transpose(1, 0, 2).reshape(x.size, -1), np.ones(x.size)])
 
-def _lines(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """The sum of the K Lorentzians of ``params`` plus its last entry, the shared offset."""
-    return lorentzian(x, _line_columns(params)).sum(axis=0) + params[-1]
-
-
-def _lines_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    by_line = lorentzian_jacobian(x, _line_columns(params))  # (K, points, 4)
-    return np.column_stack([by_line[..., :3].transpose(1, 0, 2).reshape(x.size, -1), np.ones(x.size)])
+    return model, jacobian
 
 
 def _lorentzian_guess(x: np.ndarray, y: np.ndarray, peaks: Sequence[int]) -> np.ndarray:
@@ -278,8 +279,9 @@ def fit_stark_sweep(
     parameters, ``amplitude_<id>``, ``zero_field_frequency_<id>``, ``stark_coefficient_<id>``,
     ``zero_field_fwhm_<id>`` and ``broadening_<id>`` for each ion in order of first row, then ``offset``. An ion
     starts from a line through its window centres (its mean frequency at each field), a 10 MHz width, no
-    broadening and its highest count less the median. An ion at fewer than 3 distinct fields, or whose fitted law
-    reaches a width <= 0 at a field of the sweep, is refused by name.
+    broadening and its highest count less the median. An ion at fewer than 3 distinct fields, at fields whose
+    largest |E| is not within 1e-147 to 1e153 V/cm, or whose fitted law reaches a width <= 0 at a field of the
+    sweep, is refused by name.
     """
     ids = np.asarray(ion_ids, dtype=str)
     e, f, y = (np.asarray(column, dtype=float) for column in (fields_v_per_cm, frequencies_mhz, counts))
@@ -289,16 +291,9 @@ def fit_stark_sweep(
 
     def line_params(p: np.ndarray) -> tuple:
         amplitude, f0, s, fwhm0, b = np.reshape(p[:-1], (-1, 5)).T[..., None]  # each (K, 1)
-        return (amplitude, *line_law(e, f0, s, fwhm0, b), 0.0)
+        return amplitude, *line_law(e, f0, s, fwhm0, b)
 
-    def model(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return lorentzian(x, line_params(p)).sum(axis=0) + p[-1]
-
-    def jacobian(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        by_amplitude, by_centre, by_width, _ = np.moveaxis(lorentzian_jacobian(x, line_params(p)), -1, 0)
-        by_law = np.stack([by_amplitude, by_centre, by_centre * d_centre, by_width, by_width * d_width], axis=-1)
-        return np.column_stack([by_law.transpose(1, 0, 2).reshape(x.size, -1), np.ones(x.size)])
-
+    model, jacobian = _line_sum(line_params, lambda a, c, w: (a, c, c * d_centre, w, w * d_width))
     order = list(dict.fromkeys(ids.tolist()))
     offset, initial = float(np.median(y)), []
     for ion_id in order:
@@ -307,7 +302,11 @@ def fit_stark_sweep(
         if distinct.size < 3:
             raise FitError(f"{ion_id}: need at least 3 distinct fields, got {distinct.size}")
         centres = np.bincount(group, f[mine]) / np.bincount(group)
-        slope, intercept = np.polyfit(line_law(distinct, 0.0, 1.0, 0.0, 1.0)[0], centres, 1)
+        x = line_law(distinct, 0.0, 1.0, 0.0, 1.0)[0]
+        if not 1e-150 < np.abs(x).max() < 1e150:  # polyfit scales x by the root of its sum of squares: never 0 or inf
+            raise FitError(f"{ion_id}: fields from {distinct[0] + 0.0:.3g} to {distinct[-1] + 0.0:.3g} V/cm "
+                           "give no line through the window centres")
+        (slope, intercept), *_ = np.polyfit(x, centres, 1, full=True)  # full: a rank below 2 is not warned of
         initial += [max(float(y[mine].max()) - offset, 1e-9), intercept, slope, 10.0, 0.0]
     names = [f"{name}_{ion_id}" for ion_id in order
              for name in ("amplitude", "zero_field_frequency", "stark_coefficient", "zero_field_fwhm", "broadening")]

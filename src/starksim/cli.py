@@ -11,8 +11,8 @@ runs the same step on a CSV it is given, so its report is the figure's,
 byte for byte. Each kind is also a subcommand, the no-fit form of its
 first figure: ``ple``, ``decay``, ``g2`` and ``stark`` of ``fig2``,
 ``fig3b``, ``fig3c`` and ``fig4a``. fig2's and fig4's fit stages fit their
-whole file in one Poisson likelihood: a sum of lines, or of every swept
-ion's line law, on one offset.
+whole file in one Poisson likelihood of one line-sum model, a sum of
+Lorentzians on one offset: fig4's lines follow each swept ion's line law.
 
 ``main`` writes ``config.toml`` and ``manifest.json`` once, before the
 run, so partial outputs of a failed run still carry their provenance;

@@ -132,14 +132,14 @@ def least_squares(
         raise FitError("x and y must have matching lengths")
     if x.size <= p.size:
         raise FitError(f"need more than {p.size} points to fit {p.size} parameters")
-    deviance = poisson_deviance(model, x, y, p)
+    mu = model(x, p)  # each point's model is evaluated once: an accepted trial's is the next iteration's
+    deviance = poisson_deviance(lambda *_: mu, x, y, p)
     if np.any(y < 0.0) or not np.isfinite(deviance):
         raise FitError("counts must be >= 0 and the initial model > 0 at every point")
     if np.ptp(y) == 0.0:
         raise FitError("counts are constant; nothing to fit")
 
     def result() -> FitResult:
-        mu = model(x, p)
         return FitResult(
             names=names,
             values=p,
@@ -150,7 +150,6 @@ def least_squares(
 
     damping = DEFAULT_DAMPING
     for iterations in range(1, MAX_ITERATIONS + 1):
-        mu = model(x, p)
         jac = jacobian(x, p)
         score = jac.T @ ((y - mu) / mu)
         fisher = (jac.T / mu) @ jac
@@ -162,15 +161,16 @@ def least_squares(
                 )
             try:
                 trial = p + np.linalg.solve(fisher + damping * scaling, score)
-            except np.linalg.LinAlgError:
+            except np.linalg.LinAlgError:  # LU found no pivot, as in a matrix with a NaN: [[nan, 1], [1, 1]]
                 damping *= DAMPING_STEP
                 continue
-            trial_deviance = poisson_deviance(model, x, y, trial)  # +inf where the model cannot evaluate it
+            trial_mu = model(x, trial)  # its deviance is +inf where the model cannot evaluate it
+            trial_deviance = poisson_deviance(lambda *_: trial_mu, x, y, trial)
             if trial_deviance <= deviance:  # False for inf
                 break
             damping *= DAMPING_STEP
         decrease = deviance - trial_deviance
-        p, deviance = trial, trial_deviance
+        p, deviance, mu = trial, trial_deviance, trial_mu
         damping = max(damping / DAMPING_STEP, 1e-12)
         if decrease <= RELATIVE_DECREASE_TOL * max(deviance, 1e-300):
             return result()

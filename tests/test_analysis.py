@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from conftest import fit_one_lorentzian
 
+from starksim import analysis, optimize
 from starksim.analysis import (
     G2Estimate,
-    _lines,
-    _lines_jacobian,
     _lorentzian_guess,
     _prominences,
     estimate_g2_zero,
@@ -455,16 +454,36 @@ class TestObjectiveGradient:
             fd = _finite_difference_gradient(lorentzian, x, y, probe)
             assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-4
 
-    def test_sum_of_lorentzians_gradient_matches_finite_differences(self):
+    def test_sum_of_lorentzians_gradient_matches_finite_differences(self, monkeypatch):
         rng = np.random.default_rng(42)
         x = np.arange(-80.0, 80.1, 2.0)
+        model, jacobian = _line_sum_of(monkeypatch, fit_lorentzians, x, np.arange(x.size) % 7, [10, 40, 70])
         for _ in range(10):
             lines = [[rng.uniform(20, 500), rng.uniform(-60, 60), rng.uniform(3, 25)] for _ in range(3)]
             params = np.array([v for line in lines for v in line] + [rng.uniform(1, 40)])
-            y = rng.poisson(_lines(x, params) + 5.0).astype(float)
+            y = rng.poisson(model(x, params) + 5.0).astype(float)
             probe = params * rng.uniform(0.9, 1.1, params.size)
-            grad = _deviance_gradient(_lines, _lines_jacobian, x, y, probe)
-            fd = _finite_difference_gradient(_lines, x, y, probe)
+            grad = _deviance_gradient(model, jacobian, x, y, probe)
+            fd = _finite_difference_gradient(model, x, y, probe)
+            assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-4
+
+    def test_sweep_gradient_matches_finite_differences(self, monkeypatch):
+        # two ions' line laws over fields of both signs, the width law taking |E|
+        rng = np.random.default_rng(44)
+        voltages = (-333.0, -111.0, 0.0, 111.0, 333.0)
+        columns = [sweep_grid(voltages, law) for law in ([150.0, 0.0, 19.8, 6.7, 0.3], [200.0, -40.0, -8.4, 6.7, 0.5])]
+        fields, x = (np.concatenate(column) for column in zip(*columns))
+        ion_ids = np.repeat(["b", "a"], [column[0].size for column in columns])
+        model, jacobian = _line_sum_of(monkeypatch, fit_stark_sweep, ion_ids, fields, x, np.arange(x.size) % 7)
+        for _ in range(10):
+            laws = [[rng.uniform(20, 500), rng.uniform(-60, 60), rng.uniform(-30, 30), rng.uniform(3, 25),
+                     rng.uniform(0.1, 2.0)] for _ in range(2)]
+            params = np.array([v for law in laws for v in law] + [rng.uniform(1, 40)])
+            assert model(x, params) == pytest.approx(sweep_mean(fields, x, params), rel=1e-12)
+            y = rng.poisson(model(x, params) + 5.0).astype(float)
+            probe = params * rng.uniform(0.9, 1.1, params.size)
+            grad = _deviance_gradient(model, jacobian, x, y, probe)
+            fd = _finite_difference_gradient(model, x, y, probe)
             assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-4
 
     def test_exponential_gradient_matches_finite_differences(self):
@@ -477,6 +496,21 @@ class TestObjectiveGradient:
             grad = _deviance_gradient(exponential_decay, exponential_decay_jacobian, t, y, probe)
             fd = _finite_difference_gradient(exponential_decay, t, y, probe)
             assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-4
+
+
+def _line_sum_of(monkeypatch, fit, *columns):
+    """The model and Jacobian that ``fit`` of ``columns`` hands to least_squares."""
+    handed = []
+
+    def capture(model, jacobian, *_):
+        handed.extend([model, jacobian])
+        raise FitError("captured")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "least_squares", capture)
+        with pytest.raises(FitError, match="^captured$"):
+            fit(*columns)
+    return handed
 
 
 def _deviance_gradient(model, jacobian, x, y, params):
@@ -529,8 +563,9 @@ class TestPoissonFit:
                           ("a", "c", "w", "o"))
 
     def test_a_singular_damped_step_is_retried_with_more_damping(self, monkeypatch):
-        # the damped Fisher matrix is never singular in exact terms, so the first solve is made to fail:
-        # the fit damps ten times harder, retries, and still reaches the optimum
+        # np.linalg.solve raises LinAlgError where LU finds no pivot, as on [[nan, 1], [1, 1]] under numpy
+        # 2.4.6; here the first solve is made to fail that way: the fit damps ten times harder, retries, and
+        # still reaches the optimum
         freqs = np.arange(-60.0, 60.1, 5.0)
         counts = lorentzian(freqs, np.array([200.0, 0.0, 6.7, 8.5]))
         initial, names = np.array([150.0, 3.0, 9.0, 5.0]), ("a", "c", "w", "o")
@@ -550,6 +585,25 @@ class TestPoissonFit:
         first, retry = calls[:2]
         assert np.array_equal(retry - np.diag(np.diag(retry)), first - np.diag(np.diag(first)))
         assert np.diag(retry) == pytest.approx(np.diag(first) / (1.0 + 1e-3) * (1.0 + 1e-2), rel=1e-12)
+
+    def test_each_model_evaluation_is_a_deviance_evaluation(self, monkeypatch):
+        # an accepted trial's model is the next iteration's and the result's, so no point is evaluated twice
+        freqs = np.arange(-60.0, 60.1, 5.0)
+        counts = np.random.default_rng(48).poisson(lorentzian(freqs, np.array([200.0, 0.0, 6.7, 8.5])))
+        calls = {"model": 0, "deviance": 0}
+
+        def model(x, params):
+            calls["model"] += 1
+            return lorentzian(x, params)
+
+        def deviance(*args):
+            calls["deviance"] += 1
+            return poisson_deviance(*args)
+
+        monkeypatch.setattr(optimize, "poisson_deviance", deviance)
+        fit = least_squares(model, lorentzian_jacobian, freqs, counts, [150.0, 3.0, 9.0, 5.0], ("a", "c", "w", "o"))
+        assert fit.iterations > 1
+        assert calls["model"] == calls["deviance"]
 
     def test_count_fits_reach_a_likelihood_stationary_point(self):
         # the score J^T (y - mu)/mu vanishes at the maximum-likelihood point;

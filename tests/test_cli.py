@@ -1200,6 +1200,40 @@ def test_dataset_csv_is_the_one_fits_declares(capsys, fast_config, tmp_path, kin
     assert len(read) == len(columns) and all(map(np.array_equal, read, columns))
 
 
+_EDGE_CELLS = ("0", "1e-300", "-1e-300", "1e300", "-1e300", str(2**62))
+
+
+@pytest.mark.parametrize("kind", list(FITS))
+def test_no_edge_cell_of_a_dataset_ends_in_a_traceback_or_warning(capfd, tmp_path, kind):
+    # the kind's default dataset with one number at its first, middle or last row set to an edge value, or a
+    # float column scaled out of float range (a sweep's fields times 1e-300 once handed LAPACK NaNs): the fit
+    # exits with an EXIT_* code, prints at most one error line (capfd sees what LAPACK prints too) and numpy
+    # warns of nothing
+    name, columns, *_ = FITS[kind]
+    assert run(capfd, kind, "--out", tmp_path / "data")[0] == EXIT_OK
+    header, *lines = (tmp_path / "data" / name).read_text(encoding="utf-8").splitlines()
+    cells = [line.split(",") for line in lines]
+    variants = {}
+    for column, (label, type_) in enumerate(columns.items()):
+        rows = (0, len(cells) // 2, len(cells) - 1) if type_ is not str else ()
+        for row, edge in itertools.product(rows, _EDGE_CELLS):
+            variants[f"{label}[{row}]={edge}"] = [[edge if (i, j) == (row, column) else cell
+                                                  for j, cell in enumerate(line)] for i, line in enumerate(cells)]
+        for scale in (1e-300, 1e160) if type_ is float else ():
+            variants[f"{label}*{scale}"] = [[repr(float(cell) * scale) if j == column else cell
+                                             for j, cell in enumerate(line)] for line in cells]
+    codes = {value for key, value in vars(cli).items() if key.startswith("EXIT_")}
+    data, report = tmp_path / name, tmp_path / "fit" / "fit_report.csv"
+    for variant, table in variants.items():
+        data.write_text("\n".join([header, *map(",".join, table)]) + "\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capfd, "fit", "--kind", kind, "--input", data, "--out", tmp_path / "fit")
+        assert code in codes, (variant, err)
+        assert out in ("", f"{report}\n") and re.fullmatch(r"(error: [^\n]*\n)?", err), (variant, out, err)
+        assert not caught, (variant, [str(w.message) for w in caught])
+
+
 def replay_argv(command, config, out_dir):
     """A manifest's command with ``--config`` and ``--out`` pointed elsewhere."""
     program, *argv = shlex.split(command)

@@ -2,8 +2,9 @@
 
 Peak finding on PLE scans, Poisson maximum-likelihood fits of the counts
 (one line-sum model, a sum of Lorentzians on one offset, for fig2's scan and
-fig4's sweep of line laws, and an exponential), and the coincidence-ratio
-estimate of the zero-lag autocorrelation. The line's shape and law are
+fig4's sweep of line laws, and an exponential above a pinned floor), and the
+coincidence-ratio estimate of the zero-lag autocorrelation. Each fit takes its points as the ``cli`` fit stage
+that reads their file gives them: in axis order, trimmed and checked. The line's shape and law are
 :func:`~starksim.stark.lorentzian` and :func:`~starksim.stark.line_law`, the ones the simulators draw from.
 """
 
@@ -130,14 +131,14 @@ _LINE = ("amplitude", "center_mhz", "fwhm_mhz")  # one line's parameters, each n
 def fit_lorentzians(
     frequencies_mhz: Sequence[float] | np.ndarray, counts: Sequence[float] | np.ndarray, peaks: Sequence[int]
 ) -> FitResult:
-    """Poisson maximum-likelihood fit of a scan as the sum of a Lorentzian
-    started at each sample index of ``peaks`` and one shared offset: 3K + 1
-    parameters for K lines.
+    """Poisson maximum-likelihood fit of a scan, its frequencies in increasing
+    order, as the sum of a Lorentzian started at each sample index of
+    ``peaks`` and one shared offset: 3K + 1 parameters for K lines.
 
     Returns the one joint fit, its lines in centre order, line ``i`` from 1
     as ``peak<i>_amplitude``, ``peak<i>_center_mhz`` and ``peak<i>_fwhm_mhz``,
     then ``offset``. The model is even in each width, so widths are
-    reported positive. A line narrower than half the sampling pitch, which
+    reported positive. A line narrower than half the median spacing, which
     the sampling cannot resolve (a spike latched onto one sample), raises
     :class:`FitConvergenceError` for the first such line, named
     ``peak<i>``, carrying the joint fit; a fit that does not converge is
@@ -147,11 +148,12 @@ def fit_lorentzians(
     y = np.asarray(counts, dtype=float)
     if x.size < 8:
         raise FitError(f"need at least 8 points, got {x.size}")
+    pitch = float(np.median(np.diff(x)))
     names = tuple(f"peak{k}_{name}" for k in range(1, len(peaks) + 1) for name in _LINE) + ("offset",)
     model, jacobian = _line_sum(lambda p: np.reshape(p[:-1], (-1, 3)).T[..., None], lambda *by: by)
     failure = None
     try:
-        fit = least_squares(model, jacobian, x, y, _lorentzian_guess(x, y, peaks), names)
+        fit = least_squares(model, jacobian, x, y, _lorentzian_guess(x, y, peaks, pitch), names)
     except FitConvergenceError as exc:  # its last state may show the line that kept it narrowing
         fit, failure = exc.last_result, exc
     order = np.argsort(fit.values[1:-1:3], kind="stable")
@@ -159,7 +161,6 @@ def fit_lorentzians(
     values = fit.values[keep]
     values[2:-1:3] = np.abs(values[2:-1:3])
     fit = replace(fit, values=values, stderrs=fit.stderrs[keep])
-    pitch = float(np.median(np.diff(np.sort(x))))
     for index, width in enumerate(values[2:-1:3].tolist(), start=1):
         if width < 0.5 * pitch:
             raise FitConvergenceError(f"peak{index}: fit collapsed to an unresolvable width {width:.3g} MHz", fit)
@@ -183,77 +184,66 @@ def _line_sum(line_params, law) -> tuple:
     return model, jacobian
 
 
-def _lorentzian_guess(x: np.ndarray, y: np.ndarray, peaks: Sequence[int]) -> np.ndarray:
-    """``[a1, c1, w1, ..., aK, cK, wK, offset]``: each peak sample's height above
-    the median, and the width between the half-height crossings nearest it."""
+def _lorentzian_guess(x: np.ndarray, y: np.ndarray, peaks: Sequence[int], pitch: float) -> np.ndarray:
+    """``[a1, c1, w1, ..., aK, cK, wK, offset]``: each peak sample's height above the median, and the width
+    between the half-height crossings nearest it, at least ``pitch``."""
     offset = np.median(y)
     peaks, index = np.asarray(peaks, dtype=int), np.arange(y.size)
     amplitude = np.maximum(y[peaks] - offset, 1e-9)
     below = y < (offset + amplitude / 2.0)[:, None]
     left = np.max(np.where(below & (index <= peaks[:, None]), index, 0), axis=1)
     right = np.min(np.where(below & (index >= peaks[:, None]), index, index[-1]), axis=1)
-    fwhm = np.maximum(x[right] - x[left], np.median(np.diff(x)))
+    fwhm = np.maximum(x[right] - x[left], pitch)
     return np.append(np.column_stack([amplitude, x[peaks], fwhm]), offset)
 
 
 def fit_exponential_decay(
-    times_us: Sequence[float] | np.ndarray, counts: Sequence[float] | np.ndarray, fit_start_us: float, background: float
+    times_us: Sequence[float] | np.ndarray, counts: Sequence[float] | np.ndarray, background: float
 ) -> FitResult:
-    """Poisson maximum-likelihood exponential fit of the decay counts at
-    bin centres ``times_us`` from ``fit_start_us`` on, with the dark floor
-    per bin pinned at ``background``; parameters (amplitude, tau_us,
-    background), the last reported with zero error.
+    """Poisson maximum-likelihood fit of the decay counts at bin centres
+    ``times_us``, in increasing order, as ``amplitude * exp(-t / tau_us)``
+    above the dark floor per bin ``background``, which is pinned: the
+    parameters are (amplitude, tau_us).
 
     On a window of only ~2 lifetimes a free floor would be almost fully
     anticorrelated with the lifetime, so the floor comes from the
     detector calibration instead. A floor more than 5 Poisson standard
-    errors above the mean of the last tenth of the fitted bins does not
+    errors above the mean of the last tenth of the bins does not
     describe the histogram (say, one taken with other settings) and is
     refused. Darks alone are not, but a fit that fails on counts at most 5
     standard errors above the floor in all reports no signal, however it failed.
     """
     t = np.asarray(times_us, dtype=float)
     y = np.asarray(counts, dtype=float)
-    keep = t >= fit_start_us
-    t, y = t[keep], y[keep]
-    if t.size < 4:
-        raise FitError("too few bins past the fit start")
     floor = float(background)
     tail = y[-max(y.size // 10, 1):]
-    # the floor's excess over the tail mean in Poisson standard errors; an empty tail counts as 1 event
-    excess = (floor - tail.mean()) * tail.size / math.sqrt(max(float(tail.sum()), 1.0))
-    if excess > 5.0:
+    if (excess := -_excess(tail, floor)) > 5.0:
         raise FitError(
             f"pinned floor {floor:.4g} counts/bin is {excess:.1f} standard errors "
             f"above the mean {tail.mean():.4g} counts/bin of the last {tail.size} bins"
         )
-    guess = _decay_guess(t, y)
-
-    def pinned(tt: np.ndarray, params: np.ndarray) -> np.ndarray:
-        return exponential_decay(tt, (*params, floor))
-
-    def pinned_jacobian(tt: np.ndarray, params: np.ndarray) -> np.ndarray:
-        return exponential_decay_jacobian(tt, (*params, floor))[..., :2]
-
-    start = np.array([max(guess[0] + guess[2] - floor, 1e-9), guess[1]])
-    try:
-        partial = least_squares(pinned, pinned_jacobian, t, y, start, ("amplitude", "tau_us"))
-        result = replace(partial, names=("amplitude", "tau_us", "background"),
-                         values=np.append(partial.values, floor), stderrs=np.append(partial.stderrs, 0.0))
+    try:  # the model and Jacobian with the floor pinned
+        result = least_squares(lambda tt, p: exponential_decay(tt, (*p, floor)),
+                               lambda tt, p: exponential_decay_jacobian(tt, (*p, floor))[..., :2],
+                               t, y, _decay_guess(t, y, floor), ("amplitude", "tau_us"))
         tau = result.value("tau_us")
         if not 0.0 < tau <= 50.0 * float(t[-1] - t[0]):  # a runaway or negative lifetime
             raise FitConvergenceError(f"lifetime {tau:.3g} us is unconstrained by the data", result)
     except FitConvergenceError as exc:
-        # the counts' excess over the floor in Poisson standard errors, as the floor rule measures it
-        signal = (float(y.sum()) - floor * y.size) / math.sqrt(max(float(y.sum()), 1.0))
-        if signal > 5.0:
+        if (signal := _excess(y, floor)) > 5.0:
             raise
         message = f"no signal above the pinned floor: the counts exceed it by {signal:.1f} standard errors"
         raise FitConvergenceError(message, exc.last_result) from None
     return result
 
 
-def _decay_guess(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _excess(counts: np.ndarray, floor: float) -> float:
+    """The counts' excess over ``floor`` per bin, in Poisson standard errors; no counts count as 1 event."""
+    return (float(counts.sum()) - floor * counts.size) / math.sqrt(max(float(counts.sum()), 1.0))
+
+
+def _decay_guess(t: np.ndarray, y: np.ndarray, floor: float) -> np.ndarray:
+    """``[amplitude, tau]`` above ``floor``, from the first bin, the tail's mean and the bin a third of the way in."""
     tail = max(t.size // 10, 1)
     background = float(y[-tail:].mean())
     amplitude = max(float(y[0]) - background, 1e-9)
@@ -263,7 +253,7 @@ def _decay_guess(t: np.ndarray, y: np.ndarray) -> np.ndarray:
         tau = float((t[probe] - t[0]) / -math.log(drop))
     else:
         tau = float((t[-1] - t[0]) / 3.0)
-    return np.array([amplitude, max(tau, 1e-6), background])
+    return np.array([max(amplitude + background - floor, 1e-9), max(tau, 1e-6)])
 
 
 def fit_stark_sweep(

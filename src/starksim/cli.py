@@ -180,8 +180,8 @@ def _ple(args, config: ExperimentConfig, seed: int) -> tuple[np.ndarray, ...]:
 
 def _fit_peaks(config: ExperimentConfig, frequencies_mhz, counts, integration_s) -> list[Row]:
     """fig2's fit stage: one fit of the scan as the sum of a Lorentzian at
-    each peak found and one shared offset. The scan is sorted by frequency
-    first, since peak finding and the starting guess read neighbouring rows."""
+    each peak found and one shared offset. The scan is sorted by frequency first,
+    since peak finding, the starting guess and the pitch read neighbouring rows."""
     order = np.argsort(frequencies_mhz, kind="stable")
     peaks = find_peaks(counts[order], 5.0)
     if not peaks:
@@ -196,20 +196,29 @@ def _decay(args, config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.nd
 
 
 def _fit_lifetime(config: ExperimentConfig, times_us, counts) -> list[Row]:
-    """fig3b's fit stage: a lifetime fit of every bin, each a whole bin inside the detection window.
+    """fig3b's fit stage, the one reader of its bins: a lifetime fit above a pinned dark floor.
 
-    The bins are sorted by time first, since the bin width, the median
-    spacing of the bin centres, and the starting guess read neighbouring
-    rows; the dark floor per bin is pinned from the detector calibration.
+    The bins, sorted by time, from ``[decay] fit_start_us`` on are fitted;
+    fewer than 4 are refused. The bin width is the median spacing of all
+    the bins, which must be evenly spaced (a repeated or missing row is
+    refused), and the floor per bin, the detector's dark mean over that
+    width, is reported with zero error.
     """
-    if times_us.size < 2:
-        raise FitError("need at least two bins")
     order = np.argsort(times_us, kind="stable")
     times_us, counts = times_us[order], counts[order]
-    bin_width_us = float(np.median(np.diff(times_us)))
+    keep = times_us >= config.decay.fit_start_us
+    if (kept := np.count_nonzero(keep)) < 4:
+        raise FitError(f"need at least 4 bins from [decay] fit_start_us = {config.decay.fit_start_us:g} us, got {kept}")
+    spacings = np.diff(times_us)
+    bin_width_us = float(np.median(spacings))
+    uneven = np.flatnonzero((spacings == 0.0) | (np.abs(spacings - bin_width_us) > 1e-9 * bin_width_us))
+    if uneven.size:
+        a, b = times_us[uneven[0]: uneven[0] + 2].tolist()
+        raise FitError(f"bins must be evenly spaced: the bins at {a:.17g} and {b:.17g} us are {b - a:.6g} us apart, "
+                       f"against a median spacing of {bin_width_us:.6g} us")
     dark_floor = config.detector.dark_mean(bin_width_us, config.decay.n_pulses)
-    fit = fit_exponential_decay(times_us, counts, config.decay.fit_start_us, dark_floor)
-    return _rows(fit, [("tau_us", "us"), ("amplitude", "counts"), ("background", "counts")])
+    fit = fit_exponential_decay(times_us[keep], counts[keep], dark_floor)
+    return [*_rows(fit, [("tau_us", "us"), ("amplitude", "counts")]), ("background", dark_floor, 0.0, "counts")]
 
 
 def _g2(args, config: ExperimentConfig, seed: int) -> tuple[np.ndarray, ...]:

@@ -262,7 +262,7 @@ def test_criterion_7_fit_correctness():
     lor_fit = fit_one_lorentzian(x_lor, lorentzian(x_lor, lor_truth))
 
     exp_truth = np.array([1200.0, 41.0, 20.0])
-    exp_fit = fit_exponential_decay(t_exp, exponential_decay(t_exp, exp_truth), 0.0, exp_truth[2])
+    exp_fit = fit_exponential_decay(t_exp, exponential_decay(t_exp, exp_truth), exp_truth[2])
     noiseless_ok = (
         abs(lor_fit.value("amplitude") - 100.0) / 100.0 < 1e-6
         and abs(lor_fit.value("center_mhz")) < 1e-6 * 6.7

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import fit_one_lorentzian
 
-from starksim import analysis, optimize
+from starksim import analysis, cli, optimize
 from starksim.analysis import (
     G2Estimate,
     _lorentzian_guess,
@@ -115,9 +115,9 @@ class TestFitLorentzian:
             y = rng.poisson(5.0 + (60.0 / (1.0 + ((x - centres) / 3.0) ** 2)).sum(axis=0)).astype(float)
             for peaks in ([int(np.argmax(y))], rng.integers(0, points, 4).tolist(), []):
                 expected = [v for peak in peaks for v in lorentzian_guess_of_one_line(x, y, peak)] + [np.median(y)]
-                assert np.array_equal(_lorentzian_guess(x, y, peaks), expected)
+                assert np.array_equal(_lorentzian_guess(x, y, peaks, float(np.median(np.diff(x)))), expected)
         flat = np.full(10, 7.0)  # no sample above the median: the amplitude floor
-        assert _lorentzian_guess(np.arange(10.0), flat, [3])[0] == 1e-9
+        assert _lorentzian_guess(np.arange(10.0), flat, [3], 1.0)[0] == 1e-9
 
     def test_noiseless_recovery_to_1e6(self):
         freqs = np.arange(-100.0, 100.1, 5.0)
@@ -180,19 +180,21 @@ class TestFitExponentialDecay:
         centers = np.arange(0.5, 85.0, 1.0)
         truth = np.array([1200.0, 41.0, 20.0])
         # exact model values (not rounded) so the optimum is the truth
-        fit = fit_exponential_decay(centers, exponential_decay(centers, truth), 0.0, 20.0)
+        fit = fit_exponential_decay(centers, exponential_decay(centers, truth), 20.0)
         assert fit.value("amplitude") == pytest.approx(1200.0, rel=1e-6)
         assert fit.value("tau_us") == pytest.approx(41.0, rel=1e-6)
-        assert fit.value("background") == 20.0
+        assert fit.names == ("amplitude", "tau_us")
 
-    def test_pinned_background_reports_zero_error(self):
+    def test_pinned_background_reports_zero_error(self, config):
+        # the floor is no parameter of the fit: fig3b's stage, which pins it, reports it with zero error
         rng = np.random.default_rng(19)
         centers = np.arange(0.5, 85.0, 1.0)
-        counts = rng.poisson(exponential_decay(centers, np.array([1200.0, 41.0, 20.0])))
-        fit = fit_exponential_decay(centers, counts, 0.0, 20.0)
-        assert fit.value("background") == 20.0
-        assert fit.stderr("background") == 0.0
+        floor = config.detector.dark_mean(1.0, config.decay.n_pulses)
+        counts = rng.poisson(exponential_decay(centers, np.array([1200.0, 41.0, floor])))
+        fit = fit_exponential_decay(centers, counts, floor)
+        assert fit.names == ("amplitude", "tau_us")
         assert abs(fit.value("tau_us") - 41.0) < 3.0 * fit.stderr("tau_us")
+        assert cli._fit_lifetime(config, centers, counts)[-1] == ("background", floor, 0.0, "counts")
 
     def test_pure_background_amplitude_consistent_with_zero_or_flagged(self):
         # with no decaying component the lifetime is unconstrained: either the
@@ -200,7 +202,7 @@ class TestFitExponentialDecay:
         rng = np.random.default_rng(23)
         centers = np.arange(0.5, 85.0, 1.0)
         try:
-            fit = fit_exponential_decay(centers, rng.poisson(20.0, centers.size), 0.0, 20.0)
+            fit = fit_exponential_decay(centers, rng.poisson(20.0, centers.size), 20.0)
         except FitConvergenceError as err:
             assert not np.all(np.isfinite(err.last_result.stderrs)) or (
                 err.last_result.value("tau_us") > 100.0
@@ -210,20 +212,14 @@ class TestFitExponentialDecay:
 
     def test_constant_counts_rejected(self):
         with pytest.raises(FitError, match="^counts are constant; nothing to fit$"):
-            fit_exponential_decay(np.arange(0.5, 85.0, 1.0), np.full(85, 20.0), 0.0, 20.0)
+            fit_exponential_decay(np.arange(0.5, 85.0, 1.0), np.full(85, 20.0), 20.0)
 
     def test_a_failure_with_signal_keeps_its_own_message(self):
         # far above the floor, a lifetime beyond 50 windows is a runaway, not "no signal"
         centers = np.arange(0.5, 85.0, 1.0)
         counts = np.round(exponential_decay(centers, np.array([500.0, 1e4, 20.0])))
         with pytest.raises(FitConvergenceError, match="^lifetime 9.8e[+]03 us is unconstrained by the data$"):
-            fit_exponential_decay(centers, counts, 0.0, 20.0)
-
-    def test_fit_start_trims_bins(self):
-        centers = np.arange(0.5, 85.0, 1.0)
-        truth = np.array([800.0, 41.0, 0.0])
-        fit = fit_exponential_decay(centers, exponential_decay(centers, truth), fit_start_us=10.0, background=0.0)
-        assert fit.value("tau_us") == pytest.approx(41.0, rel=1e-6)
+            fit_exponential_decay(centers, counts, 20.0)
 
     def test_floor_above_the_tail_is_refused(self):
         # the tail is the last tenth of the 85 bins; its mean's Poisson standard error is sqrt(sum) / 8
@@ -232,9 +228,8 @@ class TestFitExponentialDecay:
         tail = counts[-8:]
         standard_error = math.sqrt(tail.sum()) / 8
         with pytest.raises(FitError, match=r"pinned floor .* is 5.0 standard errors above the mean"):
-            fit_exponential_decay(centers, counts, 0.0, tail.mean() + 5.01 * standard_error)
-        fit = fit_exponential_decay(centers, counts, 0.0, tail.mean() + 4.99 * standard_error)
-        assert fit.value("background") == tail.mean() + 4.99 * standard_error
+            fit_exponential_decay(centers, counts, tail.mean() + 5.01 * standard_error)
+        fit_exponential_decay(centers, counts, tail.mean() + 4.99 * standard_error)
 
     def test_darks_alone_are_not_refused(self, config, emitter):
         # the calibrated floor of a zero-excitation histogram is the tail's own mean
@@ -243,7 +238,7 @@ class TestFitExponentialDecay:
         for seed in range(200):
             times, counts = simulate_decay_histogram(dark, config.protocol, config.detector, config.decay, seed)
             try:
-                fit_exponential_decay(times, counts, 0.0, floor)
+                fit_exponential_decay(times, counts, floor)
             except FitConvergenceError as err:  # however the fit failed, it names the one cause
                 assert str(err).startswith("no signal above the pinned floor: the counts exceed it by ")
 
@@ -620,8 +615,9 @@ class TestPoissonFit:
 
             truth = np.array([rng.uniform(300, 2000), rng.uniform(20, 60), rng.uniform(5, 30)])
             counts = rng.poisson(exponential_decay(centers, truth)).astype(float)
-            fit = fit_exponential_decay(centers, counts, 0.0, truth[2])
-            score = _scaled_score(exponential_decay, exponential_decay_jacobian, centers, counts, fit.values, 2)
+            fit = fit_exponential_decay(centers, counts, truth[2])
+            params = np.append(fit.values, truth[2])  # the pinned floor
+            score = _scaled_score(exponential_decay, exponential_decay_jacobian, centers, counts, params, 2)
             worst = max(worst, score)
         assert worst < 1e-4
 
@@ -641,7 +637,7 @@ class TestPoissonFit:
         freqs = np.arange(-60.0, 60.1, 5.0)
         spike = np.full(freqs.size, 8.0)
         spike[7] = 200.0  # a one-sample spike narrows without end
-        guess = _lorentzian_guess(freqs, spike, [7])
+        guess = _lorentzian_guess(freqs, spike, [7], 5.0)
         with pytest.raises(FitConvergenceError, match="^no convergence after 200 iterations") as err:
             least_squares(lorentzian, lorentzian_jacobian, freqs, spike, guess, ("a", "c", "w", "o"))
         assert err.value.last_result.iterations == 200

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from starksim import cli
+from starksim.analysis import fit_exponential_decay
 from starksim.cli import (
     EXIT_CONFIG,
     EXIT_FITTING,
@@ -46,6 +47,10 @@ from starksim.config import (
 from starksim.csvio import read_table
 from starksim.electrostatics import solve_potential
 from starksim.stark import VoltageOutOfRangeError, resonance_voltage
+
+
+# the rows of a default decay.csv's noiseless histogram: 1 us bins over the 85 us window
+DECAY_ROWS = [f"{i + 0.5},{round(1200.0 * math.exp(-(i + 0.5) / 41.0) + 20.0)}\n" for i in range(85)]
 
 
 @pytest.fixture()
@@ -308,6 +313,12 @@ class TestLoadTimeChecks:
             ("[layout]\nprobe_point_um = [498.0, 0.0]\n",
              "[layout].probe_point_um (498.0, 0.0) um is not one cell (5 um) inside the grid's edge",
              ["reproduce", "fig4b"]),
+            # values of the wrong shape
+            ("[stark]\nvoltages_v = 3.0\n", "[stark].voltages_v: expected an array", ["reproduce", "fig4a"]),
+            ("[layout]\nprobe_point_um = [1.0]\n", "[layout].probe_point_um: expected an array of 2 numbers",
+             ["field"]),
+            ("[[ions]]\nzero_field_fwhm_mhz = 6.7\n", "[[ions]]: missing key 'id'", ["reproduce", "fig2"]),
+            ("ions = 3\n", "[[ions]] must be a table array", ["reproduce", "fig2"]),
         ],
     )
     def test_out_of_range_exits_2(self, capsys, tmp_path, text, where, argv):
@@ -626,6 +637,23 @@ class TestPipelines:
         standard_error = statistics.stdev(taus) / math.sqrt(len(taus))
         assert abs(statistics.fmean(taus) - 11.4e3 / 278.0) < 3.0 * standard_error
 
+    def test_fit_start_trims_bins(self, capsys, config, tmp_path):
+        # fig3b fits the bins from [decay] fit_start_us on, on the floor of the whole histogram's bin width
+        path = tmp_path / "start.toml"
+        path.write_text("[decay]\nfit_start_us = 10.0\n", encoding="utf-8")
+        assert run(capsys, "reproduce", "fig3b", "--config", path, "--out", tmp_path / "fig")[0] == EXIT_OK
+        times, counts = read_table(tmp_path / "fig" / "decay.csv", FITS["decay"][1])
+        keep = times >= 10.0
+        fit = fit_exponential_decay(times[keep], counts[keep], config.detector.dark_mean(1.0, config.decay.n_pulses))
+        _, values, stderrs, _ = read_table(tmp_path / "fig" / "fit_report.csv", REPORT_COLUMNS)
+        assert values[:2].tolist() == [fit.value("tau_us"), fit.value("amplitude")]
+        assert stderrs[:2].tolist() == [fit.stderr("tau_us"), fit.stderr("amplitude")]
+        # a start past the window's last bin leaves nothing to fit
+        path.write_text("[decay]\nfit_start_us = 85.0\n", encoding="utf-8")
+        code, out, err = run(capsys, "reproduce", "fig3b", "--config", path, "--out", tmp_path / "late")
+        assert code == EXIT_FITTING
+        assert err == "error: fitting failed: need at least 4 bins from [decay] fit_start_us = 85 us, got 0\n"
+
     def test_g2_reproduction(self, capsys, config_path, tmp_path):
         out_dir = tmp_path / "g2_out"
         code, out, _ = run(capsys, "reproduce", "fig3c", "--config", config_path, "--out", out_dir)
@@ -744,6 +772,8 @@ class TestPipelines:
             ("decay", "fig3b", "decay.csv", "bin_width_us = 0.7\n", False),
             # 20 us bins: the 85 us window is no multiple of them, and the histogram ends at the last whole bin
             ("decay", "fig3b", "decay.csv", "bin_width_us = 20.0\n", False),
+            # the fit reads only the bins from 10 us on
+            ("decay", "fig3b", "decay.csv", "fit_start_us = 10.0\n", False),
             ("g2", "fig3c", "g2.csv", "", False),
             ("stark", "fig4a", "stark_scan.csv", "", False),
             ("stark", "fig4b", "stark_scan.csv", "", False),
@@ -752,8 +782,9 @@ class TestPipelines:
             ("decay", "fig3b", "decay.csv", "", True),
             ("g2", "fig3c", "g2.csv", "", True),
         ],
-        ids=["ple-fig2", "decay-fig3b", "decay-fig3b-0.7us-bins", "decay-fig3b-20us-bins", "g2-fig3c", "stark-fig4a",
-             "stark-fig4b", "ple-fig2-reversed", "decay-fig3b-reversed", "g2-fig3c-reversed"],
+        ids=["ple-fig2", "decay-fig3b", "decay-fig3b-0.7us-bins", "decay-fig3b-20us-bins", "decay-fig3b-fit-start-10us",
+             "g2-fig3c", "stark-fig4a", "stark-fig4b", "ple-fig2-reversed", "decay-fig3b-reversed",
+             "g2-fig3c-reversed"],
     )
     def test_fit_refits_its_figure(self, capsys, fast_config, tmp_path, kind, figure, dataset, extra, reverse):
         # fit runs the figure's own fit step on the figure's CSV, so its
@@ -883,7 +914,7 @@ class TestPipelines:
     @pytest.mark.parametrize(
         "kind, header, message",
         [("ple", "frequency_offset_mhz,counts,integration_s", "scan is empty"),
-         ("decay", "time_us,counts", "need at least two bins")],
+         ("decay", "time_us,counts", "need at least 4 bins from [decay] fit_start_us = 0 us, got 0")],
     )
     def test_empty_dataset_exits_5(self, capsys, tmp_path, kind, header, message):
         data = tmp_path / f"{kind}.csv"
@@ -894,10 +925,19 @@ class TestPipelines:
 
     @pytest.mark.parametrize(
         "kind, rows, message",
-        [("decay", "0.5,30\n1.5,25\n2.5,20\n", "too few bins past the fit start"),
+        [("decay", "0.5,30\n1.5,25\n2.5,20\n", "need at least 4 bins from [decay] fit_start_us = 0 us, got 3"),
+         ("decay", "1.5,25\n0.5,30\n", "need at least 4 bins from [decay] fit_start_us = 0 us, got 2"),
          ("stark", "ion1,0,0,-5,3\nion1,1,65,-4,4\nion1,2,130,-3,5\n",
-          "need more than 6 points to fit 6 parameters")],
-        ids=["decay-three-bins", "stark-three-points"],
+          "need more than 6 points to fit 6 parameters"),
+         # bins not evenly spaced: every row twice was once fitted on a median spacing, so a floor, of 0
+         ("decay", "".join(row + row for row in DECAY_ROWS),
+          "bins must be evenly spaced: the bins at 0.5 and 0.5 us are 0 us apart, against a median spacing of 0 us"),
+         ("decay", "".join(DECAY_ROWS[:4] + DECAY_ROWS[3:]),
+          "bins must be evenly spaced: the bins at 3.5 and 3.5 us are 0 us apart, against a median spacing of 1 us"),
+         ("decay", "".join(DECAY_ROWS[:4] + DECAY_ROWS[5:]),
+          "bins must be evenly spaced: the bins at 3.5 and 5.5 us are 2 us apart, against a median spacing of 1 us")],
+        ids=["decay-three-bins", "decay-two-bins", "stark-three-points", "decay-every-row-twice",
+             "decay-one-row-twice", "decay-one-row-missing"],
     )
     def test_too_short_dataset_exits_5(self, capsys, tmp_path, kind, rows, message):
         name, columns, *_ = FITS[kind]

@@ -139,7 +139,7 @@ class TestDecay:
         from starksim.analysis import fit_exponential_decay
 
         floor = config.detector.dark_rate_hz * 1e-6 * 10_000_000
-        fit = fit_exponential_decay(times, counts, 0.0, floor)
+        fit = fit_exponential_decay(times, counts, floor)
         assert fit.value("tau_us") == pytest.approx(41.007, rel=0.02)
 
     def test_zero_excitation_leaves_uniform_darks(self, config, emitter):

@@ -62,20 +62,17 @@ def exponential_decay_jacobian(t: np.ndarray, params: np.ndarray) -> np.ndarray:
 
 
 def find_peaks(counts: Sequence[float] | np.ndarray, threshold_sigma: float) -> list[int]:
-    """Sample indices of the prominent local maxima of a scan, in scan order.
+    """Sample indices of the prominent local maxima of a non-empty scan, in scan order.
 
     Counts are smoothed with a [1, 2, 1]/4 kernel before peak finding so
     single-sample shot-noise spikes do not qualify; prominence is
     measured on the smoothed trace against the higher of the two
     enclosing valleys, and must exceed
     ``threshold_sigma * sqrt(median count)``. A plateau's peak is its
-    first sample.
+    first sample, and neither end of the scan is a peak. The scan's size
+    rule is its reader's, ``cli._fit_peaks``.
     """
     counts = np.asarray(counts, dtype=float)
-    if counts.size == 0:
-        raise FitError("scan is empty")
-    if counts.size < 3:
-        return []
     padded = np.concatenate([counts[:1], counts, counts[-1:]])
     smooth = (padded[:-2] + 2.0 * padded[1:-1] + padded[2:]) / 4.0
 
@@ -129,7 +126,8 @@ _LINE = ("amplitude", "center_mhz", "fwhm_mhz")  # one line's parameters, each n
 
 
 def fit_lorentzians(
-    frequencies_mhz: Sequence[float] | np.ndarray, counts: Sequence[float] | np.ndarray, peaks: Sequence[int]
+    frequencies_mhz: Sequence[float] | np.ndarray, counts: Sequence[float] | np.ndarray, peaks: Sequence[int],
+    pitch_mhz: float,
 ) -> FitResult:
     """Poisson maximum-likelihood fit of a scan, its frequencies in increasing
     order, as the sum of a Lorentzian started at each sample index of
@@ -137,8 +135,9 @@ def fit_lorentzians(
 
     Returns the one joint fit, its lines in centre order, line ``i`` from 1
     as ``peak<i>_amplitude``, ``peak<i>_center_mhz`` and ``peak<i>_fwhm_mhz``,
-    then ``offset``. The model is even in each width, so widths are
-    reported positive. A line narrower than half the median spacing, which
+    then ``offset``. The model is even in each width, so widths are reported
+    positive. ``pitch_mhz`` is the scan's sampling pitch, as its reader takes
+    it from the distinct frequencies. A line narrower than half of it, which
     the sampling cannot resolve (a spike latched onto one sample), raises
     :class:`FitConvergenceError` for the first such line, named
     ``peak<i>``, carrying the joint fit; a fit that does not converge is
@@ -146,14 +145,11 @@ def fit_lorentzians(
     """
     x = np.asarray(frequencies_mhz, dtype=float)
     y = np.asarray(counts, dtype=float)
-    if x.size < 8:
-        raise FitError(f"need at least 8 points, got {x.size}")
-    pitch = float(np.median(np.diff(x)))
     names = tuple(f"peak{k}_{name}" for k in range(1, len(peaks) + 1) for name in _LINE) + ("offset",)
     model, jacobian = _line_sum(lambda p: np.reshape(p[:-1], (-1, 3)).T[..., None], lambda *by: by)
     failure = None
     try:
-        fit = least_squares(model, jacobian, x, y, _lorentzian_guess(x, y, peaks, pitch), names)
+        fit = least_squares(model, jacobian, x, y, _lorentzian_guess(x, y, peaks, pitch_mhz), names)
     except FitConvergenceError as exc:  # its last state may show the line that kept it narrowing
         fit, failure = exc.last_result, exc
     order = np.argsort(fit.values[1:-1:3], kind="stable")
@@ -162,7 +158,7 @@ def fit_lorentzians(
     values[2:-1:3] = np.abs(values[2:-1:3])
     fit = replace(fit, values=values, stderrs=fit.stderrs[keep])
     for index, width in enumerate(values[2:-1:3].tolist(), start=1):
-        if width < 0.5 * pitch:
+        if width < 0.5 * pitch_mhz:
             raise FitConvergenceError(f"peak{index}: fit collapsed to an unresolvable width {width:.3g} MHz", fit)
     if failure is not None:
         raise failure

@@ -179,14 +179,18 @@ def _ple(args, config: ExperimentConfig, seed: int) -> tuple[np.ndarray, ...]:
 
 
 def _fit_peaks(config: ExperimentConfig, frequencies_mhz, counts, integration_s) -> list[Row]:
-    """fig2's fit stage: one fit of the scan as the sum of a Lorentzian at
-    each peak found and one shared offset. The scan is sorted by frequency first,
-    since peak finding, the starting guess and the pitch read neighbouring rows."""
+    """fig2's fit stage, the one reader of its scan: its rows sorted by frequency, at least 8 distinct
+    frequencies, and their median spacing as the pitch, which a scan that repeats its rows keeps. One fit of
+    the scan as the sum of a Lorentzian at each peak found and one shared offset; a scan without a peak, no rows."""
     order = np.argsort(frequencies_mhz, kind="stable")
-    peaks = find_peaks(counts[order], 5.0)
+    frequencies_mhz, counts = frequencies_mhz[order], counts[order]
+    distinct = np.unique(frequencies_mhz)
+    if distinct.size < 8:
+        raise FitError(f"need at least 8 distinct frequencies, got {distinct.size}")
+    peaks = find_peaks(counts, 5.0)
     if not peaks:
         return []
-    fit = fit_lorentzians(frequencies_mhz[order], counts[order], peaks)
+    fit = fit_lorentzians(frequencies_mhz, counts, peaks, float(np.median(np.diff(distinct))))
     return _rows(fit, [(name, "MHz") for name in fit.names if name.endswith(("_center_mhz", "_fwhm_mhz"))])
 
 

@@ -134,7 +134,6 @@ class PLEProtocol:
         lo, hi = self.scan_range_mhz
         if not lo < hi:
             raise ConfigError(f"[protocol].scan_range_mhz must be increasing, got {self.scan_range_mhz}")
-        check_count("[protocol].scan_range_mhz", (hi - lo) / self.scan_pitch_mhz + 1, 8)  # its float64 frequencies
         check_count("[protocol].integration_time_s", self.integration_time_s * self.repetition_rate_khz * 1000.0)
 
     @property
@@ -209,7 +208,8 @@ class G2Settings:
         check_count("[g2].n_pulses", self.n_pulses + 2 * self.max_lag, 8)  # arm B's int64 counts, one a padded pulse
 
     def means(self, emitter: EmitterParams, protocol: PLEProtocol) -> tuple[float, float]:
-        """The emitter's chance of a detected photon per pulse, and each arm's mean background events over the record."""
+        """The emitter's chance of a detected photon per pulse, saturation x P_window with no ``[detector]``
+        efficiency, which g2 does not read, and each arm's mean background events over the record."""
         p_signal = emitter.saturation_excitation_prob * emission_window_probability(
             emitter.lifetime_us, protocol.window_delay_us, protocol.window_length_us
         )
@@ -337,10 +337,11 @@ def simulate_g2_histogram(
     lags ``-max_lag .. max_lag``.
 
     The emitter contributes at most one detected photon per pulse, with
-    probability ``p``; ``g2.background_fraction`` of all detected events come
-    from a Poissonian background of mean ``m`` per pulse instead. Every
-    event is routed 50/50 to the two arms and ``C(k)`` counts arm-A events
-    against arm-B events ``k`` pulses later, in exact int64 arithmetic.
+    probability ``p`` (:meth:`G2Settings.means`: no detector efficiency
+    enters); ``g2.background_fraction`` of all detected events come from a
+    Poissonian background of mean ``m`` per pulse instead. Every event is
+    routed 50/50 to the two arms and ``C(k)`` counts arm-A events against
+    arm-B events ``k`` pulses later, in exact int64 arithmetic.
 
     The arms are drawn directly: a pulse's photon goes to arm A if its
     uniform ``u < p/2`` and to arm B if ``p/2 <= u < p``; by Poisson

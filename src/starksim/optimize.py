@@ -75,22 +75,14 @@ class FitResult:
         return float(self.stderrs[self.names.index(name)])
 
 
-def poisson_deviance(
-    model: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x: np.ndarray,
-    y: np.ndarray,
-    params: np.ndarray,
-) -> float:
-    """``2 sum(mu - y + y log(y/mu))``, with ``y log(y/mu) = 0`` where y = 0.
+def poisson_deviance(mu: np.ndarray, y: np.ndarray) -> float:
+    """``2 sum(mu - y + y log(y/mu))`` of model values ``mu`` about counts ``y``, with ``y log(y/mu) = 0`` where y = 0.
 
-    Parameters that are not all finite give +inf, as do any ``mu <= 0``
-    and a sum that is not finite, say when a huge ``mu`` rounds ``(y -
-    mu)/mu`` to -1. The log is taken as ``log1p((y - mu)/mu)`` so the
-    deviance keeps its precision when the model nearly matches the data.
+    Any ``mu <= 0`` or NaN gives +inf, as does a sum that is not finite, say
+    when a huge ``mu`` rounds ``(y - mu)/mu`` to -1. The log is taken as
+    ``log1p((y - mu)/mu)`` so the deviance keeps its precision when the
+    model nearly matches the data.
     """
-    if not np.all(np.isfinite(params)):
-        return math.inf
-    mu = model(x, params)
     if not np.all(mu > 0.0):
         return math.inf
     excess = y - mu
@@ -132,8 +124,15 @@ def least_squares(
         raise FitError("x and y must have matching lengths")
     if x.size <= p.size:
         raise FitError(f"need more than {p.size} points to fit {p.size} parameters")
-    mu = model(x, p)  # each point's model is evaluated once: an accepted trial's is the next iteration's
-    deviance = poisson_deviance(lambda *_: mu, x, y, p)
+
+    def evaluate(params: np.ndarray) -> tuple[np.ndarray | None, float]:
+        """The model at ``params`` and its deviance; +inf, the model unevaluated, where a parameter is not finite."""
+        if not np.all(np.isfinite(params)):
+            return None, math.inf
+        values = model(x, params)
+        return values, poisson_deviance(values, y)
+
+    mu, deviance = evaluate(p)  # each point's model is evaluated once: an accepted trial's is the next iteration's
     if np.any(y < 0.0) or not np.isfinite(deviance):
         raise FitError("counts must be >= 0 and the initial model > 0 at every point")
     if np.ptp(y) == 0.0:
@@ -164,8 +163,7 @@ def least_squares(
             except np.linalg.LinAlgError:  # LU found no pivot, as in a matrix with a NaN: [[nan, 1], [1, 1]]
                 damping *= DAMPING_STEP
                 continue
-            trial_mu = model(x, trial)  # its deviance is +inf where the model cannot evaluate it
-            trial_deviance = poisson_deviance(lambda *_: trial_mu, x, y, trial)
+            trial_mu, trial_deviance = evaluate(trial)  # +inf where the model cannot evaluate it
             if trial_deviance <= deviance:  # False for inf
                 break
             damping *= DAMPING_STEP

@@ -6,6 +6,7 @@ import pytest
 from starksim.analysis import fit_lorentzians
 from starksim.config import default_config
 from starksim.experiment import emission_window_probability
+from starksim.optimize import poisson_deviance
 
 
 @pytest.fixture(scope="session")
@@ -116,7 +117,21 @@ def full_grid_residual(values, fixed):
 
 
 def fit_one_lorentzian(frequencies_mhz, counts):
-    """The one-line ``fit_lorentzians``, started at the highest sample, its
-    parameters named without their ``peak1_`` prefix."""
-    fit = fit_lorentzians(frequencies_mhz, counts, [int(np.argmax(counts))])
+    """The one-line ``fit_lorentzians``, started at the highest sample, at the
+    pitch fig2's stage takes, the median spacing of the distinct frequencies,
+    its parameters named without their ``peak1_`` prefix."""
+    pitch = float(np.median(np.diff(np.unique(frequencies_mhz))))
+    fit = fit_lorentzians(frequencies_mhz, counts, [int(np.argmax(counts))], pitch)
     return replace(fit, names=tuple(name.removeprefix("peak1_") for name in fit.names))
+
+
+def finite_difference_gradient(model, x, y, params):
+    """The central-difference gradient of the Poisson deviance of ``model(x, params)`` about the counts ``y``."""
+    grad = np.empty(params.size)
+    for j in range(params.size):
+        step = 1e-6 * max(abs(params[j]), 1.0)
+        hi, lo = params.copy(), params.copy()
+        hi[j] += step
+        lo[j] -= step
+        grad[j] = (poisson_deviance(model(x, hi), y) - poisson_deviance(model(x, lo), y)) / (2.0 * step)
+    return grad

@@ -66,6 +66,9 @@ def _matrix() -> dict[str, tuple[str | None, list[list[str]]]]:
         runs[f"reproduce-fig3b-{width}us-bins"] = (
             f"[decay]\nbin_width_us = {width}\n", [["reproduce", "fig3b", "--out", "out"]]
         )
+    # fig2's fit stage refuses fewer than 8 distinct frequencies, ion1's line held or none
+    for name, scan in (("7-points", "[-15.0, 15.0]"), ("3-points-no-line", "[100.0, 110.0]")):
+        runs[f"reproduce-fig2-{name}"] = (f"[protocol]\nscan_range_mhz = {scan}\n", [["reproduce", "fig2", "--out", "out"]])
     runs["decay-100us-bin"] = ("[decay]\nbin_width_us = 100.0\n", [["decay", "--out", "out"]])
     runs["reproduce-fig3b-lifetime-underflows"] = (
         "[emitter]\nbulk_lifetime_ms = 5e-324\nenhancement_factor = 1e300\n", [["reproduce", "fig3b", "--out", "out"]]

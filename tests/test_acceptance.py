@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import fit_one_lorentzian
+from conftest import finite_difference_gradient, fit_one_lorentzian
 
 from starksim.analysis import (
     estimate_g2_zero,
@@ -21,7 +21,6 @@ from starksim.cli import FITS, main
 from starksim.csvio import read_table
 from starksim.config import default_config, dumps_config
 from starksim.electrostatics import ElectrodeLayout, field_at, solve_potential
-from starksim.optimize import poisson_deviance
 from starksim.stark import lorentzian, lorentzian_jacobian
 
 # exact discrete probe field at 0.625 um, the last spacing of the
@@ -233,13 +232,7 @@ def test_criterion_7_fit_correctness():
         y = rng.poisson(np.maximum(model(x, params), 0.0) + 5.0).astype(float)
         probe = params * rng.uniform(0.85, 1.15, params.size)
         grad = -2.0 * jacobian(x, probe).T @ (y / model(x, probe) - 1.0)
-        fd = np.empty(probe.size)
-        for j in range(probe.size):
-            step = 1e-6 * max(abs(probe[j]), 1.0)
-            hi, lo = probe.copy(), probe.copy()
-            hi[j] += step
-            lo[j] -= step
-            fd[j] = (poisson_deviance(model, x, y, hi) - poisson_deviance(model, x, y, lo)) / (2 * step)
+        fd = finite_difference_gradient(model, x, y, probe)
         worst = max(worst, float(np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6))))
 
     x_lor = np.arange(-80.0, 80.1, 5.0)

@@ -51,6 +51,9 @@ from starksim.stark import VoltageOutOfRangeError, resonance_voltage
 
 # the rows of a default decay.csv's noiseless histogram: 1 us bins over the 85 us window
 DECAY_ROWS = [f"{i + 0.5},{round(1200.0 * math.exp(-(i + 0.5) / 41.0) + 20.0)}\n" for i in range(85)]
+# eight scan rows of background, no line: smoothed, their one local maximum stands 1 count above its valleys,
+# against the 5 sqrt(median) = 9.4 counts of a peak
+PLE_ROWS = [f"{f:.1f},{c},5.0\n" for f, c in zip(np.arange(-20.0, 20.0, 5.0), (3, 4, 3, 5, 4, 3, 4, 3))]
 
 
 @pytest.fixture()
@@ -729,29 +732,34 @@ class TestPipelines:
         assert refit[1] == pytest.approx(figure[1], rel=1e-9) and refit[2] == pytest.approx(figure[2], rel=1e-9)
 
     @staticmethod
-    def fit_with_spike(capsys, tmp_path, frequency, counts):
-        """``fit --kind ple`` of the default scan with its row at ``frequency`` MHz set to ``counts``."""
+    def fit_with_spike(capsys, tmp_path, frequency, counts, copies=1):
+        """``fit --kind ple`` of the default scan with its row at ``frequency`` MHz set to ``counts``, each row
+        written ``copies`` times."""
         assert run(capsys, "ple", "--out", tmp_path)[0] == EXIT_OK
         data = tmp_path / "ple_scan.csv"
         header, *rows = data.read_text(encoding="utf-8").splitlines()
         rows = [f"{frequency},{counts},{row.split(',')[2]}" if row.startswith(f"{frequency},") else row for row in rows]
-        data.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        data.write_text("\n".join([header, *(row for row in rows for _ in range(copies))]) + "\n", encoding="utf-8")
         return run(capsys, "fit", "--kind", "ple", "--input", data, "--out", tmp_path / "x")
 
     def test_collapsed_line_names_its_peak(self, capsys, tmp_path):
         # a one-sample spike between the lines at 130 and 215 MHz is the
-        # seventh peak in frequency order; its line narrows below pitch/2
-        code, out, err = self.fit_with_spike(capsys, tmp_path, 170, 100)
-        assert code == EXIT_FITTING
-        assert out == "" and err.startswith("error: fitting failed: peak7: fit collapsed to an unresolvable width ")
+        # seventh peak in frequency order; its line narrows below pitch/2.
+        # Every row twice keeps the pitch, the spacing of the distinct
+        # frequencies: a pitch of 0 once let the spike through as a line
+        for copies in (1, 2):
+            code, out, err = self.fit_with_spike(capsys, tmp_path / str(copies), 170, 100, copies)
+            assert code == EXIT_FITTING
+            assert out == "" and err.startswith("error: fitting failed: peak7: fit collapsed to an unresolvable width ")
 
     @pytest.mark.parametrize("frequency, counts, peak", [(100, 200, "peak6"), (-100, 100, "peak3")])
     def test_line_collapsing_without_convergence_names_its_peak(self, capsys, tmp_path, frequency, counts, peak):
         # taller spikes narrow their line without end, so the fit runs out of
-        # iterations; its last state still names the line
-        code, out, err = self.fit_with_spike(capsys, tmp_path, frequency, counts)
-        assert code == EXIT_FITTING
-        assert out == "" and err.startswith(f"error: fitting failed: {peak}: fit collapsed to an unresolvable width ")
+        # iterations; its last state still names the line, also with every row twice
+        for copies in (1, 2):
+            code, out, err = self.fit_with_spike(capsys, tmp_path / str(copies), frequency, counts, copies)
+            assert code == EXIT_FITTING
+            assert out == "" and err.startswith(f"error: fitting failed: {peak}: fit collapsed to an unresolvable width ")
 
     def test_ple_scan_csv_shape(self, capsys, tmp_path):
         fast = tmp_path / "fast.toml"
@@ -764,29 +772,31 @@ class TestPipelines:
         assert len(lines) == 1 + 21
 
     @pytest.mark.parametrize(
-        "kind, figure, dataset, extra, reverse",
+        "kind, figure, dataset, extra, rows",
         [
-            ("ple", "fig2", "ple_scan.csv", "", False),
-            ("decay", "fig3b", "decay.csv", "", False),
+            ("ple", "fig2", "ple_scan.csv", "", None),
+            ("decay", "fig3b", "decay.csv", "", None),
             # 0.7 us bins: the centres in the CSV do not give back the simulator's edges exactly
-            ("decay", "fig3b", "decay.csv", "bin_width_us = 0.7\n", False),
+            ("decay", "fig3b", "decay.csv", "bin_width_us = 0.7\n", None),
             # 20 us bins: the 85 us window is no multiple of them, and the histogram ends at the last whole bin
-            ("decay", "fig3b", "decay.csv", "bin_width_us = 20.0\n", False),
+            ("decay", "fig3b", "decay.csv", "bin_width_us = 20.0\n", None),
             # the fit reads only the bins from 10 us on
-            ("decay", "fig3b", "decay.csv", "fit_start_us = 10.0\n", False),
-            ("g2", "fig3c", "g2.csv", "", False),
-            ("stark", "fig4a", "stark_scan.csv", "", False),
-            ("stark", "fig4b", "stark_scan.csv", "", False),
+            ("decay", "fig3b", "decay.csv", "fit_start_us = 10.0\n", None),
+            ("g2", "fig3c", "g2.csv", "", None),
+            ("stark", "fig4a", "stark_scan.csv", "", None),
+            ("stark", "fig4b", "stark_scan.csv", "", None),
             # the fit steps read their rows in axis order, whatever the file's
-            ("ple", "fig2", "ple_scan.csv", "", True),
-            ("decay", "fig3b", "decay.csv", "", True),
-            ("g2", "fig3c", "g2.csv", "", True),
+            ("ple", "fig2", "ple_scan.csv", "", "reversed"),
+            ("decay", "fig3b", "decay.csv", "", "reversed"),
+            ("g2", "fig3c", "g2.csv", "", "reversed"),
+            # every row twice: the same likelihood doubled, so the same optimum with errors over sqrt(2)
+            ("ple", "fig2", "ple_scan.csv", "", "twice"),
         ],
         ids=["ple-fig2", "decay-fig3b", "decay-fig3b-0.7us-bins", "decay-fig3b-20us-bins", "decay-fig3b-fit-start-10us",
              "g2-fig3c", "stark-fig4a", "stark-fig4b", "ple-fig2-reversed", "decay-fig3b-reversed",
-             "g2-fig3c-reversed"],
+             "g2-fig3c-reversed", "ple-fig2-twice"],
     )
-    def test_fit_refits_its_figure(self, capsys, fast_config, tmp_path, kind, figure, dataset, extra, reverse):
+    def test_fit_refits_its_figure(self, capsys, fast_config, tmp_path, kind, figure, dataset, extra, rows):
         # fit runs the figure's own fit step on the figure's CSV, so its
         # report is the figure's; the default registry's scan holds seven
         # lines, so the ple refit must run fig2's fit of every line, not one
@@ -797,18 +807,25 @@ class TestPipelines:
         fig = tmp_path / "fig"
         assert run(capsys, "reproduce", figure, "--config", config, "--out", fig)[0] == EXIT_OK
         data = fig / dataset
-        if reverse:
-            header, *rows = data.read_text(encoding="utf-8").splitlines(keepends=True)
+        if rows is not None:
+            header, *lines = data.read_text(encoding="utf-8").splitlines(keepends=True)
             data = tmp_path / dataset
-            data.write_text(header + "".join(rows[::-1]), encoding="utf-8")
+            data.write_text(header + "".join(lines[::-1] if rows == "reversed" else [line * 2 for line in lines]),
+                            encoding="utf-8")
         code, out, _ = run(
             capsys, "fit", "--config", config, "--kind", kind,
             "--input", data, "--out", tmp_path / "refit",
         )
         assert code == EXIT_OK
         assert out.splitlines() == [str(tmp_path / "refit" / "fit_report.csv")]
-        refit = (tmp_path / "refit" / "fit_report.csv").read_bytes()
-        assert refit == (fig / "fit_report.csv").read_bytes()
+        if rows == "twice":
+            report, doubled = (read_table(path / "fit_report.csv", REPORT_COLUMNS) for path in (fig, tmp_path / "refit"))
+            assert np.array_equal(doubled[0], report[0]) and np.array_equal(doubled[3], report[3])
+            assert doubled[1] == pytest.approx(report[1], rel=1e-9)
+            assert doubled[2] == pytest.approx(report[2] / math.sqrt(2.0), rel=1e-9)
+        else:
+            refit = (tmp_path / "refit" / "fit_report.csv").read_bytes()
+            assert refit == (fig / "fit_report.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "command, figure, datasets",
@@ -845,6 +862,21 @@ class TestPipelines:
         )
         assert code == EXIT_FITTING
         assert out == "" and err.startswith("error: fitting failed: need at least 3 nonzero side lags")
+
+    def test_g2_ignores_the_detector_efficiency(self, capsys, fast_config, tmp_path):
+        # g2's signal per pulse is saturation x P_window, with no [detector] total_efficiency, which the
+        # decay reads: 0.5 against the default 0.01 changes decay.csv and leaves g2.csv byte for byte
+        efficient = tmp_path / "efficient.toml"
+        efficient.write_text(fast_config.read_text(encoding="utf-8") + "\n[detector]\ntotal_efficiency = 0.5\n",
+                             encoding="utf-8")
+        written = {}
+        for config in (fast_config, efficient):
+            for command, dataset in (("g2", "g2.csv"), ("decay", "decay.csv")):
+                out = tmp_path / config.stem / command
+                assert run(capsys, command, "--config", config, "--out", out)[0] == EXIT_OK
+                written[config.stem, dataset] = (out / dataset).read_bytes()
+        assert written["fast", "g2.csv"] == written["efficient", "g2.csv"]
+        assert written["fast", "decay.csv"] != written["efficient", "decay.csv"]
 
     def test_g2_negative_coincidence_exits_5(self, capsys, config_path, tmp_path):
         # once estimated as g2_zero = -0.1227 and exit 0
@@ -913,8 +945,10 @@ class TestPipelines:
 
     @pytest.mark.parametrize(
         "kind, header, message",
-        [("ple", "frequency_offset_mhz,counts,integration_s", "scan is empty"),
-         ("decay", "time_us,counts", "need at least 4 bins from [decay] fit_start_us = 0 us, got 0")],
+        [("ple", "frequency_offset_mhz,counts,integration_s", "need at least 8 distinct frequencies, got 0"),
+         ("decay", "time_us,counts", "need at least 4 bins from [decay] fit_start_us = 0 us, got 0"),
+         ("g2", "lag_pulses,coincidences,normalized", "need exactly one lag-0 bin, got 0"),
+         ("stark", "ion_id,voltage_v,field_v_per_cm,frequency_mhz,counts", "no scan points to fit")],
     )
     def test_empty_dataset_exits_5(self, capsys, tmp_path, kind, header, message):
         data = tmp_path / f"{kind}.csv"
@@ -925,7 +959,11 @@ class TestPipelines:
 
     @pytest.mark.parametrize(
         "kind, rows, message",
-        [("decay", "0.5,30\n1.5,25\n2.5,20\n", "need at least 4 bins from [decay] fit_start_us = 0 us, got 3"),
+        [("ple", "-5.0,3,5.0\n0.0,40,5.0\n", "need at least 8 distinct frequencies, got 2"),
+         ("ple", "".join(PLE_ROWS[:7]), "need at least 8 distinct frequencies, got 7"),
+         # every row twice: 14 rows, but the fit stage counts frequencies, not rows
+         ("ple", "".join(row + row for row in PLE_ROWS[:7]), "need at least 8 distinct frequencies, got 7"),
+         ("decay", "0.5,30\n1.5,25\n2.5,20\n", "need at least 4 bins from [decay] fit_start_us = 0 us, got 3"),
          ("decay", "1.5,25\n0.5,30\n", "need at least 4 bins from [decay] fit_start_us = 0 us, got 2"),
          ("stark", "ion1,0,0,-5,3\nion1,1,65,-4,4\nion1,2,130,-3,5\n",
           "need more than 6 points to fit 6 parameters"),
@@ -936,7 +974,8 @@ class TestPipelines:
           "bins must be evenly spaced: the bins at 3.5 and 3.5 us are 0 us apart, against a median spacing of 1 us"),
          ("decay", "".join(DECAY_ROWS[:4] + DECAY_ROWS[5:]),
           "bins must be evenly spaced: the bins at 3.5 and 5.5 us are 2 us apart, against a median spacing of 1 us")],
-        ids=["decay-three-bins", "decay-two-bins", "stark-three-points", "decay-every-row-twice",
+        ids=["ple-two-rows", "ple-seven-rows", "ple-seven-rows-twice",
+             "decay-three-bins", "decay-two-bins", "stark-three-points", "decay-every-row-twice",
              "decay-one-row-twice", "decay-one-row-missing"],
     )
     def test_too_short_dataset_exits_5(self, capsys, tmp_path, kind, rows, message):
@@ -950,8 +989,8 @@ class TestPipelines:
     @pytest.mark.parametrize(
         "config_text, dataset, argv",
         [("[emitter]\nsaturation_excitation_prob = 0.0\n", None, ["reproduce", "fig2"]),  # darks alone
-         ("", "frequency_offset_mhz,counts,integration_s\n-5.0,3,5.0\n0.0,40,5.0\n", ["fit", "--kind", "ple"])],
-        ids=["fig2-unexcited", "ple-two-rows"],  # two samples are too few for a local maximum
+         ("", "frequency_offset_mhz,counts,integration_s\n" + "".join(PLE_ROWS), ["fit", "--kind", "ple"])],
+        ids=["fig2-unexcited", "ple-eight-rows-of-noise"],
     )
     def test_scan_without_a_peak_writes_a_header_only_report(self, capsys, tmp_path, config_text, dataset, argv):
         config = tmp_path / "in.toml"
@@ -1185,13 +1224,6 @@ class TestPipelines:
         code, out, err = run(capsys, "fit", "--kind", "stark", "--input", data, "--out", tmp_path / "x")
         assert code == EXIT_FITTING
         assert out == "" and err == f"error: fitting failed: ion9: need at least 3 distinct fields, got {found}\n"
-
-    def test_stark_fit_of_no_rows_exits_5(self, capsys, tmp_path):
-        data = tmp_path / "stark_scan.csv"
-        data.write_text("ion_id,voltage_v,field_v_per_cm,frequency_mhz,counts\n", encoding="utf-8")
-        code, out, err = run(capsys, "fit", "--kind", "stark", "--input", data, "--out", tmp_path / "x")
-        assert code == EXIT_FITTING
-        assert out == "" and err == "error: fitting failed: no scan points to fit\n"
 
     @pytest.mark.parametrize("argv", [["stark"], ["reproduce", "fig4a"]], ids=["stark", "fig4a"])
     def test_sweep_of_an_empty_registry_exits_2(self, capsys, tmp_path, argv):

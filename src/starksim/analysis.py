@@ -42,19 +42,15 @@ class G2Estimate:
 
 
 def exponential_decay(t: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """amplitude * exp(-t / tau) + background"""
-    amplitude, tau, background = params
-    return amplitude * np.exp(-t / tau) + background
+    """amplitude * exp(-t / tau)"""
+    amplitude, tau = params
+    return amplitude * np.exp(-t / tau)
 
 
 def exponential_decay_jacobian(t: np.ndarray, params: np.ndarray) -> np.ndarray:
-    amplitude, tau, _ = params
+    amplitude, tau = params
     decay = np.exp(-t / tau)
-    jac = np.empty(decay.shape + (3,))
-    jac[..., 0] = decay
-    jac[..., 1] = amplitude * decay * (t / tau) / tau  # grouped to avoid tau^2 overflow
-    jac[..., 2] = 1.0
-    return jac
+    return np.stack([decay, amplitude * decay * (t / tau) / tau], axis=-1)  # grouped to avoid tau^2 overflow
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +166,10 @@ def _line_sum(line_params, law) -> tuple:
     line's amplitude, centre and width as (K, 1) or (K, points) arrays, and ``law(by_amplitude, by_centre,
     by_width)`` maps a line's partial derivatives, each (K, points), to the columns of its own parameters."""
     def model(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return lorentzian(x, (*line_params(p), 0.0)).sum(axis=0) + p[-1]
+        return lorentzian(x, line_params(p)).sum(axis=0) + p[-1]
 
     def jacobian(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-        by_amplitude, by_centre, by_width, _ = np.moveaxis(lorentzian_jacobian(x, (*line_params(p), 0.0)), -1, 0)
+        by_amplitude, by_centre, by_width = np.moveaxis(lorentzian_jacobian(x, line_params(p)), -1, 0)
         by_line = np.stack(law(by_amplitude, by_centre, by_width), axis=-1)  # (K, points, parameters of a line)
         return np.column_stack([by_line.transpose(1, 0, 2).reshape(x.size, -1), np.ones(x.size)])
 
@@ -218,9 +214,8 @@ def fit_exponential_decay(
             f"pinned floor {floor:.4g} counts/bin is {excess:.1f} standard errors "
             f"above the mean {tail.mean():.4g} counts/bin of the last {tail.size} bins"
         )
-    try:  # the model and Jacobian with the floor pinned
-        result = least_squares(lambda tt, p: exponential_decay(tt, (*p, floor)),
-                               lambda tt, p: exponential_decay_jacobian(tt, (*p, floor))[..., :2],
+    try:
+        result = least_squares(lambda tt, p: exponential_decay(tt, p) + floor, exponential_decay_jacobian,
                                t, y, _decay_guess(t, y, floor), ("amplitude", "tau_us"))
         tau = result.value("tau_us")
         if not 0.0 < tau <= 50.0 * float(t[-1] - t[0]):  # a runaway or negative lifetime

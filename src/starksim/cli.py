@@ -237,7 +237,12 @@ def _g2(args, config: ExperimentConfig, seed: int) -> tuple[np.ndarray, ...]:
 
 
 def _fit_g2(config: ExperimentConfig, lags, coincidences, normalized) -> list[Row]:
-    """fig3c's fit stage."""
+    """fig3c's fit stage, the one reader of its histogram: its rows sorted by lag, each lag in one row (a
+    repeated row is refused by its lag), and the zero-lag coincidences over the mean of the side lags."""
+    order = np.argsort(lags, kind="stable")
+    lags, coincidences = lags[order], coincidences[order]
+    if (repeated := lags[1:][np.diff(lags) == 0]).size:
+        raise FitError(f"lags must be distinct: lag {repeated[0]} is in {np.count_nonzero(lags == repeated[0])} rows")
     estimate = estimate_g2_zero(lags, coincidences)
     return [("g2_zero", estimate.g2_zero, estimate.standard_error, "dimensionless")]
 

@@ -99,28 +99,24 @@ def line_law(e_parallel_v_per_cm, f0_mhz, s_khz_per_v_cm, fwhm0_mhz, b_mhz_per_k
 
 
 def lorentzian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """amplitude / (1 + (2 (x - center) / fwhm)^2) + offset
+    """amplitude / (1 + (2 (x - center) / fwhm)^2)
 
     Here and in its Jacobian, a point so far off the line that a power of
     its reduced detuning overflows takes the line's limit there, 0, exactly.
     """
-    amplitude, center, fwhm, offset = params
+    amplitude, center, fwhm = params
     u = 2.0 * (x - center) / fwhm
     with np.errstate(over="ignore"):
-        return amplitude / (1.0 + u * u) + offset
+        return amplitude / (1.0 + u * u)
 
 
 def lorentzian_jacobian(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    amplitude, center, fwhm, _ = params
+    amplitude, center, fwhm = params
     u = 2.0 * (x - center) / fwhm
-    jac = np.empty(u.shape + (4,))
     with np.errstate(over="ignore"):
         denom = 1.0 + u * u
-        jac[..., 0] = 1.0 / denom
-        jac[..., 1] = amplitude * 4.0 * u / (fwhm * denom * denom)
-        jac[..., 2] = amplitude * 2.0 * u * u / (fwhm * denom * denom)
-    jac[..., 3] = 1.0
-    return jac
+        return np.stack([1.0 / denom, amplitude * 4.0 * u / (fwhm * denom * denom),
+                         amplitude * 2.0 * u * u / (fwhm * denom * denom)], axis=-1)
 
 
 @dataclass(frozen=True)

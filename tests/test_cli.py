@@ -891,11 +891,12 @@ class TestPipelines:
         assert out == "" and err == "error: fitting failed: coincidences must be >= 0\n"
 
     @pytest.mark.parametrize(
-        "rows, found",
-        [("-2,5,0\n-1,6,0\n1,5,0\n2,7,0\n", 0), ("-1,6,0\n0,1,0\n0,2,0\n1,5,0\n2,7,0\n", 2)],
+        "rows, message",
+        [("-2,5,0\n-1,6,0\n1,5,0\n2,7,0\n", "need exactly one lag-0 bin, got 0"),
+         ("-1,6,0\n0,1,0\n0,2,0\n1,5,0\n2,7,0\n", "lags must be distinct: lag 0 is in 2 rows")],
         ids=["no-lag-0", "two-lag-0"],
     )
-    def test_g2_needs_one_lag_0_row(self, capsys, config_path, tmp_path, rows, found):
+    def test_g2_needs_one_lag_0_row(self, capsys, config_path, tmp_path, rows, message):
         histogram = tmp_path / "g2.csv"
         histogram.write_text("lag_pulses,coincidences,normalized\n" + rows, encoding="utf-8")
         code, out, err = run(
@@ -903,7 +904,27 @@ class TestPipelines:
             "--input", histogram, "--out", tmp_path / "x",
         )
         assert code == EXIT_FITTING
-        assert out == "" and err == f"error: fitting failed: need exactly one lag-0 bin, got {found}\n"
+        assert out == "" and err == f"error: fitting failed: {message}\n"
+
+    @pytest.mark.parametrize("twice", ["lag-5", "every-side-lag"])
+    def test_g2_refuses_a_repeated_lag(self, capsys, fast_config, tmp_path, twice):
+        # a repeated side lag once weighed twice in the side-lag mean, so in g2(0), and exited 0; the rows are
+        # read in lag order, so a repeat is found wherever it is in the file
+        fig = tmp_path / "fig"
+        assert run(capsys, "reproduce", "fig3c", "--config", fast_config, "--out", fig)[0] == EXIT_OK
+        header, *rows = (fig / "g2.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        lags = [int(row.split(",")[0]) for row in rows]
+        if twice == "lag-5":
+            repeated = rows + [rows[lags.index(5)]]
+        else:
+            repeated = rows[::-1] + [row for row, lag in zip(rows, lags) if lag != 0]
+        histogram = tmp_path / "g2.csv"
+        histogram.write_text(header + "".join(repeated), encoding="utf-8")
+        code, out, err = run(capsys, "fit", "--config", fast_config, "--kind", "g2", "--input", histogram,
+                             "--out", tmp_path / "x")
+        assert code == EXIT_FITTING
+        lag = 5 if twice == "lag-5" else min(lags)
+        assert out == "" and err == f"error: fitting failed: lags must be distinct: lag {lag} is in 2 rows\n"
 
     @pytest.mark.parametrize(
         "kind, text, cell",

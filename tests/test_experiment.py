@@ -378,7 +378,7 @@ def _per_point_ple_counts(ions, emitter, protocol, detector, e_parallel_v_per_cm
         total = 0
         for ion in ions:
             centre, fwhm = ion.line(e_parallel_v_per_cm)
-            p_exc = lorentzian(freq, (emitter.saturation_excitation_prob, centre, fwhm, 0.0))
+            p_exc = lorentzian(freq, (emitter.saturation_excitation_prob, centre, fwhm))
             excited = rng.binomial(n_pulses, p_exc)
             total += rng.binomial(excited, detector.total_efficiency * window_prob)
         counts.append(total + rng.poisson(dark_mean))
@@ -620,7 +620,7 @@ class TestStarkScan:
                 swept, emitter, stark, volts_to_field, protocol, detector, seed
             )
             saturation = emitter.saturation_excitation_prob
-            p_exc = sum(lorentzian(freqs, (saturation, *ion.line(fields), 0.0)) for ion in lines)
+            p_exc = sum(lorentzian(freqs, (saturation, *ion.line(fields))) for ion in lines)
             mean = protocol.pulses_per_point * p_exc * p_detect + darks
             return float(np.sum((counts - mean) ** 2 / mean)), counts.size
 

@@ -146,20 +146,20 @@ class TestEffectiveLifetime:
 
 class TestExcitationProbability:
     def test_on_resonance_saturates(self):
-        assert lorentzian(0.0, (0.37, 0.0, 6.7, 0.0)) == pytest.approx(0.37)
+        assert lorentzian(0.0, (0.37, 0.0, 6.7)) == pytest.approx(0.37)
 
     def test_half_width_gives_half_probability(self):
-        assert lorentzian(6.7 / 2.0, (0.5, 0.0, 6.7, 0.0)) == pytest.approx(0.25)
+        assert lorentzian(6.7 / 2.0, (0.5, 0.0, 6.7)) == pytest.approx(0.25)
 
     def test_one_scan_pitch_detuning(self):
-        p = lorentzian(5.0, (1.0, 0.0, 6.7, 0.0))
+        p = lorentzian(5.0, (1.0, 0.0, 6.7))
         assert p == pytest.approx(1.0 / (1.0 + (10.0 / 6.7) ** 2), rel=1e-12)
         assert p == pytest.approx(0.310, abs=2e-3)
 
     def test_even_and_bounded(self):
         for d in np.linspace(0.0, 100.0, 37):
-            lo = lorentzian(-d, (0.5, 0.0, 6.7, 0.0))
-            hi = lorentzian(d, (0.5, 0.0, 6.7, 0.0))
+            lo = lorentzian(-d, (0.5, 0.0, 6.7))
+            hi = lorentzian(d, (0.5, 0.0, 6.7))
             assert lo == hi
             assert 0.0 <= hi <= 0.5
 
@@ -167,9 +167,9 @@ class TestExcitationProbability:
         # a scan's (points x ions) detunings, each ion with its own width
         fwhm = np.array([6.7, 12.0])
         detuning = np.linspace(-30.0, 30.0, 13)[:, None] - np.array([0.0, 5.0])
-        p = lorentzian(detuning, (0.5, 0.0, fwhm, 0.0))
+        p = lorentzian(detuning, (0.5, 0.0, fwhm))
         assert p.shape == (13, 2)
-        expected = [[lorentzian(d, (0.5, 0.0, w, 0.0)) for d, w in zip(row, fwhm.tolist())] for row in detuning.tolist()]
+        expected = [[lorentzian(d, (0.5, 0.0, w)) for d, w in zip(row, fwhm.tolist())] for row in detuning.tolist()]
         assert np.array_equal(p, expected)
 
 

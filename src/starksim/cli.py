@@ -21,12 +21,12 @@ run, so partial outputs of a failed run still carry their provenance;
 go to stdout, one per line (``field`` and ``resonance`` print their small
 key=value reports first); diagnostics go to stderr.
 
-Exit codes are the ``EXIT_*`` constants. A config that fails to load
-exits 2 where it happens; every later failure, from writing the manifest
-on, exits with the code and message of its row of ``FAILURES``, the one
-table of failure class, exit code and message. Every refused input is a
-``ConfigError``, so an exit code other than 2 means that a config that
-loaded failed at run time.
+Exit codes are the ``EXIT_*`` constants. Every failure, from loading the
+config on, exits with the code and message of its row of ``FAILURES``, the
+one table of failure class, exit code and message. Every refused config
+or option, a config file that cannot be read among them, is a
+``ConfigError`` and reads ``invalid configuration: ...``, so an exit code
+other than 2 means that a config that loaded failed at run time.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .experiment import (
 )
 from .manifest import write_run_manifest
 from .optimize import FitError, FitResult
-from .stark import NoResonanceError, VoltageOutOfRangeError, resonance_voltage
+from .stark import NoResonanceError, VoltageOutOfRangeError, check_ion_id, resonance_voltage
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,13 +76,13 @@ class FieldOverflowError(ArithmeticError):
     """The per-volt probe field, times ``field``'s voltage, is not finite."""
 
 
-# Each run-time failure's (class, exit code, message format of exc and out_dir),
-# read in order, so a class comes before its bases.
+# Each failure's (class, exit code, message format of exc and out_dir), from
+# loading the config on, read in order, so a class comes before its bases.
 FAILURES = (
     (NoResonanceError, EXIT_NO_RESONANCE, "{exc}"),
     (VoltageOutOfRangeError, EXIT_VOLTAGE_RANGE, "{exc} (required voltage {exc.required_voltage_v:.17g} V)"),
     (FieldOverflowError, EXIT_SOLVER, "{exc}"),
-    (ConfigError, EXIT_CONFIG, "{exc}"),
+    (ConfigError, EXIT_CONFIG, "invalid configuration: {exc}"),
     (SimulationError, EXIT_SIMULATION, "simulation failed: {exc}"),
     (FitError, EXIT_FITTING, "fitting failed: {exc}"),
     (OSError, EXIT_CONFIG, "cannot write output directory {out_dir}: {exc}"),  # only writes under out_dir raise it
@@ -261,10 +261,14 @@ def _stark(args, config: ExperimentConfig, seed: int) -> tuple[np.ndarray, ...]:
 
 
 def _fit_stark(config: ExperimentConfig, ion_ids, voltages_v, fields_v_per_cm, frequencies_mhz, counts) -> list[Row]:
-    """fig4's fit stage: one fit of every ion's line law, reported ion by ion in file order with the fit's chi2."""
+    """fig4's fit stage, of ids the registry may hold: one fit of every ion's line law, reported ion by ion in
+    file order with the fit's chi2."""
+    ids = list(dict.fromkeys(ion_ids.tolist()))
+    for ion_id in ids:
+        check_ion_id(ion_id, "ion_id", FitError)
     fit = fit_stark_sweep(ion_ids, fields_v_per_cm, frequencies_mhz, counts)
     report: list[Row] = []
-    for ion_id in dict.fromkeys(ion_ids.tolist()):
+    for ion_id in ids:
         report += _rows(fit, [(f"stark_coefficient_{ion_id}", "kHz/(V/cm)"), (f"zero_field_frequency_{ion_id}", "MHz"),
                               (f"zero_field_fwhm_{ion_id}", "MHz"), (f"broadening_{ion_id}", "MHz/(kV/cm)")])
         report.append((f"line_reduced_chi_square_{ion_id}", fit.reduced_chi_square, 0.0, "dimensionless"))
@@ -353,26 +357,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
     args.command_line = shlex.join(["starksim", *argv])  # recorded in every manifest
+    out_dir = args.out
+    handlers = {"field": _cmd_field, "fit": _cmd_fit, "resonance": _cmd_resonance}
     try:
         config = load_config(args.config) if args.config is not None else default_config()
         if args.command == "ple" and abs(args.voltage) > config.run.max_voltage_v:
             raise ConfigError(
                 f"--voltage {args.voltage:g} V is outside the +/-{config.run.max_voltage_v:g} V of [run].max_voltage_v"
             )
-    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8 text
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"error: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    seed = args.seed if args.seed is not None else config.run.seed
-    out_dir = args.out if args.out is not None else Path(config.run.output_dir)
-    reports_only = args.command in ("field", "resonance") and not getattr(args, "dump_grid", False)
-    if args.out is None and reports_only:
-        out_dir = None  # the report commands print to stdout and write files only when asked to
-    handlers = {"field": _cmd_field, "fit": _cmd_fit, "resonance": _cmd_resonance}
-    try:
+        seed = args.seed if args.seed is not None else config.run.seed
+        # the report commands print to stdout and write files only when asked to
+        if out_dir is None and (args.command not in ("field", "resonance") or getattr(args, "dump_grid", False)):
+            out_dir = Path(config.run.output_dir)
         if out_dir is not None:
             write_run_manifest(out_dir, config, seed, args.command_line)
         paths = handlers.get(args.command, _cmd_figure)(args, config, seed, out_dir)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import re
 import sys
 import tomllib
 from dataclasses import MISSING, dataclass, fields, replace
@@ -97,6 +96,8 @@ class RunSettings:
         # the paths under it print one per line, so nothing str.splitlines() breaks at
         if "".join(self.output_dir.splitlines()) != self.output_dir:
             raise ConfigError(f"[run].output_dir {self.output_dir!r} may not hold a line break")
+        if "\0" in self.output_dir:  # no path the OS opens holds one
+            raise ConfigError(f"[run].output_dir {self.output_dir!r} may not hold a NUL")
 
 
 _DEFAULT_IONS = (
@@ -135,9 +136,6 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         ids = [ion.ion_id for ion in self.ions]
-        for ion_id in ids:  # ids name stark_scan.csv cells and fit_report.csv quantities, unquoted
-            if not re.fullmatch(r"[A-Za-z0-9_.-]+", ion_id):
-                raise ConfigError(f"[[ions]].id {ion_id!r} may use only A-Z, a-z, 0-9, '_', '.' and '-'")
         for index, ion_id in enumerate(ids):
             if ion_id in ids[:index]:
                 raise ConfigError(f"[[ions]].id {ion_id!r} is not unique")
@@ -326,11 +324,16 @@ def loads_config(text: str) -> ExperimentConfig:
         raise ConfigError(
             f"an integer has more than {sys.get_int_max_str_digits()} digits, Python's limit"
         ) from None
+    except RecursionError:  # tomllib parses each nested array or inline table a call deeper
+        raise ConfigError("arrays or inline tables nest too deeply to parse") from None
     return config_from_dict(data)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    return loads_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        return loads_config(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8 text: named, as read_table does
+        raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def dumps_config(config: ExperimentConfig) -> str:

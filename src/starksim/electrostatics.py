@@ -257,7 +257,7 @@ def check_grid(layout: ElectrodeLayout, spacing_um: float) -> tuple[int, int]:
     half_cells = [extent / 2.0 / spacing_um for extent in layout.domain_extent_um]  # floats: an inf is refused
     where = f"[layout].domain_extent_um at [solver].spacing_um = {spacing_um:g} um"
     check_count(where, (half_cells[0] + 1) * (half_cells[1] + 1), 16)  # the quarter's complex128 modes
-    cols, rows = (max(int(round(cells)), 2) for cells in half_cells)
+    cols, rows = (int(round(cells)) for cells in half_cells)  # ElectrodeLayout's margins: at least 50 and 40
     _stencil_position(layout.probe_point_um, spacing_um, cols, rows, "[layout].probe_point_um")
     return cols, rows
 

@@ -15,6 +15,7 @@ in MHz, lifetimes in us (the bulk lifetime in ms).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "IonModel",
     "NoResonanceError",
     "VoltageOutOfRangeError",
+    "check_ion_id",
     "lifetime_limited_fwhm_mhz",
     "line_law",
     "lorentzian",
@@ -50,6 +52,12 @@ class VoltageOutOfRangeError(ValueError):
         )
 
 
+def check_ion_id(ion_id: str, where: str = "[[ions]].id", error: type[Exception] = ConfigError) -> None:
+    """``error`` unless ``ion_id`` may name stark_scan.csv cells and fit_report.csv quantities unquoted."""
+    if not re.fullmatch(r"[A-Za-z0-9_.-]+", ion_id):
+        raise error(f"{where} {ion_id!r} may use only A-Z, a-z, 0-9, '_', '.' and '-'")
+
+
 @dataclass(frozen=True)
 class IonModel:
     """One emitter's spectral identity and field response."""
@@ -61,6 +69,7 @@ class IonModel:
     broadening_mhz_per_kv_cm: float = 0.0
 
     def __post_init__(self) -> None:
+        check_ion_id(self.ion_id)
         if self.zero_field_fwhm_mhz <= 0.0:
             raise ConfigError(
                 f"[[ions]].zero_field_fwhm_mhz of {self.ion_id!r} must be positive, got {self.zero_field_fwhm_mhz}"

@@ -1,7 +1,8 @@
 """Golden outputs: a fixed matrix of starksim runs and what each one wrote.
 
 Each run is one or more ``starksim.cli.main`` calls in a fresh temporary
-working directory, with relative ``--out`` paths, so stdout is the same
+working directory that holds the run's input files, with relative paths
+(``--out`` and the inputs), so stdout is the same
 on every machine. A run records the last call's exit code (or the class
 of the exception that escaped ``main``), its stdout and stderr, the
 warnings it raised, and the SHA-256 of every file the run wrote except
@@ -39,39 +40,48 @@ from starksim.cli import main  # noqa: E402
 CONFIG = "in.toml"  # a run's config file, in its working directory; not an output
 
 
-def _matrix() -> dict[str, tuple[str | None, list[list[str]]]]:
-    """Run name -> (config text or None for the defaults, the ``main`` argv of each call)."""
-    runs: dict[str, tuple[str | None, list[list[str]]]] = {}
+def _matrix() -> dict[str, tuple[dict[str, str], list[list[str]]]]:
+    """Run name -> (its input files, name -> text, in its working directory, where ``CONFIG`` is passed to every
+    call as ``--config`` and the defaults apply without it; the ``main`` argv of each call)."""
+    runs: dict[str, tuple[dict[str, str], list[list[str]]]] = {}
     for seed in ("1", "7"):
         for figure in ("fig2", "fig3b", "fig3c", "fig4a", "fig4b"):
-            runs[f"reproduce-{figure}-seed{seed}"] = (None, [["reproduce", figure, "--seed", seed, "--out", "out"]])
+            runs[f"reproduce-{figure}-seed{seed}"] = ({}, [["reproduce", figure, "--seed", seed, "--out", "out"]])
         for kind in ("ple", "decay", "g2", "stark"):
-            runs[f"{kind}-seed{seed}"] = (None, [[kind, "--seed", seed, "--out", "out"]])
+            runs[f"{kind}-seed{seed}"] = ({}, [[kind, "--seed", seed, "--out", "out"]])
     retired = (TESTS / "fixtures" / "config_with_retired_keys.toml").read_text(encoding="utf-8")
-    runs["reproduce-fig4b-retired-keys"] = (retired, [["reproduce", "fig4b", "--out", "out"]])
-    runs["field"] = (None, [["field"]])
-    runs["field-1e308V"] = (None, [["field", "--voltage", "1e308"]])
-    runs["field-100V-dump-grid"] = (None, [["field", "--voltage", "100", "--dump-grid", "--out", "out"]])
+    runs["reproduce-fig4b-retired-keys"] = ({CONFIG: retired}, [["reproduce", "fig4b", "--out", "out"]])
+    runs["field"] = ({}, [["field"]])
+    runs["field-1e308V"] = ({}, [["field", "--voltage", "1e308"]])
+    runs["field-100V-dump-grid"] = ({}, [["field", "--voltage", "100", "--dump-grid", "--out", "out"]])
     for a, b in (("ion1", "ion7"), ("ion2", "ion3"), ("ion1", "nope")):
-        runs[f"resonance-{a}-{b}"] = (None, [["resonance", "--ion-a", a, "--ion-b", b]])
+        runs[f"resonance-{a}-{b}"] = ({}, [["resonance", "--ion-a", a, "--ion-b", b]])
     # one zero-field frequency and a negative slope: the voltage is -0.0
     same_f0 = "".join(f'[[ions]]\nid = "{ion_id}"\nstark_coefficient_khz_per_v_cm = {s}\nzero_field_fwhm_mhz = 6.7\n'
                       for ion_id, s in (("a", 19.8), ("b", 30.0)))
-    runs["resonance-same-f0-negative-slope"] = (same_f0, [["resonance", "--ion-a", "a", "--ion-b", "b"]])
-    runs["ple-120V"] = (None, [["ple", "--voltage", "120", "--out", "out"]])
+    runs["resonance-same-f0-negative-slope"] = ({CONFIG: same_f0}, [["resonance", "--ion-a", "a", "--ion-b", "b"]])
+    runs["ple-120V"] = ({}, [["ple", "--voltage", "120", "--out", "out"]])
     for kind, dataset in (("ple", "ple_scan.csv"), ("decay", "decay.csv"), ("g2", "g2.csv"), ("stark", "stark_scan.csv")):
-        runs[f"fit-{kind}"] = (None, [[kind, "--out", "data"],
-                                      ["fit", "--kind", kind, "--input", f"data/{dataset}", "--out", "fit"]])
+        runs[f"fit-{kind}"] = ({}, [[kind, "--out", "data"],
+                                    ["fit", "--kind", kind, "--input", f"data/{dataset}", "--out", "fit"]])
+    # an id no registry may hold, quoted: its comma and line break once reached fit_report.csv unquoted
+    runs["fit-stark-comma-id"] = (
+        {"in.csv": 'ion_id,voltage_v,field_v_per_cm,frequency_mhz,counts\n"ion,1\nx",0,0,0,1\n'},
+        [["fit", "--kind", "stark", "--input", "in.csv", "--out", "fit"]],
+    )
     for width in ("0.1", "0.25", "0.5", "2.0", "2.5"):
         runs[f"reproduce-fig3b-{width}us-bins"] = (
-            f"[decay]\nbin_width_us = {width}\n", [["reproduce", "fig3b", "--out", "out"]]
+            {CONFIG: f"[decay]\nbin_width_us = {width}\n"}, [["reproduce", "fig3b", "--out", "out"]]
         )
     # fig2's fit stage refuses fewer than 8 distinct frequencies, ion1's line held or none
     for name, scan in (("7-points", "[-15.0, 15.0]"), ("3-points-no-line", "[100.0, 110.0]")):
-        runs[f"reproduce-fig2-{name}"] = (f"[protocol]\nscan_range_mhz = {scan}\n", [["reproduce", "fig2", "--out", "out"]])
-    runs["decay-100us-bin"] = ("[decay]\nbin_width_us = 100.0\n", [["decay", "--out", "out"]])
+        runs[f"reproduce-fig2-{name}"] = (
+            {CONFIG: f"[protocol]\nscan_range_mhz = {scan}\n"}, [["reproduce", "fig2", "--out", "out"]]
+        )
+    runs["decay-100us-bin"] = ({CONFIG: "[decay]\nbin_width_us = 100.0\n"}, [["decay", "--out", "out"]])
     runs["reproduce-fig3b-lifetime-underflows"] = (
-        "[emitter]\nbulk_lifetime_ms = 5e-324\nenhancement_factor = 1e300\n", [["reproduce", "fig3b", "--out", "out"]]
+        {CONFIG: "[emitter]\nbulk_lifetime_ms = 5e-324\nenhancement_factor = 1e300\n"},
+        [["reproduce", "fig3b", "--out", "out"]],
     )
     bad = {  # one key each, refused at load time
         "decay-n_pulses": ("[decay]\nn_pulses = 0\n", "decay"),
@@ -80,9 +90,12 @@ def _matrix() -> dict[str, tuple[str | None, list[list[str]]]]:
         "stark-window_half_width_mhz": ("[stark]\nwindow_half_width_mhz = 1e308\n", "stark"),
         "layout-gap_um": ("[layout]\ngap_um = nan\n", "field"),
         "run-seed": ("[run]\nseed = -5\n", "g2"),
+        "run-seed-nested-3000-deep": ("[run]\nseed = " + "[" * 3000 + "]" * 3000 + "\n", "decay"),
     }
     for name, (text, command) in bad.items():
-        runs[f"bad-{name}"] = (text, [[command, "--out", "out"]])
+        runs[f"bad-{name}"] = ({CONFIG: text}, [[command, "--out", "out"]])
+    # no --out, so the run reads the output_dir it refuses
+    runs["bad-run-output_dir-nul"] = ({CONFIG: '[run]\noutput_dir = "a\\u0000b"\n'}, [["decay"]])
     return runs
 
 
@@ -110,13 +123,13 @@ def run_matrix() -> dict:
     """Every run of the matrix, by name, as the table records it."""
     records = {}
     cwd = os.getcwd()
-    for name, (config, calls) in _matrix().items():
+    for name, (inputs, calls) in _matrix().items():
         with tempfile.TemporaryDirectory() as work:
             os.chdir(work)
             try:
-                if config is not None:
-                    Path(CONFIG).write_text(config, encoding="utf-8")
-                options = ["--config", CONFIG] if config is not None else []
+                for input_name, text in inputs.items():
+                    Path(input_name).write_text(text, encoding="utf-8")
+                options = ["--config", CONFIG] if CONFIG in inputs else []
                 for argv in calls[:-1]:
                     setup = _call([*argv, *options])
                     assert setup["exit"] == 0, (name, argv, setup)
@@ -124,7 +137,7 @@ def run_matrix() -> dict:
                 record["files"] = {
                     path.as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
                     for path in sorted(Path().rglob("*"))
-                    if path.is_file() and path.name != "manifest.json" and path.as_posix() != CONFIG
+                    if path.is_file() and path.name != "manifest.json" and path.as_posix() not in inputs
                 }
             finally:
                 os.chdir(cwd)

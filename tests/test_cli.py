@@ -413,6 +413,9 @@ class TestLoadTimeChecks:
              "[decay].bin_width_us = 100 us is wider than [protocol].window_length_us = 85 us"),
             ("[emitter]\nbulk_lifetime_ms = 5e-324\nenhancement_factor = 1e300\n",
              "[emitter] bulk_lifetime_ms = 5e-324 over enhancement_factor = 1e+300 gives a lifetime of 0 us"),
+            # each ended in a traceback: tomllib's RecursionError; "embedded null byte" from os.mkdir
+            ("[run]\nseed = " + "[" * 3000 + "]" * 3000 + "\n", "arrays or inline tables nest too deeply to parse"),
+            ('[run]\noutput_dir = "a\\u0000b"\n', "[run].output_dir 'a\\x00b' may not hold a NUL"),
         ],
     )
     def test_refusal_names_key_and_value(self, capsys, tmp_path, text, where):
@@ -472,7 +475,9 @@ class TestLoadTimeChecks:
             path.write_bytes(b"\xff\xfe[layout]\n")
         code, out, err = run(capsys, "field", "--config", path, "--out", tmp_path / "out")
         assert code == EXIT_CONFIG
-        assert err.startswith("error: ") and "Traceback" not in err
+        # load_config names the file in a ConfigError
+        assert re.fullmatch(f"error: invalid configuration: {re.escape(str(path))}: [^\n]+\n", err), err
+        assert out == "" and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["field", "ple"])
     @pytest.mark.parametrize("voltage", ["nan", "inf", "-inf", "volts"])
@@ -576,7 +581,7 @@ class TestResonanceCommand:
     def test_unknown_ion_exits_2(self, capsys, config_path, ion_a, ion_b, unknown):
         code, out, err = run(capsys, "resonance", "--config", config_path, "--ion-a", ion_a, "--ion-b", ion_b)
         assert code == EXIT_CONFIG
-        assert out == "" and err == f"error: unknown ion id {unknown!r}\n"
+        assert out == "" and err == f"error: invalid configuration: unknown ion id {unknown!r}\n"
 
     def test_common_mode_potential_adds_no_field_per_volt(self, capsys, tmp_path):
         # an off-centre probe sees the common-mode field of an unbalanced
@@ -1246,6 +1251,19 @@ class TestPipelines:
         assert code == EXIT_FITTING
         assert out == "" and err == f"error: fitting failed: ion9: need at least 3 distinct fields, got {found}\n"
 
+    def test_stark_fit_refuses_an_id_the_registry_may_not_hold(self, capsys, fast_config, tmp_path):
+        # a quoted id with a comma and a line break was fitted, and its report read back as rows of 2 and 4 cells
+        assert run(capsys, "stark", "--config", fast_config, "--out", tmp_path)[0] == EXIT_OK
+        data = tmp_path / "stark_scan.csv"
+        header, first, *rest = data.read_text(encoding="utf-8").splitlines(keepends=True)
+        data.write_text("".join([header, '"ion,1\nx"' + first[first.index(","):], *rest]), encoding="utf-8")
+        code, out, err = run(capsys, "fit", "--kind", "stark", "--input", data, "--out", tmp_path / "fit")
+        assert code == EXIT_FITTING
+        assert out == "" and err == (
+            "error: fitting failed: ion_id 'ion,1\\nx' may use only A-Z, a-z, 0-9, '_', '.' and '-'\n"
+        )
+        assert not (tmp_path / "fit" / "fit_report.csv").exists()
+
     @pytest.mark.parametrize("argv", [["stark"], ["reproduce", "fig4a"]], ids=["stark", "fig4a"])
     def test_sweep_of_an_empty_registry_exits_2(self, capsys, tmp_path, argv):
         # an empty registry loads (ple scans darks alone), but the [stark] ion_id "" names its first ion
@@ -1253,7 +1271,9 @@ class TestPipelines:
         config.write_text("ions = []\n", encoding="utf-8")
         code, out, err = run(capsys, *argv, "--config", config, "--out", tmp_path / "out")
         assert code == EXIT_CONFIG
-        assert out == "" and err == "error: [stark].ion_id '' names the first ion, but the ion registry is empty\n"
+        assert out == "" and err == (
+            "error: invalid configuration: [stark].ion_id '' names the first ion, but the ion registry is empty\n"
+        )
 
     def test_fig4b_of_an_empty_registry_writes_a_header_and_fits_nothing(self, capsys, tmp_path):
         config = tmp_path / "empty.toml"
@@ -1486,9 +1506,9 @@ _READERS = {
     "stark": ["reproduce", "fig4a"],
 }
 # each leaf type's edge values: for a number zero, the smallest subnormal, negative, huge, infinite and not a
-# number; for a string empty, a line break, a character outside ASCII and a long one
+# number; for a string empty, a line break, a NUL, a character outside ASCII and a long one
 _EDGES = {float: [0.0, 5e-324, -1.0, 1e300, math.inf, math.nan], int: [0, -1, 2**63],
-          str: ["", "\n", "\u00e9", "x" * 10_000]}
+          str: ["", "\n", "\0", "\u00e9", "x" * 10_000]}
 
 
 def _leaves(value, path=()):

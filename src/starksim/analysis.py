@@ -28,7 +28,17 @@ __all__ = [
     "fit_exponential_decay",
     "fit_lorentzians",
     "fit_stark_sweep",
+    "median",
 ]
+
+
+def median(values: Sequence[float] | np.ndarray) -> float:
+    """``np.median`` of a non-empty array, the same bits, from one sort: the middle value, or the mean of the
+    two middle ones, and NaN if any value is NaN. ``np.median`` imports ``numpy.ma``, 14 ms of a fresh process."""
+    ordered = np.sort(values, axis=None)  # a NaN sorts last
+    half = ordered.size // 2
+    middle = float(ordered[half]) if ordered.size % 2 else (float(ordered[half - 1]) + float(ordered[half])) / 2.0
+    return math.nan if np.isnan(ordered[-1]) else middle
 
 
 @dataclass(frozen=True)
@@ -72,7 +82,7 @@ def find_peaks(counts: Sequence[float] | np.ndarray, threshold_sigma: float) -> 
     padded = np.concatenate([counts[:1], counts, counts[-1:]])
     smooth = (padded[:-2] + 2.0 * padded[1:-1] + padded[2:]) / 4.0
 
-    background = float(np.median(counts))
+    background = median(counts)
     threshold = threshold_sigma * math.sqrt(background)
 
     peaks = _local_maxima(smooth)
@@ -179,7 +189,7 @@ def _line_sum(line_params, law) -> tuple:
 def _lorentzian_guess(x: np.ndarray, y: np.ndarray, peaks: Sequence[int], pitch: float) -> np.ndarray:
     """``[a1, c1, w1, ..., aK, cK, wK, offset]``: each peak sample's height above the median, and the width
     between the half-height crossings nearest it, at least ``pitch``."""
-    offset = np.median(y)
+    offset = median(y)
     peaks, index = np.asarray(peaks, dtype=int), np.arange(y.size)
     amplitude = np.maximum(y[peaks] - offset, 1e-9)
     below = y < (offset + amplitude / 2.0)[:, None]
@@ -276,7 +286,7 @@ def fit_stark_sweep(
 
     model, jacobian = _line_sum(line_params, lambda a, c, w: (a, c, c * d_centre, w, w * d_width))
     order = list(dict.fromkeys(ids.tolist()))
-    offset, initial = float(np.median(y)), []
+    offset, initial = median(y), []
     for ion_id in order:
         mine = ids == ion_id
         distinct, group = np.unique(e[mine], return_inverse=True)

@@ -48,6 +48,7 @@ from .analysis import (
     fit_exponential_decay,
     fit_lorentzians,
     fit_stark_sweep,
+    median,
 )
 from .config import ConfigError, ExperimentConfig, RunSettings, default_config, load_config
 from .csvio import read_table, write_table
@@ -184,13 +185,13 @@ def _fit_peaks(config: ExperimentConfig, frequencies_mhz, counts, integration_s)
     the scan as the sum of a Lorentzian at each peak found and one shared offset; a scan without a peak, no rows."""
     order = np.argsort(frequencies_mhz, kind="stable")
     frequencies_mhz, counts = frequencies_mhz[order], counts[order]
-    distinct = np.unique(frequencies_mhz)
+    distinct = frequencies_mhz[np.diff(frequencies_mhz, prepend=-np.inf) != 0.0]  # each unlike the one before
     if distinct.size < 8:
         raise FitError(f"need at least 8 distinct frequencies, got {distinct.size}")
     peaks = find_peaks(counts, 5.0)
     if not peaks:
         return []
-    fit = fit_lorentzians(frequencies_mhz, counts, peaks, float(np.median(np.diff(distinct))))
+    fit = fit_lorentzians(frequencies_mhz, counts, peaks, median(np.diff(distinct)))
     return _rows(fit, [(name, "MHz") for name in fit.names if name.endswith(("_center_mhz", "_fwhm_mhz"))])
 
 
@@ -214,7 +215,7 @@ def _fit_lifetime(config: ExperimentConfig, times_us, counts) -> list[Row]:
     if (kept := np.count_nonzero(keep)) < 4:
         raise FitError(f"need at least 4 bins from [decay] fit_start_us = {config.decay.fit_start_us:g} us, got {kept}")
     spacings = np.diff(times_us)
-    bin_width_us = float(np.median(spacings))
+    bin_width_us = median(spacings)
     uneven = np.flatnonzero((spacings == 0.0) | (np.abs(spacings - bin_width_us) > 1e-9 * bin_width_us))
     if uneven.size:
         a, b = times_us[uneven[0]: uneven[0] + 2].tolist()

@@ -33,15 +33,16 @@ J. Numer. Anal. 7, 627, 1970; Buzbee, Dorr, George & Golub, ibid. 8,
 722, 1971). A sine transform along x turns each column mode into a
 closed-form decay in y, which gives the surface row's Green's function
 as one cosine series. The electrode's node charges then solve a dense
-system of one unknown per electrode node (41 at the default 5 um), and
-one inverse transform of their modes gives the quarter.
+system of one unknown per electrode node (41 at the default 5 um).
 
-The solve stays on that quarter. Every node of the full grid is a
-quarter node or its exact negation, so ``residual_v``, the full domain's
-residual, is taken over the quarter's own equations, and
-:func:`field_at` reads its stencil through the mirror. The full grid is
-mirrored out only when a caller reads ``PotentialGrid.values``, as
-``field --dump-grid`` does.
+The solve ends there: :class:`PotentialGrid` keeps the charges' sine
+modes, and any row of the quarter is one inverse transform of them,
+built when it is read. :func:`field_at` reads its stencil through the
+mirror and builds the at most 4 rows it touches. The whole quarter, its
+residual ``residual_v`` (the full domain's, taken over the quarter's own
+equations, since every node of the full grid is a quarter node or its
+exact negation) and the mirrored full grid ``values`` are built only
+when a caller reads them, as ``field --dump-grid`` does.
 
 Units: lengths in micrometres, potentials in volts per volt of bias,
 fields in V/cm per volt.
@@ -114,51 +115,85 @@ class ElectrodeLayout:
 class PotentialGrid:
     """Potential per volt of bias on a uniform node-centred grid centred on the gap.
 
-    The electrodes are at +-1/2 V. The grid is held as the quarter
-    x >= 0, y >= 0 that was solved: ``quarter[m, k]`` is the potential at
-    ``(k*h, m*h)``, row 0 the surface. Its Dirichlet nodes hold their exact values: the top row,
-    the wall column and the surface row's ``electrode`` columns. The
-    potential is odd in x and even in y, so node ``(i, j)`` of the full
-    grid, at ``((j - c)*h, (i - s)*h)``, is ``quarter[|i - s|, |j - c|]``,
-    negated for j < c, where s is the surface row and c the centre
-    column. :func:`field_at` reads its nodes so, and ``residual_v`` was
-    taken on the quarter: the true residual max|b - A v| of the
-    full-domain five-point equations with unit weights, the equations
-    solved; the solve is direct, so it is rounding error. ``values``, the
-    full grid, is mirrored out only when read.
+    The electrodes are at +-1/2 V. The grid is the quarter x >= 0, y >= 0
+    that was solved, ``cols`` cells wide and ``rows`` high: ``quarter[m, k]``
+    is the potential at ``(k*h, m*h)``, row 0 the surface. It is held as
+    the electrode charges' sine modes, ``modes[k - 1]`` the surface row's
+    mode k times -2j and ``decay[k - 1]`` its decay rate t_k in y, and
+    :meth:`quarter_rows` builds any rows from them. Its Dirichlet nodes
+    hold their exact values: the top row, the wall column and the surface
+    row's ``electrode`` columns. The potential is odd in x and even in y,
+    so node ``(i, j)`` of the full grid, at ``((j - c)*h, (i - s)*h)``, is
+    ``quarter[|i - s|, |j - c|]``, negated for j < c, where s is the surface
+    row and c the centre column. :func:`field_at` reads its nodes so.
+    ``quarter``, ``values`` (the full grid) and ``residual_v`` are built
+    only when read. ``residual_v`` is taken on the quarter: the true
+    residual max|b - A v| of the full-domain five-point equations with unit
+    weights, the equations solved; the solve is direct, so it is rounding
+    error.
     """
 
     spacing_um: float
-    quarter: np.ndarray
+    cols: int
+    rows: int
     electrode: np.ndarray = field(repr=False)
-    residual_v: float = 0.0
+    decay: np.ndarray = field(repr=False)
+    modes: np.ndarray = field(repr=False)
 
     @property
     def x_coords_um(self) -> np.ndarray:  # h * k, each rounded once, so they mirror about 0 as the nodes do
-        return self.spacing_um * np.arange(1 - self.quarter.shape[1], self.quarter.shape[1])
+        return self.spacing_um * np.arange(-self.cols, self.cols + 1)
 
     @property
     def y_coords_um(self) -> np.ndarray:
-        return self.spacing_um * np.arange(1 - self.quarter.shape[0], self.quarter.shape[0])
+        return self.spacing_um * np.arange(-self.rows, self.rows + 1)
+
+    def quarter_rows(self, m: np.ndarray) -> np.ndarray:
+        """Rows ``m`` of the quarter, read from ``quarter`` once it is built: one inverse transform of the
+        surface modes times phi_k(m) (:func:`_charge_modes`). A row comes out the same, bit for bit, alone or
+        among others. The transform holds the Dirichlet nodes, the walls j = cols and m = rows and the
+        electrode, only to rounding, so they are pinned to their exact values; the column j = 0 is free in
+        the full domain and keeps the transform's value."""
+        if "quarter" in vars(self):
+            return self.quarter[m]
+        rows, t = self.rows, self.decay
+        m = np.asarray(m)[:, None]
+        # phi_k(m) in a form that cannot overflow
+        phi = np.exp(-m * t) * np.expm1(-2.0 * (rows - m) * t) / np.expm1(-2.0 * rows * t)
+        modes = np.zeros((m.shape[0], self.cols), complex)
+        np.multiply(phi, self.modes, out=modes[:, 1:])
+        quarter = np.fft.irfft(modes, 2 * self.cols)[:, : self.cols + 1]
+        quarter[m[:, 0] == rows] = quarter[:, -1] = 0.0
+        quarter[np.ix_(m[:, 0] == 0, self.electrode)] = -0.5
+        return quarter
+
+    @cached_property
+    def quarter(self) -> np.ndarray:
+        return self.quarter_rows(np.arange(self.rows + 1))
 
     @cached_property
     def values(self) -> np.ndarray:
-        rows, cols = self.quarter.shape
-        return _mirrored(self.quarter, np.arange(1 - rows, rows), np.arange(1 - cols, cols))
+        even_in_y = self.quarter[np.abs(np.arange(-self.rows, self.rows + 1))]
+        return _mirrored(even_in_y, np.arange(-self.cols, self.cols + 1))
+
+    @cached_property
+    def residual_v(self) -> float:
+        return _residual(self.quarter, self.electrode)
 
 
-def _mirrored(quarter: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Full-grid nodes at offsets ``rows`` x ``cols`` from the surface row and the centre column.
+def _mirrored(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Full-grid nodes at offsets ``cols`` from the centre column of the quarter's ``rows``.
 
-    The potential is even in y and odd in x. A node left of the centre is
-    0 - v, not -v, so that the walls' zeros stay +0, as they are in the quarter.
+    The potential is odd in x. A node left of the centre is 0 - v, not -v,
+    so that the walls' zeros stay +0, as they are in the quarter.
     """
-    v = quarter[np.abs(rows)[:, None], np.abs(cols)]
+    v = rows[:, np.abs(cols)]
     return np.where(cols < 0, 0.0 - v, v)
 
 
-def _quarter_potential(cols: int, rows: int, electrode: np.ndarray) -> np.ndarray:
-    """Exact potential on the quarter: columns 0..cols, rows 0..rows, row 0 the surface.
+def _charge_modes(cols: int, rows: int, electrode: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decay rates t_k and the surface modes -2j s_k, k = 1 .. cols - 1, of the exact potential on the
+    quarter: columns 0..cols, rows 0..rows, row 0 the surface.
 
     The walls j = 0, j = cols and m = rows are at zero, the surface nodes
     ``electrode`` at -1/2 V, and every other node obeys the
@@ -171,16 +206,10 @@ def _quarter_potential(cols: int, rows: int, electrode: np.ndarray) -> np.ndarra
     charge that holds each electrode node at its potential and vanishes on
     every free node. Its inverse, the surface Green's function, is a cosine
     series c; the electrode's charges solve one small dense system through
-    it, and the charges' modes give every row. The transform holds the
-    Dirichlet nodes, the walls j = cols and m = rows and the electrode, only
-    to rounding, so they are then pinned to their exact values. The column
-    j = 0 is free in the full domain and keeps the transform's value.
+    it, and the charges' modes over d_k are the surface row's modes s_k.
     """
     n = 2 * cols  # a sine transform over the columns is a real FFT of length n
     t = 2.0 * np.arcsinh(np.sin(np.pi * np.arange(1, cols) / n))
-    m = np.arange(rows + 1)[:, None]
-    # phi_k(m) in a form that cannot overflow
-    phi = np.exp(-m * t) * np.expm1(-2.0 * (rows - m) * t) / np.expm1(-2.0 * rows * t)
     gain = np.zeros(cols + 1)  # 1 / d_k; modes 0 and cols vanish on the walls
     gain[1:cols] = np.tanh(rows * t) / (2.0 * np.sinh(t))
     c = np.fft.irfft(gain, n)
@@ -188,12 +217,7 @@ def _quarter_potential(cols: int, rows: int, electrode: np.ndarray) -> np.ndarra
     charge = np.zeros(n)
     charge[electrode] = np.linalg.solve(green, np.full(electrode.size, -0.5))
     surface = -np.fft.rfft(charge).imag * gain  # s_k: the charges' sine modes over d_k
-    modes = np.zeros((rows + 1, cols), complex)
-    np.multiply(phi, -2j * surface[1:cols], out=modes[:, 1:])
-    quarter = np.fft.irfft(modes, n)[:, : cols + 1]
-    quarter[-1] = quarter[:, -1] = 0.0
-    quarter[0, electrode] = -0.5
-    return quarter
+    return t, -2j * surface[1:cols]
 
 
 def _residual(quarter: np.ndarray, electrode: np.ndarray) -> float:
@@ -231,8 +255,8 @@ def solve_potential(layout: ElectrodeLayout, spacing_um: float) -> PotentialGrid
     snap = spacing_um / 4.0
     half_gap = layout.gap_um / 2.0
     electrode = np.flatnonzero((x >= half_gap - snap) & (x <= half_gap + layout.electrode_width_um + snap))
-    quarter = _quarter_potential(cols, rows, electrode)  # the quarter holds the right electrode, at -1/2 V
-    return PotentialGrid(spacing_um, quarter, electrode, _residual(quarter, electrode))
+    # the quarter holds the right electrode, at -1/2 V
+    return PotentialGrid(spacing_um, cols, rows, electrode, *_charge_modes(cols, rows, electrode))
 
 
 def _stencil_position(
@@ -272,20 +296,23 @@ def field_at(grid: PotentialGrid, point_um: tuple[float, float]) -> tuple[float,
     at the four nodes surrounding the point and blended bilinearly, which
     is exact for linear potentials. The point must stay at least one cell
     away from the grid edge so the stencil fits. The stencil's nodes are
-    read from the quarter through the mirror.
+    read through the mirror from the at most 4 quarter rows it touches.
     """
     h = grid.spacing_um
-    rows, cols = grid.quarter.shape
-    xi, yi = _stencil_position(point_um, h, cols - 1, rows - 1)
+    rows, cols = grid.rows, grid.cols
+    xi, yi = _stencil_position(point_um, h, cols, rows)
 
-    # the cell's lower-left node; on the last interior node, the cell below it (the full grid is 2 * cols - 1 wide)
-    j0 = min(int(xi), 2 * cols - 4)
-    i0 = min(int(yi), 2 * rows - 4)
+    # the cell's lower-left node; on the last interior node, the cell below it (the full grid is 2 * cols + 1 wide)
+    j0 = min(int(xi), 2 * cols - 2)
+    i0 = min(int(yi), 2 * rows - 2)
     fx = xi - j0
     fy = yi - i0
 
     # the 4 x 4 nodes (i0 - 1 .. i0 + 2) x (j0 - 1 .. j0 + 2): v[1 + di, 1 + dj] is node (i0 + di, j0 + dj)
-    v = _mirrored(grid.quarter, np.arange(i0 - rows, i0 - rows + 4), np.arange(j0 - cols, j0 - cols + 4))
+    # their rows' distances from the surface, 4 consecutive offsets folded at 0, span the distinct quarter rows m
+    folded = np.abs(np.arange(i0 - rows - 1, i0 - rows + 3))
+    m = np.arange(folded.min(), folded.max() + 1)
+    v = _mirrored(grid.quarter_rows(m)[folded - m[0]], np.arange(j0 - cols - 1, j0 - cols + 3))
     ex = -(v[1:3, 2:] - v[1:3, :2]) / (2.0 * h)
     ey = -(v[2:, 1:3] - v[:2, 1:3]) / (2.0 * h)
 

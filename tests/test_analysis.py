@@ -18,6 +18,7 @@ from starksim.analysis import (
     fit_exponential_decay,
     fit_lorentzians,
     fit_stark_sweep,
+    median,
 )
 from starksim.cli import REPORT_COLUMNS
 from starksim.csvio import write_table
@@ -31,6 +32,26 @@ from starksim.optimize import (
 from starksim.stark import line_law, lorentzian, lorentzian_jacobian
 
 VOLTS_TO_FIELD = 65.022536219113164  # default-layout calibration, V/cm per V
+
+
+class TestMedian:
+    def test_is_np_median_bit_for_bit(self):
+        # odd and even sizes, ties, floats across magnitudes and signs, and ints, small and near 2**63
+        rng = np.random.default_rng(11)
+        for size in range(1, 41):
+            for values in (
+                rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size),
+                rng.integers(0, 4, size).astype(float) / 3.0,
+                rng.integers(-50, 50, size),
+                rng.integers(2**62, 2**63 - 1, size),
+                rng.poisson(20.0, size),
+            ):
+                assert median(values).hex() == float(np.median(values)).hex(), values
+                assert median(list(values)) == median(values)
+
+    def test_nan_is_nan(self):
+        for values in ([1.0, np.nan, 3.0], [np.nan, 2.0], [np.nan], [np.inf, np.nan, -np.inf, 0.0]):
+            assert math.isnan(median(values)) and math.isnan(np.median(values))
 
 
 class TestFindPeaks:

@@ -1474,6 +1474,17 @@ def test_cli_import_leaves_scipy_out():
     assert result.stdout.strip() == "False"
 
 
+def test_fig2_and_field_leave_numpy_ma_out(tmp_path):
+    # np.median and np.unique without indices import numpy.ma, 14 ms of a fresh process; fig2 and field use neither
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from starksim.cli import main; "
+         "codes = [main([*command, '--out', sys.argv[1]]) for command in (['reproduce', 'fig2'], ['field'])]; "
+         "print(codes, 'numpy.ma' in sys.modules)", str(tmp_path)],
+        capture_output=True, text=True, env=_child_env(), timeout=60, check=True,
+    )
+    assert result.stdout.splitlines()[-1] == "[0, 0] False"
+
+
 def test_out_of_memory_exits_2(tmp_path):
     # ~4.3e12 background events per g2 arm pass the Poisson-mean rule, but their
     # pulse indices (31 TiB) do not fit in memory; the child's address space is

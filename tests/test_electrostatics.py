@@ -51,14 +51,21 @@ def paper_grid():
     return solve_potential(PAPER_LAYOUT, 5.0)
 
 
+def hand_made_grid(spacing_um, quarter, electrode=()):
+    """A grid whose built quarter is ``quarter``: the probe, the residual and the full grid read it,
+    and its modes, which no read reaches once the quarter is built, are zero."""
+    rows, cols = quarter.shape[0] - 1, quarter.shape[1] - 1
+    grid = PotentialGrid(
+        spacing_um, cols, rows, np.asarray(electrode, dtype=int), np.zeros(cols - 1), np.zeros(cols - 1, complex)
+    )
+    vars(grid)["quarter"] = quarter  # where the cached property keeps the quarter it builds
+    return grid
+
+
 def ramp_grid(slope_v_per_um=1.0, n=21, spacing=1.0):
     """The ramp ``slope * x`` on [-(n-1)h, (n-1)h]^2: odd in x and even in y, so held as its quarter."""
     x = spacing * np.arange(n)
-    return PotentialGrid(
-        spacing_um=spacing,
-        quarter=np.tile(slope_v_per_um * x, (n, 1)),
-        electrode=np.array([], dtype=int),
-    )
+    return hand_made_grid(spacing, np.tile(slope_v_per_um * x, (n, 1)))
 
 
 class TestUniformFieldOracle:
@@ -215,8 +222,67 @@ def assert_bitwise_equal(a: tuple[float, float], b: tuple[float, float]) -> None
 
 
 class TestQuarterGrid:
-    """The solve keeps the quarter it solves: the probe reads it through the mirror,
-    the residual is taken on it, and the full grid is mirrored out only when read."""
+    """The solve keeps the charges' modes: the probe builds the quarter rows it reads through the mirror,
+    and the quarter, its residual and the mirrored full grid are built only when read."""
+
+    def test_probe_builds_only_the_rows_its_stencil_touches(self, monkeypatch):
+        shapes = []
+        irfft = np.fft.irfft
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return irfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "irfft", counted)
+        grid = solve_potential(PAPER_LAYOUT, 2.5)
+        assert shapes == [(grid.cols + 1,)]  # the solve's one transform: the surface Green's function
+        for point in probe_points(grid):
+            shapes.clear()
+            field_at(grid, point)
+            assert len(shapes) == 1 and shapes[0][0] <= 4, (point, shapes)
+        assert not {"quarter", "values", "residual_v"} & set(vars(grid))
+        assert grid.quarter.shape == (grid.rows + 1, grid.cols + 1)
+        assert shapes[-1] == (grid.rows + 1, grid.cols)  # the quarter, built once it is read
+
+    def test_field_command_builds_no_quarter(self, monkeypatch, capsys, tmp_path):
+        # `field` and `resonance` read the probe alone; only --dump-grid reads the full grid
+        built = []
+        monkeypatch.setattr(PotentialGrid, "quarter", property(lambda grid: built.append(grid) or 1 / 0))
+        for argv in (["field"], ["resonance", "--ion-a", "ion1", "--ion-b", "ion7"]):
+            assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert not built
+        capsys.readouterr()
+
+    def test_row_read_is_the_built_quarter_read(self):
+        # the probe on the rows its stencil touches equals the probe through the whole built quarter, bit for bit,
+        # on the surface row, a cell above and below it, a cell below the top wall and at random points
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        spacings = st.sampled_from([5.0, 2.5, 1.25]) | st.floats(1.2, 5.0)
+        layouts = st.builds(
+            lambda gap, width, extra_x, extra_y: ElectrodeLayout(
+                width, gap, (0.5, -0.5), (gap + 2.0 * width + 8.0 * gap + extra_x, 4.0 * gap + extra_y)
+            ),
+            st.floats(100.0, 140.0), st.floats(10.0, 150.0), st.floats(0.0, 100.0), st.floats(0.0, 100.0),
+        )
+        unit = st.floats(-1.0, 1.0)
+
+        @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+        @hypothesis.given(layouts, spacings, unit, unit)
+        def check(layout, spacing, fx, fy):
+            grid = solve_potential(layout, spacing)
+            h = grid.spacing_um
+            # a hair inside the nodes one cell in from the walls, which rounding can put a hair outside
+            x, y = (coords[-2] - 1e-9 * h for coords in (grid.x_coords_um, grid.y_coords_um))
+            probes = [(fx * x, level) for level in (0.0, h, -h, y, -y, fy * y)] + [(-x, -y), (x, fy * y)]
+            from_rows = [field_at(grid, point) for point in probes]
+            assert "quarter" not in vars(grid)
+            assert grid.quarter.shape == (grid.rows + 1, grid.cols + 1)
+            for point, probe in zip(probes, from_rows):
+                assert_bitwise_equal(probe, field_at(grid, point))
+                assert_bitwise_equal(probe, full_grid_field(grid.values, -grid.cols * h, -grid.rows * h, h, point))
+
+        check()
 
     @pytest.mark.parametrize("case", list(ORACLE_LAYOUTS) + ["small_2um"])
     def test_probe_through_the_mirror_is_the_full_grid_probe(self, case):
@@ -240,7 +306,7 @@ class TestQuarterGrid:
         assert printed["e_parallel_v_per_cm"] == printed["e_perpendicular_v_per_cm"] == "0"
         config = default_config()
         grid = solve_potential(config.layout, config.solver.spacing_um)
-        zero = dataclasses.replace(grid, quarter=np.zeros_like(grid.quarter))
+        zero = hand_made_grid(grid.spacing_um, np.zeros_like(grid.quarter), grid.electrode)
         assert zero.values.shape == grid.values.shape
         assert not zero.values.any() and not np.signbit(zero.values).any()
         potentials = [row.rsplit(",", 1)[1] for row in (tmp_path / "potential_grid.csv").read_text().splitlines()[1:]]
@@ -273,8 +339,9 @@ class TestQuarterGrid:
         assert node[1] < grid.electrode.min()
         quarter = grid.quarter.copy()
         quarter[node] += 1e-3
-        perturbed = dataclasses.replace(grid, quarter=quarter)
+        perturbed = hand_made_grid(grid.spacing_um, quarter, grid.electrode)
         residual = _residual(quarter, grid.electrode)
+        assert perturbed.residual_v == residual
         assert residual == pytest.approx(4e-3, rel=1e-9)  # the node's own equation
         fixed, _ = dirichlet_nodes(small_layout(), 2.0)
         assert residual == pytest.approx(full_grid_residual(perturbed.values, fixed), abs=1e-13)

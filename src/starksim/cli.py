@@ -188,6 +188,8 @@ def _fit_peaks(config: ExperimentConfig, frequencies_mhz, counts, integration_s)
     distinct = frequencies_mhz[np.diff(frequencies_mhz, prepend=-np.inf) != 0.0]  # each unlike the one before
     if distinct.size < 8:
         raise FitError(f"need at least 8 distinct frequencies, got {distinct.size}")
+    if counts.min() < 0:  # find_peaks takes the square root of their median
+        raise FitError(f"counts must be >= 0, got {counts.min()}")
     peaks = find_peaks(counts, 5.0)
     if not peaks:
         return []
@@ -336,8 +338,9 @@ def _cmd_field(args, config: ExperimentConfig, seed: int, out_dir: Path | None) 
                   volts_to_field_v_per_cm_per_v=unit[0])
     if not args.dump_grid:
         return []
-    rows, cols = grid.values.shape
-    potentials = (grid.values * voltage + 0.0).ravel()  # + 0.0: no "-0" cells where the product is -0
+    values = grid.values
+    rows, cols = values.shape
+    potentials = (values * voltage + 0.0).ravel()  # + 0.0: no "-0" cells where the product is -0
     columns = (np.tile(grid.x_coords_um, rows), np.repeat(grid.y_coords_um, cols), potentials)
     return [write_table(out_dir / "potential_grid.csv", GRID_COLUMNS, columns)]
 

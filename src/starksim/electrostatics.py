@@ -36,13 +36,13 @@ as one cosine series. The electrode's node charges then solve a dense
 system of one unknown per electrode node (41 at the default 5 um).
 
 The solve ends there: :class:`PotentialGrid` keeps the charges' sine
-modes, and any row of the quarter is one inverse transform of them,
-built when it is read. :func:`field_at` reads its stencil through the
-mirror and builds the at most 4 rows it touches. The whole quarter, its
-residual ``residual_v`` (the full domain's, taken over the quarter's own
-equations, since every node of the full grid is a quarter node or its
-exact negation) and the mirrored full grid ``values`` are built only
-when a caller reads them, as ``field --dump-grid`` does.
+modes and caches nothing. Any row of the quarter is one inverse
+transform of them, and :meth:`PotentialGrid.nodes` maps full-grid nodes
+to quarter rows through the mirror: :func:`field_at` reads its stencil
+through it, at most 4 rows, and so does the full grid ``values``. The
+quarter, its residual ``residual_v`` (the full domain's, taken over the
+quarter's own equations, since every full-grid node is a quarter node
+or its exact negation) and ``values`` are built anew on every read.
 
 Units: lengths in micrometres, potentials in volts per volt of bias,
 fields in V/cm per volt.
@@ -51,7 +51,6 @@ fields in V/cm per volt.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -123,14 +122,14 @@ class PotentialGrid:
     :meth:`quarter_rows` builds any rows from them. Its Dirichlet nodes
     hold their exact values: the top row, the wall column and the surface
     row's ``electrode`` columns. The potential is odd in x and even in y,
-    so node ``(i, j)`` of the full grid, at ``((j - c)*h, (i - s)*h)``, is
-    ``quarter[|i - s|, |j - c|]``, negated for j < c, where s is the surface
-    row and c the centre column. :func:`field_at` reads its nodes so.
-    ``quarter``, ``values`` (the full grid) and ``residual_v`` are built
-    only when read. ``residual_v`` is taken on the quarter: the true
-    residual max|b - A v| of the full-domain five-point equations with unit
-    weights, the equations solved; the solve is direct, so it is rounding
-    error.
+    so node ``(i, j)`` of the full grid, at ``(j*h, i*h)`` from the corner,
+    is ``quarter[|i - rows|, |j - cols|]``, negated for j < cols:
+    :meth:`nodes` is that map, and :func:`field_at` and ``values`` (the
+    full grid) read through it. ``quarter``, ``values`` and ``residual_v``
+    are built on every read; the grid caches nothing. ``residual_v`` is
+    taken on the quarter: the true residual max|b - A v| of the full-domain
+    five-point equations with unit weights, the equations solved; the solve
+    is direct, so it is rounding error.
     """
 
     spacing_um: float
@@ -149,13 +148,11 @@ class PotentialGrid:
         return self.spacing_um * np.arange(-self.rows, self.rows + 1)
 
     def quarter_rows(self, m: np.ndarray) -> np.ndarray:
-        """Rows ``m`` of the quarter, read from ``quarter`` once it is built: one inverse transform of the
-        surface modes times phi_k(m) (:func:`_charge_modes`). A row comes out the same, bit for bit, alone or
-        among others. The transform holds the Dirichlet nodes, the walls j = cols and m = rows and the
-        electrode, only to rounding, so they are pinned to their exact values; the column j = 0 is free in
-        the full domain and keeps the transform's value."""
-        if "quarter" in vars(self):
-            return self.quarter[m]
+        """Rows ``m`` of the quarter: one inverse transform of the surface modes times phi_k(m)
+        (:func:`_charge_modes`). A row comes out the same, bit for bit, alone or among others. The transform
+        holds the Dirichlet nodes, the walls j = cols and m = rows and the electrode, only to rounding, so
+        they are pinned to their exact values; the column j = 0 is free in the full domain and keeps the
+        transform's value."""
         rows, t = self.rows, self.decay
         m = np.asarray(m)[:, None]
         # phi_k(m) in a form that cannot overflow
@@ -167,28 +164,23 @@ class PotentialGrid:
         quarter[np.ix_(m[:, 0] == 0, self.electrode)] = -0.5
         return quarter
 
-    @cached_property
+    def nodes(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The full grid's nodes at rows ``i`` and columns ``j``, read from quarter rows ``|i - rows|``. The
+        potential is odd in x: a node left of the centre is 0 - v, not -v, so that the walls stay +0."""
+        v = self.quarter_rows(np.abs(i - self.rows))[:, np.abs(j - self.cols)]
+        return np.where(j < self.cols, 0.0 - v, v)
+
+    @property
     def quarter(self) -> np.ndarray:
         return self.quarter_rows(np.arange(self.rows + 1))
 
-    @cached_property
+    @property
     def values(self) -> np.ndarray:
-        even_in_y = self.quarter[np.abs(np.arange(-self.rows, self.rows + 1))]
-        return _mirrored(even_in_y, np.arange(-self.cols, self.cols + 1))
+        return self.nodes(np.arange(2 * self.rows + 1), np.arange(2 * self.cols + 1))
 
-    @cached_property
+    @property
     def residual_v(self) -> float:
         return _residual(self.quarter, self.electrode)
-
-
-def _mirrored(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Full-grid nodes at offsets ``cols`` from the centre column of the quarter's ``rows``.
-
-    The potential is odd in x. A node left of the centre is 0 - v, not -v,
-    so that the walls' zeros stay +0, as they are in the quarter.
-    """
-    v = rows[:, np.abs(cols)]
-    return np.where(cols < 0, 0.0 - v, v)
 
 
 def _charge_modes(cols: int, rows: int, electrode: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -263,12 +255,12 @@ def _stencil_position(
     point_um: tuple[float, float], spacing_um: float, cols: int, rows: int, what: str = "probe point"
 ) -> tuple[float, float]:
     """The point's fractional node indices ``(xi, yi)`` on the full grid of a ``cols`` x ``rows``-cell quarter.
-    The field stencil reaches one node past the point's cell, so ``ConfigError`` unless it is one cell inside."""
-    xi = (point_um[0] + cols * spacing_um) / spacing_um
-    yi = (point_um[1] + rows * spacing_um) / spacing_um
-    if not (1.0 <= xi <= 2 * cols - 1.0 and 1.0 <= yi <= 2 * rows - 1.0):
+    The field stencil reaches one node past the point's cell, so ``ConfigError`` unless the point lies within the
+    nodes one cell in from the walls, at the coordinates ``x_coords_um`` and ``y_coords_um`` give them."""
+    x, y = point_um
+    if not (abs(x) <= spacing_um * (cols - 1) and abs(y) <= spacing_um * (rows - 1)):
         raise ConfigError(f"{what} {point_um} um is not one cell ({spacing_um:g} um) inside the grid's edge")
-    return xi, yi
+    return (x + cols * spacing_um) / spacing_um, (y + rows * spacing_um) / spacing_um
 
 
 def check_grid(layout: ElectrodeLayout, spacing_um: float) -> tuple[int, int]:
@@ -296,23 +288,21 @@ def field_at(grid: PotentialGrid, point_um: tuple[float, float]) -> tuple[float,
     at the four nodes surrounding the point and blended bilinearly, which
     is exact for linear potentials. The point must stay at least one cell
     away from the grid edge so the stencil fits. The stencil's nodes are
-    read through the mirror from the at most 4 quarter rows it touches.
+    read through :meth:`PotentialGrid.nodes`, from the at most 4 quarter
+    rows they map to.
     """
     h = grid.spacing_um
     rows, cols = grid.rows, grid.cols
     xi, yi = _stencil_position(point_um, h, cols, rows)
 
-    # the cell's lower-left node; on the last interior node, the cell below it (the full grid is 2 * cols + 1 wide)
-    j0 = min(int(xi), 2 * cols - 2)
-    i0 = min(int(yi), 2 * rows - 2)
+    # the cell's lower-left node, held to the cells whose stencil fits (the full grid is 2 * cols + 1 wide): on the
+    # last interior node, the cell below it, and on the first, whose index may round a hair below 1, the cell above
+    j0 = min(max(int(xi), 1), 2 * cols - 2)
+    i0 = min(max(int(yi), 1), 2 * rows - 2)
     fx = xi - j0
     fy = yi - i0
 
-    # the 4 x 4 nodes (i0 - 1 .. i0 + 2) x (j0 - 1 .. j0 + 2): v[1 + di, 1 + dj] is node (i0 + di, j0 + dj)
-    # their rows' distances from the surface, 4 consecutive offsets folded at 0, span the distinct quarter rows m
-    folded = np.abs(np.arange(i0 - rows - 1, i0 - rows + 3))
-    m = np.arange(folded.min(), folded.max() + 1)
-    v = _mirrored(grid.quarter_rows(m)[folded - m[0]], np.arange(j0 - cols - 1, j0 - cols + 3))
+    v = grid.nodes(np.arange(i0 - 1, i0 + 3), np.arange(j0 - 1, j0 + 3))  # v[1 + di, 1 + dj] is node (i0 + di, j0 + dj)
     ex = -(v[1:3, 2:] - v[1:3, :2]) / (2.0 * h)
     ey = -(v[2:, 1:3] - v[:2, 1:3]) / (2.0 * h)
 

@@ -52,16 +52,16 @@ def poissonian_g2():
 
 def full_grid_field(values, x0_um, y0_um, spacing_um, point_um):
     """``(E_parallel, E_perpendicular)`` in V/cm at a point of a full potential
-    grid ``values[i, j]`` at ``(x0 + j*h, y0 + i*h)``: the negated
-    central-difference gradient at the four surrounding nodes, blended
-    bilinearly, each node read straight from ``values``, in the order of
-    operations of ``electrostatics.field_at``."""
+    grid ``values[i, j]`` at ``(x0 + j*h, y0 + i*h)``, centred on the origin:
+    the negated central-difference gradient at the four surrounding nodes,
+    blended bilinearly, each node read straight from ``values``, with the
+    probe rule and in the order of operations of ``electrostatics.field_at``."""
     h = spacing_um
     ny, nx = values.shape
+    assert abs(point_um[0]) <= h * (nx // 2 - 1) and abs(point_um[1]) <= h * (ny // 2 - 1)
     xi = (point_um[0] - x0_um) / h
     yi = (point_um[1] - y0_um) / h
-    assert 1.0 <= xi <= nx - 2.0 and 1.0 <= yi <= ny - 2.0
-    j0, i0 = min(int(xi), nx - 3), min(int(yi), ny - 3)
+    j0, i0 = min(max(int(xi), 1), nx - 3), min(max(int(yi), 1), ny - 3)
     fx, fy = xi - j0, yi - i0
     ex = np.empty((2, 2))
     ey = np.empty((2, 2))

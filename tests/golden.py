@@ -54,6 +54,12 @@ def _matrix() -> dict[str, tuple[dict[str, str], list[list[str]]]]:
     runs["field"] = ({}, [["field"]])
     runs["field-1e308V"] = ({}, [["field", "--voltage", "1e308"]])
     runs["field-100V-dump-grid"] = ({}, [["field", "--voltage", "100", "--dump-grid", "--out", "out"]])
+    # 199.2 um is the node one cell below the top wall at 1.2 um, which rounding once refused
+    runs["field-probe-on-last-interior-node"] = (
+        {CONFIG: "[layout]\ndomain_extent_um = [1000.0, 400.0]\nprobe_point_um = [0.0, 199.2]\n\n"
+                 "[solver]\nspacing_um = 1.2\n"},
+        [["field"]],
+    )
     for a, b in (("ion1", "ion7"), ("ion2", "ion3"), ("ion1", "nope")):
         runs[f"resonance-{a}-{b}"] = ({}, [["resonance", "--ion-a", a, "--ion-b", b]])
     # one zero-field frequency and a negative slope: the voltage is -0.0
@@ -68,6 +74,11 @@ def _matrix() -> dict[str, tuple[dict[str, str], list[list[str]]]]:
     runs["fit-stark-comma-id"] = (
         {"in.csv": 'ion_id,voltage_v,field_v_per_cm,frequency_mhz,counts\n"ion,1\nx",0,0,0,1\n'},
         [["fit", "--kind", "stark", "--input", "in.csv", "--out", "fit"]],
+    )
+    # a negative median count once ended in a traceback from the square root of the peak threshold
+    runs["fit-ple-negative-counts"] = (
+        {"in.csv": "frequency_offset_mhz,counts,integration_s\n" + "".join(f"{f},-5,0.1\n" for f in range(8))},
+        [["fit", "--kind", "ple", "--input", "in.csv", "--out", "fit"]],
     )
     for width in ("0.1", "0.25", "0.5", "2.0", "2.5"):
         runs[f"reproduce-fig3b-{width}us-bins"] = (

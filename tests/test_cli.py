@@ -1318,10 +1318,10 @@ _EDGE_CELLS = ("0", "1e-300", "-1e-300", "1e300", "-1e300", str(2**62))
 
 @pytest.mark.parametrize("kind", list(FITS))
 def test_no_edge_cell_of_a_dataset_ends_in_a_traceback_or_warning(capfd, tmp_path, kind):
-    # the kind's default dataset with one number at its first, middle or last row set to an edge value, or a
-    # float column scaled out of float range (a sweep's fields times 1e-300 once handed LAPACK NaNs): the fit
-    # exits with an EXIT_* code, prints at most one error line (capfd sees what LAPACK prints too) and numpy
-    # warns of nothing
+    # the kind's default dataset with one number at its first, middle or last row set to an edge value, an int
+    # column negated (a ple scan's once ended in a traceback), or a float column scaled out of float range (a
+    # sweep's fields times 1e-300 once handed LAPACK NaNs): the fit exits with an EXIT_* code, prints at most one
+    # error line (capfd sees what LAPACK prints too) and numpy warns of nothing
     name, columns, *_ = FITS[kind]
     assert run(capfd, kind, "--out", tmp_path / "data")[0] == EXIT_OK
     header, *lines = (tmp_path / "data" / name).read_text(encoding="utf-8").splitlines()
@@ -1332,6 +1332,9 @@ def test_no_edge_cell_of_a_dataset_ends_in_a_traceback_or_warning(capfd, tmp_pat
         for row, edge in itertools.product(rows, _EDGE_CELLS):
             variants[f"{label}[{row}]={edge}"] = [[edge if (i, j) == (row, column) else cell
                                                   for j, cell in enumerate(line)] for i, line in enumerate(cells)]
+        if type_ is int:
+            variants[f"-{label}"] = [[str(-int(cell)) if j == column else cell for j, cell in enumerate(line)]
+                                     for line in cells]
         for scale in (1e-300, 1e160) if type_ is float else ():
             variants[f"{label}*{scale}"] = [[repr(float(cell) * scale) if j == column else cell
                                              for j, cell in enumerate(line)] for line in cells]

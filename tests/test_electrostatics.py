@@ -51,21 +51,26 @@ def paper_grid():
     return solve_potential(PAPER_LAYOUT, 5.0)
 
 
-def hand_made_grid(spacing_um, quarter, electrode=()):
-    """A grid whose built quarter is ``quarter``: the probe, the residual and the full grid read it,
-    and its modes, which no read reaches once the quarter is built, are zero."""
-    rows, cols = quarter.shape[0] - 1, quarter.shape[1] - 1
-    grid = PotentialGrid(
-        spacing_um, cols, rows, np.asarray(electrode, dtype=int), np.zeros(cols - 1), np.zeros(cols - 1, complex)
-    )
-    vars(grid)["quarter"] = quarter  # where the cached property keeps the quarter it builds
-    return grid
+@dataclasses.dataclass(frozen=True)
+class HandMadeGrid(PotentialGrid):
+    """A grid whose quarter is ``planted``: the probe, the residual and the full grid read their rows from it,
+    and no read reaches its modes, which are None."""
+
+    planted: np.ndarray = dataclasses.field(repr=False)
+
+    @classmethod
+    def of(cls, spacing_um, quarter, electrode=()):
+        rows, cols = quarter.shape[0] - 1, quarter.shape[1] - 1
+        return cls(spacing_um, cols, rows, np.asarray(electrode, dtype=int), None, None, quarter)
+
+    def quarter_rows(self, m):
+        return self.planted[m]
 
 
 def ramp_grid(slope_v_per_um=1.0, n=21, spacing=1.0):
     """The ramp ``slope * x`` on [-(n-1)h, (n-1)h]^2: odd in x and even in y, so held as its quarter."""
     x = spacing * np.arange(n)
-    return hand_made_grid(spacing, np.tile(slope_v_per_um * x, (n, 1)))
+    return HandMadeGrid.of(spacing, np.tile(slope_v_per_um * x, (n, 1)))
 
 
 class TestUniformFieldOracle:
@@ -194,6 +199,29 @@ class TestFieldAt:
             else:
                 check_grid(dataclasses.replace(layout, probe_point_um=point), spacing)
 
+    # off-ratio spacings and boxes at which (y + rows*h)/h once rounded past a node one cell in, or below it
+    @pytest.mark.parametrize("spacing, extent", [
+        (1.2, (1000.0, 400.0)), (1.7, (900.0, 450.0)), (2.5, (1005.0, 605.0)), (3.3, (900.0, 410.0)),
+        (4.7, (900.0, 420.0)),
+    ])
+    def test_nodes_one_cell_in_from_the_walls_are_probed(self, spacing, extent):
+        # at the coordinates `field --dump-grid` writes for them
+        layout = dataclasses.replace(PAPER_LAYOUT, domain_extent_um=extent)
+        grid = solve_potential(layout, spacing)
+        x, y = grid.x_coords_um, grid.y_coords_um
+        for point in [(x[1], 0.0), (x[-2], 0.0), (0.0, y[1]), (0.0, y[-2]), (x[1], y[1]), (x[-2], y[-2])]:
+            assert check_grid(dataclasses.replace(layout, probe_point_um=point), spacing) == (grid.cols, grid.rows)
+            assert all(map(math.isfinite, field_at(grid, point))), point
+
+    def test_probe_on_the_last_interior_node_runs(self, capsys, tmp_path):
+        # 199.2 um is node 166 of 167 at 1.2 um; it was refused with exit 2
+        config = tmp_path / "edge.toml"
+        config.write_text("[layout]\ndomain_extent_um = [1000.0, 400.0]\nprobe_point_um = [0.0, 199.2]\n\n"
+                          "[solver]\nspacing_um = 1.2\n", encoding="utf-8")
+        assert main(["field", "--config", str(config), "--out", str(tmp_path)]) == 0
+        printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        assert all(math.isfinite(float(value)) for value in printed.values())
+
 
 # the layouts of tests/test_oracle.py's cases, with the spacing each is solved at
 ORACLE_LAYOUTS = {
@@ -222,8 +250,8 @@ def assert_bitwise_equal(a: tuple[float, float], b: tuple[float, float]) -> None
 
 
 class TestQuarterGrid:
-    """The solve keeps the charges' modes: the probe builds the quarter rows it reads through the mirror,
-    and the quarter, its residual and the mirrored full grid are built only when read."""
+    """The solve keeps the charges' modes and the grid holds nothing more: the probe builds the quarter rows its
+    stencil's nodes map to, and the quarter, its residual and the full grid are built anew on every read."""
 
     def test_probe_builds_only_the_rows_its_stencil_touches(self, monkeypatch):
         shapes = []
@@ -240,9 +268,11 @@ class TestQuarterGrid:
             shapes.clear()
             field_at(grid, point)
             assert len(shapes) == 1 and shapes[0][0] <= 4, (point, shapes)
-        assert not {"quarter", "values", "residual_v"} & set(vars(grid))
-        assert grid.quarter.shape == (grid.rows + 1, grid.cols + 1)
-        assert shapes[-1] == (grid.rows + 1, grid.cols)  # the quarter, built once it is read
+        assert vars(grid).keys() == {f.name for f in dataclasses.fields(grid)}  # nothing read is kept
+        for _ in range(2):
+            shapes.clear()
+            assert grid.quarter.shape == (grid.rows + 1, grid.cols + 1)
+            assert shapes == [(grid.rows + 1, grid.cols)]  # the quarter, built on each read
 
     def test_field_command_builds_no_quarter(self, monkeypatch, capsys, tmp_path):
         # `field` and `resonance` read the probe alone; only --dump-grid reads the full grid
@@ -254,7 +284,7 @@ class TestQuarterGrid:
         capsys.readouterr()
 
     def test_row_read_is_the_built_quarter_read(self):
-        # the probe on the rows its stencil touches equals the probe through the whole built quarter, bit for bit,
+        # the probe on the rows its stencil touches equals the probe of the whole quarter planted, bit for bit,
         # on the surface row, a cell above and below it, a cell below the top wall and at random points
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
@@ -272,15 +302,15 @@ class TestQuarterGrid:
         def check(layout, spacing, fx, fy):
             grid = solve_potential(layout, spacing)
             h = grid.spacing_um
-            # a hair inside the nodes one cell in from the walls, which rounding can put a hair outside
-            x, y = (coords[-2] - 1e-9 * h for coords in (grid.x_coords_um, grid.y_coords_um))
+            # on the nodes one cell in from the walls, whose indices may round a hair outside
+            x, y = grid.x_coords_um[-2], grid.y_coords_um[-2]
             probes = [(fx * x, level) for level in (0.0, h, -h, y, -y, fy * y)] + [(-x, -y), (x, fy * y)]
             from_rows = [field_at(grid, point) for point in probes]
-            assert "quarter" not in vars(grid)
-            assert grid.quarter.shape == (grid.rows + 1, grid.cols + 1)
+            assert vars(grid).keys() == {f.name for f in dataclasses.fields(grid)}
+            built, values = HandMadeGrid.of(h, grid.quarter, grid.electrode), grid.values
             for point, probe in zip(probes, from_rows):
-                assert_bitwise_equal(probe, field_at(grid, point))
-                assert_bitwise_equal(probe, full_grid_field(grid.values, -grid.cols * h, -grid.rows * h, h, point))
+                assert_bitwise_equal(probe, field_at(built, point))
+                assert_bitwise_equal(probe, full_grid_field(values, -grid.cols * h, -grid.rows * h, h, point))
 
         check()
 
@@ -288,8 +318,9 @@ class TestQuarterGrid:
     def test_probe_through_the_mirror_is_the_full_grid_probe(self, case):
         layout, spacing = ORACLE_LAYOUTS.get(case, (small_layout(), 2.0))
         grid = solve_potential(layout, spacing)
+        values = grid.values
         for point in probe_points(grid):
-            expected = full_grid_field(grid.values, grid.x_coords_um[0], grid.y_coords_um[0], spacing, point)
+            expected = full_grid_field(values, grid.x_coords_um[0], grid.y_coords_um[0], spacing, point)
             assert_bitwise_equal(field_at(grid, point), expected)
 
     def test_last_interior_node_is_probed(self, paper_grid):
@@ -306,13 +337,14 @@ class TestQuarterGrid:
         assert printed["e_parallel_v_per_cm"] == printed["e_perpendicular_v_per_cm"] == "0"
         config = default_config()
         grid = solve_potential(config.layout, config.solver.spacing_um)
-        zero = hand_made_grid(grid.spacing_um, np.zeros_like(grid.quarter), grid.electrode)
-        assert zero.values.shape == grid.values.shape
-        assert not zero.values.any() and not np.signbit(zero.values).any()
+        zero = HandMadeGrid.of(grid.spacing_um, np.zeros_like(grid.quarter), grid.electrode)
+        values = zero.values
+        assert values.shape == grid.values.shape
+        assert not values.any() and not np.signbit(values).any()
         potentials = [row.rsplit(",", 1)[1] for row in (tmp_path / "potential_grid.csv").read_text().splitlines()[1:]]
-        assert potentials == ["0"] * zero.values.size
+        assert potentials == ["0"] * values.size
         for point in probe_points(zero):
-            expected = full_grid_field(zero.values, zero.x_coords_um[0], zero.y_coords_um[0], zero.spacing_um, point)
+            expected = full_grid_field(values, zero.x_coords_um[0], zero.y_coords_um[0], zero.spacing_um, point)
             assert_bitwise_equal(field_at(zero, point), expected)
 
     def test_full_grid_is_the_mirrored_quarter(self, paper_grid):
@@ -339,7 +371,7 @@ class TestQuarterGrid:
         assert node[1] < grid.electrode.min()
         quarter = grid.quarter.copy()
         quarter[node] += 1e-3
-        perturbed = hand_made_grid(grid.spacing_um, quarter, grid.electrode)
+        perturbed = HandMadeGrid.of(grid.spacing_um, quarter, grid.electrode)
         residual = _residual(quarter, grid.electrode)
         assert perturbed.residual_v == residual
         assert residual == pytest.approx(4e-3, rel=1e-9)  # the node's own equation

@@ -37,12 +37,9 @@ system of one unknown per electrode node (41 at the default 5 um).
 
 The solve ends there: :class:`PotentialGrid` keeps the charges' sine
 modes and caches nothing. Any row of the quarter is one inverse
-transform of them, and :meth:`PotentialGrid.nodes` maps full-grid nodes
-to quarter rows through the mirror: :func:`field_at` reads its stencil
-through it, at most 4 rows, and so does the full grid ``values``. The
-quarter, its residual ``residual_v`` (the full domain's, taken over the
-quarter's own equations, since every full-grid node is a quarter node
-or its exact negation) and ``values`` are built anew on every read.
+transform of them, and :meth:`PotentialGrid.nodes`, the one map from
+full-grid nodes to quarter rows, is every read's path: the probe
+(:func:`field_at`, at most 4 rows), the full grid and its residual.
 
 Units: lengths in micrometres, potentials in volts per volt of bias,
 fields in V/cm per volt.
@@ -115,21 +112,19 @@ class PotentialGrid:
     """Potential per volt of bias on a uniform node-centred grid centred on the gap.
 
     The electrodes are at +-1/2 V. The grid is the quarter x >= 0, y >= 0
-    that was solved, ``cols`` cells wide and ``rows`` high: ``quarter[m, k]``
-    is the potential at ``(k*h, m*h)``, row 0 the surface. It is held as
-    the electrode charges' sine modes, ``modes[k - 1]`` the surface row's
-    mode k times -2j and ``decay[k - 1]`` its decay rate t_k in y, and
-    :meth:`quarter_rows` builds any rows from them. Its Dirichlet nodes
-    hold their exact values: the top row, the wall column and the surface
-    row's ``electrode`` columns. The potential is odd in x and even in y,
-    so node ``(i, j)`` of the full grid, at ``(j*h, i*h)`` from the corner,
-    is ``quarter[|i - rows|, |j - cols|]``, negated for j < cols:
-    :meth:`nodes` is that map, and :func:`field_at` and ``values`` (the
-    full grid) read through it. ``quarter``, ``values`` and ``residual_v``
-    are built on every read; the grid caches nothing. ``residual_v`` is
-    taken on the quarter: the true residual max|b - A v| of the full-domain
-    five-point equations with unit weights, the equations solved; the solve
-    is direct, so it is rounding error.
+    that was solved, ``cols`` cells wide and ``rows`` high, node ``(m, k)``
+    at ``(k*h, m*h)``, row 0 the surface. It is held as the electrode
+    charges' sine modes, ``modes[k - 1]`` the surface row's mode k times
+    -2j and ``decay[k - 1]`` its decay rate t_k in y, and
+    :meth:`quarter_rows` builds any rows from them. The potential is odd
+    in x and even in y, so node ``(i, j)`` of the full grid, at
+    ``(j*h, i*h)`` from the corner, is quarter node ``(|i - rows|,
+    |j - cols|)``, negated for j < cols: :meth:`nodes` is that map, and
+    :func:`field_at`, ``values`` (the full grid) and ``residual_v`` read
+    through it, anew on every read. ``residual_v`` is the true residual
+    max|b - A v| of the full domain's unit-weight five-point equations,
+    the equations solved, at its free nodes; the solve is direct, so it is
+    rounding error.
     """
 
     spacing_um: float
@@ -165,14 +160,13 @@ class PotentialGrid:
         return quarter
 
     def nodes(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """The full grid's nodes at rows ``i`` and columns ``j``, read from quarter rows ``|i - rows|``. The
-        potential is odd in x: a node left of the centre is 0 - v, not -v, so that the walls stay +0."""
-        v = self.quarter_rows(np.abs(i - self.rows))[:, np.abs(j - self.cols)]
+        """The full grid's nodes at consecutive rows ``i`` and columns ``j``, read from quarter rows ``|i - rows|``,
+        each built once. The potential is odd in x: a node left of the centre is 0 - v, not -v, so that the walls
+        stay +0."""
+        m = np.abs(i - self.rows)  # consecutive rows map to every quarter row from m.min() to m.max()
+        low = m.min()
+        v = self.quarter_rows(np.arange(low, m.max() + 1))[m - low][:, np.abs(j - self.cols)]
         return np.where(j < self.cols, 0.0 - v, v)
-
-    @property
-    def quarter(self) -> np.ndarray:
-        return self.quarter_rows(np.arange(self.rows + 1))
 
     @property
     def values(self) -> np.ndarray:
@@ -180,7 +174,13 @@ class PotentialGrid:
 
     @property
     def residual_v(self) -> float:
-        return _residual(self.quarter, self.electrode)
+        # the quarter with its ghost row below and ghost column to the left; the Dirichlet data make b zero
+        v = self.nodes(np.arange(self.rows - 1, 2 * self.rows + 1), np.arange(self.cols - 1, 2 * self.cols + 1))
+        applied = 4.0 * v[1:-1, 1:-1]
+        for neighbour in (v[:-2, 1:-1], v[2:, 1:-1], v[1:-1, :-2], v[1:-1, 2:]):  # south, north, west, east
+            applied -= neighbour
+        applied[0, self.electrode] = 0.0  # the electrode's nodes are Dirichlet
+        return float(np.abs(applied, out=applied).max())
 
 
 def _charge_modes(cols: int, rows: int, electrode: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,27 +210,6 @@ def _charge_modes(cols: int, rows: int, electrode: np.ndarray) -> tuple[np.ndarr
     charge[electrode] = np.linalg.solve(green, np.full(electrode.size, -0.5))
     surface = -np.fft.rfft(charge).imag * gain  # s_k: the charges' sine modes over d_k
     return t, -2j * surface[1:cols]
-
-
-def _residual(quarter: np.ndarray, electrode: np.ndarray) -> float:
-    """True residual max|b - A v| of the full domain's unit-weight five-point equations at its free nodes.
-
-    Every full-grid node is a quarter node or its negation, so those
-    equations are the quarter's free nodes' (all but the top row, the wall
-    column and the electrode), with two ghost lines: row -1 is row 1 (even
-    in y) and column -1 is -column 1 (odd in x). Each is summed in the full
-    grid's order, south, north, west, east. The Dirichlet data sit in
-    ``quarter``, so b is zero and the residual is A v.
-    """
-    applied = 4.0 * quarter[:-1, :-1]
-    applied[0] -= quarter[1, :-1]  # south of the surface row: its mirror image
-    applied[1:] -= quarter[:-2, :-1]
-    applied -= quarter[1:, :-1]
-    applied[:, 0] += quarter[:-1, 1]  # west of the column x = 0: its odd image
-    applied[:, 1:] -= quarter[:-1, :-2]
-    applied -= quarter[:-1, 1:]
-    applied[0, electrode] = 0.0
-    return float(np.abs(applied, out=applied).max())
 
 
 def solve_potential(layout: ElectrodeLayout, spacing_um: float) -> PotentialGrid:

@@ -134,7 +134,13 @@ class PLEProtocol:
         lo, hi = self.scan_range_mhz
         if not lo < hi:
             raise ConfigError(f"[protocol].scan_range_mhz must be increasing, got {self.scan_range_mhz}")
-        check_count("[protocol].integration_time_s", self.integration_time_s * self.repetition_rate_khz * 1000.0)
+        pulses = self.integration_time_s * self.repetition_rate_khz * 1000.0
+        check_count("[protocol].integration_time_s", pulses)  # first: int(round()) of an infinite count raises
+        if self.pulses_per_point < 1:
+            raise ConfigError(
+                f"[protocol] integration_time_s = {self.integration_time_s:g} s at repetition_rate_khz = "
+                f"{self.repetition_rate_khz:g} gives {pulses:.4g} pulses per scan point, which rounds to 0"
+            )
 
     @property
     def period_us(self) -> float:

@@ -98,6 +98,7 @@ def _matrix() -> dict[str, tuple[dict[str, str], list[list[str]]]]:
         "decay-n_pulses": ("[decay]\nn_pulses = 0\n", "decay"),
         "detector-dark_rate_hz": ("[detector]\ndark_rate_hz = 1e20\n", "decay"),
         "protocol-scan_pitch_mhz": ("[protocol]\nscan_pitch_mhz = -1.0\n", "ple"),
+        "protocol-integration_time_s-under-a-pulse": ("[protocol]\nintegration_time_s = 1e-5\n", "ple"),
         "stark-window_half_width_mhz": ("[stark]\nwindow_half_width_mhz = 1e308\n", "stark"),
         "layout-gap_um": ("[layout]\ngap_um = nan\n", "field"),
         "run-seed": ("[run]\nseed = -5\n", "g2"),

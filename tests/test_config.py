@@ -164,6 +164,21 @@ class TestExperimentConfig:
         assert err == "error: invalid configuration: [stark].voltages_v needs at least 3 distinct voltages, got 2\n"
         assert not (tmp_path / "out").exists()
 
+    def test_a_scan_point_holds_at_least_one_pulse(self, capsys, tmp_path):
+        # 1e-5 s at 10 kHz is 0.1 pulses, which rounded to 0: fig2 wrote an all-zero scan and exited 0
+        path = tmp_path / "short.toml"
+        path.write_text("[protocol]\nintegration_time_s = 1e-5\n", encoding="utf-8")
+        code = main(["reproduce", "fig2", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: invalid configuration: [protocol] integration_time_s = 1e-05 s at repetition_rate_khz = 10 "
+            "gives 0.1 pulses per scan point, which rounds to 0\n"
+        )
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError, match="gives 0.5 pulses per scan point"):  # rounded half to even
+            loads_config("[protocol]\nintegration_time_s = 5e-5\n")
+        assert loads_config("[protocol]\nintegration_time_s = 1e-4\n").protocol.pulses_per_point == 1
+
     def test_stark_window_size_counts_a_line_of_every_ion_in_every_window(self):
         # fig4b draws (ions x voltages x points x ions) 8-byte entries: 7 x 7 x 8e15 x 7 here, 2.2e19 bytes,
         # above numpy's 9.2e18, though one line a window would be 3.1e18; a single ion's 4.5e17 bytes load.

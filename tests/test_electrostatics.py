@@ -14,7 +14,6 @@ from starksim.electrostatics import (
     PotentialGrid,
     check_grid,
     field_at,
-    _residual,
     solve_potential,
 )
 
@@ -65,6 +64,11 @@ class HandMadeGrid(PotentialGrid):
 
     def quarter_rows(self, m):
         return self.planted[m]
+
+
+def quarter(grid):
+    """The whole quarter the grid holds, rows 0 .. rows."""
+    return grid.quarter_rows(np.arange(grid.rows + 1))
 
 
 def ramp_grid(slope_v_per_um=1.0, n=21, spacing=1.0):
@@ -143,7 +147,7 @@ class TestSolvePotential:
         grid = solve_potential(small_layout(), 2.0)
         for potentials in ((0.0, 0.0), (25.0, -4.0), (1e308, -1e308)):
             other = solve_potential(small_layout(potentials), 2.0)
-            assert np.array_equal(other.quarter, grid.quarter) and other.residual_v == grid.residual_v
+            assert np.array_equal(quarter(other), quarter(grid)) and other.residual_v == grid.residual_v
 
 
 class TestLayoutValidation:
@@ -251,7 +255,7 @@ def assert_bitwise_equal(a: tuple[float, float], b: tuple[float, float]) -> None
 
 class TestQuarterGrid:
     """The solve keeps the charges' modes and the grid holds nothing more: the probe builds the quarter rows its
-    stencil's nodes map to, and the quarter, its residual and the full grid are built anew on every read."""
+    stencil's nodes map to, and the full grid and its residual build each quarter row once, anew on every read."""
 
     def test_probe_builds_only_the_rows_its_stencil_touches(self, monkeypatch):
         shapes = []
@@ -269,15 +273,19 @@ class TestQuarterGrid:
             field_at(grid, point)
             assert len(shapes) == 1 and shapes[0][0] <= 4, (point, shapes)
         assert vars(grid).keys() == {f.name for f in dataclasses.fields(grid)}  # nothing read is kept
-        for _ in range(2):
+        shapes.clear()
+        field_at(grid, (0.0, 0.0))  # on the surface row: the stencil's rows map to quarter rows 1, 0, 1 and 2
+        assert shapes == [(3, grid.cols)]
+        for read in ("values", "residual_v", "values", "residual_v"):
             shapes.clear()
-            assert grid.quarter.shape == (grid.rows + 1, grid.cols + 1)
-            assert shapes == [(grid.rows + 1, grid.cols)]  # the quarter, built on each read
+            getattr(grid, read)
+            assert shapes == [(grid.rows + 1, grid.cols)], read  # each quarter row once, built on each read
 
     def test_field_command_builds_no_quarter(self, monkeypatch, capsys, tmp_path):
-        # `field` and `resonance` read the probe alone; only --dump-grid reads the full grid
+        # `field` and `resonance` read the probe alone: only --dump-grid reads the full grid, and nothing the residual
         built = []
-        monkeypatch.setattr(PotentialGrid, "quarter", property(lambda grid: built.append(grid) or 1 / 0))
+        for name in ("values", "residual_v"):
+            monkeypatch.setattr(PotentialGrid, name, property(lambda grid, name=name: built.append(name) or 1 / 0))
         for argv in (["field"], ["resonance", "--ion-a", "ion1", "--ion-b", "ion7"]):
             assert main([*argv, "--out", str(tmp_path)]) == 0
         assert not built
@@ -307,7 +315,7 @@ class TestQuarterGrid:
             probes = [(fx * x, level) for level in (0.0, h, -h, y, -y, fy * y)] + [(-x, -y), (x, fy * y)]
             from_rows = [field_at(grid, point) for point in probes]
             assert vars(grid).keys() == {f.name for f in dataclasses.fields(grid)}
-            built, values = HandMadeGrid.of(h, grid.quarter, grid.electrode), grid.values
+            built, values = HandMadeGrid.of(h, quarter(grid), grid.electrode), grid.values
             for point, probe in zip(probes, from_rows):
                 assert_bitwise_equal(probe, field_at(built, point))
                 assert_bitwise_equal(probe, full_grid_field(values, -grid.cols * h, -grid.rows * h, h, point))
@@ -337,7 +345,7 @@ class TestQuarterGrid:
         assert printed["e_parallel_v_per_cm"] == printed["e_perpendicular_v_per_cm"] == "0"
         config = default_config()
         grid = solve_potential(config.layout, config.solver.spacing_um)
-        zero = HandMadeGrid.of(grid.spacing_um, np.zeros_like(grid.quarter), grid.electrode)
+        zero = HandMadeGrid.of(grid.spacing_um, np.zeros_like(quarter(grid)), grid.electrode)
         values = zero.values
         assert values.shape == grid.values.shape
         assert not values.any() and not np.signbit(values).any()
@@ -348,9 +356,9 @@ class TestQuarterGrid:
             assert_bitwise_equal(field_at(zero, point), expected)
 
     def test_full_grid_is_the_mirrored_quarter(self, paper_grid):
-        s, c = np.array(paper_grid.quarter.shape) - 1
+        s, c = paper_grid.rows, paper_grid.cols
         values, (fixed, _) = paper_grid.values, dirichlet_nodes(PAPER_LAYOUT, 5.0)
-        assert np.array_equal(values[s:, c:], paper_grid.quarter)
+        assert np.array_equal(values[s:, c:], quarter(paper_grid))
         assert np.array_equal(values[:s, :], values[:s:-1, :])  # even in y
         assert np.array_equal(values[:, :c], -values[:, :c:-1])  # odd in x
         assert np.array_equal(fixed, fixed[::-1, ::-1])
@@ -369,14 +377,12 @@ class TestQuarterGrid:
     def test_quarter_residual_rises_with_a_perturbed_node(self, node):
         grid = solve_potential(small_layout(), 2.0)
         assert node[1] < grid.electrode.min()
-        quarter = grid.quarter.copy()
-        quarter[node] += 1e-3
-        perturbed = HandMadeGrid.of(grid.spacing_um, quarter, grid.electrode)
-        residual = _residual(quarter, grid.electrode)
-        assert perturbed.residual_v == residual
-        assert residual == pytest.approx(4e-3, rel=1e-9)  # the node's own equation
+        planted = quarter(grid)
+        planted[node] += 1e-3
+        perturbed = HandMadeGrid.of(grid.spacing_um, planted, grid.electrode)
+        assert perturbed.residual_v == pytest.approx(4e-3, rel=1e-9)  # the node's own equation
         fixed, _ = dirichlet_nodes(small_layout(), 2.0)
-        assert residual == pytest.approx(full_grid_residual(perturbed.values, fixed), abs=1e-13)
+        assert perturbed.residual_v == pytest.approx(full_grid_residual(perturbed.values, fixed), abs=1e-13)
 
 
 def ellipk(k: float) -> float:

@@ -61,7 +61,7 @@ __all__ = [
 DEFAULT_MASTER_SEED = 0xE53_1536
 
 _MASK64 = (1 << 64) - 1
-_GATHER_BLOCK = 1 << 18  # g2 background events x lags gathered at once, so memory stays bounded
+_GATHER_BLOCK = 1 << 14  # g2's cache-sized block: uniforms drawn at once, background events x lags gathered at once
 _POISSON_MAX = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)  # the largest mean numpy's Poisson sampler takes
 _MAX_BYTES = np.iinfo(np.intp).max  # the largest array numpy makes, in bytes
 
@@ -359,9 +359,15 @@ def simulate_g2_histogram(
     The signal stays two boolean masks, so the signal x signal sum is a
     count of their overlap at each lag, and the sums with a background
     gather at its events, about one per hundred pulses in each arm at
-    the default settings. With 200 000 pulses (median of 41 calls, 2 vCPU Xeon, numpy 2.4.6) a call takes
-    about half as long as whole-record lag sums at the default background fraction of 0.051, but the cost
-    grows with the background: 1.4-4 times as long at 0.5 and 8-9 times at 0.95.
+    the default settings. The uniforms are drawn, and the background
+    events gathered, a ``_GATHER_BLOCK`` at a time, so beyond the two
+    masks and arm B's int64 counts, 10 bytes a pulse, a call holds only
+    128 KiB blocks and no per-pulse float64 record: its ``tracemalloc``
+    peak is 10.6 bytes a pulse at 10**6 pulses. With 200 000 pulses
+    (median of 41 calls, 2 vCPU Xeon, numpy 2.4.6) a call takes 0.45 of
+    the time of whole-record lag sums at the default background fraction
+    of 0.051, but the cost grows with the background: 1.4-1.5 times as
+    long at 0.5 and 7-7.5 times at 0.95.
     """
     n_pulses, max_lag = g2.n_pulses, g2.max_lag
     rng = point_generator(seed)
@@ -370,12 +376,15 @@ def simulate_g2_histogram(
     # arm X at pulse i is its signal mask plus its background events there; on
     # arrays padded with max_lag empty pulses each side C(k) = sum_i a_i b_(i+k)
     # never leaves the record
-    u = rng.random(n_pulses)
     record = slice(max_lag, max_lag + n_pulses)
     signal_a, signal_b = np.zeros((2, n_pulses + 2 * max_lag), dtype=bool)
-    np.less(u, p_signal / 2.0, out=signal_a[record])
-    np.less(u, p_signal, out=signal_b[record])
-    signal_b[record] &= ~signal_a[record]
+    u = np.empty(min(n_pulses, _GATHER_BLOCK))
+    for start in range(0, n_pulses, u.size):  # a block of uniforms at a time: the doubles one call would draw
+        draws = rng.random(out=u[: n_pulses - start])
+        at = slice(max_lag + start, max_lag + start + draws.size)
+        np.less(draws, p_signal / 2.0, out=signal_a[at])
+        np.less(draws, p_signal, out=signal_b[at])
+    signal_b ^= signal_a  # u < p/2 lies within u < p
     background_a, background_b = (
         max_lag + rng.integers(0, n_pulses, rng.poisson(arm_background)) for _ in "ab"
     )

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from starksim.experiment import (
     G2Settings,
     PLEProtocol,
     StarkScanSettings,
+    _GATHER_BLOCK,
     _POISSON_MAX,
     check_count,
     check_poisson_mean,
@@ -450,8 +452,13 @@ class TestG2:
                 G2Settings(background_fraction=fraction)
             assert str(caught.value) == f"[g2].background_fraction must lie in [0, 1), got {fraction}"
 
-    @pytest.mark.parametrize("background_fraction", [0.0, 0.051, 0.5, 0.95])
-    @pytest.mark.parametrize("n_pulses, max_lag", [(11, 10), (12, 10), (30, 3), (1000, 50), (20_000, 10)])
+    @pytest.mark.parametrize("n_pulses, max_lag, background_fraction", [
+        *((n, lag, fraction) for fraction in (0.0, 0.051, 0.5, 0.95)
+          for n, lag in ((11, 10), (12, 10), (30, 3), (1000, 50), (20_000, 10))),
+        # the seams of the sampler's blocks: a pulse short of one block, one, a pulse over, two and the padding
+        *((n, 10, fraction) for fraction in (0.051, 0.5)
+          for n in (_GATHER_BLOCK - 1, _GATHER_BLOCK, _GATHER_BLOCK + 1, 2 * _GATHER_BLOCK + 10)),
+    ])
     def test_lag_sums_are_those_of_the_two_arms(self, config, emitter, background_fraction, n_pulses, max_lag):
         # the arms the sampler's draws describe, rebuilt per pulse, give the same coincidences exactly
         protocol = config.protocol
@@ -473,6 +480,18 @@ class TestG2:
             assert np.array_equal(lags, expected_lags)
             assert coincidences.dtype == np.int64
             assert np.array_equal(coincidences, expected)
+
+    def test_memory_stays_under_16_bytes_a_pulse(self, config, emitter):
+        # the two boolean arm masks and arm B's int64 counts are 10 bytes a pulse, and the blocks are cache-sized;
+        # a float64 uniform per pulse, 8 bytes more, and gathers of a quarter million indices come to 22
+        g2 = G2Settings(n_pulses=1_000_000)
+        tracemalloc.start()
+        try:
+            simulate_g2_histogram(emitter, g2, config.protocol, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / g2.n_pulses < 16.0
 
 
 def _g2_lag_means(emitter, g2, protocol):

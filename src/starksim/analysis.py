@@ -74,16 +74,16 @@ def find_peaks(counts: Sequence[float] | np.ndarray, threshold_sigma: float) -> 
     single-sample shot-noise spikes do not qualify; prominence is
     measured on the smoothed trace against the higher of the two
     enclosing valleys, and must exceed
-    ``threshold_sigma * sqrt(median count)``. A plateau's peak is its
-    first sample, and neither end of the scan is a peak. The scan's size
-    rule is its reader's, ``cli._fit_peaks``.
+    ``threshold_sigma * sqrt(max(median count, 1))``, a median below one
+    count taken as 1 event. A plateau's peak is its first sample, and
+    neither end of the scan is a peak. The scan's size rule is its
+    reader's, ``cli._fit_peaks``.
     """
     counts = np.asarray(counts, dtype=float)
     padded = np.concatenate([counts[:1], counts, counts[-1:]])
     smooth = (padded[:-2] + 2.0 * padded[1:-1] + padded[2:]) / 4.0
 
-    background = median(counts)
-    threshold = threshold_sigma * math.sqrt(background)
+    threshold = threshold_sigma * math.sqrt(max(median(counts), 1.0))
 
     peaks = _local_maxima(smooth)
     return peaks[_prominences(smooth, peaks) > threshold].tolist()
@@ -104,24 +104,23 @@ def _prominences(values: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     """Topographic prominence of each peak: its height above the higher enclosing valley.
 
     A peak's valley on each side is the lowest sample between it and the
-    nearest higher sample on that side, or the scan's end. The peaks are
-    taken a block at a time, so the (peaks x points) temporaries stay
-    near 2**18 elements however long the scan.
+    nearest strictly higher sample on that side, or the scan's end. One
+    pass each way finds every sample's valley on that side.
     """
-    index = np.arange(values.size)
-    prominences = np.empty(peaks.size)
-    block = max(2**18 // values.size, 1)
-    for start in range(0, peaks.size, block):
-        at = peaks[start: start + block, None]
-        height = values[at]
-        before, after = index < at, index > at
-        higher = values > height
-        left = np.max(np.where(higher & before, index, -1), axis=1, keepdims=True)
-        right = np.min(np.where(higher & after, index, values.size), axis=1, keepdims=True)
-        left_min = np.min(np.where(before & (index > left), values, height), axis=1)
-        right_min = np.min(np.where(after & (index < right), values, height), axis=1)
-        prominences[start: start + block] = height[:, 0] - np.maximum(left_min, right_min)
-    return prominences
+    def valleys(samples: list[float]) -> list[float]:
+        """Each sample's lowest value back to its nearest strictly higher one, itself included."""
+        stack, lows = [], []  # stack: (sample, lowest value since the one below it), samples falling to the top
+        for value in samples:
+            low = value
+            while stack and stack[-1][0] <= value:
+                low = min(low, stack.pop()[1])
+            stack.append((value, low))
+            lows.append(low)
+        return lows
+
+    samples = values.tolist()
+    left, right = np.array(valleys(samples)), np.array(valleys(samples[::-1])[::-1])
+    return values[peaks] - np.maximum(left[peaks], right[peaks])
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,7 @@ def _fit_peaks(config: ExperimentConfig, frequencies_mhz, counts, integration_s)
     distinct = frequencies_mhz[np.diff(frequencies_mhz, prepend=-np.inf) != 0.0]  # each unlike the one before
     if distinct.size < 8:
         raise FitError(f"need at least 8 distinct frequencies, got {distinct.size}")
-    if counts.min() < 0:  # find_peaks takes the square root of their median
+    if counts.min() < 0:  # a count is a number of photons
         raise FitError(f"counts must be >= 0, got {counts.min()}")
     peaks = find_peaks(counts, 5.0)
     if not peaks:

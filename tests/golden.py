@@ -89,6 +89,10 @@ def _matrix() -> dict[str, tuple[dict[str, str], list[list[str]]]]:
         runs[f"reproduce-fig2-{name}"] = (
             {CONFIG: f"[protocol]\nscan_range_mhz = {scan}\n"}, [["reproduce", "fig2", "--out", "out"]]
         )
+    # a median of 0 counts once made every maximum of the noise a line
+    runs["reproduce-fig2-0.05s"] = (
+        {CONFIG: "[protocol]\nintegration_time_s = 0.05\n"}, [["reproduce", "fig2", "--out", "out"]]
+    )
     runs["decay-100us-bin"] = ({CONFIG: "[decay]\nbin_width_us = 100.0\n"}, [["decay", "--out", "out"]])
     runs["reproduce-fig3b-lifetime-underflows"] = (
         {CONFIG: "[emitter]\nbulk_lifetime_ms = 5e-324\nenhancement_factor = 1e300\n"},

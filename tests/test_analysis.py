@@ -85,9 +85,19 @@ class TestFindPeaks:
         assert peaks == sorted(peaks)
         assert np.abs(freqs[peaks] - [250.0, 900.0, 1500.0]).max() <= 5.0
 
+    def test_zero_median_noise_gives_only_the_real_line(self):
+        # most samples empty: a noise threshold of sqrt(median) = 0 made every maximum a line
+        rng = np.random.default_rng(52)
+        counts = rng.poisson(0.1, 4000)
+        assert np.median(counts) == 0.0
+        assert find_peaks(counts, 5.0) == []
+        freqs = np.arange(4000) * 0.5
+        peaks = find_peaks(counts + rng.poisson(40.0 / (1.0 + (2.0 * (freqs - 1234.5) / 6.7) ** 2)), 5.0)
+        assert len(peaks) == 1 and abs(freqs[peaks[0]] - 1234.5) <= 1.0
+
     def test_memory_stays_bounded_on_a_long_scan(self):
-        # the (peaks x points) temporaries of the prominences are taken a block
-        # of peaks at a time; all at once, 4000 points of noise took 40 MB
+        # the prominences hold a few values per point, not one per peak and
+        # point, which took 40 MB on these 4000 points of noise
         counts = np.random.default_rng(8).poisson(50.0, 4000)
         tracemalloc.start()
         try:
@@ -102,8 +112,9 @@ class TestFindPeaks:
         # index, scipy's left edge; the prominences are compared at that index
         signal = pytest.importorskip("scipy.signal")
         rng = np.random.default_rng(2024)
-        for trial in range(200):
-            n = int(rng.integers(3, 130))
+        long_scans = np.geomspace(130, 40_000, 6).astype(int).repeat(2)  # each size with both kinds of counts
+        for trial in range(200 + long_scans.size):
+            n = int(rng.integers(3, 130)) if trial < 200 else int(long_scans[trial - 200])
             # small integer counts give plateaus in the smoothed trace
             counts = rng.integers(0, 4, n) if trial % 2 else rng.poisson(rng.uniform(1.0, 60.0), n)
             padded = np.concatenate([counts[:1], counts, counts[-1:]]).astype(float)

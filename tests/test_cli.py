@@ -1015,8 +1015,10 @@ class TestPipelines:
     @pytest.mark.parametrize(
         "config_text, dataset, argv",
         [("[emitter]\nsaturation_excitation_prob = 0.0\n", None, ["reproduce", "fig2"]),  # darks alone
-         ("", "frequency_offset_mhz,counts,integration_s\n" + "".join(PLE_ROWS), ["fit", "--kind", "ple"])],
-        ids=["fig2-unexcited", "ple-eight-rows-of-noise"],
+         ("", "frequency_offset_mhz,counts,integration_s\n" + "".join(PLE_ROWS), ["fit", "--kind", "ple"]),
+         # a median of 0 counts once made every maximum of the noise a line, and the fit of those exited 5
+         ("[protocol]\nintegration_time_s = 0.05\n", None, ["reproduce", "fig2"])],
+        ids=["fig2-unexcited", "ple-eight-rows-of-noise", "fig2-0.05s"],
     )
     def test_scan_without_a_peak_writes_a_header_only_report(self, capsys, tmp_path, config_text, dataset, argv):
         config = tmp_path / "in.toml"
